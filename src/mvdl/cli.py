@@ -8,7 +8,6 @@ variable overrides the default sweep budget.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -17,6 +16,7 @@ from .algebra import algebra_by_name, is_semiprimal, validate_flew
 from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
+    InvalidParameter,
     MvdlError,
     RewriteBudgetExceeded,
 )
@@ -43,14 +43,29 @@ def _budget_default() -> int:
 
 def _load_algebra(ref: str):
     if ref.endswith(".json") or os.path.sep in ref or os.path.exists(ref):
-        with open(ref, "r", encoding="utf-8") as fh:
-            return jsonio.algebra_from_json(json.load(fh))
+        return jsonio.algebra_from_json(jsonio.load_json(ref))
     return algebra_by_name(ref)
 
 
-def _load_model(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return jsonio.model_from_json(json.load(fh))
+def _load_h(path: str, kind: str) -> dict:
+    """The H entries of a one-step file: {"entries": [[key, value], ...]}."""
+    data = jsonio.load_json(path)
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise InvalidParameter(f"{path}: field 'entries' must be a list of [key, value]")
+    H = {}
+    for i, entry in enumerate(entries):
+        try:
+            key, value = entry
+            if kind == "threshold":
+                H[(int(key[0]), int(key[1]))] = int(value)
+            else:
+                H[tuple(int(v) for v in key)] = int(value)
+        except (TypeError, ValueError, IndexError):
+            raise InvalidParameter(
+                f"{path}: field 'entries[{i}]' is not a [key, value] pair of integers"
+            ) from None
+    return H
 
 
 def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
@@ -69,13 +84,28 @@ def _verdict_exit(verdict: harness.Verdict, fmt: str) -> int:
     return EXIT_OK if verdict.ok else EXIT_FAILS
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    fmt_parent = argparse.ArgumentParser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("json", "text"), default="text")
     ap = argparse.ArgumentParser(
         prog="mvdl",
         description="Many-valued coalgebraic dynamic logic workbench",
-        parents=[fmt_parent],
+    )
+    ap.add_argument("--format", choices=("json", "text"), default="text")
+    # the subcommands accept --format too; SUPPRESS keeps their default from
+    # overwriting a --format given before the subcommand
+    fmt_parent = argparse.ArgumentParser(add_help=False)
+    fmt_parent.add_argument(
+        "--format", choices=("json", "text"), default=argparse.SUPPRESS
     )
     sub = ap.add_subparsers(dest="command", required=True)
     _parents = {"parents": [fmt_parent]}
@@ -87,12 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("pdl-crisp", "pdl-labelled", "pdl-threshold", "game", "instantial"),
             default="pdl-crisp",
         )
-        p.add_argument("--max-n", type=int, default=2)
+        p.add_argument("--max-n", type=_int_at_least(1), default=2)
         p.add_argument("--budget", type=int, default=None)
-        p.add_argument("--trials", type=int, default=10_000)
+        p.add_argument(
+            "--trials", type=int, default=10_000, help="samples in random mode (at least 1)"
+        )
         p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
         p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (sweeps are chunked)")
 
     p = sub.add_parser("validate-algebra", help="check the FLew laws exhaustively", **_parents)
     p.add_argument("--algebra", default=None)
@@ -112,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-rules", help="soundness sweep over the builtin rules", **_parents)
     common(p)
-    p.add_argument("--n", type=int, default=2, help="carrier size for the sweep")
+    p.add_argument("--n", type=_int_at_least(1), default=2, help="carrier size for the sweep")
 
     p = sub.add_parser("check-safety", help="morphism preservation for one target", **_parents)
     common(p)
@@ -121,14 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-separation", help="joint monicity of the lifting family", **_parents)
     common(p)
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
 
     p = sub.add_parser("one-step", help="one-step witness construction/roundtrips", **_parents)
     p.add_argument("--kind", required=True, choices=harness.ONE_STEP_KINDS)
     p.add_argument("--algebra", default="L2")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
     p.add_argument("--h", dest="h_file", default=None, help="JSON file with H entries")
-    p.add_argument("--trials", type=int, default=0, help="random roundtrips instead of --h")
+    p.add_argument(
+        "--trials", type=_int_at_least(0), default=0,
+        help="random roundtrips instead of --h (0: use --h)",
+    )
     p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
 
     p = sub.add_parser("entail", help="bounded countermodel search", **_parents)
@@ -172,7 +206,7 @@ def _cmd_semiprimal(args, fmt: str) -> int:
 
 
 def _cmd_eval(args, fmt: str) -> int:
-    model = _load_model(args.model)
+    model = jsonio.model_from_json(jsonio.load_json(args.model))
     phi = parse(args.phi, model.config.signature, "formula")
     row = eval_formula(model, phi)
     labels = [model.config.truth.label(v) for v in row]
@@ -294,15 +328,7 @@ def _cmd_one_step(args, fmt: str) -> int:
         return EXIT_OK
     if not args.h_file:
         raise MvdlError("one-step needs --h or --trials")
-    with open(args.h_file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    H = {}
-    for entry in data["entries"]:
-        key, value = entry
-        if args.kind == "threshold":
-            H[(int(key[0]), int(key[1]))] = int(value)
-        else:
-            H[tuple(int(v) for v in key)] = int(value)
+    H = _load_h(args.h_file, args.kind)
     result = harness.one_step_witness(args.kind, alg, args.n, H)
     if result.satisfiable:
         payload = {"alpha": jsonio.fvalue_to_json(_one_step_kind_tag(args.kind), result.alpha)}
@@ -351,11 +377,11 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        # a random sweep over no samples would report success having checked nothing
+        if getattr(args, "mode", None) == "random" and args.trials < 1:
+            ap.error(f"argument --trials: must be at least 1 in random mode, got {args.trials}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, args.format)
     except (BudgetExceeded, ClosureBudgetExceeded, RewriteBudgetExceeded) as exc:

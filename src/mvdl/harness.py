@@ -38,7 +38,8 @@ from .semantics import (
     LiftingSpec,
     LogicConfig,
     Model,
-    apply_lifting,
+    Plan,
+    lifting_kernel,
 )
 from .syntax import (
     Formula,
@@ -440,15 +441,15 @@ def check_separation(
             t1, t2 = fops.random_value(rng), fops.random_value(rng)
             if t1 != t2:
                 pairs.append((t1, t2))
+    kernels = [(lifting_kernel(spec, config), spaces[spec.id]) for spec in liftings]
     cases = 0
     for t1, t2 in pairs:
         separated = False
-        for spec in liftings:
-            for sigmas in spaces[spec.id]:
+        for kernel, space in kernels:
+            for sigmas in space:
                 cases += 1
-                if apply_lifting(spec, sigmas, t1, config, n) != apply_lifting(
-                    spec, sigmas, t2, config, n
-                ):
+                v1, v2 = kernel(sigmas, (t1, t2), n)
+                if v1 != v2:
                     separated = True
                     break
             if separated:
@@ -481,6 +482,7 @@ class _TemplateEval:
         self.truth = config.truth
         self.memo: dict = {}
         self._slots: dict = {}
+        self._kernels: dict = {}
 
     def slots(self, node) -> tuple[int, ...]:
         got = self._slots.get(node)
@@ -534,16 +536,18 @@ class _TemplateEval:
                 b = self.eval(node.args[1], gammas, sigmas)
                 out = tuple(table[u][v] for u, v in zip(a, b))
         else:
-            spec = self.config.lifting(node.lifting)
-            gamma = gammas[node.slot - 1]
             preds = [self.eval(a, gammas, sigmas) for a in node.args]
-            out = tuple(
-                apply_lifting(spec, preds, gamma[x], self.config, n)
-                for x in range(n)
-            )
+            out = self.kernel(node.lifting)(preds, gammas[node.slot - 1], n)
         if key is not None:
             self.memo[key] = out
         return out
+
+    def kernel(self, lifting: str):
+        got = self._kernels.get(lifting)
+        if got is None:
+            spec = self.config.lifting(lifting)
+            got = self._kernels[lifting] = lifting_kernel(spec, self.config)
+        return got
 
 
 def verify_reduction_rule(
@@ -567,6 +571,7 @@ def verify_reduction_rule(
     lift = config.lifting(rule.lifting)
     sigma_space = list(product(predicate_space(truth.m, n), repeat=lift.arity))
     tev = _TemplateEval(config, n)
+    kernel = tev.kernel(rule.lifting)
     lcache: dict = {}
 
     def lhs_row(out, sigmas):
@@ -575,7 +580,7 @@ def verify_reduction_rule(
             key = (out[x], sigmas)
             v = lcache.get(key)
             if v is None:
-                v = apply_lifting(lift, sigmas, out[x], config, n)
+                (v,) = kernel(sigmas, (out[x],), n)
                 lcache[key] = v
             row.append(v)
         return tuple(row)
@@ -898,6 +903,9 @@ def bounded_entailment(
     Gamma |= phi; truth means value 1 at the state."""
     t0 = time.perf_counter()
     formulas = list(gamma) + [phi]
+    plan = Plan(config)
+    gamma_at = [plan.compile(g) for g in gamma]
+    phi_at = plan.compile(phi)
     prop_names = sorted(set().union(set(), *(props_of(g) for g in formulas)))
     atom_names = sorted(set().union(set(), *(atoms_of(g) for g in formulas)))
     truth = config.truth
@@ -925,7 +933,7 @@ def bounded_entailment(
                         n, config, atoms, dict(zip(prop_names, val_assign)),
                         validate=False,
                     )
-                    found = _countermodel_state(model, gamma, phi, top)
+                    found = _countermodel_state(plan, model, gamma_at, phi_at, top)
                     if found is not None:
                         return _verdict(
                             "fails", cases, t0,
@@ -952,7 +960,7 @@ def bounded_entailment(
         }
         cases += 1
         model = Model(n, config, atoms, valuation, validate=False)
-        found = _countermodel_state(model, gamma, phi, top)
+        found = _countermodel_state(plan, model, gamma_at, phi_at, top)
         if found is not None:
             return _verdict(
                 "fails", cases, t0,
@@ -970,10 +978,10 @@ def bounded_entailment(
     )
 
 
-def _countermodel_state(model: Model, gamma, phi, top: int) -> int | None:
-    session = model.session()
-    rows = [session.eval(g) for g in gamma]
-    phi_row = session.eval(phi)
+def _countermodel_state(plan: Plan, model: Model, gamma_at, phi_at, top: int) -> int | None:
+    values = plan.run(model, [])
+    rows = [values[i] for i in gamma_at]
+    phi_row = values[phi_at]
     for x in range(model.n):
         if phi_row[x] != top and all(r[x] == top for r in rows):
             return x

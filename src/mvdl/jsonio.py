@@ -25,6 +25,56 @@ from .semantics import LiftingSpec, LogicConfig, Model
 from .syntax import Template, make_signature, parse, render
 
 
+def load_json(path: str):
+    """Parse a JSON file; malformed content raises InvalidParameter."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise InvalidParameter(f"{path} is not valid JSON: {exc}") from None
+
+
+def _field(data, key: str, where: str):
+    """``data[key]``, or InvalidParameter naming the missing field."""
+    if not isinstance(data, Mapping):
+        raise InvalidParameter(f"{where}: expected a JSON object")
+    if key not in data:
+        raise InvalidParameter(f"{where}: missing field {key!r}")
+    return data[key]
+
+
+def _table(data, key: str, m: int):
+    """An m x m operation table of elements, or InvalidParameter naming it."""
+    t = _field(data, key, "algebra")
+    if not (
+        isinstance(t, list)
+        and len(t) == m
+        and all(
+            isinstance(r, list) and len(r) == m
+            and all(isinstance(v, int) and 0 <= v < m for v in r)
+            for r in t
+        )
+    ):
+        raise InvalidParameter(
+            f"algebra field {key!r}: expected a {m}x{m} table of elements 0..{m - 1}"
+        )
+    return t
+
+
+def _rows(rows, key: str, decode) -> dict:
+    """A ``{name: [value, ...]}`` model field with each value decoded, or
+    InvalidParameter naming the offending ``key.name`` field."""
+    if not isinstance(rows, Mapping):
+        raise InvalidParameter(f"model field {key!r}: expected an object of rows")
+    out = {}
+    for name, row in rows.items():
+        try:
+            out[name] = tuple(decode(v) for v in row)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"model field '{key}.{name}': {exc}") from None
+    return out
+
+
 def algebra_to_json(alg: Algebra) -> dict:
     out: dict[str, Any] = {
         "m": alg.m,
@@ -45,17 +95,22 @@ def algebra_to_json(alg: Algebra) -> dict:
 def algebra_from_json(data: Mapping | str) -> Algebra:
     if isinstance(data, str):
         return algebra_by_name(data)
-    impl = data.get("impl")
-    if impl is None:
+    m = _field(data, "m", "algebra")
+    if not isinstance(m, int) or m < 1:
+        raise InvalidParameter(f"algebra field 'm': expected a positive integer, got {m!r}")
+    meet, join, tensor = (_table(data, key, m) for key in ("meet", "join", "tensor"))
+    if "impl" in data:
+        impl = _table(data, "impl", m)
+    else:
         # residuate the tensor against the joins (quantale presentation)
         from .algebra import derive_residuum
 
-        impl = derive_residuum(data["m"], data["join"], data["tensor"])
+        impl = derive_residuum(m, join, tensor)
     alg = Algebra(
-        m=data["m"],
-        meet=data["meet"],
-        join=data["join"],
-        tensor=data["tensor"],
+        m=m,
+        meet=meet,
+        join=join,
+        tensor=tensor,
         impl=impl,
         labels=data.get("labels"),
         extras=data.get("extras"),
@@ -84,7 +139,11 @@ def config_from_json(data: Mapping, alg: Algebra) -> LogicConfig:
     (arity defaults to 1; instantial liftings must state theirs).  Operation
     entries: {"variant": ...}; test entries: {"variant": ..., "subset"?: [int]}.
     """
-    kind = Kind(data["kind"])
+    kind = _field(data, "kind", "config")
+    try:
+        kind = Kind(kind)
+    except ValueError:
+        raise InvalidParameter(f"config field 'kind': unknown functor kind {kind!r}") from None
     truth = alg
     if "truth_algebra" in data:
         truth = algebra_from_json(data["truth_algebra"])
@@ -93,20 +152,20 @@ def config_from_json(data: Mapping, alg: Algebra) -> LogicConfig:
         liftings[lid] = LiftingSpec(
             lid,
             entry.get("arity", 1),
-            entry["variant"],
+            _field(entry, "variant", f"config lifting {lid!r}"),
             param=entry.get("param", 0),
         )
         liftings[lid].check_kind(kind)
     ops = {}
     for oid, entry in data.get("ops", {}).items():
-        variant = entry["variant"]
+        variant = _field(entry, "variant", f"config op {oid!r}")
         if variant not in _OP_ARITIES:
             raise InvalidParameter(f"unknown operation variant {variant!r}")
         ops[oid] = OperationSpec(oid, _OP_ARITIES[variant], variant)
         ops[oid].check_kind(kind)
     tests = {}
     for tid, entry in data.get("tests", {}).items():
-        variant = entry["variant"]
+        variant = _field(entry, "variant", f"config test {tid!r}")
         if "subset" in entry:
             subset = frozenset(entry["subset"])
         elif variant in ("test-p", "instantial-p"):
@@ -203,23 +262,25 @@ def model_to_json(model: Model) -> dict:
 
 
 def model_from_json(data: Mapping, config: LogicConfig | None = None) -> Model:
+    n = _field(data, "n", "model")
+    if not isinstance(n, int):
+        raise InvalidParameter(f"model field 'n': expected an integer, got {n!r}")
     if config is None:
-        alg = algebra_from_json(data["algebra"])
+        alg = algebra_from_json(_field(data, "algebra", "model"))
         if "config" in data:
             config = config_from_json(data["config"], alg)
         else:
-            config = make_preset(data["preset"], alg)
+            config = make_preset(_field(data, "preset", "model"), alg)
     kind = config.kind
     if "kind" in data and data["kind"] != kind.value:
         raise InvalidParameter(
             f"model kind {data['kind']!r} does not match preset kind {kind.value!r}"
         )
-    atoms = {
-        name: tuple(fvalue_from_json(kind, v) for v in gamma)
-        for name, gamma in data["atoms"].items()
-    }
-    valuation = {name: tuple(row) for name, row in data.get("valuation", {}).items()}
-    return Model(data["n"], config, atoms, valuation)
+    atoms = _rows(
+        _field(data, "atoms", "model"), "atoms", lambda v: fvalue_from_json(kind, v)
+    )
+    valuation = _rows(data.get("valuation", {}), "valuation", int)
+    return Model(n, config, atoms, valuation)
 
 
 def formula_to_json(node) -> dict:

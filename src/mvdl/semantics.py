@@ -2,9 +2,10 @@
 
 A model fixes a carrier size, a logic configuration (functor kind, truth and
 structure algebras, the lifting/operation/test catalogue), coalgebras for the
-atomic actions and a propositional valuation.  Evaluation happens inside an
-EvalSession, which memoizes formula values and interpreted actions; the two
-caches drive the mutual recursion between formulas and test actions.
+atomic actions and a propositional valuation.  Formulas and actions are
+compiled once into a Plan, a flat list of steps with one step per distinct
+subterm, which then runs over any number of models; an EvalSession holds one
+plan and the values it has computed so far for one model.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -39,7 +40,7 @@ from .functors import (
     functor_ops,
     predicate_index,
 )
-from .syntax import Atomic, Conn, Formula, Op, Prop, Signature, Test
+from .syntax import Atomic, Conn, Formula, Modal, Op, Prop, Signature, Test
 
 Predicate = tuple
 
@@ -118,6 +119,97 @@ def crisp_mask(truth: Algebra, pred: Sequence[int]) -> int:
     return mask
 
 
+def _crisp_fold(start: int, table):
+    """Fold ``table`` over sigma on the successor set of a powerset value."""
+
+    def kernel(preds, values, n):
+        sigma = preds[0]
+        out = []
+        for value in values:
+            acc = start
+            for x in range(n):
+                if value >> x & 1:
+                    acc = table[acc][sigma[x]]
+            out.append(acc)
+        return tuple(out)
+
+    return kernel
+
+
+def _labelled_fold(start: int, outer, inner):
+    """Fold ``outer`` over inner(weight, sigma) along a labelled row."""
+
+    def kernel(preds, values, n):
+        sigma = preds[0]
+        out = []
+        for value in values:
+            acc = start
+            for x in range(n):
+                acc = outer[acc][inner[value[x]][sigma[x]]]
+            out.append(acc)
+        return tuple(out)
+
+    return kernel
+
+
+def lifting_kernel(spec: LiftingSpec, config: LogicConfig):
+    """The closed formula of ``spec``'s variant as a function
+    ``(preds, values, n) -> row``: one lifted truth value per FValue in
+    ``values``, all at carrier size n.  The kind is checked here, once."""
+    spec.check_kind(config.kind)
+    truth, struct = config.truth, config.struct
+    variant = spec.variant
+    if variant == "box-crisp":
+        return _crisp_fold(truth.top, truth.meet_table)
+    if variant == "diamond-crisp":
+        return _crisp_fold(0, truth.join_table)
+    if variant == "box-labelled":
+        return _labelled_fold(struct.top, struct.meet_table, struct.impl_table)
+    if variant == "diamond-labelled":
+        return _labelled_fold(0, struct.join_table, struct.tensor_table)
+    if variant == "threshold":
+        top, jt, leq, param = truth.top, struct.join_table, struct.leq, spec.param
+
+        def threshold(preds, values, n):
+            mask = crisp_mask(truth, preds[0])
+            out = []
+            for value in values:
+                acc = 0
+                for x in range(n):
+                    if mask >> x & 1:
+                        acc = jt[acc][value[x]]
+                out.append(top if leq(param, acc) else 0)
+            return tuple(out)
+
+        return threshold
+    if variant == "eval":
+        m = struct.m
+
+        def evaluation(preds, values, n):
+            j = predicate_index(m, n)[tuple(preds[0])]
+            return tuple(value[j] for value in values)
+
+        return evaluation
+    if variant == "instantial":
+        top = truth.top
+
+        def instantial(preds, values, n):
+            smask = crisp_mask(truth, preds[-1])
+            imasks = [crisp_mask(truth, p) for p in preds[:-1]]
+            out = []
+            for value in values:
+                hit = 0
+                for z in value:
+                    if not z & ~smask and all(z & im for im in imasks):
+                        hit = top
+                        break
+                out.append(hit)
+            return tuple(out)
+
+        return instantial
+    raise IncompatibleVariant(f"unknown lifting variant {variant!r}")
+
+
 def apply_lifting(
     spec: LiftingSpec,
     preds: Sequence[Predicate],
@@ -126,62 +218,12 @@ def apply_lifting(
     n: int,
 ) -> int:
     """lambda_X(preds)(value), by the closed formula of the variant."""
-    spec.check_kind(config.kind)
+    kernel = lifting_kernel(spec, config)
     if len(preds) != spec.arity:
         raise ArityMismatch(
             f"lifting {spec.id!r} expects {spec.arity} predicate(s), got {len(preds)}"
         )
-    truth, struct = config.truth, config.struct
-    variant = spec.variant
-    if variant == "box-crisp":
-        acc = truth.top
-        sigma = preds[0]
-        for x in range(n):
-            if value >> x & 1:
-                acc = truth.meet(acc, sigma[x])
-        return acc
-    if variant == "diamond-crisp":
-        acc = 0
-        sigma = preds[0]
-        for x in range(n):
-            if value >> x & 1:
-                acc = truth.join(acc, sigma[x])
-        return acc
-    if variant == "box-labelled":
-        sigma = preds[0]
-        acc = struct.top
-        it = struct.impl_table
-        mt = struct.meet_table
-        for x in range(n):
-            acc = mt[acc][it[value[x]][sigma[x]]]
-        return acc
-    if variant == "diamond-labelled":
-        sigma = preds[0]
-        acc = 0
-        tt = struct.tensor_table
-        jt = struct.join_table
-        for x in range(n):
-            acc = jt[acc][tt[value[x]][sigma[x]]]
-        return acc
-    if variant == "threshold":
-        mask = crisp_mask(truth, preds[0])
-        acc = 0
-        for x in range(n):
-            if mask >> x & 1:
-                acc = struct.join(acc, value[x])
-        return truth.top if struct.leq(spec.param, acc) else 0
-    if variant == "eval":
-        return value[predicate_index(struct.m, n)[tuple(preds[0])]]
-    if variant == "instantial":
-        smask = crisp_mask(truth, preds[-1])
-        imasks = [crisp_mask(truth, p) for p in preds[:-1]]
-        for z in value:
-            if z & ~smask:
-                continue
-            if all(z & im for im in imasks):
-                return truth.top
-        return 0
-    raise IncompatibleVariant(f"unknown lifting variant {variant!r}")
+    return kernel(preds, (value,), n)[0]
 
 
 class Model:
@@ -224,95 +266,194 @@ class Model:
         return EvalSession(self)
 
 
-class EvalSession:
-    """Owns the memo tables for one round of mutual formula/action recursion.
+_BINARY_TABLES = {
+    "/\\": "meet_table",
+    "\\/": "join_table",
+    "*": "tensor_table",
+    "->": "impl_table",
+}
 
-    Distinct sessions may run concurrently; a single session must not be
-    shared across threads.
+
+class Plan:
+    """Formulas and actions compiled into one flat, post-ordered step list.
+
+    Each distinct subterm becomes one step, placed after the steps of its
+    subterms, so running the steps in order over a model fills a value list
+    in which every subterm's value sits at its step index.  Liftings,
+    operations and tests are looked up and kind/arity-checked when a step
+    is compiled; running a step only computes.  A plan belongs to one
+    configuration and runs over any model of it.
+    """
+
+    def __init__(self, config: LogicConfig, iterate_cap: int = DEFAULT_ITERATE_CAP):
+        self.config = config
+        self.iterate_cap = iterate_cap
+        self.steps: list = []
+        self._index: dict = {}  # node -> step index, in step order
+
+    def compile(self, node) -> int:
+        """The step index of ``node``, appending steps for its new subterms."""
+        got = self._index.get(node)
+        if got is None:
+            step = self._step(node)
+            got = self._index[node] = len(self.steps)
+            self.steps.append(step)
+        return got
+
+    def truncate(self, size: int) -> None:
+        """Drop every step from index ``size`` on."""
+        del self.steps[size:]
+        while len(self._index) > size:
+            self._index.popitem()
+
+    def run(self, model: "Model", values: list) -> list:
+        """Extend ``values`` over ``model`` by the steps it does not cover yet."""
+        steps = self.steps
+        for i in range(len(values), len(steps)):
+            values.append(steps[i](values, model))
+        return values
+
+    def _step(self, node):
+        config = self.config
+        if isinstance(node, Prop):
+            name = node.name
+
+            def prop(values, model):
+                try:
+                    return model.valuation[name]
+                except KeyError:
+                    raise UnknownIdentifier(
+                        f"proposition {name!r} is not interpreted"
+                    ) from None
+
+            return prop
+        if isinstance(node, Conn):
+            return self._conn_step(node)
+        if isinstance(node, Modal):
+            spec = config.lifting(node.lifting)
+            kernel = lifting_kernel(spec, config)
+            if len(node.args) != spec.arity:
+                raise ArityMismatch(
+                    f"lifting {spec.id!r} expects {spec.arity} predicate(s), "
+                    f"got {len(node.args)}"
+                )
+            act = self.compile(node.action)
+            args = [self.compile(a) for a in node.args]
+
+            def modal(values, model):
+                return kernel([values[i] for i in args], values[act], model.n)
+
+            return modal
+        if isinstance(node, Atomic):
+            name = node.name
+
+            def atomic(values, model):
+                try:
+                    return model.atoms[name]
+                except KeyError:
+                    raise UnknownAtom(
+                        f"atomic action {name!r} is not interpreted"
+                    ) from None
+
+            return atomic
+        if isinstance(node, Op):
+            spec = config.op(node.op)
+            spec.check_kind(config.kind)
+            if len(node.args) != spec.arity:
+                raise IncompatibleVariant(
+                    f"operation {spec.id!r} has arity {spec.arity}, "
+                    f"got {len(node.args)} actions"
+                )
+            args = [self.compile(a) for a in node.args]
+            cap = self.iterate_cap
+
+            def op(values, model):
+                return apply_op(spec, [values[i] for i in args], model.fops, cap=cap)
+
+            return op
+        if isinstance(node, Test):
+            spec = config.test(node.test)
+            spec.check_kind(config.kind)
+            arg = self.compile(node.arg)
+            truth = config.truth
+
+            def test(values, model):
+                return apply_test(spec, values[arg], model.fops, truth)
+
+            return test
+        raise InvalidParameter(f"not a formula or action node: {node!r}")
+
+    def _conn_step(self, node: Conn):
+        truth, sym = self.config.truth, node.symbol
+        if sym in ("0", "1") or sym in truth.constants:
+            c = 0 if sym == "0" else truth.top if sym == "1" else truth.constants[sym]
+
+            def constant(values, model):
+                return (c,) * model.n
+
+            return constant
+        args = [self.compile(a) for a in node.args]
+        if sym in _BINARY_TABLES:
+            arity = 2
+        elif sym in truth.extras:
+            arity = 1
+        else:
+            raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
+        if len(args) != arity:
+            raise ArityMismatch(
+                f"connective {sym!r} expects {arity} argument(s), got {len(args)}"
+            )
+        if arity == 1:
+            lookup = truth.extras[sym].__getitem__
+            (i,) = args
+
+            def extra(values, model):
+                return tuple(map(lookup, values[i]))
+
+            return extra
+        table = getattr(truth, _BINARY_TABLES[sym])
+        i, j = args
+
+        def binary(values, model):
+            return tuple([table[u][v] for u, v in zip(values[i], values[j])])
+
+        return binary
+
+
+class EvalSession:
+    """Evaluates formulas and actions over one model through one plan.
+
+    ``eval`` and ``interpret`` compile their argument into the session's
+    plan and run only the steps no earlier call has run, so each subterm is
+    computed at most once per session.  Distinct sessions may run
+    concurrently; a single session must not be shared across threads.
     """
 
     def __init__(self, model: Model, iterate_cap: int = DEFAULT_ITERATE_CAP):
         self.model = model
-        self.iterate_cap = iterate_cap
-        self._formulas: dict[Formula, Predicate] = {}
-        self._actions: dict[object, Coalgebra] = {}
+        self.plan = Plan(model.config, iterate_cap)
+        self.values: list = []
 
     def eval(self, formula: Formula) -> Predicate:
-        cached = self._formulas.get(formula)
-        if cached is not None:
-            return cached
-        out = self._eval(formula)
-        self._formulas[formula] = out
-        return out
-
-    def _eval(self, formula: Formula) -> Predicate:
-        model = self.model
-        truth = model.config.truth
-        if isinstance(formula, Prop):
-            try:
-                return model.valuation[formula.name]
-            except KeyError:
-                raise UnknownIdentifier(
-                    f"proposition {formula.name!r} is not interpreted"
-                ) from None
-        if isinstance(formula, Conn):
-            sym = formula.symbol
-            if sym == "0":
-                return (0,) * model.n
-            if sym == "1":
-                return (truth.top,) * model.n
-            if sym in truth.constants:
-                return (truth.constants[sym],) * model.n
-            args = [self.eval(a) for a in formula.args]
-            if sym == "/\\":
-                t = truth.meet_table
-            elif sym == "\\/":
-                t = truth.join_table
-            elif sym == "*":
-                t = truth.tensor_table
-            elif sym == "->":
-                t = truth.impl_table
-            elif sym in truth.extras:
-                tab = truth.extras[sym]
-                return tuple(tab[v] for v in args[0])
-            else:
-                raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
-            a, b = args
-            return tuple(t[u][v] for u, v in zip(a, b))
-        spec = model.config.lifting(formula.lifting)
-        gamma = self.interpret(formula.action)
-        preds = [self.eval(a) for a in formula.args]
-        return tuple(
-            apply_lifting(spec, preds, gamma[x], model.config, model.n)
-            for x in range(model.n)
-        )
+        return self._value(formula)
 
     def interpret(self, action) -> Coalgebra:
-        cached = self._actions.get(action)
-        if cached is not None:
-            return cached
-        out = self._interpret(action)
-        self._actions[action] = out
-        return out
+        if not isinstance(action, (Atomic, Op, Test)):
+            raise InvalidParameter(f"not an action node: {action!r}")
+        return self._value(action)
 
-    def _interpret(self, action) -> Coalgebra:
-        model = self.model
-        if isinstance(action, Atomic):
-            try:
-                return model.atoms[action.name]
-            except KeyError:
-                raise UnknownAtom(
-                    f"atomic action {action.name!r} is not interpreted"
-                ) from None
-        if isinstance(action, Op):
-            spec = model.config.op(action.op)
-            gammas = [self.interpret(a) for a in action.args]
-            return apply_op(spec, gammas, model.fops, cap=self.iterate_cap)
-        if isinstance(action, Test):
-            spec = model.config.test(action.test)
-            sigma = self.eval(action.arg)
-            return apply_test(spec, sigma, model.fops, model.config.truth)
-        raise InvalidParameter(f"not an action node: {action!r}")
+    def _value(self, node):
+        plan, values = self.plan, self.values
+        size = len(values)
+        try:
+            i = plan.compile(node)
+            plan.run(self.model, values)
+        except BaseException:
+            # leave no failed step pending for the next call to trip on
+            plan.truncate(size)
+            del values[size:]
+            raise
+        return values[i]
 
 
 def eval_formula(model: Model, formula: Formula) -> Predicate:

@@ -21,7 +21,8 @@ Binary connectives parse left-associatively, -> right-associatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Union
 
 from .errors import ArityMismatch, FormulaSyntaxError, LengthMismatch, UnknownIdentifier
@@ -29,53 +30,79 @@ from .errors import ArityMismatch, FormulaSyntaxError, LengthMismatch, UnknownId
 # -- AST nodes ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass whose hash is computed on first use and kept on the
+    instance, so a memo lookup costs O(1) instead of a walk over the subtree.
+    Equality stays structural."""
+    cls = dataclass(frozen=True)(cls)
+    values = attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((cls, values(self)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # string hashes differ between processes: never carry one over
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_node
 class Prop:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Conn:
     symbol: str
     args: tuple["Formula", ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Modal:
     lifting: str
     action: "Action"
     args: tuple["Formula", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Atomic:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Op:
     op: str
     args: tuple["Action", ...]
 
 
-@dataclass(frozen=True)
+@_node
 class Test:
     test: str
     arg: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class TVar:
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
+@_node
 class TConn:
     symbol: str
     args: tuple["TemplateBody", ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class TModal:
     lifting: str
     slot: int  # 1-based
@@ -90,7 +117,7 @@ TOP = Conn("1")
 BOT = Conn("0")
 
 
-@dataclass(frozen=True)
+@_node
 class Template:
     """A reduction scheme over n action slots and k formula variables."""
 

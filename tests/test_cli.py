@@ -202,3 +202,100 @@ class TestCommands:
     def test_help(self, capsys):
         code, out, _ = run(capsys, "--help")
         assert code == 0
+
+
+class TestFormatFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--format", "json", "semiprimal", "--algebra", "B2"],
+            ["semiprimal", "--algebra", "B2", "--format", "json"],
+        ],
+    )
+    def test_json_before_or_after_subcommand(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"algebra": "B2", "clone_size": 4, "semiprimal": True}
+
+    def test_text_is_the_default(self, capsys):
+        code, out, _ = run(capsys, "semiprimal", "--algebra", "B2")
+        assert code == 0
+        assert out.startswith("semiprimal: True")
+
+
+class TestZeroCaseSweeps:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["entail", "--phi", "p", "--max-n", "0"], "--max-n"),
+            (["check-safety", "--op", ";", "--max-n", "-1"], "--max-n"),
+            (["verify-rules", "--n", "0"], "--n"),
+            (["check-separation", "--n", "0"], "--n"),
+            (["one-step", "--kind", "threshold", "--n", "0", "--trials", "5"], "--n"),
+            (["check-separation", "--mode", "random", "--trials", "-5"], "--trials"),
+            (["entail", "--phi", "p", "--mode", "random", "--trials", "0"], "--trials"),
+            (["one-step", "--kind", "threshold", "--trials", "-1"], "--trials"),
+        ],
+    )
+    def test_rejected_with_flag_named(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert f"argument {flag}:" in err
+        assert "holds" not in out
+
+    def test_one_step_zero_trials_reads_h(self, capsys):
+        code, _, err = run(capsys, "one-step", "--kind", "threshold", "--trials", "0")
+        assert code == 2
+        assert "--h" in err
+
+    def test_jobs_flag_is_gone(self, capsys):
+        code, _, err = run(capsys, "entail", "--phi", "p", "--jobs", "1")
+        assert code == 2
+        assert "unrecognized arguments: --jobs" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"n": 1, "preset": "pdl-crisp", "atoms": {}}', "missing field 'algebra'"),
+            ("{not json", "not valid JSON"),
+            (
+                '{"n": 2, "algebra": "B2", "preset": "pdl-crisp", "atoms": {"a": ["x", 1]}}',
+                "'atoms.a'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "nope"}, "atoms": {}}',
+                "config field 'kind'",
+            ),
+            (
+                '{"n": 1, "preset": "pdl-crisp", "atoms": {}, "algebra": {"m": 2,'
+                ' "meet": [[0]], "join": [[0, 1], [1, 1]], "tensor": [[0, 0], [0, 1]]}}',
+                "algebra field 'meet'",
+            ),
+        ],
+    )
+    def test_model_file(self, capsys, tmp_path, text, named):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "p")
+        assert code == 2
+        assert "invalid-parameter" in err and named in err
+
+    def test_one_step_h_not_json(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text("entries: none")
+        code, _, err = run(
+            capsys, "one-step", "--kind", "threshold", "--algebra", "L2", "--h", str(path)
+        )
+        assert code == 2
+        assert "not valid JSON" in err
+
+    def test_one_step_h_bad_entry(self, capsys, tmp_path):
+        path = tmp_path / "h.json"
+        path.write_text('{"entries": [[[1, 0], 0], [1]]}')
+        code, _, err = run(
+            capsys, "one-step", "--kind", "threshold", "--algebra", "L2", "--h", str(path)
+        )
+        assert code == 2
+        assert "'entries[1]'" in err
