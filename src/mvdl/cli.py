@@ -31,14 +31,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _budget_default() -> int:
+def _budget(args) -> int:
+    """--budget if given, else MVDL_BUDGET if set, else the default."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("MVDL_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise MvdlError(f"MVDL_BUDGET is not an integer: {env!r}") from None
-    return DEFAULT_ENUM_BUDGET
+    if not env:
+        return DEFAULT_ENUM_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        raise InvalidParameter(f"MVDL_BUDGET is not an integer: {env!r}") from None
+    if budget < 1:
+        raise InvalidParameter(f"MVDL_BUDGET must be at least 1, got {budget}")
+    return budget
 
 
 def _load_algebra(ref: str):
@@ -118,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="pdl-crisp",
         )
         p.add_argument("--max-n", type=_int_at_least(1), default=2)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_int_at_least(1), default=None)
         p.add_argument(
             "--trials", type=int, default=10_000, help="samples in random mode (at least 1)"
         )
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("semiprimal", help="decide semi-primality by chi-definability", **_parents)
     p.add_argument("--algebra", default="B2")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_int_at_least(1), default=None)
 
     p = sub.add_parser("eval", help="evaluate a formula in a model", **_parents)
     p.add_argument("--model", required=True)
@@ -193,7 +199,7 @@ def _cmd_validate_algebra(args, fmt: str) -> int:
 
 def _cmd_semiprimal(args, fmt: str) -> int:
     alg = _load_algebra(args.algebra)
-    budget = args.budget or 10_000
+    budget = 10_000 if args.budget is None else args.budget
     result = is_semiprimal(alg, budget)
     clone = alg.unary_term_closure(budget)
     payload = {
@@ -233,7 +239,7 @@ def _cmd_reduce(args, fmt: str) -> int:
 def _cmd_verify_rules(args, fmt: str) -> int:
     config = _make_config(args)
     registry = reduction.builtin_rules(config)
-    budget = args.budget or _budget_default()
+    budget = _budget(args)
     results = harness.verify_registry(
         registry, n=args.n, mode=args.mode, budget=budget, trials=args.trials,
         seed=args.seed,
@@ -262,7 +268,7 @@ def _cmd_check_safety(args, fmt: str) -> int:
         target = config.op(args.op)
     else:
         raise MvdlError("check-safety needs --op or --test")
-    budget = args.budget or _budget_default()
+    budget = _budget(args)
     verdict = harness.check_safety(
         target, config, max_n=args.max_n, budget=budget, mode=args.mode,
         trials=args.trials, seed=args.seed,
@@ -272,7 +278,7 @@ def _cmd_check_safety(args, fmt: str) -> int:
 
 def _cmd_check_separation(args, fmt: str) -> int:
     config = _make_config(args)
-    budget = args.budget or _budget_default()
+    budget = _budget(args)
     verdict = harness.check_separation(
         list(config.liftings.values()), config, n=args.n, budget=budget,
         mode=args.mode, trials=args.trials, seed=args.seed,
@@ -352,7 +358,7 @@ def _cmd_entail(args, fmt: str) -> int:
     config = _make_config(args)
     phi = parse(args.phi, config.signature, "formula")
     gamma = [parse(g, config.signature, "formula") for g in args.gamma]
-    budget = args.budget or _budget_default()
+    budget = _budget(args)
     verdict = harness.bounded_entailment(
         gamma, phi, config, max_n=args.max_n, mode=args.mode, budget=budget,
         trials=args.trials, seed=args.seed,

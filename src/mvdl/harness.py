@@ -39,12 +39,11 @@ from .semantics import (
     LogicConfig,
     Model,
     Plan,
+    _TemplatePlan,
     lifting_kernel,
 )
 from .syntax import (
     Formula,
-    TConn,
-    TVar,
     atoms_of,
     formula_actions,
     props_of,
@@ -53,6 +52,10 @@ from .syntax import (
 
 DEFAULT_SEED = 0xC0A1
 DEFAULT_SWEEP_BUDGET = 1_000_000
+# a sampled rule sweep interns this many coalgebras, with their lifting
+# table entries, before it starts afresh: sampled coalgebras seldom recur,
+# so keeping them all would only grow memory with the number of trials
+SAMPLED_COALGEBRAS = 1 << 14
 
 
 @dataclass
@@ -69,7 +72,18 @@ class Verdict:
 
 
 def _verdict(status: str, cases: int, t0: float, counterexample=None, **detail) -> Verdict:
+    if status != "fails" and cases < 1:
+        # a sweep that checked nothing has shown nothing
+        raise InvalidParameter(f"the sweep checked no case, so it cannot report {status!r}")
     return Verdict(status, cases, time.perf_counter() - t0, counterexample, detail)
+
+
+def _check_sweep(mode: str, trials: int, max_n: int = 1) -> None:
+    """Reject sweep parameters that would check no case."""
+    if max_n < 1:
+        raise InvalidParameter(f"max_n must be at least 1, got {max_n}")
+    if mode == "random" and trials < 1:
+        raise InvalidParameter(f"trials must be at least 1 in random mode, got {trials}")
 
 
 # -- coalgebra morphisms --------------------------------------------------
@@ -126,6 +140,7 @@ def check_safety(
     (exhaustive mode) or sampled.
     """
     t0 = time.perf_counter()
+    _check_sweep(mode, trials, max_n)
     if isinstance(target, TestSpec):
         return _check_test_safety(target, config, max_n, budget, t0)
     target.check_kind(config.kind)
@@ -416,6 +431,7 @@ def check_separation(
 ) -> Verdict:
     """Do the lifting transposes jointly distinguish all pairs in FX?"""
     t0 = time.perf_counter()
+    _check_sweep(mode, trials)
     fops = config.fops(n)
     truth = config.truth
     preds = predicate_space(truth.m, n)
@@ -468,88 +484,6 @@ def check_separation(
 # -- reduction-rule soundness ----------------------------------------------
 
 
-class _TemplateEval:
-    """Template evaluation with per-sweep memoization.
-
-    Subtrees touching at most one action slot are cached on (node, the slot's
-    coalgebra, the variable assignment); wider nodes are recomputed, which is
-    cheap because their children are cached.
-    """
-
-    def __init__(self, config: LogicConfig, n: int):
-        self.config = config
-        self.n = n
-        self.truth = config.truth
-        self.memo: dict = {}
-        self._slots: dict = {}
-        self._kernels: dict = {}
-
-    def slots(self, node) -> tuple[int, ...]:
-        got = self._slots.get(node)
-        if got is None:
-            if isinstance(node, TVar):
-                got = ()
-            elif isinstance(node, TConn):
-                acc: set[int] = set()
-                for a in node.args:
-                    acc.update(self.slots(a))
-                got = tuple(sorted(acc))
-            else:
-                acc = {node.slot}
-                for a in node.args:
-                    acc.update(self.slots(a))
-                got = tuple(sorted(acc))
-            self._slots[node] = got
-        return got
-
-    def eval(self, node, gammas: tuple, sigmas: tuple) -> tuple:
-        if isinstance(node, TVar):
-            return sigmas[node.index - 1]
-        used = self.slots(node)
-        key = None
-        if len(used) <= 1:
-            key = (node, tuple(gammas[j - 1] for j in used), sigmas)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
-        truth, n = self.truth, self.n
-        if isinstance(node, TConn):
-            sym = node.symbol
-            if sym == "0":
-                out = (0,) * n
-            elif sym == "1":
-                out = (truth.top,) * n
-            elif sym in truth.constants:
-                out = (truth.constants[sym],) * n
-            elif sym in truth.extras:
-                tab = truth.extras[sym]
-                inner = self.eval(node.args[0], gammas, sigmas)
-                out = tuple(tab[v] for v in inner)
-            else:
-                table = {
-                    "/\\": truth.meet_table,
-                    "\\/": truth.join_table,
-                    "*": truth.tensor_table,
-                    "->": truth.impl_table,
-                }[sym]
-                a = self.eval(node.args[0], gammas, sigmas)
-                b = self.eval(node.args[1], gammas, sigmas)
-                out = tuple(table[u][v] for u, v in zip(a, b))
-        else:
-            preds = [self.eval(a, gammas, sigmas) for a in node.args]
-            out = self.kernel(node.lifting)(preds, gammas[node.slot - 1], n)
-        if key is not None:
-            self.memo[key] = out
-        return out
-
-    def kernel(self, lifting: str):
-        got = self._kernels.get(lifting)
-        if got is None:
-            spec = self.config.lifting(lifting)
-            got = self._kernels[lifting] = lifting_kernel(spec, self.config)
-        return got
-
-
 def verify_reduction_rule(
     rule,
     config: LogicConfig,
@@ -564,105 +498,118 @@ def verify_reduction_rule(
     Exhaustive mode sweeps every coalgebra tuple, predicate tuple and state
     at carrier size n; random mode samples ``trials`` coalgebra/predicate
     draws.  Values are exact algebra elements, so the tolerance is zero.
+    Each coalgebra tuple is checked against the whole sigma-space at once,
+    as one list of ids per side; the first differing position is the first
+    failing case of the case-by-case order.
     """
     t0 = time.perf_counter()
+    _check_sweep(mode, trials)
     fops = config.fops(n)
     truth = config.truth
-    lift = config.lifting(rule.lifting)
-    sigma_space = list(product(predicate_space(truth.m, n), repeat=lift.arity))
-    tev = _TemplateEval(config, n)
-    kernel = tev.kernel(rule.lifting)
-    lcache: dict = {}
-
-    def lhs_row(out, sigmas):
-        row = []
-        for x in range(n):
-            key = (out[x], sigmas)
-            v = lcache.get(key)
-            if v is None:
-                (v,) = kernel(sigmas, (out[x],), n)
-                lcache[key] = v
-            row.append(v)
-        return tuple(row)
-
-    cases = 0
-    if rule.target_kind == "test":
+    k = config.lifting(rule.lifting).arity
+    plan = _TemplatePlan(config, n)
+    lhs = plan.lifter(rule.lifting)
+    is_test = rule.target_kind == "test"
+    if is_test:
         spec = config.test(rule.target)
-        if mode == "exhaustive":
-            for sigma_t in predicate_space(truth.m, n):
-                gamma = apply_test(spec, sigma_t, fops, truth)
-                for sigmas in sigma_space:
-                    cases += n
-                    lrow = lhs_row(gamma, sigmas)
-                    rrow = tev.eval(rule.template.body, (), (sigma_t,) + sigmas)
-                    if lrow != rrow:
-                        return _fail_rule(
-                            rule, config, t0, cases, None, sigma_t, sigmas, lrow, rrow
-                        )
-            return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
-        rng = random.Random(seed)
-        for _ in range(trials):
-            sigma_t = tuple(rng.randrange(truth.m) for _ in range(n))
-            sigmas = _random_sigmas(truth, n, lift.arity, rng)
-            gamma = apply_test(spec, sigma_t, fops, truth)
-            cases += n
-            lrow = lhs_row(gamma, sigmas)
-            rrow = tev.eval(rule.template.body, (), (sigma_t,) + sigmas)
-            if lrow != rrow:
-                return _fail_rule(rule, config, t0, cases, None, sigma_t, sigmas, lrow, rrow)
-        return _verdict(
-            "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
-            trials=trials, seed=seed,
-        )
+        arity = 0
+    else:
+        op = config.op(rule.target)
+        arity = op.arity
+    root = plan.compile(rule.template.body, arity, k + is_test)
+    preds, index, P, cids, vals = plan.preds, plan.index, plan.P, plan.cids, plan.vals
+    cases = 0
 
-    op = config.op(rule.target)
+    def fail(got, rhs, cases, gammas, sigma_t, var_lists) -> Verdict:
+        """The verdict for the first sigma-list position where the sides differ."""
+        i = next(i for i, (u, v) in enumerate(zip(got, rhs)) if u != v)
+        counter = {
+            "rule": list(rule.key),
+            "sigmas": [list(preds[ids[i]]) for ids in var_lists],
+            "lhs": list(preds[got[i]]),
+            "rhs": list(preds[rhs[i]]),
+        }
+        if gammas is not None:
+            counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in gammas]
+        if sigma_t is not None:
+            counter["test_argument"] = list(sigma_t)
+        return _verdict("fails", cases + (i + 1) * n, t0, counter)
+
     if mode == "exhaustive":
+        S = P**k
+        keys = list(range(S))
+        var_lists = [[key // P ** (k - 1 - i) % P for key in keys] for i in range(k)]
+        if is_test:
+            for t, sigma_t in enumerate(preds):
+                gamma = apply_test(spec, sigma_t, fops, truth)
+                plan.load([[t] * S] + var_lists, S)
+                got, rhs = lhs(plan.intern(gamma), keys), vals[root]
+                if got != rhs:
+                    return fail(got, rhs, cases, None, sigma_t, var_lists)
+                cases += n * S
+            return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
         values = _space(fops, budget)
         coalgs = _coalgebras(values, n)
-        if op.arity == 1:
-            for g in coalgs:
-                gammas = (g,)
-                out = apply_op(op, gammas, fops)
-                for sigmas in sigma_space:
-                    cases += n
-                    lrow = lhs_row(out, sigmas)
-                    rrow = tev.eval(rule.template.body, gammas, sigmas)
-                    if lrow != rrow:
-                        return _fail_rule(rule, config, t0, cases, gammas, None, sigmas, lrow, rrow)
+        for g in coalgs:  # the cid of coalgs[i] is i
+            plan.intern(g)
+        plan.load(var_lists, S)
+        if arity == 1:
+            for c, g in enumerate(coalgs):
+                cids[0] = c
+                plan.run(2)
+                got, rhs = lhs(plan.intern(apply_op(op, (g,), fops)), keys), vals[root]
+                if got != rhs:
+                    return fail(got, rhs, cases, (g,), None, var_lists)
+                cases += n * S
         else:
             compose_like = op.variant in ("kleisli", "double-seq", "double-star")
-            for g2 in coalgs:
+            for c2, g2 in enumerate(coalgs):
+                cids[1] = c2
+                plan.run(1)
                 if compose_like:
                     cmap = composition_map(fops, op.variant, g2)
                     comp = {t: cmap(t) for t in values}
-                for g1 in coalgs:
+                for c1, g1 in enumerate(coalgs):
+                    cids[0] = c1
+                    plan.run(2)
                     if compose_like:
                         out = tuple(comp[g1[x]] for x in range(n))
                     else:
                         out = apply_op(op, (g1, g2), fops)
-                    gammas = (g1, g2)
-                    for sigmas in sigma_space:
-                        cases += n
-                        lrow = lhs_row(out, sigmas)
-                        rrow = tev.eval(rule.template.body, gammas, sigmas)
-                        if lrow != rrow:
-                            return _fail_rule(
-                                rule, config, t0, cases, gammas, None, sigmas, lrow, rrow
-                            )
+                    got, rhs = lhs(plan.intern(out), keys), vals[root]
+                    if got != rhs:
+                        return fail(got, rhs, cases, (g1, g2), None, var_lists)
+                    cases += n * S
         return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
 
     rng = random.Random(seed)
+    gammas = sigma_t = None
     for _ in range(trials):
-        gammas = tuple(
-            tuple(fops.random_value(rng) for _ in range(n)) for _ in range(op.arity)
-        )
-        sigmas = _random_sigmas(truth, n, lift.arity, rng)
-        out = apply_op(op, gammas, fops)
+        if len(plan.coalgs) > SAMPLED_COALGEBRAS:
+            plan.forget()
+        if is_test:
+            sigma_t = tuple(rng.randrange(truth.m) for _ in range(n))
+            sigmas = _random_sigmas(truth, n, k, rng)
+            out = apply_test(spec, sigma_t, fops, truth)
+        else:
+            gammas = tuple(
+                tuple(fops.random_value(rng) for _ in range(n)) for _ in range(arity)
+            )
+            sigmas = _random_sigmas(truth, n, k, rng)
+            out = apply_op(op, gammas, fops)
+            for s, g in enumerate(gammas):
+                cids[s] = plan.intern(g)
+        var_lists = [[index[sigma]] for sigma in sigmas]
+        key = 0
+        for (v,) in var_lists:
+            key = key * P + v
+        plan.load([[index[sigma_t]]] + var_lists if is_test else var_lists, 1)
+        plan.run(1)
+        plan.run(2)
+        got, rhs = lhs(plan.intern(out), [key]), vals[root]
+        if got != rhs:
+            return fail(got, rhs, cases, gammas, sigma_t, var_lists)
         cases += n
-        lrow = lhs_row(out, sigmas)
-        rrow = tev.eval(rule.template.body, gammas, sigmas)
-        if lrow != rrow:
-            return _fail_rule(rule, config, t0, cases, gammas, None, sigmas, lrow, rrow)
     return _verdict(
         "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
         trials=trials, seed=seed,
@@ -673,22 +620,6 @@ def _random_sigmas(truth: Algebra, n: int, k: int, rng: random.Random) -> tuple:
     return tuple(
         tuple(rng.randrange(truth.m) for _ in range(n)) for _ in range(k)
     )
-
-
-def _fail_rule(rule, config, t0, cases, gammas, sigma_t, sigmas, lrow, rrow) -> Verdict:
-    counter = {
-        "rule": list(rule.key),
-        "sigmas": [list(s) for s in sigmas],
-        "lhs": list(lrow),
-        "rhs": list(rrow),
-    }
-    if gammas is not None:
-        counter["gammas"] = [
-            [fvalue_to_json(config.kind, v) for v in g] for g in gammas
-        ]
-    if sigma_t is not None:
-        counter["test_argument"] = list(sigma_t)
-    return _verdict("fails", cases, t0, counter)
 
 
 def verify_registry(
@@ -889,6 +820,17 @@ def _witness_eval(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
 # -- bounded entailment ----------------------------------------------------
 
 
+class _CaseModel:
+    """The part of a model a plan reads (carrier size, functor operations,
+    atoms and valuation), rebound case by case during a model sweep."""
+
+    __slots__ = ("n", "fops", "atoms", "valuation")
+
+    def __init__(self, n: int, fops: FunctorOps):
+        self.n = n
+        self.fops = fops
+
+
 def bounded_entailment(
     gamma: Sequence[Formula],
     phi: Formula,
@@ -902,6 +844,7 @@ def bounded_entailment(
     """Search standard models up to max_n states for a countermodel of
     Gamma |= phi; truth means value 1 at the state."""
     t0 = time.perf_counter()
+    _check_sweep(mode, trials, max_n)
     formulas = list(gamma) + [phi]
     plan = Plan(config)
     gamma_at = [plan.compile(g) for g in gamma]
@@ -910,6 +853,20 @@ def bounded_entailment(
     atom_names = sorted(set().union(set(), *(atoms_of(g) for g in formulas)))
     truth = config.truth
     top = truth.top
+
+    def countermodel(case: _CaseModel, state: int, **detail) -> Verdict:
+        model = Model(case.n, config, case.atoms, case.valuation, validate=False)
+        return _verdict(
+            "fails", cases, t0,
+            {
+                "model": model_to_json(model),
+                "state": state,
+                "phi": render(phi, config.signature),
+                "gamma": [render(g, config.signature) for g in gamma],
+            },
+            max_n=max_n, mode=mode, **detail,
+        )
+
     cases = 0
     if mode == "exhaustive":
         for n in range(1, max_n + 1):
@@ -925,64 +882,44 @@ def bounded_entailment(
                     count=total,
                 )
             coalgs = _coalgebras(values, n)
+            case = _CaseModel(n, fops)
             for atom_assign in product(coalgs, repeat=len(atom_names)):
-                atoms = dict(zip(atom_names, atom_assign))
+                case.atoms = dict(zip(atom_names, atom_assign))
                 for val_assign in product(preds, repeat=len(prop_names)):
                     cases += 1
-                    model = Model(
-                        n, config, atoms, dict(zip(prop_names, val_assign)),
-                        validate=False,
-                    )
-                    found = _countermodel_state(plan, model, gamma_at, phi_at, top)
+                    case.valuation = dict(zip(prop_names, val_assign))
+                    found = _countermodel_state(plan, case, gamma_at, phi_at, top)
                     if found is not None:
-                        return _verdict(
-                            "fails", cases, t0,
-                            {
-                                "model": model_to_json(model),
-                                "state": found,
-                                "phi": render(phi, config.signature),
-                                "gamma": [render(g, config.signature) for g in gamma],
-                            },
-                            max_n=max_n, mode=mode,
-                        )
+                        return countermodel(case, found)
         return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode)
     rng = random.Random(seed)
+    cases_by_n = {n: _CaseModel(n, config.fops(n)) for n in range(1, max_n + 1)}
     for _ in range(trials):
-        n = rng.randint(1, max_n)
-        fops = config.fops(n)
-        atoms = {
+        case = cases_by_n[rng.randint(1, max_n)]
+        n, fops = case.n, case.fops
+        case.atoms = {
             name: tuple(fops.random_value(rng) for _ in range(n))
             for name in atom_names
         }
-        valuation = {
+        case.valuation = {
             name: tuple(rng.randrange(truth.m) for _ in range(n))
             for name in prop_names
         }
         cases += 1
-        model = Model(n, config, atoms, valuation, validate=False)
-        found = _countermodel_state(plan, model, gamma_at, phi_at, top)
+        found = _countermodel_state(plan, case, gamma_at, phi_at, top)
         if found is not None:
-            return _verdict(
-                "fails", cases, t0,
-                {
-                    "model": model_to_json(model),
-                    "state": found,
-                    "phi": render(phi, config.signature),
-                    "gamma": [render(g, config.signature) for g in gamma],
-                },
-                max_n=max_n, mode=mode, seed=seed,
-            )
+            return countermodel(case, found, seed=seed)
     return _verdict(
         "holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, trials=trials,
         seed=seed,
     )
 
 
-def _countermodel_state(plan: Plan, model: Model, gamma_at, phi_at, top: int) -> int | None:
-    values = plan.run(model, [])
+def _countermodel_state(plan: Plan, case: _CaseModel, gamma_at, phi_at, top: int) -> int | None:
+    values = plan.run(case, [])
     rows = [values[i] for i in gamma_at]
     phi_row = values[phi_at]
-    for x in range(model.n):
+    for x in range(case.n):
         if phi_row[x] != top and all(r[x] == top for r in rows):
             return x
     return None

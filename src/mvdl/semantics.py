@@ -5,7 +5,9 @@ structure algebras, the lifting/operation/test catalogue), coalgebras for the
 atomic actions and a propositional valuation.  Formulas and actions are
 compiled once into a Plan, a flat list of steps with one step per distinct
 subterm, which then runs over any number of models; an EvalSession holds one
-plan and the values it has computed so far for one model.
+plan and the values it has computed so far for one model.  Reduction-rule
+templates compile the same way into a _TemplatePlan, which the rule-soundness
+sweep runs on predicate ids over a whole space of variable assignments.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -14,7 +16,10 @@ every other configuration they coincide.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, getitem, mul
 from typing import Mapping, Sequence
 
 from .actions import (
@@ -39,8 +44,21 @@ from .functors import (
     FunctorOps,
     functor_ops,
     predicate_index,
+    predicate_space,
 )
-from .syntax import Atomic, Conn, Formula, Modal, Op, Prop, Signature, Test
+from .syntax import (
+    Atomic,
+    Conn,
+    Formula,
+    Modal,
+    Op,
+    Prop,
+    Signature,
+    TConn,
+    Test,
+    TModal,
+    TVar,
+)
 
 Predicate = tuple
 
@@ -266,7 +284,7 @@ class Model:
         return EvalSession(self)
 
 
-_BINARY_TABLES = {
+BINARY_TABLES = {
     "/\\": "meet_table",
     "\\/": "join_table",
     "*": "tensor_table",
@@ -307,7 +325,11 @@ class Plan:
             self._index.popitem()
 
     def run(self, model: "Model", values: list) -> list:
-        """Extend ``values`` over ``model`` by the steps it does not cover yet."""
+        """Extend ``values`` over ``model`` by the steps it does not cover yet.
+
+        A step reads only the model's ``n``, ``fops``, ``atoms`` and
+        ``valuation``, so any object carrying those four will do.
+        """
         steps = self.steps
         for i in range(len(values), len(steps)):
             values.append(steps[i](values, model))
@@ -393,7 +415,7 @@ class Plan:
 
             return constant
         args = [self.compile(a) for a in node.args]
-        if sym in _BINARY_TABLES:
+        if sym in BINARY_TABLES:
             arity = 2
         elif sym in truth.extras:
             arity = 1
@@ -411,13 +433,259 @@ class Plan:
                 return tuple(map(lookup, values[i]))
 
             return extra
-        table = getattr(truth, _BINARY_TABLES[sym])
+        table = getattr(truth, BINARY_TABLES[sym])
         i, j = args
 
         def binary(values, model):
             return tuple([table[u][v] for u, v in zip(values[i], values[j])])
 
         return binary
+
+
+class _TemplatePlan:
+    """Rule templates compiled for one sweep and evaluated on small integers.
+
+    A predicate is its id, its index in ``predicate_space(m, n)``; a
+    coalgebra is its cid, its index in ``coalgs`` (see ``intern``).  Each
+    distinct subterm becomes one step that maps a sigma-list (variable
+    assignments, in the sweep's canonical order) to the list of its ids.
+    Connectives and liftings read id tables whose entries are computed on
+    first use: an extra connective keys on its argument id, a binary one on
+    both, a lifting on the cid in its slot and its argument ids combined
+    into one key.  A lifting entry is assembled from the lifted truth values
+    of the coalgebra's FValues, each computed once by the lifting's kernel
+    and kept per FValue, since sampled coalgebras seldom recur but their
+    FValues do.  ``forget`` drops the interned coalgebras and all entries,
+    so a long sampled sweep can bound its memory.  Steps fall into groups
+    by what they read: 0 the variables only, 1 also a slot other than the
+    first, 2 the first slot.  Sweeps move slot 1 in their innermost loop, so
+    only group 2 reruns there.
+    """
+
+    def __init__(self, config: LogicConfig, n: int):
+        self.config = config
+        self.n = n
+        self.preds = predicate_space(config.truth.m, n)
+        self.index = predicate_index(config.truth.m, n)
+        self.P = len(self.preds)
+        self.coalgs: list = []  # cid -> coalgebra
+        self.cids: list[int] = []  # slot - 1 -> cid, set by the sweep
+        self.vals: list = []  # step position -> id list
+        self.groups: list[list] = [[], [], []]  # (position, step), run order
+        self._cid: dict = {}
+        self._leaves: list = []  # (position, variable index or None, constant id)
+        self._pos: dict = {}  # node -> (position, group)
+        # lifting id -> (kernel, arity, {cid: {key: id}}, {key: {value: truth value}})
+        self._lifts: dict = {}
+
+    def intern(self, coalg) -> int:
+        cid = self._cid.get(coalg)
+        if cid is None:
+            cid = self._cid[coalg] = len(self.coalgs)
+            self.coalgs.append(coalg)
+        return cid
+
+    def forget(self) -> None:
+        """Drop the interned coalgebras and every lifting table entry."""
+        self._cid.clear()
+        self.coalgs.clear()
+        for _, _, rows, by_value in self._lifts.values():
+            rows.clear()
+            by_value.clear()
+
+    def compile(self, body, n_slots: int, n_vars: int) -> int:
+        """The position of ``body``'s step, compiling its new subterms."""
+        self.cids.extend([0] * (n_slots - len(self.cids)))
+        return self._compile(body, n_slots, n_vars)[0]
+
+    def load(self, var_lists: list, size: int) -> None:
+        """Take the variables' sigma-lists, all of length ``size``, and run
+        group 0."""
+        vals = self.vals
+        for pos, var, const in self._leaves:
+            vals[pos] = var_lists[var] if var is not None else [const] * size
+        self.run(0)
+
+    def run(self, group: int) -> None:
+        vals = self.vals
+        for pos, step in self.groups[group]:
+            vals[pos] = step(vals)
+
+    def lifter(self, lid: str):
+        """``(cid, keys) -> ids``: lifting ``lid`` at one coalgebra."""
+        kernel, arity, rows, by_value = self._lifting(lid)
+        preds, P, n, index = self.preds, self.P, self.n, self.index
+
+        def fill(cid, keys):
+            table, coalg = rows[cid], self.coalgs[cid]
+            for key in keys:
+                if key not in table:
+                    known = by_value[key]
+                    row = []
+                    for value in coalg:
+                        got = known.get(value)
+                        if got is None:
+                            args, rest = [], key
+                            for _ in range(arity):
+                                rest, digit = divmod(rest, P)
+                                args.append(preds[digit])
+                            (got,) = kernel(args[::-1], (value,), n)
+                            known[value] = got
+                        row.append(got)
+                    row = tuple(row)
+                    if row not in index:
+                        raise InvalidParameter(
+                            f"lifting {lid!r} yields {row}, outside the truth algebra"
+                        )
+                    table[key] = index[row]
+            return list(map(table.__getitem__, keys))
+
+        def lift(cid, keys):
+            try:
+                return list(map(rows[cid].__getitem__, keys))
+            except KeyError:
+                return fill(cid, keys)
+
+        return lift
+
+    def eval(self, body, gammas, sigmas) -> tuple:
+        """The row of ``body`` at one coalgebra tuple and one assignment."""
+        root = self.compile(body, len(gammas), len(sigmas))
+        for s, gamma in enumerate(gammas):
+            self.cids[s] = self.intern(tuple(gamma))
+        self.load([[self.index[tuple(sigma)]] for sigma in sigmas], 1)
+        self.run(1)
+        self.run(2)
+        return self.preds[self.vals[root][0]]
+
+    # -- compilation ------------------------------------------------------
+
+    def _add(self, group: int, step) -> tuple[int, int]:
+        pos = len(self.vals)
+        self.vals.append(None)
+        if step is not None:
+            self.groups[group].append((pos, step))
+        return pos, group
+
+    def _lifting(self, lid: str):
+        got = self._lifts.get(lid)
+        if got is None:
+            spec = self.config.lifting(lid)
+            kernel = lifting_kernel(spec, self.config)
+            got = self._lifts[lid] = (
+                kernel, spec.arity, defaultdict(dict), defaultdict(dict)
+            )
+        return got
+
+    def _compile(self, node, n_slots: int, n_vars: int) -> tuple[int, int]:
+        got = self._pos.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, TVar):
+            if not 1 <= node.index <= n_vars:
+                raise InvalidParameter(
+                    f"template variable w{node.index} is outside w1..w{n_vars}"
+                )
+            got = self._add(0, None)
+            self._leaves.append((got[0], node.index - 1, None))
+        elif isinstance(node, TConn):
+            got = self._conn(node, n_slots, n_vars)
+        elif isinstance(node, TModal):
+            got = self._modal(node, n_slots, n_vars)
+        else:
+            raise InvalidParameter(f"not a template node: {node!r}")
+        self._pos[node] = got
+        return got
+
+    def _conn(self, node: TConn, n_slots: int, n_vars: int) -> tuple[int, int]:
+        truth, sym, index, preds = self.config.truth, node.symbol, self.index, self.preds
+        if sym in ("0", "1") or sym in truth.constants:
+            c = 0 if sym == "0" else truth.top if sym == "1" else truth.constants[sym]
+            got = self._add(0, None)
+            self._leaves.append((got[0], None, index[(c,) * self.n]))
+            return got
+        if sym in BINARY_TABLES:
+            arity = 2
+        elif sym in truth.extras:
+            arity = 1
+        else:
+            raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
+        if len(node.args) != arity:
+            raise ArityMismatch(
+                f"connective {sym!r} expects {arity} argument(s), got {len(node.args)}"
+            )
+        args = [self._compile(a, n_slots, n_vars) for a in node.args]
+        group = max(g for _, g in args)
+        if arity == 1:
+            ((a, _),) = args
+            lookup = truth.extras[sym]
+            table = {}
+
+            def extra(vals):
+                A = vals[a]
+                try:
+                    return list(map(table.__getitem__, A))
+                except KeyError:
+                    for u in A:
+                        if u not in table:
+                            table[u] = index[tuple(lookup[v] for v in preds[u])]
+                    return list(map(table.__getitem__, A))
+
+            return self._add(group, extra)
+        op = getattr(truth, BINARY_TABLES[sym])
+        (a, _), (b, _) = args
+        rows = defaultdict(dict)
+
+        def binary(vals):
+            A, B = vals[a], vals[b]
+            try:
+                return list(map(getitem, map(rows.__getitem__, A), B))
+            except KeyError:
+                for u, v in zip(A, B):
+                    row = rows[u]
+                    if v not in row:
+                        pointwise = map(getitem, map(op.__getitem__, preds[u]), preds[v])
+                        row[v] = index[tuple(pointwise)]
+                return list(map(getitem, map(rows.__getitem__, A), B))
+
+        return self._add(group, binary)
+
+    def _modal(self, node: TModal, n_slots: int, n_vars: int) -> tuple[int, int]:
+        if not 1 <= node.slot <= n_slots:
+            raise InvalidParameter(
+                f"template slot {node.slot} is outside 1..{n_slots}"
+            )
+        arity = self._lifting(node.lifting)[1]
+        if len(node.args) != arity:
+            raise ArityMismatch(
+                f"lifting {node.lifting!r} expects {arity} predicate(s), "
+                f"got {len(node.args)}"
+            )
+        args = [self._compile(a, n_slots, n_vars) for a in node.args]
+        keys, group = args[0] if arity == 1 else self._keys(args)
+        lift, cids, s = self.lifter(node.lifting), self.cids, node.slot - 1
+
+        def modal(vals):
+            return lift(cids[s], vals[keys])
+
+        return self._add(max(group, 2 if node.slot == 1 else 1), modal)
+
+    def _keys(self, args) -> tuple[int, int]:
+        """A step combining argument ids into lifting keys, base P, first
+        argument most significant: the order of ``product(preds, repeat=k)``."""
+        positions = tuple(pos for pos, _ in args)
+        got = self._pos.get(positions)
+        if got is None:
+            first, rest, P = positions[0], positions[1:], self.P
+
+            def keys(vals):
+                K = vals[first]
+                for pos in rest:
+                    K = list(map(add, map(mul, K, repeat(P)), vals[pos]))
+                return K
+
+            got = self._pos[positions] = self._add(max(g for _, g in args), keys)
+        return got
 
 
 class EvalSession:

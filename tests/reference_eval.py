@@ -1,12 +1,16 @@
-"""The straightforward recursive evaluator, kept as a test-only reference.
+"""The straightforward recursive evaluators, kept as test-only references.
 
-This is the evaluator mvdl shipped before formulas were compiled into plans:
-a memoizing walk over the AST that dispatches on node type and applies each
-lifting by its closed formula, one state at a time.  The differential tests
-check the compiled plan against it; nothing in ``src/`` imports it.
+These are the evaluators mvdl shipped before formulas and rule templates
+were compiled: memoizing walks over the AST that dispatch on node type and
+apply each lifting by its closed formula, one state at a time, and the
+case-by-case rule-soundness sweep built on them.  The differential tests
+check the compiled plans against them; nothing in ``src/`` imports them.
 """
 
 from __future__ import annotations
+
+import random
+from itertools import product
 
 from mvdl.actions import DEFAULT_ITERATE_CAP, apply_op, apply_test
 from mvdl.errors import (
@@ -15,9 +19,9 @@ from mvdl.errors import (
     UnknownAtom,
     UnknownIdentifier,
 )
-from mvdl.functors import predicate_index
+from mvdl.functors import predicate_index, predicate_space
 from mvdl.semantics import crisp_mask
-from mvdl.syntax import Atomic, Conn, Op, Prop, Test
+from mvdl.syntax import Atomic, Conn, Op, Prop, TConn, Test, TVar
 
 
 def reference_lifting(spec, preds, value, config, n: int) -> int:
@@ -157,3 +161,155 @@ class ReferenceSession:
             sigma = self.eval(action.arg)
             return apply_test(spec, sigma, model.fops, model.config.truth)
         raise InvalidParameter(f"not an action node: {action!r}")
+
+
+# -- reduction-rule templates ----------------------------------------------
+
+
+class ReferenceTemplateEval:
+    """Template evaluation case by case, as the rule sweep did before
+    templates were compiled into id tables: a memoizing walk over the
+    template for one coalgebra tuple and one variable assignment.
+
+    Subtrees touching at most one action slot are cached on (node, the
+    slot's coalgebra, the variable assignment); wider nodes are recomputed.
+    Liftings are applied by ``reference_lifting``, one state at a time.
+    """
+
+    def __init__(self, config, n: int):
+        self.config = config
+        self.n = n
+        self.truth = config.truth
+        self.memo: dict = {}
+        self._slots: dict = {}
+
+    def slots(self, node) -> tuple[int, ...]:
+        got = self._slots.get(node)
+        if got is None:
+            acc = set() if isinstance(node, (TVar, TConn)) else {node.slot}
+            for a in getattr(node, "args", ()):
+                acc.update(self.slots(a))
+            got = self._slots[node] = tuple(sorted(acc))
+        return got
+
+    def eval(self, node, gammas: tuple, sigmas: tuple) -> tuple:
+        if isinstance(node, TVar):
+            return tuple(sigmas[node.index - 1])
+        used = self.slots(node)
+        key = None
+        if len(used) <= 1:
+            key = (node, tuple(gammas[j - 1] for j in used), sigmas)
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
+        truth, n = self.truth, self.n
+        if isinstance(node, TConn):
+            sym = node.symbol
+            if sym == "0":
+                out = (0,) * n
+            elif sym == "1":
+                out = (truth.top,) * n
+            elif sym in truth.constants:
+                out = (truth.constants[sym],) * n
+            elif sym in truth.extras:
+                tab = truth.extras[sym]
+                out = tuple(tab[v] for v in self.eval(node.args[0], gammas, sigmas))
+            else:
+                table = {
+                    "/\\": truth.meet_table,
+                    "\\/": truth.join_table,
+                    "*": truth.tensor_table,
+                    "->": truth.impl_table,
+                }[sym]
+                a = self.eval(node.args[0], gammas, sigmas)
+                b = self.eval(node.args[1], gammas, sigmas)
+                out = tuple(table[u][v] for u, v in zip(a, b))
+        else:
+            spec = self.config.lifting(node.lifting)
+            preds = [self.eval(a, gammas, sigmas) for a in node.args]
+            gamma = gammas[node.slot - 1]
+            out = tuple(
+                reference_lifting(spec, preds, gamma[x], self.config, n) for x in range(n)
+            )
+        if key is not None:
+            self.memo[key] = out
+        return out
+
+
+def reference_rule_sweep(rule, config, n: int, mode: str = "exhaustive",
+                         trials: int = 10_000, seed: int = 0xC0A1,
+                         budget: int = 1_000_000):
+    """The case-by-case soundness sweep: (status, cases, counterexample).
+
+    Same case order, counts and counterexample fields as
+    ``verify_reduction_rule``; the counterexample keeps coalgebras as
+    FValues instead of JSON.
+    """
+    fops = config.fops(n)
+    truth = config.truth
+    spec = config.lifting(rule.lifting)
+    sigma_space = list(product(predicate_space(truth.m, n), repeat=spec.arity))
+    tev = ReferenceTemplateEval(config, n)
+    body = rule.template.body
+
+    def lhs_row(out, sigmas):
+        return tuple(reference_lifting(spec, sigmas, v, config, n) for v in out)
+
+    def fail(cases, gammas, sigma_t, sigmas, lrow, rrow):
+        counter = {"sigmas": [list(s) for s in sigmas], "lhs": list(lrow), "rhs": list(rrow)}
+        if gammas is not None:
+            counter["gammas"] = gammas
+        if sigma_t is not None:
+            counter["test_argument"] = list(sigma_t)
+        return "fails", cases, counter
+
+    cases = 0
+    rng = random.Random(seed)
+    if rule.target_kind == "test":
+        test = config.test(rule.target)
+        if mode == "exhaustive":
+            draws = ((s, sigmas) for s in predicate_space(truth.m, n) for sigmas in sigma_space)
+        else:
+            draws = (
+                (tuple(rng.randrange(truth.m) for _ in range(n)),
+                 tuple(tuple(rng.randrange(truth.m) for _ in range(n))
+                       for _ in range(spec.arity)))
+                for _ in range(trials)
+            )
+        for sigma_t, sigmas in draws:
+            gamma = apply_test(test, sigma_t, fops, truth)
+            cases += n
+            lrow = lhs_row(gamma, sigmas)
+            rrow = tev.eval(body, (), (sigma_t,) + sigmas)
+            if lrow != rrow:
+                return fail(cases, None, sigma_t, sigmas, lrow, rrow)
+        return ("holds" if mode == "exhaustive" else "holds-up-to-bound"), cases, None
+    op = config.op(rule.target)
+    if mode == "exhaustive":
+        coalgs = list(product(list(fops.enumerate(budget)), repeat=n))
+        if op.arity == 1:
+            tuples = [(g,) for g in coalgs]
+        else:
+            tuples = [(g1, g2) for g2 in coalgs for g1 in coalgs]
+        draws = ((gammas, sigmas) for gammas in tuples for sigmas in sigma_space)
+    else:
+        def sample():
+            for _ in range(trials):
+                gammas = tuple(
+                    tuple(fops.random_value(rng) for _ in range(n)) for _ in range(op.arity)
+                )
+                sigmas = tuple(
+                    tuple(rng.randrange(truth.m) for _ in range(n))
+                    for _ in range(spec.arity)
+                )
+                yield gammas, sigmas
+
+        draws = sample()
+    for gammas, sigmas in draws:
+        out = apply_op(op, gammas, fops)
+        cases += n
+        lrow = lhs_row(out, sigmas)
+        rrow = tev.eval(body, gammas, sigmas)
+        if lrow != rrow:
+            return fail(cases, gammas, None, sigmas, lrow, rrow)
+    return ("holds" if mode == "exhaustive" else "holds-up-to-bound"), cases, None

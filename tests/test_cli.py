@@ -243,6 +243,35 @@ class TestZeroCaseSweeps:
         assert f"argument {flag}:" in err
         assert "holds" not in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["entail", "--preset", "pdl-crisp", "--phi", "p -> [a]p", "--budget", "0"],
+            ["verify-rules", "--budget", "0"],
+            ["check-safety", "--op", ";", "--budget", "-5"],
+            ["check-separation", "--budget", "0"],
+            ["semiprimal", "--algebra", "L2", "--budget", "0"],
+        ],
+    )
+    def test_budget_below_one_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "argument --budget:" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_env_budget_below_one_is_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MVDL_BUDGET", value)
+        code, out, err = run(capsys, "verify-rules", "--n", "1")
+        assert code == 2
+        assert "MVDL_BUDGET" in err
+        assert out == ""
+
+    def test_budget_flag_beats_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("MVDL_BUDGET", "0")
+        code, _, _ = run(capsys, "verify-rules", "--n", "1", "--budget", "1000")
+        assert code == 0
+
     def test_one_step_zero_trials_reads_h(self, capsys):
         code, _, err = run(capsys, "one-step", "--kind", "threshold", "--trials", "0")
         assert code == 2

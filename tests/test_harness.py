@@ -7,7 +7,12 @@ import pytest
 
 from mvdl.actions import OperationSpec, apply_op
 from mvdl.algebra import algebra_by_name
-from mvdl.errors import BudgetExceeded, PreconditionViolated, UnsupportedKind
+from mvdl.errors import (
+    BudgetExceeded,
+    InvalidParameter,
+    PreconditionViolated,
+    UnsupportedKind,
+)
 from mvdl.functors import Kind, functor_ops, predicate_space
 from mvdl.harness import (
     bounded_entailment,
@@ -442,7 +447,7 @@ class TestTemplateEvaluation:
         # evaluating an instantiated template in a model agrees with the
         # direct template evaluation over interpreted coalgebras/predicates:
         # the two template-evaluation routes must coincide
-        from mvdl.harness import _TemplateEval
+        from mvdl.semantics import _TemplatePlan
         from mvdl.syntax import instantiate
         from conftest import random_template
 
@@ -457,7 +462,7 @@ class TestTemplateEvaluation:
                            parse("b", config.signature, "action"))
                 formulas = (parse("p", config.signature), parse("q", config.signature))
                 via_formula = session.eval(instantiate(template, actions, formulas))
-                tev = _TemplateEval(config, n_states)
+                tev = _TemplatePlan(config, n_states)
                 gammas = tuple(session.interpret(a) for a in actions)
                 sigmas = tuple(session.eval(f) for f in formulas)
                 via_template = tev.eval(template.body, gammas, sigmas)
@@ -689,3 +694,32 @@ class TestEntailment:
         v1 = bounded_entailment([], phi, crisp_b2, max_n=2)
         v2 = bounded_entailment([], phi, crisp_b2, max_n=2)
         assert v1.counterexample == v2.counterexample
+
+
+class TestZeroCaseGuard:
+    """A verdict other than "fails" is never reported from zero cases."""
+
+    def test_rule_sweep_without_trials(self, labelled_l2):
+        rule = builtin_rules(labelled_l2).rules[("op", ";", "dia")]
+        with pytest.raises(InvalidParameter, match="trials"):
+            verify_reduction_rule(rule, labelled_l2, n=2, mode="random", trials=0)
+
+    def test_entailment_without_carriers(self, crisp_b2):
+        phi = parse("p -> p", crisp_b2.signature)
+        with pytest.raises(InvalidParameter, match="max_n"):
+            bounded_entailment([], phi, crisp_b2, max_n=0)
+
+    def test_separation_without_trials(self, crisp_b2):
+        with pytest.raises(InvalidParameter, match="trials"):
+            check_separation(
+                [crisp_b2.liftings["box"]], crisp_b2, n=2, mode="random", trials=0
+            )
+
+    def test_safety_without_carriers(self, crisp_b2):
+        with pytest.raises(InvalidParameter, match="max_n"):
+            check_safety(crisp_b2.ops[";"], crisp_b2, max_n=0)
+
+    def test_invariance_without_formulas(self, crisp_b2):
+        model = Model(1, crisp_b2, atoms={"a": (0,)}, valuation={"p": (1,)})
+        with pytest.raises(InvalidParameter, match="no case"):
+            check_invariance(model, model, (0,), [])

@@ -1,0 +1,254 @@
+"""The rule sweep's template plan against the case-by-case reference."""
+
+import random
+from itertools import product
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvdl import syntax as sx
+from mvdl import harness
+from mvdl.algebra import algebra_by_name, build_builtin
+from mvdl.errors import ArityMismatch, InvalidParameter, UnknownIdentifier
+from mvdl.harness import verify_reduction_rule
+from mvdl.jsonio import fvalue_to_json
+from mvdl.presets import make_preset
+from mvdl.reduction import ReductionRule, builtin_rules
+from mvdl.semantics import _TemplatePlan
+
+from conftest import random_template
+from reference_eval import ReferenceTemplateEval, reference_rule_sweep
+
+# one configuration per preset; the algebras carry extras and constants, and
+# the instantial preset has inst3, so keys combine up to three argument ids
+_L2X = build_builtin("lukasiewicz", 2, chi=(0, 1, 2), constants=(1,))
+_B2X = build_builtin("boolean", chi=(0, 1), constants=(0, 1))
+CONFIGS = {
+    "pdl-crisp": make_preset("pdl-crisp", _L2X),
+    "pdl-labelled": make_preset("pdl-labelled", _L2X),
+    "pdl-threshold": make_preset("pdl-threshold", algebra_by_name("L2")),
+    "game": make_preset("game", _L2X),
+    "instantial": make_preset("instantial", _B2X, max_k=2),
+}
+
+
+def _sprinkle(body, truth, rng):
+    """Wrap some subterms in the algebra's extras and turn some variables
+    into its constants."""
+    extras, constants = sorted(truth.extras), sorted(truth.constants)
+
+    def walk(node):
+        if isinstance(node, sx.TConn) and node.args:
+            node = sx.TConn(node.symbol, tuple(walk(a) for a in node.args))
+        elif isinstance(node, sx.TModal):
+            node = sx.TModal(node.lifting, node.slot, tuple(walk(a) for a in node.args))
+        elif constants and rng.random() < 0.15:
+            return sx.TConn(rng.choice(constants))
+        if extras and rng.random() < 0.2:
+            node = sx.TConn(rng.choice(extras), (node,))
+        return node
+
+    return walk(body)
+
+
+def _swap_slots(node):
+    if isinstance(node, sx.TModal):
+        return sx.TModal(node.lifting, 3 - node.slot, tuple(_swap_slots(a) for a in node.args))
+    if isinstance(node, sx.TConn):
+        return sx.TConn(node.symbol, tuple(_swap_slots(a) for a in node.args))
+    return node
+
+
+@st.composite
+def templates(draw):
+    config = CONFIGS[draw(st.sampled_from(sorted(CONFIGS)))]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n, slots, k = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    body = random_template(rng, config, n=slots, k=k, depth=3).body
+    return config, n, slots, k, _sprinkle(body, config.truth, rng), rng
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(templates())
+def test_every_step_matches_reference(case):
+    config, n, slots, k, body, rng = case
+    fops = config.fops(n)
+    plan = _TemplatePlan(config, n)
+    plan.compile(body, slots, k)
+    preds = plan.preds
+    space = list(product(range(plan.P), repeat=k))
+    plan.load([[combo[i] for combo in space] for i in range(k)], len(space))
+    gammas = tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots))
+    for step in range(2):
+        if step:
+            # the sweep's inner loop: only slot 1 moves, only group 2 reruns
+            gammas = (tuple(fops.random_value(rng) for _ in range(n)),) + gammas[1:]
+        for s, gamma in enumerate(gammas):
+            plan.cids[s] = plan.intern(gamma)
+        if not step:
+            plan.run(1)
+        plan.run(2)
+        reference = ReferenceTemplateEval(config, n)
+        for node, (pos, _) in plan._pos.items():
+            if isinstance(node, tuple):  # a key-combining step
+                continue
+            want = [reference.eval(node, gammas, tuple(preds[i] for i in combo)) for combo in space]
+            assert [preds[i] for i in plan.vals[pos]] == want, node
+    sigmas = tuple(preds[rng.randrange(plan.P)] for _ in range(k))
+    assert _TemplatePlan(config, n).eval(body, gammas, sigmas) == reference.eval(
+        body, gammas, sigmas
+    )
+
+
+@st.composite
+def rules(draw):
+    """A builtin rule, or one with a random body of the same shape; swept
+    exhaustively at one state (two for pdl-crisp) or sampled at two."""
+    name = draw(st.sampled_from(sorted(CONFIGS)))
+    config = CONFIGS[name]
+    registry = builtin_rules(config)
+    rule = registry.rules[draw(st.sampled_from(sorted(registry.rules)))]
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        template = rule.template
+        body = random_template(rng, config, n=max(template.n, 1), k=template.k, depth=3).body
+        if template.n == 0:  # test rules have no slots
+            body = _sprinkle(_drop_modals(body), config.truth, rng)
+        rule = ReductionRule(
+            rule.target_kind, rule.target, rule.lifting,
+            sx.Template(template.n, template.k, body),
+        )
+    mode = draw(st.sampled_from(("exhaustive", "random")))
+    n = 2 if mode == "random" or name == "pdl-crisp" else 1
+    return config, rule, n, mode, draw(st.integers(0, 2**16))
+
+
+def _drop_modals(node):
+    if isinstance(node, sx.TModal):
+        return _drop_modals(node.args[0])
+    if isinstance(node, sx.TConn):
+        return sx.TConn(node.symbol, tuple(_drop_modals(a) for a in node.args))
+    return node
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rules())
+def test_sweep_matches_reference(case):
+    config, rule, n, mode, seed = case
+    got = verify_reduction_rule(rule, config, n=n, mode=mode, trials=40, seed=seed)
+    status, cases, counter = reference_rule_sweep(
+        rule, config, n, mode=mode, trials=40, seed=seed
+    )
+    assert (got.status, got.cases) == (status, cases)
+    if counter is None:
+        assert got.counterexample is None
+        return
+    if "gammas" in counter:
+        counter["gammas"] = [
+            [fvalue_to_json(config.kind, v) for v in g] for g in counter["gammas"]
+        ]
+    assert got.counterexample == {"rule": list(rule.key), **counter}
+
+
+def test_sampled_sweep_starting_afresh_keeps_verdicts(monkeypatch):
+    # start the tables afresh every couple of trials
+    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 4)
+    for name in ("pdl-labelled", "game", "instantial"):
+        config = CONFIGS[name]
+        for rule in builtin_rules(config).rules.values():
+            body = rule.template.body
+            mutant = ReductionRule(
+                rule.target_kind, rule.target, rule.lifting,
+                sx.Template(rule.template.n, rule.template.k, _swap_slots(body)),
+            )
+            for r in (rule, mutant) if rule.template.n == 2 else (rule,):
+                got = verify_reduction_rule(r, config, n=2, mode="random", trials=60, seed=5)
+                status, cases, _ = reference_rule_sweep(r, config, 2, "random", trials=60, seed=5)
+                assert (got.status, got.cases) == (status, cases), r.key
+
+
+# -- pinned mutants --------------------------------------------------------
+#
+# Deliberately wrong rules and the first counterexample each gets in the
+# canonical case order, recorded from the case-by-case sweep before rule
+# templates were compiled.  A faster sweep must report the same case.
+
+
+def _mutant(config, key, body):
+    rule = builtin_rules(config).rules[key]
+    return ReductionRule(*key, sx.Template(rule.template.n, rule.template.k, body))
+
+
+def _labelled():
+    return make_preset("pdl-labelled", algebra_by_name("L2"))
+
+
+def test_pinned_choice_with_meet_for_join():
+    config = _labelled()
+    template = sx.parse("<1:dia> w1 /\\ <2:dia> w1", config.signature, "template")
+    verdict = verify_reduction_rule(_mutant(config, ("op", "+", "dia"), template.body), config)
+    assert (verdict.status, verdict.cases) == ("fails", 24)
+    assert verdict.counterexample == {
+        "rule": ["op", "+", "dia"],
+        "gammas": [[[0, 0], [0, 1]], [[0, 0], [0, 0]]],
+        "sigmas": [[0, 2]],
+        "lhs": [0, 1],
+        "rhs": [0, 0],
+    }
+
+
+def test_pinned_composition_with_slots_swapped():
+    config = _labelled()
+    template = sx.parse("<2:dia> <1:dia> w1", config.signature, "template")
+    verdict = verify_reduction_rule(_mutant(config, ("op", ";", "dia"), template.body), config)
+    assert (verdict.status, verdict.cases) == ("fails", 1580)
+    assert verdict.counterexample == {
+        "rule": ["op", ";", "dia"],
+        "gammas": [[[0, 0], [2, 0]], [[0, 0], [0, 1]]],
+        "sigmas": [[2, 0]],
+        "lhs": [0, 0],
+        "rhs": [0, 1],
+    }
+
+
+def test_pinned_threshold_composition_with_slots_swapped():
+    config = make_preset("pdl-threshold", algebra_by_name("L3"))
+    key = ("op", ";", "dia_2_3")
+    body = _swap_slots(builtin_rules(config).rules[key].template.body)
+    verdict = verify_reduction_rule(_mutant(config, key, body), config)
+    assert (verdict.status, verdict.cases) == ("fails", 4198)
+    assert verdict.counterexample == {
+        "rule": list(key),
+        "gammas": [[[0, 0], [3, 0]], [[0, 0], [0, 2]]],
+        "sigmas": [[1, 0]],
+        "lhs": [0, 0],
+        "rhs": [0, 1],
+    }
+
+
+def test_pinned_instantial_union_with_meet_for_join():
+    config = make_preset("instantial", max_k=1)
+    key = ("op", "+", "inst2")
+    body = builtin_rules(config).rules[key].template.body
+    verdict = verify_reduction_rule(_mutant(config, key, sx.TConn("/\\", body.args)), config)
+    assert (verdict.status, verdict.cases) == ("fails", 8278)
+    assert verdict.counterexample == {
+        "rule": list(key),
+        "gammas": [[[], [1]], [[], [0]]],
+        "sigmas": [[1, 0], [1, 0]],
+        "lhs": [0, 1],
+        "rhs": [0, 0],
+    }
+
+
+def test_malformed_templates_are_rejected_before_sweeping(labelled_l2):
+    for body, error in (
+        (sx.TModal("dia", 2, (sx.TVar(1),)), InvalidParameter),  # ~ has one slot
+        (sx.TVar(2), InvalidParameter),  # one variable
+        (sx.TConn("??", (sx.TVar(1),)), UnknownIdentifier),
+        (sx.TModal("dia", 1, (sx.TVar(1), sx.TVar(1))), ArityMismatch),
+    ):
+        rule = ReductionRule("op", "~", "dia", sx.Template(1, 1, body))
+        with pytest.raises(error):
+            verify_reduction_rule(rule, labelled_l2, n=1)
