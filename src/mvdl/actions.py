@@ -45,6 +45,11 @@ OP_VARIANTS = {
     ),
 }
 
+OP_ARITIES = {
+    "union": 2, "join-pw": 2, "meet-pw": 2, "kleisli": 2, "double-seq": 2,
+    "double-star": 2, "nbh-union": 2, "dual": 1, "star": 1, "counter-domain": 1,
+}
+
 TEST_VARIANTS = {
     "test-p": (Kind.POWERSET, Kind.APOWERSET, *NEIGHBOURHOOD_KINDS),
     "labelled-unit": (Kind.APOWERSET,),

@@ -79,7 +79,9 @@ def _verdict(status: str, cases: int, t0: float, counterexample=None, **detail) 
 
 
 def _check_sweep(mode: str, trials: int, max_n: int = 1) -> None:
-    """Reject sweep parameters that would check no case."""
+    """Reject an unknown mode and sweep parameters that would check no case."""
+    if mode not in ("exhaustive", "random"):
+        raise InvalidParameter(f"mode must be 'exhaustive' or 'random', got {mode!r}")
     if max_n < 1:
         raise InvalidParameter(f"max_n must be at least 1, got {max_n}")
     if mode == "random" and trials < 1:
@@ -631,6 +633,7 @@ def verify_registry(
     seed: int = DEFAULT_SEED,
 ) -> dict[tuple, Verdict]:
     """verify_reduction_rule over every rule in a registry."""
+    _check_sweep(mode, trials)
     return {
         key: verify_reduction_rule(
             rule, registry.config, n=n, mode=mode, budget=budget, trials=trials, seed=seed

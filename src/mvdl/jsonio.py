@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping
 
-from .actions import OperationSpec, TestSpec
+from .actions import OP_ARITIES, OperationSpec, TestSpec
 from .algebra import Algebra, algebra_by_name, validate_flew
 from .errors import InvalidParameter
 from .functors import Kind
@@ -126,12 +126,6 @@ def algebra_from_json(data: Mapping | str) -> Algebra:
     return alg
 
 
-_OP_ARITIES = {
-    "union": 2, "join-pw": 2, "meet-pw": 2, "kleisli": 2, "double-seq": 2,
-    "double-star": 2, "nbh-union": 2, "dual": 1, "star": 1, "counter-domain": 1,
-}
-
-
 def config_from_json(data: Mapping, alg: Algebra) -> LogicConfig:
     """Build a custom logic configuration from a declaration object.
 
@@ -159,9 +153,9 @@ def config_from_json(data: Mapping, alg: Algebra) -> LogicConfig:
     ops = {}
     for oid, entry in data.get("ops", {}).items():
         variant = _field(entry, "variant", f"config op {oid!r}")
-        if variant not in _OP_ARITIES:
+        if variant not in OP_ARITIES:
             raise InvalidParameter(f"unknown operation variant {variant!r}")
-        ops[oid] = OperationSpec(oid, _OP_ARITIES[variant], variant)
+        ops[oid] = OperationSpec(oid, OP_ARITIES[variant], variant)
         ops[oid].check_kind(kind)
     tests = {}
     for tid, entry in data.get("tests", {}).items():
@@ -320,25 +314,38 @@ def formula_to_json(node) -> dict:
 
 
 def formula_from_json(data: Mapping):
+    """The inverse of formula_to_json; a malformed tree raises
+    InvalidParameter naming the node kind and field."""
     from .syntax import Atomic, Conn, Modal, Op, Prop, Test
 
-    kind = data["kind"]
+    kind = _field(data, "kind", "formula node")
+    where = f"{kind!r} node"
+
+    def text(key: str) -> str:
+        value = _field(data, key, where)
+        if not isinstance(value, str):
+            raise InvalidParameter(f"{where} field {key!r}: expected a string, got {value!r}")
+        return value
+
+    def nodes(key: str) -> tuple:
+        value = _field(data, key, where)
+        if not isinstance(value, list):
+            raise InvalidParameter(f"{where} field {key!r}: expected a list of nodes")
+        return tuple(formula_from_json(a) for a in value)
+
     if kind == "prop":
-        return Prop(data["name"])
+        return Prop(text("name"))
     if kind == "conn":
-        return Conn(data["symbol"], tuple(formula_from_json(a) for a in data["args"]))
+        return Conn(text("symbol"), nodes("args"))
     if kind == "modal":
-        return Modal(
-            data["lifting"],
-            formula_from_json(data["action"]),
-            tuple(formula_from_json(a) for a in data["args"]),
-        )
+        action = formula_from_json(_field(data, "action", where))
+        return Modal(text("lifting"), action, nodes("args"))
     if kind == "atomic":
-        return Atomic(data["name"])
+        return Atomic(text("name"))
     if kind == "op":
-        return Op(data["op"], tuple(formula_from_json(a) for a in data["args"]))
+        return Op(text("op"), nodes("args"))
     if kind == "test":
-        return Test(data["test"], formula_from_json(data["arg"]))
+        return Test(text("test"), formula_from_json(_field(data, "arg", where)))
     raise InvalidParameter(f"unknown node kind {kind!r}")
 
 
@@ -352,19 +359,29 @@ def rule_to_json(rule) -> dict:
 
 
 def rule_from_json(data: Mapping, config: LogicConfig):
+    """A rule object; its template may use no slot beyond the operation's
+    arity and no variable beyond the lifting's arity (+1 for a test rule)."""
     from .reduction import ReductionRule
 
-    template = parse(data["template"], config.signature, "template")
+    template = parse(_field(data, "template", "rule"), config.signature, "template")
+    lid = _field(data, "lifting", "rule")
     if "op" in data:
         kind, target = "op", data["op"]
-        spec = config.op(target)
-        lift = config.lifting(data["lifting"])
-        template = Template(spec.arity, lift.arity, template.body)
+        n, k = config.op(target).arity, config.lifting(lid).arity
     else:
-        kind, target = "test", data["test"]
-        lift = config.lifting(data["lifting"])
-        template = Template(0, lift.arity + 1, template.body)
-    return ReductionRule(kind, target, data["lifting"], template)
+        kind, target = "test", _field(data, "test", "rule")
+        n, k = 0, config.lifting(lid).arity + 1
+    if template.n > n:
+        raise InvalidParameter(
+            f"rule field 'template': slot {template.n} is beyond the {n} action(s) "
+            f"of {kind} {target!r}"
+        )
+    if template.k > k:
+        raise InvalidParameter(
+            f"rule field 'template': variable w{template.k} is beyond the {k} formula(s) "
+            f"of a {kind} rule under lifting {lid!r}"
+        )
+    return ReductionRule(kind, target, lid, Template(n, k, template.body))
 
 
 def verdict_to_json(verdict) -> dict:

@@ -30,17 +30,15 @@ from .syntax import (
     Modal,
     Op,
     Prop,
-    TConn,
-    TModal,
-    TVar,
     Template,
-    TemplateBody,
     Test,
+    Var,
     big_and,
     big_or,
     contains_star,
     instantiate,
-    tneg,
+    neg,
+    subterms,
 )
 
 DEFAULT_REWRITE_BUDGET = 10_000
@@ -99,16 +97,16 @@ class RuleRegistry:
         return True
 
 
-def _term_body(term: Term, arg: TemplateBody) -> TemplateBody:
+def _term_body(term: Term, arg: Formula) -> Formula:
     """Splice an algebra term (over one variable) into template position."""
     if term[0] == "x":
         return arg
     if term[0] == "const":
-        return TConn(term[1])
-    return TConn(term[1], tuple(_term_body(t, arg) for t in term[2:]))
+        return Conn(term[1])
+    return Conn(term[1], tuple(_term_body(t, arg) for t in term[2:]))
 
 
-def _chi_body(alg: Algebra, subset: frozenset[int], arg: TemplateBody) -> TemplateBody:
+def _chi_body(alg: Algebra, subset: frozenset[int], arg: Formula) -> Formula:
     term = chi_term(alg, subset)
     if term is None:
         raise MissingChi(
@@ -151,12 +149,12 @@ def _test_rule(reg: RuleRegistry, test: str, lifting: str, k: int, body) -> None
     reg.add(ReductionRule("test", test, lifting, Template(0, k + 1, body)))
 
 
-def _nest(lifting: str) -> TemplateBody:
-    return TModal(lifting, 1, (TModal(lifting, 2, (TVar(1),)),))
+def _nest(lifting: str) -> Formula:
+    return Modal(lifting, 1, (Modal(lifting, 2, (Var(1),)),))
 
 
-def _choice(lifting: str, conn: str) -> TemplateBody:
-    return TConn(conn, (TModal(lifting, 1, (TVar(1),)), TModal(lifting, 2, (TVar(1),))))
+def _choice(lifting: str, conn: str) -> Formula:
+    return Conn(conn, (Modal(lifting, 1, (Var(1),)), Modal(lifting, 2, (Var(1),))))
 
 
 def _rules_pdl_crisp(reg: RuleRegistry) -> None:
@@ -166,20 +164,20 @@ def _rules_pdl_crisp(reg: RuleRegistry) -> None:
         _op_rule(reg, ";", lid, 2, 1, _nest(lid))
     _op_rule(
         reg, "~", "box", 1, 1,
-        TConn("->", (TModal("box", 1, (TConn("0"),)), TVar(1))),
+        Conn("->", (Modal("box", 1, (Conn("0"),)), Var(1))),
     )
     _op_rule(
         reg, "~", "dia", 1, 1,
-        TConn("/\\", (tneg(TModal("dia", 1, (TConn("1"),))), TVar(1))),
+        Conn("/\\", (neg(Modal("dia", 1, (Conn("1"),))), Var(1))),
     )
     subset = reg.config.tests["t"].subset
     for lid, conn in (("box", "->"), ("dia", "/\\")):
         try:
-            chi = _chi_body(alg, subset, TVar(1))
+            chi = _chi_body(alg, subset, Var(1))
         except MissingChi as exc:
             reg.gaps.append((("test", "t", lid), str(exc)))
             continue
-        _test_rule(reg, "t", lid, 1, TConn(conn, (chi, TVar(2))))
+        _test_rule(reg, "t", lid, 1, Conn(conn, (chi, Var(2))))
 
 
 def _rules_pdl_labelled(reg: RuleRegistry) -> None:
@@ -187,19 +185,19 @@ def _rules_pdl_labelled(reg: RuleRegistry) -> None:
     for lid, conn in (("box", "/\\"), ("dia", "\\/")):
         _op_rule(reg, "+", lid, 2, 1, _choice(lid, conn))
         _op_rule(reg, ";", lid, 2, 1, _nest(lid))
-    _test_rule(reg, "t", "box", 1, TConn("->", (TVar(1), TVar(2))))
-    _test_rule(reg, "t", "dia", 1, TConn("*", (TVar(1), TVar(2))))
+    _test_rule(reg, "t", "box", 1, Conn("->", (Var(1), Var(2))))
+    _test_rule(reg, "t", "dia", 1, Conn("*", (Var(1), Var(2))))
     # counter-support needs chi_{top} under box and chi_{bot} under diamond
     for lid, chi_set, inner, conn in (
-        ("box", frozenset({alg.top}), TModal("box", 1, (TConn("0"),)), "->"),
-        ("dia", frozenset({0}), TModal("dia", 1, (TConn("1"),)), "/\\"),
+        ("box", frozenset({alg.top}), Modal("box", 1, (Conn("0"),)), "->"),
+        ("dia", frozenset({0}), Modal("dia", 1, (Conn("1"),)), "/\\"),
     ):
         try:
             chi = _chi_body(alg, chi_set, inner)
         except MissingChi as exc:
             reg.gaps.append((("op", "~", lid), str(exc)))
             continue
-        _op_rule(reg, "~", lid, 1, 1, TConn(conn, (chi, TVar(1))))
+        _op_rule(reg, "~", lid, 1, 1, Conn(conn, (chi, Var(1))))
 
 
 def _rules_threshold(reg: RuleRegistry) -> None:
@@ -215,33 +213,33 @@ def _rules_threshold(reg: RuleRegistry) -> None:
         lid = threshold_lifting_id(alg, r)
         _op_rule(reg, "+", lid, 2, 1, _choice(lid, "\\/"))
         disjuncts = [
-            TModal(
+            Modal(
                 threshold_lifting_id(alg, r1),
                 1,
-                (TModal(threshold_lifting_id(alg, r2), 2, (TVar(1),)),),
+                (Modal(threshold_lifting_id(alg, r2), 2, (Var(1),)),),
             )
             for r1 in nonzero
             for r2 in nonzero
             if alg.leq(r, alg.tensor(r1, r2))
         ]
-        _op_rule(reg, ";", lid, 2, 1, big_or(disjuncts, TConn))
-        _test_rule(reg, "t", lid, 1, TConn("/\\", (TVar(1), TVar(2))))
+        _op_rule(reg, ";", lid, 2, 1, big_or(disjuncts))
+        _test_rule(reg, "t", lid, 1, Conn("/\\", (Var(1), Var(2))))
 
 
 def _rules_game(reg: RuleRegistry) -> None:
     _op_rule(reg, "+", "dia", 2, 1, _choice("dia", "\\/"))
     _op_rule(reg, "&", "dia", 2, 1, _choice("dia", "/\\"))
     _op_rule(reg, ";", "dia", 2, 1, _nest("dia"))
-    _op_rule(reg, "^d", "dia", 1, 1, tneg(TModal("dia", 1, (tneg(TVar(1)),))))
-    _test_rule(reg, "t", "dia", 1, TConn("*", (TVar(1), TVar(2))))
+    _op_rule(reg, "^d", "dia", 1, 1, neg(Modal("dia", 1, (neg(Var(1)),))))
+    _test_rule(reg, "t", "dia", 1, Conn("*", (Var(1), Var(2))))
 
 
 def _rules_instantial(reg: RuleRegistry) -> None:
     have_two = "inst2" in reg.config.liftings
     for lid, spec in reg.config.liftings.items():
         k = spec.arity - 1
-        vars_front = [TVar(i + 1) for i in range(k)]
-        last = TVar(k + 1)
+        vars_front = [Var(i + 1) for i in range(k)]
+        last = Var(k + 1)
         # neighbourhood-wise union: split the witnessed arguments two ways,
         # dropping (not padding) the positions handed to the other side, so a
         # side whose member is the empty set still satisfies its conjunct
@@ -250,24 +248,24 @@ def _rules_instantial(reg: RuleRegistry) -> None:
             left = tuple(vars_front[i] for i in range(k) if chosen[i]) + (last,)
             right = tuple(vars_front[i] for i in range(k) if not chosen[i]) + (last,)
             disjuncts.append(
-                TConn(
+                Conn(
                     "/\\",
                     (
-                        TModal(f"inst{len(left)}", 1, left),
-                        TModal(f"inst{len(right)}", 2, right),
+                        Modal(f"inst{len(left)}", 1, left),
+                        Modal(f"inst{len(right)}", 2, right),
                     ),
                 )
             )
-        _op_rule(reg, "+", lid, 2, k + 1, big_or(disjuncts, TConn))
+        _op_rule(reg, "+", lid, 2, k + 1, big_or(disjuncts))
         if have_two:
             # sequential composition threads the bound through inst2
             seq_args = tuple(
-                TModal("inst2", 2, (vars_front[i], last)) for i in range(k)
-            ) + (TModal("inst1", 2, (last,)),)
-            _op_rule(reg, ";", lid, 2, k + 1, TModal(lid, 1, seq_args))
+                Modal("inst2", 2, (vars_front[i], last)) for i in range(k)
+            ) + (Modal("inst1", 2, (last,)),)
+            _op_rule(reg, ";", lid, 2, k + 1, Modal(lid, 1, seq_args))
             _op_rule(
                 reg, "&", lid, 2, k + 1,
-                TModal("inst2", 1, (TModal(lid, 2, tuple(vars_front) + (last,)), TConn("1"))),
+                Modal("inst2", 1, (Modal(lid, 2, tuple(vars_front) + (last,)), Conn("1"))),
             )
         else:
             reason = "composition rules need the binary lifting inst2"
@@ -276,17 +274,12 @@ def _rules_instantial(reg: RuleRegistry) -> None:
         # counter-domain: empty family at the state, all arguments true
         _op_rule(
             reg, "~", lid, 1, k + 1,
-            big_and(
-                [tneg(TModal("inst1", 1, (TConn("1"),)))] + vars_front + [last],
-                TConn,
-            ),
+            big_and([neg(Modal("inst1", 1, (Conn("1"),)))] + vars_front + [last]),
         )
         # test: w1 is the test argument, w2..w_{k+2} the lifting arguments
         _test_rule(
             reg, "t", lid, k + 1,
-            big_and(
-                [TVar(1), TVar(k + 2)] + [TVar(i + 2) for i in range(k)], TConn
-            ),
+            big_and([Var(1), Var(k + 2)] + [Var(i + 2) for i in range(k)]),
         )
 
 
@@ -374,10 +367,4 @@ def reduce_full(
 
 def is_normal_form(formula: Formula) -> bool:
     """No operation or test nodes remain under any modality."""
-    if isinstance(formula, Prop):
-        return True
-    if isinstance(formula, Conn):
-        return all(is_normal_form(a) for a in formula.args)
-    return isinstance(formula.action, Atomic) and all(
-        is_normal_form(a) for a in formula.args
-    )
+    return all(isinstance(s.action, Atomic) for s in subterms(formula) if isinstance(s, Modal))

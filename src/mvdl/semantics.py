@@ -5,9 +5,11 @@ structure algebras, the lifting/operation/test catalogue), coalgebras for the
 atomic actions and a propositional valuation.  Formulas and actions are
 compiled once into a Plan, a flat list of steps with one step per distinct
 subterm, which then runs over any number of models; an EvalSession holds one
-plan and the values it has computed so far for one model.  Reduction-rule
-templates compile the same way into a _TemplatePlan, which the rule-soundness
-sweep runs on predicate ids over a whole space of variable assignments.
+plan and the values it has computed so far for one model.  A reduction-rule
+template is a formula over variables and action slots; it compiles the same
+way into a _TemplatePlan, which the rule-soundness sweep runs on predicate ids
+over a whole space of variable assignments.  Both plans resolve connectives
+through ``connective``.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -54,10 +56,8 @@ from .syntax import (
     Op,
     Prop,
     Signature,
-    TConn,
     Test,
-    TModal,
-    TVar,
+    Var,
 )
 
 Predicate = tuple
@@ -292,6 +292,25 @@ BINARY_TABLES = {
 }
 
 
+def connective(truth: Algebra, sym: str, nargs: int) -> tuple[int, object]:
+    """How ``truth`` interprets connective ``sym`` applied to ``nargs``
+    arguments: ``(0, element)`` for a constant (its arguments are ignored),
+    ``(1, row)`` for an extra, ``(2, m x m table)`` for a binary connective."""
+    if sym in ("0", "1") or sym in truth.constants:
+        return 0, 0 if sym == "0" else truth.top if sym == "1" else truth.constants[sym]
+    if sym in BINARY_TABLES:
+        arity, table = 2, getattr(truth, BINARY_TABLES[sym])
+    elif sym in truth.extras:
+        arity, table = 1, truth.extras[sym]
+    else:
+        raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
+    if nargs != arity:
+        raise ArityMismatch(
+            f"connective {sym!r} expects {arity} argument(s), got {nargs}"
+        )
+    return arity, table
+
+
 class Plan:
     """Formulas and actions compiled into one flat, post-ordered step list.
 
@@ -406,34 +425,22 @@ class Plan:
         raise InvalidParameter(f"not a formula or action node: {node!r}")
 
     def _conn_step(self, node: Conn):
-        truth, sym = self.config.truth, node.symbol
-        if sym in ("0", "1") or sym in truth.constants:
-            c = 0 if sym == "0" else truth.top if sym == "1" else truth.constants[sym]
+        arity, table = connective(self.config.truth, node.symbol, len(node.args))
+        if arity == 0:
 
             def constant(values, model):
-                return (c,) * model.n
+                return (table,) * model.n
 
             return constant
         args = [self.compile(a) for a in node.args]
-        if sym in BINARY_TABLES:
-            arity = 2
-        elif sym in truth.extras:
-            arity = 1
-        else:
-            raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
-        if len(args) != arity:
-            raise ArityMismatch(
-                f"connective {sym!r} expects {arity} argument(s), got {len(args)}"
-            )
         if arity == 1:
-            lookup = truth.extras[sym].__getitem__
+            lookup = table.__getitem__
             (i,) = args
 
             def extra(values, model):
                 return tuple(map(lookup, values[i]))
 
             return extra
-        table = getattr(truth, BINARY_TABLES[sym])
         i, j = args
 
         def binary(values, model):
@@ -493,7 +500,7 @@ class _TemplatePlan:
             rows.clear()
             by_value.clear()
 
-    def compile(self, body, n_slots: int, n_vars: int) -> int:
+    def compile(self, body: Formula, n_slots: int, n_vars: int) -> int:
         """The position of ``body``'s step, compiling its new subterms."""
         self.cids.extend([0] * (n_slots - len(self.cids)))
         return self._compile(body, n_slots, n_vars)[0]
@@ -581,44 +588,33 @@ class _TemplatePlan:
         got = self._pos.get(node)
         if got is not None:
             return got
-        if isinstance(node, TVar):
+        if isinstance(node, Var):
             if not 1 <= node.index <= n_vars:
                 raise InvalidParameter(
                     f"template variable w{node.index} is outside w1..w{n_vars}"
                 )
             got = self._add(0, None)
             self._leaves.append((got[0], node.index - 1, None))
-        elif isinstance(node, TConn):
+        elif isinstance(node, Conn):
             got = self._conn(node, n_slots, n_vars)
-        elif isinstance(node, TModal):
+        elif isinstance(node, Modal):
             got = self._modal(node, n_slots, n_vars)
         else:
             raise InvalidParameter(f"not a template node: {node!r}")
         self._pos[node] = got
         return got
 
-    def _conn(self, node: TConn, n_slots: int, n_vars: int) -> tuple[int, int]:
-        truth, sym, index, preds = self.config.truth, node.symbol, self.index, self.preds
-        if sym in ("0", "1") or sym in truth.constants:
-            c = 0 if sym == "0" else truth.top if sym == "1" else truth.constants[sym]
+    def _conn(self, node: Conn, n_slots: int, n_vars: int) -> tuple[int, int]:
+        index, preds = self.index, self.preds
+        arity, interp = connective(self.config.truth, node.symbol, len(node.args))
+        if arity == 0:
             got = self._add(0, None)
-            self._leaves.append((got[0], None, index[(c,) * self.n]))
+            self._leaves.append((got[0], None, index[(interp,) * self.n]))
             return got
-        if sym in BINARY_TABLES:
-            arity = 2
-        elif sym in truth.extras:
-            arity = 1
-        else:
-            raise UnknownIdentifier(f"connective {sym!r} is not interpreted")
-        if len(node.args) != arity:
-            raise ArityMismatch(
-                f"connective {sym!r} expects {arity} argument(s), got {len(node.args)}"
-            )
         args = [self._compile(a, n_slots, n_vars) for a in node.args]
         group = max(g for _, g in args)
         if arity == 1:
             ((a, _),) = args
-            lookup = truth.extras[sym]
             table = {}
 
             def extra(vals):
@@ -628,11 +624,10 @@ class _TemplatePlan:
                 except KeyError:
                     for u in A:
                         if u not in table:
-                            table[u] = index[tuple(lookup[v] for v in preds[u])]
+                            table[u] = index[tuple(interp[v] for v in preds[u])]
                     return list(map(table.__getitem__, A))
 
             return self._add(group, extra)
-        op = getattr(truth, BINARY_TABLES[sym])
         (a, _), (b, _) = args
         rows = defaultdict(dict)
 
@@ -644,17 +639,16 @@ class _TemplatePlan:
                 for u, v in zip(A, B):
                     row = rows[u]
                     if v not in row:
-                        pointwise = map(getitem, map(op.__getitem__, preds[u]), preds[v])
+                        pointwise = map(getitem, map(interp.__getitem__, preds[u]), preds[v])
                         row[v] = index[tuple(pointwise)]
                 return list(map(getitem, map(rows.__getitem__, A), B))
 
         return self._add(group, binary)
 
-    def _modal(self, node: TModal, n_slots: int, n_vars: int) -> tuple[int, int]:
-        if not 1 <= node.slot <= n_slots:
-            raise InvalidParameter(
-                f"template slot {node.slot} is outside 1..{n_slots}"
-            )
+    def _modal(self, node: Modal, n_slots: int, n_vars: int) -> tuple[int, int]:
+        slot = node.action
+        if slot not in range(1, n_slots + 1):
+            raise InvalidParameter(f"template slot {slot!r} is outside 1..{n_slots}")
         arity = self._lifting(node.lifting)[1]
         if len(node.args) != arity:
             raise ArityMismatch(
@@ -663,12 +657,12 @@ class _TemplatePlan:
             )
         args = [self._compile(a, n_slots, n_vars) for a in node.args]
         keys, group = args[0] if arity == 1 else self._keys(args)
-        lift, cids, s = self.lifter(node.lifting), self.cids, node.slot - 1
+        lift, cids, s = self.lifter(node.lifting), self.cids, slot - 1
 
         def modal(vals):
             return lift(cids[s], vals[keys])
 
-        return self._add(max(group, 2 if node.slot == 1 else 1), modal)
+        return self._add(max(group, 2 if slot == 1 else 1), modal)
 
     def _keys(self, args) -> tuple[int, int]:
         """A step combining argument ids into lifting keys, base P, first

@@ -1,4 +1,5 @@
-"""Formula, action and template ASTs with a parser and pretty-printer.
+"""One AST for formulas, actions and templates, with a parser and
+pretty-printer.
 
 Concrete syntax (PDL-flavoured):
 
@@ -17,13 +18,18 @@ Concrete syntax (PDL-flavoured):
               e.g. <1:dia><2:dia> w1
 
 Binary connectives parse left-associatively, -> right-associatively.
+
+A template is an ordinary formula whose leaves are variables ``Var(i)``
+instead of propositions and whose modalities hold a 1-based action slot, a
+bare ``int``, instead of an action; ``instantiate`` substitutes formulas for
+the variables and actions for the slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ArityMismatch, FormulaSyntaxError, LengthMismatch, UnknownIdentifier
 
@@ -62,6 +68,11 @@ class Prop:
 
 
 @_node
+class Var:
+    index: int  # 1-based template variable
+
+
+@_node
 class Conn:
     symbol: str
     args: tuple["Formula", ...] = ()
@@ -70,7 +81,7 @@ class Conn:
 @_node
 class Modal:
     lifting: str
-    action: "Action"
+    action: "Action | int"  # an int is a template's action slot, 1-based
     args: tuple["Formula", ...]
 
 
@@ -91,27 +102,8 @@ class Test:
     arg: "Formula"
 
 
-@_node
-class TVar:
-    index: int  # 1-based
-
-
-@_node
-class TConn:
-    symbol: str
-    args: tuple["TemplateBody", ...] = ()
-
-
-@_node
-class TModal:
-    lifting: str
-    slot: int  # 1-based
-    args: tuple["TemplateBody", ...]
-
-
-Formula = Union[Prop, Conn, Modal]
+Formula = Union[Prop, Var, Conn, Modal]
 Action = Union[Atomic, Op, Test]
-TemplateBody = Union[TVar, TConn, TModal]
 
 TOP = Conn("1")
 BOT = Conn("0")
@@ -123,52 +115,34 @@ class Template:
 
     n: int
     k: int
-    body: TemplateBody
+    body: Formula
 
     @property
     def independent(self) -> bool:
         """True iff at most one distinct lifting occurs under the modal nodes."""
-        return len(_liftings_of(self.body)) <= 1
-
-
-def _liftings_of(body: TemplateBody) -> set[str]:
-    if isinstance(body, TVar):
-        return set()
-    if isinstance(body, TConn):
-        out: set[str] = set()
-        for a in body.args:
-            out |= _liftings_of(a)
-        return out
-    out = {body.lifting}
-    for a in body.args:
-        out |= _liftings_of(a)
-    return out
+        return len({s.lifting for s in subterms(self.body) if isinstance(s, Modal)}) <= 1
 
 
 def neg(f: Formula) -> Formula:
     return Conn("->", (f, BOT))
 
 
-def tneg(t: TemplateBody) -> TemplateBody:
-    return TConn("->", (t, TConn("0")))
-
-
-def big_or(args: list, conn=Conn) -> object:
+def big_or(args: list) -> Formula:
     """Left-associated finite disjunction; empty join is bottom."""
     if not args:
-        return conn("0")
+        return BOT
     out = args[0]
     for a in args[1:]:
-        out = conn("\\/", (out, a))
+        out = Conn("\\/", (out, a))
     return out
 
 
-def big_and(args: list, conn=Conn) -> object:
+def big_and(args: list) -> Formula:
     if not args:
-        return conn("1")
+        return TOP
     out = args[0]
     for a in args[1:]:
-        out = conn("/\\", (out, a))
+        out = Conn("/\\", (out, a))
     return out
 
 
@@ -257,9 +231,9 @@ def _lex(text: str) -> list[_Tok]:
             toks.append(_Tok("sym", c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():  # not isdigit: int() refuses digits such as '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("num", text[i:j], i))
             i = j
@@ -315,37 +289,35 @@ class _Parser:
     def formula(self):
         left = self.disj()
         if self.eat("->"):
-            return self.mk_conn("->", (left, self.formula()))
+            return Conn("->", (left, self.formula()))
         return left
 
     def disj(self):
         left = self.conj()
         while self.at("\\/"):
             self.next()
-            left = self.mk_conn("\\/", (left, self.conj()))
+            left = Conn("\\/", (left, self.conj()))
         return left
 
     def conj(self):
         left = self.tens()
         while self.at("/\\"):
             self.next()
-            left = self.mk_conn("/\\", (left, self.tens()))
+            left = Conn("/\\", (left, self.tens()))
         return left
 
     def tens(self):
         left = self.funary()
         while self.at("*"):
             self.next()
-            left = self.mk_conn("*", (left, self.funary()))
+            left = Conn("*", (left, self.funary()))
         return left
 
     def funary(self):
         tok = self.peek()
         if tok.text == "!":
             self.next()
-            arg = self.funary()
-            zero = TConn("0") if self.template else BOT
-            return self.mk_conn("->", (arg, zero))
+            return neg(self.funary())
         if tok.text in ("<", "["):
             return self.modal()
         return self.fprimary()
@@ -382,13 +354,8 @@ class _Parser:
             raise ArityMismatch(
                 f"lifting {lifting!r} expects {arity} argument(s), got {len(args)}"
             )
-        if self.template:
-            if not isinstance(action, int):
-                raise FormulaSyntaxError(
-                    "template modalities take numeric action slots", opener.pos
-                )
+        if self.template:  # aprimary admits nothing but a numeric slot here
             self.max_slot = max(self.max_slot, action)
-            return TModal(lifting, action, tuple(args))
         return Modal(lifting, action, tuple(args))
 
     def fprimary(self):
@@ -399,21 +366,21 @@ class _Parser:
             return f
         if tok.kind == "num":
             if tok.text in ("0", "1"):
-                return TConn(tok.text) if self.template else Conn(tok.text)
+                return Conn(tok.text)
             raise FormulaSyntaxError(f"unexpected number {tok.text!r} in formula", tok.pos)
         if tok.kind != "ident":
             raise FormulaSyntaxError(f"unexpected token {tok.text!r} in formula", tok.pos)
         name = tok.text
-        if self.template and len(name) > 1 and name[0] == "w" and name[1:].isdigit():
-            idx = int(name[1:])
+        if self.template and len(name) > 1 and name[0] == "w" and name[1:].isdecimal():
+            idx = self.numeral(name[1:], tok.pos)
             if idx < 1:
                 raise FormulaSyntaxError("template variables start at w1", tok.pos)
             self.max_var = max(self.max_var, idx)
-            return TVar(idx)
+            return Var(idx)
         arity = self.sig.conn_arity(name)
         if arity is not None:
             if arity == 0:
-                return TConn(name) if self.template else Conn(name)
+                return Conn(name)
             self.expect("(")
             args = [self.formula()]
             while self.eat(","):
@@ -423,15 +390,10 @@ class _Parser:
                 raise ArityMismatch(
                     f"connective {name!r} expects {arity} argument(s), got {len(args)}"
                 )
-            return self.mk_conn(name, tuple(args))
+            return Conn(name, tuple(args))
         if not self.template and name in self.sig.props:
             return Prop(name)
         raise UnknownIdentifier(f"unknown identifier {name!r} in formula position")
-
-    def mk_conn(self, symbol: str, args: tuple):
-        if self.template:
-            return TConn(symbol, args)
-        return Conn(symbol, args)
 
     # actions
     def action(self):
@@ -486,7 +448,7 @@ class _Parser:
                 raise FormulaSyntaxError(
                     f"unexpected number {tok.text!r} in action", tok.pos
                 )
-            return int(tok.text)
+            return self.numeral(tok.text, tok.pos)
         if tok.kind == "ident":
             if self.template:
                 raise FormulaSyntaxError(
@@ -496,6 +458,13 @@ class _Parser:
                 return Atomic(tok.text)
             raise UnknownIdentifier(f"unknown atomic action {tok.text!r}")
         raise FormulaSyntaxError(f"unexpected token {tok.text!r} in action", tok.pos)
+
+    @staticmethod
+    def numeral(text: str, pos: int) -> int:
+        try:
+            return int(text)
+        except ValueError:  # longer than int() converts
+            raise FormulaSyntaxError(f"numeral of {len(text)} digits", pos) from None
 
     def check_op(self, op: str, arity: int) -> None:
         declared = self.sig.op_arity(op)
@@ -518,10 +487,10 @@ def parse(text: str, sig: Signature, category: str = "formula"):
     if category not in ("formula", "action", "template"):
         raise ValueError(f"unknown category {category!r}")
     p = _Parser(text, sig, template=category == "template")
-    if category == "action":
-        out = p.action()
-    else:
-        out = p.formula()
+    try:
+        out = p.action() if category == "action" else p.formula()
+    except RecursionError:
+        raise FormulaSyntaxError("input nested too deeply", p.peek().pos) from None
     tok = p.peek()
     if tok.kind != "end":
         raise FormulaSyntaxError(f"trailing input {tok.text!r}", tok.pos)
@@ -538,10 +507,10 @@ _UNARY_LEVEL = 5
 
 def _is_neg(node) -> bool:
     return (
-        isinstance(node, (Conn, TConn))
+        isinstance(node, Conn)
         and node.symbol == "->"
         and len(node.args) == 2
-        and isinstance(node.args[1], (Conn, TConn))
+        and isinstance(node.args[1], Conn)
         and node.args[1].symbol == "0"
     )
 
@@ -558,9 +527,9 @@ def render(ast, sig: Signature | None = None) -> str:
 def _render_formula(node, sig, level: int) -> str:
     if isinstance(node, Prop):
         return node.name
-    if isinstance(node, TVar):
+    if isinstance(node, Var):
         return f"w{node.index}"
-    if isinstance(node, (Conn, TConn)):
+    if isinstance(node, Conn):
         if _is_neg(node):
             return f"!{_render_formula(node.args[0], sig, _UNARY_LEVEL)}"
         if not node.args:
@@ -577,10 +546,8 @@ def _render_formula(node, sig, level: int) -> str:
             return f"({text})" if mine < level else text
         args = ", ".join(_render_formula(a, sig, 0) for a in node.args)
         return f"{node.symbol}({args})"
-    # modal
-    if isinstance(node, (Modal, TModal)):
-        act = node.action if isinstance(node, Modal) else node.slot
-        atext = _render_action(act, sig, 0)
+    if isinstance(node, Modal):
+        atext = _render_action(node.action, sig, 0)
         if sig is not None and node.lifting == sig.box and len(node.args) == 1:
             head = f"[{atext}]"
         elif sig is not None and node.lifting == sig.diamond and len(node.args) == 1:
@@ -619,7 +586,7 @@ def _render_action(node, sig, level: int) -> str:
     return f"({text})" if mine < level else text
 
 
-# -- template instantiation --------------------------------------------
+# -- substitution and traversal ------------------------------------------
 
 
 def instantiate(template: Template, actions: Iterable[Action], formulas: Iterable[Formula]) -> Formula:
@@ -637,109 +604,63 @@ def instantiate(template: Template, actions: Iterable[Action], formulas: Iterabl
     return _subst(template.body, acts, forms)
 
 
-def _subst(body: TemplateBody, acts: tuple, forms: tuple) -> Formula:
-    if isinstance(body, TVar):
-        return forms[body.index - 1]
-    if isinstance(body, TConn):
-        return Conn(body.symbol, tuple(_subst(a, acts, forms) for a in body.args))
+def _subst(node: Formula, acts: tuple, forms: tuple) -> Formula:
+    if isinstance(node, Var):
+        return forms[node.index - 1]
+    if isinstance(node, Conn):
+        return Conn(node.symbol, tuple(_subst(a, acts, forms) for a in node.args))
     return Modal(
-        body.lifting, acts[body.slot - 1], tuple(_subst(a, acts, forms) for a in body.args)
+        node.lifting, acts[node.action - 1], tuple(_subst(a, acts, forms) for a in node.args)
     )
 
 
+def _children(node) -> tuple:
+    """A node's direct subterms; a modality's action comes before its
+    arguments.  Leaves, template slots included, have none."""
+    if isinstance(node, Modal):
+        return (node.action, *node.args)
+    if isinstance(node, Test):
+        return (node.arg,)
+    return getattr(node, "args", ())
+
+
+def subterms(node) -> Iterator:
+    """Every subterm of a formula, action or template, ``node`` first, in
+    pre-order."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(reversed(_children(node)))
+
+
 def formula_actions(f: Formula) -> list[Action]:
-    """All action subterms under modalities, in traversal order."""
+    """The actions under modalities, each after those inside its own tests
+    and before those in the modality's arguments."""
     out: list[Action] = []
 
-    def walk_f(node) -> None:
-        if isinstance(node, Conn):
-            for a in node.args:
-                walk_f(a)
-        elif isinstance(node, Modal):
-            walk_a(node.action)
+    def walk(node) -> None:
+        if isinstance(node, Modal):
+            walk(node.action)
             out.append(node.action)
             for a in node.args:
-                walk_f(a)
+                walk(a)
+        else:
+            for a in _children(node):
+                walk(a)
 
-    def walk_a(node) -> None:
-        if isinstance(node, Op):
-            for a in node.args:
-                walk_a(a)
-        elif isinstance(node, Test):
-            walk_f(node.arg)
-
-    walk_f(f)
+    walk(f)
     return out
 
 
 def contains_star(node) -> bool:
     """Does any action in the formula/action use the iteration operation?"""
-    if isinstance(node, (Prop, TVar)):
-        return False
-    if isinstance(node, (Conn, TConn)):
-        return any(contains_star(a) for a in node.args)
-    if isinstance(node, (Modal, TModal)):
-        inside = node.action if isinstance(node, Modal) else None
-        if inside is not None and contains_star(inside):
-            return True
-        return any(contains_star(a) for a in node.args)
-    if isinstance(node, Atomic):
-        return False
-    if isinstance(node, Op):
-        if node.op == "*":
-            return True
-        return any(contains_star(a) for a in node.args)
-    if isinstance(node, Test):
-        return contains_star(node.arg)
-    return False
+    return any(isinstance(s, Op) and s.op == "*" for s in subterms(node))
 
 
 def props_of(node) -> set[str]:
-    if isinstance(node, Prop):
-        return {node.name}
-    out: set[str] = set()
-    if isinstance(node, Conn):
-        for a in node.args:
-            out |= props_of(a)
-    elif isinstance(node, Modal):
-        out |= props_of_action(node.action)
-        for a in node.args:
-            out |= props_of(a)
-    return out
-
-
-def props_of_action(node) -> set[str]:
-    if isinstance(node, Op):
-        out: set[str] = set()
-        for a in node.args:
-            out |= props_of_action(a)
-        return out
-    if isinstance(node, Test):
-        return props_of(node.arg)
-    return set()
+    return {s.name for s in subterms(node) if isinstance(s, Prop)}
 
 
 def atoms_of(node) -> set[str]:
-    if isinstance(node, Prop):
-        return set()
-    if isinstance(node, Conn):
-        out: set[str] = set()
-        for a in node.args:
-            out |= atoms_of(a)
-        return out
-    if isinstance(node, Modal):
-        return atoms_of_action(node.action) | {
-            name for a in node.args for name in atoms_of(a)
-        }
-    raise TypeError(f"not a formula node: {node!r}")
-
-
-def atoms_of_action(node) -> set[str]:
-    if isinstance(node, Atomic):
-        return {node.name}
-    if isinstance(node, Op):
-        out: set[str] = set()
-        for a in node.args:
-            out |= atoms_of_action(a)
-        return out
-    return atoms_of(node.arg)
+    return {s.name for s in subterms(node) if isinstance(s, Atomic)}

@@ -127,16 +127,16 @@ def random_formula(rng: random.Random, config, depth: int, allow_star: bool = Tr
 def random_template(rng: random.Random, config, n: int, k: int, depth: int):
     def body(d):
         if d <= 0 or rng.random() < 0.35:
-            return sx.TVar(rng.randint(1, k))
+            return sx.Var(rng.randint(1, k))
         roll = rng.random()
         if roll < 0.4:
             symbol = rng.choice(["/\\", "\\/", "*", "->"])
-            return sx.TConn(symbol, (body(d - 1), body(d - 1)))
+            return sx.Conn(symbol, (body(d - 1), body(d - 1)))
         if roll < 0.5:
-            return sx.TConn(rng.choice(["0", "1"]))
+            return sx.Conn(rng.choice(["0", "1"]))
         lid = rng.choice(sorted(config.liftings))
         spec = config.liftings[lid]
-        return sx.TModal(
+        return sx.Modal(
             lid, rng.randint(1, n), tuple(body(d - 1) for _ in range(spec.arity))
         )
 

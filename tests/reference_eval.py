@@ -21,7 +21,7 @@ from mvdl.errors import (
 )
 from mvdl.functors import predicate_index, predicate_space
 from mvdl.semantics import crisp_mask
-from mvdl.syntax import Atomic, Conn, Op, Prop, TConn, Test, TVar
+from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var
 
 
 def reference_lifting(spec, preds, value, config, n: int) -> int:
@@ -186,14 +186,14 @@ class ReferenceTemplateEval:
     def slots(self, node) -> tuple[int, ...]:
         got = self._slots.get(node)
         if got is None:
-            acc = set() if isinstance(node, (TVar, TConn)) else {node.slot}
+            acc = set() if isinstance(node, (Var, Conn)) else {node.action}
             for a in getattr(node, "args", ()):
                 acc.update(self.slots(a))
             got = self._slots[node] = tuple(sorted(acc))
         return got
 
     def eval(self, node, gammas: tuple, sigmas: tuple) -> tuple:
-        if isinstance(node, TVar):
+        if isinstance(node, Var):
             return tuple(sigmas[node.index - 1])
         used = self.slots(node)
         key = None
@@ -203,7 +203,7 @@ class ReferenceTemplateEval:
             if hit is not None:
                 return hit
         truth, n = self.truth, self.n
-        if isinstance(node, TConn):
+        if isinstance(node, Conn):
             sym = node.symbol
             if sym == "0":
                 out = (0,) * n
@@ -227,7 +227,7 @@ class ReferenceTemplateEval:
         else:
             spec = self.config.lifting(node.lifting)
             preds = [self.eval(a, gammas, sigmas) for a in node.args]
-            gamma = gammas[node.slot - 1]
+            gamma = gammas[node.action - 1]
             out = tuple(
                 reference_lifting(spec, preds, gamma[x], self.config, n) for x in range(n)
             )

@@ -5,10 +5,19 @@ from itertools import product
 
 import pytest
 
-from mvdl.actions import OperationSpec, apply_op, apply_test, kleisli_star
+from mvdl.actions import (
+    OP_ARITIES,
+    OP_VARIANTS,
+    OperationSpec,
+    apply_op,
+    apply_test,
+    kleisli_star,
+)
 from mvdl.actions import TestSpec as TSpec
+from mvdl.algebra import build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
 from mvdl.functors import Kind, functor_ops, predicate_space
+from mvdl.presets import PRESET_NAMES, make_preset
 
 KLEISLI = OperationSpec(";", 2, "kleisli")
 DSEQ = OperationSpec(";", 2, "double-seq")
@@ -358,3 +367,11 @@ class TestMonotonePreservation:
         for sigma in predicate_space(3, 2):
             for v in apply_test(spec, sigma, fops, L2):
                 assert fops.is_monotone(v)
+
+
+def test_every_operation_variant_has_one_arity():
+    assert set(OP_ARITIES) == set(OP_VARIANTS)
+    for name in PRESET_NAMES:
+        alg = build_builtin("boolean") if name == "instantial" else build_builtin("lukasiewicz", 2)
+        for spec in make_preset(name, alg).ops.values():
+            assert spec.arity == OP_ARITIES[spec.variant], (name, spec)

@@ -29,7 +29,7 @@ from mvdl.jsonio import fvalue_from_json, model_from_json
 from mvdl.presets import make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import Model, eval_formula
-from mvdl.syntax import TConn, TModal, TVar, Template, parse
+from mvdl.syntax import Conn, Modal, Template, Var, parse
 
 from conftest import random_formula, random_model
 
@@ -398,9 +398,9 @@ class TestVerifyRules:
             Template(
                 2,
                 1,
-                TConn(
+                Conn(
                     "\\/",
-                    (TModal("box", 1, (TVar(1),)), TModal("box", 2, (TVar(1),))),
+                    (Modal("box", 1, (Var(1),)), Modal("box", 2, (Var(1),))),
                 ),
             ),
         )
@@ -421,7 +421,7 @@ class TestVerifyRules:
             "op",
             ";",
             "dia",
-            Template(2, 1, TModal("dia", 2, (TModal("dia", 1, (TVar(1),)),))),
+            Template(2, 1, Modal("dia", 2, (Modal("dia", 1, (Var(1),)),))),
         )
         verdict = verify_reduction_rule(bad, crisp_b2, n=2)
         assert verdict.status == "fails"
@@ -475,22 +475,22 @@ class TestTemplateEvaluation:
         from mvdl.reduction import _rewrite_modal
 
         def mutate(body):
-            if isinstance(body, TConn) and body.symbol in ("/\\", "\\/"):
+            if isinstance(body, Conn) and body.symbol in ("/\\", "\\/"):
                 other = "\\/" if body.symbol == "/\\" else "/\\"
-                yield TConn(other, body.args)
-            if isinstance(body, TConn) and body.symbol == "*":
-                yield TConn("/\\", body.args)
-            if isinstance(body, (TConn, TModal)):
+                yield Conn(other, body.args)
+            if isinstance(body, Conn) and body.symbol == "*":
+                yield Conn("/\\", body.args)
+            if isinstance(body, (Conn, Modal)):
                 for i, arg in enumerate(body.args):
                     for m in mutate(arg):
                         args = list(body.args)
                         args[i] = m
-                        if isinstance(body, TConn):
-                            yield TConn(body.symbol, tuple(args))
+                        if isinstance(body, Conn):
+                            yield Conn(body.symbol, tuple(args))
                         else:
-                            yield TModal(body.lifting, body.slot, tuple(args))
-            if isinstance(body, TVar):
-                yield TConn("1")
+                            yield Modal(body.lifting, body.action, tuple(args))
+            if isinstance(body, Var):
+                yield Conn("1")
 
         checked_failing = 0
         for config in (crisp_b2, labelled_l2):
@@ -662,9 +662,9 @@ class TestEntailment:
             Template(
                 2,
                 1,
-                TConn(
+                Conn(
                     "\\/",
-                    (TModal("box", 1, (TVar(1),)), TModal("box", 2, (TVar(1),))),
+                    (Modal("box", 1, (Var(1),)), Modal("box", 2, (Var(1),))),
                 ),
             ),
         )
@@ -723,3 +723,38 @@ class TestZeroCaseGuard:
         model = Model(1, crisp_b2, atoms={"a": (0,)}, valuation={"p": (1,)})
         with pytest.raises(InvalidParameter, match="no case"):
             check_invariance(model, model, (0,), [])
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "verify_reduction_rule",
+        "bounded_entailment",
+        "check_safety",
+        "check_separation",
+        "verify_registry",
+    ],
+)
+def test_misspelt_mode_is_rejected(sweep, labelled_l2):
+    # any mode but "exhaustive" used to sample and report holds-up-to-bound
+    registry = builtin_rules(labelled_l2)
+    phi = parse("p -> [a]p", labelled_l2.signature)
+    calls = {
+        "verify_reduction_rule": lambda mode: verify_reduction_rule(
+            registry.rules[("op", ";", "dia")], labelled_l2, n=2, mode=mode, trials=5
+        ),
+        "bounded_entailment": lambda mode: bounded_entailment(
+            [], phi, labelled_l2, max_n=1, mode=mode, trials=5
+        ),
+        "check_safety": lambda mode: check_safety(
+            labelled_l2.ops[";"], labelled_l2, max_n=1, mode=mode, trials=5
+        ),
+        "check_separation": lambda mode: check_separation(
+            [labelled_l2.liftings["box"]], labelled_l2, n=1, mode=mode, trials=5
+        ),
+        "verify_registry": lambda mode: verify_registry(registry, n=1, mode=mode, trials=5),
+    }
+    with pytest.raises(InvalidParameter, match="'exhaustiv'"):
+        calls[sweep]("exhaustiv")
+    got = calls[sweep]("random")
+    assert all(v.ok for v in (got.values() if isinstance(got, dict) else [got]))

@@ -142,12 +142,12 @@ class TestCustomConfigJson:
         from mvdl.jsonio import config_from_json
         from mvdl.reduction import ReductionRule
         from mvdl.harness import verify_reduction_rule
-        from mvdl.syntax import TModal, TVar, Template
+        from mvdl.syntax import Modal, Template, Var
 
         config = config_from_json(self.CONFIG, L2)
         rule = ReductionRule(
             "op", ";", "dia",
-            Template(2, 1, TModal("dia", 1, (TModal("dia", 2, (TVar(1),)),))),
+            Template(2, 1, Modal("dia", 1, (Modal("dia", 2, (Var(1),)),))),
         )
         verdict = verify_reduction_rule(rule, config, n=1)
         assert verdict.status == "holds"
@@ -166,6 +166,23 @@ class TestFormulaJson:
             act = random_action(rng, labelled_l2, depth=3)
             assert formula_from_json(formula_to_json(act)) == act
 
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({}, "'kind'"),
+            ([], "expected a JSON object"),
+            ({"kind": "prop"}, "'name'"),
+            ({"kind": "conn", "symbol": "x"}, "'args'"),
+            ({"kind": "conn", "symbol": "x", "args": 3}, "'args'"),
+            ({"kind": "modal", "lifting": "dia", "args": []}, "'action'"),
+            ({"kind": "test", "test": "t", "arg": {"kind": "prop", "name": 1}}, "'name'"),
+        ],
+    )
+    def test_malformed_tree_names_the_field(self, data, field):
+        # these used to escape as KeyError or TypeError
+        with pytest.raises(InvalidParameter, match=field):
+            formula_from_json(data)
+
 
 class TestRuleJson:
     def test_op_rule_roundtrip(self, labelled_l2):
@@ -180,3 +197,18 @@ class TestRuleJson:
         for rule in reg.rules.values():
             back = rule_from_json(rule_to_json(rule), instantial)
             assert back == rule
+
+    @pytest.mark.parametrize(
+        "data, beyond",
+        [
+            ({"op": ";", "lifting": "box", "template": "<3:box> w5"}, "slot 3"),
+            ({"op": "~", "lifting": "box", "template": "<2:box> w1"}, "slot 2"),
+            ({"op": ";", "lifting": "box", "template": "<1:box><2:box> w2"}, "variable w2"),
+            ({"test": "t", "lifting": "box", "template": "w1 -> w3"}, "variable w3"),
+            ({"test": "t", "lifting": "box", "template": "<1:box> w1"}, "slot 1"),
+        ],
+    )
+    def test_template_beyond_the_rule_is_rejected(self, labelled_l2, data, beyond):
+        # the first used to load and make reduce_full escape with IndexError
+        with pytest.raises(InvalidParameter, match=f"'template': {beyond} "):
+            rule_from_json(data, labelled_l2)

@@ -119,6 +119,13 @@ class TestRewriting:
         phi = parse("<?t(q)> p", labelled_l2.signature)
         assert reduce_step(phi, reg) == parse("q * p", labelled_l2.signature)
 
+    def test_normal_form_means_atomic_actions_only(self, crisp_b2):
+        for text, normal in [
+            ("<a>(<b>p /\\ 1)", True), ("<a;b> p", False),
+            ("<?t(<a>p)> q", False), ("[a](q -> <b;a> p)", False),
+        ]:
+            assert is_normal_form(parse(text, crisp_b2.signature)) == normal, text
+
     def test_atomic_no_redex(self, crisp_b2):
         reg = builtin_rules(crisp_b2)
         assert reduce_step(parse("<a> p", crisp_b2.signature), reg) is None

@@ -12,6 +12,7 @@ from mvdl.errors import (
     UnknownIdentifier,
 )
 from mvdl.presets import make_preset
+from mvdl.reduction import builtin_rules
 from mvdl.syntax import Template, instantiate, parse, render
 
 from conftest import random_action, random_formula, random_template
@@ -111,7 +112,7 @@ class TestTemplates:
     def test_parse_template(self, labelled_l2):
         t = parse("<1:dia><2:dia> w1", labelled_l2.signature, "template")
         assert t == Template(
-            2, 1, sx.TModal("dia", 1, (sx.TModal("dia", 2, (sx.TVar(1),)),))
+            2, 1, sx.Modal("dia", 1, (sx.Modal("dia", 2, (sx.Var(1),)),))
         )
         assert t.independent
 
@@ -122,7 +123,7 @@ class TestTemplates:
         assert not t.independent
 
     def test_render_var(self):
-        assert render(Template(0, 1, sx.TVar(1))) == "w1"
+        assert render(Template(0, 1, sx.Var(1))) == "w1"
 
     def test_instantiate_nesting(self, labelled_l2):
         t = parse("<1:dia><2:dia> w1", labelled_l2.signature, "template")
@@ -130,7 +131,7 @@ class TestTemplates:
         assert out == parse("<a:dia><b:dia> p", labelled_l2.signature)
 
     def test_instantiate_identity(self, labelled_l2):
-        t = Template(0, 1, sx.TVar(1))
+        t = Template(0, 1, sx.Var(1))
         assert instantiate(t, [], [sx.Prop("p")]) == sx.Prop("p")
 
     def test_instantiate_length_mismatch(self, labelled_l2):
@@ -151,8 +152,8 @@ class TestTemplates:
         cfg = make_preset("pdl-threshold", l1)
         reg = builtin_rules(cfg)
         rule = reg.rules[("op", ";", "dia_1")]
-        assert rule.template.body == sx.TModal(
-            "dia_1", 1, (sx.TModal("dia_1", 2, (sx.TVar(1),)),)
+        assert rule.template.body == sx.Modal(
+            "dia_1", 1, (sx.Modal("dia_1", 2, (sx.Var(1),)),)
         )
 
     def test_instantiate_commutes_with_connectives(self, labelled_l2):
@@ -162,7 +163,7 @@ class TestTemplates:
             t2 = random_template(rng, labelled_l2, 2, 2, 2)
             acts = (sx.Atomic("a"), sx.Atomic("b"))
             forms = (sx.Prop("p"), sx.Prop("q"))
-            combined = Template(2, 2, sx.TConn("/\\", (t1.body, t2.body)))
+            combined = Template(2, 2, sx.Conn("/\\", (t1.body, t2.body)))
             assert instantiate(combined, acts, forms) == sx.Conn(
                 "/\\",
                 (instantiate(t1, acts, forms), instantiate(t2, acts, forms)),
@@ -176,11 +177,21 @@ class TestTemplates:
             stack = [t.body]
             while stack:
                 node = stack.pop()
-                if isinstance(node, sx.TModal):
+                if isinstance(node, sx.Modal):
                     liftings.add(node.lifting)
-                if not isinstance(node, sx.TVar):
+                if not isinstance(node, sx.Var):
                     stack.extend(node.args)
             assert t.independent == (len(liftings) <= 1)
+
+
+class TestTraversal:
+    def test_formula_actions_order(self, labelled_l2):
+        # check_invariance reports the first failing action in this order:
+        # an action after those inside its own tests, before its arguments'
+        sig = labelled_l2.signature
+        phi = parse("<?t(<a>p)> [b;a] q", sig)
+        want = ["a", "?t(<a> p)", "b;a"]
+        assert [render(act, sig) for act in sx.formula_actions(phi)] == want
 
 
 class TestRoundTrip:
@@ -207,3 +218,19 @@ class TestRoundTrip:
             act = random_action(rng, config, depth=3)
             text = render(act, config.signature)
             assert parse(text, config.signature, "action") == act, text
+        # templates: random bodies, sized as parse sizes them, and the builtin rules
+        templates = [_sized(random_template(rng, config, 2, 3, 4).body) for _ in range(500)]
+        templates += [rule.template for rule in builtin_rules(config).rules.values()]
+        for t in templates:
+            for text in (render(t, config.signature), render(t)):
+                assert parse(text, config.signature, "template") == t, text
+
+
+def _sized(body):
+    """The template over as many slots and variables as ``body`` uses."""
+    nodes = list(sx.subterms(body))
+    return Template(
+        max((node.action for node in nodes if isinstance(node, sx.Modal)), default=0),
+        max((node.index for node in nodes if isinstance(node, sx.Var)), default=0),
+        body,
+    )

@@ -39,24 +39,24 @@ def _sprinkle(body, truth, rng):
     extras, constants = sorted(truth.extras), sorted(truth.constants)
 
     def walk(node):
-        if isinstance(node, sx.TConn) and node.args:
-            node = sx.TConn(node.symbol, tuple(walk(a) for a in node.args))
-        elif isinstance(node, sx.TModal):
-            node = sx.TModal(node.lifting, node.slot, tuple(walk(a) for a in node.args))
+        if isinstance(node, sx.Conn) and node.args:
+            node = sx.Conn(node.symbol, tuple(walk(a) for a in node.args))
+        elif isinstance(node, sx.Modal):
+            node = sx.Modal(node.lifting, node.action, tuple(walk(a) for a in node.args))
         elif constants and rng.random() < 0.15:
-            return sx.TConn(rng.choice(constants))
+            return sx.Conn(rng.choice(constants))
         if extras and rng.random() < 0.2:
-            node = sx.TConn(rng.choice(extras), (node,))
+            node = sx.Conn(rng.choice(extras), (node,))
         return node
 
     return walk(body)
 
 
 def _swap_slots(node):
-    if isinstance(node, sx.TModal):
-        return sx.TModal(node.lifting, 3 - node.slot, tuple(_swap_slots(a) for a in node.args))
-    if isinstance(node, sx.TConn):
-        return sx.TConn(node.symbol, tuple(_swap_slots(a) for a in node.args))
+    if isinstance(node, sx.Modal):
+        return sx.Modal(node.lifting, 3 - node.action, tuple(_swap_slots(a) for a in node.args))
+    if isinstance(node, sx.Conn):
+        return sx.Conn(node.symbol, tuple(_swap_slots(a) for a in node.args))
     return node
 
 
@@ -125,10 +125,10 @@ def rules(draw):
 
 
 def _drop_modals(node):
-    if isinstance(node, sx.TModal):
+    if isinstance(node, sx.Modal):
         return _drop_modals(node.args[0])
-    if isinstance(node, sx.TConn):
-        return sx.TConn(node.symbol, tuple(_drop_modals(a) for a in node.args))
+    if isinstance(node, sx.Conn):
+        return sx.Conn(node.symbol, tuple(_drop_modals(a) for a in node.args))
     return node
 
 
@@ -231,7 +231,7 @@ def test_pinned_instantial_union_with_meet_for_join():
     config = make_preset("instantial", max_k=1)
     key = ("op", "+", "inst2")
     body = builtin_rules(config).rules[key].template.body
-    verdict = verify_reduction_rule(_mutant(config, key, sx.TConn("/\\", body.args)), config)
+    verdict = verify_reduction_rule(_mutant(config, key, sx.Conn("/\\", body.args)), config)
     assert (verdict.status, verdict.cases) == ("fails", 8278)
     assert verdict.counterexample == {
         "rule": list(key),
@@ -244,10 +244,10 @@ def test_pinned_instantial_union_with_meet_for_join():
 
 def test_malformed_templates_are_rejected_before_sweeping(labelled_l2):
     for body, error in (
-        (sx.TModal("dia", 2, (sx.TVar(1),)), InvalidParameter),  # ~ has one slot
-        (sx.TVar(2), InvalidParameter),  # one variable
-        (sx.TConn("??", (sx.TVar(1),)), UnknownIdentifier),
-        (sx.TModal("dia", 1, (sx.TVar(1), sx.TVar(1))), ArityMismatch),
+        (sx.Modal("dia", 2, (sx.Var(1),)), InvalidParameter),  # ~ has one slot
+        (sx.Var(2), InvalidParameter),  # one variable
+        (sx.Conn("??", (sx.Var(1),)), UnknownIdentifier),
+        (sx.Modal("dia", 1, (sx.Var(1), sx.Var(1))), ArityMismatch),
     ):
         rule = ReductionRule("op", "~", "dia", sx.Template(1, 1, body))
         with pytest.raises(error):
