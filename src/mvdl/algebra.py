@@ -108,6 +108,7 @@ class Algebra:
             self._leq[x][y] or self._leq[y][x] for x in range(m) for y in range(m)
         )
         self._closure_cache: UnaryTermClone | None = None
+        self._hash: int | None = None
 
     def _derive_top(self) -> int:
         for t in range(self.m):
@@ -169,7 +170,16 @@ class Algebra:
         )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.tensor_table, self.impl_table, tuple(sorted(self.extras))))
+        # computed once: caches keyed on the algebra hash it on every lookup
+        if self._hash is None:
+            self._hash = hash(
+                (self.m, self.tensor_table, self.impl_table, tuple(sorted(self.extras)))
+            )
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: never carry one over
+        return {**self.__dict__, "_hash": None}
 
     # -- named derived data ----------------------------------------------
     def unary_term_closure(self, budget: int = DEFAULT_CLOSURE_BUDGET) -> "UnaryTermClone":

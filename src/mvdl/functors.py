@@ -206,7 +206,7 @@ class FunctorOps:
     def _enumerate_monotone(self, budget: int) -> Iterator[tuple[int, ...]]:
         alg = self.alg
         preds, order, below = _pred_poset(alg, self.n)
-        leq = alg.leq
+        jt, leq = alg.join_table, alg._leq
         emitted = 0
         table = [0] * len(preds)
 
@@ -224,9 +224,10 @@ class FunctorOps:
             i = order[pos]
             lower = 0
             for j in below[i]:
-                lower = alg.join(lower, table[j])
+                lower = jt[lower][table[j]]
+            above = leq[lower]
             for v in range(alg.m):
-                if leq(lower, v):
+                if above[v]:
                     table[i] = v
                     yield from rec(pos + 1)
             table[i] = 0
@@ -248,14 +249,14 @@ class FunctorOps:
                 mask for mask in range(1 << n) if rng.random() < 0.5
             )
         _, order, below = _pred_poset(alg, n)
-        leq = alg.leq
+        jt, leq, m = alg.join_table, alg._leq, alg.m
         table = [0] * len(order)
         for i in order:
             lower = 0
             for j in below[i]:
-                lower = alg.join(lower, table[j])
-            choices = [v for v in range(alg.m) if leq(lower, v)]
-            table[i] = rng.choice(choices)
+                lower = jt[lower][table[j]]
+            above = leq[lower]
+            table[i] = rng.choice([v for v in range(m) if above[v]])
         return tuple(table)
 
 

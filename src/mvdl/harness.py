@@ -40,6 +40,8 @@ from .semantics import (
     Model,
     Plan,
     _TemplatePlan,
+    assignments,
+    crisp_mask,
     lifting_kernel,
 )
 from .syntax import (
@@ -540,7 +542,7 @@ def verify_reduction_rule(
     if mode == "exhaustive":
         S = P**k
         keys = list(range(S))
-        var_lists = [[key // P ** (k - 1 - i) % P for key in keys] for i in range(k)]
+        var_lists = assignments(P, k)
         if is_test:
             for t, sigma_t in enumerate(preds):
                 gamma = apply_test(spec, sigma_t, fops, truth)
@@ -825,7 +827,7 @@ def _witness_eval(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
 
 class _CaseModel:
     """The part of a model a plan reads (carrier size, functor operations,
-    atoms and valuation), rebound case by case during a model sweep."""
+    atoms and valuation), rebound case by case during a sampled sweep."""
 
     __slots__ = ("n", "fops", "atoms", "valuation")
 
@@ -845,20 +847,25 @@ def bounded_entailment(
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
     """Search standard models up to max_n states for a countermodel of
-    Gamma |= phi; truth means value 1 at the state."""
+    Gamma |= phi; truth means value 1 at the state.
+
+    Exhaustive mode compiles Gamma and phi into an id plan per carrier size,
+    propositions as its variables and atomic actions as its slots, and
+    evaluates them once per atom assignment over every valuation at once;
+    the first failing position of the valuation list is the first
+    countermodel of the case-by-case order.  Random mode runs one ``Plan``
+    per sampled model, since sampled models seldom share a valuation.
+    """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
     formulas = list(gamma) + [phi]
-    plan = Plan(config)
-    gamma_at = [plan.compile(g) for g in gamma]
-    phi_at = plan.compile(phi)
     prop_names = sorted(set().union(set(), *(props_of(g) for g in formulas)))
     atom_names = sorted(set().union(set(), *(atoms_of(g) for g in formulas)))
     truth = config.truth
     top = truth.top
 
-    def countermodel(case: _CaseModel, state: int, **detail) -> Verdict:
-        model = Model(case.n, config, case.atoms, case.valuation, validate=False)
+    def countermodel(cases: int, n: int, atoms, valuation, state: int, **detail) -> Verdict:
+        model = Model(n, config, atoms, valuation, validate=False)
         return _verdict(
             "fails", cases, t0,
             {
@@ -872,12 +879,15 @@ def bounded_entailment(
 
     cases = 0
     if mode == "exhaustive":
+        slots = atom_names[::-1]  # the last atom moves fastest: slot 1
         for n in range(1, max_n + 1):
-            fops = config.fops(n)
-            values = list(fops.enumerate(budget))
+            plan = _TemplatePlan(config, n)
+            gamma_at = [plan.compile(g, slots, prop_names) for g in gamma]
+            phi_at = plan.compile(phi, slots, prop_names)
+            values = list(plan.fops.enumerate(budget))
             n_coalgs = len(values) ** n
-            preds = predicate_space(truth.m, n)
-            total = (n_coalgs ** len(atom_names)) * (len(preds) ** len(prop_names))
+            size = plan.P ** len(prop_names)  # valuations
+            total = (n_coalgs ** len(atom_names)) * size
             if total > budget:
                 raise BudgetExceeded(
                     f"{total} standard models at n={n} exceed budget {budget}; "
@@ -885,16 +895,41 @@ def bounded_entailment(
                     count=total,
                 )
             coalgs = _coalgebras(values, n)
-            case = _CaseModel(n, fops)
-            for atom_assign in product(coalgs, repeat=len(atom_names)):
-                case.atoms = dict(zip(atom_names, atom_assign))
-                for val_assign in product(preds, repeat=len(prop_names)):
-                    cases += 1
-                    case.valuation = dict(zip(prop_names, val_assign))
-                    found = _countermodel_state(plan, case, gamma_at, phi_at, top)
-                    if found is not None:
-                        return countermodel(case, found)
+            for g in coalgs:  # the cid of coalgs[i] is i
+                plan.intern(g)
+            var_lists = assignments(plan.P, len(prop_names))
+            plan.load(var_lists, size)
+            preds, top_id, full = plan.preds, plan.index[(top,) * n], (1 << n) - 1
+            tops = [crisp_mask(truth, p) for p in preds]  # id -> states at top
+            cids, vals = plan.cids, plan.vals
+            outer = None
+            for assign in product(range(len(coalgs)), repeat=len(atom_names)):
+                cids[:] = assign[::-1]
+                if assign[:-1] != outer:
+                    outer = assign[:-1]
+                    plan.run(1)
+                plan.run(2)
+                phi_ids = vals[phi_at]
+                if phi_ids.count(top_id) == size:
+                    cases += size
+                    continue
+                rows = [vals[i] for i in gamma_at]
+                for i, f in enumerate(phi_ids):
+                    bad = full & ~tops[f]
+                    for row in rows:
+                        bad &= tops[row[i]]
+                    if bad:
+                        return countermodel(
+                            cases + i + 1, n,
+                            {name: coalgs[c] for name, c in zip(atom_names, assign)},
+                            {name: preds[ids[i]] for name, ids in zip(prop_names, var_lists)},
+                            (bad & -bad).bit_length() - 1,
+                        )
+                cases += size
         return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode)
+    plan = Plan(config)
+    gamma_at = [plan.compile(g) for g in gamma]
+    phi_at = plan.compile(phi)
     rng = random.Random(seed)
     cases_by_n = {n: _CaseModel(n, config.fops(n)) for n in range(1, max_n + 1)}
     for _ in range(trials):
@@ -911,7 +946,7 @@ def bounded_entailment(
         cases += 1
         found = _countermodel_state(plan, case, gamma_at, phi_at, top)
         if found is not None:
-            return countermodel(case, found, seed=seed)
+            return countermodel(cases, n, case.atoms, case.valuation, found, seed=seed)
     return _verdict(
         "holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, trials=trials,
         seed=seed,

@@ -314,12 +314,14 @@ def formula_to_json(node) -> dict:
 
 
 def formula_from_json(data: Mapping):
-    """The inverse of formula_to_json; a malformed tree raises
-    InvalidParameter naming the node kind and field."""
+    """The inverse of formula_to_json; a malformed tree, or an action where
+    a formula belongs or the reverse, raises InvalidParameter naming the
+    node kind and field."""
     from .syntax import Atomic, Conn, Modal, Op, Prop, Test
 
     kind = _field(data, "kind", "formula node")
     where = f"{kind!r} node"
+    formula, action = (Prop, Conn, Modal), (Atomic, Op, Test)
 
     def text(key: str) -> str:
         value = _field(data, key, where)
@@ -327,25 +329,34 @@ def formula_from_json(data: Mapping):
             raise InvalidParameter(f"{where} field {key!r}: expected a string, got {value!r}")
         return value
 
-    def nodes(key: str) -> tuple:
+    def node(value, key: str, category: tuple):
+        got = formula_from_json(value)
+        if not isinstance(got, category):
+            expected = "a formula" if category is formula else "an action"
+            raise InvalidParameter(
+                f"{where} field {key!r}: expected {expected}, got a {value['kind']!r} node"
+            )
+        return got
+
+    def nodes(key: str, category: tuple) -> tuple:
         value = _field(data, key, where)
         if not isinstance(value, list):
             raise InvalidParameter(f"{where} field {key!r}: expected a list of nodes")
-        return tuple(formula_from_json(a) for a in value)
+        return tuple(node(a, key, category) for a in value)
 
     if kind == "prop":
         return Prop(text("name"))
     if kind == "conn":
-        return Conn(text("symbol"), nodes("args"))
+        return Conn(text("symbol"), nodes("args", formula))
     if kind == "modal":
-        action = formula_from_json(_field(data, "action", where))
-        return Modal(text("lifting"), action, nodes("args"))
+        act = node(_field(data, "action", where), "action", action)
+        return Modal(text("lifting"), act, nodes("args", formula))
     if kind == "atomic":
         return Atomic(text("name"))
     if kind == "op":
-        return Op(text("op"), nodes("args"))
+        return Op(text("op"), nodes("args", action))
     if kind == "test":
-        return Test(text("test"), formula_from_json(_field(data, "arg", where)))
+        return Test(text("test"), node(_field(data, "arg", where), "arg", formula))
     raise InvalidParameter(f"unknown node kind {kind!r}")
 
 

@@ -2,14 +2,19 @@
 
 A model fixes a carrier size, a logic configuration (functor kind, truth and
 structure algebras, the lifting/operation/test catalogue), coalgebras for the
-atomic actions and a propositional valuation.  Formulas and actions are
-compiled once into a Plan, a flat list of steps with one step per distinct
-subterm, which then runs over any number of models; an EvalSession holds one
-plan and the values it has computed so far for one model.  A reduction-rule
-template is a formula over variables and action slots; it compiles the same
-way into a _TemplatePlan, which the rule-soundness sweep runs on predicate ids
-over a whole space of variable assignments.  Both plans resolve connectives
-through ``connective``.
+atomic actions and a propositional valuation.  Where one model at a time is
+evaluated (an EvalSession, a sampled entailment sweep), formulas and actions
+are compiled once into a Plan, a flat list of steps with one step per
+distinct subterm, which then runs over any number of models; an EvalSession
+holds one plan and the values it has computed so far for one model.
+
+The exhaustive sweeps run a _TemplatePlan instead, on predicate and
+coalgebra ids over a whole space of variable assignments at once.  A
+reduction-rule template is a formula over variables and action slots; a
+formula under bounded entailment is the same kind of object, its
+propositions playing the variables and its atomic actions the slots, so the
+rule-soundness sweep and the exhaustive entailment sweep share that plan.
+Both plans resolve connectives through ``connective``.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -319,7 +324,9 @@ class Plan:
     in which every subterm's value sits at its step index.  Liftings,
     operations and tests are looked up and kind/arity-checked when a step
     is compiled; running a step only computes.  A plan belongs to one
-    configuration and runs over any model of it.
+    configuration and runs over any model of it, at any carrier size, so it
+    serves where models share little: an EvalSession, and the sampled
+    entailment sweep, whose models seldom share a valuation.
     """
 
     def __init__(self, config: LogicConfig, iterate_cap: int = DEFAULT_ITERATE_CAP):
@@ -449,61 +456,90 @@ class Plan:
         return binary
 
 
+def assignments(P: int, k: int) -> list[list[int]]:
+    """The ids of k variables over all P**k assignments, in the order of
+    ``product(range(P), repeat=k)``: one list per variable."""
+    return [[key // P ** (k - 1 - i) % P for key in range(P**k)] for i in range(k)]
+
+
 class _TemplatePlan:
-    """Rule templates compiled for one sweep and evaluated on small integers.
+    """Rule templates and formulas compiled for one sweep and evaluated on
+    small integers.
 
     A predicate is its id, its index in ``predicate_space(m, n)``; a
-    coalgebra is its cid, its index in ``coalgs`` (see ``intern``).  Each
-    distinct subterm becomes one step that maps a sigma-list (variable
-    assignments, in the sweep's canonical order) to the list of its ids.
-    Connectives and liftings read id tables whose entries are computed on
-    first use: an extra connective keys on its argument id, a binary one on
-    both, a lifting on the cid in its slot and its argument ids combined
-    into one key.  A lifting entry is assembled from the lifted truth values
-    of the coalgebra's FValues, each computed once by the lifting's kernel
-    and kept per FValue, since sampled coalgebras seldom recur but their
-    FValues do.  ``forget`` drops the interned coalgebras and all entries,
-    so a long sampled sweep can bound its memory.  Steps fall into groups
-    by what they read: 0 the variables only, 1 also a slot other than the
-    first, 2 the first slot.  Sweeps move slot 1 in their innermost loop, so
-    only group 2 reruns there.
+    coalgebra is its cid, its index in ``coalgs`` (see ``intern``).  A
+    template's leaves are variables and its modalities hold action slots; a
+    formula compiles the same way, its propositions playing the variables
+    and its atomic actions the slots.  Each distinct subterm becomes one
+    step.  A formula step maps a sigma-list (variable assignments, in the
+    sweep's canonical order) to the list of its ids; a slot or operation
+    step gives one cid, and a test step a cid list, one cid per assignment,
+    as does an operation with such an argument.  Connectives, liftings,
+    operations and tests read id tables whose entries are computed on first
+    use: an extra connective keys on its argument id, a binary one on both,
+    a lifting on the cid of its action and its argument ids combined into
+    one key, an operation on its arguments' cids, a test on its argument's
+    id.  A lifting entry is assembled from the lifted truth values of the
+    coalgebra's FValues, each computed once by the lifting's kernel and kept
+    per FValue, since sampled coalgebras seldom recur but their FValues do.
+    ``forget`` drops the interned coalgebras and every table that holds
+    cids, so a long sampled sweep can bound its memory.  Steps fall into
+    groups by what they read: 0 the variables only, 1 also a slot other
+    than the first, 2 the first slot.  Sweeps move slot 1 in their innermost
+    loop, so only group 2 reruns there.
     """
 
     def __init__(self, config: LogicConfig, n: int):
         self.config = config
         self.n = n
+        self.fops = config.fops(n)
         self.preds = predicate_space(config.truth.m, n)
         self.index = predicate_index(config.truth.m, n)
         self.P = len(self.preds)
         self.coalgs: list = []  # cid -> coalgebra
         self.cids: list[int] = []  # slot - 1 -> cid, set by the sweep
-        self.vals: list = []  # step position -> id list
+        self.vals: list = []  # step position -> ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
         self._cid: dict = {}
         self._leaves: list = []  # (position, variable index or None, constant id)
         self._pos: dict = {}  # node -> (position, group)
-        # lifting id -> (kernel, arity, {cid: {key: id}}, {key: {value: truth value}})
-        self._lifts: dict = {}
+        self._each: set = set()  # positions of actions valued as cid lists
+        self._slots: dict = {}  # slot number or atom name -> slot - 1
+        self._vars: dict = {}  # variable number or proposition name -> variable
+        self._lifts: dict = {}  # lifting id -> (arity, {cid: {key: id}}, fill)
+        self._tables: list = [self._cid]  # everything forget empties
+        cid_of, coalgs = self._cid, self.coalgs
 
-    def intern(self, coalg) -> int:
-        cid = self._cid.get(coalg)
-        if cid is None:
-            cid = self._cid[coalg] = len(self.coalgs)
-            self.coalgs.append(coalg)
-        return cid
+        def intern(coalg) -> int:
+            """The cid of ``coalg``, interning it on first sight."""
+            cid = cid_of.get(coalg)
+            if cid is None:
+                cid = cid_of[coalg] = len(coalgs)
+                coalgs.append(coalg)
+            return cid
+
+        # steps hold no reference to the plan, so a finished sweep's plan is
+        # freed at once rather than by the cycle collector
+        self.intern = intern
 
     def forget(self) -> None:
-        """Drop the interned coalgebras and every lifting table entry."""
-        self._cid.clear()
+        """Drop the interned coalgebras and every table entry keyed on them."""
         self.coalgs.clear()
-        for _, _, rows, by_value in self._lifts.values():
-            rows.clear()
-            by_value.clear()
+        for table in self._tables:
+            table.clear()
 
-    def compile(self, body: Formula, n_slots: int, n_vars: int) -> int:
-        """The position of ``body``'s step, compiling its new subterms."""
-        self.cids.extend([0] * (n_slots - len(self.cids)))
-        return self._compile(body, n_slots, n_vars)[0]
+    def compile(self, body: Formula, slots: int | Sequence, variables: int | Sequence) -> int:
+        """The position of ``body``'s step, compiling its new subterms.
+
+        A template passes how many action slots and variables it has; a
+        formula passes the names of its atomic actions, slot 1 first, and of
+        its propositions, in the order of the sweep's variable lists."""
+        if isinstance(slots, int):
+            slots, variables = range(1, slots + 1), range(1, variables + 1)
+        self._slots = {key: s for s, key in enumerate(slots)}
+        self._vars = {key: v for v, key in enumerate(variables)}
+        self.cids.extend([0] * (len(self._slots) - len(self.cids)))
+        return self._compile(body)[0]
 
     def load(self, var_lists: list, size: int) -> None:
         """Take the variables' sigma-lists, all of length ``size``, and run
@@ -520,32 +556,7 @@ class _TemplatePlan:
 
     def lifter(self, lid: str):
         """``(cid, keys) -> ids``: lifting ``lid`` at one coalgebra."""
-        kernel, arity, rows, by_value = self._lifting(lid)
-        preds, P, n, index = self.preds, self.P, self.n, self.index
-
-        def fill(cid, keys):
-            table, coalg = rows[cid], self.coalgs[cid]
-            for key in keys:
-                if key not in table:
-                    known = by_value[key]
-                    row = []
-                    for value in coalg:
-                        got = known.get(value)
-                        if got is None:
-                            args, rest = [], key
-                            for _ in range(arity):
-                                rest, digit = divmod(rest, P)
-                                args.append(preds[digit])
-                            (got,) = kernel(args[::-1], (value,), n)
-                            known[value] = got
-                        row.append(got)
-                    row = tuple(row)
-                    if row not in index:
-                        raise InvalidParameter(
-                            f"lifting {lid!r} yields {row}, outside the truth algebra"
-                        )
-                    table[key] = index[row]
-            return list(map(table.__getitem__, keys))
+        _, rows, fill = self._lifting(lid)
 
         def lift(cid, keys):
             try:
@@ -574,44 +585,116 @@ class _TemplatePlan:
             self.groups[group].append((pos, step))
         return pos, group
 
+    def _table(self) -> dict:
+        table: dict = {}
+        self._tables.append(table)
+        return table
+
     def _lifting(self, lid: str):
         got = self._lifts.get(lid)
         if got is None:
             spec = self.config.lifting(lid)
-            kernel = lifting_kernel(spec, self.config)
-            got = self._lifts[lid] = (
-                kernel, spec.arity, defaultdict(dict), defaultdict(dict)
-            )
+            kernel, arity = lifting_kernel(spec, self.config), spec.arity
+            rows, by_value = defaultdict(dict), defaultdict(dict)
+            self._tables += [rows, by_value]
+            preds, P, n, index, coalgs = self.preds, self.P, self.n, self.index, self.coalgs
+
+            def fill(cid, keys):
+                table, coalg = rows[cid], coalgs[cid]
+                for key in keys:
+                    if key not in table:
+                        known = by_value[key]
+                        row = []
+                        for value in coalg:
+                            got = known.get(value)
+                            if got is None:
+                                args, rest = [], key
+                                for _ in range(arity):
+                                    rest, digit = divmod(rest, P)
+                                    args.append(preds[digit])
+                                (got,) = kernel(args[::-1], (value,), n)
+                                known[value] = got
+                            row.append(got)
+                        row = tuple(row)
+                        if row not in index:
+                            raise InvalidParameter(
+                                f"lifting {lid!r} yields {row}, outside the truth algebra"
+                            )
+                        table[key] = index[row]
+                return list(map(table.__getitem__, keys))
+
+            got = self._lifts[lid] = (arity, rows, fill)
         return got
 
-    def _compile(self, node, n_slots: int, n_vars: int) -> tuple[int, int]:
+    def _compile(self, node) -> tuple[int, int]:
+        """A formula node's (position, group)."""
         got = self._pos.get(node)
         if got is not None:
             return got
-        if isinstance(node, Var):
-            if not 1 <= node.index <= n_vars:
-                raise InvalidParameter(
-                    f"template variable w{node.index} is outside w1..w{n_vars}"
-                )
+        if isinstance(node, (Var, Prop)):
             got = self._add(0, None)
-            self._leaves.append((got[0], node.index - 1, None))
+            self._leaves.append((got[0], self._variable(node), None))
         elif isinstance(node, Conn):
-            got = self._conn(node, n_slots, n_vars)
+            got = self._conn(node)
         elif isinstance(node, Modal):
-            got = self._modal(node, n_slots, n_vars)
+            got = self._modal(node)
         else:
-            raise InvalidParameter(f"not a template node: {node!r}")
+            raise InvalidParameter(f"not a formula node: {node!r}")
         self._pos[node] = got
         return got
 
-    def _conn(self, node: Conn, n_slots: int, n_vars: int) -> tuple[int, int]:
+    def _action(self, node) -> tuple[int, int]:
+        """An action node's (position, group); a slot is an int or an atom."""
+        if isinstance(node, (int, Atomic)):
+            return self._slot(node)
+        got = self._pos.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, Op):
+            got = self._op(node)
+        elif isinstance(node, Test):
+            got = self._test(node)
+        else:
+            raise InvalidParameter(f"not an action node: {node!r}")
+        self._pos[node] = got
+        return got
+
+    def _variable(self, node) -> int:
+        key = node.index if isinstance(node, Var) else node.name
+        got = self._vars.get(key)
+        if got is None:
+            if isinstance(node, Var):
+                raise InvalidParameter(
+                    f"template variable w{key} is outside w1..w{len(self._vars)}"
+                )
+            raise UnknownIdentifier(f"proposition {key!r} is not interpreted")
+        return got
+
+    def _slot(self, node) -> tuple[int, int]:
+        key = node.name if isinstance(node, Atomic) else node
+        s = self._slots.get(key)
+        if s is None:
+            if isinstance(node, Atomic):
+                raise UnknownAtom(f"atomic action {key!r} is not interpreted")
+            raise InvalidParameter(f"template slot {key!r} is outside 1..{len(self._slots)}")
+        got = self._pos.get(("slot", s))
+        if got is None:
+            cids = self.cids
+
+            def slot(vals):
+                return cids[s]
+
+            got = self._pos["slot", s] = self._add(2 if s == 0 else 1, slot)
+        return got
+
+    def _conn(self, node: Conn) -> tuple[int, int]:
         index, preds = self.index, self.preds
         arity, interp = connective(self.config.truth, node.symbol, len(node.args))
         if arity == 0:
             got = self._add(0, None)
             self._leaves.append((got[0], None, index[(interp,) * self.n]))
             return got
-        args = [self._compile(a, n_slots, n_vars) for a in node.args]
+        args = [self._compile(a) for a in node.args]
         group = max(g for _, g in args)
         if arity == 1:
             ((a, _),) = args
@@ -645,24 +728,91 @@ class _TemplatePlan:
 
         return self._add(group, binary)
 
-    def _modal(self, node: Modal, n_slots: int, n_vars: int) -> tuple[int, int]:
-        slot = node.action
-        if slot not in range(1, n_slots + 1):
-            raise InvalidParameter(f"template slot {slot!r} is outside 1..{n_slots}")
-        arity = self._lifting(node.lifting)[1]
+    def _modal(self, node: Modal) -> tuple[int, int]:
+        arity, rows, fill = self._lifting(node.lifting)
         if len(node.args) != arity:
             raise ArityMismatch(
                 f"lifting {node.lifting!r} expects {arity} predicate(s), "
                 f"got {len(node.args)}"
             )
-        args = [self._compile(a, n_slots, n_vars) for a in node.args]
-        keys, group = args[0] if arity == 1 else self._keys(args)
-        lift, cids, s = self.lifter(node.lifting), self.cids, slot - 1
+        act, group = self._action(node.action)
+        args = [self._compile(a) for a in node.args]
+        keys, kgroup = args[0] if arity == 1 else self._keys(args)
+        if act not in self._each:
+            lift = self.lifter(node.lifting)
 
-        def modal(vals):
-            return lift(cids[s], vals[keys])
+            def modal(vals):
+                return lift(vals[act], vals[keys])
 
-        return self._add(max(group, 2 if slot == 1 else 1), modal)
+        else:  # one cid per position
+
+            def modal(vals):
+                C, K = vals[act], vals[keys]
+                try:
+                    return list(map(getitem, map(rows.__getitem__, C), K))
+                except KeyError:
+                    for c, key in zip(C, K):
+                        fill(c, (key,))
+                    return list(map(getitem, map(rows.__getitem__, C), K))
+
+        return self._add(max(group, kgroup), modal)
+
+    def _op(self, node: Op) -> tuple[int, int]:
+        spec = self.config.op(node.op)
+        spec.check_kind(self.config.kind)
+        if len(node.args) != spec.arity:
+            raise IncompatibleVariant(
+                f"operation {spec.id!r} has arity {spec.arity}, "
+                f"got {len(node.args)} actions"
+            )
+        args = [self._action(a) for a in node.args]
+        group = max((g for _, g in args), default=0)
+        positions = [pos for pos, _ in args]
+        table, coalgs, fops, intern = self._table(), self.coalgs, self.fops, self.intern
+
+        def result(key):
+            got = table.get(key)
+            if got is None:
+                got = table[key] = intern(apply_op(spec, [coalgs[c] for c in key], fops))
+            return got
+
+        each = [pos in self._each for pos in positions]
+        if not any(each):
+
+            def op(vals):
+                return result(tuple([vals[i] for i in positions]))
+
+        else:  # one cid per position, a single cid standing for all
+
+            def op(vals):
+                cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, each)]
+                return list(map(result, zip(*cols)))
+
+        got = self._add(group, op)
+        if any(each):
+            self._each.add(got[0])
+        return got
+
+    def _test(self, node: Test) -> tuple[int, int]:
+        spec = self.config.test(node.test)
+        spec.check_kind(self.config.kind)
+        a, group = self._compile(node.arg)
+        table, preds, fops, truth = self._table(), self.preds, self.fops, self.config.truth
+        intern = self.intern
+
+        def test(vals):
+            A = vals[a]
+            try:
+                return list(map(table.__getitem__, A))
+            except KeyError:
+                for u in A:
+                    if u not in table:
+                        table[u] = intern(apply_test(spec, preds[u], fops, truth))
+                return list(map(table.__getitem__, A))
+
+        got = self._add(group, test)
+        self._each.add(got[0])
+        return got
 
     def _keys(self, args) -> tuple[int, int]:
         """A step combining argument ids into lifting keys, base P, first

@@ -3,8 +3,9 @@
 These are the evaluators mvdl shipped before formulas and rule templates
 were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
-case-by-case rule-soundness sweep built on them.  The differential tests
-check the compiled plans against them; nothing in ``src/`` imports them.
+case-by-case rule-soundness and entailment sweeps built on them.  The
+differential tests check the compiled plans against them; nothing in
+``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from mvdl.errors import (
     UnknownIdentifier,
 )
 from mvdl.functors import predicate_index, predicate_space
-from mvdl.semantics import crisp_mask
-from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var
+from mvdl.jsonio import model_to_json
+from mvdl.semantics import Model, crisp_mask
+from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var, atoms_of, props_of, render
 
 
 def reference_lifting(spec, preds, value, config, n: int) -> int:
@@ -313,3 +315,53 @@ def reference_rule_sweep(rule, config, n: int, mode: str = "exhaustive",
         if lrow != rrow:
             return fail(cases, gammas, None, sigmas, lrow, rrow)
     return ("holds" if mode == "exhaustive" else "holds-up-to-bound"), cases, None
+
+
+# -- bounded entailment ------------------------------------------------------
+
+
+def reference_entailment(gamma, phi, config, max_n: int, mode: str = "exhaustive",
+                         trials: int = 10_000, seed: int = 0xC0A1,
+                         budget: int = 1_000_000):
+    """The model-by-model countermodel search: (status, cases, counterexample).
+
+    Same model order, counts and counterexample as ``bounded_entailment``;
+    each model is a fresh ``Model`` evaluated by ``ReferenceSession``.
+    """
+    formulas = list(gamma) + [phi]
+    props = sorted(set().union(*(props_of(f) for f in formulas)))
+    atoms = sorted(set().union(*(atoms_of(f) for f in formulas)))
+    truth = config.truth
+
+    def models():
+        if mode == "exhaustive":
+            for n in range(1, max_n + 1):
+                coalgs = list(product(list(config.fops(n).enumerate(budget)), repeat=n))
+                for atom_assign in product(coalgs, repeat=len(atoms)):
+                    for val_assign in product(predicate_space(truth.m, n), repeat=len(props)):
+                        yield Model(n, config, dict(zip(atoms, atom_assign)),
+                                    dict(zip(props, val_assign)))
+            return
+        rng = random.Random(seed)
+        for _ in range(trials):
+            n = rng.randint(1, max_n)
+            fops = config.fops(n)
+            atom_assign = {a: tuple(fops.random_value(rng) for _ in range(n)) for a in atoms}
+            valuation = {p: tuple(rng.randrange(truth.m) for _ in range(n)) for p in props}
+            yield Model(n, config, atom_assign, valuation)
+
+    cases = 0
+    for model in models():
+        cases += 1
+        session = ReferenceSession(model)
+        rows = [session.eval(g) for g in gamma]
+        row = session.eval(phi)
+        for x in range(model.n):
+            if row[x] != truth.top and all(r[x] == truth.top for r in rows):
+                return "fails", cases, {
+                    "model": model_to_json(model),
+                    "state": x,
+                    "phi": render(phi, config.signature),
+                    "gamma": [render(g, config.signature) for g in gamma],
+                }
+    return "holds-up-to-bound", cases, None

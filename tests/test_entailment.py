@@ -1,0 +1,167 @@
+"""The bounded-entailment sweep against the model-by-model reference."""
+
+import json
+import random
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mvdl import harness, semantics
+from mvdl import syntax as sx
+from mvdl.algebra import algebra_by_name, build_builtin
+from mvdl.harness import bounded_entailment
+from mvdl.presets import make_preset
+from mvdl.syntax import parse
+
+from conftest import random_formula
+from reference_eval import reference_entailment
+
+# one configuration per preset; the algebras carry extras and constants so
+# that fuzzed formulas reach those connectives too
+_L2X = build_builtin("lukasiewicz", 2, chi=(0, 1, 2), constants=(1,))
+_B2X = build_builtin("boolean", chi=(0, 1), constants=(0, 1))
+CONFIGS = {
+    "pdl-crisp": make_preset("pdl-crisp", _B2X),
+    "pdl-labelled": make_preset("pdl-labelled", _L2X),
+    "pdl-threshold": make_preset("pdl-threshold", algebra_by_name("L2")),
+    "game": make_preset("game", _L2X),
+    "instantial": make_preset("instantial", _B2X, max_k=1),
+}
+# the reference builds a Model per case: sweep two states only where that
+# stays small
+MODELS_AT_TWO = 5000
+
+
+def _models_at(config, n: int, atoms: int, props: int) -> int:
+    values = sum(1 for _ in config.fops(n).enumerate())
+    return (values**n) ** atoms * (config.truth.m**n) ** props
+
+
+def _assert_same(config, gamma, phi, max_n, mode="exhaustive", trials=40, seed=0):
+    got = bounded_entailment(gamma, phi, config, max_n=max_n, mode=mode, trials=trials, seed=seed)
+    status, cases, counter = reference_entailment(
+        gamma, phi, config, max_n, mode=mode, trials=trials, seed=seed
+    )
+    assert (got.status, got.cases) == (status, cases)
+    assert json.dumps(got.counterexample, sort_keys=True) == json.dumps(counter, sort_keys=True)
+
+
+@st.composite
+def entailments(draw):
+    name = draw(st.sampled_from(sorted(CONFIGS)))
+    config = CONFIGS[name]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    atoms = ("a", "b")[: draw(st.integers(1, 2))]
+    props = ("p", "q")[: draw(st.integers(1, 2))]
+    gamma = [
+        random_formula(rng, config, 2, atoms=atoms, props=props)
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    phi = random_formula(rng, config, 3, atoms=atoms, props=props)
+    if draw(st.booleans()):
+        # most fuzzed entailments fail at once; these hold, so both sweeps
+        # run to the end
+        phi = sx.Conn("\\/", (gamma[0], phi)) if gamma else sx.Conn("->", (phi, phi))
+    formulas = gamma + [phi]
+    n_atoms = len(set().union(*map(sx.atoms_of, formulas)))
+    n_props = len(set().union(*map(sx.props_of, formulas)))
+    max_n = draw(st.integers(1, 2))
+    if _models_at(config, 2, n_atoms, n_props) > MODELS_AT_TWO:
+        max_n = 1
+    mode = draw(st.sampled_from(("exhaustive", "exhaustive", "random")))
+    return config, gamma, phi, max_n, mode, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(entailments())
+def test_sweep_matches_reference(case):
+    config, gamma, phi, max_n, mode, seed = case
+    _assert_same(config, gamma, phi, max_n, mode=mode, seed=seed)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_tests_on_props_star_and_constants_match_reference(name):
+    # a test on a formula over the propositions makes the action differ
+    # from valuation to valuation; iteration and the algebra's constants
+    # and extras ride along, with and without assumptions
+    config = CONFIGS[name]
+    truth = config.truth
+    t = sorted(config.tests)[0]
+    star = next(spec.id for spec in config.ops.values() if spec.variant == "star")
+    lid = next(spec.id for spec in config.liftings.values() if spec.arity == 1)
+    q = sx.Prop("q")
+    extra = sx.Conn(sorted(truth.extras)[0], (q,)) if truth.extras else q
+    const = sx.Conn(sorted(truth.constants)[0]) if truth.constants else sx.TOP
+    test = sx.Test(t, sx.Conn("\\/", (extra, const)))
+    looped = sx.Op(star, (sx.Op(";", (sx.Atomic("a"), test)),))
+    phi = sx.Conn("->", (sx.Modal(lid, looped, (sx.Prop("p"),)), sx.Prop("p")))
+    gamma = [sx.Modal(lid, test, (sx.Prop("p"),))]
+    max_n = 2 if _models_at(config, 2, 1, 2) <= MODELS_AT_TWO else 1
+    for assumptions in ([], gamma):
+        _assert_same(config, assumptions, phi, max_n)
+
+
+# -- pinned countermodels ----------------------------------------------------
+#
+# First countermodels in canonical order and the cases checked to reach
+# them, recorded from the model-by-model sweep before entailment ran on ids.
+
+
+def test_pinned_labelled_countermodel():
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    phi = parse("<a><b>p -> <b><a>p", config.signature)
+    verdict = bounded_entailment([], phi, config, max_n=2)
+    assert (verdict.status, verdict.cases) == ("fails", 817)
+    assert verdict.counterexample == {
+        "gamma": [],
+        "model": {
+            "algebra": "L2",
+            "atoms": {"a": [[0, 0], [0, 1]], "b": [[0, 0], [2, 0]]},
+            "kind": "apowerset",
+            "n": 2,
+            "preset": "pdl-labelled",
+            "valuation": {"p": [2, 0]},
+        },
+        "phi": "<a> <b> p -> <b> <a> p",
+        "state": 1,
+    }
+
+
+def test_pinned_countermodel_with_assumptions():
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    gamma = [parse(g, config.signature) for g in ("[?t(q)]p", "<a>q")]
+    verdict = bounded_entailment(gamma, parse("<a>p", config.signature), config, max_n=2)
+    assert (verdict.status, verdict.cases) == ("fails", 520)
+    assert verdict.counterexample == {
+        "gamma": ["[?t(q)] p", "<a> q"],
+        "model": {
+            "algebra": "L2",
+            "atoms": {"a": [[0, 0], [2, 0]]},
+            "kind": "apowerset",
+            "n": 2,
+            "preset": "pdl-labelled",
+            "valuation": {"p": [0, 0], "q": [2, 0]},
+        },
+        "phi": "<a> p",
+        "state": 1,
+    }
+
+
+def test_large_sampled_carriers_stay_cheap(monkeypatch):
+    # 3^14 predicates exist at 14 states; a sampled sweep evaluates its
+    # models one by one and must never build that space
+    def small_only(m, n):
+        assert n <= 8, f"predicate_space({m}, {n}) built"
+        return space(m, n)
+
+    space = semantics.predicate_space
+    monkeypatch.setattr(semantics, "predicate_space", small_only)
+    monkeypatch.setattr(harness, "predicate_space", small_only)
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    phi = parse("[a;b]p -> [a][b]p", config.signature)
+    t0 = time.perf_counter()
+    verdict = bounded_entailment([], phi, config, max_n=14, mode="random", trials=20)
+    assert time.perf_counter() - t0 < 0.5
+    assert (verdict.status, verdict.cases) == ("holds-up-to-bound", 20)

@@ -153,6 +153,10 @@ class TestCustomConfigJson:
         assert verdict.status == "holds"
 
 
+_ATOM_A = {"kind": "atomic", "name": "a"}
+_PROP_P = {"kind": "prop", "name": "p"}
+
+
 class TestFormulaJson:
     def test_roundtrip_fuzzed(self, labelled_l2):
         rng = random.Random(19)
@@ -176,6 +180,15 @@ class TestFormulaJson:
             ({"kind": "conn", "symbol": "x", "args": 3}, "'args'"),
             ({"kind": "modal", "lifting": "dia", "args": []}, "'action'"),
             ({"kind": "test", "test": "t", "arg": {"kind": "prop", "name": 1}}, "'name'"),
+            # an action where a formula belongs, or the reverse
+            ({"kind": "conn", "symbol": "/\\", "args": [_ATOM_A, _PROP_P]},
+             "'args': expected a formula"),
+            ({"kind": "modal", "lifting": "dia", "action": _PROP_P, "args": [_PROP_P]},
+             "'action': expected an action"),
+            ({"kind": "modal", "lifting": "dia", "action": _ATOM_A, "args": [_ATOM_A]},
+             "'args': expected a formula"),
+            ({"kind": "op", "op": ";", "args": [_ATOM_A, _PROP_P]}, "'args': expected an action"),
+            ({"kind": "test", "test": "t", "arg": _ATOM_A}, "'arg': expected a formula"),
         ],
     )
     def test_malformed_tree_names_the_field(self, data, field):

@@ -92,7 +92,7 @@ def _is_action(node) -> bool:
 @given(cases())
 def test_plan_matches_reference(case):
     models, order = case
-    # one plan over every model, as bounded_entailment runs it
+    # one plan over every model, as a sampled bounded_entailment runs it
     plan = Plan(models[0].config)
     at = [plan.compile(node) for node in order]
     for model in models:

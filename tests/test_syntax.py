@@ -1,6 +1,7 @@
 """Parser, renderer and template machinery."""
 
 import random
+import zlib
 
 import pytest
 
@@ -207,7 +208,8 @@ class TestRoundTrip:
             else build_builtin("lukasiewicz", 2, chi=(2,), constants=(1,))
         )
         config = make_preset(preset_name, alg)
-        rng = random.Random(hash(preset_name) & 0xFFFF)
+        # crc32, unlike the salted str hash, seeds the same formulas in every run
+        rng = random.Random(zlib.crc32(preset_name.encode()))
         for _ in range(2000):
             ast = random_formula(rng, config, depth=4)
             text = render(ast, config.signature)
