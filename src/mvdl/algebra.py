@@ -268,7 +268,7 @@ def algebra_by_name(name: str) -> Algebra:
     """Resolve the builtin names B2, L<n>, G<n>."""
     if name == "B2":
         return build_builtin("boolean")
-    if name[:1] in ("L", "G") and name[1:].isdigit():
+    if name[:1] in ("L", "G") and name[1:].isdecimal():
         kind = "lukasiewicz" if name[0] == "L" else "goedel"
         return build_builtin(kind, int(name[1:]))
     raise InvalidParameter(f"unknown builtin algebra name {name!r}")

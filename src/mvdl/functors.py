@@ -125,12 +125,7 @@ class FunctorOps:
                 rows[f[x]] = jt[rows[f[x]]][value[x]]
             return tuple(rows)
         if kind in NEIGHBOURHOOD_KINDS:
-            src_index = predicate_index(alg.m, self.n)
-            out = []
-            for q in predicate_space(alg.m, n_target):
-                pulled = tuple(q[f[x]] for x in range(self.n))
-                out.append(value[src_index[pulled]])
-            return tuple(out)
+            return tuple(value[i] for i in _pullback_index(alg.m, self.n, tuple(f), n_target))
         out = set()
         for mask in value:
             img = 0
@@ -206,7 +201,7 @@ class FunctorOps:
     def _enumerate_monotone(self, budget: int) -> Iterator[tuple[int, ...]]:
         alg = self.alg
         preds, order, below = _pred_poset(alg, self.n)
-        jt, leq = alg.join_table, alg._leq
+        jt, ups = alg.join_table, _up_sets(alg)
         emitted = 0
         table = [0] * len(preds)
 
@@ -225,11 +220,9 @@ class FunctorOps:
             lower = 0
             for j in below[i]:
                 lower = jt[lower][table[j]]
-            above = leq[lower]
-            for v in range(alg.m):
-                if above[v]:
-                    table[i] = v
-                    yield from rec(pos + 1)
+            for v in ups[lower]:
+                table[i] = v
+                yield from rec(pos + 1)
             table[i] = 0
 
         yield from rec(0)
@@ -249,15 +242,33 @@ class FunctorOps:
                 mask for mask in range(1 << n) if rng.random() < 0.5
             )
         _, order, below = _pred_poset(alg, n)
-        jt, leq, m = alg.join_table, alg._leq, alg.m
+        jt, ups = alg.join_table, _up_sets(alg)
         table = [0] * len(order)
         for i in order:
             lower = 0
             for j in below[i]:
                 lower = jt[lower][table[j]]
-            above = leq[lower]
-            table[i] = rng.choice([v for v in range(m) if above[v]])
+            table[i] = rng.choice(ups[lower])
         return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _pullback_index(m: int, n: int, f: tuple[int, ...], n_target: int) -> tuple[int, ...]:
+    """For each target predicate q, the index of the source predicate q . f:
+    Ff on a neighbourhood table reads the table at these positions."""
+    src_index = predicate_index(m, n)
+    return tuple(
+        src_index[tuple(q[f[x]] for x in range(n))] for q in predicate_space(m, n_target)
+    )
+
+
+@lru_cache(maxsize=None)
+def _up_sets(alg: Algebra) -> tuple[tuple[int, ...], ...]:
+    """For each element a, the elements above it, ascending: the values a
+    monotone table may take at a predicate whose strict lower bounds join to a."""
+    return tuple(
+        tuple(v for v in range(alg.m) if alg._leq[a][v]) for a in range(alg.m)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,12 @@ completely, "holds-up-to-bound" when the claim quantifies over carriers or
 the sweep sampled, "fails" with a replayable counterexample otherwise.
 First counterexamples are reported in canonical enumeration order, so
 identical inputs give identical reports.
+
+The exhaustive safety sweep runs on ids: a value is its index in the
+canonical enumeration of FX, a source coalgebra a tuple of such ids, and a
+target coalgebra its cid, its index in the product of the target values.
+Ff is a value-id table per map f, and only a counterexample is decoded back
+to FValues.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .actions import (
@@ -141,7 +148,7 @@ def check_safety(
 
     Carrier pairs range over n, n' <= max_n.  When f is surjective the target
     coalgebras are forced; otherwise the unconstrained states are enumerated
-    (exhaustive mode) or sampled.
+    (exhaustive mode, on value and coalgebra ids) or sampled.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
@@ -155,46 +162,117 @@ def check_safety(
             fops_src = config.fops(n_src)
             fops_tgt = config.fops(n_tgt)
             if mode == "exhaustive":
-                vals_src = _space(fops_src, budget)
-                vals_tgt = _space(fops_tgt, budget)
-                sweep = _safety_pairs_exhaustive(
-                    target, fops_src, fops_tgt, vals_src, vals_tgt, budget
-                )
+                checked, counter = _safety_exhaustive(target, fops_src, fops_tgt, budget)
             else:
-                sweep = _safety_pairs_sampled(
+                checked, counter = _safety_sampled(
                     target, fops_src, fops_tgt, rng, trials // (max_n * max_n) + 1
                 )
-            out_cache_src: dict = {}
-            out_cache_tgt: dict = {}
-            for f, gammas, gammas2 in sweep:
-                cases += 1
-                out_src = out_cache_src.get(gammas)
-                if out_src is None:
-                    out_src = apply_op(target, gammas, fops_src)
-                    out_cache_src[gammas] = out_src
-                out_tgt = out_cache_tgt.get(gammas2)
-                if out_tgt is None:
-                    out_tgt = apply_op(target, gammas2, fops_tgt)
-                    out_cache_tgt[gammas2] = out_tgt
-                for x in range(n_src):
-                    if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
-                        counter = {
-                            "f": list(f),
-                            "gammas": [
-                                [fvalue_to_json(config.kind, v) for v in g]
-                                for g in gammas
-                            ],
-                            "gammas_target": [
-                                [fvalue_to_json(config.kind, v) for v in g]
-                                for g in gammas2
-                            ],
-                            "state": x,
-                        }
-                        return _verdict(
-                            "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt)
-                        )
+            cases += checked
+            if counter is not None:
+                return _verdict(
+                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt)
+                )
     status = "holds-up-to-bound"
     return _verdict(status, cases, t0, None, target=target.id, max_n=max_n, mode=mode)
+
+
+def _safety_counter(kind: Kind, f, gammas, gammas2, x: int) -> dict:
+    return {
+        "f": list(f),
+        "gammas": [[fvalue_to_json(kind, v) for v in g] for g in gammas],
+        "gammas_target": [[fvalue_to_json(kind, v) for v in g] for g in gammas2],
+        "state": x,
+    }
+
+
+def _safety_squares(
+    op: OperationSpec,
+    fops_src: FunctorOps,
+    fops_tgt: FunctorOps,
+    vals_src: list,
+    vals_tgt: list,
+):
+    """Every joint-morphism premise of the exhaustive sweep, on ids.
+
+    A value's id (vid) is its index in its ``_space`` list; a source
+    coalgebra is a tuple of vids, a target coalgebra is its cid, its index
+    in ``product(range(len(vals_tgt)), repeat=n_tgt)``.  Yields
+    ``(f, ff, gammas, cands)`` in canonical order: ``ff`` is Ff as a
+    source-vid -> target-vid list, ``gammas`` the source operands, and
+    ``cands[i]`` the ascending cids of the target coalgebras that agree with
+    Ff . gammas[i] on the image of f.  The target operands are
+    ``product(*cands)``: the states outside the image vary operand by
+    operand, the last state of the last operand fastest.
+    """
+    n_src, n_tgt = fops_src.n, fops_tgt.n
+    tgt_id = {v: i for i, v in enumerate(vals_tgt)}
+    coalgs_src = list(product(range(len(vals_src)), repeat=n_src))
+    coalgs_tgt = list(product(range(len(vals_tgt)), repeat=n_tgt))
+    for f in product(range(n_tgt), repeat=n_src):
+        ff = [tgt_id[fops_src.map(f, n_tgt, v)] for v in vals_src]
+        image = sorted(set(f))
+        extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
+        for cid, h in enumerate(coalgs_tgt):
+            extending.setdefault(tuple(h[y] for y in image), []).append(cid)
+        # the source coalgebras whose image under Ff is a function on the
+        # image of f, each with the target coalgebras extending that function
+        cands = {}
+        for g in coalgs_src:
+            forced: dict[int, int] = {}
+            for x in range(n_src):
+                v = ff[g[x]]
+                if forced.setdefault(f[x], v) != v:
+                    break
+            else:
+                cands[g] = extending[tuple(forced[y] for y in image)]
+        for gammas in product(cands, repeat=op.arity):
+            yield f, ff, gammas, [cands[g] for g in gammas]
+
+
+def _safety_exhaustive(
+    op: OperationSpec, fops_src: FunctorOps, fops_tgt: FunctorOps, budget: int
+) -> tuple[int, dict | None]:
+    """Cases checked on one carrier pair, and the first counterexample.
+
+    Operation outputs are memoised by source vid tuple and by target cid
+    tuple and kept as vid tuples; every operation maps the value space into
+    itself (monotone tables stay monotone), so each output has a vid.
+    """
+    vals_src = _space(fops_src, budget)
+    vals_tgt = _space(fops_tgt, budget)
+    n_src = fops_src.n
+    src_id = {v: i for i, v in enumerate(vals_src)}
+    tgt_id = {v: i for i, v in enumerate(vals_tgt)}
+    coalgs_tgt = _coalgebras(vals_tgt, fops_tgt.n)  # indexed by cid
+    out_src: dict = {}
+    out_tgt: dict = {}
+    cases = 0
+    for f, ff, gammas, cands in _safety_squares(op, fops_src, fops_tgt, vals_src, vals_tgt):
+        out = out_src.get(gammas)
+        if out is None:
+            coalgs = tuple(tuple(vals_src[v] for v in g) for g in gammas)
+            out = out_src[gammas] = tuple(src_id[v] for v in apply_op(op, coalgs, fops_src))
+        lhs = tuple(ff[v] for v in out)  # Ff(op(gammas)) state by state
+        at_image = itemgetter(*f)
+        want = lhs if n_src > 1 else lhs[0]
+        k = 0
+        for k, cids in enumerate(product(*cands), 1):
+            rhs = out_tgt.get(cids)
+            if rhs is None:
+                coalgs = tuple(coalgs_tgt[c] for c in cids)
+                rhs = out_tgt[cids] = tuple(tgt_id[v] for v in apply_op(op, coalgs, fops_tgt))
+            if at_image(rhs) != want:
+                x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
+                counter = _safety_counter(
+                    fops_src.kind,
+                    f,
+                    (tuple(vals_src[v] for v in g) for g in gammas),
+                    (coalgs_tgt[c] for c in cids),
+                    x,
+                )
+                return cases + k, counter
+        cases += k
+    return cases, None
 
 
 def _forced_targets(
@@ -219,47 +297,17 @@ def _forced_targets(
     return forced
 
 
-def _safety_pairs_exhaustive(
-    op: OperationSpec,
-    fops_src: FunctorOps,
-    fops_tgt: FunctorOps,
-    vals_src: list,
-    vals_tgt: list,
-    budget: int,
-):
-    n_src, n_tgt = fops_src.n, fops_tgt.n
-    coalgs_src = _coalgebras(vals_src, n_src)
-    for f in product(range(n_tgt), repeat=n_src):
-        free = [y for y in range(n_tgt) if y not in set(f)]
-        for gammas in product(coalgs_src, repeat=op.arity):
-            forced = _forced_targets(fops_src, fops_tgt, f, gammas)
-            if forced is None:
-                continue
-            if not free:
-                yield f, gammas, tuple(
-                    tuple(d[y] for y in range(n_tgt)) for d in forced
-                )
-                continue
-            slots = [(i, y) for i in range(op.arity) for y in free]
-            for fill in product(vals_tgt, repeat=len(slots)):
-                gammas2 = []
-                for i in range(op.arity):
-                    row = dict(forced[i])
-                    for (j, y), v in zip(slots, fill):
-                        if j == i:
-                            row[y] = v
-                    gammas2.append(tuple(row[y] for y in range(n_tgt)))
-                yield f, gammas, tuple(gammas2)
-
-
-def _safety_pairs_sampled(
+def _safety_sampled(
     op: OperationSpec,
     fops_src: FunctorOps,
     fops_tgt: FunctorOps,
     rng: random.Random,
     trials: int,
-):
+) -> tuple[int, dict | None]:
+    """Cases checked on one carrier pair from ``trials`` draws, and the
+    first counterexample; the unforced target states are drawn at random."""
     n_src, n_tgt = fops_src.n, fops_tgt.n
+    cases = 0
     for _ in range(trials):
         f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
         gammas = tuple(
@@ -284,7 +332,13 @@ def _safety_pairs_sampled(
             gammas2.append(tuple(row))
         if not ok:
             continue
-        yield f, gammas, tuple(gammas2)
+        cases += 1
+        out_src = apply_op(op, gammas, fops_src)
+        out_tgt = apply_op(op, tuple(gammas2), fops_tgt)
+        for x in range(n_src):
+            if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
+                return cases, _safety_counter(fops_src.kind, f, gammas, gammas2, x)
+    return cases, None
 
 
 def _check_test_safety(

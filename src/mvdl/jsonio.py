@@ -43,6 +43,41 @@ def _field(data, key: str, where: str):
     return data[key]
 
 
+def _text(data, key: str, where: str) -> str:
+    """``data[key]`` as a string, or InvalidParameter naming the field."""
+    value = _field(data, key, where)
+    if not isinstance(value, str):
+        raise InvalidParameter(f"{where} field {key!r}: expected a string, got {value!r}")
+    return value
+
+
+def _optional(data: Mapping, key: str, where: str, check, expected: str, default=None):
+    """``data[key]``, ``default`` when it is missing or null, or
+    InvalidParameter naming the field when the value fails ``check``."""
+    value = data.get(key)
+    if value is None:
+        return default
+    if not check(value):
+        raise InvalidParameter(f"{where} field {key!r}: expected {expected}, got {value!r}")
+    return value
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(check(v) for v in value)
+
+
+def _object_of(check):
+    return lambda value: isinstance(value, Mapping) and all(check(v) for v in value.values())
+
+
 def _table(data, key: str, m: int):
     """An m x m operation table of elements, or InvalidParameter naming it."""
     t = _field(data, key, "algebra")
@@ -112,10 +147,14 @@ def algebra_from_json(data: Mapping | str) -> Algebra:
         join=join,
         tensor=tensor,
         impl=impl,
-        labels=data.get("labels"),
-        extras=data.get("extras"),
-        constants=data.get("constants"),
-        name=data.get("name"),
+        labels=_optional(data, "labels", "algebra", _list_of(_is_str), "a list of strings"),
+        extras=_optional(
+            data, "extras", "algebra", _object_of(_list_of(_is_int)), "an object of unary tables"
+        ),
+        constants=_optional(
+            data, "constants", "algebra", _object_of(_is_int), "an object of elements"
+        ),
+        name=_optional(data, "name", "algebra", _is_str, "a string"),
     )
     report = validate_flew(alg)
     if not report.ok:
@@ -141,46 +180,54 @@ def config_from_json(data: Mapping, alg: Algebra) -> LogicConfig:
     truth = alg
     if "truth_algebra" in data:
         truth = algebra_from_json(data["truth_algebra"])
+
+    def entries(key: str) -> dict:
+        return _optional(data, key, "config", lambda v: isinstance(v, Mapping), "an object", {})
+
     liftings = {}
-    for lid, entry in data.get("liftings", {}).items():
-        liftings[lid] = LiftingSpec(
-            lid,
-            entry.get("arity", 1),
-            _field(entry, "variant", f"config lifting {lid!r}"),
-            param=entry.get("param", 0),
-        )
+    for lid, entry in entries("liftings").items():
+        where = f"config lifting {lid!r}"
+        variant = _text(entry, "variant", where)
+        arity = _optional(entry, "arity", where, _is_int, "an integer", 1)
+        param = _optional(entry, "param", where, _is_int, "an element", 0)
+        if not 0 <= param < alg.m:
+            raise InvalidParameter(f"{where} field 'param': {param} is not an element")
+        liftings[lid] = LiftingSpec(lid, arity, variant, param=param)
         liftings[lid].check_kind(kind)
     ops = {}
-    for oid, entry in data.get("ops", {}).items():
-        variant = _field(entry, "variant", f"config op {oid!r}")
+    for oid, entry in entries("ops").items():
+        variant = _text(entry, "variant", f"config op {oid!r}")
         if variant not in OP_ARITIES:
             raise InvalidParameter(f"unknown operation variant {variant!r}")
         ops[oid] = OperationSpec(oid, OP_ARITIES[variant], variant)
         ops[oid].check_kind(kind)
     tests = {}
-    for tid, entry in data.get("tests", {}).items():
-        variant = _field(entry, "variant", f"config test {tid!r}")
-        if "subset" in entry:
-            subset = frozenset(entry["subset"])
+    for tid, entry in entries("tests").items():
+        where = f"config test {tid!r}"
+        variant = _text(entry, "variant", where)
+        subset = _optional(entry, "subset", where, _list_of(_is_int), "a list of integers")
+        if subset is not None:
+            subset = frozenset(subset)
         elif variant in ("test-p", "instantial-p"):
             subset = frozenset({truth.top})
         else:
             subset = frozenset()
         tests[tid] = TestSpec(tid, variant, subset)
         tests[tid].check_kind(kind)
+    names = _list_of(_is_str)
     signature = make_signature(
-        props=data.get("props", DEFAULT_PROPS),
-        atoms=data.get("atoms", DEFAULT_ATOMS),
+        props=_optional(data, "props", "config", names, "a list of strings", DEFAULT_PROPS),
+        atoms=_optional(data, "atoms", "config", names, "a list of strings", DEFAULT_ATOMS),
         liftings={lid: spec.arity for lid, spec in liftings.items()},
         ops={oid: spec.arity for oid, spec in ops.items()},
         tests=tests.keys(),
         extra_conns={name: 1 for name in truth.extras}
         | {name: 0 for name in truth.constants},
-        box=data.get("box"),
-        diamond=data.get("diamond"),
+        box=_optional(data, "box", "config", _is_str, "a string"),
+        diamond=_optional(data, "diamond", "config", _is_str, "a string"),
     )
     return LogicConfig(
-        name=data.get("name", "custom"),
+        name=_optional(data, "name", "config", _is_str, "a string", "custom"),
         kind=kind,
         truth=truth,
         struct=alg,
@@ -324,10 +371,7 @@ def formula_from_json(data: Mapping):
     formula, action = (Prop, Conn, Modal), (Atomic, Op, Test)
 
     def text(key: str) -> str:
-        value = _field(data, key, where)
-        if not isinstance(value, str):
-            raise InvalidParameter(f"{where} field {key!r}: expected a string, got {value!r}")
-        return value
+        return _text(data, key, where)
 
     def node(value, key: str, category: tuple):
         got = formula_from_json(value)
@@ -374,13 +418,13 @@ def rule_from_json(data: Mapping, config: LogicConfig):
     arity and no variable beyond the lifting's arity (+1 for a test rule)."""
     from .reduction import ReductionRule
 
-    template = parse(_field(data, "template", "rule"), config.signature, "template")
-    lid = _field(data, "lifting", "rule")
+    template = parse(_text(data, "template", "rule"), config.signature, "template")
+    lid = _text(data, "lifting", "rule")
     if "op" in data:
-        kind, target = "op", data["op"]
+        kind, target = "op", _text(data, "op", "rule")
         n, k = config.op(target).arity, config.lifting(lid).arity
     else:
-        kind, target = "test", _field(data, "test", "rule")
+        kind, target = "test", _text(data, "test", "rule")
         n, k = 0, config.lifting(lid).arity + 1
     if template.n > n:
         raise InvalidParameter(

@@ -3,9 +3,10 @@
 These are the evaluators mvdl shipped before formulas and rule templates
 were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
-case-by-case rule-soundness and entailment sweeps built on them.  The
-differential tests check the compiled plans against them; nothing in
-``src/`` imports them.
+case-by-case rule-soundness and entailment sweeps built on them; and the
+exhaustive safety sweep as it ran on FValues before it ran on ids.  The
+differential tests check the compiled plans and the id sweeps against them;
+nothing in ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from mvdl.errors import (
     UnknownIdentifier,
 )
 from mvdl.functors import predicate_index, predicate_space
-from mvdl.jsonio import model_to_json
+from mvdl.harness import _forced_targets
+from mvdl.jsonio import fvalue_to_json, model_to_json
 from mvdl.semantics import Model, crisp_mask
 from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var, atoms_of, props_of, render
 
@@ -364,4 +366,76 @@ def reference_entailment(gamma, phi, config, max_n: int, mode: str = "exhaustive
                     "phi": render(phi, config.signature),
                     "gamma": [render(g, config.signature) for g in gamma],
                 }
+    return "holds-up-to-bound", cases, None
+
+
+# -- safety ------------------------------------------------------------------
+
+
+def reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt):
+    """Every (f, gammas, gammas') premise of the exhaustive safety sweep, as
+    FValue coalgebras: the forced target values on the image of f, and every
+    fill of the free states, slots ordered operand-major."""
+    n_src, n_tgt = fops_src.n, fops_tgt.n
+    coalgs_src = list(product(vals_src, repeat=n_src))
+    for f in product(range(n_tgt), repeat=n_src):
+        free = [y for y in range(n_tgt) if y not in set(f)]
+        for gammas in product(coalgs_src, repeat=op.arity):
+            forced = _forced_targets(fops_src, fops_tgt, f, gammas)
+            if forced is None:
+                continue
+            if not free:
+                yield f, gammas, tuple(
+                    tuple(d[y] for y in range(n_tgt)) for d in forced
+                )
+                continue
+            slots = [(i, y) for i in range(op.arity) for y in free]
+            for fill in product(vals_tgt, repeat=len(slots)):
+                gammas2 = []
+                for i in range(op.arity):
+                    row = dict(forced[i])
+                    for (j, y), v in zip(slots, fill):
+                        if j == i:
+                            row[y] = v
+                    gammas2.append(tuple(row[y] for y in range(n_tgt)))
+                yield f, gammas, tuple(gammas2)
+
+
+def reference_safety(target, config, max_n: int, budget: int = 1_000_000):
+    """The exhaustive safety sweep on FValues: (status, cases, counterexample).
+
+    Same case order, counts and counterexample as ``check_safety`` in
+    exhaustive mode, for an operation target.
+    """
+    target.check_kind(config.kind)
+    cases = 0
+    for n_src in range(1, max_n + 1):
+        for n_tgt in range(1, max_n + 1):
+            fops_src = config.fops(n_src)
+            fops_tgt = config.fops(n_tgt)
+            vals_src = list(fops_src.enumerate(budget))
+            vals_tgt = list(fops_tgt.enumerate(budget))
+            pairs = reference_safety_pairs(target, fops_src, fops_tgt, vals_src, vals_tgt)
+            out_cache_src: dict = {}
+            out_cache_tgt: dict = {}
+            for f, gammas, gammas2 in pairs:
+                cases += 1
+                out_src = out_cache_src.get(gammas)
+                if out_src is None:
+                    out_src = out_cache_src[gammas] = apply_op(target, gammas, fops_src)
+                out_tgt = out_cache_tgt.get(gammas2)
+                if out_tgt is None:
+                    out_tgt = out_cache_tgt[gammas2] = apply_op(target, gammas2, fops_tgt)
+                for x in range(n_src):
+                    if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
+                        return "fails", cases, {
+                            "f": list(f),
+                            "gammas": [
+                                [fvalue_to_json(config.kind, v) for v in g] for g in gammas
+                            ],
+                            "gammas_target": [
+                                [fvalue_to_json(config.kind, v) for v in g] for g in gammas2
+                            ],
+                            "state": x,
+                        }
     return "holds-up-to-bound", cases, None

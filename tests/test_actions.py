@@ -14,9 +14,9 @@ from mvdl.actions import (
     kleisli_star,
 )
 from mvdl.actions import TestSpec as TSpec
-from mvdl.algebra import build_builtin
+from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
-from mvdl.functors import Kind, functor_ops, predicate_space
+from mvdl.functors import Kind, _pred_poset, functor_ops, predicate_space
 from mvdl.presets import PRESET_NAMES, make_preset
 
 KLEISLI = OperationSpec(";", 2, "kleisli")
@@ -367,6 +367,41 @@ class TestMonotonePreservation:
         for sigma in predicate_space(3, 2):
             for v in apply_test(spec, sigma, fops, L2):
                 assert fops.is_monotone(v)
+
+
+class TestMonotoneDraws:
+    @staticmethod
+    def draw_uncached(fops, rng):
+        # random_value's monotone branch as it was before the up-sets were
+        # cached: the candidate list rebuilt for every table entry
+        alg = fops.alg
+        _, order, below = _pred_poset(alg, fops.n)
+        jt, leq, m = alg.join_table, alg._leq, alg.m
+        table = [0] * len(order)
+        for i in order:
+            lower = 0
+            for j in below[i]:
+                lower = jt[lower][table[j]]
+            above = leq[lower]
+            table[i] = rng.choice([v for v in range(m) if above[v]])
+        return tuple(table)
+
+    def test_draws_match_the_uncached_loop(self, B2, L2, L3):
+        # B2 x B2 is not a chain, so its up-sets are not intervals of indices
+        square = Algebra(
+            4,
+            meet=[[x & y for y in range(4)] for x in range(4)],
+            join=[[x | y for y in range(4)] for x in range(4)],
+            tensor=[[x & y for y in range(4)] for x in range(4)],
+            impl=[[(~x | y) & 3 for y in range(4)] for x in range(4)],
+        )
+        for alg, n in ((B2, 1), (B2, 2), (L2, 1), (L2, 2), (L3, 2), (square, 1), (square, 2)):
+            fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, n, alg)
+            for seed in range(5):
+                cached, uncached = random.Random(seed), random.Random(seed)
+                for _ in range(20):
+                    assert fops.random_value(cached) == self.draw_uncached(fops, uncached)
+                assert cached.getstate() == uncached.getstate()
 
 
 def test_every_operation_variant_has_one_arity():

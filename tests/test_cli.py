@@ -302,6 +302,28 @@ class TestMalformedInput:
                 ' "meet": [[0]], "join": [[0, 1], [1, 1]], "tensor": [[0, 0], [0, 1]]}}',
                 "algebra field 'meet'",
             ),
+            # these three used to escape as AttributeError, and the subset as
+            # TypeError, with exit 1
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "liftings": []},'
+                ' "atoms": {}}',
+                "config field 'liftings'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "ops": "+"},'
+                ' "atoms": {}}',
+                "config field 'ops'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "tests": [1]},'
+                ' "atoms": {}}',
+                "config field 'tests'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset",'
+                ' "tests": {"t": {"variant": "test-p", "subset": 5}}}, "atoms": {}}',
+                "field 'subset'",
+            ),
         ],
     )
     def test_model_file(self, capsys, tmp_path, text, named):

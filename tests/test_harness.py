@@ -15,6 +15,7 @@ from mvdl.errors import (
 )
 from mvdl.functors import Kind, functor_ops, predicate_space
 from mvdl.harness import (
+    _safety_squares,
     bounded_entailment,
     check_invariance,
     check_safety,
@@ -25,13 +26,14 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
-from mvdl.jsonio import fvalue_from_json, model_from_json
+from mvdl.jsonio import config_from_json, fvalue_from_json, model_from_json
 from mvdl.presets import make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import Model, eval_formula
 from mvdl.syntax import Conn, Modal, Template, Var, parse
 
 from conftest import random_formula, random_model
+from reference_eval import reference_safety, reference_safety_pairs
 
 
 class TestMorphism:
@@ -75,8 +77,6 @@ class TestSafetySweepCoverage:
     def test_exhaustive_pairs_match_brute_force(self, crisp_b2):
         # oracle: filter all (f, gammas, gammas') triples by the joint
         # morphism premise and compare with the forced-value generator
-        from mvdl.harness import _safety_pairs_exhaustive
-
         op = crisp_b2.ops["+"]
         kind, alg = crisp_b2.kind, crisp_b2.struct
         for n_src, n_tgt in ((1, 1), (1, 2), (2, 1), (2, 2)):
@@ -95,12 +95,76 @@ class TestSafetySweepCoverage:
                             for g, g2 in zip(gammas, gammas2)
                         ):
                             brute.add((f, gammas, gammas2))
-            generated = set(
-                _safety_pairs_exhaustive(
-                    op, fops_src, fops_tgt, vals_src, vals_tgt, 10**6
-                )
-            )
+            # the generator works on ids: decode value ids through vals_src
+            # and target coalgebra ids through coalgs_tgt
+            generated = set()
+            for f, _, gammas, cands in _safety_squares(
+                op, fops_src, fops_tgt, vals_src, vals_tgt
+            ):
+                decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
+                for cids in product(*cands):
+                    generated.add((f, decoded, tuple(coalgs_tgt[c] for c in cids)))
             assert generated == brute, (n_src, n_tgt)
+
+    @pytest.mark.parametrize(
+        "preset, alg_name, op_id",
+        [("pdl-crisp", "B2", "+"), ("pdl-labelled", "B2", ";"), ("game", "B2", "&")],
+    )
+    def test_premises_come_in_reference_order(self, preset, alg_name, op_id):
+        # the first counterexample depends on the order, which a set
+        # comparison cannot see: decode the id premises one by one
+        config = make_preset(preset, algebra_by_name(alg_name))
+        op = config.ops[op_id]
+        for n_src, n_tgt in product((1, 2), repeat=2):
+            fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
+            vals_src, vals_tgt = list(fops_src.enumerate()), list(fops_tgt.enumerate())
+            coalgs_tgt = list(product(vals_tgt, repeat=n_tgt))
+            decoded = [
+                (f, tuple(tuple(vals_src[v] for v in g) for g in gammas),
+                 tuple(coalgs_tgt[c] for c in cids))
+                for f, _, gammas, cands in _safety_squares(
+                    op, fops_src, fops_tgt, vals_src, vals_tgt
+                )
+                for cids in product(*cands)
+            ]
+            reference = list(
+                reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt)
+            )
+            assert decoded == reference, (n_src, n_tgt)
+
+    @pytest.mark.parametrize(
+        "preset, alg_name, op_id",
+        [("pdl-crisp", "B2", op) for op in ("+", ";", "*", "~")]
+        + [("pdl-labelled", "L2", op) for op in ("+", ";", "*", "~")]
+        + [("game", "B2", op) for op in ("+", "&", "^d", ";", "*")],
+    )
+    def test_exhaustive_sweep_matches_reference(self, preset, alg_name, op_id):
+        config = make_preset(preset, algebra_by_name(alg_name))
+        op = config.ops[op_id]
+        self._assert_matches_reference(op, config)
+
+    def test_unsafe_ops_match_reference(self, labelled_l2, B2):
+        # meet-pw on labelled rows, and counter-domain on plain neighbourhoods:
+        # Ff(N)(q) = N(q . f) reads only the predicates of the form q . f,
+        # so a non-bottom table can map to bottom when f is not injective
+        meet = OperationSpec("meet", 2, "meet-pw")
+        verdict = self._assert_matches_reference(meet, labelled_l2)
+        counter = verdict.counterexample
+        assert (verdict.status, verdict.cases, counter["f"], counter["state"]) == (
+            "fails", 1505, [0, 0], 1
+        )
+        nbh = config_from_json({"kind": "aneighbourhood"}, B2)
+        domain = OperationSpec("~", 1, "counter-domain")
+        assert self._assert_matches_reference(domain, nbh).status == "fails"
+
+    @staticmethod
+    def _assert_matches_reference(op, config):
+        verdict = check_safety(op, config, max_n=2)
+        status, cases, counter = reference_safety(op, config, max_n=2)
+        assert (verdict.status, verdict.cases, verdict.counterexample) == (
+            status, cases, counter
+        )
+        return verdict
 
 
 class TestFunctorLaws:

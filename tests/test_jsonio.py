@@ -225,3 +225,17 @@ class TestRuleJson:
         # the first used to load and make reduce_full escape with IndexError
         with pytest.raises(InvalidParameter, match=f"'template': {beyond} "):
             rule_from_json(data, labelled_l2)
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"op": ";", "lifting": "box", "template": 5}, "'template'"),
+            ({"op": ";", "lifting": ["box"], "template": "<1:box> w1"}, "'lifting'"),
+            ({"op": [";"], "lifting": "box", "template": "<1:box> w1"}, "'op'"),
+            ({"test": None, "lifting": "box", "template": "w1"}, "'test'"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_named(self, labelled_l2, data, field):
+        # template and lifting used to escape as TypeError
+        with pytest.raises(InvalidParameter, match=f"rule field {field}: expected a string"):
+            rule_from_json(data, labelled_l2)
