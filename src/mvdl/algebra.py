@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ClosureBudgetExceeded, InvalidParameter, NotAQuantale
 
 DEFAULT_CLOSURE_BUDGET = 10_000
+# the largest n algebra_by_name builds for L<n>/G<n>: validate_flew is O(n^3)
+MAX_BUILTIN_CHAIN = 32
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -183,7 +186,9 @@ class Algebra:
 
     # -- named derived data ----------------------------------------------
     def unary_term_closure(self, budget: int = DEFAULT_CLOSURE_BUDGET) -> "UnaryTermClone":
-        if self._closure_cache is None or self._closure_cache.budget < budget:
+        # a closure that finished is the whole clone, whatever its budget was;
+        # over a smaller budget, rerun it so that it raises as a first run would
+        if self._closure_cache is None or len(self._closure_cache) > budget:
             self._closure_cache = unary_term_closure(self, budget)
         return self._closure_cache
 
@@ -265,13 +270,30 @@ def build_builtin(
 
 
 def algebra_by_name(name: str) -> Algebra:
-    """Resolve the builtin names B2, L<n>, G<n>."""
+    """Resolve the builtin names B2, L<n>, G<n> (1 <= n <= MAX_BUILTIN_CHAIN).
+
+    Each builtin is built and validated once per process and then shared:
+    every call returns the same instance, which caches its unary term clone.
+    Callers must not mutate it.
+    """
     if name == "B2":
-        return build_builtin("boolean")
+        return _shared_builtin("boolean", 0)
     if name[:1] in ("L", "G") and name[1:].isdecimal():
-        kind = "lukasiewicz" if name[0] == "L" else "goedel"
-        return build_builtin(kind, int(name[1:]))
+        try:
+            n = int(name[1:])
+        except ValueError:  # more digits than int() reads from text
+            n = MAX_BUILTIN_CHAIN + 1
+        if n > MAX_BUILTIN_CHAIN:
+            raise InvalidParameter(
+                f"builtin algebra {name!r} is too large: n is at most {MAX_BUILTIN_CHAIN}"
+            )
+        return _shared_builtin("lukasiewicz" if name[0] == "L" else "goedel", n)
     raise InvalidParameter(f"unknown builtin algebra name {name!r}")
+
+
+@cache
+def _shared_builtin(kind: str, n: int) -> Algebra:
+    return build_builtin(kind, n)
 
 
 def derive_residuum(
@@ -380,7 +402,6 @@ class UnaryTermClone:
 
     alg: Algebra
     functions: dict[tuple[int, ...], Term]
-    budget: int = DEFAULT_CLOSURE_BUDGET
 
     def __contains__(self, table: tuple[int, ...]) -> bool:
         return tuple(table) in self.functions
@@ -438,7 +459,7 @@ def unary_term_closure(alg: Algebra, budget: int = DEFAULT_CLOSURE_BUDGET) -> Un
             for op, table in binops.items():
                 add(tuple(table[a][b] for a, b in zip(f, g)), ("app", op, fterm, gterm), queue)
                 add(tuple(table[a][b] for a, b in zip(g, f)), ("app", op, gterm, fterm), queue)
-    return UnaryTermClone(alg, found, budget)
+    return UnaryTermClone(alg, found)
 
 
 def chi_table(alg: Algebra, subset: Iterable[int]) -> tuple[int, ...]:

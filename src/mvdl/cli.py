@@ -3,11 +3,18 @@
 Exit codes: 0 holds/success, 1 fails/countermodel (payload on stdout),
 2 usage or parse error, 3 budget exceeded.  The MVDL_BUDGET environment
 variable overrides the default sweep budget.
+
+A process that calls ``main`` many times (tests, notebooks, a benchmark
+loop) pays its set-up once: the argument parser is built on the first call
+and reused, and the builtin algebras (B2, L<n>, G<n>) are built, validated
+and given their unary term clones once per process.  Each call then pays
+only for its subcommand; its reply does not depend on earlier calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -101,7 +108,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     ap = argparse.ArgumentParser(
         prog="mvdl",
         description="Many-valued coalgebraic dynamic logic workbench",
@@ -174,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entail", help="bounded countermodel search", **_parents)
     common(p)
     p.add_argument("--phi", "--formula", dest="phi", required=True)
-    p.add_argument("--gamma", action="append", default=[])
+    # no list default: a shared parser would hand the same list to every call
+    p.add_argument("--gamma", action="append", default=None)
 
     return ap
 
@@ -357,7 +367,7 @@ def _one_step_kind_tag(kind: str):
 def _cmd_entail(args, fmt: str) -> int:
     config = _make_config(args)
     phi = parse(args.phi, config.signature, "formula")
-    gamma = [parse(g, config.signature, "formula") for g in args.gamma]
+    gamma = [parse(g, config.signature, "formula") for g in args.gamma or ()]
     budget = _budget(args)
     verdict = harness.bounded_entailment(
         gamma, phi, config, max_n=args.max_n, mode=args.mode, budget=budget,

@@ -161,15 +161,13 @@ class FunctorOps:
         )
 
     def is_monotone(self, table: tuple[int, ...]) -> bool:
-        """N(s1) <= N(s2) whenever s1 <= s2 pointwise, checked exhaustively."""
-        alg, n = self.alg, self.n
-        preds = predicate_space(alg.m, n)
-        leq = alg.leq
-        for i, p in enumerate(preds):
-            for j, q in enumerate(preds):
-                if all(leq(a, b) for a, b in zip(p, q)) and not leq(table[i], table[j]):
-                    return False
-        return True
+        """N(s1) <= N(s2) whenever s1 <= s2 pointwise, checked exhaustively
+        over the cached strictly-below lists of the predicate poset."""
+        _, _, below = _pred_poset(self.alg, self.n)
+        leq = self.alg._leq
+        return all(
+            leq[table[j]][table[i]] for i, lower in enumerate(below) for j in lower
+        )
 
     def count(self) -> int:
         return fvalue_count(self.kind, self.n, self.alg.m)

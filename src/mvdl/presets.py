@@ -14,7 +14,7 @@
 from __future__ import annotations
 
 from .actions import OperationSpec, TestSpec
-from .algebra import Algebra, build_builtin, sanitize_label
+from .algebra import Algebra, algebra_by_name, sanitize_label
 from .errors import InvalidParameter
 from .functors import Kind
 from .semantics import LiftingSpec, LogicConfig
@@ -47,7 +47,7 @@ def make_preset(
     if name not in PRESET_NAMES:
         raise InvalidParameter(f"unknown preset {name!r}")
     if alg is None:
-        alg = build_builtin("boolean")
+        alg = algebra_by_name("B2")
 
     if name == "pdl-crisp":
         liftings = {
@@ -76,7 +76,7 @@ def make_preset(
         tests = {"t": TestSpec("t", "labelled-unit")}
         kind, truth, struct, box, dia = Kind.APOWERSET, alg, alg, "box", "dia"
     elif name == "pdl-threshold":
-        truth = build_builtin("boolean")
+        truth = algebra_by_name("B2")
         liftings = {
             threshold_lifting_id(alg, r): LiftingSpec(
                 threshold_lifting_id(alg, r), 1, "threshold", param=r

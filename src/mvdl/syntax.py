@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 from .errors import ArityMismatch, FormulaSyntaxError, LengthMismatch, UnknownIdentifier
 
@@ -102,8 +102,10 @@ class Test:
     arg: "Formula"
 
 
-Formula = Union[Prop, Var, Conn, Modal]
-Action = Union[Atomic, Op, Test]
+# `|` builds a fresh union; typing.Union[...] would sit in typing's global
+# cache and keep this module alive after mvdl is removed from sys.modules
+Formula = Prop | Var | Conn | Modal
+Action = Atomic | Op | Test
 
 TOP = Conn("1")
 BOT = Conn("0")

@@ -3,10 +3,11 @@
 These are the evaluators mvdl shipped before formulas and rule templates
 were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
-case-by-case rule-soundness and entailment sweeps built on them; and the
-exhaustive safety sweep as it ran on FValues before it ran on ids.  The
-differential tests check the compiled plans and the id sweeps against them;
-nothing in ``src/`` imports them.
+case-by-case rule-soundness and entailment sweeps built on them; the
+exhaustive safety sweep as it ran on FValues before it ran on ids; and the
+monotonicity check as a scan over all pairs of predicates.  The differential
+tests check the compiled plans, the id sweeps and the predicate-poset check
+against them; nothing in ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -439,3 +440,18 @@ def reference_safety(target, config, max_n: int, budget: int = 1_000_000):
                             "state": x,
                         }
     return "holds-up-to-bound", cases, None
+
+
+# -- functors ----------------------------------------------------------------
+
+
+def reference_is_monotone(fops, table) -> bool:
+    """N(s1) <= N(s2) whenever s1 <= s2 pointwise, over all P^2 predicate pairs."""
+    alg = fops.alg
+    preds = predicate_space(alg.m, fops.n)
+    leq = alg.leq
+    for i, p in enumerate(preds):
+        for j, q in enumerate(preds):
+            if all(leq(a, b) for a, b in zip(p, q)) and not leq(table[i], table[j]):
+                return False
+    return True

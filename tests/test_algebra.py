@@ -3,6 +3,7 @@
 import pytest
 
 from mvdl.algebra import (
+    MAX_BUILTIN_CHAIN,
     Algebra,
     algebra_by_name,
     build_builtin,
@@ -45,6 +46,28 @@ class TestBuiltins:
         assert algebra_by_name("G2").m == 3
         with pytest.raises(InvalidParameter):
             algebra_by_name("Q7")
+
+    def test_builtins_are_shared(self):
+        assert algebra_by_name("L2") is algebra_by_name("L2")
+        assert algebra_by_name("B2") is algebra_by_name("B2")
+        # a leading zero names the same chain
+        assert algebra_by_name("G02") is algebra_by_name("G2")
+
+    @pytest.mark.parametrize("family", ["L", "G"])
+    def test_chain_size_is_bounded(self, family):
+        assert algebra_by_name(f"{family}{MAX_BUILTIN_CHAIN}").m == MAX_BUILTIN_CHAIN + 1
+        for name in (f"{family}{MAX_BUILTIN_CHAIN + 1}", family + "9" * 5000):
+            with pytest.raises(InvalidParameter, match=name[:8]):
+                algebra_by_name(name)
+
+    def test_shared_clone_still_honours_a_smaller_budget(self):
+        L3 = algebra_by_name("L3")
+        assert len(L3.unary_term_closure()) == 64
+        # the cached clone has 64 functions: a budget below that raises as a
+        # first closure would, and one at or above it gets the cached clone
+        with pytest.raises(ClosureBudgetExceeded, match="budget of 63 functions"):
+            L3.unary_term_closure(63)
+        assert L3.unary_term_closure(64) is L3.unary_term_closure()
 
     def test_chain_is_linear(self, L3):
         assert L3.linear

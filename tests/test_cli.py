@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mvdl import algebra, cli
 from mvdl.cli import main
 from mvdl.jsonio import algebra_to_json, dumps, model_to_json
 from mvdl.algebra import build_builtin
@@ -221,6 +222,110 @@ class TestFormatFlag:
         code, out, _ = run(capsys, "semiprimal", "--algebra", "B2")
         assert code == 0
         assert out.startswith("semiprimal: True")
+
+
+class TestRepeatedCalls:
+    """One process, many main calls: no call leaks state into the next."""
+
+    VALIDATE = ["validate-algebra", "--algebra", "B2"]
+
+    def test_format_before_subcommand_does_not_stick(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", *self.VALIDATE)
+        assert code == 0
+        assert json.loads(out)["algebra"] == "B2"
+        code, out, _ = run(capsys, *self.VALIDATE)
+        assert code == 0
+        assert out.startswith("lattice: meet idempotent: pass")
+        code, out, _ = run(capsys, *self.VALIDATE, "--format", "json")
+        assert json.loads(out)["ok"] is True
+        _, out, _ = run(capsys, *self.VALIDATE)
+        assert out.startswith("lattice: ")
+
+    def test_gamma_does_not_stick(self, capsys, monkeypatch):
+        seen = []
+
+        def record(args, fmt):
+            seen.append(args)
+            return cli._cmd_entail(args, fmt)
+
+        monkeypatch.setitem(cli._COMMANDS, "entail", record)
+        argv = ["entail", "--preset", "pdl-crisp", "--phi", "q", "--max-n", "1"]
+        code, out, _ = run(capsys, *argv, "--gamma", "q")
+        assert (code, out.split()[0]) == (0, "holds-up-to-bound")
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.split()[0]) == (1, "fails")
+        assert not seen[1].gamma
+        # a caller that mutates what it was handed changes no later call
+        seen[0].gamma.append("p")
+        if seen[1].gamma is not None:
+            seen[1].gamma.append("q")
+        code, again, _ = run(capsys, *argv)
+        assert code == 1 and again.split("\n")[1:] == out.split("\n")[1:]
+        assert not seen[2].gamma
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["entail", "--no-such-flag"],
+            ["reduce", "--phi", "p", "--mode", "random", "--trials", "0"],
+            ["nonsense"],
+        ],
+    )
+    def test_usage_error_then_valid_call(self, capsys, bad):
+        code, out, err = run(capsys, *bad)
+        assert code == 2 and out == "" and "usage: mvdl" in err
+        code, out, err = run(capsys, "reduce", "--preset", "pdl-crisp", "--phi", "<a+b> p")
+        assert (code, out, err) == (0, "<a> p \\/ <b> p\n", "")
+
+    @pytest.mark.parametrize("help_argv", [["--help"], ["reduce", "--help"]])
+    def test_help_then_valid_call(self, capsys, help_argv):
+        code, out, _ = run(capsys, *help_argv)
+        assert code == 0 and out.startswith("usage: mvdl")
+        code, out, err = run(capsys, "semiprimal", "--algebra", "L2")
+        assert (code, out, err) == (0, "semiprimal: True (clone size 12)\n", "")
+
+    def test_closure_budget_is_checked_per_call(self, capsys):
+        # the shared L3 caches its 64-function clone; a later call with a
+        # smaller budget still runs out of budget, as a fresh process would
+        code, out, _ = run(capsys, "semiprimal", "--algebra", "L3")
+        assert (code, out) == (0, "semiprimal: True (clone size 64)\n")
+        code, _, err = run(capsys, "semiprimal", "--algebra", "L3", "--budget", "5")
+        assert code == 3
+        assert err == "budget exceeded: unary closure exceeded budget of 5 functions\n"
+
+
+class TestSetupIsPaidOnce:
+    def test_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(5):
+            run(capsys, "semiprimal", "--algebra", "B2")
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_term_clone_is_computed_once(self, capsys, monkeypatch):
+        algebra._shared_builtin.cache_clear()
+        calls = []
+        closure = algebra.unary_term_closure
+
+        def counting(alg, budget=algebra.DEFAULT_CLOSURE_BUDGET):
+            calls.append(alg.name)
+            return closure(alg, budget)
+
+        monkeypatch.setattr(algebra, "unary_term_closure", counting)
+        argv = ["reduce", "--preset", "pdl-labelled", "--algebra", "L2"]
+        for _ in range(2):
+            assert run(capsys, *argv, "--phi", "[?t(p)] q") == (0, "p -> q\n", "")
+        assert calls == ["L2"]
+
+    @pytest.mark.parametrize("family", ["L", "G"])
+    def test_chain_size_is_bounded(self, capsys, family):
+        largest = f"{family}{algebra.MAX_BUILTIN_CHAIN}"
+        code, out, _ = run(capsys, "validate-algebra", "--algebra", largest)
+        assert code == 0 and "FAIL" not in out
+        too_large = f"{family}{algebra.MAX_BUILTIN_CHAIN + 1}"
+        code, out, err = run(capsys, "validate-algebra", "--algebra", too_large)
+        assert code == 2 and out == ""
+        assert err.startswith("error [invalid-parameter]: ") and repr(too_large) in err
 
 
 class TestZeroCaseSweeps:

@@ -4,14 +4,18 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvdl import syntax as sx
+from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant, UnknownAtom, UnknownIdentifier
 from mvdl.functors import Kind, functor_ops, predicate_space
 from mvdl.semantics import LiftingSpec, Model, apply_lifting, eval_formula
 from mvdl.syntax import parse
 
 from conftest import random_formula, random_model
+from reference_eval import reference_is_monotone
 
 
 class TestEnumeration:
@@ -34,7 +38,7 @@ class TestEnumeration:
         fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 1, L2)
         direct = set(fops.enumerate())
         full = functor_ops(Kind.A_NEIGHBOURHOOD, 1, L2)
-        filtered = {v for v in full.enumerate() if fops.is_monotone(v)}
+        filtered = {v for v in full.enumerate() if reference_is_monotone(fops, v)}
         assert direct == filtered
 
     def test_double_powerset_count(self, B2):
@@ -57,6 +61,57 @@ class TestEnumeration:
         rng = random.Random(5)
         for _ in range(50):
             assert fops.is_monotone(fops.random_value(rng))
+
+
+# B2 x B2 is not a chain, so the lexicographic order of its predicates is not
+# a linear extension of their pointwise order
+_SQUARE = Algebra(
+    4,
+    meet=[[x & y for y in range(4)] for x in range(4)],
+    join=[[x | y for y in range(4)] for x in range(4)],
+    tensor=[[x & y for y in range(4)] for x in range(4)],
+    impl=[[(~x | y) & 3 for y in range(4)] for x in range(4)],
+)
+_MONOTONE_ALGEBRAS = [
+    build_builtin("boolean"),
+    build_builtin("lukasiewicz", 2),
+    build_builtin("goedel", 2),
+    build_builtin("lukasiewicz", 3),
+    _SQUARE,
+]
+
+
+@st.composite
+def monotone_candidates(draw):
+    """A neighbourhood table near the monotone ones: a random monotone table
+    with up to three entries overwritten, or a uniform table."""
+    alg = draw(st.sampled_from(_MONOTONE_ALGEBRAS))
+    n = draw(st.integers(1, 2))
+    fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, n, alg)
+    size = alg.m**n
+    entry = st.integers(0, alg.m - 1)
+    if draw(st.booleans()):
+        return fops, tuple(draw(st.lists(entry, min_size=size, max_size=size)))
+    table = list(fops.random_value(random.Random(draw(st.integers(0, 2**32)))))
+    for _ in range(draw(st.integers(0, 3))):
+        table[draw(st.integers(0, size - 1))] = draw(entry)
+    return fops, tuple(table)
+
+
+class TestMonotoneCheck:
+    @settings(max_examples=600, deadline=None)
+    @given(monotone_candidates())
+    def test_matches_pairwise_scan(self, case):
+        fops, table = case
+        assert fops.is_monotone(table) == reference_is_monotone(fops, table)
+
+    def test_every_table_at_n1(self, L2):
+        # exhaustive at one state: 3^3 tables over L2, 10 of them monotone
+        fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 1, L2)
+        full = functor_ops(Kind.A_NEIGHBOURHOOD, 1, L2)
+        verdicts = [(fops.is_monotone(v), reference_is_monotone(fops, v)) for v in full.enumerate()]
+        assert all(a == b for a, b in verdicts)
+        assert sum(a for a, _ in verdicts) == 10
 
 
 class TestLiftings:

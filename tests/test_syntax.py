@@ -1,7 +1,11 @@
 """Parser, renderer and template machinery."""
 
+import os
 import random
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -236,3 +240,26 @@ def _sized(body):
         max((node.index for node in nodes if isinstance(node, sx.Var)), default=0),
         body,
     )
+
+
+def test_reimport_frees_the_old_modules():
+    # a process that drops mvdl from sys.modules and imports it again (as a
+    # benchmark pass or importlib.reload does) must not keep the old copy
+    # alive, e.g. through a typing cache; run apart so this suite keeps its mvdl
+    code = """
+import gc, sys, weakref
+import mvdl.cli
+old = weakref.ref(sys.modules["mvdl.syntax"].Conn)
+mvdl.cli.main(["reduce", "--preset", "pdl-labelled", "--algebra", "L2", "--phi", "<a+b> p"])
+for name in [n for n in sys.modules if n == "mvdl" or n.startswith("mvdl.")]:
+    del sys.modules[name]
+del mvdl
+import mvdl.cli
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
