@@ -171,6 +171,9 @@ def double_star_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
     return smap
 
 
+COMPOSITION_VARIANTS = ("kleisli", "double-seq", "double-star")
+
+
 def composition_map(fops: FunctorOps, variant: str, g2: Coalgebra) -> Callable:
     if variant == "kleisli":
         return kleisli_compose_map(fops, g2)
@@ -219,7 +222,7 @@ def apply_op(
         return tuple(
             tuple(alg.neg(g[x][j]) for j in negmap) for x in range(n)
         )
-    if variant in ("kleisli", "double-seq", "double-star"):
+    if variant in COMPOSITION_VARIANTS:
         g1, g2 = gammas
         cmap = composition_map(fops, variant, g2)
         return tuple(cmap(g1[x]) for x in range(n))

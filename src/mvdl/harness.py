@@ -7,7 +7,10 @@ the sweep sampled, "fails" with a replayable counterexample otherwise.
 First counterexamples are reported in canonical enumeration order, so
 identical inputs give identical reports.
 
-The exhaustive safety sweep runs on ids: a value is its index in the
+Rule-soundness sweeps and exhaustive bounded entailment compile what they
+compare (a rule's two sides; Gamma and phi) into one
+``semantics._TemplatePlan`` and run its slot loop, ``sweep``.  The
+exhaustive safety sweep runs on ids of its own: a value is its index in the
 canonical enumeration of FX, a source coalgebra a tuple of such ids, and a
 target coalgebra its cid, its index in the product of the target values.
 Ff is a value-id table per map f, and only a counterexample is decoded back
@@ -23,13 +26,7 @@ from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .actions import (
-    OperationSpec,
-    TestSpec,
-    apply_op,
-    apply_test,
-    composition_map,
-)
+from .actions import OperationSpec, TestSpec, apply_op, apply_test
 from .algebra import Algebra
 from .errors import (
     BudgetExceeded,
@@ -53,6 +50,10 @@ from .semantics import (
 )
 from .syntax import (
     Formula,
+    Modal,
+    Op,
+    Test,
+    Var,
     atoms_of,
     formula_actions,
     props_of,
@@ -553,130 +554,86 @@ def verify_reduction_rule(
 ) -> Verdict:
     """Check lambda(sigmas) . O(gammas) = template[gammas, sigmas] exactly.
 
-    Exhaustive mode sweeps every coalgebra tuple, predicate tuple and state
-    at carrier size n; random mode samples ``trials`` coalgebra/predicate
-    draws.  Values are exact algebra elements, so the tolerance is zero.
-    Each coalgebra tuple is checked against the whole sigma-space at once,
-    as one list of ids per side; the first differing position is the first
+    Both sides compile into one template plan.  The left-hand side is an
+    ordinary formula under the rule's lifting: ``<O(1, .., arity)>`` over
+    w1..wk, or ``<?t(w1)>`` over w2..wk+1 for a test rule, which then has
+    no slots and takes its test argument as one more variable.  Exhaustive
+    mode sweeps every coalgebra tuple, predicate tuple and state at carrier
+    size n; random mode samples ``trials`` coalgebra/predicate draws.
+    Values are exact algebra elements, so the tolerance is zero.  Each
+    coalgebra tuple is checked against the whole sigma-space at once, as
+    one list of ids per side; the first differing position is the first
     failing case of the case-by-case order.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials)
     fops = config.fops(n)
-    truth = config.truth
     k = config.lifting(rule.lifting).arity
-    plan = _TemplatePlan(config, n)
-    lhs = plan.lifter(rule.lifting)
     is_test = rule.target_kind == "test"
     if is_test:
-        spec = config.test(rule.target)
-        arity = 0
+        arity, action = 0, Test(rule.target, Var(1))
     else:
-        op = config.op(rule.target)
-        arity = op.arity
-    root = plan.compile(rule.template.body, arity, k + is_test)
-    preds, index, P, cids, vals = plan.preds, plan.index, plan.P, plan.cids, plan.vals
+        arity = config.op(rule.target).arity
+        action = Op(rule.target, tuple(range(1, arity + 1)))
+    n_vars = k + is_test
+    plan = _TemplatePlan(config, n)
+    args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
+    lhs = plan.compile(Modal(rule.lifting, action, args), arity, n_vars)
+    rhs = plan.compile(rule.template.body, arity, n_vars)
+    preds, cids, vals = plan.preds, plan.cids, plan.vals
     cases = 0
 
-    def fail(got, rhs, cases, gammas, sigma_t, var_lists) -> Verdict:
+    def fail(var_lists) -> Verdict:
         """The verdict for the first sigma-list position where the sides differ."""
-        i = next(i for i, (u, v) in enumerate(zip(got, rhs)) if u != v)
+        got, want = vals[lhs], vals[rhs]
+        i = next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
+        sigmas = [list(preds[ids[i]]) for ids in var_lists]
         counter = {
             "rule": list(rule.key),
-            "sigmas": [list(preds[ids[i]]) for ids in var_lists],
+            "sigmas": sigmas[is_test:],
             "lhs": list(preds[got[i]]),
-            "rhs": list(preds[rhs[i]]),
+            "rhs": list(preds[want[i]]),
         }
-        if gammas is not None:
-            counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in gammas]
-        if sigma_t is not None:
-            counter["test_argument"] = list(sigma_t)
+        if is_test:
+            counter["test_argument"] = sigmas[0]
+        else:
+            counter["gammas"] = [
+                [fvalue_to_json(config.kind, v) for v in plan.coalgs[c]] for c in cids
+            ]
         return _verdict("fails", cases + (i + 1) * n, t0, counter)
 
     if mode == "exhaustive":
-        S = P**k
-        keys = list(range(S))
-        var_lists = assignments(P, k)
-        if is_test:
-            for t, sigma_t in enumerate(preds):
-                gamma = apply_test(spec, sigma_t, fops, truth)
-                plan.load([[t] * S] + var_lists, S)
-                got, rhs = lhs(plan.intern(gamma), keys), vals[root]
-                if got != rhs:
-                    return fail(got, rhs, cases, None, sigma_t, var_lists)
-                cases += n * S
-            return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
-        values = _space(fops, budget)
-        coalgs = _coalgebras(values, n)
-        for g in coalgs:  # the cid of coalgs[i] is i
-            plan.intern(g)
-        plan.load(var_lists, S)
-        if arity == 1:
-            for c, g in enumerate(coalgs):
-                cids[0] = c
-                plan.run(2)
-                got, rhs = lhs(plan.intern(apply_op(op, (g,), fops)), keys), vals[root]
-                if got != rhs:
-                    return fail(got, rhs, cases, (g,), None, var_lists)
-                cases += n * S
-        else:
-            compose_like = op.variant in ("kleisli", "double-seq", "double-star")
-            for c2, g2 in enumerate(coalgs):
-                cids[1] = c2
-                plan.run(1)
-                if compose_like:
-                    cmap = composition_map(fops, op.variant, g2)
-                    comp = {t: cmap(t) for t in values}
-                for c1, g1 in enumerate(coalgs):
-                    cids[0] = c1
-                    plan.run(2)
-                    if compose_like:
-                        out = tuple(comp[g1[x]] for x in range(n))
-                    else:
-                        out = apply_op(op, (g1, g2), fops)
-                    got, rhs = lhs(plan.intern(out), keys), vals[root]
-                    if got != rhs:
-                        return fail(got, rhs, cases, (g1, g2), None, var_lists)
-                    cases += n * S
+        if not is_test:
+            for g in _coalgebras(_space(fops, budget), n):  # the i-th gets cid i
+                plan.intern(g)
+        n_coalgs = len(plan.coalgs)
+        var_lists = assignments(plan.P, n_vars)
+        size = len(var_lists[0])
+        plan.load(var_lists, size)
+        for _ in plan.sweep(n_coalgs):
+            if vals[lhs] != vals[rhs]:
+                return fail(var_lists)
+            cases += n * size
         return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
 
-    rng = random.Random(seed)
-    gammas = sigma_t = None
+    rng, m = random.Random(seed), config.truth.m
     for _ in range(trials):
         if len(plan.coalgs) > SAMPLED_COALGEBRAS:
             plan.forget()
-        if is_test:
-            sigma_t = tuple(rng.randrange(truth.m) for _ in range(n))
-            sigmas = _random_sigmas(truth, n, k, rng)
-            out = apply_test(spec, sigma_t, fops, truth)
-        else:
-            gammas = tuple(
-                tuple(fops.random_value(rng) for _ in range(n)) for _ in range(arity)
-            )
-            sigmas = _random_sigmas(truth, n, k, rng)
-            out = apply_op(op, gammas, fops)
-            for s, g in enumerate(gammas):
-                cids[s] = plan.intern(g)
-        var_lists = [[index[sigma]] for sigma in sigmas]
-        key = 0
-        for (v,) in var_lists:
-            key = key * P + v
-        plan.load([[index[sigma_t]]] + var_lists if is_test else var_lists, 1)
+        for s in range(arity):
+            cids[s] = plan.intern(tuple(fops.random_value(rng) for _ in range(n)))
+        var_lists = [
+            [plan.index[tuple(rng.randrange(m) for _ in range(n))]] for _ in range(n_vars)
+        ]
+        plan.load(var_lists, 1)
         plan.run(1)
         plan.run(2)
-        got, rhs = lhs(plan.intern(out), [key]), vals[root]
-        if got != rhs:
-            return fail(got, rhs, cases, gammas, sigma_t, var_lists)
+        if vals[lhs] != vals[rhs]:
+            return fail(var_lists)
         cases += n
     return _verdict(
         "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
         trials=trials, seed=seed,
-    )
-
-
-def _random_sigmas(truth: Algebra, n: int, k: int, rng: random.Random) -> tuple:
-    return tuple(
-        tuple(rng.randrange(truth.m) for _ in range(n)) for _ in range(k)
     )
 
 
@@ -955,14 +912,8 @@ def bounded_entailment(
             plan.load(var_lists, size)
             preds, top_id, full = plan.preds, plan.index[(top,) * n], (1 << n) - 1
             tops = [crisp_mask(truth, p) for p in preds]  # id -> states at top
-            cids, vals = plan.cids, plan.vals
-            outer = None
-            for assign in product(range(len(coalgs)), repeat=len(atom_names)):
-                cids[:] = assign[::-1]
-                if assign[:-1] != outer:
-                    outer = assign[:-1]
-                    plan.run(1)
-                plan.run(2)
+            vals = plan.vals
+            for cids in plan.sweep(len(coalgs)):
                 phi_ids = vals[phi_at]
                 if phi_ids.count(top_id) == size:
                     cases += size
@@ -975,7 +926,7 @@ def bounded_entailment(
                     if bad:
                         return countermodel(
                             cases + i + 1, n,
-                            {name: coalgs[c] for name, c in zip(atom_names, assign)},
+                            {name: coalgs[c] for name, c in zip(atom_names, cids[::-1])},
                             {name: preds[ids[i]] for name, ids in zip(prop_names, var_lists)},
                             (bad & -bad).bit_length() - 1,
                         )

@@ -9,11 +9,13 @@ distinct subterm, which then runs over any number of models; an EvalSession
 holds one plan and the values it has computed so far for one model.
 
 The exhaustive sweeps run a _TemplatePlan instead, on predicate and
-coalgebra ids over a whole space of variable assignments at once.  A
-reduction-rule template is a formula over variables and action slots; a
-formula under bounded entailment is the same kind of object, its
-propositions playing the variables and its atomic actions the slots, so the
-rule-soundness sweep and the exhaustive entailment sweep share that plan.
+coalgebra ids over a whole space of variable assignments at once.  Both
+sides of a reduction rule are formulas over variables and action slots (the
+template, and the lifting applied to the operation over slots 1..arity or
+to the test of variable 1); a formula under bounded entailment is the same
+kind of object, its propositions playing the variables and its atomic
+actions the slots.  So the rule-soundness sweep and the exhaustive
+entailment sweep share that plan and its slot loop, ``_TemplatePlan.sweep``.
 Both plans resolve connectives through ``connective``.
 
 Two algebras show up because the threshold logic evaluates formulas in the
@@ -25,17 +27,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from functools import lru_cache
+from itertools import product, repeat, starmap
 from operator import add, getitem, mul
 from typing import Mapping, Sequence
 
 from .actions import (
+    COMPOSITION_VARIANTS,
     Coalgebra,
     DEFAULT_ITERATE_CAP,
     OperationSpec,
     TestSpec,
     apply_op,
     apply_test,
+    composition_map,
 )
 from .algebra import Algebra
 from .errors import (
@@ -478,15 +483,18 @@ class _TemplatePlan:
     operations and tests read id tables whose entries are computed on first
     use: an extra connective keys on its argument id, a binary one on both,
     a lifting on the cid of its action and its argument ids combined into
-    one key, an operation on its arguments' cids, a test on its argument's
-    id.  A lifting entry is assembled from the lifted truth values of the
-    coalgebra's FValues, each computed once by the lifting's kernel and kept
-    per FValue, since sampled coalgebras seldom recur but their FValues do.
-    ``forget`` drops the interned coalgebras and every table that holds
-    cids, so a long sampled sweep can bound its memory.  Steps fall into
-    groups by what they read: 0 the variables only, 1 also a slot other
-    than the first, 2 the first slot.  Sweeps move slot 1 in their innermost
-    loop, so only group 2 reruns there.
+    one key, a test on its argument's id.  A lifting entry is assembled from
+    the lifted truth values of the coalgebra's FValues, each computed once
+    by the lifting's kernel and kept per FValue, since sampled coalgebras
+    seldom recur but their FValues do.  An operation keeps its outputs by
+    operand cids only where those are few (one operand, or a test's cid
+    list); a pair of slots, of which there are C**2, is computed afresh, a
+    composition against the map of its right operand, which it keeps while
+    that operand stays.  ``forget`` drops the interned coalgebras and every
+    table that holds cids, so a long sampled sweep can bound its memory.
+    Steps fall into groups by what they read: 0 the variables only, 1 also
+    a slot other than the first, 2 the first slot.  ``sweep`` moves slot 1
+    in its innermost loop, so only group 2 reruns there.
     """
 
     def __init__(self, config: LogicConfig, n: int):
@@ -554,17 +562,23 @@ class _TemplatePlan:
         for pos, step in self.groups[group]:
             vals[pos] = step(vals)
 
-    def lifter(self, lid: str):
-        """``(cid, keys) -> ids``: lifting ``lid`` at one coalgebra."""
-        _, rows, fill = self._lifting(lid)
-
-        def lift(cid, keys):
-            try:
-                return list(map(rows[cid].__getitem__, keys))
-            except KeyError:
-                return fill(cid, keys)
-
-        return lift
+    def sweep(self, coalgs: int):
+        """Run groups 1 and 2 at every assignment of the cids below
+        ``coalgs`` to the slots, in ``product`` order with slot 1 fastest,
+        and yield ``cids`` after each; group 1 reruns only when a slot other
+        than the first moves.  With no slots there is one assignment."""
+        cids, vals, inner = self.cids, self.vals, self.groups[2]
+        if not cids:
+            yield cids
+            return
+        for outer in product(range(coalgs), repeat=len(cids) - 1):
+            cids[1:] = outer[::-1]
+            self.run(1)
+            for cid in range(coalgs):
+                cids[0] = cid
+                for pos, step in inner:
+                    vals[pos] = step(vals)
+                yield cids
 
     def eval(self, body, gammas, sigmas) -> tuple:
         """The row of ``body`` at one coalgebra tuple and one assignment."""
@@ -739,10 +753,13 @@ class _TemplatePlan:
         args = [self._compile(a) for a in node.args]
         keys, kgroup = args[0] if arity == 1 else self._keys(args)
         if act not in self._each:
-            lift = self.lifter(node.lifting)
 
             def modal(vals):
-                return lift(vals[act], vals[keys])
+                cid = vals[act]
+                try:
+                    return list(map(rows[cid].__getitem__, vals[keys]))
+                except KeyError:
+                    return fill(cid, vals[keys])
 
         else:  # one cid per position
 
@@ -768,25 +785,51 @@ class _TemplatePlan:
         args = [self._action(a) for a in node.args]
         group = max((g for _, g in args), default=0)
         positions = [pos for pos, _ in args]
-        table, coalgs, fops, intern = self._table(), self.coalgs, self.fops, self.intern
-
-        def result(key):
-            got = table.get(key)
-            if got is None:
-                got = table[key] = intern(apply_op(spec, [coalgs[c] for c in key], fops))
-            return got
-
         each = [pos in self._each for pos in positions]
-        if not any(each):
+        coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
+        if variant in COMPOSITION_VARIANTS:
+            right = self._table()  # the last right operand's cid -> its map
 
-            def op(vals):
-                return result(tuple([vals[i] for i in positions]))
+            def output(c1, c2):
+                after = right.get(c2)
+                if after is None:
+                    right.clear()
+                    after = right[c2] = lru_cache(None)(composition_map(fops, variant, coalgs[c2]))
+                return intern(tuple(map(after, coalgs[c1])))
 
-        else:  # one cid per position, a single cid standing for all
+        else:
+
+            def output(*key):
+                return intern(apply_op(spec, [coalgs[c] for c in key], fops))
+
+        if len(args) == 1 or any(each):
+            # memoised by operand cids where these are few: one operand, or
+            # test outputs; a pair of slots has C**2
+            table, compute = self._table(), output
+
+            def output(*key):
+                got = table.get(key)
+                if got is None:
+                    got = table[key] = compute(*key)
+                return got
+
+        if any(each):  # one cid per position, a single cid standing for all
 
             def op(vals):
                 cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, each)]
-                return list(map(result, zip(*cols)))
+                return list(starmap(output, zip(*cols)))
+
+        elif len(positions) == 1:
+            (a,) = positions
+
+            def op(vals):
+                return output(vals[a])
+
+        else:
+            a, b = positions
+
+            def op(vals):
+                return output(vals[a], vals[b])
 
         got = self._add(group, op)
         if any(each):

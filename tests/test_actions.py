@@ -107,7 +107,6 @@ class TestKleisliLaws:
                         fops, g1, compose(fops, g2, g3)
                     )
 
-    @pytest.mark.slow
     def test_associativity_apowerset_exhaustive(self, L2):
         fops = functor_ops(Kind.APOWERSET, 2, L2)
         coalgs = list(product(fops.enumerate(), repeat=2))

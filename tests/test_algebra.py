@@ -192,7 +192,6 @@ class TestSemiprimality:
         assert is_semiprimal(L2)
         assert is_semiprimal(L3)
 
-    @pytest.mark.slow
     def test_lukasiewicz4(self):
         assert is_semiprimal(build_builtin("lukasiewicz", 4))
 

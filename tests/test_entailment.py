@@ -149,6 +149,28 @@ def test_pinned_countermodel_with_assumptions():
     }
 
 
+def test_pinned_composition_countermodel():
+    # recorded before operation outputs were composed against the right
+    # operand: a;b has b, slot 1, as its right operand, and b;a has a
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    phi = parse("<a;b>p -> <b;a>p", config.signature)
+    verdict = bounded_entailment([], phi, config, max_n=2)
+    assert (verdict.status, verdict.cases) == ("fails", 817)
+    assert verdict.counterexample == {
+        "gamma": [],
+        "model": {
+            "algebra": "L2",
+            "atoms": {"a": [[0, 0], [0, 1]], "b": [[0, 0], [2, 0]]},
+            "kind": "apowerset",
+            "n": 2,
+            "preset": "pdl-labelled",
+            "valuation": {"p": [2, 0]},
+        },
+        "phi": "<a;b> p -> <b;a> p",
+        "state": 1,
+    }
+
+
 def test_large_sampled_carriers_stay_cheap(monkeypatch):
     # 3^14 predicates exist at 14 states; a sampled sweep evaluates its
     # models one by one and must never build that space

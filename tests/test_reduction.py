@@ -8,6 +8,8 @@ import pytest
 from mvdl import syntax as sx
 from mvdl.algebra import build_builtin
 from mvdl.errors import IterationPresent, NonlinearAlgebra, NoRule, RewriteBudgetExceeded
+from mvdl.harness import bounded_entailment
+from mvdl.jsonio import model_from_json
 from mvdl.presets import make_preset
 from mvdl.reduction import (
     ReductionRule,
@@ -17,7 +19,7 @@ from mvdl.reduction import (
     reduce_step,
     _rewrite_modal,
 )
-from mvdl.semantics import eval_formula
+from mvdl.semantics import EvalSession, eval_formula
 from mvdl.syntax import Template, parse, render
 
 from conftest import random_formula, random_model
@@ -273,3 +275,63 @@ class TestRewriting:
             assert is_normal_form(outer)
             model = random_model(rng, labelled_l2, 2)
             assert eval_formula(model, inner) == eval_formula(model, outer)
+
+
+# -- reducibility, checked exhaustively ---------------------------------------
+#
+# Strong completeness rests on every formula being equivalent to its normal
+# form.  The check above samples one model per carrier size; these sweep
+# every model up to max_n states.
+
+
+def _iff(phi, psi):
+    return sx.Conn("/\\", (sx.Conn("->", (phi, psi)), sx.Conn("->", (psi, phi))))
+
+
+@pytest.mark.parametrize(
+    "preset_name,alg_name,max_n",
+    [
+        ("pdl-crisp", "L2", 2),
+        ("pdl-labelled", "L2", 2),
+        ("pdl-threshold", "L2", 2),
+        ("game", "L2", 1),
+        ("instantial", "B2", 1),
+    ],
+)
+def test_normal_form_is_equivalent_in_every_small_model(preset_name, alg_name, max_n):
+    from mvdl.algebra import algebra_by_name
+
+    config = make_preset(preset_name, algebra_by_name(alg_name))
+    reg = builtin_rules(config)
+    rng = random.Random(303)
+    for _ in range(30):
+        phi = random_formula(rng, config, depth=3, allow_star=False)
+        verdict = bounded_entailment([], _iff(phi, reduce_full(phi, reg)), config, max_n=max_n)
+        assert verdict.status == "holds-up-to-bound", (render(phi), verdict.counterexample)
+
+
+def _swap_meet_join(node):
+    if isinstance(node, sx.Conn):
+        symbol = {"/\\": "\\/", "\\/": "/\\"}.get(node.symbol, node.symbol)
+        return sx.Conn(symbol, tuple(map(_swap_meet_join, node.args)))
+    if isinstance(node, sx.Modal):
+        return sx.Modal(node.lifting, node.action, tuple(map(_swap_meet_join, node.args)))
+    return node
+
+
+def test_normal_form_of_a_swapped_rule_is_refuted(labelled_l2):
+    # the same check must catch a registry with one rule's /\ and \/ swapped,
+    # with a countermodel on which the two sides evaluate apart
+    reg = builtin_rules(labelled_l2)
+    key = ("op", "+", "dia")
+    template = reg.rules[key].template
+    reg.rules[key] = ReductionRule(
+        *key, Template(template.n, template.k, _swap_meet_join(template.body))
+    )
+    phi = parse("<a+b> p", labelled_l2.signature)
+    normal = reduce_full(phi, reg)
+    verdict = bounded_entailment([], _iff(phi, normal), labelled_l2, max_n=2)
+    assert verdict.status == "fails"
+    session = EvalSession(model_from_json(verdict.counterexample["model"]))
+    state = verdict.counterexample["state"]
+    assert session.eval(phi)[state] != session.eval(normal)[state]

@@ -242,6 +242,24 @@ def test_pinned_instantial_union_with_meet_for_join():
     }
 
 
+def test_pinned_test_rule_with_meet_for_tensor():
+    # recorded before a test rule swept one sigma-space with its test
+    # argument as the first variable; the counterexample decodes it back
+    config = _labelled()
+    template = sx.parse("w1 /\\ w2", config.signature, "template")
+    verdict = verify_reduction_rule(
+        _mutant(config, ("test", "t", "dia"), template.body), config, n=2
+    )
+    assert (verdict.status, verdict.cases) == ("fails", 22)
+    assert verdict.counterexample == {
+        "rule": ["test", "t", "dia"],
+        "sigmas": [[0, 1]],
+        "test_argument": [0, 1],
+        "lhs": [0, 0],
+        "rhs": [0, 1],
+    }
+
+
 def test_malformed_templates_are_rejected_before_sweeping(labelled_l2):
     for body, error in (
         (sx.Modal("dia", 2, (sx.Var(1),)), InvalidParameter),  # ~ has one slot
