@@ -7,14 +7,14 @@ the sweep sampled, "fails" with a replayable counterexample otherwise.
 First counterexamples are reported in canonical enumeration order, so
 identical inputs give identical reports.
 
-Rule-soundness sweeps and exhaustive bounded entailment compile what they
-compare (a rule's two sides; Gamma and phi) into one
-``semantics._TemplatePlan`` and run its slot loop, ``sweep``.  The
-exhaustive safety sweep runs on ids of its own: a value is its index in the
-canonical enumeration of FX, a source coalgebra a tuple of such ids, and a
-target coalgebra its cid, its index in the product of the target values.
-Ff is a value-id table per map f, and only a counterexample is decoded back
-to FValues.
+Rule-soundness sweeps and bounded entailment compile what they compare (a
+rule's two sides; Gamma and phi) into one ``semantics.Plan``; the
+exhaustive ones run its slot loop, ``sweep``, and the sampled ones load
+one drawn case at a time.  The exhaustive safety sweep runs on ids of its
+own: a value is its index in the canonical enumeration of FX, a source
+coalgebra a tuple of such ids, and a target coalgebra its cid, its index in
+the product of the target values.  Ff is a value-id table per map f, and
+only a counterexample is decoded back to FValues.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .semantics import (
     LogicConfig,
     Model,
     Plan,
-    _TemplatePlan,
     assignments,
     crisp_mask,
     lifting_kernel,
@@ -62,8 +61,8 @@ from .syntax import (
 
 DEFAULT_SEED = 0xC0A1
 DEFAULT_SWEEP_BUDGET = 1_000_000
-# a sampled rule sweep interns this many coalgebras, with their lifting
-# table entries, before it starts afresh: sampled coalgebras seldom recur,
+# a sampled sweep's plan interns this many coalgebras or predicates, with
+# their table entries, before it starts afresh: sampled ones seldom recur,
 # so keeping them all would only grow memory with the number of trials
 SAMPLED_COALGEBRAS = 1 << 14
 
@@ -576,10 +575,10 @@ def verify_reduction_rule(
         arity = config.op(rule.target).arity
         action = Op(rule.target, tuple(range(1, arity + 1)))
     n_vars = k + is_test
-    plan = _TemplatePlan(config, n)
+    plan = Plan(config, n, arity, n_vars)
     args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
-    lhs = plan.compile(Modal(rule.lifting, action, args), arity, n_vars)
-    rhs = plan.compile(rule.template.body, arity, n_vars)
+    lhs = plan.compile(Modal(rule.lifting, action, args))
+    rhs = plan.compile(rule.template.body)
     preds, cids, vals = plan.preds, plan.cids, plan.vals
     cases = 0
 
@@ -607,7 +606,7 @@ def verify_reduction_rule(
             for g in _coalgebras(_space(fops, budget), n):  # the i-th gets cid i
                 plan.intern(g)
         n_coalgs = len(plan.coalgs)
-        var_lists = assignments(plan.P, n_vars)
+        var_lists = assignments(plan.intern_space(), n_vars)
         size = len(var_lists[0])
         plan.load(var_lists, size)
         for _ in plan.sweep(n_coalgs):
@@ -618,18 +617,12 @@ def verify_reduction_rule(
 
     rng, m = random.Random(seed), config.truth.m
     for _ in range(trials):
-        if len(plan.coalgs) > SAMPLED_COALGEBRAS:
-            plan.forget()
-        for s in range(arity):
-            cids[s] = plan.intern(tuple(fops.random_value(rng) for _ in range(n)))
-        var_lists = [
-            [plan.index[tuple(rng.randrange(m) for _ in range(n))]] for _ in range(n_vars)
-        ]
-        plan.load(var_lists, 1)
-        plan.run(1)
-        plan.run(2)
+        plan.forget(SAMPLED_COALGEBRAS)
+        gammas = [tuple(fops.random_value(rng) for _ in range(n)) for _ in range(arity)]
+        sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(n_vars)]
+        plan.run_case(gammas, sigmas)
         if vals[lhs] != vals[rhs]:
-            return fail(var_lists)
+            return fail([[plan.pid(sigma)] for sigma in sigmas])
         cases += n
     return _verdict(
         "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
@@ -836,17 +829,6 @@ def _witness_eval(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
 # -- bounded entailment ----------------------------------------------------
 
 
-class _CaseModel:
-    """The part of a model a plan reads (carrier size, functor operations,
-    atoms and valuation), rebound case by case during a sampled sweep."""
-
-    __slots__ = ("n", "fops", "atoms", "valuation")
-
-    def __init__(self, n: int, fops: FunctorOps):
-        self.n = n
-        self.fops = fops
-
-
 def bounded_entailment(
     gamma: Sequence[Formula],
     phi: Formula,
@@ -860,12 +842,12 @@ def bounded_entailment(
     """Search standard models up to max_n states for a countermodel of
     Gamma |= phi; truth means value 1 at the state.
 
-    Exhaustive mode compiles Gamma and phi into an id plan per carrier size,
-    propositions as its variables and atomic actions as its slots, and
+    Gamma and phi compile into one plan per carrier size, propositions as
+    its variables and atomic actions as its slots.  Exhaustive mode
     evaluates them once per atom assignment over every valuation at once;
     the first failing position of the valuation list is the first
-    countermodel of the case-by-case order.  Random mode runs one ``Plan``
-    per sampled model, since sampled models seldom share a valuation.
+    countermodel of the case-by-case order.  Random mode loads each sampled
+    model into the plan of its size as a single case.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
@@ -888,16 +870,20 @@ def bounded_entailment(
             max_n=max_n, mode=mode, **detail,
         )
 
+    slots = atom_names[::-1]  # the last atom moves fastest: slot 1
+
+    def compiled(n: int):
+        plan = Plan(config, n, slots, prop_names)
+        return plan, [plan.compile(g) for g in gamma], plan.compile(phi)
+
     cases = 0
     if mode == "exhaustive":
-        slots = atom_names[::-1]  # the last atom moves fastest: slot 1
         for n in range(1, max_n + 1):
-            plan = _TemplatePlan(config, n)
-            gamma_at = [plan.compile(g, slots, prop_names) for g in gamma]
-            phi_at = plan.compile(phi, slots, prop_names)
+            plan, gamma_at, phi_at = compiled(n)
             values = list(plan.fops.enumerate(budget))
             n_coalgs = len(values) ** n
-            size = plan.P ** len(prop_names)  # valuations
+            P = plan.intern_space()
+            size = P ** len(prop_names)  # valuations
             total = (n_coalgs ** len(atom_names)) * size
             if total > budget:
                 raise BudgetExceeded(
@@ -908,9 +894,9 @@ def bounded_entailment(
             coalgs = _coalgebras(values, n)
             for g in coalgs:  # the cid of coalgs[i] is i
                 plan.intern(g)
-            var_lists = assignments(plan.P, len(prop_names))
+            var_lists = assignments(P, len(prop_names))
             plan.load(var_lists, size)
-            preds, top_id, full = plan.preds, plan.index[(top,) * n], (1 << n) - 1
+            preds, top_id, full = plan.preds, plan.pid((top,) * n), (1 << n) - 1
             tops = [crisp_mask(truth, p) for p in preds]  # id -> states at top
             vals = plan.vals
             for cids in plan.sweep(len(coalgs)):
@@ -932,37 +918,25 @@ def bounded_entailment(
                         )
                 cases += size
         return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode)
-    plan = Plan(config)
-    gamma_at = [plan.compile(g) for g in gamma]
-    phi_at = plan.compile(phi)
+    plans = {n: compiled(n) for n in range(1, max_n + 1)}
     rng = random.Random(seed)
-    cases_by_n = {n: _CaseModel(n, config.fops(n)) for n in range(1, max_n + 1)}
     for _ in range(trials):
-        case = cases_by_n[rng.randint(1, max_n)]
-        n, fops = case.n, case.fops
-        case.atoms = {
-            name: tuple(fops.random_value(rng) for _ in range(n))
-            for name in atom_names
-        }
-        case.valuation = {
-            name: tuple(rng.randrange(truth.m) for _ in range(n))
-            for name in prop_names
-        }
+        plan, gamma_at, phi_at = plans[rng.randint(1, max_n)]
+        n, fops = plan.n, plan.fops
+        gammas = [tuple(fops.random_value(rng) for _ in range(n)) for _ in atom_names]
+        sigmas = [tuple(rng.randrange(truth.m) for _ in range(n)) for _ in prop_names]
         cases += 1
-        found = _countermodel_state(plan, case, gamma_at, phi_at, top)
-        if found is not None:
-            return countermodel(cases, n, case.atoms, case.valuation, found, seed=seed)
+        plan.forget(SAMPLED_COALGEBRAS)
+        plan.run_case(reversed(gammas), sigmas)
+        preds, vals = plan.preds, plan.vals
+        phi_row = preds[vals[phi_at][0]]
+        for x in range(n):
+            if phi_row[x] != top and all(preds[vals[i][0]][x] == top for i in gamma_at):
+                return countermodel(
+                    cases, n, dict(zip(atom_names, gammas)), dict(zip(prop_names, sigmas)), x,
+                    seed=seed,
+                )
     return _verdict(
         "holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, trials=trials,
         seed=seed,
     )
-
-
-def _countermodel_state(plan: Plan, case: _CaseModel, gamma_at, phi_at, top: int) -> int | None:
-    values = plan.run(case, [])
-    rows = [values[i] for i in gamma_at]
-    phi_row = values[phi_at]
-    for x in range(case.n):
-        if phi_row[x] != top and all(r[x] == top for r in rows):
-            return x
-    return None

@@ -2,21 +2,17 @@
 
 A model fixes a carrier size, a logic configuration (functor kind, truth and
 structure algebras, the lifting/operation/test catalogue), coalgebras for the
-atomic actions and a propositional valuation.  Where one model at a time is
-evaluated (an EvalSession, a sampled entailment sweep), formulas and actions
-are compiled once into a Plan, a flat list of steps with one step per
-distinct subterm, which then runs over any number of models; an EvalSession
-holds one plan and the values it has computed so far for one model.
-
-The exhaustive sweeps run a _TemplatePlan instead, on predicate and
-coalgebra ids over a whole space of variable assignments at once.  Both
-sides of a reduction rule are formulas over variables and action slots (the
-template, and the lifting applied to the operation over slots 1..arity or
-to the test of variable 1); a formula under bounded entailment is the same
+atomic actions and a propositional valuation.  Formulas, actions and rule
+templates have one evaluator, the Plan: they compile once into a flat list
+of steps, one step per distinct subterm, which run on predicate and
+coalgebra ids.  Both sides of a reduction rule are formulas over variables
+and action slots (the template, and the lifting applied to the operation
+over slots 1..arity or to the test of variable 1); a formula is the same
 kind of object, its propositions playing the variables and its atomic
-actions the slots.  So the rule-soundness sweep and the exhaustive
-entailment sweep share that plan and its slot loop, ``_TemplatePlan.sweep``.
-Both plans resolve connectives through ``connective``.
+actions the slots.  So the rule-soundness and entailment sweeps share the
+plan and its slot loop, ``Plan.sweep``, and an EvalSession is a plan over
+one model: its atoms as the slots and its valuation rows as the variables,
+at a single case.  Connectives resolve through ``connective``.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -29,13 +25,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product, repeat, starmap
-from operator import add, getitem, mul
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .actions import (
     COMPOSITION_VARIANTS,
     Coalgebra,
-    DEFAULT_ITERATE_CAP,
     OperationSpec,
     TestSpec,
     apply_op,
@@ -321,246 +316,140 @@ def connective(truth: Algebra, sym: str, nargs: int) -> tuple[int, object]:
     return arity, table
 
 
-class Plan:
-    """Formulas and actions compiled into one flat, post-ordered step list.
-
-    Each distinct subterm becomes one step, placed after the steps of its
-    subterms, so running the steps in order over a model fills a value list
-    in which every subterm's value sits at its step index.  Liftings,
-    operations and tests are looked up and kind/arity-checked when a step
-    is compiled; running a step only computes.  A plan belongs to one
-    configuration and runs over any model of it, at any carrier size, so it
-    serves where models share little: an EvalSession, and the sampled
-    entailment sweep, whose models seldom share a valuation.
-    """
-
-    def __init__(self, config: LogicConfig, iterate_cap: int = DEFAULT_ITERATE_CAP):
-        self.config = config
-        self.iterate_cap = iterate_cap
-        self.steps: list = []
-        self._index: dict = {}  # node -> step index, in step order
-
-    def compile(self, node) -> int:
-        """The step index of ``node``, appending steps for its new subterms."""
-        got = self._index.get(node)
-        if got is None:
-            step = self._step(node)
-            got = self._index[node] = len(self.steps)
-            self.steps.append(step)
-        return got
-
-    def truncate(self, size: int) -> None:
-        """Drop every step from index ``size`` on."""
-        del self.steps[size:]
-        while len(self._index) > size:
-            self._index.popitem()
-
-    def run(self, model: "Model", values: list) -> list:
-        """Extend ``values`` over ``model`` by the steps it does not cover yet.
-
-        A step reads only the model's ``n``, ``fops``, ``atoms`` and
-        ``valuation``, so any object carrying those four will do.
-        """
-        steps = self.steps
-        for i in range(len(values), len(steps)):
-            values.append(steps[i](values, model))
-        return values
-
-    def _step(self, node):
-        config = self.config
-        if isinstance(node, Prop):
-            name = node.name
-
-            def prop(values, model):
-                try:
-                    return model.valuation[name]
-                except KeyError:
-                    raise UnknownIdentifier(
-                        f"proposition {name!r} is not interpreted"
-                    ) from None
-
-            return prop
-        if isinstance(node, Conn):
-            return self._conn_step(node)
-        if isinstance(node, Modal):
-            spec = config.lifting(node.lifting)
-            kernel = lifting_kernel(spec, config)
-            if len(node.args) != spec.arity:
-                raise ArityMismatch(
-                    f"lifting {spec.id!r} expects {spec.arity} predicate(s), "
-                    f"got {len(node.args)}"
-                )
-            act = self.compile(node.action)
-            args = [self.compile(a) for a in node.args]
-
-            def modal(values, model):
-                return kernel([values[i] for i in args], values[act], model.n)
-
-            return modal
-        if isinstance(node, Atomic):
-            name = node.name
-
-            def atomic(values, model):
-                try:
-                    return model.atoms[name]
-                except KeyError:
-                    raise UnknownAtom(
-                        f"atomic action {name!r} is not interpreted"
-                    ) from None
-
-            return atomic
-        if isinstance(node, Op):
-            spec = config.op(node.op)
-            spec.check_kind(config.kind)
-            if len(node.args) != spec.arity:
-                raise IncompatibleVariant(
-                    f"operation {spec.id!r} has arity {spec.arity}, "
-                    f"got {len(node.args)} actions"
-                )
-            args = [self.compile(a) for a in node.args]
-            cap = self.iterate_cap
-
-            def op(values, model):
-                return apply_op(spec, [values[i] for i in args], model.fops, cap=cap)
-
-            return op
-        if isinstance(node, Test):
-            spec = config.test(node.test)
-            spec.check_kind(config.kind)
-            arg = self.compile(node.arg)
-            truth = config.truth
-
-            def test(values, model):
-                return apply_test(spec, values[arg], model.fops, truth)
-
-            return test
-        raise InvalidParameter(f"not a formula or action node: {node!r}")
-
-    def _conn_step(self, node: Conn):
-        arity, table = connective(self.config.truth, node.symbol, len(node.args))
-        if arity == 0:
-
-            def constant(values, model):
-                return (table,) * model.n
-
-            return constant
-        args = [self.compile(a) for a in node.args]
-        if arity == 1:
-            lookup = table.__getitem__
-            (i,) = args
-
-            def extra(values, model):
-                return tuple(map(lookup, values[i]))
-
-            return extra
-        i, j = args
-
-        def binary(values, model):
-            return tuple([table[u][v] for u, v in zip(values[i], values[j])])
-
-        return binary
-
-
 def assignments(P: int, k: int) -> list[list[int]]:
     """The ids of k variables over all P**k assignments, in the order of
     ``product(range(P), repeat=k)``: one list per variable."""
     return [[key // P ** (k - 1 - i) % P for key in range(P**k)] for i in range(k)]
 
 
-class _TemplatePlan:
-    """Rule templates and formulas compiled for one sweep and evaluated on
-    small integers.
+def _interner(index: dict, values: list):
+    """A function giving a value's index in ``values``, appending the value
+    on first sight; ``index`` maps the values seen so far to their indices."""
 
-    A predicate is its id, its index in ``predicate_space(m, n)``; a
-    coalgebra is its cid, its index in ``coalgs`` (see ``intern``).  A
-    template's leaves are variables and its modalities hold action slots; a
-    formula compiles the same way, its propositions playing the variables
-    and its atomic actions the slots.  Each distinct subterm becomes one
-    step.  A formula step maps a sigma-list (variable assignments, in the
-    sweep's canonical order) to the list of its ids; a slot or operation
-    step gives one cid, and a test step a cid list, one cid per assignment,
-    as does an operation with such an argument.  Connectives, liftings,
-    operations and tests read id tables whose entries are computed on first
-    use: an extra connective keys on its argument id, a binary one on both,
-    a lifting on the cid of its action and its argument ids combined into
-    one key, a test on its argument's id.  A lifting entry is assembled from
-    the lifted truth values of the coalgebra's FValues, each computed once
-    by the lifting's kernel and kept per FValue, since sampled coalgebras
-    seldom recur but their FValues do.  An operation keeps its outputs by
-    operand cids only where those are few (one operand, or a test's cid
-    list); a pair of slots, of which there are C**2, is computed afresh, a
-    composition against the map of its right operand, which it keeps while
-    that operand stays.  ``forget`` drops the interned coalgebras and every
-    table that holds cids, so a long sampled sweep can bound its memory.
-    Steps fall into groups by what they read: 0 the variables only, 1 also
-    a slot other than the first, 2 the first slot.  ``sweep`` moves slot 1
-    in its innermost loop, so only group 2 reruns there.
+    def intern(value) -> int:
+        got = index.get(value)
+        if got is None:
+            got = index[value] = len(values)
+            values.append(value)
+        return got
+
+    return intern
+
+
+class Plan:
+    """Formulas and actions compiled for one configuration and carrier size
+    and evaluated on small integers.
+
+    A predicate is its id, its index in ``preds``; a coalgebra is its cid,
+    its index in ``coalgs``.  Both are interned on first sight (``pid``,
+    ``intern``), so a plan over one large model meets only the predicates
+    that model yields; an exhaustive sweep first interns the whole
+    predicate space in canonical order (``intern_space``).  A template's
+    leaves are variables and its modalities hold action slots; a formula
+    compiles the same way, its propositions playing the variables and its
+    atomic actions the slots.  Each distinct subterm becomes one step.  A
+    formula step maps a sigma-list (variable assignments, in the sweep's
+    canonical order) to the list of its ids; a slot or operation step gives
+    one cid, and a test step a cid list, one cid per assignment, as does an
+    operation with such an argument.  Connectives, liftings, operations and
+    tests read id tables whose entries are computed on first use: an extra
+    connective keys on its argument id, a binary one on both, a lifting on
+    the cid of its action and its argument id (a tuple of ids for a k-ary
+    lifting), a test on its argument's id.  A lifting entry is assembled
+    from the lifted truth values of the coalgebra's FValues, each computed
+    once by the lifting's kernel and kept per FValue, since sampled
+    coalgebras seldom recur but their FValues do.  An operation keeps its
+    outputs by operand cids only where those are few (one operand, or a
+    test's cid list); a pair of slots, of which there are C**2, is computed
+    afresh, a composition against the map of its right operand, which it
+    keeps while that operand stays.  ``forget`` drops every id and table, so
+    a long sampled sweep can bound its memory.  Steps fall into groups by
+    what they read: 0 the variables only, 1 also a slot other than the
+    first, 2 the first slot.  ``sweep`` moves slot 1 in its innermost loop,
+    so only group 2 reruns there; ``run_new`` runs each step once, for an
+    EvalSession.
+
+    ``slots`` and ``variables`` are how many a template has, or the names
+    of a formula's atomic actions, slot 1 first, and of its propositions,
+    in the order of the sweep's variable lists.
     """
 
-    def __init__(self, config: LogicConfig, n: int):
+    def __init__(
+        self, config: LogicConfig, n: int, slots: int | Sequence, variables: int | Sequence
+    ):
+        if isinstance(slots, int):
+            slots, variables = range(1, slots + 1), range(1, variables + 1)
         self.config = config
         self.n = n
         self.fops = config.fops(n)
-        self.preds = predicate_space(config.truth.m, n)
-        self.index = predicate_index(config.truth.m, n)
-        self.P = len(self.preds)
+        self.preds: list = []  # id -> predicate
         self.coalgs: list = []  # cid -> coalgebra
-        self.cids: list[int] = []  # slot - 1 -> cid, set by the sweep
+        self._slots = {key: s for s, key in enumerate(slots)}  # slot or atom -> slot - 1
+        self._vars = {key: v for v, key in enumerate(variables)}  # variable or prop -> variable
+        self.cids: list[int] = [0] * len(self._slots)  # slot - 1 -> cid, set by the caller
         self.vals: list = []  # step position -> ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
-        self._cid: dict = {}
-        self._leaves: list = []  # (position, variable index or None, constant id)
+        self._ran = [0, 0, 0]  # steps of each group that run_new has run
+        self._inputs: list = [[], 1]  # the variables' sigma-lists and their length
         self._pos: dict = {}  # node -> (position, group)
         self._each: set = set()  # positions of actions valued as cid lists
-        self._slots: dict = {}  # slot number or atom name -> slot - 1
-        self._vars: dict = {}  # variable number or proposition name -> variable
         self._lifts: dict = {}  # lifting id -> (arity, {cid: {key: id}}, fill)
-        self._tables: list = [self._cid]  # everything forget empties
-        cid_of, coalgs = self._cid, self.coalgs
-
-        def intern(coalg) -> int:
-            """The cid of ``coalg``, interning it on first sight."""
-            cid = cid_of.get(coalg)
-            if cid is None:
-                cid = cid_of[coalg] = len(coalgs)
-                coalgs.append(coalg)
-            return cid
-
+        self._tables: list = []  # everything forget empties
+        self._pred_ids = self._keep({})
         # steps hold no reference to the plan, so a finished sweep's plan is
         # freed at once rather than by the cycle collector
-        self.intern = intern
+        self.pid = _interner(self._pred_ids, self.preds)
+        self.intern = _interner(self._keep({}), self.coalgs)
 
-    def forget(self) -> None:
-        """Drop the interned coalgebras and every table entry keyed on them."""
-        self.coalgs.clear()
-        for table in self._tables:
-            table.clear()
+    def intern_space(self) -> int:
+        """Intern every predicate in canonical order, before any other is
+        interned, so that an id is an index into ``predicate_space(m, n)``;
+        returns how many there are."""
+        for pred in predicate_space(self.config.truth.m, self.n):
+            self.pid(pred)
+        return len(self.preds)
 
-    def compile(self, body: Formula, slots: int | Sequence, variables: int | Sequence) -> int:
-        """The position of ``body``'s step, compiling its new subterms.
+    def forget(self, bound: int) -> None:
+        """Drop every interned coalgebra and predicate, with every table
+        entry keyed on them, once more than ``bound`` of either are
+        interned.  The caller then sets the cids and loads afresh."""
+        if len(self.coalgs) > bound or len(self.preds) > bound:
+            self.coalgs.clear()
+            self.preds.clear()
+            for table in self._tables:
+                table.clear()
 
-        A template passes how many action slots and variables it has; a
-        formula passes the names of its atomic actions, slot 1 first, and of
-        its propositions, in the order of the sweep's variable lists."""
-        if isinstance(slots, int):
-            slots, variables = range(1, slots + 1), range(1, variables + 1)
-        self._slots = {key: s for s, key in enumerate(slots)}
-        self._vars = {key: v for v, key in enumerate(variables)}
-        self.cids.extend([0] * (len(self._slots) - len(self.cids)))
+    def compile(self, body: Formula) -> int:
+        """The position of ``body``'s step, compiling its new subterms."""
         return self._compile(body)[0]
 
     def load(self, var_lists: list, size: int) -> None:
         """Take the variables' sigma-lists, all of length ``size``, and run
         group 0."""
-        vals = self.vals
-        for pos, var, const in self._leaves:
-            vals[pos] = var_lists[var] if var is not None else [const] * size
+        self._inputs[:] = var_lists, size
         self.run(0)
 
     def run(self, group: int) -> None:
         vals = self.vals
         for pos, step in self.groups[group]:
             vals[pos] = step(vals)
+
+    def run_case(self, coalgs, sigmas) -> None:
+        """Run every step at a single case: ``coalgs`` on the slots, slot 1
+        first, and ``sigmas`` on the variables."""
+        self.cids[:] = map(self.intern, coalgs)
+        self.load([[self.pid(sigma)] for sigma in sigmas], 1)
+        self.run(1)
+        self.run(2)
+
+    def run_new(self) -> None:
+        """Run the steps compiled since the last call, at the loaded
+        variables and the current cids."""
+        vals, ran = self.vals, self._ran
+        for g, group in enumerate(self.groups):
+            for pos, step in group[ran[g]:]:
+                vals[pos] = step(vals)
+            ran[g] = len(group)
 
     def sweep(self, coalgs: int):
         """Run groups 1 and 2 at every assignment of the cids below
@@ -580,27 +469,16 @@ class _TemplatePlan:
                     vals[pos] = step(vals)
                 yield cids
 
-    def eval(self, body, gammas, sigmas) -> tuple:
-        """The row of ``body`` at one coalgebra tuple and one assignment."""
-        root = self.compile(body, len(gammas), len(sigmas))
-        for s, gamma in enumerate(gammas):
-            self.cids[s] = self.intern(tuple(gamma))
-        self.load([[self.index[tuple(sigma)]] for sigma in sigmas], 1)
-        self.run(1)
-        self.run(2)
-        return self.preds[self.vals[root][0]]
-
     # -- compilation ------------------------------------------------------
 
     def _add(self, group: int, step) -> tuple[int, int]:
         pos = len(self.vals)
         self.vals.append(None)
-        if step is not None:
-            self.groups[group].append((pos, step))
+        self.groups[group].append((pos, step))
         return pos, group
 
-    def _table(self) -> dict:
-        table: dict = {}
+    def _keep(self, table):
+        """``table``, to be emptied by ``forget``."""
         self._tables.append(table)
         return table
 
@@ -609,32 +487,25 @@ class _TemplatePlan:
         if got is None:
             spec = self.config.lifting(lid)
             kernel, arity = lifting_kernel(spec, self.config), spec.arity
-            rows, by_value = defaultdict(dict), defaultdict(dict)
-            self._tables += [rows, by_value]
-            preds, P, n, index, coalgs = self.preds, self.P, self.n, self.index, self.coalgs
+            rows, by_key = self._keep(defaultdict(dict)), self._keep(defaultdict(dict))
+            preds, n, coalgs, pid, ids = self.preds, self.n, self.coalgs, self.pid, self._pred_ids
+            truths = frozenset(range(self.config.truth.m))
 
             def fill(cid, keys):
                 table, coalg = rows[cid], coalgs[cid]
                 for key in keys:
                     if key not in table:
-                        known = by_value[key]
-                        row = []
-                        for value in coalg:
-                            got = known.get(value)
-                            if got is None:
-                                args, rest = [], key
-                                for _ in range(arity):
-                                    rest, digit = divmod(rest, P)
-                                    args.append(preds[digit])
-                                (got,) = kernel(args[::-1], (value,), n)
-                                known[value] = got
-                            row.append(got)
-                        row = tuple(row)
-                        if row not in index:
+                        known = by_key[key]  # FValue -> its lifted truth value
+                        new = [value for value in coalg if value not in known]
+                        if new:
+                            args = [preds[i] for i in key] if arity > 1 else [preds[key]]
+                            known.update(zip(new, kernel(args, new, n)))
+                        row = tuple(map(known.__getitem__, coalg))
+                        if row not in ids and not truths.issuperset(row):
                             raise InvalidParameter(
                                 f"lifting {lid!r} yields {row}, outside the truth algebra"
                             )
-                        table[key] = index[row]
+                        table[key] = pid(row)
                 return list(map(table.__getitem__, keys))
 
             got = self._lifts[lid] = (arity, rows, fill)
@@ -646,8 +517,12 @@ class _TemplatePlan:
         if got is not None:
             return got
         if isinstance(node, (Var, Prop)):
-            got = self._add(0, None)
-            self._leaves.append((got[0], self._variable(node), None))
+            var, inputs = self._variable(node), self._inputs
+
+            def variable(vals):
+                return inputs[0][var]
+
+            got = self._add(0, variable)
         elif isinstance(node, Conn):
             got = self._conn(node)
         elif isinstance(node, Modal):
@@ -702,17 +577,20 @@ class _TemplatePlan:
         return got
 
     def _conn(self, node: Conn) -> tuple[int, int]:
-        index, preds = self.index, self.preds
+        pid, preds = self.pid, self.preds
         arity, interp = connective(self.config.truth, node.symbol, len(node.args))
         if arity == 0:
-            got = self._add(0, None)
-            self._leaves.append((got[0], None, index[(interp,) * self.n]))
-            return got
+            row, inputs = (interp,) * self.n, self._inputs
+
+            def constant(vals):
+                return [pid(row)] * inputs[1]
+
+            return self._add(0, constant)
         args = [self._compile(a) for a in node.args]
         group = max(g for _, g in args)
         if arity == 1:
             ((a, _),) = args
-            table = {}
+            table = self._keep({})
 
             def extra(vals):
                 A = vals[a]
@@ -721,12 +599,12 @@ class _TemplatePlan:
                 except KeyError:
                     for u in A:
                         if u not in table:
-                            table[u] = index[tuple(interp[v] for v in preds[u])]
+                            table[u] = pid(tuple(interp[v] for v in preds[u]))
                     return list(map(table.__getitem__, A))
 
             return self._add(group, extra)
         (a, _), (b, _) = args
-        rows = defaultdict(dict)
+        rows = self._keep(defaultdict(dict))
 
         def binary(vals):
             A, B = vals[a], vals[b]
@@ -737,7 +615,7 @@ class _TemplatePlan:
                     row = rows[u]
                     if v not in row:
                         pointwise = map(getitem, map(interp.__getitem__, preds[u]), preds[v])
-                        row[v] = index[tuple(pointwise)]
+                        row[v] = pid(tuple(pointwise))
                 return list(map(getitem, map(rows.__getitem__, A), B))
 
         return self._add(group, binary)
@@ -788,7 +666,7 @@ class _TemplatePlan:
         each = [pos in self._each for pos in positions]
         coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
         if variant in COMPOSITION_VARIANTS:
-            right = self._table()  # the last right operand's cid -> its map
+            right = self._keep({})  # the last right operand's cid -> its map
 
             def output(c1, c2):
                 after = right.get(c2)
@@ -805,7 +683,7 @@ class _TemplatePlan:
         if len(args) == 1 or any(each):
             # memoised by operand cids where these are few: one operand, or
             # test outputs; a pair of slots has C**2
-            table, compute = self._table(), output
+            table, compute = self._keep({}), output
 
             def output(*key):
                 got = table.get(key)
@@ -840,7 +718,7 @@ class _TemplatePlan:
         spec = self.config.test(node.test)
         spec.check_kind(self.config.kind)
         a, group = self._compile(node.arg)
-        table, preds, fops, truth = self._table(), self.preds, self.fops, self.config.truth
+        table, preds, fops, truth = self._keep({}), self.preds, self.fops, self.config.truth
         intern = self.intern
 
         def test(vals):
@@ -858,18 +736,14 @@ class _TemplatePlan:
         return got
 
     def _keys(self, args) -> tuple[int, int]:
-        """A step combining argument ids into lifting keys, base P, first
-        argument most significant: the order of ``product(preds, repeat=k)``."""
+        """A step zipping the argument ids into lifting keys, one id tuple
+        per position."""
         positions = tuple(pos for pos, _ in args)
         got = self._pos.get(positions)
         if got is None:
-            first, rest, P = positions[0], positions[1:], self.P
 
             def keys(vals):
-                K = vals[first]
-                for pos in rest:
-                    K = list(map(add, map(mul, K, repeat(P)), vals[pos]))
-                return K
+                return list(zip(*map(vals.__getitem__, positions)))
 
             got = self._pos[positions] = self._add(max(g for _, g in args), keys)
         return got
@@ -878,37 +752,45 @@ class _TemplatePlan:
 class EvalSession:
     """Evaluates formulas and actions over one model through one plan.
 
-    ``eval`` and ``interpret`` compile their argument into the session's
-    plan and run only the steps no earlier call has run, so each subterm is
-    computed at most once per session.  Distinct sessions may run
-    concurrently; a single session must not be shared across threads.
+    The model's atoms are the plan's slots and its valuation rows the
+    variables, at a single case.  ``eval`` and ``interpret`` compile their
+    argument into the plan and run only the steps no earlier call has run,
+    so each subterm is computed at most once per session.  Distinct
+    sessions may run concurrently; a single session must not be shared
+    across threads.
     """
 
-    def __init__(self, model: Model, iterate_cap: int = DEFAULT_ITERATE_CAP):
+    def __init__(self, model: Model):
         self.model = model
-        self.plan = Plan(model.config, iterate_cap)
-        self.values: list = []
+        self._start()
+
+    def _start(self) -> None:
+        model = self.model
+        self.plan = Plan(model.config, model.n, list(model.atoms), list(model.valuation))
+        self.plan.run_case(model.atoms.values(), model.valuation.values())
 
     def eval(self, formula: Formula) -> Predicate:
-        return self._value(formula)
+        plan = self.plan
+        pos = plan.compile(formula)
+        self._run()
+        return plan.preds[plan.vals[pos][0]]
 
     def interpret(self, action) -> Coalgebra:
         if not isinstance(action, (Atomic, Op, Test)):
             raise InvalidParameter(f"not an action node: {action!r}")
-        return self._value(action)
+        plan = self.plan
+        pos = plan._action(action)[0]
+        self._run()
+        cid = plan.vals[pos]  # a test yields a list of one cid
+        return plan.coalgs[cid if isinstance(cid, int) else cid[0]]
 
-    def _value(self, node):
-        plan, values = self.plan, self.values
-        size = len(values)
+    def _run(self) -> None:
         try:
-            i = plan.compile(node)
-            plan.run(self.model, values)
+            self.plan.run_new()
         except BaseException:
-            # leave no failed step pending for the next call to trip on
-            plan.truncate(size)
-            del values[size:]
+            # start afresh rather than leave a failed step pending
+            self._start()
             raise
-        return values[i]
 
 
 def eval_formula(model: Model, formula: Formula) -> Predicate:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from mvdl.actions import DEFAULT_ITERATE_CAP, apply_op, apply_test
+from mvdl.actions import apply_op, apply_test
 from mvdl.errors import (
     ArityMismatch,
     InvalidParameter,
@@ -84,9 +84,8 @@ def reference_lifting(spec, preds, value, config, n: int) -> int:
 class ReferenceSession:
     """Memoizing recursive evaluation of formulas and actions over one model."""
 
-    def __init__(self, model, iterate_cap: int = DEFAULT_ITERATE_CAP):
+    def __init__(self, model):
         self.model = model
-        self.iterate_cap = iterate_cap
         self._formulas: dict = {}
         self._actions: dict = {}
 
@@ -160,7 +159,7 @@ class ReferenceSession:
         if isinstance(action, Op):
             spec = model.config.op(action.op)
             gammas = [self.interpret(a) for a in action.args]
-            return apply_op(spec, gammas, model.fops, cap=self.iterate_cap)
+            return apply_op(spec, gammas, model.fops)
         if isinstance(action, Test):
             spec = model.config.test(action.test)
             sigma = self.eval(action.arg)

@@ -17,7 +17,17 @@ The calls are, in order:
 * ``verify_reduction_rule`` on every builtin rule of the five presets (game
   and instantial over B2, the others over L2) at n=1 and n=2, exhaustive
   and sampled at the default seed, and on its mutant (``/\\`` and ``\\/``
-  swapped, ``*`` read as ``/\\``) at n=2.
+  swapped, ``*`` read as ``/\\``) at n=2;
+* sampled ``bounded_entailment`` on the same presets at max_n 2 and 3 and
+  seeds SEED and SEED+1: each builtin rule's axiom instance (lhs <-> rhs,
+  which holds) and ``p -> <a>p`` under the preset's first lifting, which
+  is refuted;
+* ``check_invariance`` of the formulas of ``perfbench``'s pinned eval cases
+  along the map (0, 1, 1) from ``pullback_model`` onto each preset's first
+  two-state model (game: the identity, since it has no pullback);
+* one ``EvalSession`` row per pinned eval case: ``eval`` of its formula and
+  ``interpret`` of each of the formula's actions.  The cases file is only
+  read.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -32,6 +42,7 @@ from pathlib import Path
 
 WORKLOADS = ("Safety", "RuleSweep", "Entail")
 MODULES = ("actions", "algebra", "harness", "jsonio", "presets", "reduction", "semantics", "syntax")
+EVAL_CASES = Path("perfbench", "mvdlbench", "data", "eval_cases.json")
 
 
 def calls(root: Path, seed: int):
@@ -71,6 +82,56 @@ def calls(root: Path, seed: int):
                                 r, c, n=n, mode=mode
                             ),
                         )
+    entail = workloads.Entail._axiom_instance
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        lid = sorted(config.liftings)[0]
+        p = sx.Prop("p")
+        refuted = sx.Conn("->", (p, sx.Modal(lid, sx.Atomic("a"), (p,) * config.liftings[lid].arity)))
+        phis = [(" ".join(key), entail(sx, config, rule)[0])
+                for key, rule in reduction.builtin_rules(config).rules.items()]
+        for label, phi in phis + [("p -> <a>p", refuted)]:
+            for max_n in (2, 3):
+                for s in (seed, seed + 1):
+                    yield (
+                        f"entail {tag} {label} max_n={max_n} seed={s}",
+                        lambda c=config, phi=phi, max_n=max_n, s=s: h.bounded_entailment(
+                            [], phi, c, max_n=max_n, mode="random", trials=300, seed=s
+                        ),
+                    )
+    jsonio = m["jsonio"]
+    cases = json.loads((root / EVAL_CASES).read_text())["cases"]
+    for config in configs:
+        mine = [c for c in cases if c["model"]["preset"] == config.name]
+        target = jsonio.model_from_json(next(c["model"] for c in mine if c["model"]["n"] == 2))
+        formulas = [sx.parse(c["phi"], target.config.signature) for c in mine]
+
+        def invariance(target=target, formulas=formulas):
+            if target.config.kind.value.endswith("aneighbourhood"):
+                return h.check_invariance(target, target, (0, 1), formulas)
+            return h.check_invariance(
+                h.pullback_model(target, (0, 1, 1), 3), target, (0, 1, 1), formulas
+            )
+
+        yield f"invariance {target.config.name}/{target.config.truth.name}", invariance
+    for case in cases:
+        yield f"eval {case['id']}", lambda case=case: _session_row(m, case)
+
+
+def _session_row(m, case) -> dict:
+    """The values a session gives a pinned case's formula and actions."""
+    sx, jsonio = m["syntax"], m["jsonio"]
+    model = jsonio.model_from_json(case["model"])
+    phi = sx.parse(case["phi"], model.config.signature)
+    session = m["semantics"].EvalSession(model)
+    return dict(
+        values=list(session.eval(phi)),
+        actions=[
+            [sx.render(a, model.config.signature),
+             [jsonio.fvalue_to_json(model.config.kind, v) for v in session.interpret(a)]]
+            for a in sx.formula_actions(phi)
+        ],
+    )
 
 
 def _mutate(sx, node):
@@ -92,7 +153,7 @@ def main() -> None:
     for label, call in calls(args.root.resolve(), args.seed):
         try:
             verdict = call()
-            line = {
+            line = verdict if isinstance(verdict, dict) else {
                 "status": verdict.status,
                 "cases": verdict.cases,
                 "counterexample": verdict.counterexample,

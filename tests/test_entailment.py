@@ -8,14 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvdl import harness, semantics
+from mvdl import functors, harness, semantics
 from mvdl import syntax as sx
 from mvdl.algebra import algebra_by_name, build_builtin
 from mvdl.harness import bounded_entailment
 from mvdl.presets import make_preset
+from mvdl.semantics import EvalSession
 from mvdl.syntax import parse
 
-from conftest import random_formula
+from conftest import random_formula, random_model
 from reference_eval import reference_entailment
 
 # one configuration per preset; the algebras carry extras and constants so
@@ -67,10 +68,15 @@ def entailments(draw):
     formulas = gamma + [phi]
     n_atoms = len(set().union(*map(sx.atoms_of, formulas)))
     n_props = len(set().union(*map(sx.props_of, formulas)))
-    max_n = draw(st.integers(1, 2))
-    if _models_at(config, 2, n_atoms, n_props) > MODELS_AT_TWO:
-        max_n = 1
     mode = draw(st.sampled_from(("exhaustive", "exhaustive", "random")))
+    if mode == "random":
+        # sampled models are evaluated one at a time, so larger carriers
+        # stay cheap for both sweeps
+        max_n = draw(st.integers(1, 4))
+    else:
+        max_n = draw(st.integers(1, 2))
+        if _models_at(config, 2, n_atoms, n_props) > MODELS_AT_TWO:
+            max_n = 1
     return config, gamma, phi, max_n, mode, draw(st.integers(0, 2**16))
 
 
@@ -101,6 +107,21 @@ def test_tests_on_props_star_and_constants_match_reference(name):
     max_n = 2 if _models_at(config, 2, 1, 2) <= MODELS_AT_TWO else 1
     for assumptions in ([], gamma):
         _assert_same(config, assumptions, phi, max_n)
+
+
+def test_sampled_sweep_starting_afresh_keeps_verdicts(monkeypatch):
+    # drop every interned id every trial or two; constants must stay valid
+    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 4)
+    p, a = sx.Prop("p"), sx.Atomic("a")
+    for name, config in sorted(CONFIGS.items()):
+        truth = config.truth
+        const = sx.Conn(max(truth.constants, key=truth.constants.get, default="1"))
+        lid = sorted(config.liftings)[0]
+        modal = sx.Modal(lid, a, (p,) * config.liftings[lid].arity)
+        holds = sx.Conn("->", (sx.Conn("/\\", (const, modal)), modal))
+        refuted = sx.Conn("->", (sx.Conn("/\\", (p, const)), modal))
+        for gamma, phi in (([], holds), ([const], refuted), ([], refuted)):
+            _assert_same(config, gamma, phi, 3, mode="random", trials=60, seed=5)
 
 
 # -- pinned countermodels ----------------------------------------------------
@@ -171,19 +192,29 @@ def test_pinned_composition_countermodel():
     }
 
 
-def test_large_sampled_carriers_stay_cheap(monkeypatch):
-    # 3^14 predicates exist at 14 states; a sampled sweep evaluates its
-    # models one by one and must never build that space
+def _sampled_sweep(config, phi):
+    verdict = bounded_entailment([], phi, config, max_n=14, mode="random", trials=20)
+    assert (verdict.status, verdict.cases) == ("holds-up-to-bound", 20)
+
+
+def _session(config, phi):
+    model = random_model(random.Random(14), config, 14)
+    assert EvalSession(model).eval(phi) == (config.truth.top,) * 14
+
+
+@pytest.mark.parametrize("run", [_sampled_sweep, _session], ids=["sampled-sweep", "session"])
+def test_large_sampled_carriers_stay_cheap(monkeypatch, run):
+    # 3^14 predicates exist at 14 states; a sampled sweep and a session
+    # evaluate one model at a time and must never build that space
     def small_only(m, n):
         assert n <= 8, f"predicate_space({m}, {n}) built"
         return space(m, n)
 
-    space = semantics.predicate_space
-    monkeypatch.setattr(semantics, "predicate_space", small_only)
-    monkeypatch.setattr(harness, "predicate_space", small_only)
+    space = functors.predicate_space
+    for module in (functors, semantics, harness):
+        monkeypatch.setattr(module, "predicate_space", small_only)
     config = make_preset("pdl-labelled", algebra_by_name("L2"))
     phi = parse("[a;b]p -> [a][b]p", config.signature)
     t0 = time.perf_counter()
-    verdict = bounded_entailment([], phi, config, max_n=14, mode="random", trials=20)
+    run(config, phi)
     assert time.perf_counter() - t0 < 0.5
-    assert (verdict.status, verdict.cases) == ("holds-up-to-bound", 20)

@@ -511,9 +511,9 @@ class TestTemplateEvaluation:
         # evaluating an instantiated template in a model agrees with the
         # direct template evaluation over interpreted coalgebras/predicates:
         # the two template-evaluation routes must coincide
-        from mvdl.semantics import _TemplatePlan
         from mvdl.syntax import instantiate
         from conftest import random_template
+        from reference_eval import ReferenceTemplateEval
 
         rng = random.Random(83)
         for config in (labelled_l2, instantial):
@@ -526,7 +526,7 @@ class TestTemplateEvaluation:
                            parse("b", config.signature, "action"))
                 formulas = (parse("p", config.signature), parse("q", config.signature))
                 via_formula = session.eval(instantiate(template, actions, formulas))
-                tev = _TemplatePlan(config, n_states)
+                tev = ReferenceTemplateEval(config, n_states)
                 gammas = tuple(session.interpret(a) for a in actions)
                 sigmas = tuple(session.eval(f) for f in formulas)
                 via_template = tev.eval(template.body, gammas, sigmas)

@@ -1,4 +1,4 @@
-"""The compiled evaluation plan against the recursive reference evaluator."""
+"""Sessions on the compiled plan against the recursive reference evaluator."""
 
 import json
 import random
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mvdl import syntax as sx
 from mvdl.algebra import algebra_by_name, build_builtin
-from mvdl.errors import IncompatibleVariant, UnknownAtom, UnknownIdentifier
+from mvdl.errors import IncompatibleVariant, InvalidParameter, UnknownAtom, UnknownIdentifier
 from mvdl.harness import bounded_entailment
 from mvdl.jsonio import formula_from_json, formula_to_json
 from mvdl.presets import make_preset
@@ -92,40 +92,42 @@ def _is_action(node) -> bool:
 @given(cases())
 def test_plan_matches_reference(case):
     models, order = case
-    # one plan over every model, as a sampled bounded_entailment runs it
-    plan = Plan(models[0].config)
-    at = [plan.compile(node) for node in order]
     for model in models:
         session, reference = EvalSession(model), ReferenceSession(model)
-        values = plan.run(model, [])
-        for node, i in zip(order, at):
+        for node in order:
             if _is_action(node):
-                want = reference.interpret(node)
-                assert session.interpret(node) == want
+                assert session.interpret(node) == reference.interpret(node)
             else:
                 want = reference.eval(node)
                 assert session.eval(node) == want
                 assert eval_formula(model, node) == want
-            assert values[i] == want
+
+
+def _never(vals):
+    raise AssertionError("a step ran twice")
 
 
 class TestPlan:
     def test_shared_subterms_are_one_step(self, labelled_l2):
-        plan = Plan(labelled_l2)
+        plan = Plan(labelled_l2, 1, ["a"], ["p"])
         # the two <a>p are distinct but equal objects
         phi = parse("<a> p /\\ <a> p", labelled_l2.signature)
         assert phi.args[0] is not phi.args[1]
         top = plan.compile(phi)
-        assert len(plan.steps) == 4  # a, p, <a>p, /\
+        assert len(plan.vals) == 4  # a, p, <a>p, /\
         assert plan.compile(parse("<a> p", labelled_l2.signature)) == top - 1
 
     def test_session_runs_only_pending_steps(self, labelled_l2):
         model = random_model(random.Random(3), labelled_l2, 2)
         session = EvalSession(model)
         session.eval(parse("<a> p", labelled_l2.signature))
-        done = len(session.values)
-        session.eval(parse("<a> p \\/ q", labelled_l2.signature))
-        assert len(session.values) == done + 2  # q and \/
+        groups = session.plan.groups
+        done = sum(map(len, groups))
+        for group in groups:
+            group[:] = [(pos, _never) for pos, _ in group]
+        phi = parse("<a> p \\/ q", labelled_l2.signature)
+        assert session.eval(phi) == ReferenceSession(model).eval(phi)
+        assert sum(map(len, groups)) == done + 2  # q and \/
 
     def test_failed_eval_leaves_session_usable(self, crisp_b2):
         model = Model(1, crisp_b2, atoms={"a": (1,)}, valuation={"p": (1,)})
@@ -135,7 +137,19 @@ class TestPlan:
         with pytest.raises(UnknownAtom):
             session.eval(parse("<b> p", crisp_b2.signature))
         assert session.eval(parse("<a> p", crisp_b2.signature)) == (1,)
-        assert len(session.values) == len(session.plan.steps) == 3
+        assert len(session.plan.vals) == 3  # a, p, <a>p
+
+    def test_failed_run_leaves_session_usable(self, labelled_l2):
+        # over B2 truths, [a]p folds in L2 and yields 2 where a has no
+        # successor: a step that fails when it runs, not when it compiles
+        config = replace(labelled_l2, truth=algebra_by_name("B2"))
+        model = Model(1, config, atoms={"a": ((0,),), "b": ((2,),)}, valuation={"p": (1,)})
+        session = model.session()
+        box = parse("[a] p", config.signature)
+        for _ in range(2):
+            with pytest.raises(InvalidParameter, match="outside the truth algebra"):
+                session.eval(box)
+            assert session.eval(parse("<b> p", config.signature)) == (1,)
 
 
 def test_wrong_kind_lifting_raises(crisp_b2):

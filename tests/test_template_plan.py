@@ -1,6 +1,7 @@
 """The rule sweep's template plan against the case-by-case reference."""
 
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -15,7 +16,7 @@ from mvdl.harness import verify_reduction_rule
 from mvdl.jsonio import fvalue_to_json
 from mvdl.presets import make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
-from mvdl.semantics import _TemplatePlan
+from mvdl.semantics import EvalSession, Model, Plan
 
 from conftest import random_template
 from reference_eval import ReferenceTemplateEval, reference_rule_sweep
@@ -74,10 +75,11 @@ def templates(draw):
 def test_every_step_matches_reference(case):
     config, n, slots, k, body, rng = case
     fops = config.fops(n)
-    plan = _TemplatePlan(config, n)
-    plan.compile(body, slots, k)
+    plan = Plan(config, n, slots, k)
+    plan.compile(body)
+    P = plan.intern_space()
     preds = plan.preds
-    space = list(product(range(plan.P), repeat=k))
+    space = list(product(range(P), repeat=k))
     plan.load([[combo[i] for combo in space] for i in range(k)], len(space))
     gammas = tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots))
     for step in range(2):
@@ -91,14 +93,20 @@ def test_every_step_matches_reference(case):
         plan.run(2)
         reference = ReferenceTemplateEval(config, n)
         for node, (pos, _) in plan._pos.items():
-            if isinstance(node, tuple):  # a key-combining step
+            if isinstance(node, tuple):  # a slot or a key-combining step
                 continue
             want = [reference.eval(node, gammas, tuple(preds[i] for i in combo)) for combo in space]
             assert [preds[i] for i in plan.vals[pos]] == want, node
-    sigmas = tuple(preds[rng.randrange(plan.P)] for _ in range(k))
-    assert _TemplatePlan(config, n).eval(body, gammas, sigmas) == reference.eval(
-        body, gammas, sigmas
+    # one case through a session: the template instantiated with atoms and
+    # propositions, in a model interpreting them as gammas and sigmas
+    sigmas = tuple(preds[rng.randrange(P)] for _ in range(k))
+    atoms = [f"a{s}" for s in range(1, slots + 1)]
+    props = [f"p{v}" for v in range(1, k + 1)]
+    model = Model(n, config, dict(zip(atoms, gammas)), dict(zip(props, sigmas)))
+    formula = sx.instantiate(
+        sx.Template(slots, k, body), map(sx.Atomic, atoms), map(sx.Prop, props)
     )
+    assert EvalSession(model).eval(formula) == reference.eval(body, gammas, sigmas)
 
 
 @st.composite
@@ -258,6 +266,17 @@ def test_pinned_test_rule_with_meet_for_tensor():
         "lhs": [0, 0],
         "rhs": [0, 1],
     }
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_lifting_rows_outside_the_truth_algebra_are_rejected(labelled_l2, mode):
+    # over B2 truths, [~1]w1 folds in L2 and yields 2 where ~1 has no
+    # successor; every predicate is interned lazily or up front, and
+    # neither may take such a row for a predicate
+    config = replace(labelled_l2, truth=algebra_by_name("B2"))
+    rule = ReductionRule("op", "~", "box", sx.Template(1, 1, sx.Modal("box", 1, (sx.Var(1),))))
+    with pytest.raises(InvalidParameter, match="outside the truth algebra"):
+        verify_reduction_rule(rule, config, n=1, mode=mode, trials=20)
 
 
 def test_malformed_templates_are_rejected_before_sweeping(labelled_l2):
