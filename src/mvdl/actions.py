@@ -128,27 +128,31 @@ def kleisli_compose_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
 
 
 def double_seq_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
-    """t |-> (t ; g2) for the double powerset sequential composition."""
+    """t |-> (t ; g2) for the double powerset sequential composition: each
+    member z of t yields the union of every subfamily of its states'
+    successor families that meets the family of each state in z."""
     n = fops.n
+    unions: dict[int, frozenset] = {}  # z -> the unions it yields
+
+    def member(zmask: int) -> frozenset:
+        covers: dict[int, int] = {}  # successor -> the states of z it serves
+        for y in range(n):
+            if zmask >> y & 1:
+                for u in g2[y]:
+                    covers[u] = covers.get(u, 0) | 1 << y
+        reached = {(0, 0)}  # (states met, union) of the subfamilies so far
+        for u, cover in covers.items():
+            reached |= {(met | cover, union | u) for met, union in reached}
+        want = zmask & ((1 << n) - 1)
+        return frozenset(union for met, union in reached if met == want)
 
     def dmap(t: frozenset) -> frozenset:
-        out = set()
+        out: set[int] = set()
         for zmask in t:
-            states = [y for y in range(n) if zmask >> y & 1]
-            family = sorted({u for y in states for u in g2[y]})
-            fam_len = len(family)
-            for pick in range(1 << fam_len):
-                chosen = [family[i] for i in range(fam_len) if pick >> i & 1]
-                ok = True
-                for y in states:
-                    if not any(u in g2[y] for u in chosen):
-                        ok = False
-                        break
-                if ok:
-                    union = 0
-                    for u in chosen:
-                        union |= u
-                    out.add(union)
+            got = unions.get(zmask)
+            if got is None:
+                got = unions[zmask] = member(zmask)
+            out |= got
         return frozenset(out)
 
     return dmap

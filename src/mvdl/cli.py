@@ -125,14 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     _parents = {"parents": [fmt_parent]}
 
-    def common(p):
+    def logic(p):
         p.add_argument("--algebra", default="B2", help="builtin name or JSON path")
         p.add_argument(
             "--preset",
             choices=("pdl-crisp", "pdl-labelled", "pdl-threshold", "game", "instantial"),
             default="pdl-crisp",
         )
-        p.add_argument("--max-n", type=_int_at_least(1), default=2)
+
+    def sweep(p, size: str, size_help: str):
+        """The flags of a sweep over the logic; ``size`` is --n for a fixed
+        carrier, --max-n for carriers up to a size."""
+        logic(p)
+        p.add_argument(size, type=_int_at_least(1), default=2, help=size_help)
         p.add_argument("--budget", type=_int_at_least(1), default=None)
         p.add_argument(
             "--trials", type=int, default=10_000, help="samples in random mode (at least 1)"
@@ -153,21 +158,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", "--formula", dest="phi", required=True)
 
     p = sub.add_parser("reduce", help="rewrite to atomic-modality normal form", **_parents)
-    common(p)
+    logic(p)
     p.add_argument("--phi", "--formula", dest="phi", required=True)
 
     p = sub.add_parser("verify-rules", help="soundness sweep over the builtin rules", **_parents)
-    common(p)
-    p.add_argument("--n", type=_int_at_least(1), default=2, help="carrier size for the sweep")
+    sweep(p, "--n", "carrier size for the sweep")
 
     p = sub.add_parser("check-safety", help="morphism preservation for one target", **_parents)
-    common(p)
+    sweep(p, "--max-n", "largest carrier size")
     p.add_argument("--op", default=None)
     p.add_argument("--test", default=None)
 
     p = sub.add_parser("check-separation", help="joint monicity of the lifting family", **_parents)
-    common(p)
-    p.add_argument("--n", type=_int_at_least(1), default=2)
+    sweep(p, "--n", "carrier size")
 
     p = sub.add_parser("one-step", help="one-step witness construction/roundtrips", **_parents)
     p.add_argument("--kind", required=True, choices=harness.ONE_STEP_KINDS)
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
 
     p = sub.add_parser("entail", help="bounded countermodel search", **_parents)
-    common(p)
+    sweep(p, "--max-n", "largest carrier size")
     p.add_argument("--phi", "--formula", dest="phi", required=True)
     # no list default: a shared parser would hand the same list to every call
     p.add_argument("--gamma", action="append", default=None)

@@ -542,6 +542,12 @@ def check_separation(
 # -- reduction-rule soundness ----------------------------------------------
 
 
+def _every_block(ids: list, blocks, size: int) -> list:
+    """A plan list at every case of a sweep's block list: a list that does
+    not read slot 1 holds one block's ``size`` ids and stands for each."""
+    return ids if len(ids) == size * len(blocks) else ids * len(blocks)
+
+
 def verify_reduction_rule(
     rule,
     config: LogicConfig,
@@ -582,11 +588,13 @@ def verify_reduction_rule(
     preds, cids, vals = plan.preds, plan.cids, plan.vals
     cases = 0
 
-    def fail(var_lists) -> Verdict:
-        """The verdict for the first sigma-list position where the sides differ."""
-        got, want = vals[lhs], vals[rhs]
+    def fail(got, want, blocks, var_lists) -> Verdict:
+        """The verdict for the first position where the sides differ: slot
+        1 at cid ``blocks[i // S]``, the variables at sigma-position
+        ``i % S``."""
         i = next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
-        sigmas = [list(preds[ids[i]]) for ids in var_lists]
+        size = len(var_lists[0])
+        sigmas = [list(preds[ids[i % size]]) for ids in var_lists]
         counter = {
             "rule": list(rule.key),
             "sigmas": sigmas[is_test:],
@@ -597,7 +605,8 @@ def verify_reduction_rule(
             counter["test_argument"] = sigmas[0]
         else:
             counter["gammas"] = [
-                [fvalue_to_json(config.kind, v) for v in plan.coalgs[c]] for c in cids
+                [fvalue_to_json(config.kind, v) for v in plan.coalgs[c]]
+                for c in [blocks[i // size], *cids[1:]]
             ]
         return _verdict("fails", cases + (i + 1) * n, t0, counter)
 
@@ -609,10 +618,13 @@ def verify_reduction_rule(
         var_lists = assignments(plan.intern_space(), n_vars)
         size = len(var_lists[0])
         plan.load(var_lists, size)
-        for _ in plan.sweep(n_coalgs):
-            if vals[lhs] != vals[rhs]:
-                return fail(var_lists)
-            cases += n * size
+        for blocks in plan.sweep(n_coalgs):
+            got, want = vals[lhs], vals[rhs]
+            if len(got) != len(want):
+                got, want = _every_block(got, blocks, size), _every_block(want, blocks, size)
+            if got != want:
+                return fail(got, want, blocks, var_lists)
+            cases += n * size * len(blocks)
         return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
 
     rng, m = random.Random(seed), config.truth.m
@@ -622,7 +634,8 @@ def verify_reduction_rule(
         sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(n_vars)]
         plan.run_case(gammas, sigmas)
         if vals[lhs] != vals[rhs]:
-            return fail([[plan.pid(sigma)] for sigma in sigmas])
+            blocks = cids[0] if cids else None
+            return fail(vals[lhs], vals[rhs], blocks, [[plan.pid(s)] for s in sigmas])
         cases += n
     return _verdict(
         "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
@@ -898,25 +911,27 @@ def bounded_entailment(
             plan.load(var_lists, size)
             preds, top_id, full = plan.preds, plan.pid((top,) * n), (1 << n) - 1
             tops = [crisp_mask(truth, p) for p in preds]  # id -> states at top
-            vals = plan.vals
-            for cids in plan.sweep(len(coalgs)):
+            vals, cids = plan.vals, plan.cids
+            for blocks in plan.sweep(len(coalgs)):
                 phi_ids = vals[phi_at]
-                if phi_ids.count(top_id) == size:
-                    cases += size
+                if phi_ids.count(top_id) == len(phi_ids):
+                    cases += size * len(blocks)
                     continue
-                rows = [vals[i] for i in gamma_at]
+                phi_ids = _every_block(phi_ids, blocks, size)
+                rows = [_every_block(vals[i], blocks, size) for i in gamma_at]
                 for i, f in enumerate(phi_ids):
                     bad = full & ~tops[f]
                     for row in rows:
                         bad &= tops[row[i]]
                     if bad:
+                        slots = [blocks[i // size], *cids[1:]]
                         return countermodel(
                             cases + i + 1, n,
-                            {name: coalgs[c] for name, c in zip(atom_names, cids[::-1])},
-                            {name: preds[ids[i]] for name, ids in zip(prop_names, var_lists)},
+                            {name: coalgs[c] for name, c in zip(atom_names, slots[::-1])},
+                            {name: preds[ids[i % size]] for name, ids in zip(prop_names, var_lists)},
                             (bad & -bad).bit_length() - 1,
                         )
-                cases += size
+                cases += size * len(blocks)
         return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode)
     plans = {n: compiled(n) for n in range(1, max_n + 1)}
     rng = random.Random(seed)

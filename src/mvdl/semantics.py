@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat, starmap
+from itertools import chain, product, repeat
 from operator import getitem
 from typing import Mapping, Sequence
 
@@ -336,6 +336,11 @@ def _interner(index: dict, values: list):
     return intern
 
 
+# a sweep's lists that read slot 1 hold at most this many ids (S per
+# slot-1 cid), so they do not grow with the number of coalgebras
+SWEEP_IDS = 1 << 16
+
+
 class Plan:
     """Formulas and actions compiled for one configuration and carrier size
     and evaluated on small integers.
@@ -347,27 +352,39 @@ class Plan:
     predicate space in canonical order (``intern_space``).  A template's
     leaves are variables and its modalities hold action slots; a formula
     compiles the same way, its propositions playing the variables and its
-    atomic actions the slots.  Each distinct subterm becomes one step.  A
-    formula step maps a sigma-list (variable assignments, in the sweep's
-    canonical order) to the list of its ids; a slot or operation step gives
-    one cid, and a test step a cid list, one cid per assignment, as does an
-    operation with such an argument.  Connectives, liftings, operations and
-    tests read id tables whose entries are computed on first use: an extra
-    connective keys on its argument id, a binary one on both, a lifting on
-    the cid of its action and its argument id (a tuple of ids for a k-ary
-    lifting), a test on its argument's id.  A lifting entry is assembled
-    from the lifted truth values of the coalgebra's FValues, each computed
-    once by the lifting's kernel and kept per FValue, since sampled
-    coalgebras seldom recur but their FValues do.  An operation keeps its
-    outputs by operand cids only where those are few (one operand, or a
-    test's cid list); a pair of slots, of which there are C**2, is computed
-    afresh, a composition against the map of its right operand, which it
-    keeps while that operand stays.  ``forget`` drops every id and table, so
-    a long sampled sweep can bound its memory.  Steps fall into groups by
-    what they read: 0 the variables only, 1 also a slot other than the
-    first, 2 the first slot.  ``sweep`` moves slot 1 in its innermost loop,
-    so only group 2 reruns there; ``run_new`` runs each step once, for an
-    EvalSession.
+    atomic actions the slots.  Each distinct subterm becomes one step.
+
+    Steps fall into groups by what they read: 0 the variables only, 1 also
+    a slot other than the first, 2 the first slot.  Slot 1 is a block
+    list: every cid the sweep gives it at once (``range(C)``), or ``[cid]``
+    at a single case.  A formula step of group 0 or 1 maps the sigma-list
+    (variable assignments, S of them, in the sweep's canonical order) to
+    the list of its S ids; one of group 2 yields B*S ids for B blocks,
+    block-major, so position ``i`` is block ``i // S`` at sigma-position
+    ``i % S``.  An S-long list read beside a B*S-long one is repeated once
+    per block by a tile step.  An action step yields one cid, or one cid
+    per block if it reads slot 1; a test yields one cid per position (S or
+    B*S of them), as does an operation with such an operand, whose block
+    operands are spread over their S positions.  A modality over a block
+    list reads each block's lifting row at the same S keys; where the keys
+    read slot 1 too, the block list is spread and read position by
+    position.
+
+    Connectives, liftings, operations and tests read id tables whose
+    entries are computed on first use: an extra connective keys on its
+    argument id, a binary one on both, a lifting on the cid of its action
+    and its argument id (a tuple of ids for a k-ary lifting), a test on its
+    argument's id.  A lifting entry is assembled from the lifted truth
+    values of the coalgebra's FValues, each computed once by the lifting's
+    kernel and kept per FValue, since sampled coalgebras seldom recur but
+    their FValues do.  An operation keeps its outputs by operand cids only
+    where those are few (one operand, or a test's cid list); a pair of
+    slots, of which there are C**2, is computed afresh, a composition
+    against the map of its right operand, which it keeps while that operand
+    stays.  ``forget`` drops every id and table, so a long sampled sweep can
+    bound its memory.  ``sweep`` runs group 1 once per assignment of the
+    outer slots and group 2 once per block list; ``run_new`` runs each step
+    once, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -386,13 +403,14 @@ class Plan:
         self.coalgs: list = []  # cid -> coalgebra
         self._slots = {key: s for s, key in enumerate(slots)}  # slot or atom -> slot - 1
         self._vars = {key: v for v, key in enumerate(variables)}  # variable or prop -> variable
-        self.cids: list[int] = [0] * len(self._slots)  # slot - 1 -> cid, set by the caller
+        # slot - 1 -> cid, set by the caller; slot 1 holds its block list
+        self.cids: list = [0] * len(self._slots)
         self.vals: list = []  # step position -> ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
         self._ran = [0, 0, 0]  # steps of each group that run_new has run
         self._inputs: list = [[], 1]  # the variables' sigma-lists and their length
         self._pos: dict = {}  # node -> (position, group)
-        self._each: set = set()  # positions of actions valued as cid lists
+        self._each: set = set()  # positions of actions with one cid per position
         self._lifts: dict = {}  # lifting id -> (arity, {cid: {key: id}}, fill)
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep({})
@@ -436,8 +454,12 @@ class Plan:
 
     def run_case(self, coalgs, sigmas) -> None:
         """Run every step at a single case: ``coalgs`` on the slots, slot 1
-        first, and ``sigmas`` on the variables."""
-        self.cids[:] = map(self.intern, coalgs)
+        first (as a block list of one cid), and ``sigmas`` on the
+        variables."""
+        cids = self.cids
+        cids[:] = map(self.intern, coalgs)
+        if cids:
+            cids[0] = [cids[0]]
         self.load([[self.pid(sigma)] for sigma in sigmas], 1)
         self.run(1)
         self.run(2)
@@ -453,21 +475,32 @@ class Plan:
 
     def sweep(self, coalgs: int):
         """Run groups 1 and 2 at every assignment of the cids below
-        ``coalgs`` to the slots, in ``product`` order with slot 1 fastest,
-        and yield ``cids`` after each; group 1 reruns only when a slot other
-        than the first moves.  With no slots there is one assignment."""
-        cids, vals, inner = self.cids, self.vals, self.groups[2]
+        ``coalgs`` to the slots and yield slot 1's block list after each
+        run of group 2.  The outer slots move in ``product`` order, the
+        last slot slowest, and group 1 runs once per outer assignment.
+        Slot 1 takes its cids as consecutive block lists, so group 2 runs
+        once per block list, not once per cid.  The first lists hold 1, 2,
+        4, ... cids, so a sweep failing at slot-1 cid j of its first outer
+        assignment has run at most 2j + 1 of them; from then on a list
+        takes every cid that fits in ``SWEEP_IDS`` ids.  Position ``i`` of
+        a list that reads slot 1 is the case of cid ``blocks[i // S]`` at
+        sigma-position ``i % S``, S the loaded size: the order of a loop
+        with slot 1 innermost.  With no slots there is one assignment,
+        yielded as ``range(1)``."""
+        cids = self.cids
         if not cids:
-            yield cids
+            yield range(1)
             return
+        most, size = max(1, SWEEP_IDS // self._inputs[1]), 1
         for outer in product(range(coalgs), repeat=len(cids) - 1):
             cids[1:] = outer[::-1]
             self.run(1)
-            for cid in range(coalgs):
-                cids[0] = cid
-                for pos, step in inner:
-                    vals[pos] = step(vals)
-                yield cids
+            lo = 0
+            while lo < coalgs:
+                cids[0] = blocks = range(lo, min(lo + size, coalgs))
+                self.run(2)
+                yield blocks
+                lo, size = blocks.stop, min(2 * size, most)
 
     # -- compilation ------------------------------------------------------
 
@@ -603,7 +636,7 @@ class Plan:
                     return list(map(table.__getitem__, A))
 
             return self._add(group, extra)
-        (a, _), (b, _) = args
+        a, b = self._aligned(args)
         rows = self._keep(defaultdict(dict))
 
         def binary(vals):
@@ -630,16 +663,10 @@ class Plan:
         act, group = self._action(node.action)
         args = [self._compile(a) for a in node.args]
         keys, kgroup = args[0] if arity == 1 else self._keys(args)
-        if act not in self._each:
-
-            def modal(vals):
-                cid = vals[act]
-                try:
-                    return list(map(rows[cid].__getitem__, vals[keys]))
-                except KeyError:
-                    return fill(cid, vals[keys])
-
-        else:  # one cid per position
+        if group == 2 and kgroup == 2 and act not in self._each:
+            act = self._spread(act)  # each block reads its own keys: go by position
+        if act in self._each:  # one cid per position
+            act, keys = self._aligned([(act, group), (keys, kgroup)])
 
             def modal(vals):
                 C, K = vals[act], vals[keys]
@@ -649,6 +676,34 @@ class Plan:
                     for c, key in zip(C, K):
                         fill(c, (key,))
                     return list(map(getitem, map(rows.__getitem__, C), K))
+
+        elif group < 2:  # one cid
+
+            def modal(vals):
+                cid = vals[act]
+                try:
+                    return list(map(rows[cid].__getitem__, vals[keys]))
+                except KeyError:
+                    return fill(cid, vals[keys])
+
+        else:  # a block list: each block's row reads the same S keys
+
+            def read(blocks, K):
+                if len(blocks) == 1:
+                    return list(map(rows[blocks[0]].__getitem__, K))
+                getters = [rows[c].__getitem__ for c in blocks]
+                return list(chain.from_iterable(map(map, getters, repeat(K))))
+
+            def modal(vals):
+                blocks, K = vals[act], vals[keys]
+                try:
+                    return read(blocks, K)
+                except KeyError:
+                    need = dict.fromkeys(K).keys()  # in order of first use, as one cid fills
+                    for c in blocks:
+                        if not rows[c].keys() >= need:
+                            fill(c, need)
+                    return read(blocks, K)
 
         return self._add(max(group, kgroup), modal)
 
@@ -691,11 +746,21 @@ class Plan:
                     got = table[key] = compute(*key)
                 return got
 
-        if any(each):  # one cid per position, a single cid standing for all
+        if any(each) and group == 2:
+            # one cid per position of every block: S-long lists tiled,
+            # block lists spread over their S positions
+            for i, (pos, g) in enumerate(args):
+                if g == 2 and not each[i]:
+                    positions[i], each[i] = self._spread(pos), True
+                elif g < 2 and each[i]:
+                    positions[i] = self._tiled(pos)
+        # a list of cids per operand that has one: per position, or per block
+        listed = [e or g == 2 for e, (_, g) in zip(each, args)]
+        if any(listed):
 
             def op(vals):
-                cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, each)]
-                return list(starmap(output, zip(*cols)))
+                cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)]
+                return list(map(output, *cols))
 
         elif len(positions) == 1:
             (a,) = positions
@@ -738,7 +803,7 @@ class Plan:
     def _keys(self, args) -> tuple[int, int]:
         """A step zipping the argument ids into lifting keys, one id tuple
         per position."""
-        positions = tuple(pos for pos, _ in args)
+        positions = tuple(self._aligned(args))
         got = self._pos.get(positions)
         if got is None:
 
@@ -747,6 +812,39 @@ class Plan:
 
             got = self._pos[positions] = self._add(max(g for _, g in args), keys)
         return got
+
+    def _aligned(self, args) -> list[int]:
+        """The positions of per-position lists read side by side: where one
+        reads slot 1, the S-long ones are tiled to its length."""
+        if all(g < 2 for _, g in args):
+            return [pos for pos, _ in args]
+        return [pos if g == 2 else self._tiled(pos) for pos, g in args]
+
+    def _tiled(self, pos: int) -> int:
+        """A group-2 step repeating the S-long list at ``pos`` once per block."""
+        got = self._pos.get(("tile", pos))
+        if got is None:
+            cids = self.cids
+
+            def tile(vals):
+                return vals[pos] * len(cids[0])
+
+            got = self._pos["tile", pos] = self._add(2, tile)
+        return got[0]
+
+    def _spread(self, pos: int) -> int:
+        """A group-2 step repeating each cid of the block list at ``pos`` at
+        its block's S positions."""
+        got = self._pos.get(("spread", pos))
+        if got is None:
+            inputs = self._inputs
+
+            def spread(vals):
+                return list(chain.from_iterable(map(repeat, vals[pos], repeat(inputs[1]))))
+
+            got = self._pos["spread", pos] = self._add(2, spread)
+            self._each.add(got[0])
+        return got[0]
 
 
 class EvalSession:

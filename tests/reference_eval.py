@@ -4,10 +4,12 @@ These are the evaluators mvdl shipped before formulas and rule templates
 were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
 case-by-case rule-soundness and entailment sweeps built on them; the
-exhaustive safety sweep as it ran on FValues before it ran on ids; and the
-monotonicity check as a scan over all pairs of predicates.  The differential
-tests check the compiled plans, the id sweeps and the predicate-poset check
-against them; nothing in ``src/`` imports them.
+exhaustive safety sweep as it ran on FValues before it ran on ids; the
+monotonicity check as a scan over all pairs of predicates; and the double
+powerset composition as a walk over every subfamily.  The differential
+tests check the compiled plans, the id sweeps, the predicate-poset check
+and ``actions.double_seq_map`` against them; nothing in ``src/`` imports
+them.
 """
 
 from __future__ import annotations
@@ -454,3 +456,31 @@ def reference_is_monotone(fops, table) -> bool:
             if all(leq(a, b) for a, b in zip(p, q)) and not leq(table[i], table[j]):
                 return False
     return True
+
+
+def reference_double_seq_map(fops, g2):
+    """t |-> (t ; g2) for the double powerset, trying each subfamily of
+    every member's successor families and testing each state's cover."""
+    n = fops.n
+
+    def dmap(t: frozenset) -> frozenset:
+        out = set()
+        for zmask in t:
+            states = [y for y in range(n) if zmask >> y & 1]
+            family = sorted({u for y in states for u in g2[y]})
+            fam_len = len(family)
+            for pick in range(1 << fam_len):
+                chosen = [family[i] for i in range(fam_len) if pick >> i & 1]
+                ok = True
+                for y in states:
+                    if not any(u in g2[y] for u in chosen):
+                        ok = False
+                        break
+                if ok:
+                    union = 0
+                    for u in chosen:
+                        union |= u
+                    out.add(union)
+        return frozenset(out)
+
+    return dmap

@@ -27,7 +27,17 @@ The calls are, in order:
   two-state model (game: the identity, since it has no pullback);
 * one ``EvalSession`` row per pinned eval case: ``eval`` of its formula and
   ``interpret`` of each of the formula's actions.  The cases file is only
-  read.
+  read;
+* ``verify_reduction_rule`` at n=2, exhaustive and sampled, on every
+  binary operation rule of the five presets with its template replaced by
+  two shapes of the plan's slot-1 block layout: ``<1:L> <1:L> w1..``
+  (a modality over slot 1 reading keys that read slot 1) and ``<2:L> w1..``
+  (a side that never reads slot 1);
+* exhaustive ``bounded_entailment`` on the same presets at max_n=2
+  (instantial: 1 for the axioms): each builtin rule's axiom instance,
+  ``p -> <a>p``, ``<a;b>p -> <b>p`` (``b``, the last atom, is slot 1) and
+  ``<b;?t(<b>p)>p -> <b>p`` (a test whose argument reads slot 1, beside
+  slot 1).
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -116,6 +126,55 @@ def calls(root: Path, seed: int):
         yield f"invariance {target.config.name}/{target.config.truth.name}", invariance
     for case in cases:
         yield f"eval {case['id']}", lambda case=case: _session_row(m, case)
+    yield from _block_rows(m, configs, entail)
+
+
+def _block_rows(m, configs, entail):
+    """The rule and exhaustive entailment rows for the slot-1 block shapes."""
+    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        for rule in reduction.builtin_rules(config).rules.values():
+            if rule.target_kind != "op" or config.ops[rule.target].arity != 2:
+                continue
+            k = config.liftings[rule.lifting].arity
+            ws = tuple(map(sx.Var, range(1, k + 1)))
+            shapes = {
+                "<1><1>": sx.Modal(rule.lifting, 1, (sx.Modal(rule.lifting, 1, ws),) + ws[1:]),
+                "<2>": sx.Modal(rule.lifting, 2, ws),
+            }
+            for shape, body in shapes.items():
+                r = reduction.ReductionRule(*rule.key, sx.Template(2, k, body))
+                for mode in ("exhaustive", "random"):
+                    yield (
+                        f"shape {shape} {tag} {' '.join(rule.key)} n=2 {mode}",
+                        lambda c=config, r=r, mode=mode: h.verify_reduction_rule(
+                            r, c, n=2, mode=mode, trials=2000
+                        ),
+                    )
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        lid = sorted(config.liftings)[0]
+        p, a, b = sx.Prop("p"), sx.Atomic("a"), sx.Atomic("b")
+
+        def dia(action, arg=p, lid=lid, k=config.liftings[lid].arity):
+            return sx.Modal(lid, action, (arg,) * k)
+
+        beside = sx.Op(";", (b, sx.Test(sorted(config.tests)[0], dia(b))))
+        phis = [(" ".join(key), entail(sx, config, rule)[0], 1 if config.name == "instantial" else 2)
+                for key, rule in reduction.builtin_rules(config).rules.items()]
+        phis += [
+            ("p -> <a>p", sx.Conn("->", (p, dia(a))), 2),
+            ("<a;b>p -> <b>p", sx.Conn("->", (dia(sx.Op(";", (a, b))), dia(b))), 2),
+            ("<b;?t(<b>p)>p -> <b>p", sx.Conn("->", (dia(beside), dia(b))), 2),
+        ]
+        for label, phi, max_n in phis:
+            yield (
+                f"entail {tag} {label} max_n={max_n} exhaustive",
+                lambda c=config, phi=phi, max_n=max_n: h.bounded_entailment(
+                    [], phi, c, max_n=max_n
+                ),
+            )
 
 
 def _session_row(m, case) -> dict:

@@ -11,6 +11,7 @@ from mvdl.actions import (
     OperationSpec,
     apply_op,
     apply_test,
+    double_seq_map,
     kleisli_star,
 )
 from mvdl.actions import TestSpec as TSpec
@@ -18,6 +19,8 @@ from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
 from mvdl.functors import Kind, _pred_poset, functor_ops, predicate_space
 from mvdl.presets import PRESET_NAMES, make_preset
+
+from reference_eval import reference_double_seq_map
 
 KLEISLI = OperationSpec(";", 2, "kleisli")
 DSEQ = OperationSpec(";", 2, "double-seq")
@@ -209,6 +212,26 @@ class TestDoubleMonad:
             for t in values:
                 got = apply_op(DSEQ, ((t, t), g2), fops)[0]
                 assert got == _seq_comprehension_oracle(t, g2, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_double_seq_map_matches_subfamily_walk(self, B2, n):
+        # every value and right coalgebra at n <= 2, seeded ones at n = 3;
+        # one map per right coalgebra serves every value, as in a sweep
+        fops = functor_ops(Kind.DOUBLE_POWERSET, n, B2)
+        if n < 3:
+            values = list(fops.enumerate())
+            pairs = [(values, g2) for g2 in product(values, repeat=n)]
+        else:
+            rng = random.Random(11)
+            pairs = [
+                ([fops.random_value(rng) for _ in range(25)],
+                 tuple(fops.random_value(rng) for _ in range(n)))
+                for _ in range(25)
+            ]
+        for ts, g2 in pairs:
+            dmap, want = double_seq_map(fops, g2), reference_double_seq_map(fops, g2)
+            for t in ts:
+                assert dmap(t) == want(t)
 
     def test_double_star_matches_comprehension_and_categorical(self, B2):
         n = 2

@@ -387,6 +387,29 @@ class TestZeroCaseSweeps:
         assert code == 2
         assert "unrecognized arguments: --jobs" in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["validate-algebra", "--builtin", "B2"], ["--max-n", "2"]),
+            (["semiprimal", "--algebra", "B2"], ["--seed", "1"]),
+            (["eval", "--model", "m.json", "--phi", "p"], ["--algebra", "L2"]),
+            (["reduce", "--phi", "p"], ["--max-n", "3"]),
+            (["reduce", "--phi", "p"], ["--budget", "5", "--trials", "9", "--seed", "1"]),
+            (["reduce", "--phi", "p"], ["--mode", "random"]),
+            (["verify-rules"], ["--max-n", "3"]),
+            (["check-safety", "--op", ";"], ["--n", "3"]),
+            (["check-separation"], ["--max-n", "3"]),
+            (["one-step", "--kind", "threshold", "--trials", "5"], ["--mode", "random"]),
+            (["entail", "--phi", "p"], ["--n", "3"]),
+        ],
+    )
+    def test_flags_the_command_does_not_read_are_rejected(self, capsys, argv, flags):
+        # a flag is accepted only by the subcommands whose handler reads it,
+        # so a misplaced one is an error rather than silently ignored
+        code, out, err = run(capsys, *argv, *flags)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize(

@@ -192,6 +192,65 @@ def test_pinned_composition_countermodel():
     }
 
 
+# Recorded before the sweep ran slot 1 as one block list.  Each is checked
+# with slot 1's cids in one block list, one per list, and two per list
+# (20 ids over the 9 valuations of one proposition at two states).
+BLOCK_SIZES = pytest.mark.parametrize("sweep_ids", [None, 1, 20])
+
+
+def _pinned(monkeypatch, sweep_ids, text):
+    if sweep_ids is not None:
+        monkeypatch.setattr(semantics, "SWEEP_IDS", sweep_ids)
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    return bounded_entailment([], parse(text, config.signature), config, max_n=2)
+
+
+def _labelled_model(atoms, p):
+    return {
+        "algebra": "L2", "atoms": atoms, "kind": "apowerset", "n": 2,
+        "preset": "pdl-labelled", "valuation": {"p": p},
+    }
+
+
+@BLOCK_SIZES
+def test_pinned_test_reading_slot_1_beside_slot_1(monkeypatch, sweep_ids):
+    # b is slot 1 and the test's argument <b>p reads it too
+    verdict = _pinned(monkeypatch, sweep_ids, "<b;?t(<b>p)>p -> p")
+    assert (verdict.status, verdict.cases) == ("fails", 111)
+    assert verdict.counterexample == {
+        "gamma": [],
+        "model": _labelled_model({"b": [[0, 1], [0, 2]]}, [0, 2]),
+        "phi": "<b;?t(<b> p)> p -> p",
+        "state": 0,
+    }
+    verdict = _pinned(monkeypatch, sweep_ids, "<b;?t(<b>p)>p -> <b>(p /\\ <b>p)")
+    assert (verdict.status, verdict.cases) == ("holds-up-to-bound", 738)
+
+
+@BLOCK_SIZES
+def test_pinned_test_reading_slot_1_beside_slot_2(monkeypatch, sweep_ids):
+    verdict = _pinned(monkeypatch, sweep_ids, "<a;?t(<b>p)>p -> <b>p")
+    assert (verdict.status, verdict.cases) == ("fails", 2385)
+    assert verdict.counterexample == {
+        "gamma": [],
+        "model": _labelled_model({"a": [[0, 0], [1, 0]], "b": [[0, 2], [0, 0]]}, [2, 2]),
+        "phi": "<a;?t(<b> p)> p -> <b> p",
+        "state": 1,
+    }
+
+
+@BLOCK_SIZES
+def test_pinned_composition_with_slot_1_on_the_right(monkeypatch, sweep_ids):
+    verdict = _pinned(monkeypatch, sweep_ids, "<a;b>p -> <b>p")
+    assert (verdict.status, verdict.cases) == ("fails", 2379)
+    assert verdict.counterexample == {
+        "gamma": [],
+        "model": _labelled_model({"a": [[0, 0], [1, 0]], "b": [[0, 2], [0, 0]]}, [0, 2]),
+        "phi": "<a;b> p -> <b> p",
+        "state": 1,
+    }
+
+
 def _sampled_sweep(config, phi):
     verdict = bounded_entailment([], phi, config, max_n=14, mode="random", trials=20)
     assert (verdict.status, verdict.cases) == ("holds-up-to-bound", 20)

@@ -1,5 +1,6 @@
 """Sessions on the compiled plan against the recursive reference evaluator."""
 
+import gc
 import json
 import random
 from dataclasses import replace
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from mvdl import syntax as sx
 from mvdl.algebra import algebra_by_name, build_builtin
 from mvdl.errors import IncompatibleVariant, InvalidParameter, UnknownAtom, UnknownIdentifier
-from mvdl.harness import bounded_entailment
+from mvdl.harness import bounded_entailment, verify_reduction_rule
 from mvdl.jsonio import formula_from_json, formula_to_json
 from mvdl.presets import make_preset
+from mvdl.reduction import ReductionRule
 from mvdl.semantics import EvalSession, LiftingSpec, Model, Plan, eval_formula
 from mvdl.syntax import parse
 
@@ -127,7 +129,8 @@ class TestPlan:
             group[:] = [(pos, _never) for pos, _ in group]
         phi = parse("<a> p \\/ q", labelled_l2.signature)
         assert session.eval(phi) == ReferenceSession(model).eval(phi)
-        assert sum(map(len, groups)) == done + 2  # q and \/
+        # q, q tiled beside <a>p (which reads slot 1) and \/
+        assert sum(map(len, groups)) == done + 3
 
     def test_failed_eval_leaves_session_usable(self, crisp_b2):
         model = Model(1, crisp_b2, atoms={"a": (1,)}, valuation={"p": (1,)})
@@ -187,3 +190,27 @@ def test_crisp_countermodel_is_unchanged():
     )
     one_state = bounded_entailment([], phi, crisp, max_n=1)
     assert (one_state.status, one_state.cases) == ("holds-up-to-bound", 4)
+
+
+def test_sweeps_leave_no_reference_cycles():
+    # a finished sweep's plan and tables are freed as soon as it returns,
+    # not left to the cycle collector; these reach every slot-1 step shape
+    # (block lists, tiles, spreads, tests beside slot 1, compositions)
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+
+    def sweeps():
+        for text in ("<1:dia> <1:dia> w1", "<2:dia> w1", "<1:dia> <2:dia> w1"):
+            body = parse(text, config.signature, "template").body
+            rule = ReductionRule("op", ";", "dia", sx.Template(2, 1, body))
+            verify_reduction_rule(rule, config, n=2)
+            verify_reduction_rule(rule, config, n=2, mode="random", trials=20)
+        for text in ("<b;?t(<b>p)>p -> p", "<a;b>p -> <b>p", "<a;?t(<b>p)>p -> [b]p"):
+            bounded_entailment([], parse(text, config.signature), config, max_n=2)
+
+    gc.collect()
+    gc.disable()
+    try:
+        sweeps()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

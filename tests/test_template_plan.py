@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvdl import syntax as sx
-from mvdl import harness
+from mvdl import harness, semantics
 from mvdl.algebra import algebra_by_name, build_builtin
 from mvdl.errors import ArityMismatch, InvalidParameter, UnknownIdentifier
 from mvdl.harness import verify_reduction_rule
@@ -78,28 +78,36 @@ def test_every_step_matches_reference(case):
     plan = Plan(config, n, slots, k)
     plan.compile(body)
     P = plan.intern_space()
-    preds = plan.preds
+    preds, coalgs = plan.preds, plan.coalgs
     space = list(product(range(P), repeat=k))
-    plan.load([[combo[i] for combo in space] for i in range(k)], len(space))
+    S = len(space)
+    plan.load([[combo[i] for combo in space] for i in range(k)], S)
+    while len(coalgs) < 2:  # at least two, so slot 1 is a block list of C >= 2
+        plan.intern(tuple(fops.random_value(rng) for _ in range(n)))
+    reference = ReferenceTemplateEval(config, n)
+    nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
+    for blocks in plan.sweep(len(coalgs)):
+        outer = tuple(coalgs[c] for c in plan.cids[1:])
+        for node, pos in nodes:
+            ids = plan.vals[pos]
+            # a step that does not read slot 1 holds one block, standing for each
+            assert len(ids) in (S, S * len(blocks)), node
+            for b, cid in enumerate(blocks):
+                gammas = (coalgs[cid],) + outer
+                got = [preds[i] for i in ids[b * S:(b + 1) * S] or ids]
+                want = [
+                    reference.eval(node, gammas, tuple(preds[i] for i in combo))
+                    for combo in space
+                ]
+                assert got == want, (node, cid)
+    # a single case: slot 1 is a block of one cid and every list one id long
     gammas = tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots))
-    for step in range(2):
-        if step:
-            # the sweep's inner loop: only slot 1 moves, only group 2 reruns
-            gammas = (tuple(fops.random_value(rng) for _ in range(n)),) + gammas[1:]
-        for s, gamma in enumerate(gammas):
-            plan.cids[s] = plan.intern(gamma)
-        if not step:
-            plan.run(1)
-        plan.run(2)
-        reference = ReferenceTemplateEval(config, n)
-        for node, (pos, _) in plan._pos.items():
-            if isinstance(node, tuple):  # a slot or a key-combining step
-                continue
-            want = [reference.eval(node, gammas, tuple(preds[i] for i in combo)) for combo in space]
-            assert [preds[i] for i in plan.vals[pos]] == want, node
-    # one case through a session: the template instantiated with atoms and
-    # propositions, in a model interpreting them as gammas and sigmas
     sigmas = tuple(preds[rng.randrange(P)] for _ in range(k))
+    plan.run_case(gammas, sigmas)
+    for node, pos in nodes:
+        assert [preds[i] for i in plan.vals[pos]] == [reference.eval(node, gammas, sigmas)], node
+    # the same case through a session: the template instantiated with atoms
+    # and propositions, in a model interpreting them as gammas and sigmas
     atoms = [f"a{s}" for s in range(1, slots + 1)]
     props = [f"p{v}" for v in range(1, k + 1)]
     model = Model(n, config, dict(zip(atoms, gammas)), dict(zip(props, sigmas)))
@@ -265,6 +273,31 @@ def test_pinned_test_rule_with_meet_for_tensor():
         "test_argument": [0, 1],
         "lhs": [0, 0],
         "rhs": [0, 1],
+    }
+
+
+# Recorded before the sweep ran slot 1 as one block list; checked with slot
+# 1's cids in one block list, one per list, and two per list (20 ids over
+# the 9 sigmas at two states).
+@pytest.mark.parametrize("sweep_ids", [None, 1, 20])
+@pytest.mark.parametrize(
+    "text, cases, gammas, sigmas, lhs, rhs",
+    [
+        # a modality over slot 1 whose keys read slot 1 too
+        ("<1:dia> <1:dia> w1", 40, [[[0, 0], [0, 2]], [[0, 0], [0, 0]]], [[0, 1]], [0, 0], [0, 1]),
+        # a side that never reads slot 1
+        ("<2:dia> w1", 1464, [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], [[0, 2]], [0, 0], [0, 1]),
+    ],
+)
+def test_pinned_slot_1_shapes(monkeypatch, sweep_ids, text, cases, gammas, sigmas, lhs, rhs):
+    if sweep_ids is not None:
+        monkeypatch.setattr(semantics, "SWEEP_IDS", sweep_ids)
+    config = _labelled()
+    template = sx.parse(text, config.signature, "template")
+    verdict = verify_reduction_rule(_mutant(config, ("op", ";", "dia"), template.body), config)
+    assert (verdict.status, verdict.cases) == ("fails", cases)
+    assert verdict.counterexample == {
+        "rule": ["op", ";", "dia"], "gammas": gammas, "sigmas": sigmas, "lhs": lhs, "rhs": rhs,
     }
 
 
