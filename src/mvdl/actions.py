@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem, or_
 from typing import Callable, Sequence
 
 from .algebra import Algebra
@@ -113,15 +114,11 @@ def kleisli_compose_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
 
         return amap
     if kind in NEIGHBOURHOOD_KINDS:
-        index = predicate_index(alg.m, n)
         # ev_sigma . g2, indexed by the sigma being looked up
-        jmap = [
-            index[tuple(g2[y][i] for y in range(n))]
-            for i in range(len(predicate_space(alg.m, n)))
-        ]
+        jmap = list(map(predicate_index(alg.m, n).__getitem__, zip(*g2)))
 
         def nmap(t: tuple) -> tuple:
-            return tuple(t[j] for j in jmap)
+            return tuple(map(t.__getitem__, jmap))
 
         return nmap
     raise IncompatibleVariant(f"kleisli does not apply to {kind.value}")
@@ -176,6 +173,28 @@ def double_star_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
 
 
 COMPOSITION_VARIANTS = ("kleisli", "double-seq", "double-star")
+POINTWISE_VARIANTS = ("union", "nbh-union", "join-pw", "meet-pw")
+
+
+def _nbh_union(u: frozenset, v: frozenset) -> frozenset:
+    return frozenset(z1 | z2 for z1 in u for z2 in v)
+
+
+def pointwise_step(alg: Algebra, variant: str) -> Callable:
+    """The one-step map ``(u, v) |-> w`` of a binary pointwise operation:
+    its output at a state from the two operands' FValues there."""
+    if variant == "union":
+        return or_
+    if variant == "nbh-union":
+        return _nbh_union
+    if variant in ("join-pw", "meet-pw"):
+        table = alg.join_table if variant == "join-pw" else alg.meet_table
+
+        def lattice(u: tuple, v: tuple) -> tuple:
+            return tuple(map(getitem, map(table.__getitem__, u), v))
+
+        return lattice
+    raise IncompatibleVariant(f"{variant!r} is not a pointwise variant")
 
 
 def composition_map(fops: FunctorOps, variant: str, g2: Coalgebra) -> Callable:
@@ -206,20 +225,9 @@ def apply_op(
             f"operation {op.id!r} has arity {op.arity}, got {len(gammas)} coalgebras"
         )
     n, alg, variant = fops.n, fops.alg, op.variant
-    if variant == "union":
+    if variant in POINTWISE_VARIANTS:
         g1, g2 = gammas
-        return tuple(g1[x] | g2[x] for x in range(n))
-    if variant == "nbh-union":
-        g1, g2 = gammas
-        return tuple(
-            frozenset(z1 | z2 for z1 in g1[x] for z2 in g2[x]) for x in range(n)
-        )
-    if variant in ("join-pw", "meet-pw"):
-        g1, g2 = gammas
-        table = alg.join_table if variant == "join-pw" else alg.meet_table
-        return tuple(
-            tuple(table[u][v] for u, v in zip(g1[x], g2[x])) for x in range(n)
-        )
+        return tuple(map(pointwise_step(alg, variant), g1, g2))
     if variant == "dual":
         (g,) = gammas
         negmap = _neg_index_map(alg, n)

@@ -198,10 +198,10 @@ class FunctorOps:
 
     def _enumerate_monotone(self, budget: int) -> Iterator[tuple[int, ...]]:
         alg = self.alg
-        preds, order, below = _pred_poset(alg, self.n)
+        order, covers = _pred_covers(alg, self.n)
         jt, ups = alg.join_table, _up_sets(alg)
         emitted = 0
-        table = [0] * len(preds)
+        table = [0] * len(order)
 
         def rec(pos: int) -> Iterator[tuple[int, ...]]:
             nonlocal emitted
@@ -216,7 +216,7 @@ class FunctorOps:
                 return
             i = order[pos]
             lower = 0
-            for j in below[i]:
+            for j in covers[i]:
                 lower = jt[lower][table[j]]
             for v in ups[lower]:
                 table[i] = v
@@ -239,12 +239,14 @@ class FunctorOps:
             return frozenset(
                 mask for mask in range(1 << n) if rng.random() < 0.5
             )
-        _, order, below = _pred_poset(alg, n)
+        order, covers = _pred_covers(alg, n)
         jt, ups = alg.join_table, _up_sets(alg)
         table = [0] * len(order)
         for i in order:
+            # the table is monotone on the predicates drawn so far, so the
+            # covers of i join to what everything below i joins to
             lower = 0
-            for j in below[i]:
+            for j in covers[i]:
                 lower = jt[lower][table[j]]
             table[i] = rng.choice(ups[lower])
         return tuple(table)
@@ -283,6 +285,18 @@ def _pred_poset(alg: Algebra, n: int):
     ]
     order = sorted(range(len(preds)), key=lambda i: len(below[i]))
     return preds, order, below
+
+
+@lru_cache(maxsize=None)
+def _pred_covers(alg: Algebra, n: int):
+    """``_pred_poset``'s linear extension, and for each predicate the ones
+    it covers: those strictly below it with none between."""
+    _, order, below = _pred_poset(alg, n)
+    covers = []
+    for lower in below:
+        under = set().union(*(below[j] for j in lower))
+        covers.append([j for j in lower if j not in under])
+    return order, covers
 
 
 def functor_ops(kind: Kind, n: int, alg: Algebra) -> FunctorOps:

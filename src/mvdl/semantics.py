@@ -30,12 +30,14 @@ from typing import Mapping, Sequence
 
 from .actions import (
     COMPOSITION_VARIANTS,
+    POINTWISE_VARIANTS,
     Coalgebra,
     OperationSpec,
     TestSpec,
     apply_op,
     apply_test,
     composition_map,
+    pointwise_step,
 )
 from .algebra import Algebra
 from .errors import (
@@ -340,6 +342,10 @@ def _interner(index: dict, values: list):
 # slot-1 cid), so they do not grow with the number of coalgebras
 SWEEP_IDS = 1 << 16
 
+# a composition whose right operand reads slot 1 and its left operand does
+# not keeps at most this many right operands' maps
+KEPT_MAPS = 256
+
 
 class Plan:
     """Formulas and actions compiled for one configuration and carrier size
@@ -379,12 +385,16 @@ class Plan:
     kernel and kept per FValue, since sampled coalgebras seldom recur but
     their FValues do.  An operation keeps its outputs by operand cids only
     where those are few (one operand, or a test's cid list); a pair of
-    slots, of which there are C**2, is computed afresh, a composition
-    against the map of its right operand, which it keeps while that operand
-    stays.  ``forget`` drops every id and table, so a long sampled sweep can
-    bound its memory.  ``sweep`` runs group 1 once per assignment of the
-    outer slots and group 2 once per block list; ``run_new`` runs each step
-    once, for an EvalSession.
+    slots, of which there are C**2, is assembled state by state from
+    one-step tables.  A composition goes through the map of its right
+    operand, memoised per FValue; it keeps every right operand's map, up to
+    ``KEPT_MAPS``, where the right operand reads slot 1 and the left does
+    not, and else the last one.  A binary pointwise operation goes through
+    ``pointwise_step`` memoised per pair of FValues.  ``forget`` drops
+    every id and table, so a long sampled sweep can bound its memory.
+    ``sweep`` runs group 1 once per assignment of the outer slots and
+    group 2 once per block list; ``run_new`` runs each step once, for an
+    EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -721,14 +731,31 @@ class Plan:
         each = [pos in self._each for pos in positions]
         coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
         if variant in COMPOSITION_VARIANTS:
-            right = self._keep({})  # the last right operand's cid -> its map
+            # right operand cid -> its map: every map while the right operand
+            # moves faster than the left, else the last one
+            right = self._keep({})
+            keep = KEPT_MAPS if args[1][1] == 2 > args[0][1] else 1
 
             def output(c1, c2):
                 after = right.get(c2)
                 if after is None:
-                    right.clear()
+                    if len(right) >= keep:
+                        right.clear()
                     after = right[c2] = lru_cache(None)(composition_map(fops, variant, coalgs[c2]))
                 return intern(tuple(map(after, coalgs[c1])))
+
+        elif variant in POINTWISE_VARIANTS:
+            steps, step = self._keep({}), pointwise_step(fops.alg, variant)
+
+            def output(c1, c2):
+                pairs = tuple(zip(coalgs[c1], coalgs[c2]))
+                try:
+                    return intern(tuple(map(steps.__getitem__, pairs)))
+                except KeyError:
+                    for pair in pairs:
+                        if pair not in steps:
+                            steps[pair] = step(*pair)
+                    return intern(tuple(map(steps.__getitem__, pairs)))
 
         else:
 

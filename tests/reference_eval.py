@@ -5,11 +5,14 @@ were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
 case-by-case rule-soundness and entailment sweeps built on them; the
 exhaustive safety sweep as it ran on FValues before it ran on ids; the
-monotonicity check as a scan over all pairs of predicates; and the double
-powerset composition as a walk over every subfamily.  The differential
-tests check the compiled plans, the id sweeps, the predicate-poset check
-and ``actions.double_seq_map`` against them; nothing in ``src/`` imports
-them.
+monotonicity check as a scan over all pairs of predicates; a monotone
+table drawn by joining over every predicate below, not only the covers;
+the double powerset composition as a walk over every subfamily; and the
+binary pointwise operations as ``apply_op`` wrote them out per variant.
+The differential tests check the compiled plans, the id sweeps, the
+predicate-poset check, ``FunctorOps.random_value``,
+``actions.double_seq_map`` and ``actions.pointwise_step`` against them;
+nothing in ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from mvdl.errors import (
     UnknownAtom,
     UnknownIdentifier,
 )
-from mvdl.functors import predicate_index, predicate_space
+from mvdl.functors import _pred_poset, predicate_index, predicate_space
 from mvdl.harness import _forced_targets
 from mvdl.jsonio import fvalue_to_json, model_to_json
 from mvdl.semantics import Model, crisp_mask
@@ -456,6 +459,41 @@ def reference_is_monotone(fops, table) -> bool:
             if all(leq(a, b) for a, b in zip(p, q)) and not leq(table[i], table[j]):
                 return False
     return True
+
+
+def reference_monotone_draw(fops, rng) -> tuple:
+    """``random_value`` for a monotone table: in the predicate poset's
+    linear extension, each entry is drawn from the elements above the join
+    of the entries at every predicate strictly below it."""
+    alg = fops.alg
+    _, order, below = _pred_poset(alg, fops.n)
+    jt, leq, m = alg.join_table, alg._leq, alg.m
+    table = [0] * len(order)
+    for i in order:
+        lower = 0
+        for j in below[i]:
+            lower = jt[lower][table[j]]
+        above = leq[lower]
+        table[i] = rng.choice([v for v in range(m) if above[v]])
+    return tuple(table)
+
+
+# -- actions -----------------------------------------------------------------
+
+
+def reference_pointwise(variant: str, alg, g1, g2):
+    """A binary pointwise operation on two coalgebras, state by state."""
+    n = len(g1)
+    if variant == "union":
+        return tuple(g1[x] | g2[x] for x in range(n))
+    if variant == "nbh-union":
+        return tuple(
+            frozenset(z1 | z2 for z1 in g1[x] for z2 in g2[x]) for x in range(n)
+        )
+    table = alg.join_table if variant == "join-pw" else alg.meet_table
+    return tuple(
+        tuple(table[u][v] for u, v in zip(g1[x], g2[x])) for x in range(n)
+    )
 
 
 def reference_double_seq_map(fops, g2):

@@ -37,7 +37,10 @@ The calls are, in order:
   (instantial: 1 for the axioms): each builtin rule's axiom instance,
   ``p -> <a>p``, ``<a;b>p -> <b>p`` (``b``, the last atom, is slot 1) and
   ``<b;?t(<b>p)>p -> <b>p`` (a test whose argument reads slot 1, beside
-  slot 1).
+  slot 1), ``<a;(b;a)>p <-> <a><b;a>p`` (a composition whose right
+  operand reads slot 1 through another one) and ``<b+?t(p)>p -> <b>p``
+  with the preset's first pointwise operation for ``+`` (a test operand
+  beside slot 1).
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -52,6 +55,8 @@ from pathlib import Path
 
 WORKLOADS = ("Safety", "RuleSweep", "Entail")
 MODULES = ("actions", "algebra", "harness", "jsonio", "presets", "reduction", "semantics", "syntax")
+# the binary operations that act state by state
+POINTWISE = ("union", "nbh-union", "join-pw", "meet-pw")
 EVAL_CASES = Path("perfbench", "mvdlbench", "data", "eval_cases.json")
 
 
@@ -161,12 +166,20 @@ def _block_rows(m, configs, entail):
             return sx.Modal(lid, action, (arg,) * k)
 
         beside = sx.Op(";", (b, sx.Test(sorted(config.tests)[0], dia(b))))
+        plus = min(o.id for o in config.ops.values() if o.variant in POINTWISE)
+        test_plus = sx.Op(plus, (b, sx.Test(sorted(config.tests)[0], p)))
+        nested = dia(sx.Op(";", (a, sx.Op(";", (b, a)))))
+        split = dia(a, dia(sx.Op(";", (b, a))))
         phis = [(" ".join(key), entail(sx, config, rule)[0], 1 if config.name == "instantial" else 2)
                 for key, rule in reduction.builtin_rules(config).rules.items()]
         phis += [
             ("p -> <a>p", sx.Conn("->", (p, dia(a))), 2),
             ("<a;b>p -> <b>p", sx.Conn("->", (dia(sx.Op(";", (a, b))), dia(b))), 2),
             ("<b;?t(<b>p)>p -> <b>p", sx.Conn("->", (dia(beside), dia(b))), 2),
+            ("<a;(b;a)>p <-> <a><b;a>p", sx.Conn("/\\", (
+                sx.Conn("->", (nested, split)), sx.Conn("->", (split, nested))
+            )), 2),
+            (f"<b{plus}?t(p)>p -> <b>p", sx.Conn("->", (dia(test_plus), dia(b))), 2),
         ]
         for label, phi, max_n in phis:
             yield (
