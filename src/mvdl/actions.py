@@ -215,9 +215,7 @@ def _neg_index_map(alg: Algebra, n: int) -> tuple[int, ...]:
     )
 
 
-def apply_op(
-    op: OperationSpec, gammas: Sequence[Coalgebra], fops: FunctorOps, cap: int = DEFAULT_ITERATE_CAP
-) -> Coalgebra:
+def apply_op(op: OperationSpec, gammas: Sequence[Coalgebra], fops: FunctorOps) -> Coalgebra:
     """Apply one coalgebra operation; all inputs share the model carrier."""
     op.check_kind(fops.kind)
     if len(gammas) != op.arity:
@@ -240,7 +238,7 @@ def apply_op(
         return tuple(cmap(g1[x]) for x in range(n))
     if variant == "star":
         (g,) = gammas
-        return kleisli_star(fops, g, cap)
+        return kleisli_star(fops, g)
     if variant == "counter-domain":
         (g,) = gammas
         bottom = fops.bottom()

@@ -8,13 +8,19 @@ First counterexamples are reported in canonical enumeration order, so
 identical inputs give identical reports.
 
 Rule-soundness sweeps and bounded entailment compile what they compare (a
-rule's two sides; Gamma and phi) into one ``semantics.Plan``; the
-exhaustive ones run its slot loop, ``sweep``, and the sampled ones load
-one drawn case at a time.  The exhaustive safety sweep runs on ids of its
-own: a value is its index in the canonical enumeration of FX, a source
-coalgebra a tuple of such ids, and a target coalgebra its cid, its index in
-the product of the target values.  Ff is a value-id table per map f, and
-only a counterexample is decoded back to FValues.
+rule's two sides; Gamma and phi) into one ``semantics.Plan`` and read
+their cases from one driver, ``_batches``: it checks the budget, loads the
+cases into the plan one batch at a time (a block list of the slot loop
+``Plan.sweep`` when exhaustive, one drawn case when sampled) and yields
+the compared lists, each position decoded by ``Plan.case``.  Each checker
+is one loop, one comparison and one counterexample builder over those
+batches.
+
+The exhaustive safety sweep runs on ids of its own: a value is its index
+in the canonical enumeration of FX, a source coalgebra a tuple of such ids,
+and a target coalgebra its cid, its index in the product of the target
+values.  Ff is a value-id table per map f, and only a counterexample is
+decoded back to FValues.
 """
 
 from __future__ import annotations
@@ -44,7 +50,6 @@ from .semantics import (
     Model,
     Plan,
     assignments,
-    crisp_mask,
     lifting_kernel,
 )
 from .syntax import (
@@ -126,10 +131,6 @@ def _space(fops: FunctorOps, budget: int) -> list:
             f"{total} coalgebras at n={fops.n} exceed budget {budget}", count=total
         )
     return values
-
-
-def _coalgebras(values: list, n: int) -> list[tuple]:
-    return list(product(values, repeat=n))
 
 
 # -- safety ---------------------------------------------------------------
@@ -243,7 +244,7 @@ def _safety_exhaustive(
     n_src = fops_src.n
     src_id = {v: i for i, v in enumerate(vals_src)}
     tgt_id = {v: i for i, v in enumerate(vals_tgt)}
-    coalgs_tgt = _coalgebras(vals_tgt, fops_tgt.n)  # indexed by cid
+    coalgs_tgt = list(product(vals_tgt, repeat=fops_tgt.n))  # indexed by cid
     out_src: dict = {}
     out_tgt: dict = {}
     cases = 0
@@ -539,13 +540,56 @@ def check_separation(
     return _verdict(status, cases, t0, None, n=n, pairs=len(pairs), mode=mode)
 
 
+# -- the case driver of rule and entailment sweeps -------------------------
+
+
+def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, models: bool):
+    """Load the cases of a rule or entailment sweep into its plan, one batch
+    at a time, and yield ``(plan, cases, lists)`` after each: how many cases
+    the batch holds, and the plan's lists at the compiled positions, of one
+    length, position ``i`` being ``plan.case(i)``.
+
+    Exhaustive mode sweeps each ``(plan, positions)`` of ``sweeps``: the
+    carrier's coalgebras are interned in canonical order (the i-th gets cid
+    i), then its predicates, and every assignment of them to the
+    ``variables`` is loaded; a batch is a block list of ``Plan.sweep``, and
+    a list that does not read slot 1 is repeated once per block where
+    another one does.  Before anything is interned, the coalgebra tuples on
+    the slots, C**slots, or with ``models`` the standard models,
+    C**slots * S, are checked against ``budget``.  Random mode runs
+    ``trials`` one-case batches of what ``draw()`` returns: a plan, its
+    positions, coalgebras (slot 1 first) and predicates.
+    """
+    if mode == "random":
+        for _ in range(trials):
+            plan, at, gammas, sigmas = draw()
+            plan.forget(SAMPLED_COALGEBRAS)
+            plan.run_case(gammas, sigmas)
+            yield plan, 1, list(map(plan.vals.__getitem__, at))
+        return
+    for plan, at in sweeps:
+        n, slots = plan.n, len(plan.cids)
+        values = list(plan.fops.enumerate(budget)) if slots else []
+        size = (plan.config.truth.m ** n) ** variables
+        total = len(values) ** (n * slots) * (size if models else 1)
+        if total > budget:
+            unit = "standard models" if models else "coalgebra tuples"
+            raise BudgetExceeded(
+                f"{total} {unit} at n={n} exceed budget {budget}; random mode is available",
+                count=total,
+            )
+        for g in product(values, repeat=n):
+            plan.intern(g)
+        plan.load(assignments(plan.intern_space(), variables), size)
+        vals = plan.vals
+        for blocks in plan.sweep(len(plan.coalgs)):
+            lists, cases = [vals[p] for p in at], size * len(blocks)
+            if any(len(ids) != len(lists[0]) for ids in lists):
+                lists = [ids if len(ids) == cases else ids * len(blocks) for ids in lists]
+            yield plan, cases, lists
+
+
 # -- reduction-rule soundness ----------------------------------------------
-
-
-def _every_block(ids: list, blocks, size: int) -> list:
-    """A plan list at every case of a sweep's block list: a list that does
-    not read slot 1 holds one block's ``size`` ids and stands for each."""
-    return ids if len(ids) == size * len(blocks) else ids * len(blocks)
 
 
 def verify_reduction_rule(
@@ -566,13 +610,11 @@ def verify_reduction_rule(
     mode sweeps every coalgebra tuple, predicate tuple and state at carrier
     size n; random mode samples ``trials`` coalgebra/predicate draws.
     Values are exact algebra elements, so the tolerance is zero.  Each
-    coalgebra tuple is checked against the whole sigma-space at once, as
-    one list of ids per side; the first differing position is the first
-    failing case of the case-by-case order.
+    batch of ``_batches`` is checked as one list of ids per side; the first
+    differing position is the first failing case of the case-by-case order.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials)
-    fops = config.fops(n)
     k = config.lifting(rule.lifting).arity
     is_test = rule.target_kind == "test"
     if is_test:
@@ -583,64 +625,37 @@ def verify_reduction_rule(
     n_vars = k + is_test
     plan = Plan(config, n, arity, n_vars)
     args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
-    lhs = plan.compile(Modal(rule.lifting, action, args))
-    rhs = plan.compile(rule.template.body)
-    preds, cids, vals = plan.preds, plan.cids, plan.vals
-    cases = 0
+    at = [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
+    rng, fops, m = random.Random(seed), plan.fops, config.truth.m
 
-    def fail(got, want, blocks, var_lists) -> Verdict:
-        """The verdict for the first position where the sides differ: slot
-        1 at cid ``blocks[i // S]``, the variables at sigma-position
-        ``i % S``."""
-        i = next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
-        size = len(var_lists[0])
-        sigmas = [list(preds[ids[i % size]]) for ids in var_lists]
-        counter = {
-            "rule": list(rule.key),
-            "sigmas": sigmas[is_test:],
-            "lhs": list(preds[got[i]]),
-            "rhs": list(preds[want[i]]),
-        }
-        if is_test:
-            counter["test_argument"] = sigmas[0]
-        else:
-            counter["gammas"] = [
-                [fvalue_to_json(config.kind, v) for v in plan.coalgs[c]]
-                for c in [blocks[i // size], *cids[1:]]
-            ]
-        return _verdict("fails", cases + (i + 1) * n, t0, counter)
-
-    if mode == "exhaustive":
-        if not is_test:
-            for g in _coalgebras(_space(fops, budget), n):  # the i-th gets cid i
-                plan.intern(g)
-        n_coalgs = len(plan.coalgs)
-        var_lists = assignments(plan.intern_space(), n_vars)
-        size = len(var_lists[0])
-        plan.load(var_lists, size)
-        for blocks in plan.sweep(n_coalgs):
-            got, want = vals[lhs], vals[rhs]
-            if len(got) != len(want):
-                got, want = _every_block(got, blocks, size), _every_block(want, blocks, size)
-            if got != want:
-                return fail(got, want, blocks, var_lists)
-            cases += n * size * len(blocks)
-        return _verdict("holds", cases, t0, None, rule=list(rule.key), n=n, mode=mode)
-
-    rng, m = random.Random(seed), config.truth.m
-    for _ in range(trials):
-        plan.forget(SAMPLED_COALGEBRAS)
+    def draw():  # the gammas in slot order, then the sigmas
         gammas = [tuple(fops.random_value(rng) for _ in range(n)) for _ in range(arity)]
         sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(n_vars)]
-        plan.run_case(gammas, sigmas)
-        if vals[lhs] != vals[rhs]:
-            blocks = cids[0] if cids else None
-            return fail(vals[lhs], vals[rhs], blocks, [[plan.pid(s)] for s in sigmas])
-        cases += n
-    return _verdict(
-        "holds-up-to-bound", cases, t0, None, rule=list(rule.key), n=n, mode=mode,
-        trials=trials, seed=seed,
-    )
+        return plan, at, gammas, sigmas
+
+    cases = 0
+    for plan, batch, (got, want) in _batches(
+        mode, trials, draw, [(plan, at)], n_vars, budget, models=False
+    ):
+        if got != want:
+            i = next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
+            coalgs, sigmas = plan.case(i)
+            counter = {
+                "rule": list(rule.key),
+                "sigmas": [list(s) for s in sigmas[is_test:]],
+                "lhs": list(plan.preds[got[i]]),
+                "rhs": list(plan.preds[want[i]]),
+            }
+            if is_test:
+                counter["test_argument"] = list(sigmas[0])
+            else:
+                counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in coalgs]
+            return _verdict("fails", cases + (i + 1) * n, t0, counter)
+        cases += n * batch
+    status, sampled = "holds", {}
+    if mode != "exhaustive":
+        status, sampled = "holds-up-to-bound", {"trials": trials, "seed": seed}
+    return _verdict(status, cases, t0, None, rule=list(rule.key), n=n, mode=mode, **sampled)
 
 
 def verify_registry(
@@ -858,7 +873,7 @@ def bounded_entailment(
     Gamma and phi compile into one plan per carrier size, propositions as
     its variables and atomic actions as its slots.  Exhaustive mode
     evaluates them once per atom assignment over every valuation at once;
-    the first failing position of the valuation list is the first
+    the first failing position of a batch of ``_batches`` is the first
     countermodel of the case-by-case order.  Random mode loads each sampled
     model into the plan of its size as a single case.
     """
@@ -867,91 +882,53 @@ def bounded_entailment(
     formulas = list(gamma) + [phi]
     prop_names = sorted(set().union(set(), *(props_of(g) for g in formulas)))
     atom_names = sorted(set().union(set(), *(atoms_of(g) for g in formulas)))
-    truth = config.truth
-    top = truth.top
-
-    def countermodel(cases: int, n: int, atoms, valuation, state: int, **detail) -> Verdict:
-        model = Model(n, config, atoms, valuation, validate=False)
-        return _verdict(
-            "fails", cases, t0,
-            {
-                "model": model_to_json(model),
-                "state": state,
-                "phi": render(phi, config.signature),
-                "gamma": [render(g, config.signature) for g in gamma],
-            },
-            max_n=max_n, mode=mode, **detail,
-        )
-
+    top = config.truth.top
     slots = atom_names[::-1]  # the last atom moves fastest: slot 1
 
     def compiled(n: int):
         plan = Plan(config, n, slots, prop_names)
-        return plan, [plan.compile(g) for g in gamma], plan.compile(phi)
+        return plan, [plan.compile(phi), *map(plan.compile, gamma)]
 
+    rng, m, plans = random.Random(seed), config.truth.m, {}
+
+    def draw():  # the size, the gammas in atom-name order, then the sigmas
+        n = rng.randint(1, max_n)
+        if n not in plans:
+            plans[n] = compiled(n)
+        plan, at = plans[n]
+        gammas = [tuple(plan.fops.random_value(rng) for _ in range(n)) for _ in atom_names]
+        sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in prop_names]
+        return plan, at, gammas[::-1], sigmas
+
+    sweeps = map(compiled, range(1, max_n + 1))
+    sampled = {} if mode == "exhaustive" else {"seed": seed}
     cases = 0
-    if mode == "exhaustive":
-        for n in range(1, max_n + 1):
-            plan, gamma_at, phi_at = compiled(n)
-            values = list(plan.fops.enumerate(budget))
-            n_coalgs = len(values) ** n
-            P = plan.intern_space()
-            size = P ** len(prop_names)  # valuations
-            total = (n_coalgs ** len(atom_names)) * size
-            if total > budget:
-                raise BudgetExceeded(
-                    f"{total} standard models at n={n} exceed budget {budget}; "
-                    "random mode is available",
-                    count=total,
-                )
-            coalgs = _coalgebras(values, n)
-            for g in coalgs:  # the cid of coalgs[i] is i
-                plan.intern(g)
-            var_lists = assignments(P, len(prop_names))
-            plan.load(var_lists, size)
-            preds, top_id, full = plan.preds, plan.pid((top,) * n), (1 << n) - 1
-            tops = [crisp_mask(truth, p) for p in preds]  # id -> states at top
-            vals, cids = plan.vals, plan.cids
-            for blocks in plan.sweep(len(coalgs)):
-                phi_ids = vals[phi_at]
-                if phi_ids.count(top_id) == len(phi_ids):
-                    cases += size * len(blocks)
-                    continue
-                phi_ids = _every_block(phi_ids, blocks, size)
-                rows = [_every_block(vals[i], blocks, size) for i in gamma_at]
-                for i, f in enumerate(phi_ids):
-                    bad = full & ~tops[f]
-                    for row in rows:
-                        bad &= tops[row[i]]
-                    if bad:
-                        slots = [blocks[i // size], *cids[1:]]
-                        return countermodel(
-                            cases + i + 1, n,
-                            {name: coalgs[c] for name, c in zip(atom_names, slots[::-1])},
-                            {name: preds[ids[i % size]] for name, ids in zip(prop_names, var_lists)},
-                            (bad & -bad).bit_length() - 1,
-                        )
-                cases += size * len(blocks)
-        return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode)
-    plans = {n: compiled(n) for n in range(1, max_n + 1)}
-    rng = random.Random(seed)
-    for _ in range(trials):
-        plan, gamma_at, phi_at = plans[rng.randint(1, max_n)]
-        n, fops = plan.n, plan.fops
-        gammas = [tuple(fops.random_value(rng) for _ in range(n)) for _ in atom_names]
-        sigmas = [tuple(rng.randrange(truth.m) for _ in range(n)) for _ in prop_names]
-        cases += 1
-        plan.forget(SAMPLED_COALGEBRAS)
-        plan.run_case(reversed(gammas), sigmas)
-        preds, vals = plan.preds, plan.vals
-        phi_row = preds[vals[phi_at][0]]
-        for x in range(n):
-            if phi_row[x] != top and all(preds[vals[i][0]][x] == top for i in gamma_at):
-                return countermodel(
-                    cases, n, dict(zip(atom_names, gammas)), dict(zip(prop_names, sigmas)), x,
-                    seed=seed,
-                )
-    return _verdict(
-        "holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, trials=trials,
-        seed=seed,
-    )
+    for plan, batch, lists in _batches(
+        mode, trials, draw, sweeps, len(prop_names), budget, models=True
+    ):
+        phi_ids = lists[0]
+        if phi_ids.count(plan.pid((top,) * plan.n)) < len(phi_ids):
+            masks, full, rows = plan.masks(), (1 << plan.n) - 1, lists[1:]
+            for i, f in enumerate(phi_ids):
+                bad = full & ~masks[f]
+                for row in rows:
+                    bad &= masks[row[i]]
+                if bad:
+                    coalgs, sigmas = plan.case(i)
+                    model = Model(
+                        plan.n, config, dict(zip(atom_names, coalgs[::-1])),
+                        dict(zip(prop_names, sigmas)),
+                    )
+                    counter = {
+                        "model": model_to_json(model),
+                        "state": (bad & -bad).bit_length() - 1,
+                        "phi": render(phi, config.signature),
+                        "gamma": [render(g, config.signature) for g in gamma],
+                    }
+                    return _verdict(
+                        "fails", cases + i + 1, t0, counter, max_n=max_n, mode=mode, **sampled
+                    )
+        cases += batch
+    if mode != "exhaustive":
+        sampled = {"trials": trials, "seed": seed}
+    return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, **sampled)

@@ -260,15 +260,13 @@ class Model:
         config: LogicConfig,
         atoms: Mapping[str, Sequence],
         valuation: Mapping[str, Sequence[int]],
-        validate: bool = True,
     ):
         self.n = n
         self.config = config
         self.atoms = {k: tuple(v) for k, v in atoms.items()}
         self.valuation = {k: tuple(v) for k, v in valuation.items()}
         self.fops = config.fops(n)
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self) -> None:
         for name, gamma in self.atoms.items():
@@ -393,8 +391,8 @@ class Plan:
     ``pointwise_step`` memoised per pair of FValues.  ``forget`` drops
     every id and table, so a long sampled sweep can bound its memory.
     ``sweep`` runs group 1 once per assignment of the outer slots and
-    group 2 once per block list; ``run_new`` runs each step once, for an
-    EvalSession.
+    group 2 once per block list, and ``case`` decodes a position of its
+    lists; ``run_new`` runs each step once, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -424,6 +422,7 @@ class Plan:
         self._lifts: dict = {}  # lifting id -> (arity, {cid: {key: id}}, fill)
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep({})
+        self._masks = self._keep([])  # id -> its states at top, see ``masks``
         # steps hold no reference to the plan, so a finished sweep's plan is
         # freed at once rather than by the cycle collector
         self.pid = _interner(self._pred_ids, self.preds)
@@ -470,9 +469,26 @@ class Plan:
         cids[:] = map(self.intern, coalgs)
         if cids:
             cids[0] = [cids[0]]
-        self.load([[self.pid(sigma)] for sigma in sigmas], 1)
-        self.run(1)
-        self.run(2)
+        self._inputs[:] = [[self.pid(sigma)] for sigma in sigmas], 1
+        vals = self.vals
+        for group in self.groups:
+            for pos, step in group:
+                vals[pos] = step(vals)
+
+    def case(self, i: int) -> tuple[list, list]:
+        """The case at position ``i`` of the lists run last (by ``sweep``
+        or ``run_case``): the coalgebras on the slots, slot 1 first, and
+        the predicates on the variables."""
+        var_lists, size = self._inputs
+        cids = [self.cids[0][i // size], *self.cids[1:]] if self.cids else []
+        return [self.coalgs[c] for c in cids], [self.preds[ids[i % size]] for ids in var_lists]
+
+    def masks(self) -> list[int]:
+        """Each interned predicate's ``crisp_mask``, by id; ``forget``
+        empties it with the ids."""
+        masks, preds, truth = self._masks, self.preds, self.config.truth
+        masks.extend(crisp_mask(truth, p) for p in preds[len(masks):])
+        return masks
 
     def run_new(self) -> None:
         """Run the steps compiled since the last call, at the loaded

@@ -64,6 +64,17 @@ class TestExitCodes:
         assert code == 3
         assert "budget" in err
 
+    def test_rule_budget_counts_coalgebra_tuples(self, capsys):
+        # C = 81 coalgebras at two states fit, the C**2 pairs of `;` do not
+        code, out, err = run(
+            capsys,
+            "verify-rules", "--preset", "pdl-labelled", "--algebra", "L2",
+            "--n", "2", "--budget", "1000",
+        )
+        assert code == 3
+        assert "6561 coalgebra tuples" in err
+        assert out == ""
+
     def test_semiprimal_false_exits_one(self, capsys):
         code, out, _ = run(capsys, "semiprimal", "--algebra", "G3")
         assert code == 1

@@ -1,6 +1,7 @@
 """Morphism, safety, separation, soundness, one-step and entailment checks."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -30,7 +31,8 @@ from mvdl.jsonio import config_from_json, fvalue_from_json, model_from_json
 from mvdl.presets import make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import Model, eval_formula
-from mvdl.syntax import Conn, Modal, Template, Var, parse
+from mvdl import syntax as sx
+from mvdl.syntax import Atomic, Conn, Modal, Op, Prop, Template, Var, instantiate, parse
 
 from conftest import random_formula, random_model
 from reference_eval import reference_safety, reference_safety_pairs
@@ -504,6 +506,71 @@ class TestVerifyRules:
         )
         assert list(lhs) == c["lhs"]
         assert c["lhs"] != c["rhs"]
+
+
+def _swapped(rule) -> ReductionRule:
+    """The rule with slots 1 and 2, and /\\ and \\/, swapped in its template."""
+    swap = {"/\\": "\\/", "\\/": "/\\"}
+
+    def walk(node):
+        if isinstance(node, Modal):
+            return Modal(node.lifting, 3 - node.action, tuple(map(walk, node.args)))
+        if isinstance(node, Conn):
+            return Conn(swap.get(node.symbol, node.symbol), tuple(map(walk, node.args)))
+        return node
+
+    template = Template(rule.template.n, rule.template.k, walk(rule.template.body))
+    return ReductionRule(rule.target_kind, rule.target, rule.lifting, template)
+
+
+def _axiom_instance(config, rule):
+    """lhs <-> rhs of a rule over atoms a, b and props p1.., with q as the
+    test argument of a test rule."""
+    props = tuple(Prop(f"p{i}") for i in range(1, config.liftings[rule.lifting].arity + 1))
+    if rule.target_kind == "test":
+        lhs = Modal(rule.lifting, sx.Test(rule.target, Prop("q")), props)
+        rhs = instantiate(rule.template, (), (Prop("q"),) + props)
+    else:
+        acts = tuple(map(Atomic, "ab"[: config.ops[rule.target].arity]))
+        lhs = Modal(rule.lifting, Op(rule.target, acts), props)
+        rhs = instantiate(rule.template, acts, props)
+    return Conn("/\\", (Conn("->", (lhs, rhs)), Conn("->", (rhs, lhs))))
+
+
+class TestRuleBudget:
+    def test_rule_sweep_counts_coalgebra_tuples(self, game_l2):
+        # 175 monotone values at two states give C = 30,625 coalgebras, few
+        # enough, but `+` sweeps C**2 operand pairs: refused before it starts
+        rule = builtin_rules(game_l2).rules[("op", "+", "dia")]
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="coalgebra tuples") as err:
+            verify_reduction_rule(rule, game_l2, n=2)
+        assert err.value.count == 30_625**2
+        assert time.perf_counter() - t0 < 10
+
+    def test_one_slot_rule_fits_where_two_do_not(self, labelled_l2):
+        # C = 81 at two states: 81 <= 100 < 81**2
+        rules = builtin_rules(labelled_l2).rules
+        assert verify_reduction_rule(rules[("op", "~", "dia")], labelled_l2, budget=100).ok
+        with pytest.raises(BudgetExceeded) as err:
+            verify_reduction_rule(rules[("op", ";", "dia")], labelled_l2, budget=100)
+        assert err.value.count == 81**2
+
+
+@pytest.mark.parametrize("preset_name", ["pdl-crisp", "pdl-labelled"])
+def test_rule_and_entailment_sweeps_agree(preset_name):
+    # an axiom instance has a countermodel of at most two states exactly
+    # when its rule fails at one or two states, mutants included
+    config = make_preset(preset_name, algebra_by_name("L2"))
+    rules = list(builtin_rules(config).rules.values())
+    rules += [_swapped(rule) for rule in rules if rule.template.n == 2]
+    failing = 0
+    for rule in rules:
+        fails = any(verify_reduction_rule(rule, config, n=n).status == "fails" for n in (1, 2))
+        entailment = bounded_entailment([], _axiom_instance(config, rule), config, max_n=2)
+        assert (entailment.status == "fails") == fails, rule.key
+        failing += fails
+    assert 0 < failing < len(rules)
 
 
 class TestTemplateEvaluation:
