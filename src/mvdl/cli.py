@@ -27,7 +27,7 @@ from .errors import (
     MvdlError,
     RewriteBudgetExceeded,
 )
-from .functors import DEFAULT_ENUM_BUDGET
+from .functors import DEFAULT_ENUM_BUDGET, Kind, functor_ops
 from .presets import make_preset
 from .semantics import eval_formula
 from .syntax import parse, render
@@ -60,24 +60,36 @@ def _load_algebra(ref: str):
     return algebra_by_name(ref)
 
 
-def _load_h(path: str, kind: str) -> dict:
-    """The H entries of a one-step file: {"entries": [[key, value], ...]}."""
+def _load_h(path: str, kind: str, alg, n: int) -> dict:
+    """The H entries of a one-step file: {"entries": [[key, value], ...]},
+    each key an atom of ``harness.one_step_atoms`` given as a list of
+    integers, once, and each value an integer in the atoms' range."""
     data = jsonio.load_json(path)
     entries = data.get("entries") if isinstance(data, dict) else None
     if not isinstance(entries, list):
         raise InvalidParameter(f"{path}: field 'entries' must be a list of [key, value]")
+    atoms, allowed = harness.one_step_atoms(kind, alg, n)
+    known = set(atoms)
     H = {}
     for i, entry in enumerate(entries):
-        try:
-            key, value = entry
-            if kind == "threshold":
-                H[(int(key[0]), int(key[1]))] = int(value)
-            else:
-                H[tuple(int(v) for v in key)] = int(value)
-        except (TypeError, ValueError, IndexError):
+        where = f"{path}: field 'entries[{i}]'"
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], list)
+            and all(type(v) is int for v in (*entry[0], entry[1]))
+        ):
+            raise InvalidParameter(f"{where} is not a [key, value] pair of integers")
+        key, value = tuple(entry[0]), entry[1]
+        if key not in known:
+            raise InvalidParameter(f"{where}: key {entry[0]} is not a {kind} atom at n={n}")
+        if value not in allowed:
             raise InvalidParameter(
-                f"{path}: field 'entries[{i}]' is not a [key, value] pair of integers"
-            ) from None
+                f"{where}: value {value} is outside {allowed.start}..{allowed.stop - 1}"
+            )
+        if key in H:
+            raise InvalidParameter(f"{where}: key {entry[0]} was given before")
+        H[key] = value
     return H
 
 
@@ -260,17 +272,24 @@ def _cmd_verify_rules(args, fmt: str) -> int:
     payload = {
         " ".join(key): jsonio.verdict_to_json(v) for key, v in results.items()
     }
-    all_ok = all(v.ok for v in results.values())
-    lines = [
-        f"{' '.join(key)}: {v.status} ({v.cases} cases)" for key, v in results.items()
-    ]
+    lines, over_budget = [], False
+    for key, v in results.items():
+        name = " ".join(key)
+        if v.status == harness.OVER_BUDGET:
+            over_budget = True
+            print(f"budget exceeded: {name}: {v.detail['reason']}", file=sys.stderr)
+            lines.append(f"{name}: {v.status} ({v.detail['count']} > budget {budget})")
+        else:
+            lines.append(f"{name}: {v.status} ({v.cases} cases)")
     if registry.gaps:
         payload["gaps"] = [
             {"key": list(k), "reason": reason} for k, reason in registry.gaps
         ]
         lines += [f"gap {k}: {reason}" for k, reason in registry.gaps]
     _emit(payload, fmt, "\n".join(lines))
-    return EXIT_OK if all_ok else EXIT_FAILS
+    if over_budget:
+        return EXIT_BUDGET
+    return EXIT_OK if all(v.ok for v in results.values()) else EXIT_FAILS
 
 
 def _cmd_check_safety(args, fmt: str) -> int:
@@ -300,27 +319,9 @@ def _cmd_check_separation(args, fmt: str) -> int:
 
 
 def _one_step_random_h(kind: str, alg, n: int, rng) -> dict:
-    from .functors import Kind, functor_ops, predicate_space
-
-    if kind == "labelled-diamond":
-        fops = functor_ops(Kind.APOWERSET, n, alg)
-        alpha = fops.random_value(rng)
-        return {
-            p: alg.bigjoin(alg.tensor(p[x], alpha[x]) for x in range(n))
-            for p in predicate_space(alg.m, n)
-        }
-    if kind == "threshold":
-        alpha = tuple(rng.randrange(alg.m) for _ in range(n))
-        out = {}
-        for r in range(1, alg.m):
-            for s in range(1 << n):
-                acc = alg.bigjoin(alpha[x] for x in range(n) if s >> x & 1)
-                out[(r, s)] = 1 if alg.leq(r, acc) else 0
-        return out
-    fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, n, alg)
-    alpha = fops.random_value(rng)
-    preds = predicate_space(alg.m, n)
-    return {p: alpha[i] for i, p in enumerate(preds)}
+    """H_alpha for a random value alpha of the kind's functor at n states."""
+    alpha = functor_ops(_one_step_kind_tag(kind), n, alg).random_value(rng)
+    return harness.one_step_assignment(kind, alg, n, alpha)
 
 
 def _cmd_one_step(args, fmt: str) -> int:
@@ -347,7 +348,7 @@ def _cmd_one_step(args, fmt: str) -> int:
         return EXIT_OK
     if not args.h_file:
         raise MvdlError("one-step needs --h or --trials")
-    H = _load_h(args.h_file, args.kind)
+    H = _load_h(args.h_file, args.kind, alg, args.n)
     result = harness.one_step_witness(args.kind, alg, args.n, H)
     if result.satisfiable:
         payload = {"alpha": jsonio.fvalue_to_json(_one_step_kind_tag(args.kind), result.alpha)}
@@ -362,8 +363,6 @@ def _cmd_one_step(args, fmt: str) -> int:
 
 
 def _one_step_kind_tag(kind: str):
-    from .functors import Kind
-
     return Kind.APOWERSET if kind != "monotone-eval" else Kind.MONOTONE_NEIGHBOURHOOD
 
 

@@ -19,7 +19,7 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import Algebra
 from .errors import BudgetExceeded, InvalidParameter
@@ -160,13 +160,14 @@ class FunctorOps:
             isinstance(mask, int) and 0 <= mask < (1 << n) for mask in value
         )
 
-    def is_monotone(self, table: tuple[int, ...]) -> bool:
-        """N(s1) <= N(s2) whenever s1 <= s2 pointwise, checked exhaustively
-        over the cached strictly-below lists of the predicate poset."""
-        _, _, below = _pred_poset(self.alg, self.n)
+    def is_monotone(self, table: Sequence[int]) -> bool:
+        """N(s1) <= N(s2) whenever s1 <= s2 pointwise, checked on the cached
+        cover pairs of the predicate poset: a finite order is the transitive
+        closure of its covers."""
+        _, covers = _pred_covers(self.alg, self.n)
         leq = self.alg._leq
         return all(
-            leq[table[j]][table[i]] for i, lower in enumerate(below) for j in lower
+            leq[table[j]][table[i]] for i, lower in enumerate(covers) for j in lower
         )
 
     def count(self) -> int:

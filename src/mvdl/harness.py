@@ -28,6 +28,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -72,9 +73,13 @@ DEFAULT_SWEEP_BUDGET = 1_000_000
 SAMPLED_COALGEBRAS = 1 << 14
 
 
+# the status verify_registry gives a rule whose sweep exceeds the budget
+OVER_BUDGET = "budget-exceeded"
+
+
 @dataclass
 class Verdict:
-    status: str  # "holds" | "fails" | "holds-up-to-bound"
+    status: str  # "holds" | "fails" | "holds-up-to-bound" | OVER_BUDGET
     cases: int
     seconds: float
     counterexample: dict | None = None
@@ -82,7 +87,7 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        return self.status != "fails"
+        return self.status in ("holds", "holds-up-to-bound")
 
 
 def _verdict(status: str, cases: int, t0: float, counterexample=None, **detail) -> Verdict:
@@ -666,14 +671,26 @@ def verify_registry(
     trials: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> dict[tuple, Verdict]:
-    """verify_reduction_rule over every rule in a registry."""
+    """verify_reduction_rule over every rule in a registry.
+
+    A rule whose sweep exceeds the budget gets an OVER_BUDGET verdict of no
+    cases, with the refused count and the reason in its detail, and the
+    rules after it are still checked.
+    """
     _check_sweep(mode, trials)
-    return {
-        key: verify_reduction_rule(
-            rule, registry.config, n=n, mode=mode, budget=budget, trials=trials, seed=seed
-        )
-        for key, rule in registry.rules.items()
-    }
+    verdicts = {}
+    for key, rule in registry.rules.items():
+        t0 = time.perf_counter()
+        try:
+            verdicts[key] = verify_reduction_rule(
+                rule, registry.config, n=n, mode=mode, budget=budget, trials=trials, seed=seed
+            )
+        except BudgetExceeded as exc:
+            verdicts[key] = Verdict(
+                OVER_BUDGET, 0, time.perf_counter() - t0, None,
+                {"count": exc.count, "reason": str(exc)},
+            )
+    return verdicts
 
 
 # -- one-step satisfiability ----------------------------------------------
@@ -702,156 +719,191 @@ def one_step_witness(kind: str, alg: Algebra, n: int, H: Mapping) -> OneStepResu
     violated rank-1 axiom.
 
     H keys by kind: labelled-diamond and monotone-eval map predicate tuples
-    to elements; threshold maps (r, state-bitmask) pairs to 0/1.
+    to elements; threshold maps (r, state-bitmask) pairs to 0/1.  H must be
+    defined on exactly the atoms of ``one_step_atoms``, with values in its
+    range; otherwise InvalidParameter names the offending atom.
+
+    The witness comes first, as in the one-step completeness proof: alpha
+    is read off H, and H is compared with the assignment H_alpha that alpha
+    induces, in O(|P| n).  Only when they differ are the rank-1 axioms
+    scanned, in canonical order, to name the first one H violates;
+    "one-step-satisfaction" names the first differing atom when H satisfies
+    them all.  H = H_alpha satisfies every axiom when the algebra passed
+    ``validate_flew`` ((*) distributes over finite joins and 0 (*) c = 0;
+    on a chain, r <= a \\/ b iff r <= a or r <= b), so the answer is the
+    one a scan of the axioms first would give.
     """
-    if kind == "labelled-diamond":
-        return _witness_diamond(alg, n, H)
-    if kind == "threshold":
-        return _witness_threshold(alg, n, H)
+    if kind not in ONE_STEP_KINDS:
+        raise UnsupportedKind(
+            f"one-step witnesses support {', '.join(ONE_STEP_KINDS)}; got {kind!r}"
+        )
+    if kind == "threshold" and not alg.linear:
+        raise NonlinearAlgebra("threshold witnesses require a linear algebra")
+    atoms, allowed = one_step_atoms(kind, alg, n)
+    values = _h_values(H, atoms, allowed, "threshold atom" if kind == "threshold" else "predicate")
     if kind == "monotone-eval":
-        return _witness_eval(alg, n, H)
-    raise UnsupportedKind(
-        f"one-step witnesses support {', '.join(ONE_STEP_KINDS)}; got {kind!r}"
-    )
+        # alpha is H itself, a witness exactly when it is monotone
+        if functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, n, alg).is_monotone(values):
+            return OneStepResult(tuple(values), None)
+        return OneStepResult(None, _eval_violation(alg, atoms, H))
+    if kind == "labelled-diamond":
+        alpha = tuple(H[tuple(alg.top if y == x else 0 for y in range(n))] for x in range(n))
+    else:
+        alpha = tuple(
+            alg.bigjoin(r for r in range(1, alg.m) if H[(r, 1 << x)] == 1) for x in range(n)
+        )
+    induced = _induced(kind, alg, n, alpha)
+    if induced == values:
+        return OneStepResult(alpha, None)
+    scan = _diamond_violation if kind == "labelled-diamond" else _threshold_violation
+    violation = scan(alg, n, H)
+    if violation is None:
+        i = next(i for i, (u, v) in enumerate(zip(values, induced)) if u != v)
+        if kind == "labelled-diamond":
+            atom = {"p": list(atoms[i])}
+        else:
+            atom = {"r": atoms[i][0], "S": atoms[i][1]}
+        violation = AxiomViolation(
+            "one-step-satisfaction", {**atom, "expected": values[i], "got": induced[i]}
+        )
+    return OneStepResult(None, violation)
 
 
-def _witness_diamond(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
+def one_step_atoms(kind: str, alg: Algebra, n: int) -> tuple[tuple, range]:
+    """The atoms a rank-1 assignment of ``kind`` is defined on, in canonical
+    order, and the values it takes: the predicates and the algebra's
+    elements, or for threshold the pairs (r, S) of r in 1..m-1 and a state
+    bitmask S, and 0/1."""
+    if kind == "threshold":
+        return _threshold_atoms(alg.m, n), range(2)
+    return predicate_space(alg.m, n), range(alg.m)
+
+
+@lru_cache(maxsize=None)
+def _threshold_atoms(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((r, s) for r in range(1, m) for s in range(1 << n))
+
+
+def one_step_assignment(kind: str, alg: Algebra, n: int, alpha) -> dict:
+    """H_alpha, the rank-1 assignment a witness alpha induces, keyed as
+    ``one_step_witness`` reads it."""
+    return dict(zip(one_step_atoms(kind, alg, n)[0], _induced(kind, alg, n, alpha)))
+
+
+def _induced(kind: str, alg: Algebra, n: int, alpha) -> list:
+    """H_alpha on ``one_step_atoms(kind, alg, n)``, in their order."""
+    if kind == "monotone-eval":
+        return list(alpha)
+    jt = alg.join_table
+    if kind == "labelled-diamond":
+        # H_alpha(p) = \/_x p(x) (*) alpha(x), folded one state at a time in
+        # the lexicographic order of the predicates
+        tt, acc = alg.tensor_table, [0]
+        for a in alpha:
+            row = [tt[v][a] for v in range(alg.m)]
+            acc = [jt[u][t] for u in acc for t in row]
+        return acc
+    # H_alpha(r, S) = 1 iff r <= \/_{x in S} alpha(x); a mask's join is its
+    # lowest state's alpha joined onto the join of the rest
+    joins = [0]
+    for s in range(1, 1 << n):
+        joins.append(jt[joins[s & (s - 1)]][alpha[(s & -s).bit_length() - 1]])
+    return [1 if alg._leq[r][j] else 0 for r in range(1, alg.m) for j in joins]
+
+
+def _h_values(H: Mapping, atoms: tuple, allowed: range, what: str) -> list:
+    """H's values on ``atoms``, in order, once H is known to hold exactly
+    these keys, each mapped into ``allowed``."""
+    try:
+        values = list(map(H.__getitem__, atoms))
+    except KeyError as exc:
+        raise InvalidParameter(f"H is not total: missing {what} {exc.args[0]}") from None
+    if len(H) != len(atoms):
+        known = set(atoms)
+        extra = next(key for key in H if key not in known)
+        raise InvalidParameter(f"H has an entry at {extra!r}, which is not a {what}")
+    for atom, v in zip(atoms, values):
+        if not isinstance(v, int) or v not in allowed:
+            raise InvalidParameter(
+                f"H value {v!r} at {what} {atom} is outside {allowed.start}..{allowed.stop - 1}"
+            )
+    return values
+
+
+def _diamond_violation(alg: Algebra, n: int, H: Mapping) -> AxiomViolation | None:
+    """The first instance of the join axiom, then of the constant axiom,
+    that H violates."""
     preds = predicate_space(alg.m, n)
-    for p in preds:
-        if p not in H:
-            raise InvalidParameter(f"H is not total: missing diamond atom {p}")
     jt, tt = alg.join_table, alg.tensor_table
     # join axiom: H(dia(p \/ q)) = H(dia p) \/ H(dia q)
     for p in preds:
         for q in preds:
             joined = tuple(jt[u][v] for u, v in zip(p, q))
             if H[joined] != jt[H[p]][H[q]]:
-                return OneStepResult(
-                    None,
-                    AxiomViolation(
-                        "diamond-join",
-                        {"p": list(p), "q": list(q), "axiom": "dia(p \\/ q) <-> dia p \\/ dia q"},
-                    ),
+                return AxiomViolation(
+                    "diamond-join",
+                    {"p": list(p), "q": list(q), "axiom": "dia(p \\/ q) <-> dia p \\/ dia q"},
                 )
     # constant axiom: H(dia(p (*) c)) = H(dia p) (*) c
     for p in preds:
         for c in range(alg.m):
             scaled = tuple(tt[v][c] for v in p)
             if H[scaled] != tt[H[p]][c]:
-                return OneStepResult(
-                    None,
-                    AxiomViolation(
-                        "diamond-constant",
-                        {"p": list(p), "c": c, "axiom": "dia(p (*) c) <-> dia p (*) c"},
-                    ),
+                return AxiomViolation(
+                    "diamond-constant",
+                    {"p": list(p), "c": c, "axiom": "dia(p (*) c) <-> dia p (*) c"},
                 )
-    alpha = tuple(H[tuple(alg.top if y == x else 0 for y in range(n))] for x in range(n))
-    mismatch = _verify_alpha_diamond(alg, n, H, alpha)
-    if mismatch is not None:
-        return OneStepResult(None, mismatch)
-    return OneStepResult(alpha, None)
-
-
-def _verify_alpha_diamond(alg, n, H, alpha) -> AxiomViolation | None:
-    jt, tt = alg.join_table, alg.tensor_table
-    for p in predicate_space(alg.m, n):
-        acc = 0
-        for x in range(n):
-            acc = jt[acc][tt[p[x]][alpha[x]]]
-        if acc != H[p]:
-            return AxiomViolation(
-                "one-step-satisfaction", {"p": list(p), "expected": H[p], "got": acc}
-            )
     return None
 
 
-def _witness_threshold(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
-    if not alg.linear:
-        raise NonlinearAlgebra("threshold witnesses require a linear algebra")
-    rs = range(1, alg.m)
-    masks = range(1 << n)
-    for r in rs:
-        for s in masks:
-            if (r, s) not in H:
-                raise InvalidParameter(f"H is not total: missing atom (r={r}, S={s})")
-            if H[(r, s)] not in (0, 1):
-                raise InvalidParameter("threshold H must be two-valued")
+def _threshold_violation(alg: Algebra, n: int, H: Mapping) -> AxiomViolation | None:
+    """The first instance of the bottom and join axioms, threshold by
+    threshold, then of the monotonicity axiom, that H violates."""
+    rs, masks = range(1, alg.m), range(1 << n)
     for r in rs:
         if H[(r, 0)] != 0:
-            return OneStepResult(
-                None,
-                AxiomViolation(
-                    "threshold-bottom", {"r": r, "axiom": "dia_r bot <-> bot"}
-                ),
-            )
+            return AxiomViolation("threshold-bottom", {"r": r, "axiom": "dia_r bot <-> bot"})
         for s1 in masks:
             for s2 in masks:
                 if H[(r, s1 | s2)] != max(H[(r, s1)], H[(r, s2)]):
-                    return OneStepResult(
-                        None,
-                        AxiomViolation(
-                            "threshold-join",
-                            {
-                                "r": r,
-                                "S1": s1,
-                                "S2": s2,
-                                "axiom": "dia_r(p \\/ q) <-> dia_r p \\/ dia_r q",
-                            },
-                        ),
+                    return AxiomViolation(
+                        "threshold-join",
+                        {
+                            "r": r,
+                            "S1": s1,
+                            "S2": s2,
+                            "axiom": "dia_r(p \\/ q) <-> dia_r p \\/ dia_r q",
+                        },
                     )
     for s in masks:
         for r1 in rs:
             for r2 in rs:
                 if alg.leq(r2, r1) and H[(r1, s)] > H[(r2, s)]:
-                    return OneStepResult(
-                        None,
-                        AxiomViolation(
-                            "threshold-monotonicity",
-                            {
-                                "r1": r1,
-                                "r2": r2,
-                                "S": s,
-                                "axiom": "dia_r1 p -> dia_r2 p for all r2 <= r1",
-                            },
-                        ),
+                    return AxiomViolation(
+                        "threshold-monotonicity",
+                        {
+                            "r1": r1,
+                            "r2": r2,
+                            "S": s,
+                            "axiom": "dia_r1 p -> dia_r2 p for all r2 <= r1",
+                        },
                     )
-    alpha = tuple(
-        alg.bigjoin(r for r in rs if H[(r, 1 << x)] == 1) for x in range(n)
-    )
-    for r in rs:
-        for s in masks:
-            acc = alg.bigjoin(alpha[x] for x in range(n) if s >> x & 1)
-            got = 1 if alg.leq(r, acc) else 0
-            if got != H[(r, s)]:
-                return OneStepResult(
-                    None,
-                    AxiomViolation(
-                        "one-step-satisfaction",
-                        {"r": r, "S": s, "expected": H[(r, s)], "got": got},
-                    ),
-                )
-    return OneStepResult(alpha, None)
+    return None
 
 
-def _witness_eval(alg: Algebra, n: int, H: Mapping) -> OneStepResult:
-    preds = predicate_space(alg.m, n)
-    for p in preds:
-        if p not in H:
-            raise InvalidParameter(f"H is not total: missing eval atom {p}")
+def _eval_violation(alg: Algebra, preds: tuple, H: Mapping) -> AxiomViolation:
+    """The first pair of predicates p <= q with H(p) not below H(q); H is
+    known not to be monotone."""
     leq = alg.leq
-    for p in preds:
-        for q in preds:
-            if all(leq(u, v) for u, v in zip(p, q)) and not leq(H[p], H[q]):
-                return OneStepResult(
-                    None,
-                    AxiomViolation(
-                        "eval-monotonicity",
-                        {"p": list(p), "q": list(q), "axiom": "dia p -> dia(p \\/ q)"},
-                    ),
-                )
-    alpha = tuple(H[p] for p in preds)
-    # satisfaction is immediate: the lifting evaluates the table at its input
-    return OneStepResult(alpha, None)
+    return next(
+        AxiomViolation(
+            "eval-monotonicity",
+            {"p": list(p), "q": list(q), "axiom": "dia p -> dia(p \\/ q)"},
+        )
+        for p in preds
+        for q in preds
+        if all(leq(u, v) for u, v in zip(p, q)) and not leq(H[p], H[q])
+    )
 
 
 # -- bounded entailment ----------------------------------------------------

@@ -7,12 +7,14 @@ case-by-case rule-soundness and entailment sweeps built on them; the
 exhaustive safety sweep as it ran on FValues before it ran on ids; the
 monotonicity check as a scan over all pairs of predicates; a monotone
 table drawn by joining over every predicate below, not only the covers;
-the double powerset composition as a walk over every subfamily; and the
-binary pointwise operations as ``apply_op`` wrote them out per variant.
-The differential tests check the compiled plans, the id sweeps, the
-predicate-poset check, ``FunctorOps.random_value``,
-``actions.double_seq_map`` and ``actions.pointwise_step`` against them;
-nothing in ``src/`` imports them.
+the double powerset composition as a walk over every subfamily; the
+binary pointwise operations as ``apply_op`` wrote them out per variant;
+and the one-step witness checks that scan every rank-1 axiom before they
+build the witness.  The differential tests check the compiled plans, the
+id sweeps, the predicate-poset check, ``FunctorOps.random_value``,
+``actions.double_seq_map``, ``actions.pointwise_step`` and
+``harness.one_step_witness`` against them; nothing in ``src/`` imports
+them.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from mvdl.actions import apply_op, apply_test
 from mvdl.errors import (
     ArityMismatch,
     InvalidParameter,
+    NonlinearAlgebra,
     UnknownAtom,
     UnknownIdentifier,
+    UnsupportedKind,
 )
 from mvdl.functors import _pred_poset, predicate_index, predicate_space
-from mvdl.harness import _forced_targets
+from mvdl.harness import AxiomViolation, OneStepResult, _forced_targets
 from mvdl.jsonio import fvalue_to_json, model_to_json
 from mvdl.semantics import Model, crisp_mask
 from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var, atoms_of, props_of, render
@@ -522,3 +526,151 @@ def reference_double_seq_map(fops, g2):
         return frozenset(out)
 
     return dmap
+
+
+# -- one-step witnesses ------------------------------------------------------
+
+
+def reference_one_step_witness(kind: str, alg, n: int, H) -> OneStepResult:
+    """``one_step_witness`` scan-first: every rank-1 axiom instance over all
+    predicate (or state-set) pairs is checked in canonical order, and only
+    then is the witness built and H compared with the assignment it induces."""
+    if kind == "labelled-diamond":
+        return _reference_witness_diamond(alg, n, H)
+    if kind == "threshold":
+        return _reference_witness_threshold(alg, n, H)
+    if kind == "monotone-eval":
+        return _reference_witness_eval(alg, n, H)
+    raise UnsupportedKind(f"no one-step witness for kind {kind!r}")
+
+
+def _reference_witness_diamond(alg, n: int, H) -> OneStepResult:
+    preds = predicate_space(alg.m, n)
+    for p in preds:
+        if p not in H:
+            raise InvalidParameter(f"H is not total: missing diamond atom {p}")
+    jt, tt = alg.join_table, alg.tensor_table
+    # join axiom: H(dia(p \/ q)) = H(dia p) \/ H(dia q)
+    for p in preds:
+        for q in preds:
+            joined = tuple(jt[u][v] for u, v in zip(p, q))
+            if H[joined] != jt[H[p]][H[q]]:
+                return OneStepResult(
+                    None,
+                    AxiomViolation(
+                        "diamond-join",
+                        {"p": list(p), "q": list(q), "axiom": "dia(p \\/ q) <-> dia p \\/ dia q"},
+                    ),
+                )
+    # constant axiom: H(dia(p (*) c)) = H(dia p) (*) c
+    for p in preds:
+        for c in range(alg.m):
+            scaled = tuple(tt[v][c] for v in p)
+            if H[scaled] != tt[H[p]][c]:
+                return OneStepResult(
+                    None,
+                    AxiomViolation(
+                        "diamond-constant",
+                        {"p": list(p), "c": c, "axiom": "dia(p (*) c) <-> dia p (*) c"},
+                    ),
+                )
+    alpha = tuple(H[tuple(alg.top if y == x else 0 for y in range(n))] for x in range(n))
+    for p in preds:
+        acc = 0
+        for x in range(n):
+            acc = jt[acc][tt[p[x]][alpha[x]]]
+        if acc != H[p]:
+            return OneStepResult(
+                None,
+                AxiomViolation(
+                    "one-step-satisfaction", {"p": list(p), "expected": H[p], "got": acc}
+                ),
+            )
+    return OneStepResult(alpha, None)
+
+
+def _reference_witness_threshold(alg, n: int, H) -> OneStepResult:
+    if not alg.linear:
+        raise NonlinearAlgebra("threshold witnesses require a linear algebra")
+    rs = range(1, alg.m)
+    masks = range(1 << n)
+    for r in rs:
+        for s in masks:
+            if (r, s) not in H:
+                raise InvalidParameter(f"H is not total: missing atom (r={r}, S={s})")
+            if H[(r, s)] not in (0, 1):
+                raise InvalidParameter("threshold H must be two-valued")
+    for r in rs:
+        if H[(r, 0)] != 0:
+            return OneStepResult(
+                None,
+                AxiomViolation(
+                    "threshold-bottom", {"r": r, "axiom": "dia_r bot <-> bot"}
+                ),
+            )
+        for s1 in masks:
+            for s2 in masks:
+                if H[(r, s1 | s2)] != max(H[(r, s1)], H[(r, s2)]):
+                    return OneStepResult(
+                        None,
+                        AxiomViolation(
+                            "threshold-join",
+                            {
+                                "r": r,
+                                "S1": s1,
+                                "S2": s2,
+                                "axiom": "dia_r(p \\/ q) <-> dia_r p \\/ dia_r q",
+                            },
+                        ),
+                    )
+    for s in masks:
+        for r1 in rs:
+            for r2 in rs:
+                if alg.leq(r2, r1) and H[(r1, s)] > H[(r2, s)]:
+                    return OneStepResult(
+                        None,
+                        AxiomViolation(
+                            "threshold-monotonicity",
+                            {
+                                "r1": r1,
+                                "r2": r2,
+                                "S": s,
+                                "axiom": "dia_r1 p -> dia_r2 p for all r2 <= r1",
+                            },
+                        ),
+                    )
+    alpha = tuple(
+        alg.bigjoin(r for r in rs if H[(r, 1 << x)] == 1) for x in range(n)
+    )
+    for r in rs:
+        for s in masks:
+            acc = alg.bigjoin(alpha[x] for x in range(n) if s >> x & 1)
+            got = 1 if alg.leq(r, acc) else 0
+            if got != H[(r, s)]:
+                return OneStepResult(
+                    None,
+                    AxiomViolation(
+                        "one-step-satisfaction",
+                        {"r": r, "S": s, "expected": H[(r, s)], "got": got},
+                    ),
+                )
+    return OneStepResult(alpha, None)
+
+
+def _reference_witness_eval(alg, n: int, H) -> OneStepResult:
+    preds = predicate_space(alg.m, n)
+    for p in preds:
+        if p not in H:
+            raise InvalidParameter(f"H is not total: missing eval atom {p}")
+    leq = alg.leq
+    for p in preds:
+        for q in preds:
+            if all(leq(u, v) for u, v in zip(p, q)) and not leq(H[p], H[q]):
+                return OneStepResult(
+                    None,
+                    AxiomViolation(
+                        "eval-monotonicity",
+                        {"p": list(p), "q": list(q), "axiom": "dia p -> dia(p \\/ q)"},
+                    ),
+                )
+    return OneStepResult(tuple(H[p] for p in preds), None)

@@ -40,7 +40,10 @@ The calls are, in order:
   slot 1), ``<a;(b;a)>p <-> <a><b;a>p`` (a composition whose right
   operand reads slot 1 through another one) and ``<b+?t(p)>p -> <b>p``
   with the preset's first pointwise operation for ``+`` (a test operand
-  beside slot 1).
+  beside slot 1);
+* ``one_step_witness`` of every kind over L2, L3 and G3 at n = 1..3, on
+  ten seeded H each: a roundtrip from a random witness, with 0-3 entries
+  set to another value (flipped between 0 and 1 for threshold).
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -50,11 +53,15 @@ script), and the workload definitions from its ``perfbench``.
 import argparse
 import importlib
 import json
+import random
 import sys
 from pathlib import Path
 
 WORKLOADS = ("Safety", "RuleSweep", "Entail")
-MODULES = ("actions", "algebra", "harness", "jsonio", "presets", "reduction", "semantics", "syntax")
+MODULES = (
+    "actions", "algebra", "functors", "harness", "jsonio", "presets", "reduction", "semantics",
+    "syntax",
+)
 # the binary operations that act state by state
 POINTWISE = ("union", "nbh-union", "join-pw", "meet-pw")
 EVAL_CASES = Path("perfbench", "mvdlbench", "data", "eval_cases.json")
@@ -132,6 +139,7 @@ def calls(root: Path, seed: int):
     for case in cases:
         yield f"eval {case['id']}", lambda case=case: _session_row(m, case)
     yield from _block_rows(m, configs, entail)
+    yield from _one_step_rows(m, seed)
 
 
 def _block_rows(m, configs, entail):
@@ -188,6 +196,57 @@ def _block_rows(m, configs, entail):
                     [], phi, c, max_n=max_n
                 ),
             )
+
+
+def _one_step_rows(m, seed):
+    """The one-step witness or named violation of seeded roundtrip H, some
+    with entries changed."""
+    h, functors = m["harness"], m["functors"]
+    for name in ("L2", "L3", "G3"):
+        alg = m["algebra"].algebra_by_name(name)
+        for kind in ("labelled-diamond", "threshold", "monotone-eval"):
+            fkind = functors.Kind.APOWERSET
+            if kind == "monotone-eval":
+                fkind = functors.Kind.MONOTONE_NEIGHBOURHOOD
+            values = range(2 if kind == "threshold" else alg.m)
+            for n in (1, 2, 3):
+                rng = random.Random(f"{seed} {name} {kind} {n}")
+                for i in range(10):
+                    alpha = functors.functor_ops(fkind, n, alg).random_value(rng)
+                    H = _h_alpha(functors, kind, alg, n, alpha)
+                    atoms = sorted(H)
+                    for _ in range(rng.randrange(4)):
+                        atom = rng.choice(atoms)
+                        H[atom] = rng.choice([v for v in values if v != H[atom]])
+                    yield (
+                        f"one-step {name} {kind} n={n} #{i}",
+                        lambda kind=kind, alg=alg, n=n, H=H: _one_step_row(h, kind, alg, n, H),
+                    )
+
+
+def _h_alpha(functors, kind, alg, n, alpha) -> dict:
+    """The rank-1 assignment the witness alpha induces."""
+    if kind == "labelled-diamond":
+        return {
+            p: alg.bigjoin(alg.tensor(p[x], alpha[x]) for x in range(n))
+            for p in functors.predicate_space(alg.m, n)
+        }
+    if kind == "threshold":
+        return {
+            (r, s): 1 if alg.leq(r, alg.bigjoin(alpha[x] for x in range(n) if s >> x & 1)) else 0
+            for r in range(1, alg.m)
+            for s in range(1 << n)
+        }
+    return dict(zip(functors.predicate_space(alg.m, n), alpha))
+
+
+def _one_step_row(h, kind, alg, n, H) -> dict:
+    result = h.one_step_witness(kind, alg, n, H)
+    violation = result.violation
+    return dict(
+        alpha=None if result.alpha is None else list(result.alpha),
+        violation=None if violation is None else [violation.axiom, violation.instance],
+    )
 
 
 def _session_row(m, case) -> dict:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mvdl import algebra, cli
+from mvdl import algebra, cli, harness
 from mvdl.cli import main
 from mvdl.jsonio import algebra_to_json, dumps, model_to_json
 from mvdl.algebra import build_builtin
@@ -65,15 +65,22 @@ class TestExitCodes:
         assert "budget" in err
 
     def test_rule_budget_counts_coalgebra_tuples(self, capsys):
-        # C = 81 coalgebras at two states fit, the C**2 pairs of `;` do not
+        # C = 81 coalgebras at two states fit, the C**2 pairs of `;` do not;
+        # the rules that fit are still checked and reported
         code, out, err = run(
             capsys,
             "verify-rules", "--preset", "pdl-labelled", "--algebra", "L2",
-            "--n", "2", "--budget", "1000",
+            "--n", "2", "--budget", "1000", "--format", "json",
         )
         assert code == 3
         assert "6561 coalgebra tuples" in err
-        assert out == ""
+        report = json.loads(out)
+        over = {key for key, v in report.items() if v["status"] == "budget-exceeded"}
+        assert over == {"op + box", "op ; box", "op + dia", "op ; dia"}
+        assert all(report[key]["detail"]["count"] == 6561 for key in over)
+        assert {key: report[key]["status"] for key in report.keys() - over} == {
+            "op ~ box": "holds", "op ~ dia": "holds", "test t box": "holds", "test t dia": "holds",
+        }
 
     def test_semiprimal_false_exits_one(self, capsys):
         code, out, _ = run(capsys, "semiprimal", "--algebra", "G3")
@@ -489,3 +496,35 @@ class TestMalformedInput:
         )
         assert code == 2
         assert "'entries[1]'" in err
+
+    @pytest.mark.parametrize(
+        "kind, i, entry, named",
+        [
+            # an element outside L2 used to escape as IndexError, exit 1
+            ("labelled-diamond", 4, [[1, 1], 7], "value 7 is outside 0..2"),
+            # a negative value used to be accepted and named in the witness
+            ("monotone-eval", 2, [[0, 2], -1], "value -1 is outside 0..2"),
+            ("threshold", 1, [[1, 1], 2], "value 2 is outside 0..1"),
+            # keys outside the atom space used to be ignored
+            ("labelled-diamond", 3, [[1, 0, 0], 1], "key [1, 0, 0] is not a labelled-diamond atom"),
+            ("monotone-eval", 0, [[0], 0], "key [0] is not a monotone-eval atom"),
+            ("threshold", 0, [[0, 1], 0], "key [0, 1] is not a threshold atom"),
+            ("threshold", 5, [[1, 4], 0], "key [1, 4] is not a threshold atom"),
+            ("threshold", 2, [[1, 1, 0], 1], "key [1, 1, 0] is not a threshold atom"),
+            ("labelled-diamond", 1, [[0, 0], 0], "key [0, 0] was given before"),
+            ("labelled-diamond", 0, [[0, 0], 1.5], "is not a [key, value] pair of integers"),
+        ],
+    )
+    def test_one_step_h_outside_atoms(self, capsys, tmp_path, kind, i, entry, named):
+        L2 = build_builtin("lukasiewicz", 2)
+        H = harness.one_step_assignment(kind, L2, 2, (1, 2) if kind != "monotone-eval" else (0,) * 9)
+        entries = [[list(key), value] for key, value in H.items()]
+        entries[i] = entry
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, err = run(
+            capsys, "one-step", "--kind", kind, "--algebra", "L2", "--n", "2", "--h", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert f"field 'entries[{i}]'" in err and named in err
+        assert "Traceback" not in err
