@@ -16,10 +16,11 @@ the compared lists, each position decoded by ``Plan.case``.  Each checker
 is one loop, one comparison and one counterexample builder over those
 batches.
 
-The exhaustive safety sweep runs on ids of its own: a value is its index
-in the canonical enumeration of FX, a source coalgebra a tuple of such ids,
-and a target coalgebra its cid, its index in the product of the target
-values.  Ff is a value-id table per map f, and only a counterexample is
+A safety sweep runs one loop per carrier pair on ids of its own, given on
+first sight: a value's vid, a source coalgebra as a tuple of vids, a target
+coalgebra's cid; Ff is one vid list per map f.  Its premises are every
+joint morphism square in canonical order (exhaustive mode, which interns
+the enumeration of FX first) or drawn ones; only a counterexample is
 decoded back to FValues.
 """
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -50,6 +51,7 @@ from .semantics import (
     LogicConfig,
     Model,
     Plan,
+    _interner,
     assignments,
     lifting_kernel,
 )
@@ -67,9 +69,9 @@ from .syntax import (
 
 DEFAULT_SEED = 0xC0A1
 DEFAULT_SWEEP_BUDGET = 1_000_000
-# a sampled sweep's plan interns this many coalgebras or predicates, with
-# their table entries, before it starts afresh: sampled ones seldom recur,
-# so keeping them all would only grow memory with the number of trials
+# a sampled sweep keeps at most this many interned coalgebras, predicates
+# or operand tuples, with their table entries, then starts afresh: sampled
+# ones seldom recur, so keeping them all would only grow memory
 SAMPLED_COALGEBRAS = 1 << 14
 
 
@@ -128,16 +130,6 @@ def is_morphism(
     return all(fops.map(ft, n2, gamma[x]) == gamma2[ft[x]] for x in range(n))
 
 
-def _space(fops: FunctorOps, budget: int) -> list:
-    values = list(fops.enumerate(budget))
-    total = len(values) ** fops.n
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} coalgebras at n={fops.n} exceed budget {budget}", count=total
-        )
-    return values
-
-
 # -- safety ---------------------------------------------------------------
 
 
@@ -154,32 +146,41 @@ def check_safety(
 
     Carrier pairs range over n, n' <= max_n.  When f is surjective the target
     coalgebras are forced; otherwise the unconstrained states are enumerated
-    (exhaustive mode, on value and coalgebra ids) or sampled.
+    (exhaustive mode, ``_safety_squares``) or sampled (random mode,
+    ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair).  Both
+    modes check their premises in one loop on ids, ``_safety_pair``.
+    Exhaustive mode first checks the operand tuples at max_n, C**arity for
+    C coalgebras, against ``budget``; they bound every pair's sweep.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
     if isinstance(target, TestSpec):
         return _check_test_safety(target, config, max_n, budget, t0)
     target.check_kind(config.kind)
+    sampled = {}
+    if mode == "exhaustive":
+        spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
+        total = len(spaces[max_n]) ** (max_n * target.arity)
+        if total > budget:
+            msg = f"{total} coalgebra tuples at n={max_n} exceed budget {budget}"
+            raise BudgetExceeded(f"{msg}; random mode is available", count=total)
+        premises = partial(_safety_squares, target, spaces=spaces)
+    else:
+        rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
+        premises = partial(_safety_draws, target, rng=rng, trials=trials // (max_n * max_n) + 1)
     cases = 0
-    rng = random.Random(seed)
     for n_src in range(1, max_n + 1):
         for n_tgt in range(1, max_n + 1):
-            fops_src = config.fops(n_src)
-            fops_tgt = config.fops(n_tgt)
-            if mode == "exhaustive":
-                checked, counter = _safety_exhaustive(target, fops_src, fops_tgt, budget)
-            else:
-                checked, counter = _safety_sampled(
-                    target, fops_src, fops_tgt, rng, trials // (max_n * max_n) + 1
-                )
+            ids = _SafetyIds(config.fops(n_src), config.fops(n_tgt))
+            checked, counter = _safety_pair(target, ids, premises(ids))
             cases += checked
             if counter is not None:
                 return _verdict(
-                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt)
+                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt), **sampled
                 )
-    status = "holds-up-to-bound"
-    return _verdict(status, cases, t0, None, target=target.id, max_n=max_n, mode=mode)
+    return _verdict(
+        "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode, **sampled
+    )
 
 
 def _safety_counter(kind: Kind, f, gammas, gammas2, x: int) -> dict:
@@ -191,31 +192,70 @@ def _safety_counter(kind: Kind, f, gammas, gammas2, x: int) -> dict:
     }
 
 
-def _safety_squares(
-    op: OperationSpec,
-    fops_src: FunctorOps,
-    fops_tgt: FunctorOps,
-    vals_src: list,
-    vals_tgt: list,
-):
-    """Every joint-morphism premise of the exhaustive sweep, on ids.
+class _SafetyIds:
+    """The ids of one carrier pair's safety sweep, given on first sight: a
+    value's vid is its index in ``vals_src`` or ``vals_tgt``, a target
+    coalgebra (a tuple of FValues) its cid, its index in ``coalgs``.
+    Operation outputs are kept as vid tuples, by source coalgebras (vid
+    tuples) in ``out_src`` and by target cid tuple in ``out_tgt``."""
 
-    A value's id (vid) is its index in its ``_space`` list; a source
-    coalgebra is a tuple of vids, a target coalgebra is its cid, its index
-    in ``product(range(len(vals_tgt)), repeat=n_tgt)``.  Yields
-    ``(f, ff, gammas, cands)`` in canonical order: ``ff`` is Ff as a
-    source-vid -> target-vid list, ``gammas`` the source operands, and
-    ``cands[i]`` the ascending cids of the target coalgebras that agree with
-    Ff . gammas[i] on the image of f.  The target operands are
-    ``product(*cands)``: the states outside the image vary operand by
-    operand, the last state of the last operand fastest.
+    def __init__(self, fops_src: FunctorOps, fops_tgt: FunctorOps):
+        self.fops_src, self.fops_tgt = fops_src, fops_tgt
+        vals_src, vals_tgt, coalgs, index = [], [], [], [{}, {}, {}]
+        self.src, self.tgt, self.cid = map(_interner, index, [vals_src, vals_tgt, coalgs])
+        self.vals_src, self.vals_tgt, self.coalgs = vals_src, vals_tgt, coalgs
+        self._ff, self.out_src, self.out_tgt = {}, {}, {}
+        self._tables = [*index, vals_src, vals_tgt, coalgs, self._ff, self.out_src, self.out_tgt]
+
+    def clear(self) -> None:
+        """Drop every id and every table keyed on them."""
+        for table in self._tables:
+            table.clear()
+
+    def ff(self, f: tuple[int, ...]) -> list[int]:
+        """Ff as a source-vid -> target-vid list, extended to every source
+        value interned so far."""
+        ff, fmap, n_tgt = self._ff.setdefault(f, []), self.fops_src.map, self.fops_tgt.n
+        ff.extend(self.tgt(fmap(f, n_tgt, v)) for v in self.vals_src[len(ff):])
+        return ff
+
+
+def _forced(f: tuple[int, ...], ff: list[int], g: tuple) -> dict[int, int] | None:
+    """The target vids that Ff . g forces on the image of f, by target
+    state, or None when two states of g force different ones."""
+    forced: dict[int, int] = {}
+    for x, v in enumerate(g):
+        w = ff[v]
+        if forced.setdefault(f[x], w) != w:
+            return None
+    return forced
+
+
+def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, list]):
+    """Every joint-morphism premise of the exhaustive sweep, in canonical
+    order.
+
+    The canonical enumerations of FX and FY (``spaces`` by carrier size)
+    are interned first, then the target coalgebras in the order of
+    ``product(FY, repeat=n_tgt)``, so a vid is an index into its
+    enumeration and a cid an index into that product.  Yields ``(f, ff,
+    gammas, targets)``: ``ff`` is ``ids.ff(f)``, ``gammas`` the source
+    operands and ``targets`` the target operands, ``product(*cands)`` where
+    ``cands[i]`` are the ascending cids of the target coalgebras that agree
+    with Ff . gammas[i] on the image of f: the states outside the image
+    vary operand by operand, the last state of the last operand fastest.
     """
-    n_src, n_tgt = fops_src.n, fops_tgt.n
-    tgt_id = {v: i for i, v in enumerate(vals_tgt)}
-    coalgs_src = list(product(range(len(vals_src)), repeat=n_src))
-    coalgs_tgt = list(product(range(len(vals_tgt)), repeat=n_tgt))
+    n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
+    for v in spaces[n_src]:
+        ids.src(v)
+    for v in spaces[n_tgt]:
+        ids.tgt(v)
+    for h in product(spaces[n_tgt], repeat=n_tgt):
+        ids.cid(h)
+    coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
+    coalgs_tgt = list(product(range(len(ids.vals_tgt)), repeat=n_tgt))  # vid tuples by cid
     for f in product(range(n_tgt), repeat=n_src):
-        ff = [tgt_id[fops_src.map(f, n_tgt, v)] for v in vals_src]
+        ff = ids.ff(f)
         image = sorted(set(f))
         extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
         for cid, h in enumerate(coalgs_tgt):
@@ -224,138 +264,96 @@ def _safety_squares(
         # image of f, each with the target coalgebras extending that function
         cands = {}
         for g in coalgs_src:
-            forced: dict[int, int] = {}
-            for x in range(n_src):
-                v = ff[g[x]]
-                if forced.setdefault(f[x], v) != v:
-                    break
-            else:
+            forced = _forced(f, ff, g)
+            if forced is not None:
                 cands[g] = extending[tuple(forced[y] for y in image)]
         for gammas in product(cands, repeat=op.arity):
-            yield f, ff, gammas, [cands[g] for g in gammas]
+            yield f, ff, gammas, product(*map(cands.__getitem__, gammas))
 
 
-def _safety_exhaustive(
-    op: OperationSpec, fops_src: FunctorOps, fops_tgt: FunctorOps, budget: int
-) -> tuple[int, dict | None]:
+def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
+    """The premises of ``trials`` draws, in the RNG order f, the source
+    operands (operand-major, state by state), then each target operand's
+    states outside the image of f; a draw whose sources force two values on
+    one target state is no premise and draws no target state.  Yields
+    ``(f, ff, gammas, (cids,))`` as ``_safety_squares`` does, and clears
+    ``ids`` once a table holds more than ``SAMPLED_COALGEBRAS`` entries."""
+    fops_src, fops_tgt, vals_tgt = ids.fops_src, ids.fops_tgt, ids.vals_tgt
+    n_src, n_tgt = fops_src.n, fops_tgt.n
+    for _ in range(trials):
+        if max(len(ids.coalgs), len(ids.out_src), len(ids.out_tgt)) > SAMPLED_COALGEBRAS:
+            ids.clear()
+        f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
+        gammas = tuple(
+            tuple(ids.src(fops_src.random_value(rng)) for _ in range(n_src))
+            for _ in range(op.arity)
+        )
+        ff = ids.ff(f)
+        forced = [_forced(f, ff, g) for g in gammas]
+        if None in forced:
+            continue
+        cids = tuple(
+            ids.cid(tuple(
+                vals_tgt[d[y]] if y in d else fops_tgt.random_value(rng) for y in range(n_tgt)
+            ))
+            for d in forced
+        )
+        yield f, ff, gammas, (cids,)
+
+
+def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, dict | None]:
     """Cases checked on one carrier pair, and the first counterexample.
 
-    Operation outputs are memoised by source vid tuple and by target cid
-    tuple and kept as vid tuples; every operation maps the value space into
-    itself (monotone tables stay monotone), so each output has a vid.
+    Each premise ``(f, ff, gammas, targets)`` is one square per target
+    operand tuple: Ff(op(gammas)), once, against op(targets) on the image
+    of f.  ``ff`` covers the vids interned before the premise, so it needs
+    extending only for a new op(gammas).  Operation outputs are memoised in
+    ``ids``; only a counterexample is decoded back to FValues.
     """
-    vals_src = _space(fops_src, budget)
-    vals_tgt = _space(fops_tgt, budget)
-    n_src = fops_src.n
-    src_id = {v: i for i, v in enumerate(vals_src)}
-    tgt_id = {v: i for i, v in enumerate(vals_tgt)}
-    coalgs_tgt = list(product(vals_tgt, repeat=fops_tgt.n))  # indexed by cid
-    out_src: dict = {}
-    out_tgt: dict = {}
+    fops_src, fops_tgt, n_src = ids.fops_src, ids.fops_tgt, ids.fops_src.n
+    vals_src, coalgs, out_src, out_tgt = ids.vals_src, ids.coalgs, ids.out_src, ids.out_tgt
     cases = 0
-    for f, ff, gammas, cands in _safety_squares(op, fops_src, fops_tgt, vals_src, vals_tgt):
+    for f, ff, gammas, targets in premises:
         out = out_src.get(gammas)
         if out is None:
-            coalgs = tuple(tuple(vals_src[v] for v in g) for g in gammas)
-            out = out_src[gammas] = tuple(src_id[v] for v in apply_op(op, coalgs, fops_src))
+            decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
+            out = out_src[gammas] = tuple(map(ids.src, apply_op(op, decoded, fops_src)))
+            if len(ff) < len(vals_src):  # op(gammas) interned new values
+                ff = ids.ff(f)
         lhs = tuple(ff[v] for v in out)  # Ff(op(gammas)) state by state
         at_image = itemgetter(*f)
         want = lhs if n_src > 1 else lhs[0]
         k = 0
-        for k, cids in enumerate(product(*cands), 1):
+        for k, cids in enumerate(targets, 1):
             rhs = out_tgt.get(cids)
             if rhs is None:
-                coalgs = tuple(coalgs_tgt[c] for c in cids)
-                rhs = out_tgt[cids] = tuple(tgt_id[v] for v in apply_op(op, coalgs, fops_tgt))
+                decoded = tuple(coalgs[c] for c in cids)
+                rhs = out_tgt[cids] = tuple(map(ids.tgt, apply_op(op, decoded, fops_tgt)))
             if at_image(rhs) != want:
                 x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
-                counter = _safety_counter(
-                    fops_src.kind,
-                    f,
-                    (tuple(vals_src[v] for v in g) for g in gammas),
-                    (coalgs_tgt[c] for c in cids),
-                    x,
-                )
-                return cases + k, counter
+                sources = ((vals_src[v] for v in g) for g in gammas)
+                gammas2 = [coalgs[c] for c in cids]
+                return cases + k, _safety_counter(fops_src.kind, f, sources, gammas2, x)
         cases += k
-    return cases, None
-
-
-def _forced_targets(
-    fops_src: FunctorOps,
-    fops_tgt: FunctorOps,
-    f: tuple[int, ...],
-    gammas: tuple,
-) -> list[dict[int, object]] | None:
-    """Forced values of each target coalgebra on the image of f, or None
-    when f cannot be a joint morphism for these sources."""
-    n_tgt = fops_tgt.n
-    forced: list[dict[int, object]] = []
-    for g in gammas:
-        d: dict[int, object] = {}
-        for x in range(fops_src.n):
-            img = fops_src.map(f, n_tgt, g[x])
-            y = f[x]
-            if y in d and d[y] != img:
-                return None
-            d[y] = img
-        forced.append(d)
-    return forced
-
-
-def _safety_sampled(
-    op: OperationSpec,
-    fops_src: FunctorOps,
-    fops_tgt: FunctorOps,
-    rng: random.Random,
-    trials: int,
-) -> tuple[int, dict | None]:
-    """Cases checked on one carrier pair from ``trials`` draws, and the
-    first counterexample; the unforced target states are drawn at random."""
-    n_src, n_tgt = fops_src.n, fops_tgt.n
-    cases = 0
-    for _ in range(trials):
-        f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
-        gammas = tuple(
-            tuple(fops_src.random_value(rng) for _ in range(n_src))
-            for _ in range(op.arity)
-        )
-        forced = _forced_targets(fops_src, fops_tgt, f, gammas)
-        if forced is None:
-            continue
-        gammas2 = []
-        ok = True
-        for d in forced:
-            row = []
-            for y in range(n_tgt):
-                if y in d:
-                    row.append(d[y])
-                else:
-                    row.append(fops_tgt.random_value(rng))
-            if any(not fops_tgt.is_valid(v) for v in row):
-                ok = False
-                break
-            gammas2.append(tuple(row))
-        if not ok:
-            continue
-        cases += 1
-        out_src = apply_op(op, gammas, fops_src)
-        out_tgt = apply_op(op, tuple(gammas2), fops_tgt)
-        for x in range(n_src):
-            if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
-                return cases, _safety_counter(fops_src.kind, f, gammas, gammas2, x)
     return cases, None
 
 
 def _check_test_safety(
     test: TestSpec, config: LogicConfig, max_n: int, budget: int, t0: float
 ) -> Verdict:
-    """Naturality square: Ff . test(sigma' . f) = test(sigma') . f."""
+    """Naturality square: Ff . test(sigma' . f) = test(sigma') . f, for
+    every map f and target predicate sigma'; their number is checked
+    against ``budget`` first."""
     test.check_kind(config.kind)
     truth = config.truth
+    sizes = range(1, max_n + 1)
+    total = sum(n_tgt**n_src * truth.m**n_tgt for n_src in sizes for n_tgt in sizes)
+    if total > budget:
+        msg = f"{total} maps and target predicates up to n={max_n} exceed budget {budget}"
+        raise BudgetExceeded(msg, count=total)
     cases = 0
-    for n_src in range(1, max_n + 1):
-        for n_tgt in range(1, max_n + 1):
+    for n_src in sizes:
+        for n_tgt in sizes:
             fops_src = config.fops(n_src)
             fops_tgt = config.fops(n_tgt)
             for f in product(range(n_tgt), repeat=n_src):
@@ -502,6 +500,7 @@ def check_separation(
     spaces = {
         spec.id: list(product(preds, repeat=spec.arity)) for spec in liftings
     }
+    sampled = {}
     if mode == "exhaustive":
         try:
             values = list(fops.enumerate(budget))
@@ -515,7 +514,7 @@ def check_separation(
             for j in range(i + 1, len(values))
         ]
     else:
-        rng = random.Random(seed)
+        rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
         pairs = []
         for _ in range(trials):
             t1, t2 = fops.random_value(rng), fops.random_value(rng)
@@ -540,9 +539,9 @@ def check_separation(
                 "t2": fvalue_to_json(config.kind, t2),
                 "liftings": [spec.id for spec in liftings],
             }
-            return _verdict("fails", cases, t0, counter, n=n)
+            return _verdict("fails", cases, t0, counter, n=n, **sampled)
     status = "holds" if mode == "exhaustive" else "holds-up-to-bound"
-    return _verdict(status, cases, t0, None, n=n, pairs=len(pairs), mode=mode)
+    return _verdict(status, cases, t0, None, n=n, pairs=len(pairs), mode=mode, **sampled)
 
 
 # -- the case driver of rule and entailment sweeps -------------------------

@@ -275,12 +275,19 @@ def fvalue_to_json(kind: Kind, value):
     return list(value)
 
 
+def _integer(value) -> int:
+    """A JSON integer as it is; anything else, a boolean too, raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def fvalue_from_json(kind: Kind, data):
     if kind is Kind.POWERSET:
-        return int(data)
+        return _integer(data)
     if kind is Kind.DOUBLE_POWERSET:
-        return frozenset(int(v) for v in data)
-    return tuple(int(v) for v in data)
+        return frozenset(map(_integer, data))
+    return tuple(map(_integer, data))
 
 
 def model_to_json(model: Model) -> dict:
@@ -320,7 +327,7 @@ def model_from_json(data: Mapping, config: LogicConfig | None = None) -> Model:
     atoms = _rows(
         _field(data, "atoms", "model"), "atoms", lambda v: fvalue_from_json(kind, v)
     )
-    valuation = _rows(data.get("valuation", {}), "valuation", int)
+    valuation = _rows(data.get("valuation", {}), "valuation", _integer)
     return Model(n, config, atoms, valuation)
 
 

@@ -4,13 +4,13 @@ These are the evaluators mvdl shipped before formulas and rule templates
 were compiled: memoizing walks over the AST that dispatch on node type and
 apply each lifting by its closed formula, one state at a time, and the
 case-by-case rule-soundness and entailment sweeps built on them; the
-exhaustive safety sweep as it ran on FValues before it ran on ids; the
-monotonicity check as a scan over all pairs of predicates; a monotone
-table drawn by joining over every predicate below, not only the covers;
-the double powerset composition as a walk over every subfamily; the
-binary pointwise operations as ``apply_op`` wrote them out per variant;
-and the one-step witness checks that scan every rank-1 axiom before they
-build the witness.  The differential tests check the compiled plans, the
+exhaustive and sampled safety sweeps as they ran on FValues before they
+ran on ids; the monotonicity check as a scan over all pairs of
+predicates; a monotone table drawn by joining over every predicate below,
+not only the covers; the double powerset composition as a walk over every
+subfamily; the binary pointwise operations as ``apply_op`` wrote them out
+per variant; and the one-step witness checks that scan every rank-1 axiom
+before they build the witness.  The differential tests check the compiled plans, the
 id sweeps, the predicate-poset check, ``FunctorOps.random_value``,
 ``actions.double_seq_map``, ``actions.pointwise_step`` and
 ``harness.one_step_witness`` against them; nothing in ``src/`` imports
@@ -32,7 +32,7 @@ from mvdl.errors import (
     UnsupportedKind,
 )
 from mvdl.functors import _pred_poset, predicate_index, predicate_space
-from mvdl.harness import AxiomViolation, OneStepResult, _forced_targets
+from mvdl.harness import AxiomViolation, OneStepResult
 from mvdl.jsonio import fvalue_to_json, model_to_json
 from mvdl.semantics import Model, crisp_mask
 from mvdl.syntax import Atomic, Conn, Op, Prop, Test, Var, atoms_of, props_of, render
@@ -381,6 +381,20 @@ def reference_entailment(gamma, phi, config, max_n: int, mode: str = "exhaustive
 # -- safety ------------------------------------------------------------------
 
 
+def reference_forced_targets(fops_src, fops_tgt, f, gammas):
+    """Forced values of each target coalgebra on the image of f, or None
+    when f cannot be a joint morphism for these sources."""
+    forced = []
+    for g in gammas:
+        d = {}
+        for x in range(fops_src.n):
+            img = fops_src.map(f, fops_tgt.n, g[x])
+            if d.setdefault(f[x], img) != img:
+                return None
+        forced.append(d)
+    return forced
+
+
 def reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt):
     """Every (f, gammas, gammas') premise of the exhaustive safety sweep, as
     FValue coalgebras: the forced target values on the image of f, and every
@@ -390,7 +404,7 @@ def reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt):
     for f in product(range(n_tgt), repeat=n_src):
         free = [y for y in range(n_tgt) if y not in set(f)]
         for gammas in product(coalgs_src, repeat=op.arity):
-            forced = _forced_targets(fops_src, fops_tgt, f, gammas)
+            forced = reference_forced_targets(fops_src, fops_tgt, f, gammas)
             if forced is None:
                 continue
             if not free:
@@ -435,6 +449,52 @@ def reference_safety(target, config, max_n: int, budget: int = 1_000_000):
                 out_tgt = out_cache_tgt.get(gammas2)
                 if out_tgt is None:
                     out_tgt = out_cache_tgt[gammas2] = apply_op(target, gammas2, fops_tgt)
+                for x in range(n_src):
+                    if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
+                        return "fails", cases, {
+                            "f": list(f),
+                            "gammas": [
+                                [fvalue_to_json(config.kind, v) for v in g] for g in gammas
+                            ],
+                            "gammas_target": [
+                                [fvalue_to_json(config.kind, v) for v in g] for g in gammas2
+                            ],
+                            "state": x,
+                        }
+    return "holds-up-to-bound", cases, None
+
+
+def reference_safety_sampled(target, config, max_n: int, trials: int, seed: int):
+    """The sampled safety sweep on FValues: (status, cases, counterexample).
+
+    Same draws, counts and counterexample as ``check_safety`` in random
+    mode, for an operation target: one RNG over the carrier pairs,
+    ``trials // max_n**2 + 1`` draws per pair, each f, then the source
+    operands, then the unforced target states; a draw whose sources force
+    two values on one target state is no case.
+    """
+    target.check_kind(config.kind)
+    rng = random.Random(seed)
+    cases = 0
+    for n_src in range(1, max_n + 1):
+        for n_tgt in range(1, max_n + 1):
+            fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
+            for _ in range(trials // (max_n * max_n) + 1):
+                f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
+                gammas = tuple(
+                    tuple(fops_src.random_value(rng) for _ in range(n_src))
+                    for _ in range(target.arity)
+                )
+                forced = reference_forced_targets(fops_src, fops_tgt, f, gammas)
+                if forced is None:
+                    continue
+                gammas2 = tuple(
+                    tuple(d[y] if y in d else fops_tgt.random_value(rng) for y in range(n_tgt))
+                    for d in forced
+                )
+                cases += 1
+                out_src = apply_op(target, gammas, fops_src)
+                out_tgt = apply_op(target, gammas2, fops_tgt)
                 for x in range(n_src):
                     if fops_src.map(f, n_tgt, out_src[x]) != out_tgt[f[x]]:
                         return "fails", cases, {

@@ -14,6 +14,9 @@ The calls are, in order:
   workloads (mutants and sampled sweeps included, seeded as
   ``perfbench/run.py --seed SEED`` seeds them);
 * ``check_safety`` on every test target of every preset at max_n=2;
+* sampled ``check_safety`` (300 trials, seeds SEED..SEED+2, max_n 1-3) on
+  every operation of every preset, on meet-pw over pdl-labelled/L2 and on
+  counter-domain over aneighbourhood/B2;
 * ``verify_reduction_rule`` on every builtin rule of the five presets (game
   and instantial over B2, the others over L2) at n=1 and n=2, exhaustive
   and sampled at the default seed, and on its mutant (``/\\`` and ``\\/``
@@ -87,6 +90,7 @@ def calls(root: Path, seed: int):
         tag = f"{config.name}/{config.truth.name}"
         for spec in config.tests.values():
             yield f"safety {tag} {spec.id}", lambda c=config, s=spec: h.check_safety(s, c, max_n=2)
+    yield from _sampled_safety_rows(m, configs, seed)
     sx, reduction = m["syntax"], m["reduction"]
     for config in configs:
         tag = f"{config.name}/{config.truth.name}"
@@ -140,6 +144,29 @@ def calls(root: Path, seed: int):
         yield f"eval {case['id']}", lambda case=case: _session_row(m, case)
     yield from _block_rows(m, configs, entail)
     yield from _one_step_rows(m, seed)
+
+
+def _sampled_safety_rows(m, configs, seed):
+    """Sampled ``check_safety`` of every operation of the presets, of meet-pw
+    on pdl-labelled/L2 and of counter-domain on aneighbourhood/B2."""
+    h, OperationSpec = m["harness"], m["actions"].OperationSpec
+    labelled = next(c for c in configs if c.name == "pdl-labelled")
+    nbh = m["jsonio"].config_from_json({"kind": "aneighbourhood"}, m["algebra"].algebra_by_name("B2"))
+    targets = [(c, op) for c in configs for op in c.ops.values()]
+    targets += [
+        (labelled, OperationSpec("meet", 2, "meet-pw")),
+        (nbh, OperationSpec("~", 1, "counter-domain")),
+    ]
+    for config, op in targets:
+        tag = f"{config.name}/{config.truth.name} {op.id} {op.variant}"
+        for max_n in (1, 2, 3):
+            for s in (seed, seed + 1, seed + 2):
+                yield (
+                    f"safety {tag} max_n={max_n} seed={s} sampled",
+                    lambda c=config, op=op, max_n=max_n, s=s: h.check_safety(
+                        op, c, max_n=max_n, mode="random", trials=300, seed=s
+                    ),
+                )
 
 
 def _block_rows(m, configs, entail):

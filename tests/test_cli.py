@@ -82,6 +82,25 @@ class TestExitCodes:
             "op ~ box": "holds", "op ~ dia": "holds", "test t box": "holds", "test t dia": "holds",
         }
 
+    def test_test_safety_budget_counts_squares(self, capsys):
+        # 374 maps and target predicates up to three states, over budget 1
+        code, out, err = run(
+            capsys,
+            "check-safety", "--preset", "pdl-crisp", "--algebra", "B2", "--test", "t",
+            "--max-n", "3", "--budget", "1",
+        )
+        assert (code, out) == (3, "")
+        assert "374 maps and target predicates" in err
+
+    def test_op_safety_budget_counts_operand_tuples(self, capsys):
+        code, out, err = run(
+            capsys,
+            "check-safety", "--preset", "pdl-labelled", "--algebra", "L2", "--op", ";",
+            "--max-n", "2", "--budget", "100",
+        )
+        assert (code, out) == (3, "")
+        assert "6561 coalgebra tuples" in err and "random mode" in err
+
     def test_semiprimal_false_exits_one(self, capsys):
         code, out, _ = run(capsys, "semiprimal", "--algebra", "G3")
         assert code == 1
@@ -478,6 +497,35 @@ class TestMalformedInput:
         code, _, err = run(capsys, "eval", "--model", str(path), "--phi", "p")
         assert code == 2
         assert "invalid-parameter" in err and named in err
+
+    @pytest.mark.parametrize(
+        "preset, atoms, valuation, named",
+        [
+            # non-integers used to be truncated by int(): [0.9, 2] read as [0, 2]
+            ("pdl-labelled", [[0, 1], [2, 2]], [0.9, 2], "'valuation.p'"),
+            ("pdl-labelled", [[0, 1], [2, 2]], [True, 2], "'valuation.p'"),
+            ("pdl-labelled", [[0, 1], [2, 2]], ["1", 2], "'valuation.p'"),
+            ("pdl-labelled", [[0, 1.0], [2, 2]], [0, 2], "'atoms.a'"),
+            ("pdl-labelled", [[0, 1], [False, 2]], [0, 2], "'atoms.a'"),
+            # [true, 1.5] used to be read as the bitmasks [1, 1]
+            ("pdl-crisp", [True, 1.5], [0, 1], "'atoms.a'"),
+            ("pdl-crisp", [1, 2.0], [0, 1], "'atoms.a'"),
+            ("instantial", [[1, 0.5], []], [0, 1], "'atoms.a'"),
+        ],
+    )
+    def test_model_numbers_are_json_integers(
+        self, capsys, tmp_path, preset, atoms, valuation, named
+    ):
+        model = {
+            "n": 2, "algebra": "B2" if preset != "pdl-labelled" else "L2", "preset": preset,
+            "atoms": {"a": atoms}, "valuation": {"p": valuation},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        code, out, err = run(capsys, "eval", "--model", str(path), "--phi", "p")
+        assert (code, out) == (2, "")
+        assert "expected an integer" in err and named in err
+        assert "Traceback" not in err
 
     def test_one_step_h_not_json(self, capsys, tmp_path):
         path = tmp_path / "h.json"

@@ -16,6 +16,8 @@ from mvdl.errors import (
 )
 from mvdl.functors import Kind, functor_ops, predicate_space
 from mvdl.harness import (
+    DEFAULT_SEED,
+    _SafetyIds,
     _safety_squares,
     bounded_entailment,
     check_invariance,
@@ -27,15 +29,16 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
+from mvdl import harness
 from mvdl.jsonio import config_from_json, fvalue_from_json, model_from_json
-from mvdl.presets import make_preset
+from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import Model, eval_formula
 from mvdl import syntax as sx
 from mvdl.syntax import Atomic, Conn, Modal, Op, Prop, Template, Var, instantiate, parse
 
 from conftest import random_formula, random_model
-from reference_eval import reference_safety, reference_safety_pairs
+from reference_eval import reference_safety, reference_safety_pairs, reference_safety_sampled
 
 
 class TestMorphism:
@@ -100,11 +103,11 @@ class TestSafetySweepCoverage:
             # the generator works on ids: decode value ids through vals_src
             # and target coalgebra ids through coalgs_tgt
             generated = set()
-            for f, _, gammas, cands in _safety_squares(
-                op, fops_src, fops_tgt, vals_src, vals_tgt
+            for f, _, gammas, targets in _safety_squares(
+                op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
             ):
                 decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
-                for cids in product(*cands):
+                for cids in targets:
                     generated.add((f, decoded, tuple(coalgs_tgt[c] for c in cids)))
             assert generated == brute, (n_src, n_tgt)
 
@@ -124,10 +127,10 @@ class TestSafetySweepCoverage:
             decoded = [
                 (f, tuple(tuple(vals_src[v] for v in g) for g in gammas),
                  tuple(coalgs_tgt[c] for c in cids))
-                for f, _, gammas, cands in _safety_squares(
-                    op, fops_src, fops_tgt, vals_src, vals_tgt
+                for f, _, gammas, targets in _safety_squares(
+                    op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
                 )
-                for cids in product(*cands)
+                for cids in targets
             ]
             reference = list(
                 reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt)
@@ -167,6 +170,49 @@ class TestSafetySweepCoverage:
             status, cases, counter
         )
         return verdict
+
+
+def _sampled_safety_targets():
+    """Every operation of every preset (game and instantial over B2, the
+    others over L2), which the sweeps find safe, then meet-pw on
+    pdl-labelled/L2 and counter-domain on aneighbourhood/B2, which they
+    refute from two states on."""
+    L2, B2 = algebra_by_name("L2"), algebra_by_name("B2")
+    targets = []
+    for name in PRESET_NAMES:
+        config = make_preset(name, B2 if name in ("game", "instantial") else L2)
+        targets += [(config, op, False) for op in config.ops.values()]
+    targets.append((make_preset("pdl-labelled", L2), OperationSpec("meet", 2, "meet-pw"), True))
+    nbh = config_from_json({"kind": "aneighbourhood"}, B2)
+    targets.append((nbh, OperationSpec("~", 1, "counter-domain"), True))
+    return [
+        pytest.param(config, op, unsafe, id=f"{config.name}/{config.truth.name} {op.variant}")
+        for config, op, unsafe in targets
+    ]
+
+
+@pytest.mark.parametrize("config, op, unsafe", _sampled_safety_targets())
+def test_sampled_safety_matches_reference(config, op, unsafe):
+    # the id sweep fed by drawn premises against the FValue loop it replaced:
+    # same draws, same cases, same first counterexample
+    for max_n in (1, 2, 3):
+        for seed in (0, 1, DEFAULT_SEED):
+            verdict = check_safety(op, config, max_n=max_n, mode="random", trials=200, seed=seed)
+            got = (verdict.status, verdict.cases, verdict.counterexample)
+            assert got == reference_safety_sampled(op, config, max_n, 200, seed), (max_n, seed)
+            assert verdict.status == ("fails" if unsafe and max_n > 1 else "holds-up-to-bound")
+
+
+@pytest.mark.parametrize("preset, alg_name, op_id", [("game", "L2", ";"), ("instantial", "B2", "*")])
+def test_sampled_safety_starts_afresh(monkeypatch, preset, alg_name, op_id):
+    # a long sampled sweep drops its ids and tables every few draws; the
+    # verdict does not depend on when
+    config = make_preset(preset, algebra_by_name(alg_name))
+    op = config.ops[op_id]
+    want = reference_safety_sampled(op, config, 3, 600, 4)
+    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 5)
+    verdict = check_safety(op, config, max_n=3, mode="random", trials=600, seed=4)
+    assert (verdict.status, verdict.cases, verdict.counterexample) == want
 
 
 class TestFunctorLaws:
@@ -291,6 +337,58 @@ class TestSafety:
     def test_instantial_star_holds(self, instantial):
         verdict = check_safety(instantial.ops["*"], instantial, max_n=2)
         assert verdict.ok
+
+
+class TestSafetyBudget:
+    def test_operand_tuples_are_counted_before_the_sweep(self, game_l2):
+        # 175 monotone values at two states give C = 30,625 coalgebras, few
+        # enough, but `+` sweeps C**2 source operand pairs: refused at once
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="random mode") as err:
+            check_safety(game_l2.ops["+"], game_l2, max_n=2)
+        assert err.value.count == 937_890_625
+        assert time.perf_counter() - t0 < 10
+
+    def test_one_operand_fits_where_two_do_not(self, labelled_l2):
+        # C = 81 at two states: 81 <= 100 < 81**2
+        assert check_safety(labelled_l2.ops["*"], labelled_l2, max_n=2, budget=100).ok
+        with pytest.raises(BudgetExceeded) as err:
+            check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, budget=100)
+        assert err.value.count == 81**2
+
+    def test_sampled_mode_has_no_budget(self, labelled_l2):
+        verdict = check_safety(
+            labelled_l2.ops[";"], labelled_l2, max_n=2, budget=1, mode="random", trials=50
+        )
+        assert verdict.ok
+
+    def test_test_safety_counts_maps_and_target_predicates(self, labelled_l2):
+        # sum over n, n' <= 2 of n'**n * 3**n' = 60 squares
+        test = labelled_l2.tests["t"]
+        assert check_safety(test, labelled_l2, max_n=2, budget=60).cases == 60
+        with pytest.raises(BudgetExceeded) as err:
+            check_safety(test, labelled_l2, max_n=2, budget=59)
+        assert err.value.count == 60
+        with pytest.raises(BudgetExceeded) as err:
+            check_safety(test, labelled_l2, max_n=4, budget=1)
+        assert err.value.count == 31_062
+
+
+def test_sampled_verdicts_name_their_seed(labelled_l2, threshold_l2):
+    op = labelled_l2.ops[";"]
+    held = check_safety(op, labelled_l2, max_n=2, mode="random", trials=40, seed=5)
+    assert held.detail == {
+        "target": ";", "max_n": 2, "mode": "random", "trials": 40, "seed": 5,
+    }
+    meet = OperationSpec("meet", 2, "meet-pw")
+    failed = check_safety(meet, labelled_l2, max_n=2, mode="random", trials=400, seed=5)
+    assert failed.status == "fails"
+    assert (failed.detail["trials"], failed.detail["seed"]) == (400, 5)
+    assert "seed" not in check_safety(op, labelled_l2, max_n=1).detail
+    lifting = [threshold_l2.liftings["dia_1"]]
+    separated = check_separation(lifting, threshold_l2, n=2, mode="random", trials=30, seed=6)
+    assert (separated.detail["trials"], separated.detail["seed"]) == (30, 6)
+    assert "seed" not in check_separation(lifting, threshold_l2, n=1).detail
 
 
 class TestInvariance:
