@@ -150,7 +150,8 @@ def check_safety(
     ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair).  Both
     modes check their premises in one loop on ids, ``_safety_pair``.
     Exhaustive mode first checks the operand tuples at max_n, C**arity for
-    C coalgebras, against ``budget``; they bound every pair's sweep.
+    C coalgebras, against ``budget``; they bound every pair's sweep.  A
+    test target is always swept exhaustively (``_check_test_safety``).
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
@@ -343,7 +344,8 @@ def _check_test_safety(
 ) -> Verdict:
     """Naturality square: Ff . test(sigma' . f) = test(sigma') . f, for
     every map f and target predicate sigma'; their number is checked
-    against ``budget`` first."""
+    against ``budget`` first.  Every square is swept in any mode, and the
+    verdict's ``detail`` says so."""
     test.check_kind(config.kind)
     truth = config.truth
     sizes = range(1, max_n + 1)
@@ -370,9 +372,11 @@ def _check_test_safety(
                                 "state": x,
                             }
                             return _verdict(
-                                "fails", cases, t0, counter, target=test.id
+                                "fails", cases, t0, counter, target=test.id, mode="exhaustive"
                             )
-    return _verdict("holds-up-to-bound", cases, t0, None, target=test.id, max_n=max_n)
+    return _verdict(
+        "holds-up-to-bound", cases, t0, None, target=test.id, max_n=max_n, mode="exhaustive"
+    )
 
 
 # -- invariance -----------------------------------------------------------
@@ -555,10 +559,10 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
 
     Exhaustive mode sweeps each ``(plan, positions)`` of ``sweeps``: the
     carrier's coalgebras are interned in canonical order (the i-th gets cid
-    i), then its predicates, and every assignment of them to the
-    ``variables`` is loaded; a batch is a block list of ``Plan.sweep``, and
-    a list that does not read slot 1 is repeated once per block where
-    another one does.  Before anything is interned, the coalgebra tuples on
+    i, ``Plan.intern_coalgebras``), then its predicates, and every
+    assignment of them to the ``variables`` is loaded; a batch is a block
+    list of ``Plan.sweep``, and a list that does not read slot 1 is
+    repeated once per block where another one does.  Before anything is interned, the coalgebra tuples on
     the slots, C**slots, or with ``models`` the standard models,
     C**slots * S, are checked against ``budget``.  Random mode runs
     ``trials`` one-case batches of what ``draw()`` returns: a plan, its
@@ -582,11 +586,10 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
                 f"{total} {unit} at n={n} exceed budget {budget}; random mode is available",
                 count=total,
             )
-        for g in product(values, repeat=n):
-            plan.intern(g)
+        coalgs = plan.intern_coalgebras(values) if slots else 0
         plan.load(assignments(plan.intern_space(), variables), size)
         vals = plan.vals
-        for blocks in plan.sweep(len(plan.coalgs)):
+        for blocks in plan.sweep(coalgs):
             lists, cases = [vals[p] for p in at], size * len(blocks)
             if any(len(ids) != len(lists[0]) for ids in lists):
                 lists = [ids if len(ids) == cases else ids * len(blocks) for ids in lists]

@@ -67,7 +67,8 @@ def _is_str(value) -> bool:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int)
+    """A JSON integer: a bool, which Python counts as an int, is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _list_of(check):
@@ -86,7 +87,7 @@ def _table(data, key: str, m: int):
         and len(t) == m
         and all(
             isinstance(r, list) and len(r) == m
-            and all(isinstance(v, int) and 0 <= v < m for v in r)
+            and all(_is_int(v) and 0 <= v < m for v in r)
             for r in t
         )
     ):
@@ -131,7 +132,7 @@ def algebra_from_json(data: Mapping | str) -> Algebra:
     if isinstance(data, str):
         return algebra_by_name(data)
     m = _field(data, "m", "algebra")
-    if not isinstance(m, int) or m < 1:
+    if not _is_int(m) or m < 1:
         raise InvalidParameter(f"algebra field 'm': expected a positive integer, got {m!r}")
     meet, join, tensor = (_table(data, key, m) for key in ("meet", "join", "tensor"))
     if "impl" in data:
@@ -277,7 +278,7 @@ def fvalue_to_json(kind: Kind, value):
 
 def _integer(value) -> int:
     """A JSON integer as it is; anything else, a boolean too, raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
 
@@ -311,7 +312,7 @@ def model_to_json(model: Model) -> dict:
 
 def model_from_json(data: Mapping, config: LogicConfig | None = None) -> Model:
     n = _field(data, "n", "model")
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InvalidParameter(f"model field 'n': expected an integer, got {n!r}")
     if config is None:
         alg = algebra_from_json(_field(data, "algebra", "model"))

@@ -352,8 +352,10 @@ class Plan:
     A predicate is its id, its index in ``preds``; a coalgebra is its cid,
     its index in ``coalgs``.  Both are interned on first sight (``pid``,
     ``intern``), so a plan over one large model meets only the predicates
-    that model yields; an exhaustive sweep first interns the whole
-    predicate space in canonical order (``intern_space``).  A template's
+    that model yields; an exhaustive sweep first interns every coalgebra
+    and the whole predicate space in canonical order
+    (``intern_coalgebras``, ``intern_space``), so a cid's base-V digits
+    are its states' vids, V the number of FValues.  A template's
     leaves are variables and its modalities hold action slots; a formula
     compiles the same way, its propositions playing the variables and its
     atomic actions the slots.  Each distinct subterm becomes one step.
@@ -388,8 +390,15 @@ class Plan:
     operand, memoised per FValue; it keeps every right operand's map, up to
     ``KEPT_MAPS``, where the right operand reads slot 1 and the left does
     not, and else the last one.  A binary pointwise operation goes through
-    ``pointwise_step`` memoised per pair of FValues.  ``forget`` drops
-    every id and table, so a long sampled sweep can bound its memory.
+    ``pointwise_step`` memoised per pair of FValues.  On a canonically
+    interned plan, a binary pointwise operation or composition over one
+    listed operand and one fixed cid, unless it composes with the listed
+    operand on the right, skips all that (``_tabled``): its output at
+    listed cid c is the sum over states x of V**(n-1-x) times a row of
+    output vids read at c's x-th digit, rows built once per fixed cid,
+    and it reads these sums off one table per fixed cid.  ``forget``
+    drops every id and table and the canonical order, so a long sampled
+    sweep can bound its memory.
     ``sweep`` runs group 1 once per assignment of the outer slots and
     group 2 once per block list, and ``case`` decodes a position of its
     lists; ``run_new`` runs each step once, for an EvalSession.
@@ -423,6 +432,8 @@ class Plan:
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep({})
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
+        # FValue -> vid and the FValues, once interned in canonical order
+        self._canon = self._keep([])
         # steps hold no reference to the plan, so a finished sweep's plan is
         # freed at once rather than by the cycle collector
         self.pid = _interner(self._pred_ids, self.preds)
@@ -436,10 +447,22 @@ class Plan:
             self.pid(pred)
         return len(self.preds)
 
+    def intern_coalgebras(self, values: Sequence) -> int:
+        """Intern every coalgebra over the FValues ``values`` in canonical
+        order, before any other is interned: cid i is the i-th of
+        ``product(values, repeat=n)``, so its base-V digits, state 0 the
+        most significant, are its states' vids (indices in ``values``).
+        Returns how many there are."""
+        for g in product(values, repeat=self.n):
+            self.intern(g)
+        self._canon[:] = {value: u for u, value in enumerate(values)}, values
+        return len(self.coalgs)
+
     def forget(self, bound: int) -> None:
         """Drop every interned coalgebra and predicate, with every table
-        entry keyed on them, once more than ``bound`` of either are
-        interned.  The caller then sets the cids and loads afresh."""
+        entry keyed on them and the canonical order, once more than
+        ``bound`` of either are interned.  The caller then sets the cids
+        and loads afresh."""
         if len(self.coalgs) > bound or len(self.preds) > bound:
             self.coalgs.clear()
             self.preds.clear()
@@ -805,6 +828,11 @@ class Plan:
                 cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)]
                 return list(map(output, *cols))
 
+            if listed.count(True) == 1 and (
+                variant in POINTWISE_VARIANTS or variant in COMPOSITION_VARIANTS and listed[0]
+            ):
+                op = self._tabled(op, positions, listed[0], variant)
+
         elif len(positions) == 1:
             (a,) = positions
 
@@ -821,6 +849,54 @@ class Plan:
         if any(each):
             self._each.add(got[0])
         return got
+
+    def _tabled(self, by_cid, positions, left: bool, variant: str):
+        """A binary operation step over one listed operand and one fixed
+        cid that, on a canonically interned plan, reads its output cids off
+        the fixed operand's table: the output cid against every cid of the
+        enumeration, kept for the last fixed cid.  Per state x the step
+        gives a row of output vids, one per listed vid, and the table is
+        the sum over x of V**(n-1-x) times row x read at the listed cid's
+        x-th digit, built by Horner's rule in canonical order.  Elsewhere
+        the step is ``by_cid``."""
+        canon, coalgs, fops, n = self._canon, self.coalgs, self.fops, self.n
+        at, fixed = positions if left else positions[::-1]
+        kept = self._keep({})  # fixed cid -> its table
+        if variant in COMPOSITION_VARIANTS:  # the left operand is listed
+
+            def rows(f):
+                vid, values = canon
+                after = composition_map(fops, variant, coalgs[f])
+                return [list(map(vid.__getitem__, map(after, values)))] * n
+
+        else:
+            step, known = pointwise_step(fops.alg, variant), self._keep({})  # FValue -> row
+
+            def rows(f):
+                vid, values = canon
+                out = []
+                for w in coalgs[f]:
+                    row = known.get(w)
+                    if row is None:
+                        outs = [step(u, w) if left else step(w, u) for u in values]
+                        row = known[w] = list(map(vid.__getitem__, outs))
+                    out.append(row)
+                return out
+
+        def op(vals):
+            if not canon:
+                return by_cid(vals)
+            f = vals[fixed]
+            table = kept.get(f)
+            if table is None:
+                kept.clear()
+                table, V = [0], len(canon[1])
+                for row in rows(f):
+                    table = [t * V + r for t in table for r in row]
+                kept[f] = table
+            return list(map(table.__getitem__, vals[at]))
+
+        return op
 
     def _test(self, node: Test) -> tuple[int, int]:
         spec = self.config.test(node.test)

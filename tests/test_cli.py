@@ -489,6 +489,43 @@ class TestMalformedInput:
                 ' "tests": {"t": {"variant": "test-p", "subset": 5}}}, "atoms": {}}',
                 "field 'subset'",
             ),
+            # JSON booleans where integers go used to be read as 0 and 1:
+            # each of these evaluated p with exit 0
+            (
+                '{"n": true, "algebra": "B2", "preset": "pdl-crisp", "atoms": {},'
+                ' "valuation": {"p": [1]}}',
+                "model field 'n'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "liftings":'
+                ' {"l": {"variant": "box-crisp", "arity": true}}}, "atoms": {},'
+                ' "valuation": {"p": [1]}}',
+                "field 'arity'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "liftings":'
+                ' {"l": {"variant": "box-crisp", "param": true}}}, "atoms": {},'
+                ' "valuation": {"p": [1]}}',
+                "field 'param'",
+            ),
+            (
+                '{"n": 1, "algebra": "B2", "config": {"kind": "powerset", "tests":'
+                ' {"t": {"variant": "test-p", "subset": [true]}}}, "atoms": {},'
+                ' "valuation": {"p": [1]}}',
+                "field 'subset'",
+            ),
+            (
+                '{"n": 1, "preset": "pdl-crisp", "atoms": {}, "valuation": {"p": [1]},'
+                ' "algebra": {"m": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],'
+                ' "tensor": [[0, 0], [0, 1]], "extras": {"neg": [true, 0]}}}',
+                "algebra field 'extras'",
+            ),
+            (
+                '{"n": 1, "preset": "pdl-crisp", "atoms": {}, "valuation": {"p": [1]},'
+                ' "algebra": {"m": 2, "meet": [[0, 0], [0, 1]], "join": [[0, 1], [1, 1]],'
+                ' "tensor": [[0, 0], [0, 1]], "constants": {"c": true}}}',
+                "algebra field 'constants'",
+            ),
         ],
     )
     def test_model_file(self, capsys, tmp_path, text, named):

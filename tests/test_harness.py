@@ -373,6 +373,14 @@ class TestSafetyBudget:
             check_safety(test, labelled_l2, max_n=4, budget=1)
         assert err.value.count == 31_062
 
+    def test_test_safety_says_it_swept_every_square(self, labelled_l2):
+        # a test target ignores the sampling arguments, and its verdict says so
+        test = labelled_l2.tests["t"]
+        for mode in ("exhaustive", "random"):
+            verdict = check_safety(test, labelled_l2, max_n=2, mode=mode, trials=5, seed=3)
+            assert verdict.cases == 60
+            assert verdict.detail == {"target": "t", "max_n": 2, "mode": "exhaustive"}
+
 
 def test_sampled_verdicts_name_their_seed(labelled_l2, threshold_l2):
     op = labelled_l2.ops[";"]

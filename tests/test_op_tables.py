@@ -3,12 +3,16 @@
 A binary pointwise operation goes through ``pointwise_step`` memoised on
 FValue pairs, and a composition through the map of its right operand, of
 which the plan keeps every one while the right operand reads slot 1 and
-the left does not.  These check both paths, before and after ``forget``,
-at a tiny cap on the kept maps, and how many maps are built and kept.
+the left does not.  On a plan that interned every coalgebra in canonical
+order, one listed operand beside a fixed cid reads its outputs off a table
+of the fixed cid's outputs instead.  These check every path, before and
+after ``forget``, at a tiny cap on the kept maps and with short block
+lists, and how many maps are built and kept.
 """
 
 import random
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -23,13 +27,14 @@ from mvdl.actions import (
     POINTWISE_VARIANTS,
     OperationSpec,
     apply_op,
+    apply_test,
     pointwise_step,
 )
 from mvdl.algebra import algebra_by_name
 from mvdl.functors import Kind, functor_ops
 from mvdl.harness import bounded_entailment
 from mvdl.presets import make_preset
-from mvdl.semantics import Plan
+from mvdl.semantics import Plan, apply_lifting
 from mvdl.syntax import parse
 
 from reference_eval import reference_pointwise
@@ -54,38 +59,72 @@ def _config(variant, kind):
     return replace(BASE[kind], ops={"o": OperationSpec("o", 2, variant)})
 
 
-def _check_sweep(config, n, coalgs):
-    """Sweep a two-slot plan over ``coalgs`` and check, at every pair, the
-    operation with slot 1 on the left (one right operand per outer
-    assignment), on the right (a new right operand per slot-1 cid) and
-    behind another operation on the right; then forget and check again."""
+def _check_sweep(config, n, coalgs=(), values=None, stride=1):
+    """Sweep a two-slot plan with one variable and check the operation at
+    every case against ``apply_op``: with slot 1 on the left (one right
+    operand per outer assignment), on the right (a new right operand per
+    slot-1 cid), behind another operation on the right, and beside tests:
+    a test of w1 on the left of slot 2 (a list per sigma-position), a test
+    reading slot 1 on the right of slot 2 (a list per position) and a test
+    of w1 beside slot 1.  With ``values`` the sweep is over every
+    coalgebra, interned in canonical order by ``intern_coalgebras``, and
+    checks only the outer cids divisible by ``stride``.  Then it forgets,
+    interns the coalgebras again in reverse order, where each output must
+    go cid by cid, and checks again."""
+    spec, fops, truth = config.ops["o"], config.fops(n), config.truth
+    if values is not None:
+        coalgs = list(product(values, repeat=n))
     coalgs = list(dict.fromkeys(coalgs))  # cid i is coalgs[i]
-    spec, fops = config.ops["o"], config.fops(n)
-    plan = Plan(config, n, 2, 0)
-    nodes = {
-        "left": sx.Op("o", (1, 2)),
-        "right": sx.Op("o", (2, 1)),
-        "nested": sx.Op("o", (2, sx.Op("o", (1, 2)))),
+    lift = next(iter(config.liftings.values()))
+    w1 = sx.Var(1)
+    t_w1, t_slot1 = sx.Test("t", w1), sx.Test("t", sx.Modal(lift.id, 1, (w1,) * lift.arity))
+    plan = Plan(config, n, 2, 1)
+    nodes = {  # key -> (node, what its list holds per entry)
+        "left": (sx.Op("o", (1, 2)), "block"),
+        "right": (sx.Op("o", (2, 1)), "block"),
+        "nested": (sx.Op("o", (2, sx.Op("o", (1, 2)))), "block"),
+        "test": (sx.Op("o", (t_w1, 2)), "sigma"),
+        "test reading slot 1": (sx.Op("o", (2, t_slot1)), "position"),
+        "test beside slot 1": (sx.Op("o", (1, t_w1)), "position"),
     }
-    positions = {key: plan._action(node)[0] for key, node in nodes.items()}
+    positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
 
-    def op(g1, g2):
-        return apply_op(spec, (g1, g2), fops)
+    @lru_cache(None)
+    def op(*operands):
+        return apply_op(spec, operands, fops)
 
-    want = {
-        "left": lambda g1, g2: op(g1, g2),
-        "right": lambda g1, g2: op(g2, g1),
-        "nested": lambda g1, g2: op(g2, op(g1, g2)),
-    }
-    for _ in range(2):
-        for g in coalgs:
-            plan.intern(g)
-        plan.load([], 1)
-        for blocks in plan.sweep(len(coalgs)):
-            outer = coalgs[plan.cids[1]]
-            for key, pos in positions.items():
-                got = [plan.coalgs[c] for c in plan.vals[pos]]
-                assert got == [want[key](coalgs[c], outer) for c in blocks], key
+    @lru_cache(None)
+    def test(sigma, g1):  # the test of w1, or of the lifting over slot 1 with g1 given
+        pred = sigma if g1 is None else tuple(
+            apply_lifting(lift, [sigma] * lift.arity, value, config, n) for value in g1
+        )
+        return apply_test(config.tests["t"], pred, fops, truth)
+
+    def want(node, g1, g2, sigma):
+        if isinstance(node, sx.Op):
+            return op(*(want(a, g1, g2, sigma) for a in node.args))
+        if isinstance(node, sx.Test):
+            return test(sigma, None if node.arg == w1 else g1)
+        return g1 if node == 1 else g2
+
+    for order in (coalgs, coalgs[::-1]):
+        if order is coalgs and values is not None:
+            assert plan.intern_coalgebras(values) == len(coalgs)
+        else:
+            for g in order:
+                plan.intern(g)
+        plan.load([list(range(plan.intern_space()))], len(plan.preds))
+        for blocks in plan.sweep(len(order)):
+            if plan.cids[1] % stride:
+                continue
+            outer = plan.coalgs[plan.cids[1]]
+            for key, (node, holds) in nodes.items():
+                got = [plan.coalgs[c] for c in plan.vals[positions[key]]]
+                if holds == "block":
+                    cases = [(plan.coalgs[c], outer, None) for c in blocks]
+                else:
+                    cases = [(*gs, s) for gs, (s,) in map(plan.case, range(len(got)))]
+                assert got == [want(node, *case) for case in cases], key
         plan.forget(0)
         assert not plan.coalgs
 
@@ -97,6 +136,26 @@ def test_plan_outputs_equal_apply_op_exhaustively_at_one_state(variant, kind, ca
     config = _config(variant, kind)
     fops = config.fops(1)
     _check_sweep(config, 1, [(value,) for value in fops.enumerate()])
+
+
+@pytest.mark.parametrize("variant,kind", CASES, ids=lambda v: getattr(v, "value", v))
+def test_canonical_plan_outputs_equal_apply_op_at_one_state(variant, kind, monkeypatch):
+    monkeypatch.setattr(semantics, "SWEEP_IDS", 5)  # block lists start mid-range
+    config = _config(variant, kind)
+    _check_sweep(config, 1, values=list(config.fops(1).enumerate()))
+
+
+@pytest.mark.parametrize(
+    "variant,kind",
+    [case for case in CASES if case[1] in (Kind.POWERSET, Kind.APOWERSET, Kind.DOUBLE_POWERSET)],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_canonical_plan_outputs_equal_apply_op_at_two_states(variant, kind, monkeypatch):
+    # crisp/B2, labelled/L2 and instantial/B2: 16, 81 and 256 coalgebras
+    monkeypatch.setattr(semantics, "SWEEP_IDS", 40)
+    config = _config(variant, kind)
+    values = list(config.fops(2).enumerate())
+    _check_sweep(config, 2, values=values, stride=1 + len(values) ** 2 // 40)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
