@@ -198,15 +198,14 @@ class FunctorOps:
                 yield frozenset(s for s in subsets if r >> s & 1)
 
     def _enumerate_monotone(self, budget: int) -> Iterator[tuple[int, ...]]:
-        alg = self.alg
-        order, covers = _pred_covers(alg, self.n)
-        jt, ups = alg.join_table, _up_sets(alg)
+        steps, ups = _monotone_steps(self.alg, self.n)
+        jt = self.alg.join_table
         emitted = 0
-        table = [0] * len(order)
+        table = [0] * len(steps)
 
         def rec(pos: int) -> Iterator[tuple[int, ...]]:
             nonlocal emitted
-            if pos == len(order):
+            if pos == len(steps):
                 emitted += 1
                 if emitted > budget:
                     raise BudgetExceeded(
@@ -215,9 +214,9 @@ class FunctorOps:
                     )
                 yield tuple(table)
                 return
-            i = order[pos]
+            i, covers = steps[pos]
             lower = 0
-            for j in covers[i]:
+            for j in covers:
                 lower = jt[lower][table[j]]
             for v in ups[lower]:
                 table[i] = v
@@ -240,16 +239,16 @@ class FunctorOps:
             return frozenset(
                 mask for mask in range(1 << n) if rng.random() < 0.5
             )
-        order, covers = _pred_covers(alg, n)
-        jt, ups = alg.join_table, _up_sets(alg)
-        table = [0] * len(order)
-        for i in order:
+        steps, ups = _monotone_steps(alg, n)
+        jt, choice = alg.join_table, rng.choice
+        table = [0] * len(steps)
+        for i, covers in steps:
             # the table is monotone on the predicates drawn so far, so the
             # covers of i join to what everything below i joins to
             lower = 0
-            for j in covers[i]:
+            for j in covers:
                 lower = jt[lower][table[j]]
-            table[i] = rng.choice(ups[lower])
+            table[i] = choice(ups[lower])
         return tuple(table)
 
 
@@ -260,15 +259,6 @@ def _pullback_index(m: int, n: int, f: tuple[int, ...], n_target: int) -> tuple[
     src_index = predicate_index(m, n)
     return tuple(
         src_index[tuple(q[f[x]] for x in range(n))] for q in predicate_space(m, n_target)
-    )
-
-
-@lru_cache(maxsize=None)
-def _up_sets(alg: Algebra) -> tuple[tuple[int, ...], ...]:
-    """For each element a, the elements above it, ascending: the values a
-    monotone table may take at a predicate whose strict lower bounds join to a."""
-    return tuple(
-        tuple(v for v in range(alg.m) if alg._leq[a][v]) for a in range(alg.m)
     )
 
 
@@ -298,6 +288,17 @@ def _pred_covers(alg: Algebra, n: int):
         under = set().union(*(below[j] for j in lower))
         covers.append([j for j in lower if j not in under])
     return order, covers
+
+
+@lru_cache(maxsize=None)
+def _monotone_steps(alg: Algebra, n: int):
+    """How a monotone table is built: ``_pred_covers``'s linear extension
+    as ``(i, covers of i)`` steps, and for each element a the elements above
+    it, ascending, the values a table may take at a predicate whose strict
+    lower bounds join to a."""
+    order, covers = _pred_covers(alg, n)
+    ups = tuple(tuple(v for v in range(alg.m) if alg._leq[a][v]) for a in range(alg.m))
+    return tuple((i, tuple(covers[i])) for i in order), ups
 
 
 def functor_ops(kind: Kind, n: int, alg: Algebra) -> FunctorOps:

@@ -25,7 +25,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product, repeat
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Mapping, Sequence
 
 from .actions import (
@@ -372,9 +372,9 @@ class Plan:
     per block if it reads slot 1; a test yields one cid per position (S or
     B*S of them), as does an operation with such an operand, whose block
     operands are spread over their S positions.  A modality over a block
-    list reads each block's lifting row at the same S keys; where the keys
-    read slot 1 too, the block list is spread and read position by
-    position.
+    list reads each block's lifting row at the same S keys, through one
+    ``itemgetter`` over those keys; where the keys read slot 1 too, the
+    block list is spread and read position by position.
 
     Connectives, liftings, operations and tests read id tables whose
     entries are computed on first use: an extra connective keys on its
@@ -740,8 +740,10 @@ class Plan:
             def read(blocks, K):
                 if len(blocks) == 1:
                     return list(map(rows[blocks[0]].__getitem__, K))
-                getters = [rows[c].__getitem__ for c in blocks]
-                return list(chain.from_iterable(map(map, getters, repeat(K))))
+                block_rows = map(rows.__getitem__, blocks)
+                if len(K) == 1:  # a one-key itemgetter yields the entry, not a 1-tuple
+                    return list(map(itemgetter(K[0]), block_rows))
+                return list(chain.from_iterable(map(itemgetter(*K), block_rows)))
 
             def modal(vals):
                 blocks, K = vals[act], vals[keys]

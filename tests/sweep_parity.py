@@ -43,7 +43,9 @@ The calls are, in order:
   slot 1), ``<a;(b;a)>p <-> <a><b;a>p`` (a composition whose right
   operand reads slot 1 through another one) and ``<b+?t(p)>p -> <b>p``
   with the preset's first pointwise operation for ``+`` (a test operand
-  beside slot 1);
+  beside slot 1), and the proposition-free ``<a>1 -> <a;b>1``,
+  ``<a;b>1 -> <a>1``, ``<a;b>1 -> <b>1`` and ``<b>1 -> <b><b>1`` (one
+  valuation, so each block of a block list is read at a single key);
 * ``one_step_witness`` of every kind over L2, L3 and G3 at n = 1..3, on
   ten seeded H each: a roundtrip from a random witness, with 0-3 entries
   set to another value (flipped between 0 and 1 for threshold).
@@ -215,6 +217,13 @@ def _block_rows(m, configs, entail):
                 sx.Conn("->", (nested, split)), sx.Conn("->", (split, nested))
             )), 2),
             (f"<b{plus}?t(p)>p -> <b>p", sx.Conn("->", (dia(test_plus), dia(b))), 2),
+        ]
+        ab, top = sx.Op(";", (a, b)), sx.Conn("1")
+        phis += [  # proposition-free: each block is read at a single key
+            ("<a>1 -> <a;b>1", sx.Conn("->", (dia(a, top), dia(ab, top))), 2),
+            ("<a;b>1 -> <a>1", sx.Conn("->", (dia(ab, top), dia(a, top))), 2),
+            ("<a;b>1 -> <b>1", sx.Conn("->", (dia(ab, top), dia(b, top))), 2),
+            ("<b>1 -> <b><b>1", sx.Conn("->", (dia(b, top), dia(b, dia(b, top)))), 2),
         ]
         for label, phi, max_n in phis:
             yield (

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -249,6 +250,59 @@ def test_pinned_composition_with_slot_1_on_the_right(monkeypatch, sweep_ids):
         "phi": "<a;b> p -> <b> p",
         "state": 1,
     }
+
+
+# Proposition-free formulas: one valuation, so each block of a block list
+# reads its lifting row at a single key.  Recorded before a block list was
+# read with one itemgetter, as (status, cases, (n, atoms, state)) of the
+# first countermodel.
+PROPOSITION_FREE = {
+    "pdl-crisp": {
+        "<a>1 -> <a;b>1": ("fails", 3, (1, {"a": [1], "b": [0]}, 0)),
+        "<a;b>1 -> <a>1": ("holds-up-to-bound", 260, None),
+        "<a;b>1 -> <b>1": ("fails", 25, (2, {"a": [0, 1], "b": [1, 0]}, 1)),
+        "<b>1 -> <b><b>1": ("fails", 4, (2, {"b": [0, 1]}, 1)),
+    },
+    "pdl-labelled": {
+        "<a>1 -> <a;b>1": ("fails", 4, (1, {"a": [[1]], "b": [[0]]}, 0)),
+        "<a;b>1 -> <a>1": ("holds-up-to-bound", 6570, None),
+        "<a;b>1 -> <b>1": ("fails", 271, (2, {"a": [[0, 0], [1, 0]], "b": [[0, 2], [0, 0]]}, 1)),
+        "<b>1 -> <b><b>1": ("fails", 2, (1, {"b": [[1]]}, 0)),
+    },
+    "pdl-threshold": {
+        "<a>1 -> <a;b>1": ("fails", 7, (1, {"a": [[2]], "b": [[0]]}, 0)),
+        "<a;b>1 -> <a>1": ("holds-up-to-bound", 6570, None),
+        "<a;b>1 -> <b>1": ("fails", 514, (2, {"a": [[0, 0], [2, 0]], "b": [[0, 2], [0, 0]]}, 1)),
+        "<b>1 -> <b><b>1": ("fails", 10, (2, {"b": [[0, 0], [2, 0]]}, 1)),
+    },
+    "game": {
+        "<a>1 -> <a;b>1": ("fails", 4, (1, {"a": [[0, 1]], "b": [[0, 0]]}, 0)),
+        "<a;b>1 -> <a>1": ("holds-up-to-bound", 1305, None),
+        "<a;b>1 -> <b>1": ("fails", 7, (1, {"a": [[1, 1]], "b": [[0, 0]]}, 0)),
+        "<b>1 -> <b><b>1": ("fails", 5, (2, {"b": [[0, 0, 0, 0], [0, 0, 0, 1]]}, 1)),
+    },
+    "instantial": {
+        "<a>1 -> <a;b>1": ("fails", 9, (1, {"a": [[1]], "b": [[]]}, 0)),
+        "<a;b>1 -> <a>1": ("holds-up-to-bound", 65552, None),
+        "<a;b>1 -> <b>1": ("fails", 5, (1, {"a": [[0]], "b": [[]]}, 0)),
+        "<b>1 -> <b><b>1": ("fails", 7, (2, {"b": [[], [1]]}, 1)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPOSITION_FREE))
+def test_pinned_proposition_free_entailments(name):
+    config = make_preset(name, algebra_by_name("B2" if name in ("game", "instantial") else "L2"))
+    # pdl-threshold has no default diamond: every modality names dia_1
+    lifting = r"\1:dia_1>" if name == "pdl-threshold" else r"\1>"
+    for text, pinned in PROPOSITION_FREE[name].items():
+        phi = parse(re.sub(r"(<[^<>]+)>", lifting, text), config.signature)
+        verdict = bounded_entailment([], phi, config, max_n=2)
+        counter = verdict.counterexample
+        if counter is not None:
+            assert (counter["gamma"], counter["model"]["valuation"]) == ([], {})
+            counter = (counter["model"]["n"], counter["model"]["atoms"], counter["state"])
+        assert (verdict.status, verdict.cases, counter) == pinned, text
 
 
 def _sampled_sweep(config, phi):
