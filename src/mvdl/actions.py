@@ -51,6 +51,15 @@ OP_ARITIES = {
     "double-star": 2, "nbh-union": 2, "dual": 1, "star": 1, "counter-domain": 1,
 }
 
+# the operands an operation reads only at the evaluated state: its output at
+# a state x depends on such an operand only through the operand's value at x
+LOCAL_OPERANDS = {
+    "union": (0, 1), "join-pw": (0, 1), "meet-pw": (0, 1), "nbh-union": (0, 1),
+    "dual": (0,), "counter-domain": (0,),
+    "kleisli": (0,), "double-seq": (0,), "double-star": (0,),
+    "star": (),
+}
+
 TEST_VARIANTS = {
     "test-p": (Kind.POWERSET, Kind.APOWERSET, *NEIGHBOURHOOD_KINDS),
     "labelled-unit": (Kind.APOWERSET,),
@@ -174,6 +183,7 @@ def double_star_map(fops: FunctorOps, g2: Coalgebra) -> Callable:
 
 COMPOSITION_VARIANTS = ("kleisli", "double-seq", "double-star")
 POINTWISE_VARIANTS = ("union", "nbh-union", "join-pw", "meet-pw")
+UNARY_STEP_VARIANTS = ("dual", "counter-domain")
 
 
 def _nbh_union(u: frozenset, v: frozenset) -> frozenset:
@@ -195,6 +205,18 @@ def pointwise_step(alg: Algebra, variant: str) -> Callable:
 
         return lattice
     raise IncompatibleVariant(f"{variant!r} is not a pointwise variant")
+
+
+def unary_step(fops: FunctorOps, variant: str) -> Callable:
+    """The one-step map ``(x, t) |-> w`` of a unary local operation: its
+    output at state x from the operand's FValue t there."""
+    if variant == "dual":
+        neg, negmap = fops.alg.neg, _neg_index_map(fops.alg, fops.n)
+        return lambda x, t: tuple(neg(t[j]) for j in negmap)
+    if variant == "counter-domain":
+        bottom, unit = fops.bottom(), fops.unit
+        return lambda x, t: unit(x) if t == bottom else bottom
+    raise IncompatibleVariant(f"{variant!r} is not a unary local variant")
 
 
 def composition_map(fops: FunctorOps, variant: str, g2: Coalgebra) -> Callable:
@@ -226,12 +248,9 @@ def apply_op(op: OperationSpec, gammas: Sequence[Coalgebra], fops: FunctorOps) -
     if variant in POINTWISE_VARIANTS:
         g1, g2 = gammas
         return tuple(map(pointwise_step(alg, variant), g1, g2))
-    if variant == "dual":
+    if variant in UNARY_STEP_VARIANTS:
         (g,) = gammas
-        negmap = _neg_index_map(alg, n)
-        return tuple(
-            tuple(alg.neg(g[x][j]) for j in negmap) for x in range(n)
-        )
+        return tuple(map(unary_step(fops, variant), range(n), g))
     if variant in COMPOSITION_VARIANTS:
         g1, g2 = gammas
         cmap = composition_map(fops, variant, g2)
@@ -239,12 +258,6 @@ def apply_op(op: OperationSpec, gammas: Sequence[Coalgebra], fops: FunctorOps) -
     if variant == "star":
         (g,) = gammas
         return kleisli_star(fops, g)
-    if variant == "counter-domain":
-        (g,) = gammas
-        bottom = fops.bottom()
-        return tuple(
-            fops.unit(x) if g[x] == bottom else bottom for x in range(n)
-        )
     raise IncompatibleVariant(f"unknown operation variant {variant!r}")
 
 

@@ -178,8 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-safety", help="morphism preservation for one target", **_parents)
     sweep(p, "--max-n", "largest carrier size")
-    p.add_argument("--op", default=None)
-    p.add_argument("--test", default=None)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--op", help="operation to check")
+    target.add_argument("--test", help="test to check")
 
     p = sub.add_parser("check-separation", help="joint monicity of the lifting family", **_parents)
     sweep(p, "--n", "carrier size")
@@ -294,12 +295,7 @@ def _cmd_verify_rules(args, fmt: str) -> int:
 
 def _cmd_check_safety(args, fmt: str) -> int:
     config = _make_config(args)
-    if args.test:
-        target = config.test(args.test)
-    elif args.op:
-        target = config.op(args.op)
-    else:
-        raise MvdlError("check-safety needs --op or --test")
+    target = config.op(args.op) if args.test is None else config.test(args.test)
     budget = _budget(args)
     verdict = harness.check_safety(
         target, config, max_n=args.max_n, budget=budget, mode=args.mode,

@@ -21,7 +21,10 @@ first sight: a value's vid, a source coalgebra as a tuple of vids, a target
 coalgebra's cid; Ff is one vid list per map f.  Its premises are every
 joint morphism square in canonical order (exhaustive mode, which interns
 the enumeration of FX first) or drawn ones; only a counterexample is
-decoded back to FValues.
+decoded back to FValues.  Operation outputs are read from one-step tables
+keyed by vid, and a target operand that the operation reads only at the
+evaluated state (``actions.LOCAL_OPERANDS``) is computed at its first
+candidate only: the premise forces its value on the image of f.
 """
 
 from __future__ import annotations
@@ -31,10 +34,23 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
-from operator import itemgetter
+from math import prod
+from operator import getitem, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .actions import OperationSpec, TestSpec, apply_op, apply_test
+from .actions import (
+    COMPOSITION_VARIANTS,
+    LOCAL_OPERANDS,
+    POINTWISE_VARIANTS,
+    UNARY_STEP_VARIANTS,
+    OperationSpec,
+    TestSpec,
+    apply_op,
+    apply_test,
+    composition_map,
+    pointwise_step,
+    unary_step,
+)
 from .algebra import Algebra
 from .errors import (
     BudgetExceeded,
@@ -150,8 +166,10 @@ def check_safety(
     ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair).  Both
     modes check their premises in one loop on ids, ``_safety_pair``.
     Exhaustive mode first checks the operand tuples at max_n, C**arity for
-    C coalgebras, against ``budget``; they bound every pair's sweep.  A
-    test target is always swept exhaustively (``_check_test_safety``).
+    C coalgebras, against ``budget``; they bound every pair's sweep.  Its
+    verdict's ``detail["evaluated"]`` counts the target tuples computed; the
+    other cases were decided by the locality of an operand.  A test target
+    is always swept exhaustively (``_check_test_safety``).
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
@@ -169,18 +187,21 @@ def check_safety(
     else:
         rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
         premises = partial(_safety_draws, target, rng=rng, trials=trials // (max_n * max_n) + 1)
-    cases = 0
+    cases = evaluated = 0
     for n_src in range(1, max_n + 1):
         for n_tgt in range(1, max_n + 1):
             ids = _SafetyIds(config.fops(n_src), config.fops(n_tgt))
-            checked, counter = _safety_pair(target, ids, premises(ids))
+            checked, computed, counter = _safety_pair(target, ids, premises(ids))
             cases += checked
+            evaluated += computed
             if counter is not None:
                 return _verdict(
-                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt), **sampled
+                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt),
+                    **(sampled or {"evaluated": evaluated}),
                 )
     return _verdict(
-        "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode, **sampled
+        "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode,
+        **(sampled or {"evaluated": evaluated}),
     )
 
 
@@ -193,25 +214,49 @@ def _safety_counter(kind: Kind, f, gammas, gammas2, x: int) -> dict:
     }
 
 
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class _SafetyIds:
     """The ids of one carrier pair's safety sweep, given on first sight: a
     value's vid is its index in ``vals_src`` or ``vals_tgt``, a target
-    coalgebra (a tuple of FValues) its cid, its index in ``coalgs``.
-    Operation outputs are kept as vid tuples, by source coalgebras (vid
-    tuples) in ``out_src`` and by target cid tuple in ``out_tgt``."""
+    coalgebra (a tuple of target vids) its cid, its index in ``coalgs``.
+    ``table`` makes the one-step tables that operation outputs are read
+    from; ``clear`` drops them with the ids."""
 
     def __init__(self, fops_src: FunctorOps, fops_tgt: FunctorOps):
         self.fops_src, self.fops_tgt = fops_src, fops_tgt
         vals_src, vals_tgt, coalgs, index = [], [], [], [{}, {}, {}]
         self.src, self.tgt, self.cid = map(_interner, index, [vals_src, vals_tgt, coalgs])
         self.vals_src, self.vals_tgt, self.coalgs = vals_src, vals_tgt, coalgs
-        self._ff, self.out_src, self.out_tgt = {}, {}, {}
-        self._tables = [*index, vals_src, vals_tgt, coalgs, self._ff, self.out_src, self.out_tgt]
+        self._ff = {}
+        self._tables = [*index, vals_src, vals_tgt, coalgs, self._ff]
 
     def clear(self) -> None:
         """Drop every id and every table keyed on them."""
         for table in self._tables:
             table.clear()
+
+    def size(self) -> int:
+        """The number of entries in the largest table."""
+        return max(map(len, self._tables))
+
+    def table(self, fill) -> _Table:
+        """A new table filled by ``fill`` and dropped by ``clear``."""
+        table = _Table(fill)
+        self._tables.append(table)
+        return table
 
     def ff(self, f: tuple[int, ...]) -> list[int]:
         """Ff as a source-vid -> target-vid list, extended to every source
@@ -238,28 +283,27 @@ def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, lis
 
     The canonical enumerations of FX and FY (``spaces`` by carrier size)
     are interned first, then the target coalgebras in the order of
-    ``product(FY, repeat=n_tgt)``, so a vid is an index into its
+    ``product(range(|FY|), repeat=n_tgt)``, so a vid is an index into its
     enumeration and a cid an index into that product.  Yields ``(f, ff,
-    gammas, targets)``: ``ff`` is ``ids.ff(f)``, ``gammas`` the source
-    operands and ``targets`` the target operands, ``product(*cands)`` where
-    ``cands[i]`` are the ascending cids of the target coalgebras that agree
-    with Ff . gammas[i] on the image of f: the states outside the image
-    vary operand by operand, the last state of the last operand fastest.
+    gammas, cands)``: ``ff`` is ``ids.ff(f)``, ``gammas`` the source
+    operands and ``cands[i]`` the ascending cids of the target coalgebras
+    that agree with Ff . gammas[i] on the image of f, the states outside
+    the image varying, the last fastest.  The squares of the premise are
+    ``product(*cands)``.
     """
     n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
     for v in spaces[n_src]:
         ids.src(v)
     for v in spaces[n_tgt]:
         ids.tgt(v)
-    for h in product(spaces[n_tgt], repeat=n_tgt):
+    for h in product(range(len(ids.vals_tgt)), repeat=n_tgt):
         ids.cid(h)
     coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
-    coalgs_tgt = list(product(range(len(ids.vals_tgt)), repeat=n_tgt))  # vid tuples by cid
     for f in product(range(n_tgt), repeat=n_src):
         ff = ids.ff(f)
         image = sorted(set(f))
         extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
-        for cid, h in enumerate(coalgs_tgt):
+        for cid, h in enumerate(ids.coalgs):
             extending.setdefault(tuple(h[y] for y in image), []).append(cid)
         # the source coalgebras whose image under Ff is a function on the
         # image of f, each with the target coalgebras extending that function
@@ -269,7 +313,7 @@ def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, lis
             if forced is not None:
                 cands[g] = extending[tuple(forced[y] for y in image)]
         for gammas in product(cands, repeat=op.arity):
-            yield f, ff, gammas, product(*map(cands.__getitem__, gammas))
+            yield f, ff, gammas, tuple(map(cands.__getitem__, gammas))
 
 
 def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
@@ -277,12 +321,13 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
     operands (operand-major, state by state), then each target operand's
     states outside the image of f; a draw whose sources force two values on
     one target state is no premise and draws no target state.  Yields
-    ``(f, ff, gammas, (cids,))`` as ``_safety_squares`` does, and clears
-    ``ids`` once a table holds more than ``SAMPLED_COALGEBRAS`` entries."""
-    fops_src, fops_tgt, vals_tgt = ids.fops_src, ids.fops_tgt, ids.vals_tgt
+    ``(f, ff, gammas, cands)`` as ``_safety_squares`` does, each ``cands[i]``
+    the one drawn cid, and clears ``ids`` once a table holds more than
+    ``SAMPLED_COALGEBRAS`` entries."""
+    fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
     for _ in range(trials):
-        if max(len(ids.coalgs), len(ids.out_src), len(ids.out_tgt)) > SAMPLED_COALGEBRAS:
+        if ids.size() > SAMPLED_COALGEBRAS:
             ids.clear()
         f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
         gammas = tuple(
@@ -293,50 +338,93 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
         forced = [_forced(f, ff, g) for g in gammas]
         if None in forced:
             continue
-        cids = tuple(
-            ids.cid(tuple(
-                vals_tgt[d[y]] if y in d else fops_tgt.random_value(rng) for y in range(n_tgt)
-            ))
+        yield f, ff, gammas, tuple(
+            [ids.cid(tuple(
+                d[y] if y in d else ids.tgt(fops_tgt.random_value(rng)) for y in range(n_tgt)
+            ))]
             for d in forced
         )
-        yield f, ff, gammas, (cids,)
 
 
-def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, dict | None]:
-    """Cases checked on one carrier pair, and the first counterexample.
+def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern, vids):
+    """op's output on one side of a square, as a vid tuple by state, from
+    its operands' keys: source vid tuples, or target cids, which ``vids``
+    turns into vid tuples.  ``vals`` and ``intern`` are the side's vids.
 
-    Each premise ``(f, ff, gammas, targets)`` is one square per target
-    operand tuple: Ff(op(gammas)), once, against op(targets) on the image
-    of f.  ``ff`` covers the vids interned before the premise, so it needs
-    extending only for a new op(gammas).  Operation outputs are memoised in
-    ``ids``; only a counterexample is decoded back to FValues.
+    Outputs are memoised by operand keys in ``ids`` and computed from
+    one-step tables there: a pointwise step by the operands' vids at a
+    state, a unary local step by (state, vid), a composition by one
+    left-vid row per right operand key.  ``star`` reads its operand whole,
+    through ``apply_op``.
+    """
+    variant = op.variant
+
+    def decode(key) -> tuple:
+        return tuple(map(vals.__getitem__, vids(key)))
+
+    if variant in POINTWISE_VARIANTS:
+        step = pointwise_step(fops.alg, variant)
+        get = ids.table(lambda uv: intern(step(vals[uv[0]], vals[uv[1]]))).__getitem__
+        output = lambda keys: tuple(map(get, zip(*map(vids, keys))))
+    elif variant in UNARY_STEP_VARIANTS:
+        local = unary_step(fops, variant)
+        get = ids.table(lambda xu: intern(local(xu[0], vals[xu[1]]))).__getitem__
+        output = lambda keys: tuple(map(get, enumerate(vids(keys[0]))))
+    elif variant in COMPOSITION_VARIANTS:
+
+        def row(key) -> _Table:  # left vid -> output vid, against right operand key
+            cmap = composition_map(fops, variant, decode(key))
+            return _Table(lambda u: intern(cmap(vals[u])))
+
+        rows = ids.table(row)
+        output = lambda keys: tuple(map(rows[keys[1]].__getitem__, vids(keys[0])))
+    else:
+        output = lambda keys: tuple(map(intern, apply_op(op, list(map(decode, keys)), fops)))
+    return ids.table(output).__getitem__
+
+
+def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int, dict | None]:
+    """Cases checked on one carrier pair, target tuples computed, and the
+    first counterexample.
+
+    Each premise ``(f, ff, gammas, cands)`` is one square per target
+    operand tuple of ``product(*cands)``: Ff(op(gammas)), once, against
+    op(targets) on the image of f.  An operand in ``LOCAL_OPERANDS`` is
+    read at the image of f only, where the premise forces it, so only its
+    first candidate is computed and its other candidates count as the same
+    square.  Local operands come before the others, so the k-th tuple
+    computed is the k-th of ``product(*cands)`` too, and the first failing
+    square keeps its place in canonical order.  ``ff`` covers the vids interned before the premise, so it needs
+    extending only when op(gammas) interned new ones.  Only a
+    counterexample is decoded back to FValues.
     """
     fops_src, fops_tgt, n_src = ids.fops_src, ids.fops_tgt, ids.fops_src.n
-    vals_src, coalgs, out_src, out_tgt = ids.vals_src, ids.coalgs, ids.out_src, ids.out_tgt
-    cases = 0
-    for f, ff, gammas, targets in premises:
-        out = out_src.get(gammas)
-        if out is None:
-            decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
-            out = out_src[gammas] = tuple(map(ids.src, apply_op(op, decoded, fops_src)))
-            if len(ff) < len(vals_src):  # op(gammas) interned new values
-                ff = ids.ff(f)
-        lhs = tuple(ff[v] for v in out)  # Ff(op(gammas)) state by state
+    vals_src, vals_tgt, coalgs = ids.vals_src, ids.vals_tgt, ids.coalgs
+    source = _outputs(op, ids, fops_src, vals_src, ids.src, tuple)
+    target = _outputs(op, ids, fops_tgt, vals_tgt, ids.tgt, coalgs.__getitem__)
+    # the candidates computed: a local operand's first, every other one's all
+    local = LOCAL_OPERANDS[op.variant]
+    trim = [slice(1) if i in local else slice(None) for i in range(op.arity)]
+    cases = evaluated = 0
+    for f, ff, gammas, cands in premises:
+        out = source(gammas)
+        if len(ff) < len(vals_src):
+            ff = ids.ff(f)
+        lhs = tuple(map(ff.__getitem__, out))  # Ff(op(gammas)) state by state
         at_image = itemgetter(*f)
         want = lhs if n_src > 1 else lhs[0]
         k = 0
-        for k, cids in enumerate(targets, 1):
-            rhs = out_tgt.get(cids)
-            if rhs is None:
-                decoded = tuple(coalgs[c] for c in cids)
-                rhs = out_tgt[cids] = tuple(map(ids.tgt, apply_op(op, decoded, fops_tgt)))
+        for k, cids in enumerate(product(*map(getitem, cands, trim)), 1):
+            rhs = target(cids)
             if at_image(rhs) != want:
                 x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
                 sources = ((vals_src[v] for v in g) for g in gammas)
-                gammas2 = [coalgs[c] for c in cids]
-                return cases + k, _safety_counter(fops_src.kind, f, sources, gammas2, x)
-        cases += k
-    return cases, None
+                gammas2 = [[vals_tgt[v] for v in coalgs[c]] for c in cids]
+                counter = _safety_counter(fops_src.kind, f, sources, gammas2, x)
+                return cases + k, evaluated + k, counter
+        cases += prod(map(len, cands))
+        evaluated += k
+    return cases, evaluated, None
 
 
 def _check_test_safety(

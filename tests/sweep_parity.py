@@ -48,7 +48,11 @@ The calls are, in order:
   valuation, so each block of a block list is read at a single key);
 * ``one_step_witness`` of every kind over L2, L3 and G3 at n = 1..3, on
   ten seeded H each: a roundtrip from a random witness, with 0-3 entries
-  set to another value (flipped between 0 and 1 for threshold).
+  set to another value (flipped between 0 and 1 for threshold);
+* exhaustive ``check_safety`` at max_n=2 of every operation of
+  pdl-threshold/L2 and of instantial (``max_k=1``), of ``join-pw``,
+  ``meet-pw``, ``kleisli``, ``dual``, ``counter-domain`` and ``star`` on
+  aneighbourhood/B2, and of ``meet-pw`` on pdl-labelled/L3.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -146,6 +150,7 @@ def calls(root: Path, seed: int):
         yield f"eval {case['id']}", lambda case=case: _session_row(m, case)
     yield from _block_rows(m, configs, entail)
     yield from _one_step_rows(m, seed)
+    yield from _exhaustive_safety_rows(m)
 
 
 def _sampled_safety_rows(m, configs, seed):
@@ -258,6 +263,27 @@ def _one_step_rows(m, seed):
                         f"one-step {name} {kind} n={n} #{i}",
                         lambda kind=kind, alg=alg, n=n, H=H: _one_step_row(h, kind, alg, n, H),
                     )
+
+
+def _exhaustive_safety_rows(m):
+    """Exhaustive ``check_safety`` at max_n=2 of operations the benchmark's
+    safety items leave out, every variant among them."""
+    h, OperationSpec, presets = m["harness"], m["actions"].OperationSpec, m["presets"]
+    alg = m["algebra"].algebra_by_name
+    threshold = presets.make_preset("pdl-threshold", alg("L2"))
+    instantial = presets.make_preset("instantial", max_k=1)
+    targets = [(c, op) for c in (threshold, instantial) for op in c.ops.values()]
+    nbh = m["jsonio"].config_from_json({"kind": "aneighbourhood"}, alg("B2"))
+    targets += [
+        (nbh, OperationSpec(variant, m["actions"].OP_ARITIES[variant], variant))
+        for variant in ("join-pw", "meet-pw", "kleisli", "dual", "counter-domain", "star")
+    ]
+    targets.append((presets.make_preset("pdl-labelled", alg("L3")), OperationSpec("meet", 2, "meet-pw")))
+    for config, op in targets:
+        yield (
+            f"safety {config.name}/{config.truth.name} {op.id} {op.variant} max_n=2 exhaustive",
+            lambda c=config, op=op: h.check_safety(op, c, max_n=2),
+        )
 
 
 def _h_alpha(functors, kind, alg, n, alpha) -> dict:

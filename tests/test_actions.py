@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from mvdl.actions import (
+    LOCAL_OPERANDS,
     OP_ARITIES,
     OP_VARIANTS,
     OperationSpec,
@@ -420,3 +421,54 @@ def test_every_operation_variant_has_one_arity():
         alg = build_builtin("boolean") if name == "instantial" else build_builtin("lukasiewicz", 2)
         for spec in make_preset(name, alg).ops.values():
             assert spec.arity == OP_ARITIES[spec.variant], (name, spec)
+
+
+# operand tuples up to which the locality check sweeps every one; beyond
+# it (binary operations on monotone L2 tables) it sweeps those over a
+# seeded pool of values
+LOCALITY_TUPLES = 70_000
+
+
+def _locality_cases():
+    """Every operation variant that reads an operand locally, with every
+    kind it applies to, over B2, and over L2 where FX depends on the algebra
+    and has at most 200 values at two states."""
+    B2, L2 = build_builtin("boolean"), build_builtin("lukasiewicz", 2)
+    cases = []
+    for variant, kinds in OP_VARIANTS.items():
+        for kind in kinds if LOCAL_OPERANDS[variant] else ():
+            for name, alg in (("B2", B2), ("L2", L2)):
+                if name == "L2" and kind in (Kind.POWERSET, Kind.DOUBLE_POWERSET):
+                    continue
+                try:
+                    values = list(functor_ops(kind, 2, alg).enumerate(200))
+                except BudgetExceeded:
+                    continue
+                cases.append(pytest.param(variant, kind, alg, values, id=f"{variant}-{kind.value}-{name}"))
+    return cases
+
+
+@pytest.mark.parametrize("variant, kind, alg, values", _locality_cases())
+def test_local_operands_are_read_at_the_state_only(variant, kind, alg, values):
+    # LOCAL_OPERANDS lets a safety sweep compute one target per candidate
+    # list of a local operand: changing that operand anywhere but at a state
+    # must leave the output there unchanged
+    fops = functor_ops(kind, 2, alg)
+    op = OperationSpec(variant, OP_ARITIES[variant], variant)
+    if len(values) ** (2 * op.arity) > LOCALITY_TUPLES:
+        values = random.Random(f"{variant} {kind.value}").sample(values, 8)
+    seen = {}  # (operand, state, the rest of the tuple) -> output there
+    for gammas in product(product(values, repeat=2), repeat=op.arity):
+        out = apply_op(op, gammas, fops)
+        for i in LOCAL_OPERANDS[variant]:
+            for y in range(2):
+                key = (i, y, gammas[:i], gammas[i][y], gammas[i + 1:])
+                assert seen.setdefault(key, out[y]) == out[y], (i, y, gammas)
+
+
+def test_local_operands_come_first():
+    # a safety sweep counts the squares it computes in canonical order only
+    # while no local operand follows one that is not
+    assert LOCAL_OPERANDS.keys() == OP_ARITIES.keys()
+    for variant, local in LOCAL_OPERANDS.items():
+        assert local == tuple(range(len(local))) and len(local) <= OP_ARITIES[variant], variant

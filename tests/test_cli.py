@@ -148,6 +148,21 @@ class TestCommands:
         assert code == 0
         assert "holds-up-to-bound" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--op", "+", "--test", "t"], "argument --test: not allowed with argument --op"),
+            ([], "one of the arguments --op --test is required"),
+        ],
+    )
+    def test_check_safety_takes_one_target(self, capsys, flags, message):
+        # the target is one operation or one test, never both
+        code, out, err = run(
+            capsys, "check-safety", "--preset", "pdl-crisp", "--algebra", "B2", *flags
+        )
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_check_safety_test_target(self, capsys):
         code, out, _ = run(
             capsys,

@@ -29,7 +29,7 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
-from mvdl import harness
+from mvdl import actions, harness
 from mvdl.jsonio import config_from_json, fvalue_from_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
@@ -107,7 +107,7 @@ class TestSafetySweepCoverage:
                 op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
             ):
                 decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
-                for cids in targets:
+                for cids in product(*targets):
                     generated.add((f, decoded, tuple(coalgs_tgt[c] for c in cids)))
             assert generated == brute, (n_src, n_tgt)
 
@@ -130,7 +130,7 @@ class TestSafetySweepCoverage:
                 for f, _, gammas, targets in _safety_squares(
                     op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
                 )
-                for cids in targets
+                for cids in product(*targets)
             ]
             reference = list(
                 reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt)
@@ -141,6 +141,7 @@ class TestSafetySweepCoverage:
         "preset, alg_name, op_id",
         [("pdl-crisp", "B2", op) for op in ("+", ";", "*", "~")]
         + [("pdl-labelled", "L2", op) for op in ("+", ";", "*", "~")]
+        + [("pdl-threshold", "L2", op) for op in ("+", ";", "*")]
         + [("game", "B2", op) for op in ("+", "&", "^d", ";", "*")],
     )
     def test_exhaustive_sweep_matches_reference(self, preset, alg_name, op_id):
@@ -161,6 +162,32 @@ class TestSafetySweepCoverage:
         nbh = config_from_json({"kind": "aneighbourhood"}, B2)
         domain = OperationSpec("~", 1, "counter-domain")
         assert self._assert_matches_reference(domain, nbh).status == "fails"
+
+    def test_later_candidate_failure_matches_reference(self, monkeypatch, crisp_b2):
+        # a composition that is not natural: on two states or more, a right
+        # operand looping at its last state adds state 0 to the output of
+        # every non-empty left value.  The right operand is not local, so
+        # the first failing square lies on a later candidate of it; the left
+        # one is local, so the squares of the premises ahead of it, whose
+        # left values are empty, are counted, not computed
+        natural = actions.composition_map
+
+        def unnatural(fops, variant, g2):
+            cmap = natural(fops, variant, g2)
+            if fops.n > 1 and g2[-1] == fops.unit(fops.n - 1):
+                bottom, zero = fops.bottom(), fops.unit(0)
+                return lambda t: cmap(t) if t == bottom else fops.join2(cmap(t), zero)
+            return cmap
+
+        monkeypatch.setattr(actions, "composition_map", unnatural)
+        monkeypatch.setattr(harness, "composition_map", unnatural)
+        verdict = self._assert_matches_reference(crisp_b2.ops[";"], crisp_b2)
+        assert verdict.status == "fails"
+        counter = verdict.counterexample
+        outside = [y for y in range(2) if y not in counter["f"]]
+        right = counter["gammas_target"][1]  # powerset: the first value is 0
+        assert outside and any(right[y] != 0 for y in outside)
+        assert verdict.detail["evaluated"] < verdict.cases
 
     @staticmethod
     def _assert_matches_reference(op, config):
