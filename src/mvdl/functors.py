@@ -19,7 +19,7 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import Algebra
 from .errors import BudgetExceeded, InvalidParameter
@@ -226,30 +226,70 @@ class FunctorOps:
         yield from rec(0)
 
     def random_value(self, rng: random.Random):
-        """One pseudo-random FValue; monotone tables are built in a linear
-        extension so the result is always valid (not uniform)."""
+        """One pseudo-random FValue, as ``drawer(rng)`` draws it."""
+        return self.drawer(rng)()
+
+    def drawer(self, rng: random.Random) -> Callable[[], object]:
+        """A closure drawing one pseudo-random FValue from ``rng`` per call.
+
+        A powerset value is ``rng.randrange(2**n)``, a row or table one
+        ``rng.randrange(m)`` per entry, a monotone table one ``rng.choice``
+        per predicate in a linear extension (always valid, not uniform) and
+        a double-powerset value one ``rng.random() < 0.5`` per mask.  The
+        integer draws are inlined as CPython 3.11's
+        ``random._randbelow_with_getrandbits`` makes them (``k =
+        size.bit_length()`` bits, drawn again while they are at least
+        size), so they make the same ``getrandbits`` calls and give the
+        same values.
+        """
         kind, n, alg = self.kind, self.n, self.alg
         if kind is Kind.POWERSET:
-            return rng.randrange(1 << n)
+            draw = predicate_drawer(rng, 1 << n, 1)
+            return lambda: draw()[0]
         if kind is Kind.APOWERSET:
-            return tuple(rng.randrange(alg.m) for _ in range(n))
+            return predicate_drawer(rng, alg.m, n)
         if kind is Kind.A_NEIGHBOURHOOD:
-            return tuple(rng.randrange(alg.m) for _ in range(alg.m**n))
+            return predicate_drawer(rng, alg.m, alg.m**n)
         if kind is Kind.DOUBLE_POWERSET:
-            return frozenset(
-                mask for mask in range(1 << n) if rng.random() < 0.5
-            )
+            unit, masks = rng.random, range(1 << n)
+            return lambda: frozenset(mask for mask in masks if unit() < 0.5)
         steps, ups = _monotone_steps(alg, n)
-        jt, choice = alg.join_table, rng.choice
-        table = [0] * len(steps)
-        for i, covers in steps:
-            # the table is monotone on the predicates drawn so far, so the
-            # covers of i join to what everything below i joins to
-            lower = 0
-            for j in covers:
-                lower = jt[lower][table[j]]
-            table[i] = choice(ups[lower])
-        return tuple(table)
+        jt, bits = alg.join_table, rng.getrandbits
+        widths = [(len(up), len(up).bit_length()) for up in ups]
+
+        def draw() -> tuple[int, ...]:
+            table = [0] * len(steps)
+            for i, covers in steps:
+                # the table is monotone on the predicates drawn so far, so
+                # the covers of i join to what everything below i joins to
+                lower = 0
+                for j in covers:
+                    lower = jt[lower][table[j]]
+                size, k = widths[lower]
+                r = bits(k)
+                while r >= size:
+                    r = bits(k)
+                table[i] = ups[lower][r]
+            return tuple(table)
+
+        return draw
+
+
+def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[int, ...]]:
+    """A closure drawing ``tuple(rng.randrange(m) for _ in range(n))`` per
+    call, with the same ``getrandbits`` calls (see ``FunctorOps.drawer``)."""
+    bits, k, places = rng.getrandbits, m.bit_length(), range(n)
+
+    def draw() -> tuple[int, ...]:
+        out = []
+        for _ in places:
+            r = bits(k)
+            while r >= m:
+                r = bits(k)
+            out.append(r)
+        return tuple(out)
+
+    return draw
 
 
 @lru_cache(maxsize=None)

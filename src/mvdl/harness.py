@@ -22,9 +22,10 @@ coalgebra's cid; Ff is one vid list per map f.  Its premises are every
 joint morphism square in canonical order (exhaustive mode, which interns
 the enumeration of FX first) or drawn ones; only a counterexample is
 decoded back to FValues.  Operation outputs are read from one-step tables
-keyed by vid, and a target operand that the operation reads only at the
-evaluated state (``actions.LOCAL_OPERANDS``) is computed at its first
-candidate only: the premise forces its value on the image of f.
+keyed by vid.  An operand that the operation reads only at the evaluated
+state (``actions.LOCAL_OPERANDS``) is a constant coalgebra on the source
+side of an exhaustive sweep, and is computed at its first candidate only
+on the target side: the premise forces its value on the image of f.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .errors import (
     TagMismatch,
     UnsupportedKind,
 )
-from .functors import Kind, FunctorOps, functor_ops, predicate_space
+from .functors import Kind, FunctorOps, functor_ops, predicate_drawer, predicate_space
 from .jsonio import fvalue_to_json, model_to_json
 from .semantics import (
     LiftingSpec,
@@ -165,25 +166,38 @@ def check_safety(
     (exhaustive mode, ``_safety_squares``) or sampled (random mode,
     ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair).  Both
     modes check their premises in one loop on ids, ``_safety_pair``.
-    Exhaustive mode first checks the operand tuples at max_n, C**arity for
-    C coalgebras, against ``budget``; they bound every pair's sweep.  Its
-    verdict's ``detail["evaluated"]`` counts the target tuples computed; the
-    other cases were decided by the locality of an operand.  A test target
-    is always swept exhaustively (``_check_test_safety``).
+
+    Exhaustive mode sweeps the local form: an operand in
+    ``actions.LOCAL_OPERANDS`` ranges over the V constant source coalgebras
+    only, every other one over all C consistent ones.  It is exact: the
+    operation reads a local operand at x only through its value there, and
+    the constant coalgebra of that value is a premise too.  ``cases`` still
+    counts every morphism square.  Its source operand tuples at max_n,
+    V**l * C**(arity - l) for l local operands, are checked against
+    ``budget`` first; they bound every pair's sweep.  When a carrier pair
+    fails and the full form, C**arity tuples, fits ``budget``, that pair is
+    swept again in the full form, which reports the canonical first
+    counterexample and its case count; otherwise the local form's first
+    counterexample is reported with ``detail["form"] = "local"``.
+    ``detail["evaluated"]`` counts the target tuples the sweeps computed.
+    A test target is always swept exhaustively (``_check_test_safety``).
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
     if isinstance(target, TestSpec):
         return _check_test_safety(target, config, max_n, budget, t0)
     target.check_kind(config.kind)
-    sampled = {}
+    sampled, local = {}, LOCAL_OPERANDS[target.variant]
     if mode == "exhaustive":
         spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
-        total = len(spaces[max_n]) ** (max_n * target.arity)
+        values = len(spaces[max_n])
+        coalgs = values**max_n
+        full = coalgs**target.arity
+        total = values ** len(local) * coalgs ** (target.arity - len(local))
         if total > budget:
             msg = f"{total} coalgebra tuples at n={max_n} exceed budget {budget}"
             raise BudgetExceeded(f"{msg}; random mode is available", count=total)
-        premises = partial(_safety_squares, target, spaces=spaces)
+        premises = partial(_safety_squares, target, spaces=spaces, local=local)
     else:
         rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
         premises = partial(_safety_draws, target, rng=rng, trials=trials // (max_n * max_n) + 1)
@@ -192,12 +206,20 @@ def check_safety(
         for n_tgt in range(1, max_n + 1):
             ids = _SafetyIds(config.fops(n_src), config.fops(n_tgt))
             checked, computed, counter = _safety_pair(target, ids, premises(ids))
+            form = {}
+            if counter is not None and not sampled and local:
+                if full <= budget:
+                    squares = _safety_squares(target, ids, spaces)
+                    checked, more, counter = _safety_pair(target, ids, squares)
+                    computed += more
+                else:
+                    form = {"form": "local"}
             cases += checked
             evaluated += computed
             if counter is not None:
                 return _verdict(
                     "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt),
-                    **(sampled or {"evaluated": evaluated}),
+                    **(sampled or {"evaluated": evaluated}), **form,
                 )
     return _verdict(
         "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode,
@@ -277,19 +299,27 @@ def _forced(f: tuple[int, ...], ff: list[int], g: tuple) -> dict[int, int] | Non
     return forced
 
 
-def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, list]):
-    """Every joint-morphism premise of the exhaustive sweep, in canonical
-    order.
+def _safety_squares(
+    op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, list], local: Sequence[int] = ()
+):
+    """The joint-morphism premises of the exhaustive sweep, map by map in
+    canonical order.
 
     The canonical enumerations of FX and FY (``spaces`` by carrier size)
     are interned first, then the target coalgebras in the order of
     ``product(range(|FY|), repeat=n_tgt)``, so a vid is an index into its
     enumeration and a cid an index into that product.  Yields ``(f, ff,
-    gammas, cands)``: ``ff`` is ``ids.ff(f)``, ``gammas`` the source
-    operands and ``cands[i]`` the ascending cids of the target coalgebras
-    that agree with Ff . gammas[i] on the image of f, the states outside
-    the image varying, the last fastest.  The squares of the premise are
-    ``product(*cands)``.
+    squares, premises)`` per map f: ``ff`` is ``ids.ff(f)``, ``squares``
+    the number of morphism squares over f, (sum of |cands(g)| over the
+    consistent g)**arity, and ``premises`` the ``(gammas, cands)`` pairs:
+    ``gammas`` the source operands and ``cands[i]`` the ascending cids of
+    the target coalgebras that agree with Ff . gammas[i] on the image of f,
+    the states outside the image varying, the last fastest.  The squares of
+    a premise are ``product(*cands)``.  An operand in ``local`` ranges over
+    the constant coalgebras ``(u,) * n_src`` only, every other one over
+    every source coalgebra whose Ff-image is a function on the image of f;
+    with ``local`` empty (the full form) the premises hold ``squares``
+    squares.
     """
     n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
     for v in spaces[n_src]:
@@ -299,6 +329,7 @@ def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, lis
     for h in product(range(len(ids.vals_tgt)), repeat=n_tgt):
         ids.cid(h)
     coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
+    constants = [(v,) * n_src for v in range(len(ids.vals_src))]
     for f in product(range(n_tgt), repeat=n_src):
         ff = ids.ff(f)
         image = sorted(set(f))
@@ -312,38 +343,40 @@ def _safety_squares(op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, lis
             forced = _forced(f, ff, g)
             if forced is not None:
                 cands[g] = extending[tuple(forced[y] for y in image)]
-        for gammas in product(cands, repeat=op.arity):
-            yield f, ff, gammas, tuple(map(cands.__getitem__, gammas))
+        operands = [constants if i in local else cands for i in range(op.arity)]
+        yield f, ff, sum(map(len, cands.values())) ** op.arity, (
+            (gammas, tuple(map(cands.__getitem__, gammas))) for gammas in product(*operands)
+        )
 
 
 def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
     """The premises of ``trials`` draws, in the RNG order f, the source
     operands (operand-major, state by state), then each target operand's
     states outside the image of f; a draw whose sources force two values on
-    one target state is no premise and draws no target state.  Yields
-    ``(f, ff, gammas, cands)`` as ``_safety_squares`` does, each ``cands[i]``
-    the one drawn cid, and clears ``ids`` once a table holds more than
-    ``SAMPLED_COALGEBRAS`` entries."""
+    one target state is no premise and draws no target state.  Yields each
+    premise as ``_safety_squares`` yields a map, ``(f, ff, 1, [(gammas,
+    cands)])`` with each ``cands[i]`` the one drawn cid, and clears ``ids``
+    once a table holds more than ``SAMPLED_COALGEBRAS`` entries."""
     fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
+    draw_map = predicate_drawer(rng, n_tgt, n_src)
+    draw_src, draw_tgt = fops_src.drawer(rng), fops_tgt.drawer(rng)
     for _ in range(trials):
         if ids.size() > SAMPLED_COALGEBRAS:
             ids.clear()
-        f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
+        f = draw_map()
         gammas = tuple(
-            tuple(ids.src(fops_src.random_value(rng)) for _ in range(n_src))
-            for _ in range(op.arity)
+            tuple(ids.src(draw_src()) for _ in range(n_src)) for _ in range(op.arity)
         )
         ff = ids.ff(f)
         forced = [_forced(f, ff, g) for g in gammas]
         if None in forced:
             continue
-        yield f, ff, gammas, tuple(
-            [ids.cid(tuple(
-                d[y] if y in d else ids.tgt(fops_tgt.random_value(rng)) for y in range(n_tgt)
-            ))]
+        cands = tuple(
+            [ids.cid(tuple(d[y] if y in d else ids.tgt(draw_tgt()) for y in range(n_tgt)))]
             for d in forced
         )
+        yield f, ff, 1, [(gammas, cands)]
 
 
 def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern, vids):
@@ -387,16 +420,20 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     """Cases checked on one carrier pair, target tuples computed, and the
     first counterexample.
 
-    Each premise ``(f, ff, gammas, cands)`` is one square per target
-    operand tuple of ``product(*cands)``: Ff(op(gammas)), once, against
-    op(targets) on the image of f.  An operand in ``LOCAL_OPERANDS`` is
-    read at the image of f only, where the premise forces it, so only its
-    first candidate is computed and its other candidates count as the same
-    square.  Local operands come before the others, so the k-th tuple
-    computed is the k-th of ``product(*cands)`` too, and the first failing
-    square keeps its place in canonical order.  ``ff`` covers the vids interned before the premise, so it needs
-    extending only when op(gammas) interned new ones.  Only a
-    counterexample is decoded back to FValues.
+    ``premises`` yields ``(f, ff, squares, group)`` per map f (per draw
+    when sampled); each ``(gammas, cands)`` of ``group`` is one square per
+    target operand tuple of ``product(*cands)``: Ff(op(gammas)), once,
+    against op(targets) on the image of f.  An operand in
+    ``LOCAL_OPERANDS`` is read at the image of f only, where the premise
+    forces it, so only its first candidate is computed and its other
+    candidates count as the same square.  Local operands come before the
+    others, so the k-th tuple computed is the k-th of ``product(*cands)``
+    too, and the first failing square keeps its place in canonical order:
+    it is counted after the squares of the group's premises before it.  A
+    group that holds counts its ``squares``.  ``ff`` covers the vids
+    interned before the premise, so it needs extending only when
+    op(gammas) interned new ones.  Only a counterexample is decoded back to
+    FValues.
     """
     fops_src, fops_tgt, n_src = ids.fops_src, ids.fops_tgt, ids.fops_src.n
     vals_src, vals_tgt, coalgs = ids.vals_src, ids.vals_tgt, ids.coalgs
@@ -406,24 +443,27 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     local = LOCAL_OPERANDS[op.variant]
     trim = [slice(1) if i in local else slice(None) for i in range(op.arity)]
     cases = evaluated = 0
-    for f, ff, gammas, cands in premises:
-        out = source(gammas)
-        if len(ff) < len(vals_src):
-            ff = ids.ff(f)
-        lhs = tuple(map(ff.__getitem__, out))  # Ff(op(gammas)) state by state
+    for f, ff, squares, group in premises:
         at_image = itemgetter(*f)
-        want = lhs if n_src > 1 else lhs[0]
-        k = 0
-        for k, cids in enumerate(product(*map(getitem, cands, trim)), 1):
-            rhs = target(cids)
-            if at_image(rhs) != want:
-                x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
-                sources = ((vals_src[v] for v in g) for g in gammas)
-                gammas2 = [[vals_tgt[v] for v in coalgs[c]] for c in cids]
-                counter = _safety_counter(fops_src.kind, f, sources, gammas2, x)
-                return cases + k, evaluated + k, counter
-        cases += prod(map(len, cands))
-        evaluated += k
+        done = 0  # the squares of the group's premises checked so far
+        for gammas, cands in group:
+            out = source(gammas)
+            if len(ff) < len(vals_src):
+                ff = ids.ff(f)
+            lhs = tuple(map(ff.__getitem__, out))  # Ff(op(gammas)) state by state
+            want = lhs if n_src > 1 else lhs[0]
+            k = 0
+            for k, cids in enumerate(product(*map(getitem, cands, trim)), 1):
+                rhs = target(cids)
+                if at_image(rhs) != want:
+                    x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
+                    sources = ((vals_src[v] for v in g) for g in gammas)
+                    gammas2 = [[vals_tgt[v] for v in coalgs[c]] for c in cids]
+                    counter = _safety_counter(fops_src.kind, f, sources, gammas2, x)
+                    return cases + done + k, evaluated + k, counter
+            done += prod(map(len, cands))
+            evaluated += k
+        cases += squares
     return cases, evaluated, None
 
 
@@ -607,9 +647,9 @@ def check_separation(
         ]
     else:
         rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
-        pairs = []
+        pairs, draw = [], fops.drawer(rng)
         for _ in range(trials):
-            t1, t2 = fops.random_value(rng), fops.random_value(rng)
+            t1, t2 = draw(), draw()
             if t1 != t2:
                 pairs.append((t1, t2))
     kernels = [(lifting_kernel(spec, config), spaces[spec.id]) for spec in liftings]
@@ -721,12 +761,12 @@ def verify_reduction_rule(
     plan = Plan(config, n, arity, n_vars)
     args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
     at = [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
-    rng, fops, m = random.Random(seed), plan.fops, config.truth.m
+    rng = random.Random(seed)
+    value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
     def draw():  # the gammas in slot order, then the sigmas
-        gammas = [tuple(fops.random_value(rng) for _ in range(n)) for _ in range(arity)]
-        sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in range(n_vars)]
-        return plan, at, gammas, sigmas
+        gammas = [tuple(value() for _ in range(n)) for _ in range(arity)]
+        return plan, at, gammas, [sigma() for _ in range(n_vars)]
 
     cases = 0
     for plan, batch, (got, want) in _batches(
@@ -1031,16 +1071,19 @@ def bounded_entailment(
         plan = Plan(config, n, slots, prop_names)
         return plan, [plan.compile(phi), *map(plan.compile, gamma)]
 
-    rng, m, plans = random.Random(seed), config.truth.m, {}
+    rng, plans = random.Random(seed), {}
+
+    def drawn(n: int):  # a plan of n states with its value and predicate drawers
+        plan, at = compiled(n)
+        return plan, at, plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
     def draw():  # the size, the gammas in atom-name order, then the sigmas
         n = rng.randint(1, max_n)
         if n not in plans:
-            plans[n] = compiled(n)
-        plan, at = plans[n]
-        gammas = [tuple(plan.fops.random_value(rng) for _ in range(n)) for _ in atom_names]
-        sigmas = [tuple(rng.randrange(m) for _ in range(n)) for _ in prop_names]
-        return plan, at, gammas[::-1], sigmas
+            plans[n] = drawn(n)
+        plan, at, value, sigma = plans[n]
+        gammas = [tuple(value() for _ in range(n)) for _ in atom_names]
+        return plan, at, gammas[::-1], [sigma() for _ in prop_names]
 
     sweeps = map(compiled, range(1, max_n + 1))
     sampled = {} if mode == "exhaustive" else {"seed": seed}

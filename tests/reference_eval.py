@@ -6,12 +6,15 @@ apply each lifting by its closed formula, one state at a time, and the
 case-by-case rule-soundness and entailment sweeps built on them; the
 exhaustive and sampled safety sweeps as they ran on FValues before they
 ran on ids; the monotonicity check as a scan over all pairs of
-predicates; a monotone table drawn by joining over every predicate below,
-not only the covers; the double powerset composition as a walk over every
+predicates; a pseudo-random FValue drawn through ``rng.randrange``,
+``rng.choice`` and ``rng.random`` (``reference_random_value``), and a
+monotone table drawn by joining over every predicate below, not only the
+covers; the double powerset composition as a walk over every
 subfamily; the binary pointwise operations as ``apply_op`` wrote them out
 per variant; and the one-step witness checks that scan every rank-1 axiom
 before they build the witness.  The differential tests check the compiled plans, the
-id sweeps, the predicate-poset check, ``FunctorOps.random_value``,
+id sweeps, the predicate-poset check, ``FunctorOps.drawer``,
+``functors.predicate_drawer``,
 ``actions.double_seq_map``, ``actions.pointwise_step`` and
 ``harness.one_step_witness`` against them; nothing in ``src/`` imports
 them.
@@ -31,7 +34,7 @@ from mvdl.errors import (
     UnknownIdentifier,
     UnsupportedKind,
 )
-from mvdl.functors import _pred_poset, predicate_index, predicate_space
+from mvdl.functors import Kind, _monotone_steps, _pred_poset, predicate_index, predicate_space
 from mvdl.harness import AxiomViolation, OneStepResult
 from mvdl.jsonio import fvalue_to_json, model_to_json
 from mvdl.semantics import Model, crisp_mask
@@ -309,7 +312,8 @@ def reference_rule_sweep(rule, config, n: int, mode: str = "exhaustive",
         def sample():
             for _ in range(trials):
                 gammas = tuple(
-                    tuple(fops.random_value(rng) for _ in range(n)) for _ in range(op.arity)
+                    tuple(reference_random_value(fops, rng) for _ in range(n))
+                    for _ in range(op.arity)
                 )
                 sigmas = tuple(
                     tuple(rng.randrange(truth.m) for _ in range(n))
@@ -357,7 +361,9 @@ def reference_entailment(gamma, phi, config, max_n: int, mode: str = "exhaustive
         for _ in range(trials):
             n = rng.randint(1, max_n)
             fops = config.fops(n)
-            atom_assign = {a: tuple(fops.random_value(rng) for _ in range(n)) for a in atoms}
+            atom_assign = {
+                a: tuple(reference_random_value(fops, rng) for _ in range(n)) for a in atoms
+            }
             valuation = {p: tuple(rng.randrange(truth.m) for _ in range(n)) for p in props}
             yield Model(n, config, atom_assign, valuation)
 
@@ -482,14 +488,17 @@ def reference_safety_sampled(target, config, max_n: int, trials: int, seed: int)
             for _ in range(trials // (max_n * max_n) + 1):
                 f = tuple(rng.randrange(n_tgt) for _ in range(n_src))
                 gammas = tuple(
-                    tuple(fops_src.random_value(rng) for _ in range(n_src))
+                    tuple(reference_random_value(fops_src, rng) for _ in range(n_src))
                     for _ in range(target.arity)
                 )
                 forced = reference_forced_targets(fops_src, fops_tgt, f, gammas)
                 if forced is None:
                     continue
                 gammas2 = tuple(
-                    tuple(d[y] if y in d else fops_tgt.random_value(rng) for y in range(n_tgt))
+                    tuple(
+                        d[y] if y in d else reference_random_value(fops_tgt, rng)
+                        for y in range(n_tgt)
+                    )
                     for d in forced
                 )
                 cases += 1
@@ -523,6 +532,31 @@ def reference_is_monotone(fops, table) -> bool:
             if all(leq(a, b) for a, b in zip(p, q)) and not leq(table[i], table[j]):
                 return False
     return True
+
+
+def reference_random_value(fops, rng):
+    """One pseudo-random FValue through the ``random.Random`` methods, as
+    ``FunctorOps.random_value`` drew it before its draws were inlined;
+    monotone tables are built in a linear extension so the result is always
+    valid (not uniform)."""
+    kind, n, alg = fops.kind, fops.n, fops.alg
+    if kind is Kind.POWERSET:
+        return rng.randrange(1 << n)
+    if kind is Kind.APOWERSET:
+        return tuple(rng.randrange(alg.m) for _ in range(n))
+    if kind is Kind.A_NEIGHBOURHOOD:
+        return tuple(rng.randrange(alg.m) for _ in range(alg.m**n))
+    if kind is Kind.DOUBLE_POWERSET:
+        return frozenset(mask for mask in range(1 << n) if rng.random() < 0.5)
+    steps, ups = _monotone_steps(alg, n)
+    jt, choice = alg.join_table, rng.choice
+    table = [0] * len(steps)
+    for i, covers in steps:
+        lower = 0
+        for j in covers:
+            lower = jt[lower][table[j]]
+        table[i] = choice(ups[lower])
+    return tuple(table)
 
 
 def reference_monotone_draw(fops, rng) -> tuple:

@@ -52,7 +52,8 @@ The calls are, in order:
 * exhaustive ``check_safety`` at max_n=2 of every operation of
   pdl-threshold/L2 and of instantial (``max_k=1``), of ``join-pw``,
   ``meet-pw``, ``kleisli``, ``dual``, ``counter-domain`` and ``star`` on
-  aneighbourhood/B2, and of ``meet-pw`` on pdl-labelled/L3.
+  aneighbourhood/B2, of ``meet-pw`` on pdl-labelled/L3, and of ``+`` and
+  ``&`` on game/L2, whose local form fits the default budget.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -279,6 +280,8 @@ def _exhaustive_safety_rows(m):
         for variant in ("join-pw", "meet-pw", "kleisli", "dual", "counter-domain", "star")
     ]
     targets.append((presets.make_preset("pdl-labelled", alg("L3")), OperationSpec("meet", 2, "meet-pw")))
+    game = presets.make_preset("game", alg("L2"))
+    targets += [(game, game.ops["+"]), (game, game.ops["&"])]
     for config, op in targets:
         yield (
             f"safety {config.name}/{config.truth.name} {op.id} {op.variant} max_n=2 exhaustive",

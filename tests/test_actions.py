@@ -18,10 +18,14 @@ from mvdl.actions import (
 from mvdl.actions import TestSpec as TSpec
 from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
-from mvdl.functors import Kind, functor_ops, predicate_space
+from mvdl.functors import Kind, functor_ops, predicate_drawer, predicate_space
 from mvdl.presets import PRESET_NAMES, make_preset
 
-from reference_eval import reference_double_seq_map, reference_monotone_draw
+from reference_eval import (
+    reference_double_seq_map,
+    reference_monotone_draw,
+    reference_random_value,
+)
 
 KLEISLI = OperationSpec(";", 2, "kleisli")
 DSEQ = OperationSpec(";", 2, "double-seq")
@@ -413,6 +417,44 @@ class TestMonotoneDraws:
                 for _ in range(400):
                     assert fops.random_value(cached) == reference_monotone_draw(fops, uncached)
                 assert cached.getstate() == uncached.getstate()
+
+
+class TestDrawers:
+    @pytest.mark.parametrize(
+        "kind, alg_fixture, sizes",
+        [
+            (Kind.POWERSET, "B2", (1, 2, 3)),
+            (Kind.APOWERSET, "L2", (1, 2, 3)),
+            (Kind.APOWERSET, "L3", (1, 2)),
+            (Kind.A_NEIGHBOURHOOD, "B2", (1, 2)),
+            (Kind.A_NEIGHBOURHOOD, "L2", (1, 2)),
+            (Kind.MONOTONE_NEIGHBOURHOOD, "L2", (1, 2)),
+            (Kind.MONOTONE_NEIGHBOURHOOD, "L3", (1, 2)),
+            (Kind.DOUBLE_POWERSET, "B2", (1, 2, 3)),
+        ],
+    )
+    def test_drawer_matches_the_rng_methods(self, kind, alg_fixture, sizes, request):
+        # the inlined draws give the values randrange, choice and random gave,
+        # and leave the generator in the same state, so a sweep that mixes
+        # them with other draws keeps its order
+        alg = request.getfixturevalue(alg_fixture)
+        for n in sizes:
+            fops = functor_ops(kind, n, alg)
+            for seed in range(3):
+                inlined, methods = random.Random(seed), random.Random(seed)
+                draw = fops.drawer(inlined)
+                for _ in range(300):
+                    assert draw() == reference_random_value(fops, methods)
+                    assert fops.random_value(inlined) == reference_random_value(fops, methods)
+                assert inlined.getstate() == methods.getstate()
+
+    def test_predicate_drawer_matches_randrange(self):
+        for m, n in ((1, 2), (2, 1), (2, 3), (3, 2), (4, 4), (5, 3), (9, 1)):
+            inlined, methods = random.Random(m * 10 + n), random.Random(m * 10 + n)
+            draw = predicate_drawer(inlined, m, n)
+            for _ in range(300):
+                assert draw() == tuple(methods.randrange(m) for _ in range(n))
+            assert inlined.getstate() == methods.getstate()
 
 
 def test_every_operation_variant_has_one_arity():

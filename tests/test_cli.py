@@ -99,7 +99,26 @@ class TestExitCodes:
             "--max-n", "2", "--budget", "100",
         )
         assert (code, out) == (3, "")
-        assert "6561 coalgebra tuples" in err and "random mode" in err
+        assert "729 coalgebra tuples" in err and "random mode" in err
+
+    def test_game_pointwise_safety_fits_the_default_budget(self, capsys):
+        # both operands of `+` are local: 175**2 constant pairs, not C**2
+        code, out, _ = run(
+            capsys,
+            "--format", "json", "check-safety", "--preset", "game", "--algebra", "L2",
+            "--op", "+", "--max-n", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["status"] == "holds-up-to-bound"
+
+    def test_game_composition_safety_names_its_local_count(self, capsys):
+        # the right operand of `;` is not local: V*C = 175 * 30,625 pairs
+        code, out, err = run(
+            capsys,
+            "check-safety", "--preset", "game", "--algebra", "L2", "--op", ";", "--max-n", "2",
+        )
+        assert (code, out) == (3, "")
+        assert "5359375 coalgebra tuples" in err
 
     def test_semiprimal_false_exits_one(self, capsys):
         code, out, _ = run(capsys, "semiprimal", "--algebra", "G3")

@@ -3,6 +3,7 @@
 import random
 import time
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -78,6 +79,16 @@ class TestMorphism:
         )
 
 
+def _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
+    """``(f, gammas, cands)`` for each premise of the full form of
+    ``_safety_squares``, map by map, on the ids of a fresh carrier pair."""
+    spaces = {fops_src.n: vals_src, fops_tgt.n: vals_tgt}
+    ids = _SafetyIds(fops_src, fops_tgt)
+    for f, _, _, group in _safety_squares(op, ids, spaces):
+        for gammas, cands in group:
+            yield f, gammas, cands
+
+
 class TestSafetySweepCoverage:
     def test_exhaustive_pairs_match_brute_force(self, crisp_b2):
         # oracle: filter all (f, gammas, gammas') triples by the joint
@@ -103,9 +114,7 @@ class TestSafetySweepCoverage:
             # the generator works on ids: decode value ids through vals_src
             # and target coalgebra ids through coalgs_tgt
             generated = set()
-            for f, _, gammas, targets in _safety_squares(
-                op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
-            ):
+            for f, gammas, targets in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
                 decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
                 for cids in product(*targets):
                     generated.add((f, decoded, tuple(coalgs_tgt[c] for c in cids)))
@@ -127,9 +136,7 @@ class TestSafetySweepCoverage:
             decoded = [
                 (f, tuple(tuple(vals_src[v] for v in g) for g in gammas),
                  tuple(coalgs_tgt[c] for c in cids))
-                for f, _, gammas, targets in _safety_squares(
-                    op, _SafetyIds(fops_src, fops_tgt), {n_src: vals_src, n_tgt: vals_tgt}
-                )
+                for f, gammas, targets in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt)
                 for cids in product(*targets)
             ]
             reference = list(
@@ -189,10 +196,91 @@ class TestSafetySweepCoverage:
         assert outside and any(right[y] != 0 for y in outside)
         assert verdict.detail["evaluated"] < verdict.cases
 
+    @pytest.mark.parametrize("op_id, max_n", [("+", 1), (";", 1), ("&", 1), ("*", 2), ("~", 2)])
+    def test_instantial_matches_reference(self, op_id, max_n):
+        # the FValue reference takes about a minute per binary operation at
+        # two states, so those are compared with the full form below
+        config = make_preset("instantial", max_k=1)
+        self._assert_matches_reference(config.ops[op_id], config, max_n)
+
+    @pytest.mark.parametrize("op_id", ["+", ";", "&"])
+    def test_instantial_local_form_matches_full_form(self, monkeypatch, op_id):
+        config = make_preset("instantial", max_k=1)
+        op = config.ops[op_id]
+        local = check_safety(op, config, max_n=2)
+        monkeypatch.setattr(harness, "LOCAL_OPERANDS", dict.fromkeys(actions.LOCAL_OPERANDS, ()))
+        full = check_safety(op, config, max_n=2)
+        assert (local.status, local.cases, local.counterexample) == (
+            full.status, full.cases, full.counterexample
+        )
+        assert local.cases == 5_269_280
+        assert local.detail["evaluated"] < full.detail["evaluated"]
+
+    @pytest.mark.parametrize(
+        "preset, alg_name, op_id",
+        [("pdl-crisp", "B2", "+"), ("pdl-labelled", "L2", ";"), ("pdl-threshold", "L2", "+"),
+         ("game", "B2", "&"), ("game", "B2", "^d"), ("instantial", "B2", "~")],
+    )
+    def test_closed_form_counts_every_square(self, preset, alg_name, op_id):
+        # squares over f, (sum of |cands(g)|)**arity, is what the full form's
+        # premises hold, and the local form reports the same number
+        config = make_preset(preset, algebra_by_name(alg_name), max_k=1)
+        op = config.ops[op_id]
+        local = actions.LOCAL_OPERANDS[op.variant]
+        for n_src, n_tgt in product((1, 2), repeat=2):
+            fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
+            spaces = {n_src: list(fops_src.enumerate()), n_tgt: list(fops_tgt.enumerate())}
+            full = [
+                (f, squares, sum(prod(map(len, cands)) for _, cands in group))
+                for f, _, squares, group in _safety_squares(
+                    op, _SafetyIds(fops_src, fops_tgt), spaces
+                )
+            ]
+            assert all(squares == held for _, squares, held in full), (n_src, n_tgt)
+            reduced = [
+                (f, squares)
+                for f, _, squares, _ in _safety_squares(
+                    op, _SafetyIds(fops_src, fops_tgt), spaces, local
+                )
+            ]
+            assert reduced == [(f, squares) for f, squares, _ in full], (n_src, n_tgt)
+
+    def test_unnatural_pointwise_step_is_refuted_in_both_forms(self, monkeypatch, labelled_l2):
+        # join-pw that reverses its rows on two states or more: at n = 1 -> 2
+        # the target's row at f(0) is reversed and the source's is not
+        natural = actions.pointwise_step
+
+        def unnatural(alg, variant):
+            step = natural(alg, variant)
+            return lambda u, v: step(u, v) if len(u) < 2 else step(u, v)[::-1]
+
+        monkeypatch.setattr(actions, "pointwise_step", unnatural)
+        monkeypatch.setattr(harness, "pointwise_step", unnatural)
+        op = labelled_l2.ops["+"]
+        # the full form, C**2 = 6561 pairs, fits: the failing pair is swept
+        # again in it, and the reference's first counterexample is reported
+        verdict = self._assert_matches_reference(op, labelled_l2)
+        assert verdict.status == "fails" and "form" not in verdict.detail
+        # V**2 = 81 <= 100 < C**2: the local form's counterexample, whose
+        # operands are constant coalgebras, replays through the square
+        verdict = check_safety(op, labelled_l2, max_n=2, budget=100)
+        assert (verdict.status, verdict.detail["form"]) == ("fails", "local")
+        counter, kind, alg = verdict.counterexample, labelled_l2.kind, labelled_l2.struct
+        f, x = tuple(counter["f"]), counter["state"]
+        gammas, gammas2 = (
+            [tuple(fvalue_from_json(kind, v) for v in g) for g in counter[key]]
+            for key in ("gammas", "gammas_target")
+        )
+        assert all(len(set(g)) == 1 for g in gammas)
+        assert all(is_morphism(f, g, g2, kind, alg) for g, g2 in zip(gammas, gammas2))
+        fops_src, fops_tgt = labelled_l2.fops(len(f)), labelled_l2.fops(len(gammas2[0]))
+        out, out2 = apply_op(op, gammas, fops_src), apply_op(op, gammas2, fops_tgt)
+        assert fops_src.map(f, fops_tgt.n, out[x]) != out2[f[x]]
+
     @staticmethod
-    def _assert_matches_reference(op, config):
-        verdict = check_safety(op, config, max_n=2)
-        status, cases, counter = reference_safety(op, config, max_n=2)
+    def _assert_matches_reference(op, config, max_n=2):
+        verdict = check_safety(op, config, max_n=max_n)
+        status, cases, counter = reference_safety(op, config, max_n=max_n)
         assert (verdict.status, verdict.cases, verdict.counterexample) == (
             status, cases, counter
         )
@@ -366,22 +454,57 @@ class TestSafety:
         assert verdict.ok
 
 
+# the rule sweeps' carrier size per preset, as the benchmark's rule-sweep
+# workload runs them (game/L2 at n = 2 exceeds the default budget)
+REDUCIBLE_PRESETS = [
+    ("pdl-crisp", "L2", 2), ("pdl-labelled", "L2", 2), ("pdl-threshold", "L2", 2),
+    ("game", "L2", 1), ("instantial", None, 2),
+]
+
+
+@pytest.mark.parametrize("preset, alg_name, n", REDUCIBLE_PRESETS)
+def test_reducible_operations_are_safe(preset, alg_name, n):
+    # the paper's theorem as a regression test: an operation whose builtin
+    # rules all hold is safe, wherever its local-form sweep fits the budget
+    config = make_preset(preset, alg_name and algebra_by_name(alg_name), max_k=1)
+    verdicts = verify_registry(builtin_rules(config), n=n)
+    checked = {}
+    for op in config.ops.values():
+        rules = [v for key, v in verdicts.items() if key[:2] == ("op", op.id)]
+        if not rules or not all(v.status == "holds" for v in rules):
+            continue
+        try:
+            verdict = check_safety(op, config, max_n=2)
+        except BudgetExceeded:
+            continue
+        assert verdict.status == "holds-up-to-bound", op.id
+        checked[op.id] = verdict.cases
+    assert checked
+    if preset == "game":
+        # `;` (175 * 30,625 local-form pairs) is over budget; `*` has no rules
+        assert checked == {"+": 3_016_057_397_825, "&": 3_016_057_397_825, "^d": 2_527_025}
+
+
 class TestSafetyBudget:
     def test_operand_tuples_are_counted_before_the_sweep(self, game_l2):
-        # 175 monotone values at two states give C = 30,625 coalgebras, few
-        # enough, but `+` sweeps C**2 source operand pairs: refused at once
+        # 175 monotone values at two states give C = 30,625 coalgebras; `;`
+        # sweeps its local left operand over the 175 constant coalgebras and
+        # its right one over all C: V*C source operand pairs, refused at once
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="random mode") as err:
-            check_safety(game_l2.ops["+"], game_l2, max_n=2)
-        assert err.value.count == 937_890_625
+            check_safety(game_l2.ops[";"], game_l2, max_n=2)
+        assert err.value.count == 5_359_375
         assert time.perf_counter() - t0 < 10
 
     def test_one_operand_fits_where_two_do_not(self, labelled_l2):
-        # C = 81 at two states: 81 <= 100 < 81**2
-        assert check_safety(labelled_l2.ops["*"], labelled_l2, max_n=2, budget=100).ok
+        # V = 9 values and C = 81 coalgebras at two states: `+` (both operands
+        # local) sweeps V**2 = 81 and `*` C = 81 operand tuples, <= 100 <
+        # V*C = 729 for `;`, whose right operand is not local
+        for op_id in ("+", "*"):
+            assert check_safety(labelled_l2.ops[op_id], labelled_l2, max_n=2, budget=100).ok
         with pytest.raises(BudgetExceeded) as err:
             check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, budget=100)
-        assert err.value.count == 81**2
+        assert err.value.count == 9 * 81
 
     def test_sampled_mode_has_no_budget(self, labelled_l2):
         verdict = check_safety(
