@@ -33,6 +33,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
@@ -174,7 +175,10 @@ def check_safety(
     the constant coalgebra of that value is a premise too.  ``cases`` still
     counts every morphism square.  Its source operand tuples at max_n,
     V**l * C**(arity - l) for l local operands, are checked against
-    ``budget`` first; they bound every pair's sweep.  When a carrier pair
+    ``budget`` first.  They bound the sweep of each map f of each carrier
+    pair: it enumerates no more operand tuples, and reads the V values
+    when every operand is local, the C coalgebras of each side otherwise
+    (``_safety_squares``).  When a carrier pair
     fails and the full form, C**arity tuples, fits ``budget``, that pair is
     swept again in the full form, which reports the canonical first
     counterexample and its case count; otherwise the local form's first
@@ -208,7 +212,8 @@ def check_safety(
             checked, computed, counter = _safety_pair(target, ids, premises(ids))
             form = {}
             if counter is not None and not sampled and local:
-                if full <= budget:
+                if full <= budget:  # on fresh ids, whose cids are in product order
+                    ids = _SafetyIds(ids.fops_src, ids.fops_tgt)
                     squares = _safety_squares(target, ids, spaces)
                     checked, more, counter = _safety_pair(target, ids, squares)
                     computed += more
@@ -306,47 +311,74 @@ def _safety_squares(
     canonical order.
 
     The canonical enumerations of FX and FY (``spaces`` by carrier size)
-    are interned first, then the target coalgebras in the order of
-    ``product(range(|FY|), repeat=n_tgt)``, so a vid is an index into its
-    enumeration and a cid an index into that product.  Yields ``(f, ff,
-    squares, premises)`` per map f: ``ff`` is ``ids.ff(f)``, ``squares``
-    the number of morphism squares over f, (sum of |cands(g)| over the
-    consistent g)**arity, and ``premises`` the ``(gammas, cands)`` pairs:
-    ``gammas`` the source operands and ``cands[i]`` the ascending cids of
-    the target coalgebras that agree with Ff . gammas[i] on the image of f,
-    the states outside the image varying, the last fastest.  The squares of
-    a premise are ``product(*cands)``.  An operand in ``local`` ranges over
-    the constant coalgebras ``(u,) * n_src`` only, every other one over
-    every source coalgebra whose Ff-image is a function on the image of f;
-    with ``local`` empty (the full form) the premises hold ``squares``
-    squares.
+    are interned first, so a vid is an index into its enumeration.  Yields
+    ``(f, ff, squares, premises)`` per map f: ``ff`` is ``ids.ff(f)``,
+    ``squares`` the number of morphism squares over f, (sum of |cands(g)|
+    over the consistent g)**arity, counted in closed form, and
+    ``premises`` the ``(gammas, cands, held)`` triples: ``gammas`` the
+    source operands, ``cands[i]`` the ascending cids of the target
+    coalgebras that agree with Ff . gammas[i] on the image of f, the states
+    outside the image varying, the last fastest, and ``held`` the number
+    of squares of the premise, those of ``product(*cands)``.  An operand in
+    ``local`` ranges over the constant coalgebras ``(u,) * n_src`` only,
+    every other one over every source coalgebra whose Ff-image is a
+    function on the image of f; with ``local`` empty (the full form) the
+    premises hold ``squares`` squares.
+
+    When some operand is not in ``local``, the target coalgebras are
+    interned first, in the order of ``product(range(|FY|), repeat=n_tgt)``,
+    so a cid is an index into that product.  When every operand is, no
+    coalgebra is enumerated: a constant's ``cands`` is its first
+    candidate only, interned on sight, and its ``held`` counts the rest.
     """
     n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
     for v in spaces[n_src]:
         ids.src(v)
     for v in spaces[n_tgt]:
         ids.tgt(v)
-    for h in product(range(len(ids.vals_tgt)), repeat=n_tgt):
-        ids.cid(h)
-    coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
+    n_vals = len(ids.vals_tgt)
     constants = [(v,) * n_src for v in range(len(ids.vals_src))]
+    every = [i for i in range(op.arity) if i not in local]
+    if every:
+        for h in product(range(n_vals), repeat=n_tgt):
+            ids.cid(h)
+        coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
     for f in product(range(n_tgt), repeat=n_src):
         ff = ids.ff(f)
-        image = sorted(set(f))
-        extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
-        for cid, h in enumerate(ids.coalgs):
-            extending.setdefault(tuple(h[y] for y in image), []).append(cid)
-        # the source coalgebras whose image under Ff is a function on the
-        # image of f, each with the target coalgebras extending that function
-        cands = {}
-        for g in coalgs_src:
-            forced = _forced(f, ff, g)
-            if forced is not None:
-                cands[g] = extending[tuple(forced[y] for y in image)]
+        fibres = Counter(f)  # each state of the image of f with its preimage size
+        image = sorted(fibres)
+        # a consistent g picks one target vid per state y of the image and,
+        # at each preimage of y, a source vid that Ff maps to it; its
+        # candidates are free on the states outside the image
+        preimages = Counter(ff[: len(constants)]).values()
+        free = n_vals ** (n_tgt - len(image))
+        consistent = prod(sum(c**k for c in preimages) for k in fibres.values())
+        squares = (consistent * free) ** op.arity
+        if every:
+            extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
+            for cid, h in enumerate(ids.coalgs):
+                extending.setdefault(tuple(h[y] for y in image), []).append(cid)
+            cands = {}
+            for g in coalgs_src:
+                forced = _forced(f, ff, g)
+                if forced is not None:
+                    cands[g] = extending[tuple(forced[y] for y in image)]
+            held = None
+        else:
+            cid, on = ids.cid, [y in fibres for y in range(n_tgt)]
+            cands = {g: [cid(tuple(ff[g[0]] if o else 0 for o in on))] for g in constants}
+            held = free**op.arity
         operands = [constants if i in local else cands for i in range(op.arity)]
-        yield f, ff, sum(map(len, cands.values())) ** op.arity, (
-            (gammas, tuple(map(cands.__getitem__, gammas))) for gammas in product(*operands)
-        )
+        yield f, ff, squares, _premises(operands, cands, held)
+
+
+def _premises(operands: list, cands: dict, held: int | None):
+    """``(gammas, cands, held)`` per source operand tuple of
+    ``product(*operands)``; ``held`` is the product of the candidate
+    counts unless given."""
+    for gammas in product(*operands):
+        cs = tuple(map(cands.__getitem__, gammas))
+        yield gammas, cs, held or prod(map(len, cs))
 
 
 def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
@@ -355,7 +387,7 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
     states outside the image of f; a draw whose sources force two values on
     one target state is no premise and draws no target state.  Yields each
     premise as ``_safety_squares`` yields a map, ``(f, ff, 1, [(gammas,
-    cands)])`` with each ``cands[i]`` the one drawn cid, and clears ``ids``
+    cands, 1)])`` with each ``cands[i]`` the one drawn cid, and clears ``ids``
     once a table holds more than ``SAMPLED_COALGEBRAS`` entries."""
     fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
@@ -376,7 +408,7 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
             [ids.cid(tuple(d[y] if y in d else ids.tgt(draw_tgt()) for y in range(n_tgt)))]
             for d in forced
         )
-        yield f, ff, 1, [(gammas, cands)]
+        yield f, ff, 1, [(gammas, cands, 1)]
 
 
 def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern, vids):
@@ -421,9 +453,10 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     first counterexample.
 
     ``premises`` yields ``(f, ff, squares, group)`` per map f (per draw
-    when sampled); each ``(gammas, cands)`` of ``group`` is one square per
-    target operand tuple of ``product(*cands)``: Ff(op(gammas)), once,
-    against op(targets) on the image of f.  An operand in
+    when sampled); each ``(gammas, cands, held)`` of ``group`` is the
+    ``held`` squares of the target operand tuples ``product(*cands)``
+    stands for: Ff(op(gammas)), once, against op(targets) on the image of
+    f.  An operand in
     ``LOCAL_OPERANDS`` is read at the image of f only, where the premise
     forces it, so only its first candidate is computed and its other
     candidates count as the same square.  Local operands come before the
@@ -446,7 +479,7 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     for f, ff, squares, group in premises:
         at_image = itemgetter(*f)
         done = 0  # the squares of the group's premises checked so far
-        for gammas, cands in group:
+        for gammas, cands, held in group:
             out = source(gammas)
             if len(ff) < len(vals_src):
                 ff = ids.ff(f)
@@ -461,7 +494,7 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
                     gammas2 = [[vals_tgt[v] for v in coalgs[c]] for c in cids]
                     counter = _safety_counter(fops_src.kind, f, sources, gammas2, x)
                     return cases + done + k, evaluated + k, counter
-            done += prod(map(len, cands))
+            done += held
             evaluated += k
         cases += squares
     return cases, evaluated, None

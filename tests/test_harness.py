@@ -19,6 +19,7 @@ from mvdl.functors import Kind, functor_ops, predicate_space
 from mvdl.harness import (
     DEFAULT_SEED,
     _SafetyIds,
+    _safety_pair,
     _safety_squares,
     bounded_entailment,
     check_invariance,
@@ -85,7 +86,7 @@ def _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
     spaces = {fops_src.n: vals_src, fops_tgt.n: vals_tgt}
     ids = _SafetyIds(fops_src, fops_tgt)
     for f, _, _, group in _safety_squares(op, ids, spaces):
-        for gammas, cands in group:
+        for gammas, cands, _ in group:
             yield f, gammas, cands
 
 
@@ -222,8 +223,9 @@ class TestSafetySweepCoverage:
          ("game", "B2", "&"), ("game", "B2", "^d"), ("instantial", "B2", "~")],
     )
     def test_closed_form_counts_every_square(self, preset, alg_name, op_id):
-        # squares over f, (sum of |cands(g)|)**arity, is what the full form's
-        # premises hold, and the local form reports the same number
+        # squares over f, (sum of |cands(g)|)**arity in closed form, is what
+        # the full form's premises hold, each premise holding its candidate
+        # tuples, and the local form reports the same number
         config = make_preset(preset, algebra_by_name(alg_name), max_k=1)
         op = config.ops[op_id]
         local = actions.LOCAL_OPERANDS[op.variant]
@@ -231,12 +233,17 @@ class TestSafetySweepCoverage:
             fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
             spaces = {n_src: list(fops_src.enumerate()), n_tgt: list(fops_tgt.enumerate())}
             full = [
-                (f, squares, sum(prod(map(len, cands)) for _, cands in group))
+                (f, squares, sum(prod(map(len, cands)) for _, cands, _ in group))
                 for f, _, squares, group in _safety_squares(
                     op, _SafetyIds(fops_src, fops_tgt), spaces
                 )
             ]
             assert all(squares == held for _, squares, held in full), (n_src, n_tgt)
+            assert all(
+                held == prod(map(len, cands))
+                for _, _, _, group in _safety_squares(op, _SafetyIds(fops_src, fops_tgt), spaces)
+                for _, cands, held in group
+            )
             reduced = [
                 (f, squares)
                 for f, _, squares, _ in _safety_squares(
@@ -505,6 +512,22 @@ class TestSafetyBudget:
         with pytest.raises(BudgetExceeded) as err:
             check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, budget=100)
         assert err.value.count == 9 * 81
+
+    def test_all_local_sweep_enumerates_no_coalgebra(self, labelled_l2):
+        # V = 27 values and C = 19,683 coalgebras at three states: `+` reads
+        # both operands locally, so the budget counts V**2 = 729 operand
+        # pairs, and a carrier pair's sweep interns one first candidate per
+        # image of f and value forced on it, never the C target coalgebras
+        op = labelled_l2.ops["+"]
+        fops = labelled_l2.fops(3)
+        ids = _SafetyIds(fops, fops)
+        squares = _safety_squares(op, ids, {3: list(fops.enumerate())}, (0, 1))
+        assert _safety_pair(op, ids, squares)[2] is None
+        assert len(ids.coalgs) <= 7 * 27 < 27**3
+        assert check_safety(op, labelled_l2, max_n=3, budget=729).ok
+        with pytest.raises(BudgetExceeded) as err:
+            check_safety(op, labelled_l2, max_n=3, budget=728)
+        assert err.value.count == 729
 
     def test_sampled_mode_has_no_budget(self, labelled_l2):
         verdict = check_safety(
