@@ -329,7 +329,8 @@ def _safety_squares(
     interned first, in the order of ``product(range(|FY|), repeat=n_tgt)``,
     so a cid is an index into that product.  When every operand is, no
     coalgebra is enumerated: a constant's ``cands`` is its first
-    candidate only, interned on sight, and its ``held`` counts the rest.
+    candidate only, interned on sight, and ``held`` still counts the
+    squares of every candidate.
     """
     n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
     for v in spaces[n_src]:
