@@ -17,15 +17,16 @@ is one loop, one comparison and one counterexample builder over those
 batches.
 
 A safety sweep runs one loop per carrier pair on ids of its own, given on
-first sight: a value's vid, a source coalgebra as a tuple of vids, a target
-coalgebra's cid; Ff is one vid list per map f.  Its premises are every
+first sight: a value's vid, and a coalgebra on either side as the tuple of
+its states' vids; Ff is one vid list per map f.  Its premises are every
 joint morphism square in canonical order (exhaustive mode, which interns
-the enumeration of FX first) or drawn ones; only a counterexample is
-decoded back to FValues.  Operation outputs are read from one-step tables
-keyed by vid.  An operand that the operation reads only at the evaluated
-state (``actions.LOCAL_OPERANDS``) is a constant coalgebra on the source
-side of an exhaustive sweep, and is computed at its first candidate only
-on the target side: the premise forces its value on the image of f.
+the enumerations of FX and FY first) or drawn ones; only a counterexample
+is decoded back to FValues.  Operation outputs are read from one-step
+tables keyed by vid.  An operand that the operation reads only at the
+evaluated state (``actions.LOCAL_OPERANDS``) is a constant coalgebra on
+the source side of an exhaustive sweep, and is computed at its first
+candidate only on the target side: the premise forces its value on the
+image of f.  ``_safety_squares`` is the only code that knows which.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ import time
 from dataclasses import dataclass, field
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import product
+from itertools import islice, product
 from math import prod
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .actions import (
@@ -170,27 +171,24 @@ def check_safety(
 
     Exhaustive mode sweeps the local form: an operand in
     ``actions.LOCAL_OPERANDS`` ranges over the V constant source coalgebras
-    only, every other one over all C consistent ones.  It is exact: the
+    only, every other one over every consistent one.  It is exact: the
     operation reads a local operand at x only through its value there, and
     the constant coalgebra of that value is a premise too.  ``cases`` still
     counts every morphism square.  Its source operand tuples at max_n,
     V**l * C**(arity - l) for l local operands, are checked against
-    ``budget`` first.  They bound the sweep of each map f of each carrier
-    pair: it enumerates no more operand tuples, and reads the V values
-    when every operand is local, the C coalgebras of each side otherwise
-    (``_safety_squares``).  When a carrier pair
-    fails and the full form, C**arity tuples, fits ``budget``, that pair is
-    swept again in the full form, which reports the canonical first
-    counterexample and its case count; otherwise the local form's first
-    counterexample is reported with ``detail["form"] = "local"``.
-    ``detail["evaluated"]`` counts the target tuples the sweeps computed.
-    A test target is always swept exhaustively (``_check_test_safety``).
+    ``budget`` first.  When a carrier pair fails and the full form, C**arity
+    tuples, fits ``budget``, that pair is swept again in it, which reports
+    the canonical first counterexample and its case count; otherwise the
+    local form's first counterexample is reported with ``detail["form"] =
+    "local"``.  ``detail["evaluated"]`` counts the target tuples computed.  A test target is always swept
+    exhaustively (``_check_test_safety``).
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
     if isinstance(target, TestSpec):
         return _check_test_safety(target, config, max_n, budget, t0)
     target.check_kind(config.kind)
+    pairs = [_SafetyIds(*map(config.fops, n)) for n in product(range(1, max_n + 1), repeat=2)]
     sampled, local = {}, LOCAL_OPERANDS[target.variant]
     if mode == "exhaustive":
         spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
@@ -206,37 +204,39 @@ def check_safety(
         rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
         premises = partial(_safety_draws, target, rng=rng, trials=trials // (max_n * max_n) + 1)
     cases = evaluated = 0
-    for n_src in range(1, max_n + 1):
-        for n_tgt in range(1, max_n + 1):
-            ids = _SafetyIds(config.fops(n_src), config.fops(n_tgt))
-            checked, computed, counter = _safety_pair(target, ids, premises(ids))
-            form = {}
-            if counter is not None and not sampled and local:
-                if full <= budget:  # on fresh ids, whose cids are in product order
-                    ids = _SafetyIds(ids.fops_src, ids.fops_tgt)
-                    squares = _safety_squares(target, ids, spaces)
-                    checked, more, counter = _safety_pair(target, ids, squares)
-                    computed += more
-                else:
-                    form = {"form": "local"}
-            cases += checked
-            evaluated += computed
-            if counter is not None:
-                return _verdict(
-                    "fails", cases, t0, counter, target=target.id, n=(n_src, n_tgt),
-                    **(sampled or {"evaluated": evaluated}), **form,
-                )
+    for ids in pairs:
+        checked, computed, counter = _safety_pair(target, ids, premises(ids))
+        form = {}
+        if counter is not None and not sampled and local:
+            if full <= budget:
+                squares = _safety_squares(target, ids, spaces)
+                checked, more, counter = _safety_pair(target, ids, squares)
+                computed += more
+            else:
+                form = {"form": "local"}
+        cases += checked
+        evaluated += computed
+        if counter is not None:
+            n = (ids.fops_src.n, ids.fops_tgt.n)
+            return _verdict(
+                "fails", cases, t0, counter, target=target.id, n=n,
+                **(sampled or {"evaluated": evaluated}), **form,
+            )
+        ids.clear()
     return _verdict(
         "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode,
         **(sampled or {"evaluated": evaluated}),
     )
 
 
-def _safety_counter(kind: Kind, f, gammas, gammas2, x: int) -> dict:
+def _safety_counter(ids: "_SafetyIds", f, gammas, targets, x: int) -> dict:
+    """The failing square at state x, its operands decoded from vids."""
+    kind = ids.fops_src.kind
+    decode = lambda vals, coalgs: [[fvalue_to_json(kind, vals[v]) for v in g] for g in coalgs]
     return {
         "f": list(f),
-        "gammas": [[fvalue_to_json(kind, v) for v in g] for g in gammas],
-        "gammas_target": [[fvalue_to_json(kind, v) for v in g] for g in gammas2],
+        "gammas": decode(ids.vals_src, gammas),
+        "gammas_target": decode(ids.vals_tgt, targets),
         "state": x,
     }
 
@@ -257,18 +257,16 @@ class _Table(dict):
 
 class _SafetyIds:
     """The ids of one carrier pair's safety sweep, given on first sight: a
-    value's vid is its index in ``vals_src`` or ``vals_tgt``, a target
-    coalgebra (a tuple of target vids) its cid, its index in ``coalgs``.
-    ``table`` makes the one-step tables that operation outputs are read
-    from; ``clear`` drops them with the ids."""
+    value's vid is its index in ``vals_src`` or ``vals_tgt``, and a
+    coalgebra on either side is the tuple of its states' vids.  ``table``
+    makes the one-step tables that operation outputs are read from;
+    ``clear`` drops them with the ids."""
 
     def __init__(self, fops_src: FunctorOps, fops_tgt: FunctorOps):
         self.fops_src, self.fops_tgt = fops_src, fops_tgt
-        vals_src, vals_tgt, coalgs, index = [], [], [], [{}, {}, {}]
-        self.src, self.tgt, self.cid = map(_interner, index, [vals_src, vals_tgt, coalgs])
-        self.vals_src, self.vals_tgt, self.coalgs = vals_src, vals_tgt, coalgs
-        self._ff = {}
-        self._tables = [*index, vals_src, vals_tgt, coalgs, self._ff]
+        self.vals_src, self.vals_tgt, index, self._ff = [], [], [{}, {}], {}
+        self.src, self.tgt = map(_interner, index, [self.vals_src, self.vals_tgt])
+        self._tables = [*index, self.vals_src, self.vals_tgt, self._ff]
 
     def clear(self) -> None:
         """Drop every id and every table keyed on them."""
@@ -304,82 +302,63 @@ def _forced(f: tuple[int, ...], ff: list[int], g: tuple) -> dict[int, int] | Non
     return forced
 
 
-def _safety_squares(
-    op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, list], local: Sequence[int] = ()
-):
-    """The joint-morphism premises of the exhaustive sweep, map by map in
-    canonical order.
-
-    The canonical enumerations of FX and FY (``spaces`` by carrier size)
-    are interned first, so a vid is an index into its enumeration.  Yields
-    ``(f, ff, squares, premises)`` per map f: ``ff`` is ``ids.ff(f)``,
-    ``squares`` the number of morphism squares over f, (sum of |cands(g)|
-    over the consistent g)**arity, counted in closed form, and
-    ``premises`` the ``(gammas, cands, held)`` triples: ``gammas`` the
-    source operands, ``cands[i]`` the ascending cids of the target
-    coalgebras that agree with Ff . gammas[i] on the image of f, the states
-    outside the image varying, the last fastest, and ``held`` the number
-    of squares of the premise, those of ``product(*cands)``.  An operand in
-    ``local`` ranges over the constant coalgebras ``(u,) * n_src`` only,
-    every other one over every source coalgebra whose Ff-image is a
-    function on the image of f; with ``local`` empty (the full form) the
-    premises hold ``squares`` squares.
-
-    When some operand is not in ``local``, the target coalgebras are
-    interned first, in the order of ``product(range(|FY|), repeat=n_tgt)``,
-    so a cid is an index into that product.  When every operand is, no
-    coalgebra is enumerated: a constant's ``cands`` is its first
-    candidate only, interned on sight, and ``held`` still counts the
-    squares of every candidate.
-    """
+def _maps(ids: _SafetyIds, spaces: Mapping[int, list]):
+    """``(f, ff, image, consistent, free)`` per map f of a carrier pair in
+    canonical order: ``ff`` is ``ids.ff(f)``, ``image`` the ascending image
+    of f, ``consistent`` the number of source coalgebras whose Ff-image is
+    a function on it and ``free`` the number of fills of the target states
+    outside it.  The canonical enumerations of FX and FY (``spaces`` by
+    carrier size) are interned first, so a vid is an index into its
+    enumeration and ``product`` order is the canonical coalgebra order."""
     n_src, n_tgt = ids.fops_src.n, ids.fops_tgt.n
     for v in spaces[n_src]:
         ids.src(v)
     for v in spaces[n_tgt]:
         ids.tgt(v)
-    n_vals = len(ids.vals_tgt)
-    constants = [(v,) * n_src for v in range(len(ids.vals_src))]
-    every = [i for i in range(op.arity) if i not in local]
-    if every:
-        for h in product(range(n_vals), repeat=n_tgt):
-            ids.cid(h)
-        coalgs_src = list(product(range(len(ids.vals_src)), repeat=n_src))
     for f in product(range(n_tgt), repeat=n_src):
         ff = ids.ff(f)
         fibres = Counter(f)  # each state of the image of f with its preimage size
-        image = sorted(fibres)
         # a consistent g picks one target vid per state y of the image and,
-        # at each preimage of y, a source vid that Ff maps to it; its
-        # candidates are free on the states outside the image
-        preimages = Counter(ff[: len(constants)]).values()
-        free = n_vals ** (n_tgt - len(image))
+        # at each preimage of y, a source vid that Ff maps to it
+        preimages = Counter(ff[: len(spaces[n_src])]).values()
         consistent = prod(sum(c**k for c in preimages) for k in fibres.values())
-        squares = (consistent * free) ** op.arity
-        if every:
-            extending: dict[tuple, list[int]] = {}  # vids on the image -> cids
-            for cid, h in enumerate(ids.coalgs):
-                extending.setdefault(tuple(h[y] for y in image), []).append(cid)
-            cands = {}
-            for g in coalgs_src:
-                forced = _forced(f, ff, g)
-                if forced is not None:
-                    cands[g] = extending[tuple(forced[y] for y in image)]
-            held = None
-        else:
-            cid, on = ids.cid, [y in fibres for y in range(n_tgt)]
-            cands = {g: [cid(tuple(ff[g[0]] if o else 0 for o in on))] for g in constants}
-            held = free**op.arity
-        operands = [constants if i in local else cands for i in range(op.arity)]
-        yield f, ff, squares, _premises(operands, cands, held)
+        yield f, ff, sorted(fibres), consistent, len(spaces[n_tgt]) ** (n_tgt - len(fibres))
 
 
-def _premises(operands: list, cands: dict, held: int | None):
-    """``(gammas, cands, held)`` per source operand tuple of
-    ``product(*operands)``; ``held`` is the product of the candidate
-    counts unless given."""
-    for gammas in product(*operands):
-        cs = tuple(map(cands.__getitem__, gammas))
-        yield gammas, cs, held or prod(map(len, cs))
+def _safety_squares(
+    op: OperationSpec, ids: _SafetyIds, spaces: Mapping[int, list], local: Sequence[int] = ()
+):
+    """The joint-morphism premises of the exhaustive sweep, map by map in
+    canonical order (``_maps``).
+
+    Yields ``(f, ff, squares, held, premises)`` per map f: ``squares`` is
+    the number of morphism squares over f, (consistent * free)**arity, and
+    each ``(gammas, cands)`` of ``premises`` stands for ``held`` =
+    free**arity of them: ``gammas`` the source operands and ``cands[i]``
+    the target coalgebras that agree with Ff . gammas[i] on the image of f,
+    in product order, memoised per forced image.  An operand in ``local``
+    ranges over the constant coalgebras ``(u,) * n_src`` only, every other
+    one over every consistent source coalgebra.  An operand in
+    ``actions.LOCAL_OPERANDS`` keeps its first candidate only (vid 0 off
+    the image): the operation reads it on the image, where it is forced.
+    """
+    n_src, n_tgt, lazy = ids.fops_src.n, ids.fops_tgt.n, LOCAL_OPERANDS[op.variant]
+    vids, every = range(len(spaces[n_tgt])), range(len(spaces[n_src]))
+    constants = [(u,) * n_src for u in every]
+    coalgs = list(product(every, repeat=n_src)) if len(local) < op.arity else []
+    for f, ff, image, consistent, free in _maps(ids, spaces):
+
+        def fill(stop: int | None, forced: tuple) -> list[tuple]:
+            on = {y: (w,) for y, w in zip(image, forced)}
+            return list(islice(product(*(on.get(y, vids) for y in range(n_tgt))), stop))
+
+        tables, operands = [_Table(partial(fill, None)), _Table(partial(fill, 1))], []
+        for i in range(op.arity):
+            cands = tables[i in lazy]
+            forced = ((g, _forced(f, ff, g)) for g in (constants if i in local else coalgs))
+            operands.append([(g, cands[tuple(map(d.get, image))]) for g, d in forced if d])
+        premises = (tuple(zip(*p)) for p in product(*operands))
+        yield f, ff, (consistent * free) ** op.arity, free**op.arity, premises
 
 
 def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
@@ -387,9 +366,10 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
     operands (operand-major, state by state), then each target operand's
     states outside the image of f; a draw whose sources force two values on
     one target state is no premise and draws no target state.  Yields each
-    premise as ``_safety_squares`` yields a map, ``(f, ff, 1, [(gammas,
-    cands, 1)])`` with each ``cands[i]`` the one drawn cid, and clears ``ids``
-    once a table holds more than ``SAMPLED_COALGEBRAS`` entries."""
+    premise as ``_safety_squares`` yields a map, ``(f, ff, 1, 1, [(gammas,
+    cands)])`` with each ``cands[i]`` the one drawn target coalgebra, and
+    clears ``ids`` once a table holds more than ``SAMPLED_COALGEBRAS``
+    entries."""
     fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
     draw_map = predicate_drawer(rng, n_tgt, n_src)
@@ -406,44 +386,39 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
         if None in forced:
             continue
         cands = tuple(
-            [ids.cid(tuple(d[y] if y in d else ids.tgt(draw_tgt()) for y in range(n_tgt)))]
+            [tuple(d[y] if y in d else ids.tgt(draw_tgt()) for y in range(n_tgt))]
             for d in forced
         )
-        yield f, ff, 1, [(gammas, cands, 1)]
+        yield f, ff, 1, 1, [(gammas, cands)]
 
 
-def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern, vids):
+def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern):
     """op's output on one side of a square, as a vid tuple by state, from
-    its operands' keys: source vid tuples, or target cids, which ``vids``
-    turns into vid tuples.  ``vals`` and ``intern`` are the side's vids.
+    its operands, vid tuples too.  ``vals`` and ``intern`` are the side's
+    vids.
 
-    Outputs are memoised by operand keys in ``ids`` and computed from
-    one-step tables there: a pointwise step by the operands' vids at a
-    state, a unary local step by (state, vid), a composition by one
-    left-vid row per right operand key.  ``star`` reads its operand whole,
-    through ``apply_op``.
+    Outputs are memoised by operands in ``ids`` and computed from one-step
+    tables there: a pointwise step by the operands' vids at a state, a
+    unary local step by (state, vid), a composition by one left-vid row per
+    right operand.  ``star`` reads its operand whole, through ``apply_op``.
     """
-    variant = op.variant
-
-    def decode(key) -> tuple:
-        return tuple(map(vals.__getitem__, vids(key)))
-
+    variant, decode = op.variant, lambda key: tuple(map(vals.__getitem__, key))
     if variant in POINTWISE_VARIANTS:
         step = pointwise_step(fops.alg, variant)
         get = ids.table(lambda uv: intern(step(vals[uv[0]], vals[uv[1]]))).__getitem__
-        output = lambda keys: tuple(map(get, zip(*map(vids, keys))))
+        output = lambda keys: tuple(map(get, zip(*keys)))
     elif variant in UNARY_STEP_VARIANTS:
         local = unary_step(fops, variant)
         get = ids.table(lambda xu: intern(local(xu[0], vals[xu[1]]))).__getitem__
-        output = lambda keys: tuple(map(get, enumerate(vids(keys[0]))))
+        output = lambda keys: tuple(map(get, enumerate(keys[0])))
     elif variant in COMPOSITION_VARIANTS:
 
-        def row(key) -> _Table:  # left vid -> output vid, against right operand key
+        def row(key) -> _Table:  # left vid -> output vid, against a right operand
             cmap = composition_map(fops, variant, decode(key))
             return _Table(lambda u: intern(cmap(vals[u])))
 
         rows = ids.table(row)
-        output = lambda keys: tuple(map(rows[keys[1]].__getitem__, vids(keys[0])))
+        output = lambda keys: tuple(map(rows[keys[1]].__getitem__, keys[0]))
     else:
         output = lambda keys: tuple(map(intern, apply_op(op, list(map(decode, keys)), fops)))
     return ids.table(output).__getitem__
@@ -453,47 +428,37 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     """Cases checked on one carrier pair, target tuples computed, and the
     first counterexample.
 
-    ``premises`` yields ``(f, ff, squares, group)`` per map f (per draw
-    when sampled); each ``(gammas, cands, held)`` of ``group`` is the
-    ``held`` squares of the target operand tuples ``product(*cands)``
-    stands for: Ff(op(gammas)), once, against op(targets) on the image of
-    f.  An operand in
-    ``LOCAL_OPERANDS`` is read at the image of f only, where the premise
-    forces it, so only its first candidate is computed and its other
-    candidates count as the same square.  Local operands come before the
-    others, so the k-th tuple computed is the k-th of ``product(*cands)``
-    too, and the first failing square keeps its place in canonical order:
-    it is counted after the squares of the group's premises before it.  A
-    group that holds counts its ``squares``.  ``ff`` covers the vids
-    interned before the premise, so it needs extending only when
-    op(gammas) interned new ones.  Only a counterexample is decoded back to
-    FValues.
+    ``premises`` yields ``(f, ff, squares, held, group)`` per map f (per
+    draw when sampled); each ``(gammas, cands)`` of ``group`` stands for
+    ``held`` squares, checked as Ff(op(gammas)), once, against op(targets)
+    on the image of f for the target operand tuples of ``product(*cands)``.
+    An operand trimmed to its first candidate comes before the others, so
+    the k-th tuple computed is the k-th square of its premise, and the
+    first failing square keeps its place in canonical order: it is counted
+    after the squares of the group's premises before it.  A group that
+    holds counts its ``squares``.  ``ff`` covers the vids interned before
+    the premise, so it needs extending only when op(gammas) interned new
+    ones.  Only a counterexample is decoded back to FValues.
     """
-    fops_src, fops_tgt, n_src = ids.fops_src, ids.fops_tgt, ids.fops_src.n
-    vals_src, vals_tgt, coalgs = ids.vals_src, ids.vals_tgt, ids.coalgs
-    source = _outputs(op, ids, fops_src, vals_src, ids.src, tuple)
-    target = _outputs(op, ids, fops_tgt, vals_tgt, ids.tgt, coalgs.__getitem__)
-    # the candidates computed: a local operand's first, every other one's all
-    local = LOCAL_OPERANDS[op.variant]
-    trim = [slice(1) if i in local else slice(None) for i in range(op.arity)]
+    n_src, vals_src = ids.fops_src.n, ids.vals_src
+    source = _outputs(op, ids, ids.fops_src, vals_src, ids.src)
+    target = _outputs(op, ids, ids.fops_tgt, ids.vals_tgt, ids.tgt)
     cases = evaluated = 0
-    for f, ff, squares, group in premises:
+    for f, ff, squares, held, group in premises:
         at_image = itemgetter(*f)
         done = 0  # the squares of the group's premises checked so far
-        for gammas, cands, held in group:
+        for gammas, cands in group:
             out = source(gammas)
             if len(ff) < len(vals_src):
                 ff = ids.ff(f)
             lhs = tuple(map(ff.__getitem__, out))  # Ff(op(gammas)) state by state
             want = lhs if n_src > 1 else lhs[0]
             k = 0
-            for k, cids in enumerate(product(*map(getitem, cands, trim)), 1):
-                rhs = target(cids)
+            for k, targets in enumerate(product(*cands), 1):
+                rhs = target(targets)
                 if at_image(rhs) != want:
                     x = next(x for x in range(n_src) if rhs[f[x]] != lhs[x])
-                    sources = ((vals_src[v] for v in g) for g in gammas)
-                    gammas2 = [[vals_tgt[v] for v in coalgs[c]] for c in cids]
-                    counter = _safety_counter(fops_src.kind, f, sources, gammas2, x)
+                    counter = _safety_counter(ids, f, gammas, targets, x)
                     return cases + done + k, evaluated + k, counter
             done += held
             evaluated += k

@@ -80,17 +80,30 @@ class TestMorphism:
         )
 
 
+@pytest.fixture
+def every_candidate(monkeypatch):
+    """No operand is trimmed to its first candidate: ``_safety_squares``
+    yields the full candidate lists."""
+    monkeypatch.setattr(harness, "LOCAL_OPERANDS", dict.fromkeys(actions.LOCAL_OPERANDS, ()))
+
+
 def _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
     """``(f, gammas, cands)`` for each premise of the full form of
     ``_safety_squares``, map by map, on the ids of a fresh carrier pair."""
     spaces = {fops_src.n: vals_src, fops_tgt.n: vals_tgt}
     ids = _SafetyIds(fops_src, fops_tgt)
-    for f, _, _, group in _safety_squares(op, ids, spaces):
-        for gammas, cands, _ in group:
+    for f, _, _, _, premises in _safety_squares(op, ids, spaces):
+        for gammas, cands in premises:
             yield f, gammas, cands
 
 
+def _decode(vals, coalgs) -> tuple:
+    """Coalgebras given as vid tuples, as tuples of FValues."""
+    return tuple(tuple(vals[v] for v in g) for g in coalgs)
+
+
 class TestSafetySweepCoverage:
+    @pytest.mark.usefixtures("every_candidate")
     def test_exhaustive_pairs_match_brute_force(self, crisp_b2):
         # oracle: filter all (f, gammas, gammas') triples by the joint
         # morphism premise and compare with the forced-value generator
@@ -113,18 +126,19 @@ class TestSafetySweepCoverage:
                         ):
                             brute.add((f, gammas, gammas2))
             # the generator works on ids: decode value ids through vals_src
-            # and target coalgebra ids through coalgs_tgt
+            # and vals_tgt
             generated = set()
-            for f, gammas, targets in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
-                decoded = tuple(tuple(vals_src[v] for v in g) for g in gammas)
-                for cids in product(*targets):
-                    generated.add((f, decoded, tuple(coalgs_tgt[c] for c in cids)))
+            for f, gammas, cands in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt):
+                decoded = _decode(vals_src, gammas)
+                for targets in product(*cands):
+                    generated.add((f, decoded, _decode(vals_tgt, targets)))
             assert generated == brute, (n_src, n_tgt)
 
     @pytest.mark.parametrize(
         "preset, alg_name, op_id",
         [("pdl-crisp", "B2", "+"), ("pdl-labelled", "B2", ";"), ("game", "B2", "&")],
     )
+    @pytest.mark.usefixtures("every_candidate")
     def test_premises_come_in_reference_order(self, preset, alg_name, op_id):
         # the first counterexample depends on the order, which a set
         # comparison cannot see: decode the id premises one by one
@@ -133,12 +147,10 @@ class TestSafetySweepCoverage:
         for n_src, n_tgt in product((1, 2), repeat=2):
             fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
             vals_src, vals_tgt = list(fops_src.enumerate()), list(fops_tgt.enumerate())
-            coalgs_tgt = list(product(vals_tgt, repeat=n_tgt))
             decoded = [
-                (f, tuple(tuple(vals_src[v] for v in g) for g in gammas),
-                 tuple(coalgs_tgt[c] for c in cids))
-                for f, gammas, targets in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt)
-                for cids in product(*targets)
+                (f, _decode(vals_src, gammas), _decode(vals_tgt, targets))
+                for f, gammas, cands in _premises(op, fops_src, fops_tgt, vals_src, vals_tgt)
+                for targets in product(*cands)
             ]
             reference = list(
                 reference_safety_pairs(op, fops_src, fops_tgt, vals_src, vals_tgt)
@@ -222,10 +234,11 @@ class TestSafetySweepCoverage:
         [("pdl-crisp", "B2", "+"), ("pdl-labelled", "L2", ";"), ("pdl-threshold", "L2", "+"),
          ("game", "B2", "&"), ("game", "B2", "^d"), ("instantial", "B2", "~")],
     )
+    @pytest.mark.usefixtures("every_candidate")
     def test_closed_form_counts_every_square(self, preset, alg_name, op_id):
-        # squares over f, (sum of |cands(g)|)**arity in closed form, is what
-        # the full form's premises hold, each premise holding its candidate
-        # tuples, and the local form reports the same number
+        # squares over f, (consistent * free)**arity in closed form, is what
+        # the full form's premises hold, each premise holding its ``held``
+        # candidate tuples, and the local form reports the same number
         config = make_preset(preset, algebra_by_name(alg_name), max_k=1)
         op = config.ops[op_id]
         local = actions.LOCAL_OPERANDS[op.variant]
@@ -233,24 +246,22 @@ class TestSafetySweepCoverage:
             fops_src, fops_tgt = config.fops(n_src), config.fops(n_tgt)
             spaces = {n_src: list(fops_src.enumerate()), n_tgt: list(fops_tgt.enumerate())}
             full = [
-                (f, squares, sum(prod(map(len, cands)) for _, cands, _ in group))
-                for f, _, squares, group in _safety_squares(
+                (f, squares, held, [prod(map(len, cands)) for _, cands in premises])
+                for f, _, squares, held, premises in _safety_squares(
                     op, _SafetyIds(fops_src, fops_tgt), spaces
                 )
             ]
-            assert all(squares == held for _, squares, held in full), (n_src, n_tgt)
             assert all(
-                held == prod(map(len, cands))
-                for _, _, _, group in _safety_squares(op, _SafetyIds(fops_src, fops_tgt), spaces)
-                for _, cands, held in group
-            )
+                squares == held * len(tuples) and set(tuples) == {held}
+                for _, squares, held, tuples in full
+            ), (n_src, n_tgt)
             reduced = [
                 (f, squares)
-                for f, _, squares, _ in _safety_squares(
+                for f, _, squares, _, _ in _safety_squares(
                     op, _SafetyIds(fops_src, fops_tgt), spaces, local
                 )
             ]
-            assert reduced == [(f, squares) for f, squares, _ in full], (n_src, n_tgt)
+            assert reduced == [(f, squares) for f, squares, _, _ in full], (n_src, n_tgt)
 
     def test_unnatural_pointwise_step_is_refuted_in_both_forms(self, monkeypatch, labelled_l2):
         # join-pw that reverses its rows on two states or more: at n = 1 -> 2
@@ -516,14 +527,20 @@ class TestSafetyBudget:
     def test_all_local_sweep_enumerates_no_coalgebra(self, labelled_l2):
         # V = 27 values and C = 19,683 coalgebras at three states: `+` reads
         # both operands locally, so the budget counts V**2 = 729 operand
-        # pairs, and a carrier pair's sweep interns one first candidate per
+        # pairs, and a carrier pair's sweep reads one first candidate per
         # image of f and value forced on it, never the C target coalgebras
         op = labelled_l2.ops["+"]
         fops = labelled_l2.fops(3)
-        ids = _SafetyIds(fops, fops)
-        squares = _safety_squares(op, ids, {3: list(fops.enumerate())}, (0, 1))
-        assert _safety_pair(op, ids, squares)[2] is None
-        assert len(ids.coalgs) <= 7 * 27 < 27**3
+        ids, spaces = _SafetyIds(fops, fops), {3: list(fops.enumerate())}
+        assert _safety_pair(op, ids, _safety_squares(op, ids, spaces, (0, 1)))[2] is None
+        read = {
+            h
+            for *_, premises in _safety_squares(op, ids, spaces, (0, 1))
+            for _, cands in premises
+            for hs in cands
+            for h in hs
+        }
+        assert len(read) <= 7 * 27 < 27**3
         assert check_safety(op, labelled_l2, max_n=3, budget=729).ok
         with pytest.raises(BudgetExceeded) as err:
             check_safety(op, labelled_l2, max_n=3, budget=728)
