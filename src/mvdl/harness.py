@@ -36,7 +36,7 @@ import time
 from dataclasses import dataclass, field
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -174,13 +174,14 @@ def check_safety(
     only, every other one over every consistent one.  It is exact: the
     operation reads a local operand at x only through its value there, and
     the constant coalgebra of that value is a premise too.  ``cases`` still
-    counts every morphism square.  Its source operand tuples at max_n,
-    V**l * C**(arity - l) for l local operands, are checked against
-    ``budget`` first.  When a carrier pair fails and the full form, C**arity
-    tuples, fits ``budget``, that pair is swept again in it, which reports
-    the canonical first counterexample and its case count; otherwise the
-    local form's first counterexample is reported with ``detail["form"] =
-    "local"``.  ``detail["evaluated"]`` counts the target tuples computed.  A test target is always swept
+    counts every morphism square.  The target operand tuples the sweep will
+    compute (``_safety_work``, summed over the carrier pairs) are checked
+    against ``budget`` first, and ``detail["evaluated"]`` counts those it
+    did.  When a carrier pair fails and the full form, counted the same way
+    with no constant operand, fits ``budget``, that pair is swept again in
+    it, which reports the canonical first counterexample and its case
+    count; otherwise the local form's first counterexample is reported with
+    ``detail["form"] = "local"``.  A test target is always swept
     exhaustively (``_check_test_safety``).
     """
     t0 = time.perf_counter()
@@ -192,12 +193,10 @@ def check_safety(
     sampled, local = {}, LOCAL_OPERANDS[target.variant]
     if mode == "exhaustive":
         spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
-        values = len(spaces[max_n])
-        coalgs = values**max_n
-        full = coalgs**target.arity
-        total = values ** len(local) * coalgs ** (target.arity - len(local))
+        work = partial(_safety_work, target.arity, spaces, lazy=local)
+        total, full = (sum(work(ids, swept) for ids in pairs) for swept in (local, ()))
         if total > budget:
-            msg = f"{total} coalgebra tuples at n={max_n} exceed budget {budget}"
+            msg = f"{total} target operand tuples up to n={max_n} exceed budget {budget}"
             raise BudgetExceeded(f"{msg}; random mode is available", count=total)
         premises = partial(_safety_squares, target, spaces=spaces, local=local)
     else:
@@ -323,6 +322,16 @@ def _maps(ids: _SafetyIds, spaces: Mapping[int, list]):
         preimages = Counter(ff[: len(spaces[n_src])]).values()
         consistent = prod(sum(c**k for c in preimages) for k in fibres.values())
         yield f, ff, sorted(fibres), consistent, len(spaces[n_tgt]) ** (n_tgt - len(fibres))
+
+
+def _safety_work(arity: int, spaces, ids: _SafetyIds, local: Sequence[int], lazy: Sequence[int]):
+    """The target operand tuples ``_safety_squares(..., local)`` yields on
+    one carrier pair when the operands in ``lazy`` keep one candidate."""
+    values = len(spaces[ids.fops_src.n])
+    return sum(
+        prod((values if i in local else c) * (1 if i in lazy else free) for i in range(arity))
+        for _, _, _, c, free in _maps(ids, spaces)
+    )
 
 
 def _safety_squares(
@@ -622,7 +631,10 @@ def check_separation(
     trials: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> Verdict:
-    """Do the lifting transposes jointly distinguish all pairs in FX?"""
+    """Do the lifting transposes jointly distinguish all pairs in FX?
+
+    Exhaustive mode checks its V(V-1)/2 pairs of values against ``budget``
+    first and streams them in canonical order."""
     t0 = time.perf_counter()
     _check_sweep(mode, trials)
     fops = config.fops(n)
@@ -631,19 +643,17 @@ def check_separation(
     spaces = {
         spec.id: list(product(preds, repeat=spec.arity)) for spec in liftings
     }
-    sampled = {}
+    sampled, resample = {}, "; sampled mode is available (mode='random')"
     if mode == "exhaustive":
         try:
             values = list(fops.enumerate(budget))
         except BudgetExceeded as exc:
-            raise BudgetExceeded(
-                f"{exc}; sampled mode is available (mode='random')", count=exc.count
-            ) from None
-        pairs = [
-            (values[i], values[j])
-            for i in range(len(values))
-            for j in range(i + 1, len(values))
-        ]
+            raise BudgetExceeded(f"{exc}{resample}", count=exc.count) from None
+        total = len(values) * (len(values) - 1) // 2
+        if total > budget:
+            msg = f"{total} pairs of values at n={n} exceed budget {budget}{resample}"
+            raise BudgetExceeded(msg, count=total)
+        pairs = combinations(values, 2)
     else:
         rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
         pairs, draw = [], fops.drawer(rng)
@@ -651,6 +661,7 @@ def check_separation(
             t1, t2 = draw(), draw()
             if t1 != t2:
                 pairs.append((t1, t2))
+        total = len(pairs)
     kernels = [(lifting_kernel(spec, config), spaces[spec.id]) for spec in liftings]
     cases = 0
     for t1, t2 in pairs:
@@ -672,7 +683,7 @@ def check_separation(
             }
             return _verdict("fails", cases, t0, counter, n=n, **sampled)
     status = "holds" if mode == "exhaustive" else "holds-up-to-bound"
-    return _verdict(status, cases, t0, None, n=n, pairs=len(pairs), mode=mode, **sampled)
+    return _verdict(status, cases, t0, None, n=n, pairs=total, mode=mode, **sampled)
 
 
 # -- the case driver of rule and entailment sweeps -------------------------

@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, report stability, formats."""
 
 import json
+import time
 
 import pytest
 
@@ -99,7 +100,7 @@ class TestExitCodes:
             "--max-n", "2", "--budget", "100",
         )
         assert (code, out) == (3, "")
-        assert "729 coalgebra tuples" in err and "random mode" in err
+        assert "7614 target operand tuples" in err and "random mode" in err
 
     def test_game_pointwise_safety_fits_the_default_budget(self, capsys):
         # both operands of `+` are local: 175**2 constant pairs, not C**2
@@ -112,13 +113,22 @@ class TestExitCodes:
         assert json.loads(out)["status"] == "holds-up-to-bound"
 
     def test_game_composition_safety_names_its_local_count(self, capsys):
-        # the right operand of `;` is not local: V*C = 175 * 30,625 pairs
+        # the right operand of `;` is not local: each consistent coalgebra is
+        # computed at every fill of the states outside the image of f
         code, out, err = run(
             capsys,
             "check-safety", "--preset", "game", "--algebra", "L2", "--op", ";", "--max-n", "2",
         )
         assert (code, out) == (3, "")
-        assert "5359375 coalgebra tuples" in err
+        assert "441650225 target operand tuples" in err
+
+    def test_separation_budget_counts_pairs(self, capsys):
+        # 65,536 values at four states fit the budget, their pairs do not
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "check-separation", "--preset", "instantial", "--n", "4")
+        assert (code, out) == (3, "")
+        assert "2147450880 pairs" in err
+        assert time.perf_counter() - t0 < 5
 
     def test_semiprimal_false_exits_one(self, capsys):
         code, out, _ = run(capsys, "semiprimal", "--algebra", "G3")

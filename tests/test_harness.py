@@ -167,7 +167,11 @@ class TestSafetySweepCoverage:
     def test_exhaustive_sweep_matches_reference(self, preset, alg_name, op_id):
         config = make_preset(preset, algebra_by_name(alg_name))
         op = config.ops[op_id]
-        self._assert_matches_reference(op, config)
+        evaluated = self._assert_matches_reference(op, config).detail["evaluated"]
+        # the budget counts exactly the target tuples a sweep that holds computes
+        with pytest.raises(BudgetExceeded) as err:
+            check_safety(op, config, max_n=2, budget=evaluated - 1)
+        assert err.value.count == evaluated
 
     def test_unsafe_ops_match_reference(self, labelled_l2, B2):
         # meet-pw on labelled rows, and counter-domain on plain neighbourhoods:
@@ -222,11 +226,13 @@ class TestSafetySweepCoverage:
         op = config.ops[op_id]
         local = check_safety(op, config, max_n=2)
         monkeypatch.setattr(harness, "LOCAL_OPERANDS", dict.fromkeys(actions.LOCAL_OPERANDS, ()))
-        full = check_safety(op, config, max_n=2)
+        # with no operand local, every square is a target operand tuple to
+        # compute, 5,269,280 of them, so the default budget refuses the sweep
+        full = check_safety(op, config, max_n=2, budget=local.cases)
         assert (local.status, local.cases, local.counterexample) == (
             full.status, full.cases, full.counterexample
         )
-        assert local.cases == 5_269_280
+        assert local.cases == full.detail["evaluated"] == 5_269_280
         assert local.detail["evaluated"] < full.detail["evaluated"]
 
     @pytest.mark.parametrize(
@@ -275,13 +281,15 @@ class TestSafetySweepCoverage:
         monkeypatch.setattr(actions, "pointwise_step", unnatural)
         monkeypatch.setattr(harness, "pointwise_step", unnatural)
         op = labelled_l2.ops["+"]
-        # the full form, C**2 = 6561 pairs, fits: the failing pair is swept
-        # again in it, and the reference's first counterexample is reported
+        # the full form, 16,824 target pairs up to n = 2, fits: the failing
+        # pair is swept again in it, and the reference's first
+        # counterexample is reported
         verdict = self._assert_matches_reference(op, labelled_l2)
         assert verdict.status == "fails" and "form" not in verdict.detail
-        # V**2 = 81 <= 100 < C**2: the local form's counterexample, whose
-        # operands are constant coalgebras, replays through the square
-        verdict = check_safety(op, labelled_l2, max_n=2, budget=100)
+        # the local form's 432 <= 1,000 < 16,824: the local form's
+        # counterexample, whose operands are constant coalgebras, replays
+        # through the square
+        verdict = check_safety(op, labelled_l2, max_n=2, budget=1_000)
         assert (verdict.status, verdict.detail["form"]) == ("fails", "local")
         counter, kind, alg = verdict.counterexample, labelled_l2.kind, labelled_l2.struct
         f, x = tuple(counter["f"]), counter["state"]
@@ -499,36 +507,39 @@ def test_reducible_operations_are_safe(preset, alg_name, n):
         checked[op.id] = verdict.cases
     assert checked
     if preset == "game":
-        # `;` (175 * 30,625 local-form pairs) is over budget; `*` has no rules
+        # `;` (441,650,225 target operand tuples) is over budget; `*` has no rules
         assert checked == {"+": 3_016_057_397_825, "&": 3_016_057_397_825, "^d": 2_527_025}
 
 
 class TestSafetyBudget:
     def test_operand_tuples_are_counted_before_the_sweep(self, game_l2):
-        # 175 monotone values at two states give C = 30,625 coalgebras; `;`
+        # 175 monotone values at two states give 30,625 coalgebras; `;`
         # sweeps its local left operand over the 175 constant coalgebras and
-        # its right one over all C: V*C source operand pairs, refused at once
+        # its right one over every consistent coalgebra, each computed at
+        # every fill of the states outside the image of f: the target
+        # operand tuples of every map are counted, and refused at once
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="random mode") as err:
             check_safety(game_l2.ops[";"], game_l2, max_n=2)
-        assert err.value.count == 5_359_375
-        assert time.perf_counter() - t0 < 10
+        assert err.value.count == 441_650_225
+        assert time.perf_counter() - t0 < 5
 
     def test_one_operand_fits_where_two_do_not(self, labelled_l2):
-        # V = 9 values and C = 81 coalgebras at two states: `+` (both operands
-        # local) sweeps V**2 = 81 and `*` C = 81 operand tuples, <= 100 <
-        # V*C = 729 for `;`, whose right operand is not local
-        for op_id in ("+", "*"):
-            assert check_safety(labelled_l2.ops[op_id], labelled_l2, max_n=2, budget=100).ok
+        # V = 9 values at two states: `+` (both operands local) computes 432
+        # and `*` 884 target operand tuples up to n = 2, <= 1,000 < 7,614 for
+        # `;`, whose right operand is computed at every candidate
+        for op_id, evaluated in (("+", 432), ("*", 884)):
+            verdict = check_safety(labelled_l2.ops[op_id], labelled_l2, max_n=2, budget=1_000)
+            assert verdict.ok and verdict.detail["evaluated"] == evaluated
         with pytest.raises(BudgetExceeded) as err:
-            check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, budget=100)
-        assert err.value.count == 9 * 81
+            check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, budget=1_000)
+        assert err.value.count == 7_614
 
     def test_all_local_sweep_enumerates_no_coalgebra(self, labelled_l2):
         # V = 27 values and C = 19,683 coalgebras at three states: `+` reads
-        # both operands locally, so the budget counts V**2 = 729 operand
-        # pairs, and a carrier pair's sweep reads one first candidate per
-        # image of f and value forced on it, never the C target coalgebras
+        # both operands locally, so a carrier pair's sweep reads one first
+        # candidate per image of f and value forced on it, never the C
+        # target coalgebras; up to n = 3 it computes 27,432 target pairs
         op = labelled_l2.ops["+"]
         fops = labelled_l2.fops(3)
         ids, spaces = _SafetyIds(fops, fops), {3: list(fops.enumerate())}
@@ -541,10 +552,10 @@ class TestSafetyBudget:
             for h in hs
         }
         assert len(read) <= 7 * 27 < 27**3
-        assert check_safety(op, labelled_l2, max_n=3, budget=729).ok
+        assert check_safety(op, labelled_l2, max_n=3, budget=27_432).ok
         with pytest.raises(BudgetExceeded) as err:
-            check_safety(op, labelled_l2, max_n=3, budget=728)
-        assert err.value.count == 729
+            check_safety(op, labelled_l2, max_n=3, budget=27_431)
+        assert err.value.count == 27_432
 
     def test_sampled_mode_has_no_budget(self, labelled_l2):
         verdict = check_safety(
