@@ -26,7 +26,8 @@ tables keyed by vid.  An operand that the operation reads only at the
 evaluated state (``actions.LOCAL_OPERANDS``) is a constant coalgebra on
 the source side of an exhaustive sweep, and is computed at its first
 candidate only on the target side: the premise forces its value on the
-image of f.  ``_safety_squares`` is the only code that knows which.
+image of f.  Only ``check_safety``, which picks the form and counts the
+budget, and ``_safety_squares`` read that table.
 """
 
 from __future__ import annotations
@@ -228,7 +229,7 @@ def check_safety(
     )
 
 
-def _safety_counter(ids: "_SafetyIds", f, gammas, targets, x: int) -> dict:
+def _safety_counter(ids: _SafetyIds, f, gammas, targets, x: int) -> dict:
     """The failing square at state x, its operands decoded from vids."""
     kind = ids.fops_src.kind
     decode = lambda vals, coalgs: [[fvalue_to_json(kind, vals[v]) for v in g] for g in coalgs]
@@ -324,7 +325,10 @@ def _maps(ids: _SafetyIds, spaces: Mapping[int, list]):
         yield f, ff, sorted(fibres), consistent, len(spaces[n_tgt]) ** (n_tgt - len(fibres))
 
 
-def _safety_work(arity: int, spaces, ids: _SafetyIds, local: Sequence[int], lazy: Sequence[int]):
+def _safety_work(
+    arity: int, spaces: Mapping[int, list], ids: _SafetyIds, local: Sequence[int],
+    lazy: Sequence[int],
+) -> int:
     """The target operand tuples ``_safety_squares(..., local)`` yields on
     one carrier pair when the operands in ``lazy`` keep one candidate."""
     values = len(spaces[ids.fops_src.n])
