@@ -292,6 +292,13 @@ def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[i
     return draw
 
 
+def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
+    """A closure drawing ``rng.randint(lo, hi)`` per call, with the same
+    ``getrandbits`` calls (see ``FunctorOps.drawer``)."""
+    draw = predicate_drawer(rng, hi - lo + 1, 1)
+    return lambda: lo + draw()[0]
+
+
 @lru_cache(maxsize=None)
 def _pullback_index(m: int, n: int, f: tuple[int, ...], n_target: int) -> tuple[int, ...]:
     """For each target predicate q, the index of the source predicate q . f:

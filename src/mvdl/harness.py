@@ -64,7 +64,7 @@ from .errors import (
     TagMismatch,
     UnsupportedKind,
 )
-from .functors import Kind, FunctorOps, functor_ops, predicate_drawer, predicate_space
+from .functors import Kind, FunctorOps, functor_ops, int_drawer, predicate_drawer, predicate_space
 from .jsonio import fvalue_to_json, model_to_json
 from .semantics import (
     LiftingSpec,
@@ -93,6 +93,9 @@ DEFAULT_SWEEP_BUDGET = 1_000_000
 # or operand tuples, with their table entries, then starts afresh: sampled
 # ones seldom recur, so keeping them all would only grow memory
 SAMPLED_COALGEBRAS = 1 << 14
+# a sampled rule or entailment sweep runs its trials in batches of at most
+# this many, each plan step once per batch
+SAMPLED_BATCH = 128
 
 
 # the status verify_registry gives a rule whose sweep exceeds the budget
@@ -177,11 +180,13 @@ def check_safety(
     the constant coalgebra of that value is a premise too.  ``cases`` still
     counts every morphism square.  The target operand tuples the sweep will
     compute (``_safety_work``, summed over the carrier pairs) are checked
-    against ``budget`` first, and ``detail["evaluated"]`` counts those it
-    did.  When a carrier pair fails and the full form, counted the same way
-    with no constant operand, fits ``budget``, that pair is swept again in
-    it, which reports the canonical first counterexample and its case
-    count; otherwise the local form's first counterexample is reported with
+    against ``budget`` first, after a closed-form lower bound on them that
+    needs no Ff (refused as "at least" that many when it already exceeds
+    ``budget``), and ``detail["evaluated"]`` counts those it did.  When a
+    carrier pair fails and the full form, counted the same way with no
+    constant operand, fits ``budget``, that pair is swept again in it,
+    which reports the canonical first counterexample and its case count;
+    otherwise the local form's first counterexample is reported with
     ``detail["form"] = "local"``.  A test target is always swept
     exhaustively (``_check_test_safety``).
     """
@@ -195,9 +200,16 @@ def check_safety(
     if mode == "exhaustive":
         spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
         work = partial(_safety_work, target.arity, spaces, lazy=local)
-        total, full = (sum(work(ids, swept) for ids in pairs) for swept in (local, ()))
+        # sum over carrier pairs of n'**n * V**arity: every map's work with
+        # c_f >= V and free_f >= 1, exact when every operand is local, and
+        # known before any Ff is computed
+        sizes = range(1, max_n + 1)
+        total = sum(b**a * len(spaces[a]) ** target.arity for a in sizes for b in sizes)
+        least = "" if len(local) == target.arity else "at least "
+        if total <= budget and least:
+            total, least = sum(work(ids, local) for ids in pairs), ""
         if total > budget:
-            msg = f"{total} target operand tuples up to n={max_n} exceed budget {budget}"
+            msg = f"{least}{total} target operand tuples up to n={max_n} exceed budget {budget}"
             raise BudgetExceeded(f"{msg}; random mode is available", count=total)
         premises = partial(_safety_squares, target, spaces=spaces, local=local)
     else:
@@ -208,7 +220,7 @@ def check_safety(
         checked, computed, counter = _safety_pair(target, ids, premises(ids))
         form = {}
         if counter is not None and not sampled and local:
-            if full <= budget:
+            if sum(work(other, ()) for other in pairs) <= budget:
                 squares = _safety_squares(target, ids, spaces)
                 checked, more, counter = _safety_pair(target, ids, squares)
                 computed += more
@@ -694,28 +706,42 @@ def check_separation(
 
 
 def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, models: bool):
-    """Load the cases of a rule or entailment sweep into its plan, one batch
-    at a time, and yield ``(plan, cases, lists)`` after each: how many cases
-    the batch holds, and the plan's lists at the compiled positions, of one
-    length, position ``i`` being ``plan.case(i)``.
+    """Load the cases of a rule or entailment sweep into its plans, one
+    batch at a time, and yield ``(cases, parts)`` after each: how many
+    cases the batch holds, and per plan it ran ``(plan, lists, index)``,
+    ``lists`` the plan's lists at the compiled positions, of one length,
+    position ``i`` being ``plan.case(i)`` and case ``index[i]`` of the
+    batch.
 
-    Exhaustive mode sweeps each ``(plan, positions)`` of ``sweeps``: the
-    carrier's coalgebras are interned in canonical order (the i-th gets cid
-    i, ``Plan.intern_coalgebras``), then its predicates, and every
-    assignment of them to the ``variables`` is loaded; a batch is a block
-    list of ``Plan.sweep``, and a list that does not read slot 1 is
-    repeated once per block where another one does.  Before anything is interned, the coalgebra tuples on
-    the slots, C**slots, or with ``models`` the standard models,
-    C**slots * S, are checked against ``budget``.  Random mode runs
-    ``trials`` one-case batches of what ``draw()`` returns: a plan, its
-    positions, coalgebras (slot 1 first) and predicates.
+    Exhaustive mode sweeps each ``(plan, positions)`` of ``sweeps``, one
+    part per batch: the carrier's coalgebras are interned in canonical
+    order (the i-th gets cid i, ``Plan.intern_coalgebras``), then its
+    predicates, and every assignment of them to the ``variables`` is
+    loaded; a batch is a block list of ``Plan.sweep``, and a list that does
+    not read slot 1 is repeated once per block where another one does.
+    Before anything is interned, the coalgebra tuples on the slots,
+    C**slots, or with ``models`` the standard models, C**slots * S, are
+    checked against ``budget``.
+
+    Random mode runs ``trials`` trials in batches of 1, 2, 4, ... up to
+    ``SAMPLED_BATCH``, so a sweep failing at trial j has drawn at most
+    2j + 1 of them.  ``draw(count)`` draws a batch of ``count`` trials as
+    ``(plan, positions, index, coalgebras, predicates)`` per plan: the
+    batch's trials on that plan, by index, as one column of coalgebras per
+    slot (slot 1 first) and one of predicates per variable.  Each plan
+    runs its trials at once (``Plan.run_cases``), after ``Plan.forget``.
     """
     if mode == "random":
-        for _ in range(trials):
-            plan, at, gammas, sigmas = draw()
-            plan.forget(SAMPLED_COALGEBRAS)
-            plan.run_case(gammas, sigmas)
-            yield plan, 1, list(map(plan.vals.__getitem__, at))
+        done, size = 0, 1
+        while done < trials:
+            count = min(size, trials - done)
+            parts = []
+            for plan, at, index, gammas, sigmas in draw(count):
+                plan.forget(SAMPLED_COALGEBRAS)
+                plan.run_cases(len(index), gammas, sigmas)
+                parts.append((plan, list(map(plan.vals.__getitem__, at)), index))
+            yield count, parts
+            done, size = done + count, min(2 * size, SAMPLED_BATCH)
         return
     for plan, at in sweeps:
         n, slots = plan.n, len(plan.cids)
@@ -735,7 +761,7 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
             lists, cases = [vals[p] for p in at], size * len(blocks)
             if any(len(ids) != len(lists[0]) for ids in lists):
                 lists = [ids if len(ids) == cases else ids * len(blocks) for ids in lists]
-            yield plan, cases, lists
+            yield cases, [(plan, lists, range(cases))]
 
 
 # -- reduction-rule soundness ----------------------------------------------
@@ -772,18 +798,24 @@ def verify_reduction_rule(
         arity = config.op(rule.target).arity
         action = Op(rule.target, tuple(range(1, arity + 1)))
     n_vars = k + is_test
-    plan = Plan(config, n, arity, n_vars)
+    plan = Plan(config, n, arity, n_vars, canonical=mode == "exhaustive")
     args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
     at = [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
     rng = random.Random(seed)
     value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
+    states = range(n)
 
-    def draw():  # the gammas in slot order, then the sigmas
-        gammas = [tuple(value() for _ in range(n)) for _ in range(arity)]
-        return plan, at, gammas, [sigma() for _ in range(n_vars)]
+    def draw(count: int):  # per trial, the gammas in slot order, then the sigmas
+        gammas, sigmas = [[] for _ in range(arity)], [[] for _ in range(n_vars)]
+        for _ in range(count):
+            for column in gammas:
+                column.append(tuple([value() for _ in states]))
+            for column in sigmas:
+                column.append(sigma())
+        return [(plan, at, range(count), gammas, sigmas)]
 
     cases = 0
-    for plan, batch, (got, want) in _batches(
+    for batch, ((plan, (got, want), _),) in _batches(
         mode, trials, draw, [(plan, at)], n_vars, budget, models=False
     ):
         if got != want:
@@ -1070,8 +1102,10 @@ def bounded_entailment(
     its variables and atomic actions as its slots.  Exhaustive mode
     evaluates them once per atom assignment over every valuation at once;
     the first failing position of a batch of ``_batches`` is the first
-    countermodel of the case-by-case order.  Random mode loads each sampled
-    model into the plan of its size as a single case.
+    countermodel of the case-by-case order.  Random mode draws each
+    model's size, then its atoms and valuation, and runs a batch's models
+    of one size at once in the plan of that size; the batch's first
+    countermodel is the one of least trial index over its plans.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials, max_n)
@@ -1082,51 +1116,70 @@ def bounded_entailment(
     slots = atom_names[::-1]  # the last atom moves fastest: slot 1
 
     def compiled(n: int):
-        plan = Plan(config, n, slots, prop_names)
+        plan = Plan(config, n, slots, prop_names, canonical=mode == "exhaustive")
         return plan, [plan.compile(phi), *map(plan.compile, gamma)]
 
     rng, plans = random.Random(seed), {}
+    carrier = int_drawer(rng, 1, max_n)
 
     def drawn(n: int):  # a plan of n states with its value and predicate drawers
         plan, at = compiled(n)
         return plan, at, plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
-    def draw():  # the size, the gammas in atom-name order, then the sigmas
-        n = rng.randint(1, max_n)
-        if n not in plans:
-            plans[n] = drawn(n)
-        plan, at, value, sigma = plans[n]
-        gammas = [tuple(value() for _ in range(n)) for _ in atom_names]
-        return plan, at, gammas[::-1], [sigma() for _ in prop_names]
+    def draw(count: int):  # per trial, the size, the gammas in atom-name order, then the sigmas
+        parts = {}  # size -> its trials' indices, gamma columns and sigma columns
+        for t in range(count):
+            n = carrier()
+            if n not in plans:
+                plans[n] = drawn(n)
+            _, _, value, sigma = plans[n]
+            part = parts.get(n)
+            if part is None:
+                part = parts[n] = [], [[] for _ in atom_names], [[] for _ in prop_names]
+            index, gammas, sigmas = part
+            index.append(t)
+            states = range(n)
+            for column in gammas:
+                column.append(tuple([value() for _ in states]))
+            for column in sigmas:
+                column.append(sigma())
+        return (
+            (*plans[n][:2], index, gammas[::-1], sigmas)
+            for n, (index, gammas, sigmas) in parts.items()
+        )
 
     sweeps = map(compiled, range(1, max_n + 1))
     sampled = {} if mode == "exhaustive" else {"seed": seed}
     cases = 0
-    for plan, batch, lists in _batches(
+    for batch, parts in _batches(
         mode, trials, draw, sweeps, len(prop_names), budget, models=True
     ):
-        phi_ids = lists[0]
-        if phi_ids.count(plan.pid((top,) * plan.n)) < len(phi_ids):
+        firsts = []  # per plan, its first countermodel: (case of the batch, position, states, plan)
+        for plan, lists, index in parts:
+            phi_ids = lists[0]
+            if phi_ids.count(plan.pid((top,) * plan.n)) == len(phi_ids):
+                continue
             masks, full, rows = plan.masks(), (1 << plan.n) - 1, lists[1:]
             for i, f in enumerate(phi_ids):
                 bad = full & ~masks[f]
                 for row in rows:
                     bad &= masks[row[i]]
                 if bad:
-                    coalgs, sigmas = plan.case(i)
-                    model = Model(
-                        plan.n, config, dict(zip(atom_names, coalgs[::-1])),
-                        dict(zip(prop_names, sigmas)),
-                    )
-                    counter = {
-                        "model": model_to_json(model),
-                        "state": (bad & -bad).bit_length() - 1,
-                        "phi": render(phi, config.signature),
-                        "gamma": [render(g, config.signature) for g in gamma],
-                    }
-                    return _verdict(
-                        "fails", cases + i + 1, t0, counter, max_n=max_n, mode=mode, **sampled
-                    )
+                    firsts.append((index[i], i, bad, plan))
+                    break
+        if firsts:
+            j, i, bad, plan = min(firsts)  # the cases of a batch are distinct
+            coalgs, sigmas = plan.case(i)
+            model = Model(
+                plan.n, config, dict(zip(atom_names, coalgs[::-1])), dict(zip(prop_names, sigmas))
+            )
+            counter = {
+                "model": model_to_json(model),
+                "state": (bad & -bad).bit_length() - 1,
+                "phi": render(phi, config.signature),
+                "gamma": [render(g, config.signature) for g in gamma],
+            }
+            return _verdict("fails", cases + j + 1, t0, counter, max_n=max_n, mode=mode, **sampled)
         cases += batch
     if mode != "exhaustive":
         sampled = {"trials": trials, "seed": seed}

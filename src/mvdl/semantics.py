@@ -10,9 +10,11 @@ and action slots (the template, and the lifting applied to the operation
 over slots 1..arity or to the test of variable 1); a formula is the same
 kind of object, its propositions playing the variables and its atomic
 actions the slots.  So the rule-soundness and entailment sweeps share the
-plan and its slot loop, ``Plan.sweep``, and an EvalSession is a plan over
-one model: its atoms as the slots and its valuation rows as the variables,
-at a single case.  Connectives resolve through ``connective``.
+plan: an exhaustive sweep runs its slot loop, ``Plan.sweep``, a sampled one
+runs batches of drawn cases, ``Plan.run_cases``, and an EvalSession is a
+plan over one model, its atoms as the slots and its valuation rows as the
+variables, run as a batch of one case.  Connectives resolve through
+``connective``.
 
 Two algebras show up because the threshold logic evaluates formulas in the
 two-element Boolean algebra over structures labelled in a larger chain; in
@@ -360,21 +362,27 @@ class Plan:
     compiles the same way, its propositions playing the variables and its
     atomic actions the slots.  Each distinct subterm becomes one step.
 
+    A plan that is not ``canonical`` (a sampled sweep's, or a session's)
+    runs batches of S drawn cases (``run_cases``): every slot, like every
+    variable, holds one id per position, position ``i`` being case ``i``,
+    so every action step yields one cid per position and each step runs
+    once per batch.  What follows is the layout of a canonical plan.
+
     Steps fall into groups by what they read: 0 the variables only, 1 also
     a slot other than the first, 2 the first slot.  Slot 1 is a block
-    list: every cid the sweep gives it at once (``range(C)``), or ``[cid]``
-    at a single case.  A formula step of group 0 or 1 maps the sigma-list
-    (variable assignments, S of them, in the sweep's canonical order) to
-    the list of its S ids; one of group 2 yields B*S ids for B blocks,
-    block-major, so position ``i`` is block ``i // S`` at sigma-position
-    ``i % S``.  An S-long list read beside a B*S-long one is repeated once
-    per block by a tile step.  An action step yields one cid, or one cid
-    per block if it reads slot 1; a test yields one cid per position (S or
-    B*S of them), as does an operation with such an operand, whose block
-    operands are spread over their S positions.  A modality over a block
-    list reads each block's lifting row at the same S keys, through one
-    ``itemgetter`` over those keys; where the keys read slot 1 too, the
-    block list is spread and read position by position.
+    list: every cid the sweep gives it at once (``range(C)``).  A formula
+    step of group 0 or 1 maps the sigma-list (variable assignments, S of
+    them, in the sweep's canonical order) to the list of its S ids; one of
+    group 2 yields B*S ids for B blocks, block-major, so position ``i`` is
+    block ``i // S`` at sigma-position ``i % S``.  An S-long list read
+    beside a B*S-long one is repeated once per block by a tile step.  An
+    action step yields one cid, or one cid per block if it reads slot 1; a
+    test yields one cid per position (S or B*S of them), as does an
+    operation with such an operand, whose block operands are spread over
+    their S positions.  A modality over a block list reads each block's
+    lifting row at the same S keys, through one ``itemgetter`` over those
+    keys; where the keys read slot 1 too, the block list is spread and
+    read position by position.
 
     Connectives, liftings, operations and tests read id tables whose
     entries are computed on first use: an extra connective keys on its
@@ -384,24 +392,25 @@ class Plan:
     values of the coalgebra's FValues, each computed once by the lifting's
     kernel and kept per FValue, since sampled coalgebras seldom recur but
     their FValues do.  An operation keeps its outputs by operand cids only
-    where those are few (one operand, or a test's cid list); a pair of
-    slots, of which there are C**2, is assembled state by state from
+    where those are few (one operand, or a cid list per position); a pair
+    of slots, of which there are C**2, is assembled state by state from
     one-step tables.  A composition goes through the map of its right
     operand, memoised per FValue; it keeps every right operand's map, up to
-    ``KEPT_MAPS``, where the right operand reads slot 1 and the left does
-    not, and else the last one.  A binary pointwise operation goes through
-    ``pointwise_step`` memoised per pair of FValues.  On a canonically
-    interned plan, a binary pointwise operation or composition over one
-    listed operand and one fixed cid, unless it composes with the listed
-    operand on the right, skips all that (``_tabled``): its output at
-    listed cid c is the sum over states x of V**(n-1-x) times a row of
-    output vids read at c's x-th digit, rows built once per fixed cid,
-    and it reads these sums off one table per fixed cid.  ``forget``
-    drops every id and table and the canonical order, so a long sampled
-    sweep can bound its memory.
+    ``KEPT_MAPS``, on a plan that is not canonical or where the right
+    operand reads slot 1 and the left does not, and else the last one.  A
+    binary pointwise operation goes through ``pointwise_step`` memoised per
+    pair of FValues.  On a canonically interned plan, a binary pointwise
+    operation or composition over one listed operand and one fixed cid,
+    unless it composes with the listed operand on the right, skips all
+    that (``_tabled``): its output at listed cid c is the sum over states x
+    of V**(n-1-x) times a row of output vids read at c's x-th digit, rows
+    built once per fixed cid, and it reads these sums off one table per
+    fixed cid.  ``forget`` drops every id and table and the canonical
+    order, so a long sampled sweep can bound its memory.
     ``sweep`` runs group 1 once per assignment of the outer slots and
-    group 2 once per block list, and ``case`` decodes a position of its
-    lists; ``run_new`` runs each step once, for an EvalSession.
+    group 2 once per block list, ``run_cases`` every step once per batch,
+    and ``case`` decodes a position of their lists; ``run_new`` runs each
+    step compiled since, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -409,18 +418,25 @@ class Plan:
     """
 
     def __init__(
-        self, config: LogicConfig, n: int, slots: int | Sequence, variables: int | Sequence
+        self,
+        config: LogicConfig,
+        n: int,
+        slots: int | Sequence,
+        variables: int | Sequence,
+        canonical: bool = False,
     ):
         if isinstance(slots, int):
             slots, variables = range(1, slots + 1), range(1, variables + 1)
         self.config = config
         self.n = n
+        self.canonical = canonical
         self.fops = config.fops(n)
         self.preds: list = []  # id -> predicate
         self.coalgs: list = []  # cid -> coalgebra
         self._slots = {key: s for s, key in enumerate(slots)}  # slot or atom -> slot - 1
         self._vars = {key: v for v, key in enumerate(variables)}  # variable or prop -> variable
-        # slot - 1 -> cid, set by the caller; slot 1 holds its block list
+        # slot - 1 -> its cid, or its cids: slot 1's block list when
+        # canonical, else one cid per position on every slot
         self.cids: list = [0] * len(self._slots)
         self.vals: list = []  # step position -> ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
@@ -484,15 +500,14 @@ class Plan:
         for pos, step in self.groups[group]:
             vals[pos] = step(vals)
 
-    def run_case(self, coalgs, sigmas) -> None:
-        """Run every step at a single case: ``coalgs`` on the slots, slot 1
-        first (as a block list of one cid), and ``sigmas`` on the
-        variables."""
-        cids = self.cids
-        cids[:] = map(self.intern, coalgs)
-        if cids:
-            cids[0] = [cids[0]]
-        self._inputs[:] = [[self.pid(sigma)] for sigma in sigmas], 1
+    def run_cases(self, size: int, coalgs: Sequence, sigmas: Sequence) -> None:
+        """Run every step of a plan that is not canonical at ``size``
+        cases, position ``i`` being case ``i``: ``coalgs`` holds one column
+        of coalgebras per slot, slot 1 first, and ``sigmas`` one column of
+        predicates per variable, each ``size`` long."""
+        intern, pid = self.intern, self.pid
+        self.cids[:] = [list(map(intern, column)) for column in coalgs]
+        self._inputs[:] = [list(map(pid, column)) for column in sigmas], size
         vals = self.vals
         for group in self.groups:
             for pos, step in group:
@@ -500,10 +515,13 @@ class Plan:
 
     def case(self, i: int) -> tuple[list, list]:
         """The case at position ``i`` of the lists run last (by ``sweep``
-        or ``run_case``): the coalgebras on the slots, slot 1 first, and
+        or ``run_cases``): the coalgebras on the slots, slot 1 first, and
         the predicates on the variables."""
         var_lists, size = self._inputs
-        cids = [self.cids[0][i // size], *self.cids[1:]] if self.cids else []
+        if self.canonical:
+            cids = [self.cids[0][i // size], *self.cids[1:]] if self.cids else []
+        else:
+            cids = [ids[i] for ids in self.cids]
         return [self.coalgs[c] for c in cids], [self.preds[ids[i % size]] for ids in var_lists]
 
     def masks(self) -> list[int]:
@@ -655,7 +673,9 @@ class Plan:
             def slot(vals):
                 return cids[s]
 
-            got = self._pos["slot", s] = self._add(2 if s == 0 else 1, slot)
+            got = self._pos["slot", s] = self._add(2 if s == 0 and self.canonical else 1, slot)
+            if not self.canonical:
+                self._each.add(got[0])
         return got
 
     def _conn(self, node: Conn) -> tuple[int, int]:
@@ -773,9 +793,9 @@ class Plan:
         coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
         if variant in COMPOSITION_VARIANTS:
             # right operand cid -> its map: every map while the right operand
-            # moves faster than the left, else the last one
+            # moves faster than the left or by position, else the last one
             right = self._keep({})
-            keep = KEPT_MAPS if args[1][1] == 2 > args[0][1] else 1
+            keep = KEPT_MAPS if not self.canonical or args[1][1] == 2 > args[0][1] else 1
 
             def output(c1, c2):
                 after = right.get(c2)
@@ -986,7 +1006,8 @@ class EvalSession:
     def _start(self) -> None:
         model = self.model
         self.plan = Plan(model.config, model.n, list(model.atoms), list(model.valuation))
-        self.plan.run_case(model.atoms.values(), model.valuation.values())
+        atoms, rows = model.atoms.values(), model.valuation.values()
+        self.plan.run_cases(1, [[gamma] for gamma in atoms], [[row] for row in rows])
 
     def eval(self, formula: Formula) -> Predicate:
         plan = self.plan
@@ -1000,8 +1021,7 @@ class EvalSession:
         plan = self.plan
         pos = plan._action(action)[0]
         self._run()
-        cid = plan.vals[pos]  # a test yields a list of one cid
-        return plan.coalgs[cid if isinstance(cid, int) else cid[0]]
+        return plan.coalgs[plan.vals[pos][0]]
 
     def _run(self) -> None:
         try:

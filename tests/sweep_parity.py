@@ -53,7 +53,12 @@ The calls are, in order:
   pdl-threshold/L2 and of instantial (``max_k=1``), of ``join-pw``,
   ``meet-pw``, ``kleisli``, ``dual``, ``counter-domain`` and ``star`` on
   aneighbourhood/B2, of ``meet-pw`` on pdl-labelled/L3, and of ``+`` and
-  ``&`` on game/L2, whose local form fits the default budget.
+  ``&`` on game/L2, whose local form fits the default budget;
+* sampled refutations whose first failure lies many trials in (1000
+  trials, fixed seeds), on pdl-labelled/L2: the ``+ dia`` rule with
+  ``\\/ ([1]0 /\\ [2]0) * ([1]0 /\\ [2]0)`` added to its template, at
+  n=3, and ``p * p * q * q * r * r * [a]0 * [a]0 -> 0`` at max_n=3, each
+  under seeds whose first failure lies from trial 3 to trial 589.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -152,6 +157,7 @@ def calls(root: Path, seed: int):
     yield from _block_rows(m, configs, entail)
     yield from _one_step_rows(m, seed)
     yield from _exhaustive_safety_rows(m)
+    yield from _late_failure_rows(m)
 
 
 def _sampled_safety_rows(m, configs, seed):
@@ -286,6 +292,31 @@ def _exhaustive_safety_rows(m):
         yield (
             f"safety {config.name}/{config.truth.name} {op.id} {op.variant} max_n=2 exhaustive",
             lambda c=config, op=op: h.check_safety(op, c, max_n=2),
+        )
+
+
+def _late_failure_rows(m):
+    """Sampled rule and entailment refutations on pdl-labelled/L2 whose
+    first failure lies past the first trials, some many trials in."""
+    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    config = m["presets"].make_preset("pdl-labelled", m["algebra"].algebra_by_name("L2"))
+    key = ("op", "+", "dia")
+    text = "<1>w1 \\/ <2>w1 \\/ ([1]0 /\\ [2]0) * ([1]0 /\\ [2]0)"
+    rule = reduction.ReductionRule(*key, sx.parse(text, config.signature, "template"))
+    for s in (14, 5, 0, 1, 17, 18):
+        yield (
+            f"late rule pdl-labelled/L2 {' '.join(key)} n=3 seed={s}",
+            lambda s=s: h.verify_reduction_rule(
+                rule, config, n=3, mode="random", trials=1000, seed=s
+            ),
+        )
+    phi = sx.parse("p * p * q * q * r * r * [a]0 * [a]0 -> 0", config.signature)
+    for s in (28, 2, 7, 6, 4):
+        yield (
+            f"late entail pdl-labelled/L2 max_n=3 seed={s}",
+            lambda s=s: h.bounded_entailment(
+                [], phi, config, max_n=3, mode="random", trials=1000, seed=s
+            ),
         )
 
 

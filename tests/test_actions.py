@@ -18,7 +18,7 @@ from mvdl.actions import (
 from mvdl.actions import TestSpec as TSpec
 from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
-from mvdl.functors import Kind, functor_ops, predicate_drawer, predicate_space
+from mvdl.functors import Kind, functor_ops, int_drawer, predicate_drawer, predicate_space
 from mvdl.presets import PRESET_NAMES, make_preset
 
 from reference_eval import (
@@ -454,6 +454,15 @@ class TestDrawers:
             draw = predicate_drawer(inlined, m, n)
             for _ in range(300):
                 assert draw() == tuple(methods.randrange(m) for _ in range(n))
+            assert inlined.getstate() == methods.getstate()
+
+    def test_int_drawer_matches_randint(self):
+        # bounded entailment draws each sampled model's size this way
+        for lo, hi in ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (0, 7), (2, 9), (3, 17)):
+            inlined, methods = random.Random(lo * 100 + hi), random.Random(lo * 100 + hi)
+            draw = int_drawer(inlined, lo, hi)
+            for _ in range(300):
+                assert draw() == methods.randint(lo, hi)
             assert inlined.getstate() == methods.getstate()
 
 

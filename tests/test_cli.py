@@ -94,13 +94,16 @@ class TestExitCodes:
         assert "374 maps and target predicates" in err
 
     def test_op_safety_budget_counts_operand_tuples(self, capsys):
-        code, out, err = run(
-            capsys,
-            "check-safety", "--preset", "pdl-labelled", "--algebra", "L2", "--op", ";",
-            "--max-n", "2", "--budget", "100",
-        )
-        assert (code, out) == (3, "")
-        assert "7614 target operand tuples" in err and "random mode" in err
+        # the 7,614 tuples `;` computes up to n = 2 are counted only where
+        # their closed-form lower bound, 432, fits the budget
+        for budget, count in (("100", "at least 432"), ("1000", "7614")):
+            code, out, err = run(
+                capsys,
+                "check-safety", "--preset", "pdl-labelled", "--algebra", "L2", "--op", ";",
+                "--max-n", "2", "--budget", budget,
+            )
+            assert (code, out) == (3, "")
+            assert f": {count} target operand tuples" in err and "random mode" in err
 
     def test_game_pointwise_safety_fits_the_default_budget(self, capsys):
         # both operands of `+` are local: 175**2 constant pairs, not C**2

@@ -15,7 +15,7 @@ from mvdl.errors import (
     PreconditionViolated,
     UnsupportedKind,
 )
-from mvdl.functors import Kind, functor_ops, predicate_space
+from mvdl.functors import Kind, functor_ops, int_drawer, predicate_drawer, predicate_space
 from mvdl.harness import (
     DEFAULT_SEED,
     _SafetyIds,
@@ -32,7 +32,7 @@ from mvdl.harness import (
     verify_registry,
 )
 from mvdl import actions, harness
-from mvdl.jsonio import config_from_json, fvalue_from_json, model_from_json
+from mvdl.jsonio import config_from_json, fvalue_from_json, fvalue_to_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import Model, eval_formula
@@ -40,7 +40,13 @@ from mvdl import syntax as sx
 from mvdl.syntax import Atomic, Conn, Modal, Op, Prop, Template, Var, instantiate, parse
 
 from conftest import random_formula, random_model
-from reference_eval import reference_safety, reference_safety_pairs, reference_safety_sampled
+from reference_eval import (
+    reference_entailment,
+    reference_rule_sweep,
+    reference_safety,
+    reference_safety_pairs,
+    reference_safety_sampled,
+)
 
 
 class TestMorphism:
@@ -556,6 +562,23 @@ class TestSafetyBudget:
         with pytest.raises(BudgetExceeded) as err:
             check_safety(op, labelled_l2, max_n=3, budget=27_431)
         assert err.value.count == 27_432
+
+    def test_oversized_sweeps_are_refused_before_any_ff(self, labelled_l2, crisp_l2):
+        # `+` reads both operands locally, so the target pairs it would
+        # compute are sum over n, n' <= max_n of n'**n * V_n**2 (V_n = 3**n
+        # labelled, 2**n crisp): a closed form, known before any Ff
+        for config, max_n, count in ((labelled_l2, 5, 267_883_659), (crisp_l2, 6, 288_238_404)):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded, match="random mode") as err:
+                check_safety(config.ops["+"], config, max_n=max_n)
+            assert err.value.count == count
+            assert time.perf_counter() - t0 < 1
+        # the right operand of `;` is not local, so there the closed form is
+        # only a lower bound, and the refusal says so
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="^at least 288238404 target") as err:
+            check_safety(crisp_l2.ops[";"], crisp_l2, max_n=6)
+        assert time.perf_counter() - t0 < 1
 
     def test_sampled_mode_has_no_budget(self, labelled_l2):
         verdict = check_safety(
@@ -1196,3 +1219,121 @@ def test_misspelt_mode_is_rejected(sweep, labelled_l2):
         calls[sweep]("exhaustiv")
     got = calls[sweep]("random")
     assert all(v.ok for v in (got.values() if isinstance(got, dict) else [got]))
+
+
+class TestSampledBatches:
+    """Sampled rule and entailment sweeps run their trials in batches of 1,
+    2, 4, ... up to ``SAMPLED_BATCH``, each plan step once per batch.  The
+    verdict, case count and first counterexample are the trial-by-trial
+    reference's, wherever the first failure lies."""
+
+    # wrong only where neither operand has a successor at some state: rare
+    # at three states, so the first failure lies many batches in
+    RARE = "<1>w1 \\/ <2>w1 \\/ ([1]0 /\\ [2]0) * ([1]0 /\\ [2]0)"
+    # refuted only where p, q and r are 1 and a has no successor at a state
+    SELDOM = "p * p * q * q * r * r * [a]0 * [a]0 -> 0"
+
+    def _rare_rule(self, config):
+        rule = builtin_rules(config).rules[("op", "+", "dia")]
+        return ReductionRule(*rule.key, parse(self.RARE, config.signature, "template"))
+
+    def _assert_rule_as_reference(self, rule, config, n, seed, trials=1000):
+        got = verify_reduction_rule(rule, config, n=n, mode="random", trials=trials, seed=seed)
+        status, cases, counter = reference_rule_sweep(
+            rule, config, n, mode="random", trials=trials, seed=seed
+        )
+        assert (got.status, got.cases) == (status, cases)
+        if counter is not None:
+            counter["gammas"] = [
+                [fvalue_to_json(config.kind, v) for v in g] for g in counter["gammas"]
+            ]
+            counter = {"rule": list(rule.key), **counter}
+        assert got.counterexample == counter
+        return got
+
+    @pytest.mark.parametrize("seed, trial", [(5, 106), (1, 236), (17, 516)])
+    def test_late_rule_failure_matches_reference(self, labelled_l2, seed, trial):
+        # trial 106 is in the batch of trials 63..126, 236 in the first
+        # batch of SAMPLED_BATCH trials and 516 four batches on
+        got = self._assert_rule_as_reference(self._rare_rule(labelled_l2), labelled_l2, 3, seed)
+        assert (got.status, got.cases) == ("fails", 3 * (trial + 1))
+
+    def test_rule_failure_at_the_first_trial_matches_reference(self, labelled_l2):
+        rule = builtin_rules(labelled_l2).rules[("op", "+", "dia")]
+        body = parse("<1>w1 /\\ <2>w1", labelled_l2.signature, "template")
+        wrong = ReductionRule(*rule.key, body)
+        got = self._assert_rule_as_reference(wrong, labelled_l2, 2, DEFAULT_SEED, trials=50)
+        assert (got.status, got.cases) == ("fails", 2)
+
+    @pytest.mark.parametrize("cap", [1, 3, 128])
+    def test_any_batch_cap_gives_the_reference_verdicts(self, labelled_l2, monkeypatch, cap):
+        monkeypatch.setattr(harness, "SAMPLED_BATCH", cap)
+        rare = self._rare_rule(labelled_l2)
+        self._assert_rule_as_reference(rare, labelled_l2, 3, 5, trials=300)
+        self._assert_rule_as_reference(rare, labelled_l2, 3, 5, trials=100)  # holds
+        phi = parse(self.SELDOM, labelled_l2.signature)
+        for trials in (60, 200):  # holds, then fails at trial 78
+            self._assert_entailment_as_reference(phi, labelled_l2, 2, trials)
+
+    def _assert_entailment_as_reference(self, phi, config, seed, trials=1000):
+        got = bounded_entailment([], phi, config, max_n=3, mode="random", trials=trials, seed=seed)
+        status, cases, counter = reference_entailment(
+            [], phi, config, 3, mode="random", trials=trials, seed=seed
+        )
+        assert (got.status, got.cases, got.counterexample) == (status, cases, counter)
+        return got
+
+    @pytest.mark.parametrize(
+        "text, seed, trial",
+        [
+            (SELDOM, 28, 3),
+            (SELDOM, 2, 78),
+            (SELDOM, 4, 368),
+            # the batch's earliest countermodel is not on the plan of the
+            # batch's first trial, which fails later in the batch too
+            ("p * p * q * q * [a]0 * [a]0 -> 0", 16, 41),
+            ("p * p * q * q * [a]0 * [a]0 -> 0", 12, 90),
+        ],
+    )
+    def test_entailment_over_mixed_sizes_matches_reference(self, labelled_l2, text, seed, trial):
+        # sizes 1..3 are drawn per trial, so each batch runs on three plans
+        # and its first countermodel is the least failing trial over them
+        phi = parse(text, labelled_l2.signature)
+        got = self._assert_entailment_as_reference(phi, labelled_l2, seed)
+        assert (got.status, got.cases) == ("fails", trial + 1)
+
+    @pytest.mark.parametrize("seed", [14, 5, 1, 17])
+    def test_a_failing_sweep_draws_few_trials_past_its_failure(
+        self, labelled_l2, monkeypatch, seed
+    ):
+        sigmas = []  # one sigma per trial: the rule has one variable
+
+        def counting(rng, m, n):
+            draw = predicate_drawer(rng, m, n)
+            return lambda: sigmas.append(None) or draw()
+
+        monkeypatch.setattr(harness, "predicate_drawer", counting)
+        rule = self._rare_rule(labelled_l2)
+        got = verify_reduction_rule(rule, labelled_l2, n=3, mode="random", trials=1000, seed=seed)
+        assert got.status == "fails"
+        j = got.cases // 3 - 1
+        assert len(sigmas) <= min(2 * j + 1, j + harness.SAMPLED_BATCH)
+
+    @pytest.mark.parametrize("seed", [28, 2, 4])
+    def test_a_failing_entailment_draws_few_models_past_its_failure(
+        self, labelled_l2, monkeypatch, seed
+    ):
+        sizes = []  # one carrier size per trial
+
+        def counting(rng, lo, hi):
+            draw = int_drawer(rng, lo, hi)
+            return lambda: sizes.append(None) or draw()
+
+        monkeypatch.setattr(harness, "int_drawer", counting)
+        phi = parse(self.SELDOM, labelled_l2.signature)
+        got = bounded_entailment(
+            [], phi, labelled_l2, max_n=3, mode="random", trials=1000, seed=seed
+        )
+        assert got.status == "fails"
+        j = got.cases - 1
+        assert len(sizes) <= min(2 * j + 1, j + harness.SAMPLED_BATCH)

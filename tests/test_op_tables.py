@@ -78,7 +78,7 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
     lift = next(iter(config.liftings.values()))
     w1 = sx.Var(1)
     t_w1, t_slot1 = sx.Test("t", w1), sx.Test("t", sx.Modal(lift.id, 1, (w1,) * lift.arity))
-    plan = Plan(config, n, 2, 1)
+    plan = Plan(config, n, 2, 1, canonical=True)
     nodes = {  # key -> (node, what its list holds per entry)
         "left": (sx.Op("o", (1, 2)), "block"),
         "right": (sx.Op("o", (2, 1)), "block"),

@@ -75,7 +75,7 @@ def templates(draw):
 def test_every_step_matches_reference(case):
     config, n, slots, k, body, rng = case
     fops = config.fops(n)
-    plan = Plan(config, n, slots, k)
+    plan = Plan(config, n, slots, k, canonical=True)
     plan.compile(body)
     P = plan.intern_space()
     preds, coalgs = plan.preds, plan.coalgs
@@ -100,12 +100,28 @@ def test_every_step_matches_reference(case):
                     for combo in space
                 ]
                 assert got == want, (node, cid)
-    # a single case: slot 1 is a block of one cid and every list one id long
-    gammas = tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots))
-    sigmas = tuple(preds[rng.randrange(P)] for _ in range(k))
-    plan.run_case(gammas, sigmas)
-    for node, pos in nodes:
-        assert [preds[i] for i in plan.vals[pos]] == [reference.eval(node, gammas, sigmas)], node
+    # sampled cases, as a plan that is not canonical runs them: every slot
+    # and variable holds one id per position, position i being case i
+    sampled = Plan(config, n, slots, k)
+    sampled.compile(body)
+    cases = [
+        (
+            tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots)),
+            tuple(preds[rng.randrange(P)] for _ in range(k)),
+        )
+        for _ in range(rng.randrange(1, 6))
+    ]
+    columns = [[gammas[s] for gammas, _ in cases] for s in range(slots)]
+    sampled.run_cases(len(cases), columns, [[sigmas[v] for _, sigmas in cases] for v in range(k)])
+    for node, (pos, _) in sampled._pos.items():
+        if isinstance(node, tuple):
+            continue
+        got = sampled.vals[pos]
+        assert len(got) == len(cases), node
+        for i, (gammas, sigmas) in enumerate(cases):
+            assert sampled.case(i) == (list(gammas), list(sigmas))
+            assert sampled.preds[got[i]] == reference.eval(node, gammas, sigmas), node
+    gammas, sigmas = cases[0]
     # the same case through a session: the template instantiated with atoms
     # and propositions, in a model interpreting them as gammas and sigmas
     atoms = [f"a{s}" for s in range(1, slots + 1)]
