@@ -11,10 +11,10 @@ Rule-soundness sweeps and bounded entailment compile what they compare (a
 rule's two sides; Gamma and phi) into one ``semantics.Plan`` and read
 their cases from one driver, ``_batches``: it checks the budget, loads the
 cases into the plan one batch at a time (a block list of the slot loop
-``Plan.sweep`` when exhaustive, one drawn case when sampled) and yields
-the compared lists, each position decoded by ``Plan.case``.  Each checker
-is one loop, one comparison and one counterexample builder over those
-batches.
+``Plan.sweep`` when exhaustive, drawn cases when sampled) and yields the
+compared ids, one per block, each block decoded by ``Plan.block`` and each
+case by ``Plan.case``.  Each checker is one loop, one comparison per
+block and one counterexample builder over those batches.
 
 A safety sweep runs one loop per carrier pair on ids of its own, given on
 first sight: a value's vid, and a coalgebra on either side as the tuple of
@@ -76,6 +76,7 @@ from .semantics import (
     lifting_kernel,
 )
 from .syntax import (
+    Conn,
     Formula,
     Modal,
     Op,
@@ -708,28 +709,29 @@ def check_separation(
 def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, models: bool):
     """Load the cases of a rule or entailment sweep into its plans, one
     batch at a time, and yield ``(cases, parts)`` after each: how many
-    cases the batch holds, and per plan it ran ``(plan, lists, index)``,
-    ``lists`` the plan's lists at the compiled positions, of one length,
-    position ``i`` being ``plan.case(i)`` and case ``index[i]`` of the
-    batch.
+    cases the batch holds, and per plan it ran ``(plan, at, lists,
+    index)``, ``lists`` the plan's ids at the compiled positions ``at``,
+    one per block of the batch, block ``j`` being ``plan.block(pos, j)``
+    and position ``i`` of its cases ``plan.case(i)`` and case ``index[i]``
+    of the batch.
 
-    Exhaustive mode sweeps each ``(plan, positions)`` of ``sweeps``, one
-    part per batch: the carrier's coalgebras are interned in canonical
-    order (the i-th gets cid i, ``Plan.intern_coalgebras``), then its
-    predicates, and every assignment of them to the ``variables`` is
-    loaded; a batch is a block list of ``Plan.sweep``, and a list that does
-    not read slot 1 is repeated once per block where another one does.
-    Before anything is interned, the coalgebra tuples on the slots,
-    C**slots, or with ``models`` the standard models, C**slots * S, are
-    checked against ``budget``.
+    Exhaustive mode sweeps each ``(plan, at)`` of ``sweeps``, one part per
+    batch: the carrier's coalgebras are interned in canonical order (the
+    i-th gets cid i, ``Plan.intern_coalgebras``), then its predicates, and
+    every assignment of them to the ``variables`` is loaded; a batch is a
+    block list of ``Plan.sweep``, and a step that does not read slot 1
+    holds one id for every block of it.  Before anything is interned, the
+    coalgebra tuples on the slots, C**slots, or with ``models`` the
+    standard models, C**slots * S, are checked against ``budget``.
 
     Random mode runs ``trials`` trials in batches of 1, 2, 4, ... up to
     ``SAMPLED_BATCH``, so a sweep failing at trial j has drawn at most
     2j + 1 of them.  ``draw(count)`` draws a batch of ``count`` trials as
-    ``(plan, positions, index, coalgebras, predicates)`` per plan: the
-    batch's trials on that plan, by index, as one column of coalgebras per
-    slot (slot 1 first) and one of predicates per variable.  Each plan
-    runs its trials at once (``Plan.run_cases``), after ``Plan.forget``.
+    ``(plan, at, index, coalgebras, predicates)`` per plan: the batch's
+    trials on that plan, by index, as one column of coalgebras per slot
+    (slot 1 first) and one of predicates per variable.  Each plan runs its
+    trials at once (``Plan.run_cases``), after ``Plan.forget``, each trial
+    its own block.
     """
     if mode == "random":
         done, size = 0, 1
@@ -739,7 +741,7 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
             for plan, at, index, gammas, sigmas in draw(count):
                 plan.forget(SAMPLED_COALGEBRAS)
                 plan.run_cases(len(index), gammas, sigmas)
-                parts.append((plan, list(map(plan.vals.__getitem__, at)), index))
+                parts.append((plan, at, list(map(plan.vals.__getitem__, at)), index))
             yield count, parts
             done, size = done + count, min(2 * size, SAMPLED_BATCH)
         return
@@ -758,10 +760,9 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
         plan.load(assignments(plan.intern_space(), variables), size)
         vals = plan.vals
         for blocks in plan.sweep(coalgs):
-            lists, cases = [vals[p] for p in at], size * len(blocks)
-            if any(len(ids) != len(lists[0]) for ids in lists):
-                lists = [ids if len(ids) == cases else ids * len(blocks) for ids in lists]
-            yield cases, [(plan, lists, range(cases))]
+            B = len(blocks)
+            lists = [[ids] * B if isinstance(ids, int) else ids for ids in map(vals.__getitem__, at)]
+            yield size * B, [(plan, at, lists, range(size * B))]
 
 
 # -- reduction-rule soundness ----------------------------------------------
@@ -785,8 +786,9 @@ def verify_reduction_rule(
     mode sweeps every coalgebra tuple, predicate tuple and state at carrier
     size n; random mode samples ``trials`` coalgebra/predicate draws.
     Values are exact algebra elements, so the tolerance is zero.  Each
-    batch of ``_batches`` is checked as one list of ids per side; the first
-    differing position is the first failing case of the case-by-case order.
+    batch of ``_batches`` is checked as one id per block per side; the
+    first differing block, then its first differing sigma-position, give
+    the first failing case of the case-by-case order.
     """
     t0 = time.perf_counter()
     _check_sweep(mode, trials)
@@ -801,8 +803,9 @@ def verify_reduction_rule(
     plan = Plan(config, n, arity, n_vars, canonical=mode == "exhaustive")
     args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
     at = [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
-    rng = random.Random(seed)
-    value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
+    if mode == "random":  # an exhaustive sweep draws nothing
+        rng = random.Random(seed)
+        value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
     states = range(n)
 
     def draw(count: int):  # per trial, the gammas in slot order, then the sigmas
@@ -814,29 +817,41 @@ def verify_reduction_rule(
                 column.append(sigma())
         return [(plan, at, range(count), gammas, sigmas)]
 
-    cases = 0
-    for batch, ((plan, (got, want), _),) in _batches(
+    cases = blocks = 0
+    for batch, ((plan, _, (got, want), _),) in _batches(
         mode, trials, draw, [(plan, at)], n_vars, budget, models=False
     ):
+        blocks += len(got)
         if got != want:
-            i = next(i for i, (u, v) in enumerate(zip(got, want)) if u != v)
+            # the first differing block, then its first differing sigma-position
+            j = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
+            lhs, rhs = plan.block(at[0], j), plan.block(at[1], j)
+            s = next(s for s, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            i = j * len(lhs) + s
             coalgs, sigmas = plan.case(i)
             counter = {
                 "rule": list(rule.key),
-                "sigmas": [list(s) for s in sigmas[is_test:]],
-                "lhs": list(plan.preds[got[i]]),
-                "rhs": list(plan.preds[want[i]]),
+                "sigmas": [list(sigma) for sigma in sigmas[is_test:]],
+                "lhs": list(plan.preds[lhs[s]]),
+                "rhs": list(plan.preds[rhs[s]]),
             }
             if is_test:
                 counter["test_argument"] = list(sigmas[0])
             else:
                 counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in coalgs]
-            return _verdict("fails", cases + (i + 1) * n, t0, counter)
+            stats = _reuse(blocks, [len(plan.vecs)]) if plan.canonical else {}
+            return _verdict("fails", cases + (i + 1) * n, t0, counter, **stats)
         cases += n * batch
-    status, sampled = "holds", {}
+    status, stats = "holds", _reuse(blocks, [len(plan.vecs)])
     if mode != "exhaustive":
-        status, sampled = "holds-up-to-bound", {"trials": trials, "seed": seed}
-    return _verdict(status, cases, t0, None, rule=list(rule.key), n=n, mode=mode, **sampled)
+        status, stats = "holds-up-to-bound", {"trials": trials, "seed": seed}
+    return _verdict(status, cases, t0, None, rule=list(rule.key), n=n, mode=mode, **stats)
+
+
+def _reuse(blocks: int, vectors: Iterable[int]) -> dict:
+    """What an exhaustive sweep records of its memo reuse: the blocks it
+    evaluated, and the distinct sigma-vectors its plans interned for them."""
+    return {"blocks": blocks, "vectors": sum(vectors)}
 
 
 def verify_registry(
@@ -1100,9 +1115,10 @@ def bounded_entailment(
 
     Gamma and phi compile into one plan per carrier size, propositions as
     its variables and atomic actions as its slots.  Exhaustive mode
-    evaluates them once per atom assignment over every valuation at once;
-    the first failing position of a batch of ``_batches`` is the first
-    countermodel of the case-by-case order.  Random mode draws each
+    evaluates them once per atom assignment over every valuation at once,
+    as one block, and checks each distinct block once; the first failing
+    valuation of the first failing block of a batch of ``_batches`` is the
+    first countermodel of the case-by-case order.  Random mode draws each
     model's size, then its atoms and valuation, and runs a batch's models
     of one size at once in the plan of that size; the batch's first
     countermodel is the one of least trial index over its plans.
@@ -1112,15 +1128,16 @@ def bounded_entailment(
     formulas = list(gamma) + [phi]
     prop_names = sorted(set().union(set(), *(props_of(g) for g in formulas)))
     atom_names = sorted(set().union(set(), *(atoms_of(g) for g in formulas)))
-    top = config.truth.top
     slots = atom_names[::-1]  # the last atom moves fastest: slot 1
 
-    def compiled(n: int):
+    def compiled(n: int):  # a plan of n states, with phi, Gamma and the constant 1 at ``at``
         plan = Plan(config, n, slots, prop_names, canonical=mode == "exhaustive")
-        return plan, [plan.compile(phi), *map(plan.compile, gamma)]
+        return plan, [plan.compile(phi), *map(plan.compile, gamma), plan.compile(Conn("1"))]
 
-    rng, plans = random.Random(seed), {}
-    carrier = int_drawer(rng, 1, max_n)
+    plans = {}
+    if mode == "random":  # an exhaustive sweep draws nothing
+        rng = random.Random(seed)
+        carrier = int_drawer(rng, 1, max_n)
 
     def drawn(n: int):  # a plan of n states with its value and predicate drawers
         plan, at = compiled(n)
@@ -1149,24 +1166,32 @@ def bounded_entailment(
         )
 
     sweeps = map(compiled, range(1, max_n + 1))
-    sampled = {} if mode == "exhaustive" else {"seed": seed}
-    cases = 0
+    cases = blocks = 0
+    vectors = {}  # carrier size -> the sigma-vectors its plan interned
+    # carrier size -> the blocks' ids of phi and Gamma known to hold; a
+    # sampled plan may forget its ids before the next batch
+    held = {}
     for batch, parts in _batches(
         mode, trials, draw, sweeps, len(prop_names), budget, models=True
     ):
         firsts = []  # per plan, its first countermodel: (case of the batch, position, states, plan)
-        for plan, lists, index in parts:
-            phi_ids = lists[0]
-            if phi_ids.count(plan.pid((top,) * plan.n)) == len(phi_ids):
+        for plan, at, lists, index in parts:
+            phi_ids, top = lists[0], lists[-1][0]
+            blocks += len(phi_ids)
+            if plan.canonical:
+                vectors[plan.n] = len(plan.vecs)
+            if phi_ids.count(top) == len(phi_ids):
                 continue
-            masks, full, rows = plan.masks(), (1 << plan.n) - 1, lists[1:]
-            for i, f in enumerate(phi_ids):
-                bad = full & ~masks[f]
-                for row in rows:
-                    bad &= masks[row[i]]
-                if bad:
-                    firsts.append((index[i], i, bad, plan))
-                    break
+            seen = held.setdefault(plan.n, set()) if plan.canonical else set()
+            for j, key in enumerate(zip(*lists[:-1])):
+                if key[0] == top or key in seen:
+                    continue
+                got = _countermodel(plan, at[:-1], j)
+                if got is None:
+                    seen.add(key)
+                    continue
+                firsts.append((index[got[0]], *got, plan))
+                break
         if firsts:
             j, i, bad, plan = min(firsts)  # the cases of a batch are distinct
             coalgs, sigmas = plan.case(i)
@@ -1179,8 +1204,24 @@ def bounded_entailment(
                 "phi": render(phi, config.signature),
                 "gamma": [render(g, config.signature) for g in gamma],
             }
-            return _verdict("fails", cases + j + 1, t0, counter, max_n=max_n, mode=mode, **sampled)
+            stats = {"seed": seed} if mode == "random" else _reuse(blocks, vectors.values())
+            return _verdict("fails", cases + j + 1, t0, counter, max_n=max_n, mode=mode, **stats)
         cases += batch
-    if mode != "exhaustive":
-        sampled = {"trials": trials, "seed": seed}
-    return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, **sampled)
+    stats = {"trials": trials, "seed": seed} if mode == "random" else _reuse(blocks, vectors.values())
+    return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, **stats)
+
+
+def _countermodel(plan: Plan, at: Sequence[int], j: int) -> tuple[int, int] | None:
+    """The position in its batch of the first case of block ``j`` at which
+    some state has phi, the step at ``at[0]``, below top and every formula
+    of Gamma, the steps at ``at[1:]``, at top, with the mask of those
+    states; None where there is none."""
+    masks, full = plan.masks(), (1 << plan.n) - 1
+    phis, *rows = (plan.block(pos, j) for pos in at)
+    for s, f in enumerate(phis):
+        bad = full & ~masks[f]
+        for row in rows:
+            bad &= masks[row[s]]
+        if bad:
+            return j * len(phis) + s, bad
+    return None

@@ -10,8 +10,10 @@ and action slots (the template, and the lifting applied to the operation
 over slots 1..arity or to the test of variable 1); a formula is the same
 kind of object, its propositions playing the variables and its atomic
 actions the slots.  So the rule-soundness and entailment sweeps share the
-plan: an exhaustive sweep runs its slot loop, ``Plan.sweep``, a sampled one
-runs batches of drawn cases, ``Plan.run_cases``, and an EvalSession is a
+plan: an exhaustive sweep runs its slot loop, ``Plan.sweep``, over blocks
+of cases that share their coalgebras, each step holding one interned
+vector of predicate ids per block; a sampled one runs batches of drawn
+cases, ``Plan.run_cases``, one case per block; and an EvalSession is a
 plan over one model, its atoms as the slots and its valuation rows as the
 variables, run as a batch of one case.  Connectives resolve through
 ``connective``.
@@ -338,13 +340,56 @@ def _interner(index: dict, values: list):
     return intern
 
 
-# a sweep's lists that read slot 1 hold at most this many ids (S per
-# slot-1 cid), so they do not grow with the number of coalgebras
+# a block list of slot 1 covers at most this many cases (S per slot-1
+# cid), so the blocks a step reads at once do not grow with the number of
+# coalgebras
 SWEEP_IDS = 1 << 16
 
 # a composition whose right operand reads slot 1 and its left operand does
 # not keeps at most this many right operands' maps
 KEPT_MAPS = 256
+
+
+def _single(key):
+    """What ``itemgetter(key)`` gets, as a 1-tuple."""
+
+    def get(row):
+        return (row[key],)
+
+    return get
+
+
+def _columns(vecs, decode, size, ids, listed, new) -> list:
+    """Arguments' ids at every sigma-position of the blocks ``new``, one
+    list per argument: ``new`` holds each block's ids of the arguments at
+    ``listed`` (one id where one is listed), ``ids`` the others' ids, and
+    ``decode`` says which ids name vectors of ``vecs``, not cids."""
+    count = len(new)
+    cols = list(ids)
+    if count == 1:  # one block: its ids, each vector as it is
+        for i, u in zip(listed, new[0] if len(listed) > 1 else new):
+            cols[i] = u
+        return [vecs[u] if d else (u,) * size for u, d in zip(cols, decode)]
+    for i, d in enumerate(decode):
+        if i not in listed:
+            cols[i] = vecs[ids[i]] * count if d else (ids[i],) * (size * count)
+    for i, col in zip(listed, zip(*new) if len(listed) > 1 else (new,)):
+        if decode[i]:
+            cols[i] = list(chain.from_iterable(map(vecs.__getitem__, col)))
+        else:
+            cols[i] = list(chain.from_iterable(map(repeat, col, repeat(size))))
+    return cols
+
+
+def _nothing(vals) -> None:
+    """The key of the one row of a step whose arguments all hold one id per
+    block."""
+    return None
+
+
+def _zipped(*cols) -> list:
+    """A k-ary lifting's keys, one tuple of argument ids per position."""
+    return list(zip(*cols))
 
 
 class Plan:
@@ -362,55 +407,71 @@ class Plan:
     compiles the same way, its propositions playing the variables and its
     atomic actions the slots.  Each distinct subterm becomes one step.
 
-    A plan that is not ``canonical`` (a sampled sweep's, or a session's)
-    runs batches of S drawn cases (``run_cases``): every slot, like every
-    variable, holds one id per position, position ``i`` being case ``i``,
-    so every action step yields one cid per position and each step runs
-    once per batch.  What follows is the layout of a canonical plan.
+    Steps run over blocks of cases.  The cases of a block share their
+    coalgebras and differ in the variables' predicates: a canonical plan
+    (an exhaustive sweep's) loads S assignments of predicates to the
+    variables, one sigma-list per variable in the sweep's canonical order
+    (``load``), and a block is one assignment of cids to the slots at all
+    S of them.  A plan that is not canonical (a sampled sweep's, or a
+    session's) runs a batch of drawn cases (``run_cases``), each case its
+    own block, so S is 1 there.
 
     Steps fall into groups by what they read: 0 the variables only, 1 also
-    a slot other than the first, 2 the first slot.  Slot 1 is a block
-    list: every cid the sweep gives it at once (``range(C)``).  A formula
-    step of group 0 or 1 maps the sigma-list (variable assignments, S of
-    them, in the sweep's canonical order) to the list of its S ids; one of
-    group 2 yields B*S ids for B blocks, block-major, so position ``i`` is
-    block ``i // S`` at sigma-position ``i % S``.  An S-long list read
-    beside a B*S-long one is repeated once per block by a tile step.  An
-    action step yields one cid, or one cid per block if it reads slot 1; a
-    test yields one cid per position (S or B*S of them), as does an
-    operation with such an operand, whose block operands are spread over
-    their S positions.  A modality over a block list reads each block's
-    lifting row at the same S keys, through one ``itemgetter`` over those
-    keys; where the keys read slot 1 too, the block list is spread and
-    read position by position.
+    a slot other than the first, 2 the first slot.  On a canonical plan
+    slot 1 is a block list, every cid the sweep gives it at once, and a
+    step of group 2 holds one id per block of that list, one of group 0 or
+    1 one id in all, standing for every block.  A formula step's id names
+    a vector, the tuple of its S pids at the block's sigma-positions,
+    interned in ``vecs``, so equal vectors have equal ids.  An action
+    step's id is a cid, unless the action reads a test: a test's cids
+    differ by sigma-position, so it holds the id of the vector of its S
+    cids, as does an operation over it.  On a plan that is not canonical
+    every step holds one id per position, position ``i`` being case
+    ``i``, and that id is a pid or a cid itself: the vector of one id.
 
-    Connectives, liftings, operations and tests read id tables whose
-    entries are computed on first use: an extra connective keys on its
-    argument id, a binary one on both, a lifting on the cid of its action
-    and its argument id (a tuple of ids for a k-ary lifting), a test on its
-    argument's id.  A lifting entry is assembled from the lifted truth
-    values of the coalgebra's FValues, each computed once by the lifting's
-    kernel and kept per FValue, since sampled coalgebras seldom recur but
-    their FValues do.  An operation keeps its outputs by operand cids only
-    where those are few (one operand, or a cid list per position); a pair
-    of slots, of which there are C**2, is assembled state by state from
-    one-step tables.  A composition goes through the map of its right
-    operand, memoised per FValue; it keeps every right operand's map, up to
-    ``KEPT_MAPS``, on a plan that is not canonical or where the right
-    operand reads slot 1 and the left does not, and else the last one.  A
-    binary pointwise operation goes through ``pointwise_step`` memoised per
-    pair of FValues.  On a canonically interned plan, a binary pointwise
-    operation or composition over one listed operand and one fixed cid,
-    unless it composes with the listed operand on the right, skips all
-    that (``_tabled``): its output at listed cid c is the sum over states x
-    of V**(n-1-x) times a row of output vids read at c's x-th digit, rows
-    built once per fixed cid, and it reads these sums off one table per
-    fixed cid.  ``forget`` drops every id and table and the canonical
-    order, so a long sampled sweep can bound its memory.
-    ``sweep`` runs group 1 once per assignment of the outer slots and
-    group 2 once per block list, ``run_cases`` every step once per batch,
-    and ``case`` decodes a position of their lists; ``run_new`` runs each
-    step compiled since, for an EvalSession.
+    A step over vectors reads a vector table keyed by its arguments' ids:
+    the ids of the arguments that hold one id in all pick a row, and each
+    block's ids of the others an entry.  A missing entry is computed from
+    the arguments' vectors (a cid standing for S copies of itself) by the
+    step's per-position function, the step of a plan that is not
+    canonical, run once over every new block of the list, and its output
+    is interned one block at a time; a modality over a block list of cids
+    beside one key vector instead reads each new cid's lifting row at the
+    vector's keys through one ``itemgetter``.  So a step computes each
+    distinct input once, however many blocks repeat it (``entries``
+    counts them), and a comparison of two steps compares one id per
+    block.
+
+    The per-position functions read id tables whose entries are computed
+    on first use: an extra connective keys on its argument id, a binary
+    one on both, a lifting on the cid of its action and its argument id (a
+    tuple of ids for a k-ary lifting), a test on its argument's id.  A
+    lifting fills every missing key of a cid at once, from the lifted
+    truth values of the coalgebra's FValues, each computed once by the
+    lifting's kernel and kept per FValue, since sampled coalgebras seldom
+    recur but their FValues do; on a canonically interned plan the kernel
+    computes every FValue of the enumeration at a key's first miss.  An operation keeps its outputs by operand
+    cids only where those are few (one operand, a test among them, or a
+    plan that is not canonical); a pair of slots, of which there are C**2,
+    is assembled state by state from one-step tables.  A composition goes
+    through the map of its right operand, memoised per FValue; it keeps
+    every right operand's map, up to ``KEPT_MAPS``, on a plan that is not
+    canonical or where the right operand reads slot 1 and the left does
+    not, and else the last one.  A binary pointwise operation goes through
+    ``pointwise_step`` memoised per pair of FValues.  On a canonically
+    interned plan, a binary pointwise operation or composition over one
+    listed operand and one fixed cid, unless it composes with the listed
+    operand on the right, skips all that (``_tabled``): its output at
+    listed cid c is the sum over states x of V**(n-1-x) times a row of
+    output vids read at c's x-th digit, rows built once per fixed cid, and
+    it reads these sums off one table per fixed cid.  ``forget`` drops
+    every id, vector and table and the canonical order, so a long sampled
+    sweep can bound its memory.  ``sweep`` runs group 1 once per
+    assignment of the outer slots and group 2 once per block list,
+    ``run_cases`` every step once per batch; ``block`` decodes a step's
+    ids at a block and ``case`` the case at a position, position ``i``
+    being block ``i // S`` at sigma-position ``i % S``; ``run_new`` runs
+    each step compiled since, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -433,18 +494,22 @@ class Plan:
         self.fops = config.fops(n)
         self.preds: list = []  # id -> predicate
         self.coalgs: list = []  # cid -> coalgebra
+        self.vecs: list = []  # vector id -> its ids at the S sigma-positions
         self._slots = {key: s for s, key in enumerate(slots)}  # slot or atom -> slot - 1
         self._vars = {key: v for v, key in enumerate(variables)}  # variable or prop -> variable
         # slot - 1 -> its cid, or its cids: slot 1's block list when
         # canonical, else one cid per position on every slot
         self.cids: list = [0] * len(self._slots)
-        self.vals: list = []  # step position -> ids
+        self.vals: list = []  # step position -> its id, or its ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
         self._ran = [0, 0, 0]  # steps of each group that run_new has run
-        self._inputs: list = [[], 1]  # the variables' sigma-lists and their length
+        # the variables' sigma-lists, their length, and what each
+        # variable's step holds: its vector id when canonical, else its list
+        self._inputs: list = [[], 1, []]
         self._pos: dict = {}  # node -> (position, group)
-        self._each: set = set()  # positions of actions with one cid per position
-        self._lifts: dict = {}  # lifting id -> (arity, {cid: {key: id}}, fill)
+        self._vectored: set = set()  # positions whose ids name vectors
+        self._memos: dict = {}  # position -> its step's vector table
+        self._lifts: dict = {}  # lifting id -> (arity, per-position function)
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep({})
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
@@ -454,6 +519,7 @@ class Plan:
         # freed at once rather than by the cycle collector
         self.pid = _interner(self._pred_ids, self.preds)
         self.intern = _interner(self._keep({}), self.coalgs)
+        self._vector = _interner(self._keep({}), self.vecs)
 
     def intern_space(self) -> int:
         """Intern every predicate in canonical order, before any other is
@@ -475,13 +541,14 @@ class Plan:
         return len(self.coalgs)
 
     def forget(self, bound: int) -> None:
-        """Drop every interned coalgebra and predicate, with every table
-        entry keyed on them and the canonical order, once more than
-        ``bound`` of either are interned.  The caller then sets the cids
-        and loads afresh."""
+        """Drop every interned coalgebra, predicate and vector, with every
+        table entry keyed on them and the canonical order, once more than
+        ``bound`` coalgebras or predicates are interned.  The caller then
+        sets the cids and loads afresh."""
         if len(self.coalgs) > bound or len(self.preds) > bound:
             self.coalgs.clear()
             self.preds.clear()
+            self.vecs.clear()
             for table in self._tables:
                 table.clear()
 
@@ -490,9 +557,9 @@ class Plan:
         return self._compile(body)[0]
 
     def load(self, var_lists: list, size: int) -> None:
-        """Take the variables' sigma-lists, all of length ``size``, and run
-        group 0."""
-        self._inputs[:] = var_lists, size
+        """Take the variables' sigma-lists, all of length ``size``, into a
+        canonical plan, each as the id of its vector, and run group 0."""
+        self._inputs[:] = var_lists, size, [self._vector(tuple(ids)) for ids in var_lists]
         self.run(0)
 
     def run(self, group: int) -> None:
@@ -507,7 +574,8 @@ class Plan:
         predicates per variable, each ``size`` long."""
         intern, pid = self.intern, self.pid
         self.cids[:] = [list(map(intern, column)) for column in coalgs]
-        self._inputs[:] = [list(map(pid, column)) for column in sigmas], size
+        ids = [list(map(pid, column)) for column in sigmas]
+        self._inputs[:] = ids, size, ids
         vals = self.vals
         for group in self.groups:
             for pos, step in group:
@@ -517,12 +585,32 @@ class Plan:
         """The case at position ``i`` of the lists run last (by ``sweep``
         or ``run_cases``): the coalgebras on the slots, slot 1 first, and
         the predicates on the variables."""
-        var_lists, size = self._inputs
+        var_lists, size = self._inputs[:2]
         if self.canonical:
             cids = [self.cids[0][i // size], *self.cids[1:]] if self.cids else []
         else:
             cids = [ids[i] for ids in self.cids]
         return [self.coalgs[c] for c in cids], [self.preds[ids[i % size]] for ids in var_lists]
+
+    def block(self, pos: int, j: int) -> tuple:
+        """The ids the step at ``pos`` held at block ``j`` of its last run,
+        one per sigma-position: pids for a formula, cids for an action,
+        tuples of pids for a k-ary lifting's keys.  A step that holds one
+        id in all holds it at every block."""
+        ids = self.vals[pos]
+        if not isinstance(ids, int):
+            ids = ids[j]
+        if pos in self._vectored:
+            return self.vecs[ids]
+        return (ids,) * (self._inputs[1] if self.canonical else 1)
+
+    def entries(self) -> dict[int, int]:
+        """How many vector-table entries each step of a canonical plan has
+        computed, by position: one per distinct input it has read."""
+        return {
+            pos: sum(len(row) if isinstance(row, dict) else 1 for row in table.values())
+            for pos, table in self._memos.items()
+        }
 
     def masks(self) -> list[int]:
         """Each interned predicate's ``crisp_mask``, by id; ``forget``
@@ -546,11 +634,14 @@ class Plan:
         run of group 2.  The outer slots move in ``product`` order, the
         last slot slowest, and group 1 runs once per outer assignment.
         Slot 1 takes its cids as consecutive block lists, so group 2 runs
-        once per block list, not once per cid.  The first lists hold 1, 2,
-        4, ... cids, so a sweep failing at slot-1 cid j of its first outer
-        assignment has run at most 2j + 1 of them; from then on a list
-        takes every cid that fits in ``SWEEP_IDS`` ids.  Position ``i`` of
-        a list that reads slot 1 is the case of cid ``blocks[i // S]`` at
+        once per block list, not once per cid.  The first list holds the
+        cids of about ``SWEEP_IDS`` / 1024 cases (at least one cid) and
+        each next one twice as many, so a sweep failing at slot-1 cid j of
+        its first outer assignment has run at most 2j + 1 cids or that
+        first list; from then on a list takes every cid whose blocks fit in
+        ``SWEEP_IDS`` cases.  Block
+        ``j`` of a list is the cases of cid ``blocks[j]``, so position
+        ``i`` of the list's cases is cid ``blocks[i // S]`` at
         sigma-position ``i % S``, S the loaded size: the order of a loop
         with slot 1 innermost.  With no slots there is one assignment,
         yielded as ``range(1)``."""
@@ -558,7 +649,8 @@ class Plan:
         if not cids:
             yield range(1)
             return
-        most, size = max(1, SWEEP_IDS // self._inputs[1]), 1
+        most = max(1, SWEEP_IDS // self._inputs[1])
+        size = max(1, most >> 10)
         for outer in product(range(coalgs), repeat=len(cids) - 1):
             cids[1:] = outer[::-1]
             self.run(1)
@@ -571,16 +663,113 @@ class Plan:
 
     # -- compilation ------------------------------------------------------
 
-    def _add(self, group: int, step) -> tuple[int, int]:
+    def _add(self, group: int, step, vectored: bool = False) -> tuple[int, int]:
         pos = len(self.vals)
         self.vals.append(None)
         self.groups[group].append((pos, step))
+        if vectored:
+            self._vectored.add(pos)
         return pos, group
 
     def _keep(self, table):
         """``table``, to be emptied by ``forget``."""
         self._tables.append(table)
         return table
+
+    def _step(self, args, cells, read=None) -> tuple[int, int]:
+        """A step over its arguments' ids, ``(position, group)`` each,
+        through ``cells``, a function from one id list per argument, all
+        of one length, to the list of output ids at those positions.  On a
+        plan that is not canonical the step is ``cells`` over the
+        arguments' lists.  On a canonical one it holds vector ids and reads
+        them from a vector table, computing the missing entries of a block
+        list at once through ``cells`` over the arguments' vectors, or
+        through ``read``, which maps the first argument's cids at the new
+        blocks and the second's one id in all to the output vectors."""
+        positions, groups = zip(*args)
+        group = max(groups)
+        if not self.canonical:
+
+            def step(vals):
+                return cells(*map(vals.__getitem__, positions))
+
+            return self._add(group, step)
+        table = self._keep({})
+        got = self._add(group, self._vectors(positions, groups, cells, read, table), True)
+        self._memos[got[0]] = table
+        return got
+
+    def _vectors(self, positions, groups, cells, read, table):
+        """The step of ``_step`` on a canonical plan.  ``table`` maps the
+        ids of the arguments that hold one id in all to the step's output
+        id, or, where some argument holds one id per block, to a row
+        mapping each block's ids of those arguments to it."""
+        vecs, vector, inputs = self.vecs, self._vector, self._inputs
+        decode = list(map(self._vectored.__contains__, positions))  # else a cid
+        listed = [i for i, g in enumerate(groups) if g == 2]
+        if read is not None:  # each new block's cid (or the one cid), and a key vector
+
+            def compute(ids, new):
+                return list(map(vector, read(new if listed else ids[:1], ids[1])))
+
+        else:
+
+            def compute(ids, new):
+                size = inputs[1]
+                out = cells(*_columns(vecs, decode, size, ids, listed, new))
+                return list(map(vector, zip(*[iter(out)] * size)))
+
+        if not listed:
+
+            def step(vals):
+                ids = tuple(map(vals.__getitem__, positions))
+                got = table.get(ids)
+                if got is None:
+                    got = table[ids] = compute(ids, ((),))[0]
+                return got
+
+            return step
+        if len(listed) == 2 == len(positions):  # a row per block's first id
+            a, b = positions
+
+            def step(vals):
+                A, B = vals[a], vals[b]
+                try:
+                    return list(map(getitem, map(table.__getitem__, A), B))
+                except KeyError:
+                    new = [k for k in dict.fromkeys(zip(A, B)) if k[1] not in table.get(k[0], ())]
+                    for (u, v), got in zip(new, compute((A, B), new)):
+                        table.setdefault(u, {})[v] = got
+                    return list(map(getitem, map(table.__getitem__, A), B))
+
+            return step
+        # a row per id of the arguments that hold one id in all (their
+        # tuple, where not one), its entries at the others' ids per block
+        fixed = [pos for pos, g in zip(positions, groups) if g < 2]
+        key_of = itemgetter(*fixed) if fixed else _nothing
+        if len(listed) == 1:
+            blocks_of = itemgetter(positions[listed[0]])
+        else:
+            listed_of = itemgetter(*[positions[i] for i in listed])
+
+            def blocks_of(vals):
+                return list(zip(*listed_of(vals)))
+
+        def step(vals):
+            blocks, key = blocks_of(vals), key_of(vals)
+            row = table.get(key)
+            if row is None:  # every block is new
+                new = table[key] = dict.fromkeys(blocks)
+                new.update(zip(new, compute(list(map(vals.__getitem__, positions)), list(new))))
+                return list(map(new.__getitem__, blocks))
+            try:
+                return list(map(row.__getitem__, blocks))
+            except KeyError:
+                new = [b for b in dict.fromkeys(blocks) if b not in row]
+                row.update(zip(new, compute(list(map(vals.__getitem__, positions)), new)))
+                return list(map(row.__getitem__, blocks))
+
+        return step
 
     def _lifting(self, lid: str):
         got = self._lifts.get(lid)
@@ -590,25 +779,51 @@ class Plan:
             rows, by_key = self._keep(defaultdict(dict)), self._keep(defaultdict(dict))
             preds, n, coalgs, pid, ids = self.preds, self.n, self.coalgs, self.pid, self._pred_ids
             truths = frozenset(range(self.config.truth.m))
+            vecs, canon = self.vecs, self._canon
 
-            def fill(cid, keys):
+            def fill(cid, keys):  # the entries of cid's row at keys it lacks
                 table, coalg = rows[cid], coalgs[cid]
                 for key in keys:
-                    if key not in table:
-                        known = by_key[key]  # FValue -> its lifted truth value
+                    if key in table:
+                        continue
+                    known = by_key[key]  # FValue -> its lifted truth value
+                    if canon and not known:  # canonically interned: every FValue at once
+                        new = list(dict.fromkeys(chain(canon[1], coalg)))
+                    else:
                         new = [value for value in coalg if value not in known]
-                        if new:
-                            args = [preds[i] for i in key] if arity > 1 else [preds[key]]
-                            known.update(zip(new, kernel(args, new, n)))
-                        row = tuple(map(known.__getitem__, coalg))
-                        if row not in ids and not truths.issuperset(row):
-                            raise InvalidParameter(
-                                f"lifting {lid!r} yields {row}, outside the truth algebra"
-                            )
-                        table[key] = pid(row)
-                return list(map(table.__getitem__, keys))
+                    if new:
+                        args = [preds[i] for i in key] if arity > 1 else [preds[key]]
+                        known.update(zip(new, kernel(args, new, n)))
+                    row = tuple(map(known.__getitem__, coalg))
+                    if row not in ids and not truths.issuperset(row):
+                        raise InvalidParameter(
+                            f"lifting {lid!r} yields {row}, outside the truth algebra"
+                        )
+                    table[key] = pid(row)
 
-            got = self._lifts[lid] = (arity, rows, fill)
+            def modal(C, K):  # the lifted predicate's id per (cid, key) position
+                try:
+                    return list(map(getitem, map(rows.__getitem__, C), K))
+                except KeyError:
+                    need = {}  # cid -> its missing keys, in order of first use
+                    for c, key in zip(C, K):
+                        if key not in rows[c]:
+                            need.setdefault(c, {})[key] = None
+                    for c, keys in need.items():
+                        fill(c, keys)
+                    return list(map(getitem, map(rows.__getitem__, C), K))
+
+            def read(C, K):  # each cid's row at the keys of vector K, by one itemgetter
+                keys = vecs[K]
+                get = itemgetter(*keys) if len(keys) > 1 else _single(keys[0])
+                try:
+                    return list(map(get, map(rows.__getitem__, C)))
+                except KeyError:
+                    for c in C:
+                        fill(c, keys)
+                    return list(map(get, map(rows.__getitem__, C)))
+
+            got = self._lifts[lid] = (arity, modal, read)
         return got
 
     def _compile(self, node) -> tuple[int, int]:
@@ -620,9 +835,9 @@ class Plan:
             var, inputs = self._variable(node), self._inputs
 
             def variable(vals):
-                return inputs[0][var]
+                return inputs[2][var]
 
-            got = self._add(0, variable)
+            got = self._add(0, variable, self.canonical)
         elif isinstance(node, Conn):
             got = self._conn(node)
         elif isinstance(node, Modal):
@@ -674,109 +889,67 @@ class Plan:
                 return cids[s]
 
             got = self._pos["slot", s] = self._add(2 if s == 0 and self.canonical else 1, slot)
-            if not self.canonical:
-                self._each.add(got[0])
         return got
 
     def _conn(self, node: Conn) -> tuple[int, int]:
         pid, preds = self.pid, self.preds
         arity, interp = connective(self.config.truth, node.symbol, len(node.args))
         if arity == 0:
-            row, inputs = (interp,) * self.n, self._inputs
+            row, inputs, vector = (interp,) * self.n, self._inputs, self._vector
+            if self.canonical:
 
-            def constant(vals):
-                return [pid(row)] * inputs[1]
+                def constant(vals):
+                    return vector((pid(row),) * inputs[1])
 
-            return self._add(0, constant)
+            else:
+
+                def constant(vals):
+                    return [pid(row)] * inputs[1]
+
+            return self._add(0, constant, self.canonical)
         args = [self._compile(a) for a in node.args]
-        group = max(g for _, g in args)
         if arity == 1:
-            ((a, _),) = args
             table = self._keep({})
 
-            def extra(vals):
-                A = vals[a]
+            def extra(A):
                 try:
                     return list(map(table.__getitem__, A))
                 except KeyError:
-                    for u in A:
+                    for u in dict.fromkeys(A):
                         if u not in table:
                             table[u] = pid(tuple(interp[v] for v in preds[u]))
                     return list(map(table.__getitem__, A))
 
-            return self._add(group, extra)
-        a, b = self._aligned(args)
+            return self._step(args, extra)
         rows = self._keep(defaultdict(dict))
 
-        def binary(vals):
-            A, B = vals[a], vals[b]
+        def binary(A, B):
             try:
                 return list(map(getitem, map(rows.__getitem__, A), B))
             except KeyError:
-                for u, v in zip(A, B):
+                for u, v in dict.fromkeys(zip(A, B)):
                     row = rows[u]
                     if v not in row:
                         pointwise = map(getitem, map(interp.__getitem__, preds[u]), preds[v])
                         row[v] = pid(tuple(pointwise))
                 return list(map(getitem, map(rows.__getitem__, A), B))
 
-        return self._add(group, binary)
+        return self._step(args, binary)
 
     def _modal(self, node: Modal) -> tuple[int, int]:
-        arity, rows, fill = self._lifting(node.lifting)
+        arity, modal, read = self._lifting(node.lifting)
         if len(node.args) != arity:
             raise ArityMismatch(
                 f"lifting {node.lifting!r} expects {arity} predicate(s), "
                 f"got {len(node.args)}"
             )
-        act, group = self._action(node.action)
+        act = self._action(node.action)
         args = [self._compile(a) for a in node.args]
-        keys, kgroup = args[0] if arity == 1 else self._keys(args)
-        if group == 2 and kgroup == 2 and act not in self._each:
-            act = self._spread(act)  # each block reads its own keys: go by position
-        if act in self._each:  # one cid per position
-            act, keys = self._aligned([(act, group), (keys, kgroup)])
-
-            def modal(vals):
-                C, K = vals[act], vals[keys]
-                try:
-                    return list(map(getitem, map(rows.__getitem__, C), K))
-                except KeyError:
-                    for c, key in zip(C, K):
-                        fill(c, (key,))
-                    return list(map(getitem, map(rows.__getitem__, C), K))
-
-        elif group < 2:  # one cid
-
-            def modal(vals):
-                cid = vals[act]
-                try:
-                    return list(map(rows[cid].__getitem__, vals[keys]))
-                except KeyError:
-                    return fill(cid, vals[keys])
-
-        else:  # a block list: each block's row reads the same S keys
-
-            def read(blocks, K):
-                if len(blocks) == 1:
-                    return list(map(rows[blocks[0]].__getitem__, K))
-                block_rows = map(rows.__getitem__, blocks)
-                if len(K) == 1:  # a one-key itemgetter yields the entry, not a 1-tuple
-                    return list(map(itemgetter(K[0]), block_rows))
-                return list(chain.from_iterable(map(itemgetter(*K), block_rows)))
-
-            def modal(vals):
-                blocks, K = vals[act], vals[keys]
-                try:
-                    return read(blocks, K)
-                except KeyError:
-                    need = dict.fromkeys(K).keys()  # in order of first use, as one cid fills
-                    for c in blocks:
-                        if not rows[c].keys() >= need:
-                            fill(c, need)
-                    return read(blocks, K)
-
-        return self._add(max(group, kgroup), modal)
+        keys = args[0] if arity == 1 else self._keys(args)
+        # a cid, not a vector of them, beside one key vector in all reads
+        # its row at those keys
+        by_row = keys[1] < 2 and act[0] not in self._vectored
+        return self._step([act, keys], modal, read if by_row else None)
 
     def _op(self, node: Op) -> tuple[int, int]:
         spec = self.config.op(node.op)
@@ -789,7 +962,8 @@ class Plan:
         args = [self._action(a) for a in node.args]
         group = max((g for _, g in args), default=0)
         positions = [pos for pos, _ in args]
-        each = [pos in self._each for pos in positions]
+        # an operand reads a test, so its cids differ by sigma-position
+        by_sigma = not self._vectored.isdisjoint(positions)
         coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
         if variant in COMPOSITION_VARIANTS:
             # right operand cid -> its map: every map while the right operand
@@ -823,9 +997,9 @@ class Plan:
             def output(*key):
                 return intern(apply_op(spec, [coalgs[c] for c in key], fops))
 
-        if len(args) == 1 or any(each):
-            # memoised by operand cids where these are few: one operand, or
-            # test outputs; a pair of slots has C**2
+        if len(args) == 1 or by_sigma or not self.canonical:
+            # memoised by operand cids where these are few: one operand, a
+            # test's cids, or drawn cases; a pair of slots has C**2
             table, compute = self._keep({}), output
 
             def output(*key):
@@ -834,16 +1008,14 @@ class Plan:
                     got = table[key] = compute(*key)
                 return got
 
-        if any(each) and group == 2:
-            # one cid per position of every block: S-long lists tiled,
-            # block lists spread over their S positions
-            for i, (pos, g) in enumerate(args):
-                if g == 2 and not each[i]:
-                    positions[i], each[i] = self._spread(pos), True
-                elif g < 2 and each[i]:
-                    positions[i] = self._tiled(pos)
+        if by_sigma:
+
+            def cells(*cols):
+                return list(map(output, *cols))
+
+            return self._step(args, cells)
         # a list of cids per operand that has one: per position, or per block
-        listed = [e or g == 2 for e, (_, g) in zip(each, args)]
+        listed = [g == 2 or not self.canonical for _, g in args]
         if any(listed):
 
             def op(vals):
@@ -867,10 +1039,7 @@ class Plan:
             def op(vals):
                 return output(vals[a], vals[b])
 
-        got = self._add(group, op)
-        if any(each):
-            self._each.add(got[0])
-        return got
+        return self._add(group, op)
 
     def _tabled(self, by_cid, positions, left: bool, variant: str):
         """A binary operation step over one listed operand and one fixed
@@ -923,69 +1092,29 @@ class Plan:
     def _test(self, node: Test) -> tuple[int, int]:
         spec = self.config.test(node.test)
         spec.check_kind(self.config.kind)
-        a, group = self._compile(node.arg)
+        arg = self._compile(node.arg)
         table, preds, fops, truth = self._keep({}), self.preds, self.fops, self.config.truth
         intern = self.intern
 
-        def test(vals):
-            A = vals[a]
+        def test(A):
             try:
                 return list(map(table.__getitem__, A))
             except KeyError:
-                for u in A:
+                for u in dict.fromkeys(A):
                     if u not in table:
                         table[u] = intern(apply_test(spec, preds[u], fops, truth))
                 return list(map(table.__getitem__, A))
 
-        got = self._add(group, test)
-        self._each.add(got[0])
-        return got
+        return self._step([arg], test)
 
     def _keys(self, args) -> tuple[int, int]:
         """A step zipping the argument ids into lifting keys, one id tuple
         per position."""
-        positions = tuple(self._aligned(args))
+        positions = tuple(pos for pos, _ in args)
         got = self._pos.get(positions)
         if got is None:
-
-            def keys(vals):
-                return list(zip(*map(vals.__getitem__, positions)))
-
-            got = self._pos[positions] = self._add(max(g for _, g in args), keys)
+            got = self._pos[positions] = self._step(args, _zipped)
         return got
-
-    def _aligned(self, args) -> list[int]:
-        """The positions of per-position lists read side by side: where one
-        reads slot 1, the S-long ones are tiled to its length."""
-        if all(g < 2 for _, g in args):
-            return [pos for pos, _ in args]
-        return [pos if g == 2 else self._tiled(pos) for pos, g in args]
-
-    def _tiled(self, pos: int) -> int:
-        """A group-2 step repeating the S-long list at ``pos`` once per block."""
-        got = self._pos.get(("tile", pos))
-        if got is None:
-            cids = self.cids
-
-            def tile(vals):
-                return vals[pos] * len(cids[0])
-
-            got = self._pos["tile", pos] = self._add(2, tile)
-        return got[0]
-
-    def _spread(self, pos: int) -> int:
-        """A group-2 step repeating each cid of the block list at ``pos`` at
-        its block's S positions."""
-        got = self._pos.get(("spread", pos))
-        if got is None:
-            inputs = self._inputs
-
-            def spread(vals):
-                return list(chain.from_iterable(map(repeat, vals[pos], repeat(inputs[1]))))
-
-            got = self._pos["spread", pos] = self._add(2, spread)
-            self._each.add(got[0])
-        return got[0]
 
 
 class EvalSession:

@@ -14,11 +14,11 @@ from mvdl import syntax as sx
 from mvdl.algebra import algebra_by_name, build_builtin
 from mvdl.harness import bounded_entailment
 from mvdl.presets import make_preset
-from mvdl.semantics import EvalSession
+from mvdl.semantics import EvalSession, Model
 from mvdl.syntax import parse
 
 from conftest import random_formula, random_model
-from reference_eval import reference_entailment
+from reference_eval import ReferenceSession, reference_entailment
 
 # one configuration per preset; the algebras carry extras and constants so
 # that fuzzed formulas reach those connectives too
@@ -331,3 +331,96 @@ def test_large_sampled_carriers_stay_cheap(monkeypatch, run):
     t0 = time.perf_counter()
     run(config, phi)
     assert time.perf_counter() - t0 < 0.5
+
+
+# -- countermodels inside a block ---------------------------------------------
+#
+# A canonical plan checks one block of S valuations at a time; each first
+# countermodel below lies at valuation s > 0 of a block j > 0 (block j being
+# one assignment of coalgebras to the atoms), after every model at the
+# smaller carriers.
+
+
+@pytest.mark.parametrize(
+    "preset, algebra, text, n, block, sigma",
+    [
+        ("pdl-labelled", "L2", "<a;b>p -> <b;a>p", 2, 87, 6),
+        ("pdl-labelled", "L2", "<b>p -> <a>q \\/ p", 2, 3, 54),
+        ("game", "L2", "<a&b>q -> <b>p", 1, 11, 2),
+        ("instantial", None, "<a:inst2>(p, q) -> <b:inst1>p", 1, 8, 3),
+    ],
+)
+def test_countermodel_inside_a_block_matches_reference(preset, algebra, text, n, block, sigma):
+    config = make_preset(preset, algebra_by_name(algebra)) if algebra else make_preset(preset, max_k=2)
+    phi = parse(text, config.signature)
+    _assert_same(config, [], phi, 2)
+    atoms, props = len(sx.atoms_of(phi)), len(sx.props_of(phi))
+    before = sum(_models_at(config, m, atoms, props) for m in range(1, n))
+    S = config.truth.m ** (n * props)
+    assert bounded_entailment([], phi, config, max_n=2).cases == before + block * S + sigma + 1
+
+
+# -- every step of a canonical plan, on k-ary liftings and tests ------------
+
+
+STEP_CONFIGS = {**CONFIGS, "instantial": make_preset("instantial", _B2X, max_k=2)}
+
+
+@st.composite
+def slot_1_formulas(draw):
+    """A formula over atoms a and b (b is slot 1) holding a test whose
+    argument reads slot 1, beside slot 1 in a binary operation, and on the
+    instantial preset a modality of the binary lifting inst2; with the
+    carrier size to sweep it at."""
+    name = draw(st.sampled_from(sorted(STEP_CONFIGS)))
+    config = STEP_CONFIGS[name]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a, b = sx.Atomic("a"), sx.Atomic("b")
+
+    def formula(depth):
+        return random_formula(rng, config, depth, atoms=("a", "b"), props=("p", "q"))
+
+    def modal(action, depth, lid=None):
+        lid = lid or rng.choice(sorted(config.liftings))
+        return sx.Modal(lid, action, tuple(formula(depth) for _ in range(config.liftings[lid].arity)))
+
+    test = sx.Test(rng.choice(sorted(config.tests)), modal(b, 1))
+    op = rng.choice(sorted(spec.id for spec in config.ops.values() if spec.arity == 2))
+    pair = rng.choice([(test, b), (b, test), (a, test)])
+    parts = [modal(sx.Op(op, pair), 1), formula(2)]
+    if "inst2" in config.liftings:
+        parts.append(modal(rng.choice([a, b, sx.Op(op, (a, b))]), 1, "inst2"))
+    rng.shuffle(parts)
+    phi = parts[0]
+    for part in parts[1:]:
+        phi = sx.Conn(rng.choice(["/\\", "\\/", "->"]), (phi, part))
+    props = len(sx.props_of(phi))
+    n = 2 if _models_at(config, 2, 2, props) <= MODELS_AT_TWO else 1
+    return config, phi, n
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(slot_1_formulas())
+def test_every_step_matches_reference_on_slot_1_tests_and_inst2(case):
+    config, phi, n = case
+    props = sorted(sx.props_of(phi))
+    plan = semantics.Plan(config, n, ["b", "a"], props, canonical=True)
+    plan.compile(phi)
+    coalgs = plan.intern_coalgebras(list(plan.fops.enumerate()))
+    P = plan.intern_space()
+    S = P ** len(props)
+    plan.load(semantics.assignments(P, len(props)), S)
+    nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
+    for blocks in plan.sweep(coalgs):
+        for b in range(len(blocks)):
+            for s in range(S):
+                gammas, sigmas = plan.case(b * S + s)
+                model = Model(n, config, {"b": gammas[0], "a": gammas[1]}, dict(zip(props, sigmas)))
+                reference = ReferenceSession(model)
+                for node, pos in nodes:
+                    got = plan.block(pos, b)[s]
+                    if isinstance(node, (sx.Op, sx.Test)):
+                        assert plan.coalgs[got] == reference.interpret(node), node
+                    else:
+                        assert plan.preds[got] == reference.eval(node), node
+    _assert_same(config, [], phi, n)

@@ -64,9 +64,10 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
     every case against ``apply_op``: with slot 1 on the left (one right
     operand per outer assignment), on the right (a new right operand per
     slot-1 cid), behind another operation on the right, and beside tests:
-    a test of w1 on the left of slot 2 (a list per sigma-position), a test
-    reading slot 1 on the right of slot 2 (a list per position) and a test
-    of w1 beside slot 1.  With ``values`` the sweep is over every
+    a test of w1 on the left of slot 2 (one vector of cids in all), a test
+    reading slot 1 on the right of slot 2 and a test of w1 beside slot 1
+    (a vector of cids per block).  A vector is read at every
+    sigma-position.  With ``values`` the sweep is over every
     coalgebra, interned in canonical order by ``intern_coalgebras``, and
     checks only the outer cids divisible by ``stride``.  Then it forgets,
     interns the coalgebras again in reverse order, where each output must
@@ -79,13 +80,15 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
     w1 = sx.Var(1)
     t_w1, t_slot1 = sx.Test("t", w1), sx.Test("t", sx.Modal(lift.id, 1, (w1,) * lift.arity))
     plan = Plan(config, n, 2, 1, canonical=True)
-    nodes = {  # key -> (node, what its list holds per entry)
+    # key -> (node, what its step holds: a cid per block, a vector of cids
+    # per block, or one vector in all)
+    nodes = {
         "left": (sx.Op("o", (1, 2)), "block"),
         "right": (sx.Op("o", (2, 1)), "block"),
         "nested": (sx.Op("o", (2, sx.Op("o", (1, 2)))), "block"),
-        "test": (sx.Op("o", (t_w1, 2)), "sigma"),
-        "test reading slot 1": (sx.Op("o", (2, t_slot1)), "position"),
-        "test beside slot 1": (sx.Op("o", (1, t_w1)), "position"),
+        "test": (sx.Op("o", (t_w1, 2)), "one"),
+        "test reading slot 1": (sx.Op("o", (2, t_slot1)), "vector"),
+        "test beside slot 1": (sx.Op("o", (1, t_w1)), "vector"),
     }
     positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
 
@@ -113,18 +116,21 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
         else:
             for g in order:
                 plan.intern(g)
-        plan.load([list(range(plan.intern_space()))], len(plan.preds))
+        S = plan.intern_space()
+        plan.load([list(range(S))], S)
         for blocks in plan.sweep(len(order)):
             if plan.cids[1] % stride:
                 continue
-            outer = plan.coalgs[plan.cids[1]]
             for key, (node, holds) in nodes.items():
-                got = [plan.coalgs[c] for c in plan.vals[positions[key]]]
-                if holds == "block":
-                    cases = [(plan.coalgs[c], outer, None) for c in blocks]
-                else:
-                    cases = [(*gs, s) for gs, (s,) in map(plan.case, range(len(got)))]
-                assert got == [want(node, *case) for case in cases], key
+                pos = positions[key]
+                assert isinstance(plan.vals[pos], int) == (holds == "one"), key
+                for b in range(len(blocks)):
+                    got = [plan.coalgs[c] for c in plan.block(pos, b)]
+                    at = range(b * S, b * S + (1 if holds == "block" else S))
+                    if holds == "block":  # the same cid at every sigma-position
+                        assert got == got[:1] * S, key
+                    cases = [(*gs, s) for gs, (s,) in map(plan.case, at)]
+                    assert got[:len(at)] == [want(node, *case) for case in cases], key
         plan.forget(0)
         assert not plan.coalgs
 

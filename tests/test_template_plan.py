@@ -90,11 +90,13 @@ def test_every_step_matches_reference(case):
         outer = tuple(coalgs[c] for c in plan.cids[1:])
         for node, pos in nodes:
             ids = plan.vals[pos]
-            # a step that does not read slot 1 holds one block, standing for each
-            assert len(ids) in (S, S * len(blocks)), node
+            # a step that does not read slot 1 holds one id, standing for each block
+            assert isinstance(ids, int) or len(ids) == len(blocks), node
             for b, cid in enumerate(blocks):
                 gammas = (coalgs[cid],) + outer
-                got = [preds[i] for i in ids[b * S:(b + 1) * S] or ids]
+                vector = plan.block(pos, b)
+                assert len(vector) == S, node
+                got = [preds[i] for i in vector]
                 want = [
                     reference.eval(node, gammas, tuple(preds[i] for i in combo))
                     for combo in space
@@ -338,3 +340,95 @@ def test_malformed_templates_are_rejected_before_sweeping(labelled_l2):
         rule = ReductionRule("op", "~", "dia", sx.Template(1, 1, body))
         with pytest.raises(error):
             verify_reduction_rule(rule, labelled_l2, n=1)
+
+
+# -- first failures inside a block -------------------------------------------
+#
+# A canonical plan compares one vector id per block, then the first
+# differing sigma-position inside the first differing block.  Each mutant
+# below first fails at sigma-position s > 0 of a block j > 0 (block j being
+# slot-1 cid j % C at the (j // C)-th assignment of slot 2), so both steps
+# of that search decide the reported case.
+
+
+def _swap_connectives(node):
+    swapped = {"/\\": "\\/", "\\/": "/\\"}
+    if isinstance(node, sx.Conn) and node.args:
+        args = tuple(_swap_connectives(a) for a in node.args)
+        return sx.Conn(swapped.get(node.symbol, node.symbol), args)
+    if isinstance(node, sx.Modal):
+        return sx.Modal(node.lifting, node.action, tuple(map(_swap_connectives, node.args)))
+    return node
+
+
+@pytest.mark.parametrize(
+    "preset, algebra, key, mutate, block, sigma",
+    [
+        ("pdl-threshold", "L2", ("op", ";", "dia_1_2"), _swap_connectives, 83, 1),
+        ("pdl-crisp", "L2", ("op", ";", "dia"), _swap_slots, 18, 3),
+        ("instantial", None, ("op", "+", "inst2"), _swap_connectives, 2, 10),
+        ("instantial", None, ("op", "&", "inst2"), _swap_slots, 516, 10),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else getattr(v, "__name__", v),
+)
+def test_first_failure_inside_a_block_matches_reference(preset, algebra, key, mutate, block, sigma):
+    config = make_preset(preset, algebra_by_name(algebra)) if algebra else make_preset(preset)
+    rule = builtin_rules(config).rules[key]
+    mutant = _mutant(config, key, mutate(rule.template.body))
+    got = verify_reduction_rule(mutant, config, n=2)
+    status, cases, counter = reference_rule_sweep(mutant, config, 2)
+    counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in counter["gammas"]]
+    assert (got.status, got.cases, got.counterexample) == (status, cases, {"rule": list(key), **counter})
+    S = (config.truth.m ** 2) ** config.lifting(rule.lifting).arity
+    assert got.cases == 2 * (block * S + sigma + 1)
+
+
+# -- vector tables ------------------------------------------------------------
+
+
+def _threshold_composition_plan():
+    """The exhaustive sweep of pdl-threshold/L3's ``; dia_2_3`` at n = 2, run
+    to the end: 256 coalgebras on each slot, so 65,536 blocks, each of the
+    4 predicates of w1."""
+    config = make_preset("pdl-threshold", algebra_by_name("L3"))
+    rule = builtin_rules(config).rules["op", ";", "dia_2_3"]
+    plan = Plan(config, 2, 2, 1, canonical=True)
+    plan.compile(sx.Modal(rule.lifting, sx.Op(";", (1, 2)), (sx.Var(1),)))
+    plan.compile(rule.template.body)
+    coalgs = plan.intern_coalgebras(list(plan.fops.enumerate()))
+    P = plan.intern_space()
+    plan.load(semantics.assignments(P, 1), P)
+    blocks = sum(len(b) for b in plan.sweep(coalgs))
+    return plan, blocks
+
+
+def test_vector_tables_compute_each_distinct_input_once():
+    # a step that fell back to work per position or per block would compute
+    # 65,536 entries; each computes one per distinct input it reads
+    plan, blocks = _threshold_composition_plan()
+    assert blocks == 65_536
+    names = {pos: sx.render(node, plan.config.signature) for node, (pos, _) in plan._pos.items()
+             if not isinstance(node, tuple)}
+    assert {names[pos]: count for pos, count in plan.entries().items()} == {
+        "<1;2:dia_2_3> w1": 256,
+        "<2:dia_1> w1": 256,
+        "<1:dia_2_3> <2:dia_1> w1": 4096,
+        "<2:dia_2_3> w1": 256,
+        "<1:dia_1> <2:dia_2_3> w1": 4096,
+        "<1:dia_2_3> <2:dia_1> w1 \\/ <1:dia_1> <2:dia_2_3> w1": 206,
+        "<1:dia_1> <2:dia_1> w1": 4096,
+        "<1:dia_2_3> <2:dia_1> w1 \\/ <1:dia_1> <2:dia_2_3> w1 \\/ <1:dia_1> <2:dia_1> w1": 81,
+    }
+    assert len(plan.vecs) == 16
+
+
+def test_exhaustive_verdicts_record_blocks_and_vectors():
+    config = make_preset("pdl-threshold", algebra_by_name("L3"))
+    rule = builtin_rules(config).rules["op", ";", "dia_2_3"]
+    verdict = verify_reduction_rule(rule, config, n=2)
+    assert (verdict.status, verdict.cases) == ("holds", 524_288)
+    assert (verdict.detail["blocks"], verdict.detail["vectors"]) == (65_536, 16)
+    failed = verify_reduction_rule(_mutant(config, rule.key, _swap_slots(rule.template.body)), config)
+    assert failed.status == "fails" and failed.detail["blocks"] >= 524
+    sampled = verify_reduction_rule(rule, config, n=2, mode="random", trials=20)
+    assert "blocks" not in sampled.detail and "vectors" not in sampled.detail
