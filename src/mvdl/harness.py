@@ -761,7 +761,9 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
         vals = plan.vals
         for blocks in plan.sweep(coalgs):
             B = len(blocks)
-            lists = [[ids] * B if isinstance(ids, int) else ids for ids in map(vals.__getitem__, at)]
+            lists = [
+                [ids] * B if isinstance(ids, int) else ids for ids in map(vals.__getitem__, at)
+            ]
             yield size * B, [(plan, at, lists, range(size * B))]
 
 
@@ -1207,7 +1209,9 @@ def bounded_entailment(
             stats = {"seed": seed} if mode == "random" else _reuse(blocks, vectors.values())
             return _verdict("fails", cases + j + 1, t0, counter, max_n=max_n, mode=mode, **stats)
         cases += batch
-    stats = {"trials": trials, "seed": seed} if mode == "random" else _reuse(blocks, vectors.values())
+    stats = {"trials": trials, "seed": seed}
+    if mode == "exhaustive":
+        stats = _reuse(blocks, vectors.values())
     return _verdict("holds-up-to-bound", cases, t0, None, max_n=max_n, mode=mode, **stats)
 
 

@@ -450,10 +450,11 @@ class Plan:
     truth values of the coalgebra's FValues, each computed once by the
     lifting's kernel and kept per FValue, since sampled coalgebras seldom
     recur but their FValues do; on a canonically interned plan the kernel
-    computes every FValue of the enumeration at a key's first miss.  An operation keeps its outputs by operand
-    cids only where those are few (one operand, a test among them, or a
-    plan that is not canonical); a pair of slots, of which there are C**2,
-    is assembled state by state from one-step tables.  A composition goes
+    computes every FValue of the enumeration at a key's first miss.  An
+    operation keeps its outputs by operand cids only where those are few
+    (one operand, a test among them, or a plan that is not canonical); a
+    pair of slots, of which there are C**2, is assembled state by state
+    from one-step tables.  A composition goes
     through the map of its right operand, memoised per FValue; it keeps
     every right operand's map, up to ``KEPT_MAPS``, on a plan that is not
     canonical or where the right operand reads slot 1 and the left does
@@ -509,7 +510,7 @@ class Plan:
         self._pos: dict = {}  # node -> (position, group)
         self._vectored: set = set()  # positions whose ids name vectors
         self._memos: dict = {}  # position -> its step's vector table
-        self._lifts: dict = {}  # lifting id -> (arity, per-position function)
+        self._lifts: dict = {}  # lifting id -> (arity, per-position function, row reader)
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep({})
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
@@ -639,12 +640,11 @@ class Plan:
         each next one twice as many, so a sweep failing at slot-1 cid j of
         its first outer assignment has run at most 2j + 1 cids or that
         first list; from then on a list takes every cid whose blocks fit in
-        ``SWEEP_IDS`` cases.  Block
-        ``j`` of a list is the cases of cid ``blocks[j]``, so position
-        ``i`` of the list's cases is cid ``blocks[i // S]`` at
-        sigma-position ``i % S``, S the loaded size: the order of a loop
-        with slot 1 innermost.  With no slots there is one assignment,
-        yielded as ``range(1)``."""
+        ``SWEEP_IDS`` cases.  Block ``j`` of a list is the cases of cid
+        ``blocks[j]``, so position ``i`` of the list's cases is cid
+        ``blocks[i // S]`` at sigma-position ``i % S``, S the loaded size:
+        the order of a loop with slot 1 innermost.  With no slots there is
+        one assignment, yielded as ``range(1)``."""
         cids = self.cids
         if not cids:
             yield range(1)

@@ -351,7 +351,10 @@ def test_large_sampled_carriers_stay_cheap(monkeypatch, run):
     ],
 )
 def test_countermodel_inside_a_block_matches_reference(preset, algebra, text, n, block, sigma):
-    config = make_preset(preset, algebra_by_name(algebra)) if algebra else make_preset(preset, max_k=2)
+    if algebra is None:
+        config = make_preset(preset, max_k=2)
+    else:
+        config = make_preset(preset, algebra_by_name(algebra))
     phi = parse(text, config.signature)
     _assert_same(config, [], phi, 2)
     atoms, props = len(sx.atoms_of(phi)), len(sx.props_of(phi))
@@ -382,7 +385,8 @@ def slot_1_formulas(draw):
 
     def modal(action, depth, lid=None):
         lid = lid or rng.choice(sorted(config.liftings))
-        return sx.Modal(lid, action, tuple(formula(depth) for _ in range(config.liftings[lid].arity)))
+        args = tuple(formula(depth) for _ in range(config.liftings[lid].arity))
+        return sx.Modal(lid, action, args)
 
     test = sx.Test(rng.choice(sorted(config.tests)), modal(b, 1))
     op = rng.choice(sorted(spec.id for spec in config.ops.values() if spec.arity == 2))

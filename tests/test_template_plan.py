@@ -378,7 +378,8 @@ def test_first_failure_inside_a_block_matches_reference(preset, algebra, key, mu
     got = verify_reduction_rule(mutant, config, n=2)
     status, cases, counter = reference_rule_sweep(mutant, config, 2)
     counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in counter["gammas"]]
-    assert (got.status, got.cases, got.counterexample) == (status, cases, {"rule": list(key), **counter})
+    want = (status, cases, {"rule": list(key), **counter})
+    assert (got.status, got.cases, got.counterexample) == want
     S = (config.truth.m ** 2) ** config.lifting(rule.lifting).arity
     assert got.cases == 2 * (block * S + sigma + 1)
 
@@ -428,7 +429,8 @@ def test_exhaustive_verdicts_record_blocks_and_vectors():
     verdict = verify_reduction_rule(rule, config, n=2)
     assert (verdict.status, verdict.cases) == ("holds", 524_288)
     assert (verdict.detail["blocks"], verdict.detail["vectors"]) == (65_536, 16)
-    failed = verify_reduction_rule(_mutant(config, rule.key, _swap_slots(rule.template.body)), config)
+    mutant = _mutant(config, rule.key, _swap_slots(rule.template.body))
+    failed = verify_reduction_rule(mutant, config)
     assert failed.status == "fails" and failed.detail["blocks"] >= 524
     sampled = verify_reduction_rule(rule, config, n=2, mode="random", trials=20)
     assert "blocks" not in sampled.detail and "vectors" not in sampled.detail
