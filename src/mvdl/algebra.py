@@ -276,19 +276,25 @@ def algebra_by_name(name: str) -> Algebra:
     every call returns the same instance, which caches its unary term clone.
     Callers must not mutate it.
     """
+    if not is_builtin_name(name):
+        raise InvalidParameter(f"unknown builtin algebra name {name!r}")
     if name == "B2":
         return _shared_builtin("boolean", 0)
-    if name[:1] in ("L", "G") and name[1:].isdecimal():
-        try:
-            n = int(name[1:])
-        except ValueError:  # more digits than int() reads from text
-            n = MAX_BUILTIN_CHAIN + 1
-        if n > MAX_BUILTIN_CHAIN:
-            raise InvalidParameter(
-                f"builtin algebra {name!r} is too large: n is at most {MAX_BUILTIN_CHAIN}"
-            )
-        return _shared_builtin("lukasiewicz" if name[0] == "L" else "goedel", n)
-    raise InvalidParameter(f"unknown builtin algebra name {name!r}")
+    try:
+        n = int(name[1:])
+    except ValueError:  # more digits than int() reads from text
+        n = MAX_BUILTIN_CHAIN + 1
+    if n > MAX_BUILTIN_CHAIN:
+        raise InvalidParameter(
+            f"builtin algebra {name!r} is too large: n is at most {MAX_BUILTIN_CHAIN}"
+        )
+    return _shared_builtin("lukasiewicz" if name[0] == "L" else "goedel", n)
+
+
+def is_builtin_name(name: str) -> bool:
+    """Whether ``algebra_by_name`` reads ``name`` as a builtin: B2, L<n> or
+    G<n>, whatever the size n."""
+    return name == "B2" or (name[:1] in ("L", "G") and name[1:].isdecimal())
 
 
 @cache

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import harness, jsonio, reduction
-from .algebra import algebra_by_name, is_semiprimal, validate_flew
+from .algebra import algebra_by_name, is_builtin_name, is_semiprimal, validate_flew
 from .errors import (
     BudgetExceeded,
     ClosureBudgetExceeded,
@@ -55,7 +55,10 @@ def _budget(args) -> int:
 
 
 def _load_algebra(ref: str):
-    if ref.endswith(".json") or os.path.sep in ref or os.path.exists(ref):
+    # a builtin name wins over a file of that name, which is passed as ./L2
+    if not is_builtin_name(ref) and (
+        ref.endswith(".json") or os.path.sep in ref or os.path.exists(ref)
+    ):
         return jsonio.algebra_from_json(jsonio.load_json(ref))
     return algebra_by_name(ref)
 
@@ -314,20 +317,17 @@ def _cmd_check_separation(args, fmt: str) -> int:
     return _verdict_exit(verdict, fmt)
 
 
-def _one_step_random_h(kind: str, alg, n: int, rng) -> dict:
-    """H_alpha for a random value alpha of the kind's functor at n states."""
-    alpha = functor_ops(_one_step_kind_tag(kind), n, alg).random_value(rng)
-    return harness.one_step_assignment(kind, alg, n, alpha)
-
-
 def _cmd_one_step(args, fmt: str) -> int:
     import random as _random
 
     alg = _load_algebra(args.algebra)
     if args.trials:
-        rng = _random.Random(args.seed)
+        # H_alpha for a random value alpha of the kind's functor per trial
+        alpha = functor_ops(_one_step_kind_tag(args.kind), args.n, alg).drawer(
+            _random.Random(args.seed)
+        )
         for t in range(args.trials):
-            H = _one_step_random_h(args.kind, alg, args.n, rng)
+            H = harness.one_step_assignment(args.kind, alg, args.n, alpha())
             result = harness.one_step_witness(args.kind, alg, args.n, H)
             if not result.satisfiable:
                 _emit(

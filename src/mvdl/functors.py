@@ -26,6 +26,11 @@ from .errors import BudgetExceeded, InvalidParameter
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
+# a drawer keeps at most this many values (and trie nodes) in its table:
+# like a sampled sweep's interned coalgebras, sampled values of a large
+# space seldom recur, so keeping them all would only grow memory
+DRAW_TABLE_ENTRIES = 1 << 14
+
 
 class Kind(Enum):
     POWERSET = "powerset"
@@ -241,62 +246,213 @@ class FunctorOps:
         size.bit_length()`` bits, drawn again while they are at least
         size), so they make the same ``getrandbits`` calls and give the
         same values.
+
+        Every drawer but the powerset's returns *shared* values from a
+        decision table of its own, built on its first draw, so a value
+        drawn twice is the same object and later dict lookups on it hit on
+        identity.  A row, predicate or double-powerset family is looked up
+        by the integer its draws spell, where its whole space fits in
+        ``DRAW_TABLE_ENTRIES`` entries, and is built afresh where it does
+        not.  A monotone table follows a decision trie over the linear
+        extension (``_monotone_drawer``), one indexed hop per predicate,
+        whose misses cost an untabled draw's joins and one list copy; the
+        trie starts afresh before it would hold more than
+        ``DRAW_TABLE_ENTRIES`` nodes and tables.  The closure's ``held()``
+        counts its table's entries.
         """
         kind, n, alg = self.kind, self.n, self.alg
         if kind is Kind.POWERSET:
-            draw = predicate_drawer(rng, 1 << n, 1)
-            return lambda: draw()[0]
+            return int_drawer(rng, 0, (1 << n) - 1)
         if kind is Kind.APOWERSET:
             return predicate_drawer(rng, alg.m, n)
         if kind is Kind.A_NEIGHBOURHOOD:
             return predicate_drawer(rng, alg.m, alg.m**n)
         if kind is Kind.DOUBLE_POWERSET:
-            unit, masks = rng.random, range(1 << n)
-            return lambda: frozenset(mask for mask in masks if unit() < 0.5)
-        steps, ups = _monotone_steps(alg, n)
-        jt, bits = alg.join_table, rng.getrandbits
-        widths = [(len(up), len(up).bit_length()) for up in ups]
-
-        def draw() -> tuple[int, ...]:
-            table = [0] * len(steps)
-            for i, covers in steps:
-                # the table is monotone on the predicates drawn so far, so
-                # the covers of i join to what everything below i joins to
-                lower = 0
-                for j in covers:
-                    lower = jt[lower][table[j]]
-                size, k = widths[lower]
-                r = bits(k)
-                while r >= size:
-                    r = bits(k)
-                table[i] = ups[lower][r]
-            return tuple(table)
-
-        return draw
+            return _family_drawer(rng, n)
+        return _monotone_drawer(rng, alg, n)
 
 
 def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[int, ...]]:
     """A closure drawing ``tuple(rng.randrange(m) for _ in range(n))`` per
-    call, with the same ``getrandbits`` calls (see ``FunctorOps.drawer``)."""
+    call, with the same ``getrandbits`` calls; where the m**n predicates fit
+    in a table, as a shared value keyed by the draws' base-m number (see
+    ``FunctorOps.drawer``)."""
     bits, k, places = rng.getrandbits, m.bit_length(), range(n)
+    if m**n > DRAW_TABLE_ENTRIES:
+
+        def fresh() -> tuple[int, ...]:
+            out = []
+            for _ in places:
+                r = bits(k)
+                while r >= m:
+                    r = bits(k)
+                out.append(r)
+            return tuple(out)
+
+        fresh.held = lambda: 0
+        return fresh
+    memo = {}
 
     def draw() -> tuple[int, ...]:
-        out = []
+        code = 0
         for _ in places:
             r = bits(k)
             while r >= m:
                 r = bits(k)
-            out.append(r)
-        return tuple(out)
+            code = code * m + r
+        got = memo.get(code)
+        if got is None:
+            digits, rest = [0] * n, code
+            for i in reversed(places):
+                rest, digits[i] = divmod(rest, m)
+            memo[code] = got = tuple(digits)
+        return got
 
+    draw.held = memo.__len__
     return draw
 
 
 def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
     """A closure drawing ``rng.randint(lo, hi)`` per call, with the same
     ``getrandbits`` calls (see ``FunctorOps.drawer``)."""
-    draw = predicate_drawer(rng, hi - lo + 1, 1)
-    return lambda: lo + draw()[0]
+    bits, size = rng.getrandbits, hi - lo + 1
+    k = size.bit_length()
+
+    def draw() -> int:
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        return lo + r
+
+    return draw
+
+
+def _family_drawer(rng: random.Random, n: int) -> Callable[[], frozenset]:
+    """A closure drawing ``frozenset(mask for mask in range(2**n) if
+    rng.random() < 0.5)`` per call; where the 2**2**n families fit in a
+    table, as a shared value keyed by the bitmask of the drawn masks."""
+    unit, masks = rng.random, range(1 << n)
+    if 1 << len(masks) > DRAW_TABLE_ENTRIES:
+
+        def fresh() -> frozenset:
+            return frozenset(mask for mask in masks if unit() < 0.5)
+
+        fresh.held = lambda: 0
+        return fresh
+    bits, memo = [1 << mask for mask in masks], {}
+
+    def draw() -> frozenset:
+        code = 0
+        for bit in bits:
+            if unit() < 0.5:
+                code |= bit
+        got = memo.get(code)
+        if got is None:
+            got = memo[code] = frozenset(mask for mask in masks if code >> mask & 1)
+        return got
+
+    draw.held = memo.__len__
+    return draw
+
+
+def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], tuple[int, ...]]:
+    """A closure drawing a monotone table as ``FunctorOps.drawer`` says,
+    from a decision trie that follows ``_monotone_steps``.
+
+    A node at depth d stands for the draws at steps 0..d-1 and is a tuple
+    ``(size, k, kids)``: the table's entry at step d is ``up[r]`` for the r
+    drawn below ``size`` with k bits.  ``kids`` lists ``size`` children
+    (nodes at depth d + 1, or tables at the last step), then ``size``
+    *tails* (the one table stored so far below a child that has no node
+    yet), then ``up`` and a *witness*: a table agreeing with every table
+    below the node at steps 0..d-1.  A draw hops from the root while it
+    finds nodes.  A tail is pushed down one node per step while the draw
+    agrees with it; where they part, or where nothing is stored, the draw
+    copies the witness, completes the table by joining covers as an
+    untabled draw would, and stores it as a tail.  So a miss costs one
+    list copy more than an untabled draw."""
+    steps, ups = _monotone_steps(alg, n)
+    jt, bits = alg.join_table, rng.getrandbits
+    widths = [(len(up), len(up).bit_length()) for up in ups]
+    last = len(steps) - 1
+    inner = range(last)
+    held = 0
+
+    def fork(up: tuple, witness: tuple) -> tuple:
+        size = len(up)
+        return size, size.bit_length(), [None] * (2 * size) + [up, witness]
+
+    root = fork(ups[0], (0,) * len(steps))
+
+    def reset() -> None:  # drop every child and tail of the root
+        nonlocal held
+        root[2][: 2 * root[0]], held = [None] * (2 * root[0]), 0
+
+    def complete(d: int, kids: list, r: int) -> tuple[int, ...]:
+        # the table of a draw that has drawn r at the node of kids, depth d
+        table = list(kids[-1])
+        table[steps[d][0]] = kids[-2][r]
+        for i, covers in steps[d + 1 :]:
+            lower = 0
+            for j in covers:
+                lower = jt[lower][table[j]]
+            size, k = widths[lower]
+            r = bits(k)
+            while r >= size:
+                r = bits(k)
+            table[i] = ups[lower][r]
+        return tuple(table)
+
+    def grow(d: int, size: int, kids: list, r: int) -> tuple[int, ...]:
+        # the draw has drawn r at a node of depth d, and found no child
+        nonlocal held
+        if held > DRAW_TABLE_ENTRIES - (last - d + 1):
+            # no room for a node per step below d and a table
+            reset()
+            return complete(d, kids, r)
+        tail = kids[size + r] if d < last else None
+        while tail is not None:
+            # the draw agrees with the tail up to step d: push it down
+            kids[size + r] = None
+            i, covers = steps[d + 1]
+            lower = 0
+            for j in covers:
+                lower = jt[lower][tail[j]]
+            child = kids[r] = fork(ups[lower], tail)
+            size, k, kids = child
+            d, held = d + 1, held + 1
+            kids[ups[lower].index(tail[i]) + (size if d < last else 0)] = tail
+            r = bits(k)
+            while r >= size:
+                r = bits(k)
+            if d == last:
+                if kids[r] is not None:
+                    return kids[r]
+                break
+            tail = kids[size + r]
+        got = kids[r + (size if d < last else 0)] = complete(d, kids, r)
+        held += 1
+        return got
+
+    def draw() -> tuple[int, ...]:
+        node = root
+        for d in inner:
+            size, k, kids = node
+            r = bits(k)
+            while r >= size:
+                r = bits(k)
+            node = kids[r]
+            if node is None:
+                return grow(d, size, kids, r)
+        size, k, kids = node
+        r = bits(k)
+        while r >= size:
+            r = bits(k)
+        got = kids[r]
+        return grow(last, size, kids, r) if got is None else got
+
+    draw.held = lambda: held
+    return draw
 
 
 @lru_cache(maxsize=None)

@@ -72,6 +72,7 @@ from .semantics import (
     Model,
     Plan,
     _interner,
+    _Table,
     assignments,
     lifting_kernel,
 )
@@ -252,20 +253,6 @@ def _safety_counter(ids: _SafetyIds, f, gammas, targets, x: int) -> dict:
         "gammas_target": decode(ids.vals_tgt, targets),
         "state": x,
     }
-
-
-class _Table(dict):
-    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 class _SafetyIds:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, product, repeat
 from operator import getitem, itemgetter
 from typing import Mapping, Sequence
@@ -338,6 +337,20 @@ def _interner(index: dict, values: list):
         return got
 
     return intern
+
+
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
 
 
 # a block list of slot 1 covers at most this many cases (S per slot-1
@@ -976,7 +989,7 @@ class Plan:
                 if after is None:
                     if len(right) >= keep:
                         right.clear()
-                    after = right[c2] = lru_cache(None)(composition_map(fops, variant, coalgs[c2]))
+                    after = right[c2] = _Table(composition_map(fops, variant, coalgs[c2])).__getitem__
                 return intern(tuple(map(after, coalgs[c1])))
 
         elif variant in POINTWISE_VARIANTS:

@@ -18,6 +18,7 @@ from mvdl.actions import (
 from mvdl.actions import TestSpec as TSpec
 from mvdl.algebra import Algebra, build_builtin
 from mvdl.errors import BudgetExceeded, IncompatibleVariant
+from mvdl import functors
 from mvdl.functors import Kind, functor_ops, int_drawer, predicate_drawer, predicate_space
 from mvdl.presets import PRESET_NAMES, make_preset
 
@@ -464,6 +465,90 @@ class TestDrawers:
             for _ in range(300):
                 assert draw() == methods.randint(lo, hi)
             assert inlined.getstate() == methods.getstate()
+
+
+
+# every kind a drawer draws, with carrier sizes whose spaces fit a table of
+# 64 entries and ones that do not (rows of L2 at n = 4, families at n = 3)
+DRAWN = [
+    (Kind.POWERSET, "B2", (1, 3)),
+    (Kind.APOWERSET, "L2", (1, 2, 4)),
+    (Kind.A_NEIGHBOURHOOD, "B2", (1, 2)),
+    (Kind.A_NEIGHBOURHOOD, "L2", (1, 2)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "B2", (1, 2)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "L2", (1, 2, 3)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "L3", (1, 2)),
+    (Kind.DOUBLE_POWERSET, "B2", (1, 2, 3)),
+]
+
+
+class TestDrawTables:
+    @pytest.mark.parametrize("cap", [64, 7])
+    @pytest.mark.parametrize("kind, alg_fixture, sizes", DRAWN)
+    def test_draws_match_the_reference_across_table_resets(
+        self, kind, alg_fixture, sizes, cap, request, monkeypatch
+    ):
+        # with a small table the monotone tries start afresh many times,
+        # and the draws still give the values and RNG state of the methods
+        monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", cap)
+        alg = request.getfixturevalue(alg_fixture)
+        for n in sizes:
+            fops = functor_ops(kind, n, alg)
+            for seed in range(2):
+                tabled, methods = random.Random(seed), random.Random(seed)
+                uncached = random.Random(seed)
+                draw, resets, before = fops.drawer(tabled), 0, 0
+                for _ in range(1500):
+                    got = draw()
+                    assert got == reference_random_value(fops, methods)
+                    if kind is Kind.MONOTONE_NEIGHBOURHOOD:
+                        assert got == reference_monotone_draw(fops, uncached)
+                    held = draw.held() if kind is not Kind.POWERSET else 0
+                    assert held <= cap
+                    resets, before = resets + (held < before), held
+                assert tabled.getstate() == methods.getstate()
+                if kind is Kind.MONOTONE_NEIGHBOURHOOD and cap == 64 and alg.m * n > 4:
+                    assert resets > 0
+
+    def test_predicate_tables_match_randrange_across_sizes(self, monkeypatch):
+        monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", 16)
+        for m, n in ((2, 4), (2, 5), (3, 2), (3, 3), (4, 2), (5, 3)):
+            tabled, methods = random.Random(m * 10 + n), random.Random(m * 10 + n)
+            draw = predicate_drawer(tabled, m, n)
+            for _ in range(300):
+                assert draw() == tuple(methods.randrange(m) for _ in range(n))
+            assert draw.held() == (m**n if m**n <= 16 else 0)
+            assert tabled.getstate() == methods.getstate()
+
+    @pytest.mark.parametrize("kind, alg_fixture, sizes", DRAWN[1:])
+    def test_a_value_drawn_twice_is_the_same_object(self, kind, alg_fixture, sizes, request):
+        alg = request.getfixturevalue(alg_fixture)
+        for n in sizes:
+            fops = functor_ops(kind, n, alg)
+            if fops.count() > functors.DRAW_TABLE_ENTRIES:
+                continue  # drawn afresh: such values seldom recur
+            draw, first = fops.drawer(random.Random(n)), {}
+            draws = [draw() for _ in range(2000)]
+            for value in draws:
+                assert first.setdefault(value, value) is value
+            assert len(first) < len(draws)  # values did recur
+        sigma = predicate_drawer(random.Random(5), 3, 2)
+        values = [sigma() for _ in range(100)]
+        assert len({id(v) for v in values}) == len(set(values)) == 9
+
+    def test_tables_hold_at_most_the_cap(self):
+        # aneighbourhood/L2 at n = 2 has 3**9 values, more than a table
+        # holds, so its drawer builds each afresh; the monotone trie of L2
+        # at n = 3 starts afresh on the way
+        cap, L2 = functors.DRAW_TABLE_ENTRIES, build_builtin("lukasiewicz", 2)
+        for kind, n in ((Kind.A_NEIGHBOURHOOD, 2), (Kind.MONOTONE_NEIGHBOURHOOD, 3)):
+            draw, resets, before = functor_ops(kind, n, L2).drawer(random.Random(1)), 0, 0
+            for _ in range(50_000):
+                draw()
+                held = draw.held()
+                assert held <= cap
+                resets, before = resets + (held < before), held
+            assert resets > 0 if kind is Kind.MONOTONE_NEIGHBOURHOOD else before == 0
 
 
 def test_every_operation_variant_has_one_arity():

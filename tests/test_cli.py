@@ -34,6 +34,15 @@ class TestExitCodes:
         code, out, err = run(capsys, "validate-algebra", "--algebra", str(path))
         assert code == 2  # inline load validates and rejects
 
+    def test_builtin_name_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "L2").write_text("junk")
+        code, _, _ = run(capsys, "semiprimal", "--algebra", "L2")
+        assert code == 0
+        # the file is read when passed as a path
+        code, _, err = run(capsys, "semiprimal", "--algebra", "./L2")
+        assert code == 2 and "not valid JSON" in err
+
     def test_entail_countermodel_exits_one(self, capsys):
         code, out, _ = run(
             capsys,

@@ -15,7 +15,7 @@ from mvdl.errors import IncompatibleVariant, InvalidParameter, UnknownAtom, Unkn
 from mvdl.harness import bounded_entailment, verify_reduction_rule
 from mvdl.jsonio import formula_from_json, formula_to_json
 from mvdl.presets import make_preset
-from mvdl.reduction import ReductionRule
+from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import EvalSession, LiftingSpec, Model, Plan, eval_formula
 from mvdl.syntax import parse
 
@@ -196,8 +196,12 @@ def test_crisp_countermodel_is_unchanged():
 def test_sweeps_leave_no_reference_cycles():
     # a finished sweep's plan and tables are freed as soon as it returns,
     # not left to the cycle collector; these reach every slot-1 step shape
-    # (block lists, tiles, spreads, tests beside slot 1, compositions)
+    # (block lists, tiles, spreads, tests beside slot 1, compositions),
+    # and the drawers' tries and memos of sampled monotone and
+    # double-powerset sweeps
     config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    game = make_preset("game", algebra_by_name("L2"))
+    instantial = make_preset("instantial", algebra_by_name("B2"), max_k=1)
 
     def sweeps():
         for text in ("<1:dia> <1:dia> w1", "<2:dia> w1", "<1:dia> <2:dia> w1"):
@@ -207,6 +211,9 @@ def test_sweeps_leave_no_reference_cycles():
             verify_reduction_rule(rule, config, n=2, mode="random", trials=20)
         for text in ("<b;?t(<b>p)>p -> p", "<a;b>p -> <b>p", "<a;?t(<b>p)>p -> [b]p"):
             bounded_entailment([], parse(text, config.signature), config, max_n=2)
+        for other, lifting in ((game, "dia"), (instantial, "inst1")):
+            rule = builtin_rules(other).rules[("op", ";", lifting)]
+            verify_reduction_rule(rule, other, n=2, mode="random", trials=300)
 
     gc.collect()
     gc.disable()
