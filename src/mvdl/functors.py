@@ -248,7 +248,7 @@ class FunctorOps:
         same values.
 
         Every drawer but the powerset's returns *shared* values from a
-        decision table of its own, built on its first draw, so a value
+        decision table of its own, filled as it draws, so a value
         drawn twice is the same object and later dict lookups on it hit on
         identity.  A row, predicate or double-powerset family is looked up
         by the integer its draws spell, where its whole space fits in
@@ -393,6 +393,8 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
         table = list(kids[-1])
         table[steps[d][0]] = kids[-2][r]
         for i, covers in steps[d + 1 :]:
+            # the table is monotone on the predicates drawn so far, so the
+            # covers of i join to what everything below i joins to
             lower = 0
             for j in covers:
                 lower = jt[lower][table[j]]
