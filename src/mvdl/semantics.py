@@ -989,7 +989,8 @@ class Plan:
                 if after is None:
                     if len(right) >= keep:
                         right.clear()
-                    after = right[c2] = _Table(composition_map(fops, variant, coalgs[c2])).__getitem__
+                    memo = _Table(composition_map(fops, variant, coalgs[c2]))
+                    after = right[c2] = memo.__getitem__
                 return intern(tuple(map(after, coalgs[c1])))
 
         elif variant in POINTWISE_VARIANTS:
