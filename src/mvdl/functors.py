@@ -230,10 +230,6 @@ class FunctorOps:
 
         yield from rec(0)
 
-    def random_value(self, rng: random.Random):
-        """One pseudo-random FValue, as ``drawer(rng)`` draws it."""
-        return self.drawer(rng)()
-
     def drawer(self, rng: random.Random) -> Callable[[], object]:
         """A closure drawing one pseudo-random FValue from ``rng`` per call.
 

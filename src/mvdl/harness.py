@@ -42,19 +42,7 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .actions import (
-    COMPOSITION_VARIANTS,
-    LOCAL_OPERANDS,
-    POINTWISE_VARIANTS,
-    UNARY_STEP_VARIANTS,
-    OperationSpec,
-    TestSpec,
-    apply_op,
-    apply_test,
-    composition_map,
-    pointwise_step,
-    unary_step,
-)
+from .actions import LOCAL_OPERANDS, OperationSpec, TestSpec, apply_test
 from .algebra import Algebra
 from .errors import (
     BudgetExceeded,
@@ -71,10 +59,11 @@ from .semantics import (
     LogicConfig,
     Model,
     Plan,
-    _interner,
+    _Interner,
     _Table,
     assignments,
     lifting_kernel,
+    op_outputs,
 )
 from .syntax import (
     Conn,
@@ -264,8 +253,9 @@ class _SafetyIds:
 
     def __init__(self, fops_src: FunctorOps, fops_tgt: FunctorOps):
         self.fops_src, self.fops_tgt = fops_src, fops_tgt
-        self.vals_src, self.vals_tgt, index, self._ff = [], [], [{}, {}], {}
-        self.src, self.tgt = map(_interner, index, [self.vals_src, self.vals_tgt])
+        self.vals_src, self.vals_tgt, self._ff = [], [], {}
+        index = [_Interner(self.vals_src), _Interner(self.vals_tgt)]
+        self.src, self.tgt = (table.__getitem__ for table in index)
         self._tables = [*index, self.vals_src, self.vals_tgt, self._ff]
 
     def clear(self) -> None:
@@ -277,9 +267,10 @@ class _SafetyIds:
         """The number of entries in the largest table."""
         return max(map(len, self._tables))
 
-    def table(self, fill) -> _Table:
-        """A new table filled by ``fill`` and dropped by ``clear``."""
-        table = _Table(fill)
+    def table(self, fill=None) -> dict:
+        """A new table, filled by ``fill`` where given, and dropped by
+        ``clear``."""
+        table = {} if fill is None else _Table(fill)
         self._tables.append(table)
         return table
 
@@ -405,38 +396,6 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
         yield f, ff, 1, 1, [(gammas, cands)]
 
 
-def _outputs(op: OperationSpec, ids: _SafetyIds, fops: FunctorOps, vals: list, intern):
-    """op's output on one side of a square, as a vid tuple by state, from
-    its operands, vid tuples too.  ``vals`` and ``intern`` are the side's
-    vids.
-
-    Outputs are memoised by operands in ``ids`` and computed from one-step
-    tables there: a pointwise step by the operands' vids at a state, a
-    unary local step by (state, vid), a composition by one left-vid row per
-    right operand.  ``star`` reads its operand whole, through ``apply_op``.
-    """
-    variant, decode = op.variant, lambda key: tuple(map(vals.__getitem__, key))
-    if variant in POINTWISE_VARIANTS:
-        step = pointwise_step(fops.alg, variant)
-        get = ids.table(lambda uv: intern(step(vals[uv[0]], vals[uv[1]]))).__getitem__
-        output = lambda keys: tuple(map(get, zip(*keys)))
-    elif variant in UNARY_STEP_VARIANTS:
-        local = unary_step(fops, variant)
-        get = ids.table(lambda xu: intern(local(xu[0], vals[xu[1]]))).__getitem__
-        output = lambda keys: tuple(map(get, enumerate(keys[0])))
-    elif variant in COMPOSITION_VARIANTS:
-
-        def row(key) -> _Table:  # left vid -> output vid, against a right operand
-            cmap = composition_map(fops, variant, decode(key))
-            return _Table(lambda u: intern(cmap(vals[u])))
-
-        rows = ids.table(row)
-        output = lambda keys: tuple(map(rows[keys[1]].__getitem__, keys[0]))
-    else:
-        output = lambda keys: tuple(map(intern, apply_op(op, list(map(decode, keys)), fops)))
-    return ids.table(output).__getitem__
-
-
 def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int, dict | None]:
     """Cases checked on one carrier pair, target tuples computed, and the
     first counterexample.
@@ -454,8 +413,10 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     ones.  Only a counterexample is decoded back to FValues.
     """
     n_src, vals_src = ids.fops_src.n, ids.vals_src
-    source = _outputs(op, ids, ids.fops_src, vals_src, ids.src)
-    target = _outputs(op, ids, ids.fops_tgt, ids.vals_tgt, ids.tgt)
+    src = op_outputs(op, ids.fops_src, vals_src, ids.src, ids.table)
+    tgt = op_outputs(op, ids.fops_tgt, ids.vals_tgt, ids.tgt, ids.table)
+    source = ids.table(lambda gammas: src(*gammas)).__getitem__
+    target = ids.table(lambda targets: tgt(*targets)).__getitem__
     cases = evaluated = 0
     for f, ff, squares, held, group in premises:
         at_image = itemgetter(*f)

@@ -33,7 +33,9 @@ from typing import Mapping, Sequence
 
 from .actions import (
     COMPOSITION_VARIANTS,
+    LOCAL_OPERANDS,
     POINTWISE_VARIANTS,
+    UNARY_STEP_VARIANTS,
     Coalgebra,
     OperationSpec,
     TestSpec,
@@ -41,6 +43,7 @@ from .actions import (
     apply_test,
     composition_map,
     pointwise_step,
+    unary_step,
 )
 from .algebra import Algebra
 from .errors import (
@@ -325,20 +328,6 @@ def assignments(P: int, k: int) -> list[list[int]]:
     return [[key // P ** (k - 1 - i) % P for key in range(P**k)] for i in range(k)]
 
 
-def _interner(index: dict, values: list):
-    """A function giving a value's index in ``values``, appending the value
-    on first sight; ``index`` maps the values seen so far to their indices."""
-
-    def intern(value) -> int:
-        got = index.get(value)
-        if got is None:
-            got = index[value] = len(values)
-            values.append(value)
-        return got
-
-    return intern
-
-
 class _Table(dict):
     """A dict that fills a missing key with ``fill(key)`` on first lookup."""
 
@@ -351,6 +340,67 @@ class _Table(dict):
     def __missing__(self, key):
         value = self[key] = self.fill(key)
         return value
+
+
+class _Interner(dict):
+    """A dict giving a value's index in ``values``, appending the value on
+    first sight."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values: list):
+        super().__init__()
+        self.values = values
+
+    def __missing__(self, value):
+        got = self[value] = len(self.values)
+        self.values.append(value)
+        return got
+
+
+def op_outputs(spec: OperationSpec, fops: FunctorOps, values: list, vid, table, keep=None):
+    """Operation ``spec``'s output as a function from the operand
+    coalgebras, each the tuple of its states' vids, to the output's vid
+    tuple.  ``values`` holds each vid's FValue and ``vid`` gives a value's
+    vid, interning it on first sight.
+
+    The output is read from one-step tables, each made by ``table(fill)``:
+    a pointwise operation's by the operands' vids at a state, a unary local
+    one's by (state, vid), and a composition's as one row per right
+    operand, from a left vid to the output vid, of which at most ``keep``
+    are kept (every one where ``keep`` is None).  ``star`` reads its
+    operand whole, through ``apply_op``."""
+    variant = spec.variant
+    if variant in POINTWISE_VARIANTS:
+        step = pointwise_step(fops.alg, variant)
+        get = table(lambda uv: vid(step(values[uv[0]], values[uv[1]]))).__getitem__
+        return lambda u, v: tuple(map(get, zip(u, v)))
+    if variant in UNARY_STEP_VARIANTS:
+        local = unary_step(fops, variant)
+        get = table(lambda xu: vid(local(xu[0], values[xu[1]]))).__getitem__
+        return lambda u: tuple(map(get, enumerate(u)))
+    if variant in COMPOSITION_VARIANTS:
+        rows = table()  # right operand -> its row: left vid -> output vid
+
+        def composed(left, right):
+            row = rows.get(right)
+            if row is not None:
+                return tuple(map(row.__getitem__, left))
+            if len(rows) == keep:
+                rows.clear()
+            cmap = composition_map(fops, variant, tuple(map(values.__getitem__, right)))
+            row = rows[right] = _Table(lambda u: vid(cmap(values[u])))
+            out = tuple(map(vid, map(cmap, map(values.__getitem__, left))))
+            row.update(zip(left, out))
+            return out
+
+        return composed
+
+    def whole(*operands):
+        gammas = [tuple(map(values.__getitem__, g)) for g in operands]
+        return tuple(map(vid, apply_op(spec, gammas, fops)))
+
+    return whole
 
 
 # a block list of slot 1 covers at most this many cases (S per slot-1
@@ -507,7 +557,8 @@ class Plan:
         self.canonical = canonical
         self.fops = config.fops(n)
         self.preds: list = []  # id -> predicate
-        self.coalgs: list = []  # cid -> coalgebra
+        self.values: list = []  # vid -> FValue
+        self.coalgs: list = []  # cid -> its states' vids
         self.vecs: list = []  # vector id -> its ids at the S sigma-positions
         self._slots = {key: s for s, key in enumerate(slots)}  # slot or atom -> slot - 1
         self._vars = {key: v for v, key in enumerate(variables)}  # variable or prop -> variable
@@ -525,15 +576,16 @@ class Plan:
         self._memos: dict = {}  # position -> its step's vector table
         self._lifts: dict = {}  # lifting id -> (arity, per-position function, row reader)
         self._tables: list = []  # everything forget empties
-        self._pred_ids = self._keep({})
+        self._pred_ids = self._keep(_Interner(self.preds))
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
-        # FValue -> vid and the FValues, once interned in canonical order
-        self._canon = self._keep([])
+        # V, once the coalgebras are interned in canonical order
+        self._radix = self._keep([])
         # steps hold no reference to the plan, so a finished sweep's plan is
         # freed at once rather than by the cycle collector
-        self.pid = _interner(self._pred_ids, self.preds)
-        self.intern = _interner(self._keep({}), self.coalgs)
-        self._vector = _interner(self._keep({}), self.vecs)
+        self.pid = self._pred_ids.__getitem__
+        self.vid = self._keep(_Interner(self.values)).__getitem__
+        self.intern = self._keep(_Interner(self.coalgs)).__getitem__
+        self._vector = self._keep(_Interner(self.vecs)).__getitem__
 
     def intern_space(self) -> int:
         """Intern every predicate in canonical order, before any other is
@@ -544,26 +596,33 @@ class Plan:
         return len(self.preds)
 
     def intern_coalgebras(self, values: Sequence) -> int:
-        """Intern every coalgebra over the FValues ``values`` in canonical
-        order, before any other is interned: cid i is the i-th of
-        ``product(values, repeat=n)``, so its base-V digits, state 0 the
-        most significant, are its states' vids (indices in ``values``).
-        Returns how many there are."""
-        for g in product(values, repeat=self.n):
+        """Intern the FValues ``values`` and every coalgebra over them in
+        canonical order, before any other is interned: vid u is
+        ``values[u]`` and cid i the i-th of ``product(range(V), repeat=n)``,
+        so its base-V digits, state 0 the most significant, are its states'
+        vids.  Returns how many coalgebras there are."""
+        for value in values:
+            self.vid(value)
+        for g in product(range(len(values)), repeat=self.n):
             self.intern(g)
-        self._canon[:] = {value: u for u, value in enumerate(values)}, values
+        self._radix[:] = [len(values)]
         return len(self.coalgs)
 
+    def encode(self, gamma: Sequence) -> int:
+        """The cid of the coalgebra ``gamma``, a tuple of FValues."""
+        return self.intern(tuple(map(self.vid, gamma)))
+
+    def decode(self, cid: int) -> Coalgebra:
+        """The coalgebra of ``cid``, as a tuple of FValues."""
+        return tuple(map(self.values.__getitem__, self.coalgs[cid]))
+
     def forget(self, bound: int) -> None:
-        """Drop every interned coalgebra, predicate and vector, with every
-        table entry keyed on them and the canonical order, once more than
-        ``bound`` coalgebras or predicates are interned.  The caller then
-        sets the cids and loads afresh."""
+        """Drop every interned value, coalgebra, predicate and vector, with
+        every table entry keyed on them and the canonical order, once more
+        than ``bound`` coalgebras or predicates are interned.  The caller
+        then sets the cids and loads afresh."""
         if len(self.coalgs) > bound or len(self.preds) > bound:
-            self.coalgs.clear()
-            self.preds.clear()
-            self.vecs.clear()
-            for table in self._tables:
+            for table in (self.values, self.coalgs, self.preds, self.vecs, *self._tables):
                 table.clear()
 
     def compile(self, body: Formula) -> int:
@@ -586,8 +645,12 @@ class Plan:
         cases, position ``i`` being case ``i``: ``coalgs`` holds one column
         of coalgebras per slot, slot 1 first, and ``sigmas`` one column of
         predicates per variable, each ``size`` long."""
-        intern, pid = self.intern, self.pid
-        self.cids[:] = [list(map(intern, column)) for column in coalgs]
+        vid, intern, pid = self.vid, self.intern, self.pid
+        # a column's FValues state by state to vids, then each vid tuple to its cid
+        self.cids[:] = [
+            list(map(intern, zip(*[map(vid, states) for states in zip(*column)])))
+            for column in coalgs
+        ]
         ids = [list(map(pid, column)) for column in sigmas]
         self._inputs[:] = ids, size, ids
         vals = self.vals
@@ -604,7 +667,7 @@ class Plan:
             cids = [self.cids[0][i // size], *self.cids[1:]] if self.cids else []
         else:
             cids = [ids[i] for ids in self.cids]
-        return [self.coalgs[c] for c in cids], [self.preds[ids[i % size]] for ids in var_lists]
+        return list(map(self.decode, cids)), [self.preds[ids[i % size]] for ids in var_lists]
 
     def block(self, pos: int, j: int) -> tuple:
         """The ids the step at ``pos`` held at block ``j`` of its last run,
@@ -792,21 +855,21 @@ class Plan:
             rows, by_key = self._keep(defaultdict(dict)), self._keep(defaultdict(dict))
             preds, n, coalgs, pid, ids = self.preds, self.n, self.coalgs, self.pid, self._pred_ids
             truths = frozenset(range(self.config.truth.m))
-            vecs, canon = self.vecs, self._canon
+            vecs, values, canonical = self.vecs, self.values, self.canonical
 
             def fill(cid, keys):  # the entries of cid's row at keys it lacks
                 table, coalg = rows[cid], coalgs[cid]
                 for key in keys:
                     if key in table:
                         continue
-                    known = by_key[key]  # FValue -> its lifted truth value
-                    if canon and not known:  # canonically interned: every FValue at once
-                        new = list(dict.fromkeys(chain(canon[1], coalg)))
+                    known = by_key[key]  # vid -> its lifted truth value
+                    if canonical and not known:  # every value interned at once
+                        new = range(len(values))
                     else:
-                        new = [value for value in coalg if value not in known]
+                        new = [u for u in coalg if u not in known]
                     if new:
                         args = [preds[i] for i in key] if arity > 1 else [preds[key]]
-                        known.update(zip(new, kernel(args, new, n)))
+                        known.update(zip(new, kernel(args, list(map(values.__getitem__, new)), n)))
                     row = tuple(map(known.__getitem__, coalg))
                     if row not in ids and not truths.issuperset(row):
                         raise InvalidParameter(
@@ -977,129 +1040,91 @@ class Plan:
         positions = [pos for pos, _ in args]
         # an operand reads a test, so its cids differ by sigma-position
         by_sigma = not self._vectored.isdisjoint(positions)
-        coalgs, fops, intern, variant = self.coalgs, self.fops, self.intern, spec.variant
-        if variant in COMPOSITION_VARIANTS:
-            # right operand cid -> its map: every map while the right operand
-            # moves faster than the left or by position, else the last one
-            right = self._keep({})
+        keep = None
+        if spec.variant in COMPOSITION_VARIANTS:
+            # every right operand's row while the right operand moves faster
+            # than the left or by position, else the last one
             keep = KEPT_MAPS if not self.canonical or args[1][1] == 2 > args[0][1] else 1
-
-            def output(c1, c2):
-                after = right.get(c2)
-                if after is None:
-                    if len(right) >= keep:
-                        right.clear()
-                    memo = _Table(composition_map(fops, variant, coalgs[c2]))
-                    after = right[c2] = memo.__getitem__
-                return intern(tuple(map(after, coalgs[c1])))
-
-        elif variant in POINTWISE_VARIANTS:
-            steps, step = self._keep({}), pointwise_step(fops.alg, variant)
-
-            def output(c1, c2):
-                pairs = tuple(zip(coalgs[c1], coalgs[c2]))
-                try:
-                    return intern(tuple(map(steps.__getitem__, pairs)))
-                except KeyError:
-                    for pair in pairs:
-                        if pair not in steps:
-                            steps[pair] = step(*pair)
-                    return intern(tuple(map(steps.__getitem__, pairs)))
-
-        else:
-
-            def output(*key):
-                return intern(apply_op(spec, [coalgs[c] for c in key], fops))
-
+        outputs = op_outputs(spec, self.fops, self.values, self.vid, self._table, keep)
+        coalgs, intern = self.coalgs, self.intern
         if len(args) == 1 or by_sigma or not self.canonical:
             # memoised by operand cids where these are few: one operand, a
             # test's cids, or drawn cases; a pair of slots has C**2
-            table, compute = self._keep({}), output
+            memo = self._table()
 
-            def output(*key):
-                got = table.get(key)
-                if got is None:
-                    got = table[key] = compute(*key)
-                return got
+            def cells(*cols):  # the output cids at columns of operand cids
+                keys = list(zip(*cols))
+                try:
+                    return list(map(memo.__getitem__, keys))
+                except KeyError:
+                    for key in keys:
+                        if key not in memo:
+                            memo[key] = intern(outputs(*map(coalgs.__getitem__, key)))
+                    return list(map(memo.__getitem__, keys))
 
-        if by_sigma:
+        else:
 
             def cells(*cols):
-                return list(map(output, *cols))
+                operands = [map(coalgs.__getitem__, col) for col in cols]
+                return list(map(intern, map(outputs, *operands)))
 
+        if by_sigma:
             return self._step(args, cells)
         # a list of cids per operand that has one: per position, or per block
         listed = [g == 2 or not self.canonical for _, g in args]
         if any(listed):
 
             def op(vals):
-                cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)]
-                return list(map(output, *cols))
+                return cells(*[vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)])
 
-            if listed.count(True) == 1 and (
-                variant in POINTWISE_VARIANTS or variant in COMPOSITION_VARIANTS and listed[0]
-            ):
-                op = self._tabled(op, positions, listed[0], variant)
-
-        elif len(positions) == 1:
-            (a,) = positions
-
-            def op(vals):
-                return output(vals[a])
+            local = LOCAL_OPERANDS[spec.variant]
+            if listed.count(True) == 1 and len(args) == 2 and listed.index(True) in local:
+                op = self._tabled(op, outputs, positions, listed[0], listed.index(False) in local)
 
         else:
-            a, b = positions
 
             def op(vals):
-                return output(vals[a], vals[b])
+                return cells(*[[vals[i]] for i in positions])[0]
 
         return self._add(group, op)
 
-    def _tabled(self, by_cid, positions, left: bool, variant: str):
-        """A binary operation step over one listed operand and one fixed
-        cid that, on a canonically interned plan, reads its output cids off
-        the fixed operand's table: the output cid against every cid of the
-        enumeration, kept for the last fixed cid.  Per state x the step
-        gives a row of output vids, one per listed vid, and the table is
+    def _tabled(self, by_cid, outputs, positions, left: bool, local: bool):
+        """A binary operation step over one listed operand, which the
+        operation reads only at the evaluated state, and one fixed cid
+        that, on a canonically interned plan, reads its output cids off the
+        fixed cid's table: the output cid against every cid of the
+        enumeration, kept for the last fixed cid.  Row x of the table maps
+        each vid to the output's vid at state x where the listed operand
+        holds that vid.  It is one output of ``outputs``, over V states of
+        the step's own: the listed operand holds vid u at state u, and the
+        fixed one its value at x at every state where it is ``local`` (read
+        only at the evaluated state too), else itself whole.  The table is
         the sum over x of V**(n-1-x) times row x read at the listed cid's
         x-th digit, built by Horner's rule in canonical order.  Elsewhere
         the step is ``by_cid``."""
-        canon, coalgs, fops, n = self._canon, self.coalgs, self.fops, self.n
+        radix, coalgs, n = self._radix, self.coalgs, self.n
         at, fixed = positions if left else positions[::-1]
         kept = self._keep({})  # fixed cid -> its table
-        if variant in COMPOSITION_VARIANTS:  # the left operand is listed
-
-            def rows(f):
-                vid, values = canon
-                after = composition_map(fops, variant, coalgs[f])
-                return [list(map(vid.__getitem__, map(after, values)))] * n
-
-        else:
-            step, known = pointwise_step(fops.alg, variant), self._keep({})  # FValue -> row
-
-            def rows(f):
-                vid, values = canon
-                out = []
-                for w in coalgs[f]:
-                    row = known.get(w)
-                    if row is None:
-                        outs = [step(u, w) if left else step(w, u) for u in values]
-                        row = known[w] = list(map(vid.__getitem__, outs))
-                    out.append(row)
-                return out
 
         def op(vals):
-            if not canon:
+            if not radix:
                 return by_cid(vals)
             f = vals[fixed]
             table = kept.get(f)
             if table is None:
                 kept.clear()
-                table, V = [0], len(canon[1])
-                for row in rows(f):
+                table, V, g = [0], radix[0], coalgs[f]
+                every, rows = tuple(range(V)), []
+                for w in g if local else g[:1]:
+                    other = (w,) * V if local else g
+                    rows.append(outputs(every, other) if left else outputs(other, every))
+                for row in rows if local else rows * n:
                     table = [t * V + r for t in table for r in row]
                 kept[f] = table
-            return list(map(table.__getitem__, vals[at]))
+            ids = vals[at]
+            if type(ids) is range:  # slot 1's block list: a slice of the table
+                return table[ids.start : ids.stop]
+            return list(map(table.__getitem__, ids))
 
         return op
 
@@ -1108,7 +1133,7 @@ class Plan:
         spec.check_kind(self.config.kind)
         arg = self._compile(node.arg)
         table, preds, fops, truth = self._keep({}), self.preds, self.fops, self.config.truth
-        intern = self.intern
+        vid, intern = self.vid, self.intern
 
         def test(A):
             try:
@@ -1116,10 +1141,16 @@ class Plan:
             except KeyError:
                 for u in dict.fromkeys(A):
                     if u not in table:
-                        table[u] = intern(apply_test(spec, preds[u], fops, truth))
+                        gamma = apply_test(spec, preds[u], fops, truth)
+                        table[u] = intern(tuple(map(vid, gamma)))
                 return list(map(table.__getitem__, A))
 
         return self._step([arg], test)
+
+    def _table(self, fill=None) -> dict:
+        """A new table, filled by ``fill`` where given, to be emptied by
+        ``forget``."""
+        return self._keep({} if fill is None else _Table(fill))
 
     def _keys(self, args) -> tuple[int, int]:
         """A step zipping the argument ids into lifting keys, one id tuple
@@ -1164,7 +1195,7 @@ class EvalSession:
         plan = self.plan
         pos = plan._action(action)[0]
         self._run()
-        return plan.coalgs[plan.vals[pos][0]]
+        return plan.decode(plan.vals[pos][0])
 
     def _run(self) -> None:
         try:

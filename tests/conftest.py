@@ -146,12 +146,12 @@ def random_template(rng: random.Random, config, n: int, k: int, depth: int):
 def random_model(rng: random.Random, config, n: int, props=("p", "q"), atoms=("a", "b")):
     from mvdl.semantics import Model
 
-    fops = config.fops(n)
+    value = config.fops(n).drawer(rng)
     truth = config.truth
     return Model(
         n,
         config,
-        atoms={name: tuple(fops.random_value(rng) for _ in range(n)) for name in atoms},
+        atoms={name: tuple(value() for _ in range(n)) for name in atoms},
         valuation={
             name: tuple(rng.randrange(truth.m) for _ in range(n)) for name in props
         },

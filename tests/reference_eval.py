@@ -536,8 +536,8 @@ def reference_is_monotone(fops, table) -> bool:
 
 def reference_random_value(fops, rng):
     """One pseudo-random FValue through the ``random.Random`` methods, as
-    ``FunctorOps.random_value`` drew it before its draws were inlined;
-    monotone tables are built in a linear extension so the result is always
+    mvdl drew it before ``FunctorOps.drawer`` inlined the draws; monotone
+    tables are built in a linear extension so the result is always
     valid (not uniform)."""
     kind, n, alg = fops.kind, fops.n, fops.alg
     if kind is Kind.POWERSET:
@@ -560,9 +560,10 @@ def reference_random_value(fops, rng):
 
 
 def reference_monotone_draw(fops, rng) -> tuple:
-    """``random_value`` for a monotone table: in the predicate poset's
-    linear extension, each entry is drawn from the elements above the join
-    of the entries at every predicate strictly below it."""
+    """A monotone table as ``FunctorOps.drawer`` draws it: in the
+    predicate poset's linear extension, each entry is drawn from the
+    elements above the join of the entries at every predicate strictly
+    below it."""
     alg = fops.alg
     _, order, below = _pred_poset(alg, fops.n)
     jt, leq, m = alg.join_table, alg._leq, alg.m

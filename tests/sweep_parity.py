@@ -259,8 +259,9 @@ def _one_step_rows(m, seed):
             values = range(2 if kind == "threshold" else alg.m)
             for n in (1, 2, 3):
                 rng = random.Random(f"{seed} {name} {kind} {n}")
+                draw = functors.functor_ops(fkind, n, alg).drawer(rng)
                 for i in range(10):
-                    alpha = functors.functor_ops(fkind, n, alg).random_value(rng)
+                    alpha = draw()
                     H = _h_alpha(functors, kind, alg, n, alpha)
                     atoms = sorted(H)
                     for _ in range(rng.randrange(4)):

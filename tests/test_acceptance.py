@@ -233,8 +233,9 @@ def test_criterion_10_one_step_witnesses():
     from mvdl.functors import predicate_space
 
     preds = predicate_space(3, 2)
+    row = fops_row.drawer(rng)
     for _ in range(500):
-        alpha = fops_row.random_value(rng)
+        alpha = row()
         H = {
             p: L2.bigjoin(L2.tensor(p[x], alpha[x]) for x in range(2)) for p in preds
         }
@@ -250,8 +251,9 @@ def test_criterion_10_one_step_witnesses():
         result = one_step_witness("threshold", L2, 2, H)
         ok &= result.satisfiable and result.alpha == alpha
     fops_mono = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 2, L2)
+    mono = fops_mono.drawer(rng)
     for _ in range(500):
-        alpha = fops_mono.random_value(rng)
+        alpha = mono()
         H = {p: alpha[i] for i, p in enumerate(preds)}
         result = one_step_witness("monotone-eval", L2, 2, H)
         ok &= result.satisfiable and result.alpha == alpha

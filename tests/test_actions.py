@@ -131,22 +131,18 @@ class TestKleisliLaws:
 
     def test_associativity_apowerset_sampled(self, L2):
         fops = functor_ops(Kind.APOWERSET, 2, L2)
-        rng = random.Random(29)
+        value = fops.drawer(random.Random(29))
         for _ in range(1500):
-            g1, g2, g3 = (
-                tuple(fops.random_value(rng) for _ in range(2)) for _ in range(3)
-            )
+            g1, g2, g3 = (tuple(value() for _ in range(2)) for _ in range(3))
             assert compose(fops, compose(fops, g1, g2), g3) == compose(
                 fops, g1, compose(fops, g2, g3)
             )
 
     def test_associativity_monotone_sampled(self, L2):
         fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 2, L2)
-        rng = random.Random(31)
+        value = fops.drawer(random.Random(31))
         for _ in range(150):
-            g1, g2, g3 = (
-                tuple(fops.random_value(rng) for _ in range(2)) for _ in range(3)
-            )
+            g1, g2, g3 = (tuple(value() for _ in range(2)) for _ in range(3))
             assert compose(fops, compose(fops, g1, g2), g3) == compose(
                 fops, g1, compose(fops, g2, g3)
             )
@@ -230,10 +226,9 @@ class TestDoubleMonad:
             values = list(fops.enumerate())
             pairs = [(values, g2) for g2 in product(values, repeat=n)]
         else:
-            rng = random.Random(11)
+            value = fops.drawer(random.Random(11))
             pairs = [
-                ([fops.random_value(rng) for _ in range(25)],
-                 tuple(fops.random_value(rng) for _ in range(n)))
+                ([value() for _ in range(25)], tuple(value() for _ in range(n)))
                 for _ in range(25)
             ]
         for ts, g2 in pairs:
@@ -401,7 +396,7 @@ class TestMonotonePreservation:
 
 class TestMonotoneDraws:
     def test_draws_match_the_uncached_loop(self, B2, L2, L3):
-        # the reference joins over every predicate below, random_value over
+        # the reference joins over every predicate below, the drawer over
         # the covers only; B2 x B2 is not a chain, so its up-sets are not
         # intervals of indices
         square = Algebra(
@@ -415,8 +410,9 @@ class TestMonotoneDraws:
             fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, n, alg)
             for seed in range(5):
                 cached, uncached = random.Random(seed), random.Random(seed)
+                draw = fops.drawer(cached)
                 for _ in range(400):
-                    assert fops.random_value(cached) == reference_monotone_draw(fops, uncached)
+                    assert draw() == reference_monotone_draw(fops, uncached)
                 assert cached.getstate() == uncached.getstate()
 
 
@@ -443,10 +439,10 @@ class TestDrawers:
             fops = functor_ops(kind, n, alg)
             for seed in range(3):
                 inlined, methods = random.Random(seed), random.Random(seed)
-                draw = fops.drawer(inlined)
+                draw, other = fops.drawer(inlined), fops.drawer(inlined)
                 for _ in range(300):
                     assert draw() == reference_random_value(fops, methods)
-                    assert fops.random_value(inlined) == reference_random_value(fops, methods)
+                    assert other() == reference_random_value(fops, methods)
                 assert inlined.getstate() == methods.getstate()
 
     def test_predicate_drawer_matches_randrange(self):

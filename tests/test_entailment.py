@@ -424,7 +424,7 @@ def test_every_step_matches_reference_on_slot_1_tests_and_inst2(case):
                 for node, pos in nodes:
                     got = plan.block(pos, b)[s]
                     if isinstance(node, (sx.Op, sx.Test)):
-                        assert plan.coalgs[got] == reference.interpret(node), node
+                        assert plan.decode(got) == reference.interpret(node), node
                     else:
                         assert plan.preds[got] == reference.eval(node), node
     _assert_same(config, [], phi, n)

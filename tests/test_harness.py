@@ -31,7 +31,7 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
-from mvdl import actions, harness
+from mvdl import actions, harness, semantics
 from mvdl.jsonio import config_from_json, fvalue_from_json, fvalue_to_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
@@ -52,9 +52,9 @@ from reference_eval import (
 class TestMorphism:
     def test_identity_always(self, L2):
         fops = functor_ops(Kind.APOWERSET, 2, L2)
-        rng = random.Random(1)
+        value = fops.drawer(random.Random(1))
         for _ in range(20):
-            g = tuple(fops.random_value(rng) for _ in range(2))
+            g = tuple(value() for _ in range(2))
             assert is_morphism((0, 1), g, g, Kind.APOWERSET, L2)
 
     def test_powerset_collapse_counterexample(self, B2):
@@ -210,7 +210,7 @@ class TestSafetySweepCoverage:
             return cmap
 
         monkeypatch.setattr(actions, "composition_map", unnatural)
-        monkeypatch.setattr(harness, "composition_map", unnatural)
+        monkeypatch.setattr(semantics, "composition_map", unnatural)
         verdict = self._assert_matches_reference(crisp_b2.ops[";"], crisp_b2)
         assert verdict.status == "fails"
         counter = verdict.counterexample
@@ -285,7 +285,7 @@ class TestSafetySweepCoverage:
             return lambda u, v: step(u, v) if len(u) < 2 else step(u, v)[::-1]
 
         monkeypatch.setattr(actions, "pointwise_step", unnatural)
-        monkeypatch.setattr(harness, "pointwise_step", unnatural)
+        monkeypatch.setattr(semantics, "pointwise_step", unnatural)
         op = labelled_l2.ops["+"]
         # the full form, 16,824 target pairs up to n = 2, fits: the failing
         # pair is swept again in it, and the reference's first
@@ -993,10 +993,9 @@ class TestOneStep:
         }
 
     def test_diamond_roundtrip(self, L2):
-        rng = random.Random(71)
-        fops = functor_ops(Kind.APOWERSET, 2, L2)
+        value = functor_ops(Kind.APOWERSET, 2, L2).drawer(random.Random(71))
         for _ in range(100):
-            alpha = fops.random_value(rng)
+            alpha = value()
             result = one_step_witness(
                 "labelled-diamond", L2, 2, self._diamond_h(L2, alpha, 2)
             )
@@ -1053,11 +1052,10 @@ class TestOneStep:
         assert result.violation.axiom == "threshold-join"
 
     def test_eval_roundtrip(self, L2):
-        rng = random.Random(79)
-        fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 2, L2)
+        value = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 2, L2).drawer(random.Random(79))
         preds = predicate_space(3, 2)
         for _ in range(100):
-            alpha = fops.random_value(rng)
+            alpha = value()
             H = {p: alpha[i] for i, p in enumerate(preds)}
             result = one_step_witness("monotone-eval", L2, 2, H)
             assert result.satisfiable and result.alpha == alpha

@@ -124,11 +124,11 @@ class TestCustomConfigJson:
 
         config = config_from_json(self.CONFIG, L2)
         fops = functor_ops(Kind.A_NEIGHBOURHOOD, 1, L2)
-        rng = random.Random(3)
+        value = fops.drawer(random.Random(3))
         model = Model(
             1,
             config,
-            atoms={"a": (fops.random_value(rng),), "b": (fops.random_value(rng),)},
+            atoms={"a": (value(),), "b": (value(),)},
             valuation={"p": (1,)},
         )
         data = json.loads(dumps(model_to_json(model)))

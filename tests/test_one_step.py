@@ -52,7 +52,7 @@ def _perturbed(kind, alg, n, rng, changes: int) -> dict:
     """A roundtrip H from a random witness, with ``changes`` entries set to
     another value (flipped between 0 and 1 for threshold)."""
     fkind = Kind.MONOTONE_NEIGHBOURHOOD if kind == "monotone-eval" else Kind.APOWERSET
-    alpha = functor_ops(fkind, n, alg).random_value(rng)
+    alpha = functor_ops(fkind, n, alg).drawer(rng)()
     H = _h_alpha(kind, alg, n, alpha)
     assert one_step_assignment(kind, alg, n, alpha) == H
     atoms = list(H)

@@ -1,13 +1,18 @@
-"""The plan's operation tables against ``apply_op``.
+"""The plan's operation outputs against ``apply_op``.
 
-A binary pointwise operation goes through ``pointwise_step`` memoised on
-FValue pairs, and a composition through the map of its right operand, of
-which the plan keeps every one while the right operand reads slot 1 and
-the left does not.  On a plan that interned every coalgebra in canonical
-order, one listed operand beside a fixed cid reads its outputs off a table
-of the fixed cid's outputs instead.  These check every path, before and
-after ``forget``, at a tiny cap on the kept maps and with short block
-lists, and how many maps are built and kept.
+A plan holds a coalgebra as the tuple of its states' vids and reads every
+operation output, as ``check_safety`` does, through
+``semantics.op_outputs``: a pointwise operation from a table by vid pair,
+a unary local one by (state, vid), a composition from one left-vid row
+per right operand, of which the plan keeps every one while the right
+operand reads slot 1 and the left does not, and ``star`` through
+``apply_op``.  On a plan that interned every coalgebra in canonical order,
+one listed operand that the operation reads only at the evaluated state,
+beside fixed cids, reads its outputs off a table of the fixed cids'
+outputs instead.  These check every variant on every path, on canonical
+plans and on plans that run drawn cases, before and after ``forget``, at
+a tiny cap on the kept rows and with short block lists, and how many
+composition maps are built and rows kept.
 """
 
 import random
@@ -23,15 +28,17 @@ from mvdl import semantics
 from mvdl import syntax as sx
 from mvdl.actions import (
     COMPOSITION_VARIANTS,
+    OP_ARITIES,
     OP_VARIANTS,
     POINTWISE_VARIANTS,
+    UNARY_STEP_VARIANTS,
     OperationSpec,
     apply_op,
     apply_test,
     pointwise_step,
 )
 from mvdl.algebra import algebra_by_name
-from mvdl.functors import Kind, functor_ops
+from mvdl.functors import Kind, functor_ops, predicate_drawer
 from mvdl.harness import bounded_entailment
 from mvdl.presets import make_preset
 from mvdl.semantics import Plan, apply_lifting
@@ -50,47 +57,47 @@ BASE = {
 }
 CASES = [
     (variant, kind)
-    for variant in POINTWISE_VARIANTS + COMPOSITION_VARIANTS
+    for variant in POINTWISE_VARIANTS + COMPOSITION_VARIANTS + UNARY_STEP_VARIANTS + ("star",)
     for kind in OP_VARIANTS[variant]
 ]
 
 
 def _config(variant, kind):
-    return replace(BASE[kind], ops={"o": OperationSpec("o", 2, variant)})
+    return replace(BASE[kind], ops={"o": OperationSpec("o", OP_ARITIES[variant], variant)})
 
 
-def _check_sweep(config, n, coalgs=(), values=None, stride=1):
-    """Sweep a two-slot plan with one variable and check the operation at
-    every case against ``apply_op``: with slot 1 on the left (one right
-    operand per outer assignment), on the right (a new right operand per
-    slot-1 cid), behind another operation on the right, and beside tests:
-    a test of w1 on the left of slot 2 (one vector of cids in all), a test
-    reading slot 1 on the right of slot 2 and a test of w1 beside slot 1
-    (a vector of cids per block).  A vector is read at every
-    sigma-position.  With ``values`` the sweep is over every
-    coalgebra, interned in canonical order by ``intern_coalgebras``, and
-    checks only the outer cids divisible by ``stride``.  Then it forgets,
-    interns the coalgebras again in reverse order, where each output must
-    go cid by cid, and checks again."""
-    spec, fops, truth = config.ops["o"], config.fops(n), config.truth
-    if values is not None:
-        coalgs = list(product(values, repeat=n))
-    coalgs = list(dict.fromkeys(coalgs))  # cid i is coalgs[i]
+def _nodes(config):
+    """The operation's shapes, by key: each node with what its step holds
+    on a canonical plan (a cid per block, a vector of cids per block, or
+    one vector in all), and the lifting and tests it reads."""
     lift = next(iter(config.liftings.values()))
     w1 = sx.Var(1)
     t_w1, t_slot1 = sx.Test("t", w1), sx.Test("t", sx.Modal(lift.id, 1, (w1,) * lift.arity))
-    plan = Plan(config, n, 2, 1, canonical=True)
-    # key -> (node, what its step holds: a cid per block, a vector of cids
-    # per block, or one vector in all)
-    nodes = {
-        "left": (sx.Op("o", (1, 2)), "block"),
-        "right": (sx.Op("o", (2, 1)), "block"),
-        "nested": (sx.Op("o", (2, sx.Op("o", (1, 2)))), "block"),
-        "test": (sx.Op("o", (t_w1, 2)), "one"),
-        "test reading slot 1": (sx.Op("o", (2, t_slot1)), "vector"),
-        "test beside slot 1": (sx.Op("o", (1, t_w1)), "vector"),
-    }
-    positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
+    if config.ops["o"].arity == 1:
+        nodes = {
+            "slot 1": (sx.Op("o", (1,)), "block"),
+            "slot 2": (sx.Op("o", (2,)), "one"),
+            "nested": (sx.Op("o", (sx.Op("o", (1,)),)), "block"),
+            "test": (sx.Op("o", (t_w1,)), "one"),
+            "test reading slot 1": (sx.Op("o", (t_slot1,)), "vector"),
+        }
+    else:
+        nodes = {
+            "left": (sx.Op("o", (1, 2)), "block"),
+            "right": (sx.Op("o", (2, 1)), "block"),
+            "nested": (sx.Op("o", (2, sx.Op("o", (1, 2)))), "block"),
+            "test": (sx.Op("o", (t_w1, 2)), "one"),
+            "test reading slot 1": (sx.Op("o", (2, t_slot1)), "vector"),
+            "test beside slot 1": (sx.Op("o", (1, t_w1)), "vector"),
+        }
+    return nodes, lift, w1
+
+
+def _reference(config, n):
+    """The output of a node of ``_nodes`` at a case ``(g1, g2, sigma)``, by
+    ``apply_op``, ``apply_test`` and ``apply_lifting``."""
+    spec, fops, truth = config.ops["o"], config.fops(n), config.truth
+    _, lift, w1 = _nodes(config)
 
     @lru_cache(None)
     def op(*operands):
@@ -110,12 +117,35 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
             return test(sigma, None if node.arg == w1 else g1)
         return g1 if node == 1 else g2
 
+    return want
+
+
+def _check_sweep(config, n, coalgs=(), values=None, stride=1):
+    """Sweep a two-slot plan with one variable and check the operation at
+    every case against ``apply_op``: for a binary operation with slot 1 on
+    the left (one right operand per outer assignment), on the right (a new
+    right operand per slot-1 cid), behind another operation on the right,
+    and beside tests: a test of w1 on the left of slot 2 (one vector of
+    cids in all), a test reading slot 1 on the right of slot 2 and a test
+    of w1 beside slot 1 (a vector of cids per block); for a unary one over
+    each slot, over itself and over the two tests.  A vector is read at
+    every sigma-position.  With ``values`` the sweep is over every
+    coalgebra, interned in canonical order by ``intern_coalgebras``, and
+    checks only the outer cids divisible by ``stride``.  Then it forgets,
+    interns the coalgebras again in reverse order, where each output must
+    go cid by cid, and checks again."""
+    if values is not None:
+        coalgs = list(product(values, repeat=n))
+    coalgs = list(dict.fromkeys(coalgs))  # cid i is coalgs[i]
+    plan = Plan(config, n, 2, 1, canonical=True)
+    nodes, want = _nodes(config)[0], _reference(config, n)
+    positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
     for order in (coalgs, coalgs[::-1]):
         if order is coalgs and values is not None:
             assert plan.intern_coalgebras(values) == len(coalgs)
         else:
             for g in order:
-                plan.intern(g)
+                plan.encode(g)
         S = plan.intern_space()
         plan.load([list(range(S))], S)
         for blocks in plan.sweep(len(order)):
@@ -125,14 +155,32 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
                 pos = positions[key]
                 assert isinstance(plan.vals[pos], int) == (holds == "one"), key
                 for b in range(len(blocks)):
-                    got = [plan.coalgs[c] for c in plan.block(pos, b)]
+                    got = list(map(plan.decode, plan.block(pos, b)))
                     at = range(b * S, b * S + (1 if holds == "block" else S))
                     if holds == "block":  # the same cid at every sigma-position
                         assert got == got[:1] * S, key
                     cases = [(*gs, s) for gs, (s,) in map(plan.case, at)]
                     assert got[:len(at)] == [want(node, *case) for case in cases], key
         plan.forget(0)
-        assert not plan.coalgs
+        assert not plan.coalgs and not plan.values
+
+
+def _check_cases(config, n, coalgs, sigmas):
+    """Run the shapes of ``_check_sweep`` on a plan that is not canonical,
+    at the drawn cases ``(g1, g2, sigma)`` of ``coalgs`` and ``sigmas``,
+    and check each case's output against ``apply_op``; then forget every
+    id and run them again."""
+    plan = Plan(config, n, 2, 1)
+    nodes, want = _nodes(config)[0], _reference(config, n)
+    positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
+    cases = [(g1, g2, sigma) for (g1, g2), sigma in zip(zip(coalgs, coalgs[1:] + coalgs[:1]), sigmas)]
+    for _ in range(2):
+        plan.run_cases(len(cases), list(zip(*cases))[:2], [[sigma for *_, sigma in cases]])
+        for key, (node, _) in nodes.items():
+            got = list(map(plan.decode, plan.vals[positions[key]]))
+            assert got == [want(node, *case) for case in cases], key
+        plan.forget(0)
+        assert not plan.coalgs and not plan.values
 
 
 @pytest.mark.parametrize("cap", [semantics.KEPT_MAPS, 2])
@@ -168,8 +216,18 @@ def test_canonical_plan_outputs_equal_apply_op_at_two_states(variant, kind, monk
 @given(st.sampled_from(CASES), st.integers(0, 2**32), st.integers(1, 7))
 def test_plan_outputs_equal_apply_op_at_two_states(case, seed, count):
     config = _config(*case)
-    fops, rng = config.fops(2), random.Random(seed)
-    _check_sweep(config, 2, [(fops.random_value(rng), fops.random_value(rng)) for _ in range(count)])
+    value = config.fops(2).drawer(random.Random(seed))
+    _check_sweep(config, 2, [(value(), value()) for _ in range(count)])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(CASES), st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 7))
+def test_sampled_plan_outputs_equal_apply_op(case, seed, n, count):
+    config = _config(*case)
+    rng = random.Random(seed)
+    value, sigma = config.fops(n).drawer(rng), predicate_drawer(rng, config.truth.m, n)
+    coalgs = [tuple(value() for _ in range(n)) for _ in range(count)]
+    _check_cases(config, n, coalgs, [sigma() for _ in range(count)])
 
 
 @pytest.mark.parametrize("variant", POINTWISE_VARIANTS)
@@ -201,12 +259,12 @@ def test_composition_axiom_builds_few_maps(monkeypatch):
 
 
 def test_kept_maps_stay_within_the_cap(monkeypatch):
-    held = []  # how many maps a table held after each map was added
+    held = []  # how many rows a table held after each row was added
 
     class Watched(dict):
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
-            if callable(value):  # a composition map
+            if isinstance(value, semantics._Table):  # a right operand's row
                 held.append(len(self))
 
     keep = Plan._keep

@@ -58,9 +58,9 @@ class TestEnumeration:
 
     def test_random_monotone_valid(self, L2):
         fops = functor_ops(Kind.MONOTONE_NEIGHBOURHOOD, 2, L2)
-        rng = random.Random(5)
+        value = fops.drawer(random.Random(5))
         for _ in range(50):
-            assert fops.is_monotone(fops.random_value(rng))
+            assert fops.is_monotone(value())
 
 
 # B2 x B2 is not a chain, so the lexicographic order of its predicates is not
@@ -92,7 +92,7 @@ def monotone_candidates(draw):
     entry = st.integers(0, alg.m - 1)
     if draw(st.booleans()):
         return fops, tuple(draw(st.lists(entry, min_size=size, max_size=size)))
-    table = list(fops.random_value(random.Random(draw(st.integers(0, 2**32)))))
+    table = list(fops.drawer(random.Random(draw(st.integers(0, 2**32))))())
     for _ in range(draw(st.integers(0, 3))):
         table[draw(st.integers(0, size - 1))] = draw(entry)
     return fops, tuple(table)

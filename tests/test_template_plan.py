@@ -82,18 +82,19 @@ def test_every_step_matches_reference(case):
     space = list(product(range(P), repeat=k))
     S = len(space)
     plan.load([[combo[i] for combo in space] for i in range(k)], S)
+    value = fops.drawer(rng)
     while len(coalgs) < 2:  # at least two, so slot 1 is a block list of C >= 2
-        plan.intern(tuple(fops.random_value(rng) for _ in range(n)))
+        plan.encode(tuple(value() for _ in range(n)))
     reference = ReferenceTemplateEval(config, n)
     nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
     for blocks in plan.sweep(len(coalgs)):
-        outer = tuple(coalgs[c] for c in plan.cids[1:])
+        outer = tuple(map(plan.decode, plan.cids[1:]))
         for node, pos in nodes:
             ids = plan.vals[pos]
             # a step that does not read slot 1 holds one id, standing for each block
             assert isinstance(ids, int) or len(ids) == len(blocks), node
             for b, cid in enumerate(blocks):
-                gammas = (coalgs[cid],) + outer
+                gammas = (plan.decode(cid),) + outer
                 vector = plan.block(pos, b)
                 assert len(vector) == S, node
                 got = [preds[i] for i in vector]
@@ -108,7 +109,7 @@ def test_every_step_matches_reference(case):
     sampled.compile(body)
     cases = [
         (
-            tuple(tuple(fops.random_value(rng) for _ in range(n)) for _ in range(slots)),
+            tuple(tuple(value() for _ in range(n)) for _ in range(slots)),
             tuple(preds[rng.randrange(P)] for _ in range(k)),
         )
         for _ in range(rng.randrange(1, 6))
