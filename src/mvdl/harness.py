@@ -7,6 +7,14 @@ the sweep sampled, "fails" with a replayable counterexample otherwise.
 First counterexamples are reported in canonical enumeration order, so
 identical inputs give identical reports.
 
+Every sweep of operations works on one id layer: a functor value is its
+vid, its index in order of first sight (or in its enumeration, where an
+exhaustive sweep interns the enumeration first), and a coalgebra the tuple
+of its states' vids.  Operation outputs come from one function,
+``semantics.op_outputs``, over one-step tables keyed by vid, whether a
+plan or a safety sweep asks; FValues are decoded only for a
+counterexample or a session's result.
+
 Rule-soundness sweeps and bounded entailment compile what they compare (a
 rule's two sides; Gamma and phi) into one ``semantics.Plan`` and read
 their cases from one driver, ``_batches``: it checks the budget, loads the
@@ -16,18 +24,16 @@ compared ids, one per block, each block decoded by ``Plan.block`` and each
 case by ``Plan.case``.  Each checker is one loop, one comparison per
 block and one counterexample builder over those batches.
 
-A safety sweep runs one loop per carrier pair on ids of its own, given on
-first sight: a value's vid, and a coalgebra on either side as the tuple of
-its states' vids; Ff is one vid list per map f.  Its premises are every
-joint morphism square in canonical order (exhaustive mode, which interns
-the enumerations of FX and FY first) or drawn ones; only a counterexample
-is decoded back to FValues.  Operation outputs are read from one-step
-tables keyed by vid.  An operand that the operation reads only at the
-evaluated state (``actions.LOCAL_OPERANDS``) is a constant coalgebra on
-the source side of an exhaustive sweep, and is computed at its first
-candidate only on the target side: the premise forces its value on the
-image of f.  Only ``check_safety``, which picks the form and counts the
-budget, and ``_safety_squares`` read that table.
+A safety sweep runs one loop per carrier pair on ids of its own, one vid
+layer per side (``_SafetyIds``); Ff is one vid list per map f.  Its
+premises are every joint morphism square in canonical order (exhaustive
+mode, which interns the enumerations of FX and FY first) or drawn ones.
+An operand that the operation reads only at the evaluated state
+(``actions.LOCAL_OPERANDS``) is a constant coalgebra on the source side of
+an exhaustive sweep, and is computed at its first candidate only on the
+target side: the premise forces its value on the image of f.  Only
+``check_safety``, which picks the form and counts the budget, and
+``_safety_squares`` read that table.
 """
 
 from __future__ import annotations
@@ -413,10 +419,8 @@ def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int
     ones.  Only a counterexample is decoded back to FValues.
     """
     n_src, vals_src = ids.fops_src.n, ids.vals_src
-    src = op_outputs(op, ids.fops_src, vals_src, ids.src, ids.table)
-    tgt = op_outputs(op, ids.fops_tgt, ids.vals_tgt, ids.tgt, ids.table)
-    source = ids.table(lambda gammas: src(*gammas)).__getitem__
-    target = ids.table(lambda targets: tgt(*targets)).__getitem__
+    source = ids.table(op_outputs(op, ids.fops_src, vals_src, ids.src, ids.table)).__getitem__
+    target = ids.table(op_outputs(op, ids.fops_tgt, ids.vals_tgt, ids.tgt, ids.table)).__getitem__
     cases = evaluated = 0
     for f, ff, squares, held, group in premises:
         at_image = itemgetter(*f)

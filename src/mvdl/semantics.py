@@ -4,7 +4,7 @@ A model fixes a carrier size, a logic configuration (functor kind, truth and
 structure algebras, the lifting/operation/test catalogue), coalgebras for the
 atomic actions and a propositional valuation.  Formulas, actions and rule
 templates have one evaluator, the Plan: they compile once into a flat list
-of steps, one step per distinct subterm, which run on predicate and
+of steps, one step per distinct subterm, which run on predicate, value and
 coalgebra ids.  Both sides of a reduction rule are formulas over variables
 and action slots (the template, and the lifting applied to the operation
 over slots 1..arity or to the test of variable 1); a formula is the same
@@ -349,7 +349,6 @@ class _Interner(dict):
     __slots__ = ("values",)
 
     def __init__(self, values: list):
-        super().__init__()
         self.values = values
 
     def __missing__(self, value):
@@ -359,9 +358,9 @@ class _Interner(dict):
 
 
 def op_outputs(spec: OperationSpec, fops: FunctorOps, values: list, vid, table, keep=None):
-    """Operation ``spec``'s output as a function from the operand
-    coalgebras, each the tuple of its states' vids, to the output's vid
-    tuple.  ``values`` holds each vid's FValue and ``vid`` gives a value's
+    """Operation ``spec``'s output as a function from the tuple of its
+    operand coalgebras, each the tuple of its states' vids, to the output's
+    vid tuple.  ``values`` holds each vid's FValue and ``vid`` gives a value's
     vid, interning it on first sight.
 
     The output is read from one-step tables, each made by ``table(fill)``:
@@ -374,15 +373,16 @@ def op_outputs(spec: OperationSpec, fops: FunctorOps, values: list, vid, table, 
     if variant in POINTWISE_VARIANTS:
         step = pointwise_step(fops.alg, variant)
         get = table(lambda uv: vid(step(values[uv[0]], values[uv[1]]))).__getitem__
-        return lambda u, v: tuple(map(get, zip(u, v)))
+        return lambda keys: tuple(map(get, zip(*keys)))
     if variant in UNARY_STEP_VARIANTS:
         local = unary_step(fops, variant)
         get = table(lambda xu: vid(local(xu[0], values[xu[1]]))).__getitem__
-        return lambda u: tuple(map(get, enumerate(u)))
+        return lambda keys: tuple(map(get, enumerate(keys[0])))
     if variant in COMPOSITION_VARIANTS:
         rows = table()  # right operand -> its row: left vid -> output vid
 
-        def composed(left, right):
+        def composed(keys):
+            left, right = keys
             row = rows.get(right)
             if row is not None:
                 return tuple(map(row.__getitem__, left))
@@ -396,8 +396,8 @@ def op_outputs(spec: OperationSpec, fops: FunctorOps, values: list, vid, table, 
 
         return composed
 
-    def whole(*operands):
-        gammas = [tuple(map(values.__getitem__, g)) for g in operands]
+    def whole(keys):
+        gammas = [tuple(map(values.__getitem__, g)) for g in keys]
         return tuple(map(vid, apply_op(spec, gammas, fops)))
 
     return whole
@@ -459,13 +459,17 @@ class Plan:
     """Formulas and actions compiled for one configuration and carrier size
     and evaluated on small integers.
 
-    A predicate is its id, its index in ``preds``; a coalgebra is its cid,
-    its index in ``coalgs``.  Both are interned on first sight (``pid``,
-    ``intern``), so a plan over one large model meets only the predicates
-    that model yields; an exhaustive sweep first interns every coalgebra
-    and the whole predicate space in canonical order
-    (``intern_coalgebras``, ``intern_space``), so a cid's base-V digits
-    are its states' vids, V the number of FValues.  A template's
+    A predicate is its id, its index in ``preds``; an FValue is its vid,
+    its index in ``values``; a coalgebra is its cid, its index in
+    ``coalgs``, which holds the tuple of its states' vids.  All are
+    interned on first sight (``pid``, ``vid``, ``intern``), so a plan over
+    one large model meets only the predicates and values that model
+    yields, and FValues are only met where cases come in (``run_cases``)
+    and go out (``case``, ``decode``).  An exhaustive sweep
+    first interns the values, every coalgebra over them and the whole
+    predicate space in canonical order (``intern_coalgebras``,
+    ``intern_space``), so a cid's base-V digits are its states' vids, V
+    the number of FValues.  A template's
     leaves are variables and its modalities hold action slots; a formula
     compiles the same way, its propositions playing the variables and its
     atomic actions the slots.  Each distinct subterm becomes one step.
@@ -510,27 +514,25 @@ class Plan:
     one on both, a lifting on the cid of its action and its argument id (a
     tuple of ids for a k-ary lifting), a test on its argument's id.  A
     lifting fills every missing key of a cid at once, from the lifted
-    truth values of the coalgebra's FValues, each computed once by the
-    lifting's kernel and kept per FValue, since sampled coalgebras seldom
-    recur but their FValues do; on a canonically interned plan the kernel
-    computes every FValue of the enumeration at a key's first miss.  An
-    operation keeps its outputs by operand cids only where those are few
+    truth values of the coalgebra's vids, each computed once by the
+    lifting's kernel and kept per vid, since sampled coalgebras seldom
+    recur but their values do; on a canonical plan the kernel computes
+    every interned value at a key's first miss.  An operation's outputs
+    come from ``op_outputs``, as a safety sweep's do: one-step tables by
+    vid, of which a composition keeps every right operand's row, up to
+    ``KEPT_MAPS``, on a plan that is not canonical or where the right
+    operand reads slot 1 and the left does not, and else the last one.
+    The step keeps its outputs by operand cids only where those are few
     (one operand, a test among them, or a plan that is not canonical); a
     pair of slots, of which there are C**2, is assembled state by state
-    from one-step tables.  A composition goes
-    through the map of its right operand, memoised per FValue; it keeps
-    every right operand's map, up to ``KEPT_MAPS``, on a plan that is not
-    canonical or where the right operand reads slot 1 and the left does
-    not, and else the last one.  A binary pointwise operation goes through
-    ``pointwise_step`` memoised per pair of FValues.  On a canonically
-    interned plan, a binary pointwise operation or composition over one
-    listed operand and one fixed cid, unless it composes with the listed
-    operand on the right, skips all that (``_tabled``): its output at
+    from the one-step tables.  On a canonically interned plan, a binary
+    operation over one listed operand that it reads only at the evaluated
+    state and one fixed cid skips all that (``_tabled``): its output at
     listed cid c is the sum over states x of V**(n-1-x) times a row of
-    output vids read at c's x-th digit, rows built once per fixed cid, and
-    it reads these sums off one table per fixed cid.  ``forget`` drops
-    every id, vector and table and the canonical order, so a long sampled
-    sweep can bound its memory.  ``sweep`` runs group 1 once per
+    output vids read at c's x-th digit, rows read off ``op_outputs`` once
+    per fixed cid, and it reads these sums off one table per fixed cid.
+    ``forget`` drops every id, vid, vector and table and the canonical
+    order, so a long sampled sweep can bound its memory.  ``sweep`` runs group 1 once per
     assignment of the outer slots and group 2 once per block list,
     ``run_cases`` every step once per batch; ``block`` decodes a step's
     ids at a block and ``case`` the case at a position, position ``i``
@@ -601,16 +603,13 @@ class Plan:
         ``values[u]`` and cid i the i-th of ``product(range(V), repeat=n)``,
         so its base-V digits, state 0 the most significant, are its states'
         vids.  Returns how many coalgebras there are."""
+        vid, intern = self.vid, self.intern
         for value in values:
-            self.vid(value)
+            vid(value)
         for g in product(range(len(values)), repeat=self.n):
-            self.intern(g)
+            intern(g)
         self._radix[:] = [len(values)]
         return len(self.coalgs)
-
-    def encode(self, gamma: Sequence) -> int:
-        """The cid of the coalgebra ``gamma``, a tuple of FValues."""
-        return self.intern(tuple(map(self.vid, gamma)))
 
     def decode(self, cid: int) -> Coalgebra:
         """The coalgebra of ``cid``, as a tuple of FValues."""
@@ -1054,19 +1053,19 @@ class Plan:
 
             def cells(*cols):  # the output cids at columns of operand cids
                 keys = list(zip(*cols))
-                try:
-                    return list(map(memo.__getitem__, keys))
-                except KeyError:
+                got = list(map(memo.get, keys))
+                if None in got:
                     for key in keys:
                         if key not in memo:
-                            memo[key] = intern(outputs(*map(coalgs.__getitem__, key)))
-                    return list(map(memo.__getitem__, keys))
+                            memo[key] = intern(outputs(tuple(map(coalgs.__getitem__, key))))
+                    got = list(map(memo.__getitem__, keys))
+                return got
 
         else:
 
             def cells(*cols):
                 operands = [map(coalgs.__getitem__, col) for col in cols]
-                return list(map(intern, map(outputs, *operands)))
+                return list(map(intern, map(outputs, zip(*operands))))
 
         if by_sigma:
             return self._step(args, cells)
@@ -1114,11 +1113,14 @@ class Plan:
             if table is None:
                 kept.clear()
                 table, V, g = [0], radix[0], coalgs[f]
-                every, rows = tuple(range(V)), []
-                for w in g if local else g[:1]:
-                    other = (w,) * V if local else g
-                    rows.append(outputs(every, other) if left else outputs(other, every))
-                for row in rows if local else rows * n:
+                every = tuple(range(V))
+                if not local:  # a composition's right operand: one row for every state
+                    rows = [outputs((every, g))] * n
+                elif left:
+                    rows = [outputs((every, (w,) * V)) for w in g]
+                else:
+                    rows = [outputs(((w,) * V, every)) for w in g]
+                for row in rows:
                     table = [t * V + r for t in table for r in row]
                 kept[f] = table
             ids = vals[at]

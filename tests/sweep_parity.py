@@ -58,7 +58,12 @@ The calls are, in order:
   trials, fixed seeds), on pdl-labelled/L2: the ``+ dia`` rule with
   ``\\/ ([1]0 /\\ [2]0) * ([1]0 /\\ [2]0)`` added to its template, at
   n=3, and ``p * p * q * q * r * r * [a]0 * [a]0 -> 0`` at max_n=3, each
-  under seeds whose first failure lies from trial 3 to trial 589.
+  under seeds whose first failure lies from trial 3 to trial 589;
+* ``bounded_entailment`` with each unary operation u of each preset
+  inside the plan, ``b`` being slot 1: ``<u(b)>p -> <b>p`` and
+  ``<a;u(b)>p <-> <a><u(b)>p`` over slot 1, ``<u(a);b>p -> <b>p`` and
+  ``<u(a);b>p <-> <u(a)><b>p`` over a fixed slot; exhaustive at max_n=2
+  (instantial: 1) and sampled at max_n 2 and 3, seeds SEED and SEED+1.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -158,6 +163,7 @@ def calls(root: Path, seed: int):
     yield from _one_step_rows(m, seed)
     yield from _exhaustive_safety_rows(m)
     yield from _late_failure_rows(m)
+    yield from _unary_rows(m, configs, seed)
 
 
 def _sampled_safety_rows(m, configs, seed):
@@ -319,6 +325,51 @@ def _late_failure_rows(m):
                 [], phi, config, max_n=3, mode="random", trials=1000, seed=s
             ),
         )
+
+
+def _unary_rows(m, configs, seed):
+    """``bounded_entailment`` with each unary operation u of each preset
+    inside the plan, ``b`` being slot 1: ``<u(b)>p -> <b>p`` and
+    ``<a;u(b)>p <-> <a><u(b)>p`` over slot 1, ``<u(a);b>p -> <b>p`` and
+    ``<u(a);b>p <-> <u(a)><b>p`` over a fixed slot, under the preset's
+    first lifting; exhaustive at max_n=2 (instantial: 1), and sampled at
+    max_n 2 and 3 under seeds SEED and SEED+1."""
+    h, sx = m["harness"], m["syntax"]
+    p, a, b = sx.Prop("p"), sx.Atomic("a"), sx.Atomic("b")
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        lid = sorted(config.liftings)[0]
+
+        def dia(action, arg=p, lid=lid, k=config.liftings[lid].arity):
+            return sx.Modal(lid, action, (arg,) * k)
+
+        def iff(x, y):
+            return sx.Conn("/\\", (sx.Conn("->", (x, y)), sx.Conn("->", (y, x))))
+
+        for u in (o.id for o in config.ops.values() if o.arity == 1):
+            ua, ub = sx.Op(u, (a,)), sx.Op(u, (b,))
+            phis = {
+                f"<{u}(b)>p -> <b>p": sx.Conn("->", (dia(ub), dia(b))),
+                f"<a;{u}(b)>p <-> <a><{u}(b)>p": iff(dia(sx.Op(";", (a, ub))), dia(a, dia(ub))),
+                f"<{u}(a);b>p -> <b>p": sx.Conn("->", (dia(sx.Op(";", (ua, b))), dia(b))),
+                f"<{u}(a);b>p <-> <{u}(a)><b>p": iff(dia(sx.Op(";", (ua, b))), dia(ua, dia(b))),
+            }
+            for label, phi in phis.items():
+                max_n = 1 if config.name == "instantial" else 2
+                yield (
+                    f"unary {tag} {label} max_n={max_n} exhaustive",
+                    lambda c=config, phi=phi, max_n=max_n: h.bounded_entailment(
+                        [], phi, c, max_n=max_n
+                    ),
+                )
+                for max_n in (2, 3):
+                    for s in (seed, seed + 1):
+                        yield (
+                            f"unary {tag} {label} max_n={max_n} seed={s}",
+                            lambda c=config, phi=phi, max_n=max_n, s=s: h.bounded_entailment(
+                                [], phi, c, max_n=max_n, mode="random", trials=300, seed=s
+                            ),
+                        )
 
 
 def _h_alpha(functors, kind, alg, n, alpha) -> dict:

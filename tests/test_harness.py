@@ -597,6 +597,31 @@ class TestSafetyBudget:
             check_safety(test, labelled_l2, max_n=4, budget=1)
         assert err.value.count == 31_062
 
+    def test_unnatural_test_fails_with_a_replayable_square(self, monkeypatch, crisp_b2):
+        # test-p with its last state forced to bottom on two states or more
+        # is not natural: at f = (1,) from one state onto two and target
+        # predicate (0, 1), the test of the pulled predicate (1,) goes to {1}
+        # and the target's test is empty at state 1.  The squares over one
+        # state (2) and over f = (0,) (4) hold, so the failing one is the 8th
+        natural = harness.apply_test
+
+        def unnatural(test, sigma, fops, truth):
+            gamma = natural(test, sigma, fops, truth)
+            return gamma[:-1] + (fops.bottom(),) if fops.n >= 2 else gamma
+
+        monkeypatch.setattr(harness, "apply_test", unnatural)
+        test, truth = crisp_b2.tests["t"], crisp_b2.truth
+        verdict = check_safety(test, crisp_b2, max_n=2)
+        assert (verdict.status, verdict.cases) == ("fails", 8)
+        assert verdict.counterexample == {"f": [1], "sigma_target": [0, 1], "state": 0}
+        assert verdict.detail == {"target": "t", "mode": "exhaustive"}
+        # the square replays through FunctorOps.map
+        f, sigma2 = tuple(verdict.counterexample["f"]), tuple(verdict.counterexample["sigma_target"])
+        x, fops_src, fops_tgt = verdict.counterexample["state"], crisp_b2.fops(1), crisp_b2.fops(2)
+        lhs = unnatural(test, tuple(sigma2[y] for y in f), fops_src, truth)
+        rhs = unnatural(test, sigma2, fops_tgt, truth)
+        assert fops_src.map(f, 2, lhs[x]) != rhs[f[x]]
+
     def test_test_safety_says_it_swept_every_square(self, labelled_l2):
         # a test target ignores the sampling arguments, and its verdict says so
         test = labelled_l2.tests["t"]
@@ -693,6 +718,14 @@ class TestInvariance:
         verdict = check_invariance(source, target, f, [phi])
         assert verdict.status == "fails"
         assert verdict.counterexample is not None
+        # the box of top is top at every state of both models, so the
+        # formula agrees along f and the verdict fails on the action a&b
+        # itself: the meet of the rows is not a morphism image
+        verdict = check_invariance(source, target, f, [parse("[a&b] 1", config.signature)])
+        assert verdict.status == "fails"
+        assert verdict.counterexample["action"] == "a & b"
+        assert verdict.counterexample["f"] == [0, 0]
+        assert "formula" not in verdict.counterexample
 
     def test_prop_violation_raises(self, crisp_b2):
         target = Model(1, crisp_b2, atoms={"a": (0,)}, valuation={"p": (1,)})

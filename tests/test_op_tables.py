@@ -145,7 +145,7 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
             assert plan.intern_coalgebras(values) == len(coalgs)
         else:
             for g in order:
-                plan.encode(g)
+                plan.intern(tuple(map(plan.vid, g)))
         S = plan.intern_space()
         plan.load([list(range(S))], S)
         for blocks in plan.sweep(len(order)):

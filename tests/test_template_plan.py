@@ -84,7 +84,7 @@ def test_every_step_matches_reference(case):
     plan.load([[combo[i] for combo in space] for i in range(k)], S)
     value = fops.drawer(rng)
     while len(coalgs) < 2:  # at least two, so slot 1 is a block list of C >= 2
-        plan.encode(tuple(value() for _ in range(n)))
+        plan.intern(tuple(plan.vid(value()) for _ in range(n)))
     reference = ReferenceTemplateEval(config, n)
     nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
     for blocks in plan.sweep(len(coalgs)):
