@@ -363,7 +363,7 @@ def op_outputs(spec: OperationSpec, fops: FunctorOps, values: list, vid, table, 
     vid tuple.  ``values`` holds each vid's FValue and ``vid`` gives a value's
     vid, interning it on first sight.
 
-    The output is read from one-step tables, each made by ``table(fill)``:
+    The output is read from one-step tables, each made by ``table``:
     a pointwise operation's by the operands' vids at a state, a unary local
     one's by (state, vid), and a composition's as one row per right
     operand, from a left vid to the output vid, of which at most ``keep``
@@ -459,20 +459,19 @@ class Plan:
     """Formulas and actions compiled for one configuration and carrier size
     and evaluated on small integers.
 
-    A predicate is its id, its index in ``preds``; an FValue is its vid,
-    its index in ``values``; a coalgebra is its cid, its index in
-    ``coalgs``, which holds the tuple of its states' vids.  All are
-    interned on first sight (``pid``, ``vid``, ``intern``), so a plan over
-    one large model meets only the predicates and values that model
-    yields, and FValues are only met where cases come in (``run_cases``)
-    and go out (``case``, ``decode``).  An exhaustive sweep
-    first interns the values, every coalgebra over them and the whole
-    predicate space in canonical order (``intern_coalgebras``,
-    ``intern_space``), so a cid's base-V digits are its states' vids, V
-    the number of FValues.  A template's
-    leaves are variables and its modalities hold action slots; a formula
-    compiles the same way, its propositions playing the variables and its
-    atomic actions the slots.  Each distinct subterm becomes one step.
+    A predicate is its id, its index in ``preds``; an FValue is its vid, its
+    index in ``values``; a coalgebra is its cid, its index in ``coalgs``,
+    which holds the tuple of its states' vids.  All are interned on first
+    sight (``pid``, ``vid``, ``intern``), so a plan over one large model meets
+    only the predicates and values that model yields, and FValues are only met
+    where cases come in (``run_cases``) and go out (``case``, ``decode``).  An
+    exhaustive sweep first interns the values, every coalgebra over them and
+    the whole predicate space in canonical order (``intern_coalgebras``,
+    ``intern_space``), so a cid's base-V digits are its states' vids, V the
+    number of FValues.  A template's leaves are variables and its modalities
+    hold action slots; a formula compiles the same way, its propositions
+    playing the variables and its atomic actions the slots.  Each distinct
+    subterm becomes one step.
 
     Steps run over blocks of cases.  The cases of a block share their
     coalgebras and differ in the variables' predicates: a canonical plan
@@ -509,35 +508,33 @@ class Plan:
     counts them), and a comparison of two steps compares one id per
     block.
 
-    The per-position functions read id tables whose entries are computed
-    on first use: an extra connective keys on its argument id, a binary
-    one on both, a lifting on the cid of its action and its argument id (a
-    tuple of ids for a k-ary lifting), a test on its argument's id.  A
-    lifting fills every missing key of a cid at once, from the lifted
-    truth values of the coalgebra's vids, each computed once by the
-    lifting's kernel and kept per vid, since sampled coalgebras seldom
-    recur but their values do; on a canonical plan the kernel computes
-    every interned value at a key's first miss.  An operation's outputs
-    come from ``op_outputs``, as a safety sweep's do: one-step tables by
-    vid, of which a composition keeps every right operand's row, up to
-    ``KEPT_MAPS``, on a plan that is not canonical or where the right
-    operand reads slot 1 and the left does not, and else the last one.
-    The step keeps its outputs by operand cids only where those are few
-    (one operand, a test among them, or a plan that is not canonical); a
-    pair of slots, of which there are C**2, is assembled state by state
-    from the one-step tables.  On a canonically interned plan, a binary
-    operation over one listed operand that it reads only at the evaluated
-    state and one fixed cid skips all that (``_tabled``): its output at
-    listed cid c is the sum over states x of V**(n-1-x) times a row of
-    output vids read at c's x-th digit, rows read off ``op_outputs`` once
-    per fixed cid, and it reads these sums off one table per fixed cid.
-    ``forget`` drops every id, vid, vector and table and the canonical
-    order, so a long sampled sweep can bound its memory.  ``sweep`` runs group 1 once per
-    assignment of the outer slots and group 2 once per block list,
-    ``run_cases`` every step once per batch; ``block`` decodes a step's
-    ids at a block and ``case`` the case at a position, position ``i``
-    being block ``i // S`` at sigma-position ``i % S``; ``run_new`` runs
-    each step compiled since, for an EvalSession.
+    The per-position functions read id tables whose entries are computed on
+    first use: an extra connective keys on its argument id, a binary one on
+    both, a lifting on the cid of its action and its argument id (a tuple of
+    ids for a k-ary lifting), a test on its argument's id.  A lifting fills
+    every missing key of a cid at once, from the lifted truth values of the
+    coalgebra's vids, each computed once by the lifting's kernel and kept per
+    vid, since sampled coalgebras seldom recur but their values do; on a
+    canonical plan the kernel computes every interned value at a key's first
+    miss.  An operation's outputs come from ``op_outputs``, as a safety
+    sweep's do: one-step tables by vid, of which a composition keeps every
+    right operand's row, up to ``KEPT_MAPS``, on a plan that is not canonical
+    or where the right operand reads slot 1 and the left does not, and else
+    the last one.  The step keeps its outputs by operand cids only where those
+    are few (one operand, a test among them, or a plan that is not canonical);
+    a pair of slots, of which there are C**2, is assembled state by state from
+    the one-step tables.  On a canonically interned plan, a binary operation
+    over one listed operand that it reads only at the evaluated state and one
+    fixed cid skips all that (``_tabled``): its output at listed cid c is the
+    sum over states x of V**(n-1-x) times a row of output vids read at c's
+    x-th digit, rows read off ``op_outputs`` once per fixed cid, and it reads
+    these sums off one table per fixed cid.  ``forget`` drops every id, vid,
+    vector and table and the canonical order, so a long sampled sweep can
+    bound its memory.  ``sweep`` runs group 1 once per assignment of the outer
+    slots and group 2 once per block list, ``run_cases`` every step once per
+    batch; ``block`` decodes a step's ids at a block and ``case`` the case at
+    a position, position ``i`` being block ``i // S`` at sigma-position
+    ``i % S``; ``run_new`` runs each step compiled since, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -1074,7 +1071,8 @@ class Plan:
         if any(listed):
 
             def op(vals):
-                return cells(*[vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)])
+                cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)]
+                return cells(*cols)
 
             local = LOCAL_OPERANDS[spec.variant]
             if listed.count(True) == 1 and len(args) == 2 and listed.index(True) in local:

@@ -616,8 +616,9 @@ class TestSafetyBudget:
         assert verdict.counterexample == {"f": [1], "sigma_target": [0, 1], "state": 0}
         assert verdict.detail == {"target": "t", "mode": "exhaustive"}
         # the square replays through FunctorOps.map
-        f, sigma2 = tuple(verdict.counterexample["f"]), tuple(verdict.counterexample["sigma_target"])
-        x, fops_src, fops_tgt = verdict.counterexample["state"], crisp_b2.fops(1), crisp_b2.fops(2)
+        counter = verdict.counterexample
+        f, sigma2, x = tuple(counter["f"]), tuple(counter["sigma_target"]), counter["state"]
+        fops_src, fops_tgt = crisp_b2.fops(1), crisp_b2.fops(2)
         lhs = unnatural(test, tuple(sigma2[y] for y in f), fops_src, truth)
         rhs = unnatural(test, sigma2, fops_tgt, truth)
         assert fops_src.map(f, 2, lhs[x]) != rhs[f[x]]

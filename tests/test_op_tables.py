@@ -173,7 +173,8 @@ def _check_cases(config, n, coalgs, sigmas):
     plan = Plan(config, n, 2, 1)
     nodes, want = _nodes(config)[0], _reference(config, n)
     positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
-    cases = [(g1, g2, sigma) for (g1, g2), sigma in zip(zip(coalgs, coalgs[1:] + coalgs[:1]), sigmas)]
+    # slot 2 takes the next drawn coalgebra, so the operands differ
+    cases = list(zip(coalgs, coalgs[1:] + coalgs[:1], sigmas))
     for _ in range(2):
         plan.run_cases(len(cases), list(zip(*cases))[:2], [[sigma for *_, sigma in cases]])
         for key, (node, _) in nodes.items():
