@@ -97,10 +97,20 @@ def _load_h(path: str, kind: str, alg, n: int) -> dict:
 
 
 def _emit(payload: dict, fmt: str, text: str | None = None) -> None:
-    if fmt == "json":
-        print(jsonio.dumps(payload))
-    else:
-        print(text if text is not None else jsonio.dumps(payload))
+    _say(jsonio.dumps(payload) if fmt == "json" or text is None else text, sys.stdout)
+
+
+def _say(text: str, stream) -> None:
+    try:
+        print(text, file=stream)
+        stream.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (`mvdl ... | head`): the command
+        # keeps its own exit code, and the stream goes to devnull so that
+        # the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _verdict_exit(verdict: harness.Verdict, fmt: str) -> int:
@@ -281,7 +291,7 @@ def _cmd_verify_rules(args, fmt: str) -> int:
         name = " ".join(key)
         if v.status == harness.OVER_BUDGET:
             over_budget = True
-            print(f"budget exceeded: {name}: {v.detail['reason']}", file=sys.stderr)
+            _say(f"budget exceeded: {name}: {v.detail['reason']}", sys.stderr)
             lines.append(f"{name}: {v.status} ({v.detail['count']} > budget {budget})")
         else:
             lines.append(f"{name}: {v.status} ({v.cases} cases)")
@@ -399,13 +409,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args, args.format)
     except (BudgetExceeded, ClosureBudgetExceeded, RewriteBudgetExceeded) as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        _say(f"budget exceeded: {exc}", sys.stderr)
         return EXIT_BUDGET
     except MvdlError as exc:
-        print(f"error [{exc.code}]: {exc}", file=sys.stderr)
+        _say(f"error [{exc.code}]: {exc}", sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}", sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,7 +22,9 @@ cases into the plan one batch at a time (a block list of the slot loop
 ``Plan.sweep`` when exhaustive, drawn cases when sampled) and yields the
 compared ids, one per block, each block decoded by ``Plan.block`` and each
 case by ``Plan.case``.  Each checker is one loop, one comparison per
-block and one counterexample builder over those batches.
+block and one counterexample builder over those batches.  Rules of one
+shape (slots and variables) share one plan and one sweep, so a registry
+sweeps each shape once; ``verify_reduction_rule`` is a group of one.
 
 A safety sweep runs one loop per carrier pair on ids of its own, one vid
 layer per side (``_SafetyIds``); Ff is one vid list per map f.  Its
@@ -742,21 +744,45 @@ def verify_reduction_rule(
     Values are exact algebra elements, so the tolerance is zero.  Each
     batch of ``_batches`` is checked as one id per block per side; the
     first differing block, then its first differing sigma-position, give
-    the first failing case of the case-by-case order.
+    the first failing case of the case-by-case order.  This is the sweep
+    of ``verify_registry`` over a group of one rule, so ``seconds`` and
+    ``detail["vectors"]`` are this rule's own.
     """
-    t0 = time.perf_counter()
     _check_sweep(mode, trials)
+    return _verify_rules([rule], config, n, mode, budget, trials, seed)[0]
+
+
+def _shape(rule, config: LogicConfig) -> tuple[int, int]:
+    """A rule's slots and variables: the operation's arity and the
+    lifting's, or no slot and the lifting's arity plus the test argument.
+    A sweep's block lists, batches and draws depend on nothing else."""
     k = config.lifting(rule.lifting).arity
-    is_test = rule.target_kind == "test"
-    if is_test:
-        arity, action = 0, Test(rule.target, Var(1))
-    else:
-        arity = config.op(rule.target).arity
-        action = Op(rule.target, tuple(range(1, arity + 1)))
-    n_vars = k + is_test
+    if rule.target_kind == "test":
+        return 0, k + 1
+    return config.op(rule.target).arity, k
+
+
+def _verify_rules(
+    rules: Sequence, config: LogicConfig, n: int, mode: str, budget: int, trials: int, seed: int
+) -> list[Verdict]:
+    """The verdicts of rules of one ``_shape``: their sides compile into one
+    plan, and one ``_batches`` sweep (in random mode, from one RNG) compares
+    each rule's sides batch by batch until the rule fails, after which the
+    plan runs only the steps the other rules read (``Plan.narrow``); it
+    stops once every rule has failed.  BudgetExceeded is raised before any
+    case."""
+    t0 = time.perf_counter()
+    arity, n_vars = _shape(rules[0], config)
     plan = Plan(config, n, arity, n_vars, canonical=mode == "exhaustive")
-    args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
-    at = [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
+    at = []  # each rule's left-hand side, then its right-hand side
+    for rule in rules:
+        is_test = rule.target_kind == "test"
+        if is_test:
+            action = Test(rule.target, Var(1))
+        else:
+            action = Op(rule.target, tuple(range(1, arity + 1)))
+        args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
+        at += [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
     if mode == "random":  # an exhaustive sweep draws nothing
         rng = random.Random(seed)
         value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
@@ -771,35 +797,60 @@ def verify_reduction_rule(
                 column.append(sigma())
         return [(plan, at, range(count), gammas, sigmas)]
 
+    verdicts: list = [None] * len(rules)
+    live = range(len(rules))  # the rules that have not failed
     cases = blocks = 0
-    for batch, ((plan, _, (got, want), _),) in _batches(
+    for batch, ((_, _, lists, _),) in _batches(
         mode, trials, draw, [(plan, at)], n_vars, budget, models=False
     ):
-        blocks += len(got)
-        if got != want:
-            # the first differing block, then its first differing sigma-position
-            j = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
-            lhs, rhs = plan.block(at[0], j), plan.block(at[1], j)
-            s = next(s for s, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
-            i = j * len(lhs) + s
-            coalgs, sigmas = plan.case(i)
-            counter = {
-                "rule": list(rule.key),
-                "sigmas": [list(sigma) for sigma in sigmas[is_test:]],
-                "lhs": list(plan.preds[lhs[s]]),
-                "rhs": list(plan.preds[rhs[s]]),
-            }
-            if is_test:
-                counter["test_argument"] = list(sigmas[0])
-            else:
-                counter["gammas"] = [[fvalue_to_json(config.kind, v) for v in g] for g in coalgs]
-            stats = _reuse(blocks, [len(plan.vecs)]) if plan.canonical else {}
-            return _verdict("fails", cases + (i + 1) * n, t0, counter, **stats)
+        blocks += len(lists[2 * live[0]])  # a failed rule's ids may be stale
+        failed = False
+        for r in live:
+            got, want = lists[2 * r], lists[2 * r + 1]
+            if got != want:
+                i, counter = _rule_counter(rules[r], plan, at[2 * r], at[2 * r + 1], got, want)
+                stats = _reuse(blocks, [len(plan.vecs)]) if plan.canonical else {}
+                verdicts[r] = _verdict("fails", cases + (i + 1) * n, t0, counter, **stats)
+                failed = True
+        if failed:
+            live = [r for r in live if verdicts[r] is None]
+            if not live:
+                return verdicts
+            # the failed rules' own steps stop running
+            plan.narrow([pos for r in live for pos in at[2 * r : 2 * r + 2]])
         cases += n * batch
     status, stats = "holds", _reuse(blocks, [len(plan.vecs)])
     if mode != "exhaustive":
         status, stats = "holds-up-to-bound", {"trials": trials, "seed": seed}
-    return _verdict(status, cases, t0, None, rule=list(rule.key), n=n, mode=mode, **stats)
+    for r in live:
+        key = list(rules[r].key)
+        verdicts[r] = _verdict(status, cases, t0, None, rule=key, n=n, mode=mode, **stats)
+    return verdicts
+
+
+def _rule_counter(rule, plan: Plan, lhs_at: int, rhs_at: int, got, want) -> tuple[int, dict]:
+    """The position in its batch of a rule's first failing case, and its
+    counterexample: the first block at which ``got`` and ``want``, the ids
+    of the sides compiled at ``lhs_at`` and ``rhs_at``, differ, then its
+    first differing sigma-position."""
+    j = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
+    lhs, rhs = plan.block(lhs_at, j), plan.block(rhs_at, j)
+    s = next(s for s, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+    i = j * len(lhs) + s
+    coalgs, sigmas = plan.case(i)
+    is_test = rule.target_kind == "test"
+    counter = {
+        "rule": list(rule.key),
+        "sigmas": [list(sigma) for sigma in sigmas[is_test:]],
+        "lhs": list(plan.preds[lhs[s]]),
+        "rhs": list(plan.preds[rhs[s]]),
+    }
+    if is_test:
+        counter["test_argument"] = list(sigmas[0])
+    else:
+        kind = plan.config.kind
+        counter["gammas"] = [[fvalue_to_json(kind, v) for v in g] for g in coalgs]
+    return i, counter
 
 
 def _reuse(blocks: int, vectors: Iterable[int]) -> dict:
@@ -816,26 +867,42 @@ def verify_registry(
     trials: int = 10_000,
     seed: int = DEFAULT_SEED,
 ) -> dict[tuple, Verdict]:
-    """verify_reduction_rule over every rule in a registry.
+    """verify_reduction_rule over every rule in a registry, in its order,
+    sweeping each shape once.
 
-    A rule whose sweep exceeds the budget gets an OVER_BUDGET verdict of no
-    cases, with the refused count and the reason in its detail, and the
-    rules after it are still checked.
+    The rules fall into groups by shape: their slots (the operation's
+    arity, none for a test) and variables (the lifting's arity, plus one
+    for a test).  Each group compiles into one plan and runs one sweep, so
+    a shared subterm or table is computed once per shape, not once per
+    rule, and a rule's own steps stop running once it fails.  Each rule
+    still gets the status, cases, counterexample and ``detail["blocks"]``
+    of its own sweep, since block lists, batches and draws depend on the
+    shape only.  Its ``seconds`` run from the start of its group to its
+    verdict, and ``detail["vectors"]`` counts the vectors of the group's
+    plan.  A group whose sweep exceeds the budget gives each of its rules
+    an OVER_BUDGET verdict of no cases, with the refused count and the
+    reason in its detail, and the other groups are still checked.
     """
     _check_sweep(mode, trials)
-    verdicts = {}
+    config = registry.config
+    groups: dict[tuple[int, int], dict] = {}
     for key, rule in registry.rules.items():
+        groups.setdefault(_shape(rule, config), {})[key] = rule
+    verdicts = {}
+    for group in groups.values():
         t0 = time.perf_counter()
         try:
-            verdicts[key] = verify_reduction_rule(
-                rule, registry.config, n=n, mode=mode, budget=budget, trials=trials, seed=seed
-            )
+            found = _verify_rules(list(group.values()), config, n, mode, budget, trials, seed)
         except BudgetExceeded as exc:
-            verdicts[key] = Verdict(
-                OVER_BUDGET, 0, time.perf_counter() - t0, None,
-                {"count": exc.count, "reason": str(exc)},
-            )
-    return verdicts
+            found = [
+                Verdict(
+                    OVER_BUDGET, 0, time.perf_counter() - t0, None,
+                    {"count": exc.count, "reason": str(exc)},
+                )
+                for _ in group
+            ]
+        verdicts.update(zip(group, found))
+    return {key: verdicts[key] for key in registry.rules}
 
 
 # -- one-step satisfiability ----------------------------------------------

@@ -566,6 +566,7 @@ class Plan:
         self.cids: list = [0] * len(self._slots)
         self.vals: list = []  # step position -> its id, or its ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
+        self._deps: list = []  # position -> the positions its step reads
         self._ran = [0, 0, 0]  # steps of each group that run_new has run
         # the variables' sigma-lists, their length, and what each
         # variable's step holds: its vector id when canonical, else its list
@@ -701,6 +702,20 @@ class Plan:
                 vals[pos] = step(vals)
             ran[g] = len(group)
 
+    def narrow(self, positions) -> None:
+        """From now on run only the steps that the steps at ``positions``
+        read, directly or not, and those steps; the others keep the ids of
+        their last run.  A sweep calls it between block lists, once the
+        steps it compares are fewer."""
+        need, todo = set(), list(positions)
+        while todo:
+            pos = todo.pop()
+            if pos not in need:
+                need.add(pos)
+                todo.extend(self._deps[pos])
+        for group in self.groups:
+            group[:] = [(pos, step) for pos, step in group if pos in need]
+
     def sweep(self, coalgs: int):
         """Run groups 1 and 2 at every assignment of the cids below
         ``coalgs`` to the slots and yield slot 1's block list after each
@@ -735,9 +750,10 @@ class Plan:
 
     # -- compilation ------------------------------------------------------
 
-    def _add(self, group: int, step, vectored: bool = False) -> tuple[int, int]:
+    def _add(self, group: int, step, vectored: bool = False, deps=()) -> tuple[int, int]:
         pos = len(self.vals)
         self.vals.append(None)
+        self._deps.append(deps)
         self.groups[group].append((pos, step))
         if vectored:
             self._vectored.add(pos)
@@ -765,9 +781,10 @@ class Plan:
             def step(vals):
                 return cells(*map(vals.__getitem__, positions))
 
-            return self._add(group, step)
+            return self._add(group, step, deps=positions)
         table = self._keep({})
-        got = self._add(group, self._vectors(positions, groups, cells, read, table), True)
+        step = self._vectors(positions, groups, cells, read, table)
+        got = self._add(group, step, True, positions)
         self._memos[got[0]] = table
         return got
 
@@ -1083,7 +1100,7 @@ class Plan:
             def op(vals):
                 return cells(*[[vals[i]] for i in positions])[0]
 
-        return self._add(group, op)
+        return self._add(group, op, deps=positions)
 
     def _tabled(self, by_cid, outputs, positions, left: bool, local: bool):
         """A binary operation step over one listed operand, which the

@@ -63,7 +63,12 @@ The calls are, in order:
   inside the plan, ``b`` being slot 1: ``<u(b)>p -> <b>p`` and
   ``<a;u(b)>p <-> <a><u(b)>p`` over slot 1, ``<u(a);b>p -> <b>p`` and
   ``<u(a);b>p <-> <u(a)><b>p`` over a fixed slot; exhaustive at max_n=2
-  (instantial: 1) and sampled at max_n 2 and 3, seeds SEED and SEED+1.
+  (instantial: 1) and sampled at max_n 2 and 3, seeds SEED and SEED+1;
+* ``verify_registry`` at n=1 on the builtin registry of each preset and on
+  its mutant (every other rule with ``/\\`` and ``\\/`` swapped, ``*``
+  read as ``/\\``, and slots 1 and 2 swapped where it has two), exhaustive
+  and sampled (300 trials) at seeds SEED and SEED+1: one line per
+  registry, each rule with its status, cases, counterexample and blocks.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -164,6 +169,7 @@ def calls(root: Path, seed: int):
     yield from _exhaustive_safety_rows(m)
     yield from _late_failure_rows(m)
     yield from _unary_rows(m, configs, seed)
+    yield from _registry_rows(m, configs, seed)
 
 
 def _sampled_safety_rows(m, configs, seed):
@@ -372,6 +378,32 @@ def _unary_rows(m, configs, seed):
                         )
 
 
+def _registry_rows(m, configs, seed):
+    """``verify_registry`` at n=1 on each preset's builtin registry and on
+    its mutant, whose groups mix rules that hold with rules that fail,
+    exhaustive and sampled at seeds SEED and SEED+1."""
+    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        builtin = reduction.builtin_rules(config)
+        mutant = reduction.RuleRegistry(config)
+        for i, rule in enumerate(builtin.rules.values()):
+            if i % 2 == 0:
+                t = rule.template
+                body = _mutate(sx, t.body, swap=t.n == 2)
+                rule = reduction.ReductionRule(*rule.key, sx.Template(t.n, t.k, body))
+            mutant.add(rule)
+        for label, registry in (("builtin", builtin), ("mutant", mutant)):
+            for mode, s in (("exhaustive", seed), ("random", seed), ("random", seed + 1)):
+                row = f"registry {label} {tag} n=1 {mode}"
+                if mode == "random":
+                    row += f" seed={s}"
+                yield row, lambda r=registry, mode=mode, s=s: {
+                    " ".join(key): [v.status, v.cases, v.counterexample, v.detail.get("blocks")]
+                    for key, v in h.verify_registry(r, n=1, mode=mode, trials=300, seed=s).items()
+                }
+
+
 def _h_alpha(functors, kind, alg, n, alpha) -> dict:
     """The rank-1 assignment the witness alpha induces."""
     if kind == "labelled-diamond":
@@ -413,13 +445,15 @@ def _session_row(m, case) -> dict:
     )
 
 
-def _mutate(sx, node):
-    """``node`` with /\\ and \\/ swapped and * read as /\\."""
+def _mutate(sx, node, swap: bool = False):
+    """``node`` with /\\ and \\/ swapped and * read as /\\, and with
+    ``swap`` slots 1 and 2 swapped."""
     if isinstance(node, sx.Conn):
         symbol = {"/\\": "\\/", "\\/": "/\\", "*": "/\\"}.get(node.symbol, node.symbol)
-        return sx.Conn(symbol, tuple(_mutate(sx, a) for a in node.args))
+        return sx.Conn(symbol, tuple(_mutate(sx, a, swap) for a in node.args))
     if isinstance(node, sx.Modal):
-        return sx.Modal(node.lifting, node.action, tuple(_mutate(sx, a) for a in node.args))
+        action = 3 - node.action if swap else node.action
+        return sx.Modal(node.lifting, action, tuple(_mutate(sx, a, swap) for a in node.args))
     return node
 
 

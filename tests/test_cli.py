@@ -1,7 +1,11 @@
 """Command-line front end: exit codes, report stability, formats."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,40 @@ class TestExitCodes:
         payload = json.loads(out)
         assert payload["status"] == "fails"
         assert payload["counterexample"]["model"]["n"] == 2
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            # a report far larger than the pipe buffer fails at print
+            (["verify-rules", "--preset", "pdl-crisp", "--algebra", "B2", "--n", "1"], 0),
+            # a short one is still buffered at print and fails at the flush
+            (["reduce", "--preset", "pdl-crisp", "--phi", "<a;b> p"], 0),
+            (["semiprimal", "--algebra", "G3"], 1),
+            # these also write to stderr
+            (["verify-rules", "--preset", "pdl-labelled", "--algebra", "L2", "--n", "2",
+              "--budget", "1000"], 3),
+            (["reduce", "--preset", "pdl-crisp", "--phi", "<a*> p"], 2),
+        ],
+    )
+    @pytest.mark.parametrize("both", [False, True], ids=["stdout", "stdout-and-stderr"])
+    def test_a_closed_pipe_keeps_the_exit_code(self, argv, code, both):
+        # the reader is gone before mvdl writes, as after `mvdl ... | head -5`
+        # (or `2>&1 | head -5`, with both)
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "mvdl.cli", *argv, "--format", "json"],
+                stdout=write, stderr=write if both else subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write)
+        if not both:
+            assert "Traceback" not in child.stderr.decode()
+            assert (child.stderr == b"") == (code < 2)
+        assert child.returncode == code
 
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "entail", "--no-such-flag")

@@ -34,7 +34,7 @@ from mvdl.harness import (
 from mvdl import actions, harness, semantics
 from mvdl.jsonio import config_from_json, fvalue_from_json, fvalue_to_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
-from mvdl.reduction import ReductionRule, builtin_rules
+from mvdl.reduction import ReductionRule, RuleRegistry, builtin_rules
 from mvdl.semantics import Model, eval_formula
 from mvdl import syntax as sx
 from mvdl.syntax import Atomic, Conn, Modal, Op, Prop, Template, Var, instantiate, parse
@@ -873,12 +873,15 @@ class TestVerifyRules:
 
 
 def _swapped(rule) -> ReductionRule:
-    """The rule with slots 1 and 2, and /\\ and \\/, swapped in its template."""
+    """The rule with /\\ and \\/ swapped in its template, and slots 1 and
+    2 where it has two."""
     swap = {"/\\": "\\/", "\\/": "/\\"}
+    binary = rule.template.n == 2
 
     def walk(node):
         if isinstance(node, Modal):
-            return Modal(node.lifting, 3 - node.action, tuple(map(walk, node.args)))
+            action = 3 - node.action if binary else node.action
+            return Modal(node.lifting, action, tuple(map(walk, node.args)))
         if isinstance(node, Conn):
             return Conn(swap.get(node.symbol, node.symbol), tuple(map(walk, node.args)))
         return node
@@ -919,6 +922,142 @@ class TestRuleBudget:
         with pytest.raises(BudgetExceeded) as err:
             verify_reduction_rule(rules[("op", ";", "dia")], labelled_l2, budget=100)
         assert err.value.count == 81**2
+
+
+# the presets of the benchmark's verify-rules requests, over their algebras
+REGISTRY_ALGEBRAS = {
+    "pdl-crisp": "B2", "pdl-labelled": "L2", "pdl-threshold": "L2", "game": "L2",
+    "instantial": "B2",
+}
+
+
+def _mutant_registry(config) -> RuleRegistry:
+    """The builtin registry with every other rule ``_swapped``, so most
+    groups mix rules that hold with rules that fail."""
+    mutant = RuleRegistry(config)
+    for i, rule in enumerate(builtin_rules(config).rules.values()):
+        mutant.add(_swapped(rule) if i % 2 == 0 else rule)
+    return mutant
+
+
+def _facts(verdict) -> tuple:
+    """What a grouped sweep keeps of each rule's own: status, cases,
+    counterexample and blocks (seconds and vectors are the group's)."""
+    return verdict.status, verdict.cases, verdict.counterexample, verdict.detail.get("blocks")
+
+
+class TestGroupedRegistry:
+    """``verify_registry`` sweeps each shape once, in one plan, and gives
+    each rule the verdict of its own sweep."""
+
+    @pytest.mark.parametrize(
+        "mode, seed", [("exhaustive", DEFAULT_SEED), ("random", 3), ("random", 11)]
+    )
+    @pytest.mark.parametrize("mutant", [False, True], ids=["builtin", "mutant"])
+    @pytest.mark.parametrize(
+        "preset_name, n",
+        [(name, 1) for name in REGISTRY_ALGEBRAS]
+        + [("pdl-crisp", 2), ("pdl-labelled", 2), ("pdl-threshold", 2)],
+    )
+    def test_each_rule_gets_its_own_verdict(self, preset_name, n, mutant, mode, seed):
+        config = make_preset(preset_name, algebra_by_name(REGISTRY_ALGEBRAS[preset_name]))
+        registry = _mutant_registry(config) if mutant else builtin_rules(config)
+        sweep = dict(n=n, mode=mode, trials=40, seed=seed)
+        got = verify_registry(registry, **sweep)
+        assert list(got) == list(registry.rules)
+        for key, rule in registry.rules.items():
+            assert _facts(got[key]) == _facts(verify_reduction_rule(rule, config, **sweep)), key
+            if n == 1:  # small enough for the case-by-case reference
+                status, cases, counter = reference_rule_sweep(rule, config, **sweep)
+                if counter is not None:
+                    if "gammas" in counter:
+                        counter["gammas"] = [
+                            [fvalue_to_json(config.kind, v) for v in g] for g in counter["gammas"]
+                        ]
+                    counter = {"rule": list(key), **counter}
+                assert (got[key].status, got[key].cases, got[key].counterexample) == (
+                    status, cases, counter,
+                ), key
+        if mutant:  # rules that hold and rules that fail
+            held = "holds" if mode == "exhaustive" else "holds-up-to-bound"
+            assert {v.status for v in got.values()} == {"fails", held}
+
+    def test_mutant_groups_mix_verdicts_and_failing_blocks(self, threshold_l2):
+        # the two-slot group of pdl-threshold/L2 at n = 2 holds rules that
+        # hold and rules that fail at blocks 16 and 243 of one sweep
+        got = verify_registry(_mutant_registry(threshold_l2), n=2)
+        binary = {key[1:]: got[key] for key in got if key[1] in "+;"}
+        assert {key: (v.status, v.detail["blocks"]) for key, v in binary.items()} == {
+            ("+", "dia_1_2"): ("fails", 16),
+            (";", "dia_1_2"): ("holds", 6561),
+            ("+", "dia_1"): ("holds", 6561),
+            (";", "dia_1"): ("fails", 243),
+        }
+        # the rules that hold record the vectors of their group's one plan
+        assert len({v.detail["vectors"] for v in binary.values() if v.ok}) == 1
+
+    def test_a_failed_rule_stops_running_its_own_steps(self, labelled_l2, monkeypatch):
+        plans = []
+
+        class Recorded(semantics.Plan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(self)
+
+        monkeypatch.setattr(harness, "Plan", Recorded)
+        # the mutant `+` rules fail at block 7 of 6561, the `;` rules beside
+        # them hold; a `+` left-hand side meets 81 union cids when it runs on
+        got = verify_registry(_mutant_registry(labelled_l2), n=2)
+        plan = next(plan for plan in plans if len(plan.cids) == 2)
+        entries = plan.entries()
+        for lid in ("box", "dia"):
+            assert got["op", ";", lid].status == "holds"
+            verdict = got["op", "+", lid]
+            assert (verdict.status, verdict.detail["blocks"]) == ("fails", 7)
+            assert entries[plan.compile(Modal(lid, Op("+", (1, 2)), (Var(1),)))] <= 7
+
+    def test_a_group_stops_once_every_rule_has_failed(self, labelled_l2, monkeypatch):
+        taken = []  # batches yielded, per sweep
+        batches = harness._batches
+
+        def counting(*args, **kwargs):
+            taken.append(0)
+            for batch in batches(*args, **kwargs):
+                taken[-1] += 1
+                yield batch
+
+        monkeypatch.setattr(harness, "_batches", counting)
+        rules = builtin_rules(labelled_l2).rules
+        swapped = RuleRegistry(labelled_l2)
+        for key in (("op", "+", "box"), ("op", "+", "dia")):
+            swapped.add(_swapped(rules[key]))
+        got = verify_registry(swapped, n=2)
+        assert all(v.status == "fails" for v in got.values())
+        solo = [verify_reduction_rule(rule, labelled_l2, n=2) for rule in swapped.rules.values()]
+        assert [_facts(v) for v in got.values()] == list(map(_facts, solo))
+        verify_reduction_rule(rules[("op", "+", "box")], labelled_l2, n=2)
+        group, *alone, whole = taken
+        assert group == max(alone) < whole
+
+    def test_a_budget_refuses_one_shape_and_sweeps_the_others(self, labelled_l2):
+        # C = 81 coalgebras at two states: the one-slot and test groups fit
+        # budget 1000, the 81**2 pairs of the two-slot group do not
+        registry = builtin_rules(labelled_l2)
+        got = verify_registry(registry, n=2, budget=1000)
+        refused = set()
+        for key, rule in registry.rules.items():
+            try:
+                solo = verify_reduction_rule(rule, labelled_l2, n=2, budget=1000)
+            except BudgetExceeded as exc:
+                refused.add(key)
+                detail = {"count": exc.count, "reason": str(exc)}
+                assert (got[key].status, got[key].cases, got[key].detail) == (
+                    harness.OVER_BUDGET, 0, detail,
+                )
+            else:
+                assert _facts(got[key]) == _facts(solo), key
+        assert {key[1] for key in refused} == {"+", ";"}
+        assert all(got[key].status == "holds" for key in registry.rules.keys() - refused)
 
 
 @pytest.mark.parametrize("preset_name", ["pdl-crisp", "pdl-labelled"])
