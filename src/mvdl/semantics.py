@@ -524,17 +524,19 @@ class Plan:
     are few (one operand, a test among them, or a plan that is not canonical);
     a pair of slots, of which there are C**2, is assembled state by state from
     the one-step tables.  On a canonically interned plan, a binary operation
-    over one listed operand that it reads only at the evaluated state and one
-    fixed cid skips all that (``_tabled``): its output at listed cid c is the
-    sum over states x of V**(n-1-x) times a row of output vids read at c's
-    x-th digit, rows read off ``op_outputs`` once per fixed cid, and it reads
-    these sums off one table per fixed cid.  ``forget`` drops every id, vid,
-    vector and table and the canonical order, so a long sampled sweep can
-    bound its memory.  ``sweep`` runs group 1 once per assignment of the outer
-    slots and group 2 once per block list, ``run_cases`` every step once per
-    batch; ``block`` decodes a step's ids at a block and ``case`` the case at
-    a position, position ``i`` being block ``i // S`` at sigma-position
-    ``i % S``; ``run_new`` runs each step compiled since, for an EvalSession.
+    over one listed operand and one fixed cid, either read only at the
+    evaluated state, skips all that (``_tabled``): its output at listed cid c
+    is the sum over states x of V**(n-1-x) times an output vid, read at c's
+    x-th digit in a row read off ``op_outputs`` once per fixed cid or, where a
+    composition's right operand is listed, at c in the column of the fixed
+    cid's x-th digit, read once per right cid; it reads these sums off one
+    table per fixed cid.  ``forget`` drops every id, vid, vector and table and
+    the canonical order, so a long sampled sweep can bound its memory.
+    ``sweep`` runs group 1 once per assignment of the outer slots and group 2
+    once per block list, ``run_cases`` every step once per batch; ``block``
+    decodes a step's ids at a block and ``case`` the case at a position,
+    position ``i`` being block ``i // S`` at sigma-position ``i % S``;
+    ``run_new`` runs each step compiled since, for an EvalSession.
 
     ``slots`` and ``variables`` are how many a template has, or the names
     of a formula's atomic actions, slot 1 first, and of its propositions,
@@ -1092,8 +1094,9 @@ class Plan:
                 return cells(*cols)
 
             local = LOCAL_OPERANDS[spec.variant]
-            if listed.count(True) == 1 and len(args) == 2 and listed.index(True) in local:
-                op = self._tabled(op, outputs, positions, listed[0], listed.index(False) in local)
+            if listed.count(True) == 1 and len(args) == 2 and local:
+                on, off = listed.index(True) in local, listed.index(False) in local
+                op = self._tabled(op, outputs, positions, listed[0], on, off)
 
         else:
 
@@ -1102,23 +1105,29 @@ class Plan:
 
         return self._add(group, op, deps=positions)
 
-    def _tabled(self, by_cid, outputs, positions, left: bool, local: bool):
-        """A binary operation step over one listed operand, which the
-        operation reads only at the evaluated state, and one fixed cid
+    def _tabled(self, by_cid, outputs, positions, left: bool, on: bool, off: bool):
+        """A binary operation step over one listed operand and one fixed cid
         that, on a canonically interned plan, reads its output cids off the
         fixed cid's table: the output cid against every cid of the
-        enumeration, kept for the last fixed cid.  Row x of the table maps
-        each vid to the output's vid at state x where the listed operand
-        holds that vid.  It is one output of ``outputs``, over V states of
-        the step's own: the listed operand holds vid u at state u, and the
-        fixed one its value at x at every state where it is ``local`` (read
-        only at the evaluated state too), else itself whole.  The table is
-        the sum over x of V**(n-1-x) times row x read at the listed cid's
-        x-th digit, built by Horner's rule in canonical order.  Elsewhere
-        the step is ``by_cid``."""
+        enumeration, kept for the last fixed cid.  ``on`` and ``off`` say
+        whether the operation reads the listed and the fixed operand only at
+        the evaluated state, as one of them does.  With ``on``, row x of the
+        table maps each vid to the output's vid at state x where the listed
+        operand holds that vid: one output of ``outputs`` over V states of the
+        step's own, where the listed operand holds vid u at state u, and the
+        fixed one its value at x at every state with ``off``, else itself
+        whole.  The table is the sum over x of V**(n-1-x) times row x read at
+        the listed cid's x-th digit, built by Horner's rule in canonical
+        order.  Else a composition's right operand is listed, and column u,
+        read once per plan, maps each right cid to the output's vid where the
+        left operand holds vid u: one output per right cid, over V states
+        where the left one holds vid u at state u.  The table is the sum over
+        x of V**(n-1-x) times the column of the fixed cid's x-th digit.
+        Elsewhere the step is ``by_cid``."""
         radix, coalgs, n = self._radix, self.coalgs, self.n
         at, fixed = positions if left else positions[::-1]
         kept = self._keep({})  # fixed cid -> its table
+        cols = self._keep([])  # left vid -> the output vid against each right cid
 
         def op(vals):
             if not radix:
@@ -1127,16 +1136,24 @@ class Plan:
             table = kept.get(f)
             if table is None:
                 kept.clear()
-                table, V, g = [0], radix[0], coalgs[f]
+                V, g = radix[0], coalgs[f]
                 every = tuple(range(V))
-                if not local:  # a composition's right operand: one row for every state
-                    rows = [outputs((every, g))] * n
-                elif left:
-                    rows = [outputs((every, (w,) * V)) for w in g]
-                else:
-                    rows = [outputs(((w,) * V, every)) for w in g]
-                for row in rows:
-                    table = [t * V + r for t in table for r in row]
+                if on:
+                    if not off:  # a composition's right operand: one row for every state
+                        rows = [outputs((every, g))] * n
+                    elif left:
+                        rows = [outputs((every, (w,) * V)) for w in g]
+                    else:
+                        rows = [outputs(((w,) * V, every)) for w in g]
+                    table = [0]
+                    for row in rows:
+                        table = [t * V + r for t in table for r in row]
+                else:  # a composition's right operand: one column per left vid
+                    if not cols:
+                        cols[:] = map(list, zip(*[outputs((every, h)) for h in coalgs]))
+                    table = cols[g[0]]
+                    for w in g[1:]:
+                        table = [t * V + r for t, r in zip(table, cols[w])]
                 kept[f] = table
             ids = vals[at]
             if type(ids) is range:  # slot 1's block list: a slice of the table

@@ -7,12 +7,15 @@ a unary local one by (state, vid), a composition from one left-vid row
 per right operand, of which the plan keeps every one while the right
 operand reads slot 1 and the left does not, and ``star`` through
 ``apply_op``.  On a plan that interned every coalgebra in canonical order,
-one listed operand that the operation reads only at the evaluated state,
-beside fixed cids, reads its outputs off a table of the fixed cids'
-outputs instead.  These check every variant on every path, on canonical
-plans and on plans that run drawn cases, before and after ``forget``, at
+a binary operation over one listed operand and one fixed cid, either of
+which it reads only at the evaluated state, reads its outputs off a table
+per fixed cid instead: from rows of the fixed cid's outputs where the
+listed operand is local, and from one column per left vid, over every
+right cid, where a composition's right operand is listed.  These check
+every variant on every path, on canonical plans (a composition up to three
+states) and on plans that run drawn cases, before and after ``forget``, at
 a tiny cap on the kept rows and with short block lists, and how many
-composition maps are built and rows kept.
+composition maps are built, output calls made and rows kept.
 """
 
 import random
@@ -120,7 +123,7 @@ def _reference(config, n):
     return want
 
 
-def _check_sweep(config, n, coalgs=(), values=None, stride=1):
+def _check_sweep(config, n, coalgs=(), values=None, stride=1, reverse=True):
     """Sweep a two-slot plan with one variable and check the operation at
     every case against ``apply_op``: for a binary operation with slot 1 on
     the left (one right operand per outer assignment), on the right (a new
@@ -131,16 +134,16 @@ def _check_sweep(config, n, coalgs=(), values=None, stride=1):
     each slot, over itself and over the two tests.  A vector is read at
     every sigma-position.  With ``values`` the sweep is over every
     coalgebra, interned in canonical order by ``intern_coalgebras``, and
-    checks only the outer cids divisible by ``stride``.  Then it forgets,
-    interns the coalgebras again in reverse order, where each output must
-    go cid by cid, and checks again."""
+    checks only the outer cids divisible by ``stride``.  Then it forgets
+    and, with ``reverse``, interns the coalgebras again in reverse order,
+    where each output must go cid by cid, and checks again."""
     if values is not None:
         coalgs = list(product(values, repeat=n))
     coalgs = list(dict.fromkeys(coalgs))  # cid i is coalgs[i]
     plan = Plan(config, n, 2, 1, canonical=True)
     nodes, want = _nodes(config)[0], _reference(config, n)
     positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
-    for order in (coalgs, coalgs[::-1]):
+    for order in (coalgs, coalgs[::-1])[: 1 + reverse]:
         if order is coalgs and values is not None:
             assert plan.intern_coalgebras(values) == len(coalgs)
         else:
@@ -213,6 +216,15 @@ def test_canonical_plan_outputs_equal_apply_op_at_two_states(variant, kind, monk
     _check_sweep(config, 2, values=values, stride=1 + len(values) ** 2 // 40)
 
 
+def test_canonical_plan_outputs_equal_apply_op_at_three_states():
+    # crisp/B2 kleisli, the one composition on powersets: 512 coalgebras,
+    # so an output cid is a sum over three digits on either side of slot 1;
+    # the pair path at three states is left to the drawn cases below
+    config = _config("kleisli", Kind.POWERSET)
+    values = list(config.fops(3).enumerate())
+    _check_sweep(config, 3, values=values, stride=1 + len(values) ** 3 // 40, reverse=False)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(CASES), st.integers(0, 2**32), st.integers(1, 7))
 def test_plan_outputs_equal_apply_op_at_two_states(case, seed, count):
@@ -257,6 +269,36 @@ def test_composition_axiom_builds_few_maps(monkeypatch):
     verdict = bounded_entailment([], phi, config, max_n=2)
     assert verdict.status == "holds-up-to-bound"
     assert len(calls) <= 200
+
+
+@pytest.mark.parametrize("preset,lifting,bound", [
+    ("pdl-labelled", "dia", 81 + 3),
+    ("instantial", "inst1", 256 + 4),
+])
+def test_composition_over_slot_1_makes_one_output_per_right_cid(preset, lifting, bound, monkeypatch):
+    # a;b has its right operand b on slot 1 and reads its outputs off one
+    # column per left vid: one output per right cid at two states and at
+    # one (one per pair of cids, 6570 and 65552, where each pair made one)
+    config = make_preset(preset, _L2 if preset == "pdl-labelled" else _B2)
+    variant = config.ops[";"].variant
+    calls = []
+    make = semantics.op_outputs
+
+    def counted(spec, *args):
+        outputs = make(spec, *args)
+
+        def output(keys):
+            calls.append(keys)
+            return outputs(keys)
+
+        return output if spec.variant == variant else outputs
+
+    monkeypatch.setattr(semantics, "op_outputs", counted)
+    a, b, ab = (f"<{x}:{lifting}>" for x in ("a", "b", "a;b"))
+    phi = parse(f"({ab}p -> {a}{b}p) /\\ ({a}{b}p -> {ab}p)", config.signature)
+    verdict = bounded_entailment([], phi, config, max_n=2)
+    assert verdict.status == "holds-up-to-bound"
+    assert len(calls) <= bound
 
 
 def test_kept_maps_stay_within_the_cap(monkeypatch):
