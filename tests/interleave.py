@@ -25,7 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parents[1]
+CHECKOUT = Path(__file__).resolve().parents[1]
 MODULES = (
     "algebra", "syntax", "functors", "semantics", "actions", "presets", "reduction",
     "harness", "jsonio", "cli",
@@ -63,15 +63,15 @@ def main() -> int:
     ap.add_argument("--reps", type=int, default=9)
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args()
-    sys.path.insert(0, str(HERE / "perfbench"))
+    sys.path.insert(0, str(CHECKOUT / "perfbench"))
     from mvdlbench.workloads import WORKLOADS
 
-    trees = {"root": args.root.resolve() / "src", "here": HERE / "src"}
+    trees = {"root": args.root.resolve() / "src", "here": CHECKOUT / "src"}
     items = {}
     with tempfile.TemporaryDirectory() as workdir:
+        workload = WORKLOADS[args.workload](args.seed, Path(workdir))
         for tree, src in trees.items():
             m = load(src, f"mvdl_{tree}")
-            workload = WORKLOADS[args.workload](args.seed, Path(workdir, tree))
             items[tree] = workload.items(m, workload.setup(m))
         labels = [item.label for item in items["here"]]
         if labels != [item.label for item in items["root"]]:
