@@ -17,14 +17,15 @@ counterexample or a session's result.
 
 Rule-soundness sweeps and bounded entailment compile what they compare (a
 rule's two sides; Gamma and phi) into one ``semantics.Plan`` and read
-their cases from one driver, ``_batches``: it checks the budget, loads the
-cases into the plan one batch at a time (a block list of the slot loop
-``Plan.sweep`` when exhaustive, drawn cases when sampled) and yields the
-compared ids, one per block, each block decoded by ``Plan.block`` and each
-case by ``Plan.case``.  Each checker is one loop, one comparison per
-block and one counterexample builder over those batches.  Rules of one
-shape (slots and variables) share one plan and one sweep, so a registry
-sweeps each shape once; ``verify_reduction_rule`` is a group of one.
+their cases from one driver, ``_batches``: it runs the cases in the plan
+one batch at a time (a block list of ``Plan.sweep``, which sets up the
+plan's canonical case space within the budget, when exhaustive; drawn
+cases when sampled) and yields the compared ids, one per block, each
+block decoded by ``Plan.block`` and each case by ``Plan.case``.  Each
+checker is one loop, one comparison per block and one counterexample
+builder over those batches.  Rules of one shape (slots and variables)
+share one plan and one sweep, so a registry sweeps each shape once;
+``verify_reduction_rule`` is a group of one.
 
 A safety sweep runs one loop per carrier pair on ids of its own, one vid
 layer per side (``_SafetyIds``); Ff is one vid list per map f.  Its
@@ -69,7 +70,6 @@ from .semantics import (
     Plan,
     _Interner,
     _Table,
-    assignments,
     lifting_kernel,
     op_outputs,
 )
@@ -633,6 +633,11 @@ def check_separation(
             if t1 != t2:
                 pairs.append((t1, t2))
         total = len(pairs)
+        if not pairs:
+            raise InvalidParameter(
+                f"trials={trials} drew no pair of distinct values at n={n}; "
+                "raise trials to check any case"
+            )
     kernels = [(lifting_kernel(spec, config), spaces[spec.id]) for spec in liftings]
     cases = 0
     for t1, t2 in pairs:
@@ -660,7 +665,7 @@ def check_separation(
 # -- the case driver of rule and entailment sweeps -------------------------
 
 
-def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, models: bool):
+def _batches(mode: str, trials: int, draw, sweeps, budget: int, models: bool):
     """Load the cases of a rule or entailment sweep into its plans, one
     batch at a time, and yield ``(cases, parts)`` after each: how many
     cases the batch holds, and per plan it ran ``(plan, at, lists,
@@ -669,14 +674,12 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
     and position ``i`` of its cases ``plan.case(i)`` and case ``index[i]``
     of the batch.
 
-    Exhaustive mode sweeps each ``(plan, at)`` of ``sweeps``, one part per
-    batch: the carrier's coalgebras are interned in canonical order (the
-    i-th gets cid i, ``Plan.intern_coalgebras``), then its predicates, and
-    every assignment of them to the ``variables`` is loaded; a batch is a
-    block list of ``Plan.sweep``, and a step that does not read slot 1
-    holds one id for every block of it.  Before anything is interned, the
-    coalgebra tuples on the slots, C**slots, or with ``models`` the
-    standard models, C**slots * S, are checked against ``budget``.
+    Exhaustive mode sweeps each ``(plan, at)`` of ``sweeps`` in turn, one
+    part per batch: a batch is a block list of ``Plan.sweep``, which sets
+    up the plan's canonical case space and checks it against ``budget``
+    (counting standard models with ``models``) before it interns anything,
+    and a step that does not read slot 1 holds one id for every block of
+    the list.
 
     Random mode runs ``trials`` trials in batches of 1, 2, 4, ... up to
     ``SAMPLED_BATCH``, so a sweep failing at trial j has drawn at most
@@ -700,25 +703,14 @@ def _batches(mode: str, trials: int, draw, sweeps, variables: int, budget: int, 
             done, size = done + count, min(2 * size, SAMPLED_BATCH)
         return
     for plan, at in sweeps:
-        n, slots = plan.n, len(plan.cids)
-        values = list(plan.fops.enumerate(budget)) if slots else []
-        size = (plan.config.truth.m ** n) ** variables
-        total = len(values) ** (n * slots) * (size if models else 1)
-        if total > budget:
-            unit = "standard models" if models else "coalgebra tuples"
-            raise BudgetExceeded(
-                f"{total} {unit} at n={n} exceed budget {budget}; random mode is available",
-                count=total,
-            )
-        coalgs = plan.intern_coalgebras(values) if slots else 0
-        plan.load(assignments(plan.intern_space(), variables), size)
         vals = plan.vals
-        for blocks in plan.sweep(coalgs):
+        for blocks in plan.sweep(budget, models):
             B = len(blocks)
+            cases = plan.size * B
             lists = [
                 [ids] * B if isinstance(ids, int) else ids for ids in map(vals.__getitem__, at)
             ]
-            yield size * B, [(plan, at, lists, range(size * B))]
+            yield cases, [(plan, at, lists, range(cases))]
 
 
 # -- reduction-rule soundness ----------------------------------------------
@@ -801,7 +793,7 @@ def _verify_rules(
     live = range(len(rules))  # the rules that have not failed
     cases = blocks = 0
     for batch, ((_, _, lists, _),) in _batches(
-        mode, trials, draw, [(plan, at)], n_vars, budget, models=False
+        mode, trials, draw, [(plan, at)], budget, models=False
     ):
         blocks += len(lists[2 * live[0]])  # a failed rule's ids may be stale
         failed = False
@@ -1192,9 +1184,7 @@ def bounded_entailment(
     # carrier size -> the blocks' ids of phi and Gamma known to hold; a
     # sampled plan may forget its ids before the next batch
     held = {}
-    for batch, parts in _batches(
-        mode, trials, draw, sweeps, len(prop_names), budget, models=True
-    ):
+    for batch, parts in _batches(mode, trials, draw, sweeps, budget, models=True):
         firsts = []  # per plan, its first countermodel: (case of the batch, position, states, plan)
         for plan, at, lists, index in parts:
             phi_ids, top = lists[0], lists[-1][0]

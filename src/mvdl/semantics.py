@@ -48,6 +48,7 @@ from .actions import (
 from .algebra import Algebra
 from .errors import (
     ArityMismatch,
+    BudgetExceeded,
     IncompatibleVariant,
     InvalidParameter,
     UnknownAtom,
@@ -464,23 +465,23 @@ class Plan:
     which holds the tuple of its states' vids.  All are interned on first
     sight (``pid``, ``vid``, ``intern``), so a plan over one large model meets
     only the predicates and values that model yields, and FValues are only met
-    where cases come in (``run_cases``) and go out (``case``, ``decode``).  An
-    exhaustive sweep first interns the values, every coalgebra over them and
-    the whole predicate space in canonical order (``intern_coalgebras``,
-    ``intern_space``), so a cid's base-V digits are its states' vids, V the
-    number of FValues.  A template's leaves are variables and its modalities
+    where cases come in (``run_cases``) and go out (``case``, ``decode``).  A
+    canonical plan (an exhaustive sweep's) sets up its own case space when
+    it sweeps (``sweep``): it interns the values, every coalgebra over them
+    and the whole predicate space in canonical order, so a cid's base-V
+    digits are its states' vids, V the number of FValues, and no step
+    interns another.  A template's leaves are variables and its modalities
     hold action slots; a formula compiles the same way, its propositions
     playing the variables and its atomic actions the slots.  Each distinct
     subterm becomes one step.
 
     Steps run over blocks of cases.  The cases of a block share their
     coalgebras and differ in the variables' predicates: a canonical plan
-    (an exhaustive sweep's) loads S assignments of predicates to the
-    variables, one sigma-list per variable in the sweep's canonical order
-    (``load``), and a block is one assignment of cids to the slots at all
-    S of them.  A plan that is not canonical (a sampled sweep's, or a
-    session's) runs a batch of drawn cases (``run_cases``), each case its
-    own block, so S is 1 there.
+    loads all S assignments of predicates to the variables, one sigma-list
+    per variable in canonical order, and a block is one assignment of cids
+    to the slots at all S of them.  A plan that is not canonical (a sampled
+    sweep's, or a session's) runs a batch of drawn cases (``run_cases``),
+    each case its own block, so S is 1 there.
 
     Steps fall into groups by what they read: 0 the variables only, 1 also
     a slot other than the first, 2 the first slot.  On a canonical plan
@@ -518,20 +519,20 @@ class Plan:
     canonical plan the kernel computes every interned value at a key's first
     miss.  An operation's outputs come from ``op_outputs``, as a safety
     sweep's do: one-step tables by vid, of which a composition keeps every
-    right operand's row, up to ``KEPT_MAPS``, on a plan that is not canonical
-    or where the right operand reads slot 1 and the left does not, and else
-    the last one.  The step keeps its outputs by operand cids only where those
-    are few (one operand, a test among them, or a plan that is not canonical);
-    a pair of slots, of which there are C**2, is assembled state by state from
-    the one-step tables.  On a canonically interned plan, a binary operation
-    over one listed operand and one fixed cid, either read only at the
-    evaluated state, skips all that (``_tabled``): its output at listed cid c
-    is the sum over states x of V**(n-1-x) times an output vid, read at c's
-    x-th digit in a row read off ``op_outputs`` once per fixed cid or, where a
-    composition's right operand is listed, at c in the column of the fixed
-    cid's x-th digit, read once per right cid; it reads these sums off one
-    table per fixed cid.  ``forget`` drops every id, vid, vector and table and
-    the canonical order, so a long sampled sweep can bound its memory.
+    right operand's row, up to ``KEPT_MAPS``, on a plan that is not
+    canonical, and the last one on a canonical plan.  The step keeps its
+    outputs by operand cids only where those are few (one operand, a test
+    among them, or a plan that is not canonical); a pair of slots, of which
+    there are C**2, is assembled state by state from the one-step tables.
+    On a canonical plan, a binary operation over one listed operand and one
+    fixed cid, either read only at the evaluated state, skips all that
+    (``_tabled``): its output at listed cid c is the sum over states x of
+    V**(n-1-x) times an output vid, read at c's x-th digit in a row read off
+    ``op_outputs`` once per fixed cid or, where a composition's right
+    operand is listed, at c in the column of the fixed cid's x-th digit,
+    read once per right cid; it reads these sums off one table per fixed
+    cid.  ``forget`` drops every id, vid, vector and table, so a long
+    sampled sweep can bound its memory.
     ``sweep`` runs group 1 once per assignment of the outer slots and group 2
     once per block list, ``run_cases`` every step once per batch; ``block``
     decodes a step's ids at a block and ``case`` the case at a position,
@@ -580,8 +581,6 @@ class Plan:
         self._tables: list = []  # everything forget empties
         self._pred_ids = self._keep(_Interner(self.preds))
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
-        # V, once the coalgebras are interned in canonical order
-        self._radix = self._keep([])
         # steps hold no reference to the plan, so a finished sweep's plan is
         # freed at once rather than by the cycle collector
         self.pid = self._pred_ids.__getitem__
@@ -589,37 +588,15 @@ class Plan:
         self.intern = self._keep(_Interner(self.coalgs)).__getitem__
         self._vector = self._keep(_Interner(self.vecs)).__getitem__
 
-    def intern_space(self) -> int:
-        """Intern every predicate in canonical order, before any other is
-        interned, so that an id is an index into ``predicate_space(m, n)``;
-        returns how many there are."""
-        for pred in predicate_space(self.config.truth.m, self.n):
-            self.pid(pred)
-        return len(self.preds)
-
-    def intern_coalgebras(self, values: Sequence) -> int:
-        """Intern the FValues ``values`` and every coalgebra over them in
-        canonical order, before any other is interned: vid u is
-        ``values[u]`` and cid i the i-th of ``product(range(V), repeat=n)``,
-        so its base-V digits, state 0 the most significant, are its states'
-        vids.  Returns how many coalgebras there are."""
-        vid, intern = self.vid, self.intern
-        for value in values:
-            vid(value)
-        for g in product(range(len(values)), repeat=self.n):
-            intern(g)
-        self._radix[:] = [len(values)]
-        return len(self.coalgs)
-
     def decode(self, cid: int) -> Coalgebra:
         """The coalgebra of ``cid``, as a tuple of FValues."""
         return tuple(map(self.values.__getitem__, self.coalgs[cid]))
 
     def forget(self, bound: int) -> None:
-        """Drop every interned value, coalgebra, predicate and vector, with
-        every table entry keyed on them and the canonical order, once more
-        than ``bound`` coalgebras or predicates are interned.  The caller
-        then sets the cids and loads afresh."""
+        """Drop every interned value, coalgebra, predicate and vector of a
+        plan that is not canonical, with every table entry keyed on them,
+        once more than ``bound`` coalgebras or predicates are interned.  The
+        caller then runs its cases afresh."""
         if len(self.coalgs) > bound or len(self.preds) > bound:
             for table in (self.values, self.coalgs, self.preds, self.vecs, *self._tables):
                 table.clear()
@@ -627,12 +604,6 @@ class Plan:
     def compile(self, body: Formula) -> int:
         """The position of ``body``'s step, compiling its new subterms."""
         return self._compile(body)[0]
-
-    def load(self, var_lists: list, size: int) -> None:
-        """Take the variables' sigma-lists, all of length ``size``, into a
-        canonical plan, each as the id of its vector, and run group 0."""
-        self._inputs[:] = var_lists, size, [self._vector(tuple(ids)) for ids in var_lists]
-        self.run(0)
 
     def run(self, group: int) -> None:
         vals = self.vals
@@ -657,6 +628,12 @@ class Plan:
             for pos, step in group:
                 vals[pos] = step(vals)
 
+    @property
+    def size(self) -> int:
+        """How many sigma-positions a block has: S on a canonical plan, 1 on
+        one that is not."""
+        return self._inputs[1] if self.canonical else 1
+
     def case(self, i: int) -> tuple[list, list]:
         """The case at position ``i`` of the lists run last (by ``sweep``
         or ``run_cases``): the coalgebras on the slots, slot 1 first, and
@@ -678,7 +655,7 @@ class Plan:
             ids = ids[j]
         if pos in self._vectored:
             return self.vecs[ids]
-        return (ids,) * (self._inputs[1] if self.canonical else 1)
+        return (ids,) * self.size
 
     def entries(self) -> dict[int, int]:
         """How many vector-table entries each step of a canonical plan has
@@ -718,27 +695,58 @@ class Plan:
         for group in self.groups:
             group[:] = [(pos, step) for pos, step in group if pos in need]
 
-    def sweep(self, coalgs: int):
-        """Run groups 1 and 2 at every assignment of the cids below
-        ``coalgs`` to the slots and yield slot 1's block list after each
-        run of group 2.  The outer slots move in ``product`` order, the
-        last slot slowest, and group 1 runs once per outer assignment.
-        Slot 1 takes its cids as consecutive block lists, so group 2 runs
-        once per block list, not once per cid.  The first list holds the
-        cids of about ``SWEEP_IDS`` / 1024 cases (at least one cid) and
-        each next one twice as many, so a sweep failing at slot-1 cid j of
-        its first outer assignment has run at most 2j + 1 cids or that
-        first list; from then on a list takes every cid whose blocks fit in
+    def sweep(self, budget: int, models: bool = False):
+        """Set up a canonical plan's case space and run its slot loop,
+        yielding slot 1's block list after each run of group 2.
+
+        The set-up enumerates FX within ``budget`` (where there are slots)
+        and checks the coalgebra tuples on the slots, C**slots, or with
+        ``models`` the standard models, C**slots * S, against ``budget``,
+        raising BudgetExceeded before anything is interned.  It then
+        interns the FValues in enumeration order, every coalgebra over them
+        in ``product`` order, so cid i's base-V digits, state 0 the most
+        significant, are its states' vids, and every predicate in
+        ``predicate_space`` order; it loads all S assignments of them to
+        the variables, in ``product`` order, and runs group 0.
+
+        The loop runs groups 1 and 2 at every assignment of the C cids to
+        the slots.  The outer slots move in ``product`` order, the last
+        slot slowest, and group 1 runs once per outer assignment.  Slot 1
+        takes its cids as consecutive block lists, so group 2 runs once per
+        block list, not once per cid.  The first list holds the cids of
+        about ``SWEEP_IDS`` / 1024 cases (at least one cid) and each next
+        one twice as many, so a sweep failing at slot-1 cid j of its first
+        outer assignment has run at most 2j + 1 cids or that first list;
+        from then on a list takes every cid whose blocks fit in
         ``SWEEP_IDS`` cases.  Block ``j`` of a list is the cases of cid
         ``blocks[j]``, so position ``i`` of the list's cases is cid
-        ``blocks[i // S]`` at sigma-position ``i % S``, S the loaded size:
-        the order of a loop with slot 1 innermost.  With no slots there is
-        one assignment, yielded as ``range(1)``."""
-        cids = self.cids
+        ``blocks[i // S]`` at sigma-position ``i % S``: the order of a loop
+        with slot 1 innermost.  With no slots there is one assignment,
+        yielded as ``range(1)``."""
+        n, cids = self.n, self.cids
+        values = list(self.fops.enumerate(budget)) if cids else []
+        S = (self.config.truth.m**n) ** len(self._vars)
+        total = len(values) ** (n * len(cids)) * (S if models else 1)
+        if total > budget:
+            unit = "standard models" if models else "coalgebra tuples"
+            raise BudgetExceeded(
+                f"{total} {unit} at n={n} exceed budget {budget}; random mode is available",
+                count=total,
+            )
+        for value in values:
+            self.vid(value)
+        for g in product(range(len(values)), repeat=n):
+            self.intern(g)
+        for pred in predicate_space(self.config.truth.m, n):
+            self.pid(pred)
+        var_lists = assignments(len(self.preds), len(self._vars))
+        self._inputs[:] = var_lists, S, [self._vector(tuple(ids)) for ids in var_lists]
+        self.run(0)
         if not cids:
             yield range(1)
             return
-        most = max(1, SWEEP_IDS // self._inputs[1])
+        coalgs = len(self.coalgs)
+        most = max(1, SWEEP_IDS // S)
         size = max(1, most >> 10)
         for outer in product(range(coalgs), repeat=len(cids) - 1):
             cids[1:] = outer[::-1]
@@ -1057,9 +1065,9 @@ class Plan:
         by_sigma = not self._vectored.isdisjoint(positions)
         keep = None
         if spec.variant in COMPOSITION_VARIANTS:
-            # every right operand's row while the right operand moves faster
-            # than the left or by position, else the last one
-            keep = KEPT_MAPS if not self.canonical or args[1][1] == 2 > args[0][1] else 1
+            # every right operand's row on drawn cases; a canonical sweep
+            # moves one operand at a time, and a listed right one is tabled
+            keep = 1 if self.canonical else KEPT_MAPS
         outputs = op_outputs(spec, self.fops, self.values, self.vid, self._table, keep)
         coalgs, intern = self.coalgs, self.intern
         if len(args) == 1 or by_sigma or not self.canonical:
@@ -1087,16 +1095,15 @@ class Plan:
             return self._step(args, cells)
         # a list of cids per operand that has one: per position, or per block
         listed = [g == 2 or not self.canonical for _, g in args]
-        if any(listed):
+        local = LOCAL_OPERANDS[spec.variant]
+        if listed.count(True) == 1 and len(args) == 2 and local:
+            on, off = listed.index(True) in local, listed.index(False) in local
+            op = self._tabled(outputs, positions, listed[0], on, off)
+        elif any(listed):
 
             def op(vals):
                 cols = [vals[i] if e else repeat(vals[i]) for i, e in zip(positions, listed)]
                 return cells(*cols)
-
-            local = LOCAL_OPERANDS[spec.variant]
-            if listed.count(True) == 1 and len(args) == 2 and local:
-                on, off = listed.index(True) in local, listed.index(False) in local
-                op = self._tabled(op, outputs, positions, listed[0], on, off)
 
         else:
 
@@ -1105,10 +1112,10 @@ class Plan:
 
         return self._add(group, op, deps=positions)
 
-    def _tabled(self, by_cid, outputs, positions, left: bool, on: bool, off: bool):
+    def _tabled(self, outputs, positions, left: bool, on: bool, off: bool):
         """A binary operation step over one listed operand and one fixed cid
-        that, on a canonically interned plan, reads its output cids off the
-        fixed cid's table: the output cid against every cid of the
+        of a canonical plan, which reads its output cids off the fixed cid's
+        table: the output cid against every cid of the
         enumeration, kept for the last fixed cid.  ``on`` and ``off`` say
         whether the operation reads the listed and the fixed operand only at
         the evaluated state, as one of them does.  With ``on``, row x of the
@@ -1122,21 +1129,18 @@ class Plan:
         read once per plan, maps each right cid to the output's vid where the
         left operand holds vid u: one output per right cid, over V states
         where the left one holds vid u at state u.  The table is the sum over
-        x of V**(n-1-x) times the column of the fixed cid's x-th digit.
-        Elsewhere the step is ``by_cid``."""
-        radix, coalgs, n = self._radix, self.coalgs, self.n
+        x of V**(n-1-x) times the column of the fixed cid's x-th digit."""
+        values, coalgs, n = self.values, self.coalgs, self.n
         at, fixed = positions if left else positions[::-1]
         kept = self._keep({})  # fixed cid -> its table
         cols = self._keep([])  # left vid -> the output vid against each right cid
 
         def op(vals):
-            if not radix:
-                return by_cid(vals)
             f = vals[fixed]
             table = kept.get(f)
             if table is None:
                 kept.clear()
-                V, g = radix[0], coalgs[f]
+                V, g = len(values), coalgs[f]
                 every = tuple(range(V))
                 if on:
                     if not off:  # a composition's right operand: one row for every state

@@ -11,6 +11,22 @@ from mvdl.algebra import build_builtin
 from mvdl.presets import make_preset
 
 
+# a budget that admits any case space a test sets up and then runs only at
+# the cids it picks (``run_at``)
+ANY_SPACE = 1 << 62
+
+
+def run_at(plan, outer, blocks) -> None:
+    """Run a canonical plan whose sweep has set up its case space at one
+    assignment of the slots, as the sweep runs each of its own: the outer
+    slots at the cids ``outer``, slot 2 first, then slot 1 at the block
+    list ``blocks``."""
+    plan.cids[1:] = outer
+    plan.run(1)
+    plan.cids[0] = blocks
+    plan.run(2)
+
+
 @pytest.fixture(scope="session")
 def B2():
     return build_builtin("boolean")

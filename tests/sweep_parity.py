@@ -68,7 +68,9 @@ The calls are, in order:
   its mutant (every other rule with ``/\\`` and ``\\/`` swapped, ``*``
   read as ``/\\``, and slots 1 and 2 swapped where it has two), exhaustive
   and sampled (300 trials) at seeds SEED and SEED+1: one line per
-  registry, each rule with its status, cases, counterexample and blocks.
+  registry, each rule with its status, cases, counterexample and blocks;
+* ``check_separation`` of each preset's lifting family at n=1 and n=2,
+  exhaustive and sampled (300 trials) at seeds SEED and SEED+1.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -170,6 +172,7 @@ def calls(root: Path, seed: int):
     yield from _late_failure_rows(m)
     yield from _unary_rows(m, configs, seed)
     yield from _registry_rows(m, configs, seed)
+    yield from _separation_rows(m, configs, seed)
 
 
 def _sampled_safety_rows(m, configs, seed):
@@ -402,6 +405,24 @@ def _registry_rows(m, configs, seed):
                     " ".join(key): [v.status, v.cases, v.counterexample, v.detail.get("blocks")]
                     for key, v in h.verify_registry(r, n=1, mode=mode, trials=300, seed=s).items()
                 }
+
+
+def _separation_rows(m, configs, seed):
+    """``check_separation`` of each preset's liftings at n=1 and n=2, whose
+    pairs of values all fit the default budget, exhaustive and sampled at
+    seeds SEED and SEED+1."""
+    h = m["harness"]
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        liftings = list(config.liftings.values())
+        for n in (1, 2):
+            for mode, s in (("exhaustive", seed), ("random", seed), ("random", seed + 1)):
+                row = f"separation {tag} n={n} {mode}"
+                if mode == "random":
+                    row += f" seed={s}"
+                yield row, lambda c=config, ls=liftings, n=n, mode=mode, s=s: h.check_separation(
+                    ls, c, n, mode=mode, trials=300, seed=s
+                )
 
 
 def _h_alpha(functors, kind, alg, n, alpha) -> dict:

@@ -508,6 +508,17 @@ class TestZeroCaseSweeps:
         code, _, _ = run(capsys, "verify-rules", "--n", "1", "--budget", "1000")
         assert code == 0
 
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "5"])
+    def test_sampled_separation_without_a_pair_names_trials(self, capsys, seed):
+        # pdl-crisp has two values at one state, and these seeds draw one
+        # of them twice in the one trial
+        code, out, err = run(
+            capsys, "check-separation", "--preset", "pdl-crisp", "--n", "1",
+            "--mode", "random", "--trials", "1", "--seed", seed,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error [invalid-parameter]: trials=1 ") and "n=1" in err
+
     def test_one_step_zero_trials_reads_h(self, capsys):
         code, _, err = run(capsys, "one-step", "--kind", "threshold", "--trials", "0")
         assert code == 2

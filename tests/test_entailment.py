@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mvdl import functors, harness, semantics
 from mvdl import syntax as sx
 from mvdl.algebra import algebra_by_name, build_builtin
-from mvdl.harness import bounded_entailment
+from mvdl.harness import DEFAULT_SWEEP_BUDGET, bounded_entailment
 from mvdl.presets import make_preset
 from mvdl.semantics import EvalSession, Model
 from mvdl.syntax import parse
@@ -410,12 +410,9 @@ def test_every_step_matches_reference_on_slot_1_tests_and_inst2(case):
     props = sorted(sx.props_of(phi))
     plan = semantics.Plan(config, n, ["b", "a"], props, canonical=True)
     plan.compile(phi)
-    coalgs = plan.intern_coalgebras(list(plan.fops.enumerate()))
-    P = plan.intern_space()
-    S = P ** len(props)
-    plan.load(semantics.assignments(P, len(props)), S)
+    S = config.truth.m ** (n * len(props))
     nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
-    for blocks in plan.sweep(coalgs):
+    for blocks in plan.sweep(DEFAULT_SWEEP_BUDGET, models=True):
         for b in range(len(blocks)):
             for s in range(S):
                 gammas, sigmas = plan.case(b * S + s)

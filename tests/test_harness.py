@@ -1076,6 +1076,42 @@ def test_rule_and_entailment_sweeps_agree(preset_name):
     assert 0 < failing < len(rules)
 
 
+@pytest.mark.parametrize("sweep", ["registry", "entailment"])
+@pytest.mark.parametrize("preset, algebra, n", [
+    ("pdl-crisp", "L2", 2),
+    ("pdl-labelled", "L2", 2),
+    ("pdl-threshold", "L2", 2),
+    ("game", "B2", 2),
+    ("instantial", "B2", 1),
+])
+def test_canonical_sweeps_intern_only_the_enumerated_values(preset, algebra, n, sweep, monkeypatch):
+    # a tabled operation step reads its cids as base-V numbers, V being
+    # len(plan.values), so no step of a sweep with slots may intern a value
+    # beyond the enumeration of FX; the axiom instances list the right
+    # operand of a composition, the rules the left one
+    Sweep, seen = semantics.Plan.sweep, []
+
+    def watched(plan, budget, models=False):
+        V = len(list(plan.fops.enumerate()))
+        for blocks in Sweep(plan, budget, models):
+            if plan.cids:
+                assert len(plan.values) == V
+                seen.append(len(blocks))
+            yield blocks
+
+    monkeypatch.setattr(semantics.Plan, "sweep", watched)
+    config = make_preset(preset, algebra_by_name(algebra))
+    registry = builtin_rules(config)
+    if sweep == "registry":
+        verdicts = list(harness.verify_registry(registry, n=n).values())
+    else:
+        verdicts = [
+            bounded_entailment([], _axiom_instance(config, rule), config, max_n=n)
+            for rule in registry.rules.values()
+        ]
+    assert all(v.ok for v in verdicts) and seen
+
+
 class TestTemplateEvaluation:
     def test_substitution_lemma(self, labelled_l2, instantial):
         # evaluating an instantiated template in a model agrees with the

@@ -2,7 +2,7 @@
 
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,7 +18,7 @@ from mvdl.presets import make_preset
 from mvdl.reduction import ReductionRule, builtin_rules
 from mvdl.semantics import EvalSession, Model, Plan
 
-from conftest import random_template
+from conftest import ANY_SPACE, random_template, run_at
 from reference_eval import ReferenceTemplateEval, reference_rule_sweep
 
 # one configuration per preset; the algebras carry extras and constants, and
@@ -77,17 +77,23 @@ def test_every_step_matches_reference(case):
     fops = config.fops(n)
     plan = Plan(config, n, slots, k, canonical=True)
     plan.compile(body)
-    P = plan.intern_space()
-    preds, coalgs = plan.preds, plan.coalgs
+    sweep = plan.sweep(ANY_SPACE)
+    first = next(sweep)  # the case space, set up, at the sweep's first block list
+    preds, C = plan.preds, len(plan.coalgs)
+    P = len(preds)
     space = list(product(range(P), repeat=k))
     S = len(space)
-    plan.load([[combo[i] for combo in space] for i in range(k)], S)
     value = fops.drawer(rng)
-    while len(coalgs) < 2:  # at least two, so slot 1 is a block list of C >= 2
-        plan.intern(tuple(plan.vid(value()) for _ in range(n)))
     reference = ReferenceTemplateEval(config, n)
     nodes = [(node, pos) for node, (pos, _) in plan._pos.items() if not isinstance(node, tuple)]
-    for blocks in plan.sweep(len(coalgs)):
+
+    def drawn():  # two drawn outer assignments, each at three drawn slot-1 cids
+        for _ in range(2):
+            blocks = [rng.randrange(C) for _ in range(3)]
+            run_at(plan, [rng.randrange(C) for _ in range(slots - 1)], blocks)
+            yield blocks
+
+    for blocks in chain([first], drawn()):
         outer = tuple(map(plan.decode, plan.cids[1:]))
         for node, pos in nodes:
             ids = plan.vals[pos]
@@ -397,10 +403,7 @@ def _threshold_composition_plan():
     plan = Plan(config, 2, 2, 1, canonical=True)
     plan.compile(sx.Modal(rule.lifting, sx.Op(";", (1, 2)), (sx.Var(1),)))
     plan.compile(rule.template.body)
-    coalgs = plan.intern_coalgebras(list(plan.fops.enumerate()))
-    P = plan.intern_space()
-    plan.load(semantics.assignments(P, 1), P)
-    blocks = sum(len(b) for b in plan.sweep(coalgs))
+    blocks = sum(len(b) for b in plan.sweep(harness.DEFAULT_SWEEP_BUDGET))
     return plan, blocks
 
 
