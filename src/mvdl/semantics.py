@@ -520,7 +520,8 @@ class Plan:
     miss.  An operation's outputs come from ``op_outputs``, as a safety
     sweep's do: one-step tables by vid, of which a composition keeps every
     right operand's row, up to ``KEPT_MAPS``, on a plan that is not
-    canonical, and the last one on a canonical plan.  The step keeps its
+    canonical or where an operand reads a test, the right one reads slot 1
+    and the left does not, and else the last one.  The step keeps its
     outputs by operand cids only where those are few (one operand, a test
     among them, or a plan that is not canonical); a pair of slots, of which
     there are C**2, is assembled state by state from the one-step tables.
@@ -1065,9 +1066,14 @@ class Plan:
         by_sigma = not self._vectored.isdisjoint(positions)
         keep = None
         if spec.variant in COMPOSITION_VARIANTS:
-            # every right operand's row on drawn cases; a canonical sweep
-            # moves one operand at a time, and a listed right one is tabled
-            keep = 1 if self.canonical else KEPT_MAPS
+            # every right operand's row on drawn cases, and over a test's
+            # cids where the right operand reads slot 1 and the left changes
+            # with the outer slots, so right operands recur; else the last
+            # one, since a listed right operand beside a fixed cid is read
+            # once per cid, into columns
+            keep = 1
+            if not self.canonical or by_sigma and args[1][1] == 2 > args[0][1]:
+                keep = KEPT_MAPS
         outputs = op_outputs(spec, self.fops, self.values, self.vid, self._table, keep)
         coalgs, intern = self.coalgs, self.intern
         if len(args) == 1 or by_sigma or not self.canonical:
