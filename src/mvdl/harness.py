@@ -634,10 +634,8 @@ def check_separation(
                 pairs.append((t1, t2))
         total = len(pairs)
         if not pairs:
-            raise InvalidParameter(
-                f"trials={trials} drew no pair of distinct values at n={n}; "
-                "raise trials to check any case"
-            )
+            msg = f"trials={trials} drew no pair of distinct values at n={n}: no case to check"
+            raise InvalidParameter(msg)
     kernels = [(lifting_kernel(spec, config), spaces[spec.id]) for spec in liftings]
     cases = 0
     for t1, t2 in pairs:

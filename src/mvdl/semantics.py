@@ -323,12 +323,6 @@ def connective(truth: Algebra, sym: str, nargs: int) -> tuple[int, object]:
     return arity, table
 
 
-def assignments(P: int, k: int) -> list[list[int]]:
-    """The ids of k variables over all P**k assignments, in the order of
-    ``product(range(P), repeat=k)``: one list per variable."""
-    return [[key // P ** (k - 1 - i) % P for key in range(P**k)] for i in range(k)]
-
-
 class _Table(dict):
     """A dict that fills a missing key with ``fill(key)`` on first lookup."""
 
@@ -631,8 +625,7 @@ class Plan:
 
     @property
     def size(self) -> int:
-        """How many sigma-positions a block has: S on a canonical plan, 1 on
-        one that is not."""
+        """How many sigma-positions a block has: S if canonical, else 1."""
         return self._inputs[1] if self.canonical else 1
 
     def case(self, i: int) -> tuple[list, list]:
@@ -697,33 +690,29 @@ class Plan:
             group[:] = [(pos, step) for pos, step in group if pos in need]
 
     def sweep(self, budget: int, models: bool = False):
-        """Set up a canonical plan's case space and run its slot loop,
-        yielding slot 1's block list after each run of group 2.
+        """Set up a canonical plan's case space, then run groups 1 and 2 at
+        every assignment of its C cids to the slots and yield slot 1's block
+        list after each run of group 2.  The set-up enumerates FX (where
+        there are slots) and checks the C**slots coalgebra tuples, or with
+        ``models`` the C**slots * S standard models, against ``budget``
+        before it interns anything; then it interns FX, every coalgebra
+        over it and every predicate in canonical order (vid u the u-th
+        value, cid i the i-th of ``product(range(V), repeat=n)``), loads
+        the S assignments of predicates to the variables in ``product``
+        order and runs group 0.
 
-        The set-up enumerates FX within ``budget`` (where there are slots)
-        and checks the coalgebra tuples on the slots, C**slots, or with
-        ``models`` the standard models, C**slots * S, against ``budget``,
-        raising BudgetExceeded before anything is interned.  It then
-        interns the FValues in enumeration order, every coalgebra over them
-        in ``product`` order, so cid i's base-V digits, state 0 the most
-        significant, are its states' vids, and every predicate in
-        ``predicate_space`` order; it loads all S assignments of them to
-        the variables, in ``product`` order, and runs group 0.
-
-        The loop runs groups 1 and 2 at every assignment of the C cids to
-        the slots.  The outer slots move in ``product`` order, the last
-        slot slowest, and group 1 runs once per outer assignment.  Slot 1
-        takes its cids as consecutive block lists, so group 2 runs once per
-        block list, not once per cid.  The first list holds the cids of
-        about ``SWEEP_IDS`` / 1024 cases (at least one cid) and each next
-        one twice as many, so a sweep failing at slot-1 cid j of its first
-        outer assignment has run at most 2j + 1 cids or that first list;
-        from then on a list takes every cid whose blocks fit in
-        ``SWEEP_IDS`` cases.  Block ``j`` of a list is the cases of cid
-        ``blocks[j]``, so position ``i`` of the list's cases is cid
-        ``blocks[i // S]`` at sigma-position ``i % S``: the order of a loop
-        with slot 1 innermost.  With no slots there is one assignment,
-        yielded as ``range(1)``."""
+        The outer slots move in ``product`` order, the last slot slowest,
+        and group 1 runs once per outer assignment.  Slot 1 takes its cids as
+        consecutive block lists, so group 2 runs once per block list, not
+        once per cid.  The first list holds the cids of about
+        ``SWEEP_IDS`` / 1024 cases (at least one cid) and each next one
+        twice as many, so a sweep failing at slot-1 cid j of its first outer
+        assignment has run at most 2j + 1 cids or that first list; from then
+        on a list takes every cid whose blocks fit in ``SWEEP_IDS`` cases.
+        Block ``j`` of a list is the cases of cid ``blocks[j]``, so position
+        ``i`` of the list's cases is cid ``blocks[i // S]`` at
+        sigma-position ``i % S``: the order of a loop with slot 1 innermost.
+        With no slots there is one assignment, yielded as ``range(1)``."""
         n, cids = self.n, self.cids
         values = list(self.fops.enumerate(budget)) if cids else []
         S = (self.config.truth.m**n) ** len(self._vars)
@@ -740,7 +729,8 @@ class Plan:
             self.intern(g)
         for pred in predicate_space(self.config.truth.m, n):
             self.pid(pred)
-        var_lists = assignments(len(self.preds), len(self._vars))
+        P, k = len(self.preds), len(self._vars)
+        var_lists = [list(ids) for ids in zip(*product(range(P), repeat=k))]
         self._inputs[:] = var_lists, S, [self._vector(tuple(ids)) for ids in var_lists]
         self.run(0)
         if not cids:
@@ -1066,14 +1056,11 @@ class Plan:
         by_sigma = not self._vectored.isdisjoint(positions)
         keep = None
         if spec.variant in COMPOSITION_VARIANTS:
-            # every right operand's row on drawn cases, and over a test's
-            # cids where the right operand reads slot 1 and the left changes
-            # with the outer slots, so right operands recur; else the last
-            # one, since a listed right operand beside a fixed cid is read
-            # once per cid, into columns
-            keep = 1
-            if not self.canonical or by_sigma and args[1][1] == 2 > args[0][1]:
-                keep = KEPT_MAPS
+            # every right operand's row where right operands recur: on drawn
+            # cases, and over a test's cids while the right operand reads
+            # slot 1 and the left does not; else the last one
+            recur = not self.canonical or by_sigma and args[1][1] == 2 > args[0][1]
+            keep = KEPT_MAPS if recur else 1
         outputs = op_outputs(spec, self.fops, self.values, self.vid, self._table, keep)
         coalgs, intern = self.coalgs, self.intern
         if len(args) == 1 or by_sigma or not self.canonical:
