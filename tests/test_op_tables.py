@@ -16,9 +16,9 @@ left vid, over every right cid, where a composition's right operand is
 listed.  These check every variant on every path: on canonical plans over
 their whole case space (a composition up to three states, with short
 block lists) or at drawn cids of it (two states, where FX**2 interns
-cheaply), and on plans that run drawn cases, before and after ``forget``
-and at a tiny cap on the kept rows; and how many composition maps are
-built, output calls made and rows kept.
+cheaply), and on plans that run drawn cases or every case at one state,
+before and after ``forget`` and at a tiny cap on the kept rows; and how
+many composition maps are built, output calls made and rows kept.
 """
 
 import random
@@ -44,7 +44,7 @@ from mvdl.actions import (
     pointwise_step,
 )
 from mvdl.algebra import algebra_by_name
-from mvdl.functors import Kind, functor_ops, predicate_drawer
+from mvdl.functors import Kind, functor_ops, predicate_drawer, predicate_space
 from mvdl.harness import DEFAULT_SWEEP_BUDGET, bounded_entailment
 from mvdl.presets import make_preset
 from mvdl.semantics import Plan, apply_lifting
@@ -183,16 +183,13 @@ def _check_drawn(config, n, rng, count, without=()):
         _check_blocks(plan, nodes, positions, want, cids)
 
 
-def _check_cases(config, n, coalgs, sigmas):
+def _check_cases(config, n, cases):
     """Run the shapes of ``_check_sweep`` on a plan that is not canonical,
-    at the drawn cases ``(g1, g2, sigma)`` of ``coalgs`` and ``sigmas``,
-    and check each case's output against ``apply_op``; then forget every
-    id and run them again."""
+    at the cases ``(g1, g2, sigma)`` of ``cases``, and check each case's
+    output against ``apply_op``; then forget every id and run them again."""
     plan = Plan(config, n, 2, 1)
     nodes, want = _nodes(config)[0], _reference(config, n)
     positions = {key: plan._action(node)[0] for key, (node, _) in nodes.items()}
-    # slot 2 takes the next drawn coalgebra, so the operands differ
-    cases = list(zip(coalgs, coalgs[1:] + coalgs[:1], sigmas))
     for _ in range(2):
         plan.run_cases(len(cases), list(zip(*cases))[:2], [[sigma for *_, sigma in cases]])
         for key, (node, _) in nodes.items():
@@ -200,6 +197,18 @@ def _check_cases(config, n, coalgs, sigmas):
             assert got == [want(node, *case) for case in cases], key
         plan.forget(0)
         assert not plan.coalgs and not plan.values
+
+
+@pytest.mark.parametrize("cap", [semantics.KEPT_MAPS, 2])
+@pytest.mark.parametrize("variant,kind", CASES, ids=lambda v: getattr(v, "value", v))
+def test_plan_outputs_equal_apply_op_exhaustively_at_one_state(variant, kind, cap, monkeypatch):
+    # every case at one state on a plan that is not canonical, in one batch,
+    # where at a cap of 2 a composition evicts rows its right operands reuse
+    monkeypatch.setattr(semantics, "KEPT_MAPS", cap)
+    config = _config(variant, kind)
+    coalgs = [(value,) for value in config.fops(1).enumerate()]
+    sigmas = predicate_space(config.truth.m, 1)
+    _check_cases(config, 1, list(product(coalgs, coalgs, sigmas)))
 
 
 @pytest.mark.parametrize("sweep_ids", [5, semantics.SWEEP_IDS])
@@ -267,7 +276,8 @@ def test_sampled_plan_outputs_equal_apply_op(cap, monkeypatch, case, seed, n, co
     rng = random.Random(seed)
     value, sigma = config.fops(n).drawer(rng), predicate_drawer(rng, config.truth.m, n)
     coalgs = [tuple(value() for _ in range(n)) for _ in range(count)]
-    _check_cases(config, n, coalgs, [sigma() for _ in range(count)])
+    # slot 2 takes the next drawn coalgebra, so the operands differ
+    _check_cases(config, n, list(zip(coalgs, coalgs[1:] + coalgs[:1], [sigma() for _ in range(count)])))
 
 
 @pytest.mark.parametrize("variant", POINTWISE_VARIANTS)
