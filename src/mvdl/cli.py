@@ -27,7 +27,7 @@ from .errors import (
     MvdlError,
     RewriteBudgetExceeded,
 )
-from .functors import DEFAULT_ENUM_BUDGET, Kind, functor_ops
+from .functors import Kind, functor_ops
 from .presets import make_preset
 from .semantics import eval_formula
 from .syntax import parse, render
@@ -44,7 +44,7 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("MVDL_BUDGET")
     if not env:
-        return DEFAULT_ENUM_BUDGET
+        return harness.DEFAULT_SWEEP_BUDGET
     try:
         budget = int(env)
     except ValueError:

@@ -1145,7 +1145,6 @@ def bounded_entailment(
         plan = Plan(config, n, slots, prop_names, canonical=mode == "exhaustive")
         return plan, [plan.compile(phi), *map(plan.compile, gamma), plan.compile(Conn("1"))]
 
-    plans = {}
     if mode == "random":  # an exhaustive sweep draws nothing
         rng = random.Random(seed)
         carrier = int_drawer(rng, 1, max_n)
@@ -1154,17 +1153,14 @@ def bounded_entailment(
         plan, at = compiled(n)
         return plan, at, plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
+    plans = _Table(drawn)
+
     def draw(count: int):  # per trial, the size, the gammas in atom-name order, then the sigmas
-        parts = {}  # size -> its trials' indices, gamma columns and sigma columns
+        parts = _Table(lambda n: ([], [[] for _ in atom_names], [[] for _ in prop_names]))
         for t in range(count):
             n = carrier()
-            if n not in plans:
-                plans[n] = drawn(n)
             _, _, value, sigma = plans[n]
-            part = parts.get(n)
-            if part is None:
-                part = parts[n] = [], [[] for _ in atom_names], [[] for _ in prop_names]
-            index, gammas, sigmas = part
+            index, gammas, sigmas = parts[n]  # size n's trial indices, gamma and sigma columns
             index.append(t)
             states = range(n)
             for column in gammas:

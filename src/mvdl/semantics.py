@@ -504,30 +504,32 @@ class Plan:
     block.
 
     The per-position functions read id tables whose entries are computed on
-    first use: an extra connective keys on its argument id, a binary one on
-    both, a lifting on the cid of its action and its argument id (a tuple of
-    ids for a k-ary lifting), a test on its argument's id.  A lifting fills
-    every missing key of a cid at once, from the lifted truth values of the
-    coalgebra's vids, each computed once by the lifting's kernel and kept per
-    vid, since sampled coalgebras seldom recur but their values do; on a
-    canonical plan the kernel computes every interned value at a key's first
-    miss.  An operation's outputs come from ``op_outputs``, as a safety
-    sweep's do: one-step tables by vid, of which a composition keeps every
-    right operand's row, up to ``KEPT_MAPS``, on a plan that is not
-    canonical or where an operand reads a test, the right one reads slot 1
-    and the left does not, and else the last one.  The step keeps its
-    outputs by operand cids only where those are few (one operand, a test
-    among them, or a plan that is not canonical); a pair of slots, of which
-    there are C**2, is assembled state by state from the one-step tables.
-    On a canonical plan, a binary operation over one listed operand and one
-    fixed cid, either read only at the evaluated state, skips all that
-    (``_tabled``): its output at listed cid c is the sum over states x of
-    V**(n-1-x) times an output vid, read at c's x-th digit in a row read off
-    ``op_outputs`` once per fixed cid or, where a composition's right
-    operand is listed, at c in the column of the fixed cid's x-th digit,
-    read once per right cid; it reads these sums off one table per fixed
-    cid.  ``forget`` drops every id, vid, vector and table, so a long
-    sampled sweep can bound its memory.
+    first use, key by key (``_Table``): an extra connective keys on its
+    argument id, a binary one on both, a test on its argument's id and an
+    operation's memo on its operand cids.  A lifting keys on the cid of its
+    action and its argument id (a tuple of ids for a k-ary lifting) and fills
+    every key a cid lacks at once, as a step over two listed arguments fills
+    its new blocks, since a call per key costs more.  It reads the lifted
+    truth values of the coalgebra's vids, each computed once by the lifting's
+    kernel and kept per vid, since sampled coalgebras seldom recur but their
+    values do; on a canonical plan the kernel computes every interned value at
+    a key's first miss.  An operation's outputs come from ``op_outputs``, as a
+    safety sweep's do: one-step tables by vid, of which a composition keeps
+    every right operand's row, up to ``KEPT_MAPS``, on a plan that is not
+    canonical or where an operand reads a test, the right one reads slot 1 and
+    the left does not, and else the last one.  The step keeps its outputs by
+    operand cids only where those are few (one operand, a test among them, or
+    a plan that is not canonical); a pair of slots, of which there are C**2,
+    is assembled state by state from the one-step tables.  On a canonical
+    plan, a binary operation over one listed operand and one fixed cid, either
+    read only at the evaluated state, skips all that (``_tabled``): its output
+    at listed cid c is the sum over states x of V**(n-1-x) times an output
+    vid, read at c's x-th digit in a row read off ``op_outputs`` once per
+    fixed cid or, where a composition's right operand is listed, at c in the
+    column of the fixed cid's x-th digit, read once per right cid and
+    operation; it reads these sums off one table per fixed cid.  ``forget``
+    drops every id, vid, vector and table, so a long sampled sweep can bound
+    its memory.
     ``sweep`` runs group 1 once per assignment of the outer slots and group 2
     once per block list, ``run_cases`` every step once per batch; ``block``
     decodes a step's ids at a block and ``case`` the case at a position,
@@ -574,6 +576,7 @@ class Plan:
         self._memos: dict = {}  # position -> its step's vector table
         self._lifts: dict = {}  # lifting id -> (arity, per-position function, row reader)
         self._tables: list = []  # everything forget empties
+        self._cols = self._keep(_Table(lambda name: []))  # operation id -> ``_tabled``'s columns
         self._pred_ids = self._keep(_Interner(self.preds))
         self._masks = self._keep([])  # id -> its states at top, see ``masks``
         # steps hold no reference to the plan, so a finished sweep's plan is
@@ -783,16 +786,15 @@ class Plan:
                 return cells(*map(vals.__getitem__, positions))
 
             return self._add(group, step, deps=positions)
-        table = self._keep({})
-        step = self._vectors(positions, groups, cells, read, table)
+        step, table = self._vectors(positions, groups, cells, read)
         got = self._add(group, step, True, positions)
         self._memos[got[0]] = table
         return got
 
-    def _vectors(self, positions, groups, cells, read, table):
-        """The step of ``_step`` on a canonical plan.  ``table`` maps the
-        ids of the arguments that hold one id in all to the step's output
-        id, or, where some argument holds one id per block, to a row
+    def _vectors(self, positions, groups, cells, read):
+        """The step of ``_step`` on a canonical plan, with its table, which
+        maps the ids of the arguments that hold one id in all to the step's
+        output id, or, where some argument holds one id per block, to a row
         mapping each block's ids of those arguments to it."""
         vecs, vector, inputs = self.vecs, self._vector, self._inputs
         decode = list(map(self._vectored.__contains__, positions))  # else a cid
@@ -810,16 +812,15 @@ class Plan:
                 return list(map(vector, zip(*[iter(out)] * size)))
 
         if not listed:
+            table = self._table(lambda ids: compute(ids, ((),))[0])
 
             def step(vals):
-                ids = tuple(map(vals.__getitem__, positions))
-                got = table.get(ids)
-                if got is None:
-                    got = table[ids] = compute(ids, ((),))[0]
-                return got
+                return table[tuple(map(vals.__getitem__, positions))]
 
-            return step
+            return step, table
+        table = self._table()
         if len(listed) == 2 == len(positions):  # a row per block's first id
+            # new entries fill as one batch: a ``_Table``'s per-key calls cost more
             a, b = positions
 
             def step(vals):
@@ -832,7 +833,7 @@ class Plan:
                         table.setdefault(u, {})[v] = got
                     return list(map(getitem, map(table.__getitem__, A), B))
 
-            return step
+            return step, table
         # a row per id of the arguments that hold one id in all (their
         # tuple, where not one), its entries at the others' ids per block
         fixed = [pos for pos, g in zip(positions, groups) if g < 2]
@@ -859,7 +860,7 @@ class Plan:
                 row.update(zip(new, compute(list(map(vals.__getitem__, positions)), new)))
                 return list(map(row.__getitem__, blocks))
 
-        return step
+        return step, table
 
     def _lifting(self, lid: str):
         got = self._lifts.get(lid)
@@ -891,6 +892,7 @@ class Plan:
                         )
                     table[key] = pid(row)
 
+            # rows fill per cid: a ``_Table``'s per-(cid, key) calls cost more
             def modal(C, K):  # the lifted predicate's id per (cid, key) position
                 try:
                     return list(map(getitem, map(rows.__getitem__, C), K))
@@ -999,30 +1001,21 @@ class Plan:
             return self._add(0, constant, self.canonical)
         args = [self._compile(a) for a in node.args]
         if arity == 1:
-            table = self._keep({})
+            table = self._table(lambda u: pid(tuple(interp[v] for v in preds[u])))
 
             def extra(A):
-                try:
-                    return list(map(table.__getitem__, A))
-                except KeyError:
-                    for u in dict.fromkeys(A):
-                        if u not in table:
-                            table[u] = pid(tuple(interp[v] for v in preds[u]))
-                    return list(map(table.__getitem__, A))
+                return list(map(table.__getitem__, A))
 
             return self._step(args, extra)
-        rows = self._keep(defaultdict(dict))
+
+        def row(u):  # left id u's row: right id -> the output's id
+            left = list(map(interp.__getitem__, preds[u]))
+            return _Table(lambda v: pid(tuple(map(getitem, left, preds[v]))))
+
+        rows = self._table(row)
 
         def binary(A, B):
-            try:
-                return list(map(getitem, map(rows.__getitem__, A), B))
-            except KeyError:
-                for u, v in dict.fromkeys(zip(A, B)):
-                    row = rows[u]
-                    if v not in row:
-                        pointwise = map(getitem, map(interp.__getitem__, preds[u]), preds[v])
-                        row[v] = pid(tuple(pointwise))
-                return list(map(getitem, map(rows.__getitem__, A), B))
+            return list(map(getitem, map(rows.__getitem__, A), B))
 
         return self._step(args, binary)
 
@@ -1066,17 +1059,10 @@ class Plan:
         if len(args) == 1 or by_sigma or not self.canonical:
             # memoised by operand cids where these are few: one operand, a
             # test's cids, or drawn cases; a pair of slots has C**2
-            memo = self._table()
+            memo = self._table(lambda key: intern(outputs(tuple(map(coalgs.__getitem__, key)))))
 
             def cells(*cols):  # the output cids at columns of operand cids
-                keys = list(zip(*cols))
-                got = list(map(memo.get, keys))
-                if None in got:
-                    for key in keys:
-                        if key not in memo:
-                            memo[key] = intern(outputs(tuple(map(coalgs.__getitem__, key))))
-                    got = list(map(memo.__getitem__, keys))
-                return got
+                return list(map(memo.__getitem__, zip(*cols)))
 
         else:
 
@@ -1091,7 +1077,7 @@ class Plan:
         local = LOCAL_OPERANDS[spec.variant]
         if listed.count(True) == 1 and len(args) == 2 and local:
             on, off = listed.index(True) in local, listed.index(False) in local
-            op = self._tabled(outputs, positions, listed[0], on, off)
+            op = self._tabled(spec.id, outputs, positions, listed[0], on, off)
         elif any(listed):
 
             def op(vals):
@@ -1105,7 +1091,7 @@ class Plan:
 
         return self._add(group, op, deps=positions)
 
-    def _tabled(self, outputs, positions, left: bool, on: bool, off: bool):
+    def _tabled(self, name: str, outputs, positions, left: bool, on: bool, off: bool):
         """A binary operation step over one listed operand and one fixed cid
         of a canonical plan, which reads its output cids off the fixed cid's
         table: the output cid against every cid of the
@@ -1119,14 +1105,14 @@ class Plan:
         whole.  The table is the sum over x of V**(n-1-x) times row x read at
         the listed cid's x-th digit, built by Horner's rule in canonical
         order.  Else a composition's right operand is listed, and column u,
-        read once per plan, maps each right cid to the output's vid where the
-        left operand holds vid u: one output per right cid, over V states
-        where the left one holds vid u at state u.  The table is the sum over
-        x of V**(n-1-x) times the column of the fixed cid's x-th digit."""
-        values, coalgs, n = self.values, self.coalgs, self.n
+        read once per plan and operation ``name``, maps each right cid to the
+        output's vid where the left operand holds vid u: one output per right
+        cid, over V states where the left one holds vid u at state u.  The
+        table is the sum over x of V**(n-1-x) times the column of the fixed
+        cid's x-th digit."""
+        values, coalgs, n, columns = self.values, self.coalgs, self.n, self._cols
         at, fixed = positions if left else positions[::-1]
         kept = self._keep({})  # fixed cid -> its table
-        cols = self._keep([])  # left vid -> the output vid against each right cid
 
         def op(vals):
             f = vals[fixed]
@@ -1146,6 +1132,7 @@ class Plan:
                     for row in rows:
                         table = [t * V + r for t in table for r in row]
                 else:  # a composition's right operand: one column per left vid
+                    cols = columns[name]  # left vid -> the output vid against each right cid
                     if not cols:
                         cols[:] = map(list, zip(*[outputs((every, h)) for h in coalgs]))
                     table = cols[g[0]]
@@ -1163,18 +1150,15 @@ class Plan:
         spec = self.config.test(node.test)
         spec.check_kind(self.config.kind)
         arg = self._compile(node.arg)
-        table, preds, fops, truth = self._keep({}), self.preds, self.fops, self.config.truth
+        preds, fops, truth = self.preds, self.fops, self.config.truth
         vid, intern = self.vid, self.intern
 
+        table = self._table(
+            lambda u: intern(tuple(map(vid, apply_test(spec, preds[u], fops, truth))))
+        )
+
         def test(A):
-            try:
-                return list(map(table.__getitem__, A))
-            except KeyError:
-                for u in dict.fromkeys(A):
-                    if u not in table:
-                        gamma = apply_test(spec, preds[u], fops, truth)
-                        table[u] = intern(tuple(map(vid, gamma)))
-                return list(map(table.__getitem__, A))
+            return list(map(table.__getitem__, A))
 
         return self._step([arg], test)
 

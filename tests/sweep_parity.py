@@ -70,7 +70,11 @@ The calls are, in order:
   and sampled (300 trials) at seeds SEED and SEED+1: one line per
   registry, each rule with its status, cases, counterexample and blocks;
 * ``check_separation`` of each preset's lifting family at n=1 and n=2,
-  exhaustive and sampled (300 trials) at seeds SEED and SEED+1.
+  exhaustive and sampled (300 trials) at seeds SEED and SEED+1;
+* the sampled ``verify_reduction_rule`` and ``bounded_entailment`` rows
+  above again, labelled ``forget ...``, with ``harness.SAMPLED_COALGEBRAS``
+  at 4, so each plan forgets its ids between batches and refills its
+  tables.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -82,6 +86,8 @@ import importlib
 import json
 import random
 import sys
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 WORKLOADS = ("Safety", "RuleSweep", "Entail")
@@ -115,41 +121,10 @@ def calls(root: Path, seed: int):
         for spec in config.tests.values():
             yield f"safety {tag} {spec.id}", lambda c=config, s=spec: h.check_safety(s, c, max_n=2)
     yield from _sampled_safety_rows(m, configs, seed)
-    sx, reduction = m["syntax"], m["reduction"]
-    for config in configs:
-        tag = f"{config.name}/{config.truth.name}"
-        for rule in reduction.builtin_rules(config).rules.values():
-            template = rule.template
-            mutant = reduction.ReductionRule(
-                *rule.key, sx.Template(template.n, template.k, _mutate(sx, template.body))
-            )
-            for r, label, sizes in ((rule, "rule", (1, 2)), (mutant, "mutant", (2,))):
-                for n in sizes:
-                    for mode in ("exhaustive", "random"):
-                        yield (
-                            f"{label} {tag} {' '.join(rule.key)} n={n} {mode}",
-                            lambda c=config, r=r, n=n, mode=mode: h.verify_reduction_rule(
-                                r, c, n=n, mode=mode
-                            ),
-                        )
+    yield from _rule_rows(m, configs, ("exhaustive", "random"))
     entail = workloads.Entail._axiom_instance
-    for config in configs:
-        tag = f"{config.name}/{config.truth.name}"
-        lid = sorted(config.liftings)[0]
-        p = sx.Prop("p")
-        refuted = sx.Conn("->", (p, sx.Modal(lid, sx.Atomic("a"), (p,) * config.liftings[lid].arity)))
-        phis = [(" ".join(key), entail(sx, config, rule)[0])
-                for key, rule in reduction.builtin_rules(config).rules.items()]
-        for label, phi in phis + [("p -> <a>p", refuted)]:
-            for max_n in (2, 3):
-                for s in (seed, seed + 1):
-                    yield (
-                        f"entail {tag} {label} max_n={max_n} seed={s}",
-                        lambda c=config, phi=phi, max_n=max_n, s=s: h.bounded_entailment(
-                            [], phi, c, max_n=max_n, mode="random", trials=300, seed=s
-                        ),
-                    )
-    jsonio = m["jsonio"]
+    yield from _sampled_entail_rows(m, configs, entail, seed)
+    sx, jsonio = m["syntax"], m["jsonio"]
     cases = json.loads((root / EVAL_CASES).read_text())["cases"]
     for config in configs:
         mine = [c for c in cases if c["model"]["preset"] == config.name]
@@ -173,6 +148,72 @@ def calls(root: Path, seed: int):
     yield from _unary_rows(m, configs, seed)
     yield from _registry_rows(m, configs, seed)
     yield from _separation_rows(m, configs, seed)
+    yield from _forget_rows(m, configs, entail, seed)
+
+
+def _rule_rows(m, configs, modes):
+    """``verify_reduction_rule`` in each of ``modes`` on every builtin rule
+    at n=1 and n=2 and on its mutant at n=2."""
+    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        for rule in reduction.builtin_rules(config).rules.values():
+            template = rule.template
+            mutant = reduction.ReductionRule(
+                *rule.key, sx.Template(template.n, template.k, _mutate(sx, template.body))
+            )
+            for r, label, sizes in ((rule, "rule", (1, 2)), (mutant, "mutant", (2,))):
+                for n in sizes:
+                    for mode in modes:
+                        yield (
+                            f"{label} {tag} {' '.join(rule.key)} n={n} {mode}",
+                            lambda c=config, r=r, n=n, mode=mode: h.verify_reduction_rule(
+                                r, c, n=n, mode=mode
+                            ),
+                        )
+
+
+def _sampled_entail_rows(m, configs, entail, seed):
+    """Sampled ``bounded_entailment`` of each builtin rule's axiom instance
+    and of ``p -> <a>p`` at max_n 2 and 3, seeds SEED and SEED+1."""
+    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    for config in configs:
+        tag = f"{config.name}/{config.truth.name}"
+        lid = sorted(config.liftings)[0]
+        p = sx.Prop("p")
+        refuted = sx.Conn("->", (p, sx.Modal(lid, sx.Atomic("a"), (p,) * config.liftings[lid].arity)))
+        phis = [(" ".join(key), entail(sx, config, rule)[0])
+                for key, rule in reduction.builtin_rules(config).rules.items()]
+        for label, phi in phis + [("p -> <a>p", refuted)]:
+            for max_n in (2, 3):
+                for s in (seed, seed + 1):
+                    yield (
+                        f"entail {tag} {label} max_n={max_n} seed={s}",
+                        lambda c=config, phi=phi, max_n=max_n, s=s: h.bounded_entailment(
+                            [], phi, c, max_n=max_n, mode="random", trials=300, seed=s
+                        ),
+                    )
+
+
+def _forget_rows(m, configs, entail, seed):
+    """The sampled rule and entailment rows again with
+    ``harness.SAMPLED_COALGEBRAS`` at 4, so a plan forgets its ids before
+    almost every batch and its tables fill afresh."""
+    rows = chain(
+        _rule_rows(m, configs, ("random",)), _sampled_entail_rows(m, configs, entail, seed)
+    )
+    for label, call in rows:
+        yield f"forget {label}", partial(_forgetting, m["harness"], call)
+
+
+def _forgetting(h, call):
+    """``call()`` with ``h.SAMPLED_COALGEBRAS`` at 4, restored after."""
+    bound = h.SAMPLED_COALGEBRAS
+    h.SAMPLED_COALGEBRAS = 4
+    try:
+        return call()
+    finally:
+        h.SAMPLED_COALGEBRAS = bound
 
 
 def _sampled_safety_rows(m, configs, seed):

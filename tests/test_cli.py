@@ -508,6 +508,15 @@ class TestZeroCaseSweeps:
         code, _, _ = run(capsys, "verify-rules", "--n", "1", "--budget", "1000")
         assert code == 0
 
+    def test_default_budget_is_the_sweep_default(self, capsys, monkeypatch):
+        # without --budget or MVDL_BUDGET a command sweeps under the sweeps'
+        # own default: 81 coalgebras at n=2 exceed a default of 10
+        monkeypatch.delenv("MVDL_BUDGET", raising=False)
+        monkeypatch.setattr(harness, "DEFAULT_SWEEP_BUDGET", 10)
+        argv = ["verify-rules", "--preset", "pdl-labelled", "--algebra", "L2", "--n", "2"]
+        code, _, _ = run(capsys, *argv)
+        assert code == 3
+
     @pytest.mark.parametrize("seed", ["1", "2", "3", "5"])
     def test_sampled_separation_without_a_pair_names_trials(self, capsys, seed):
         # pdl-crisp has two values at one state, and these seeds draw one

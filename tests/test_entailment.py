@@ -4,6 +4,7 @@ import json
 import random
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -250,6 +251,36 @@ def test_pinned_composition_with_slot_1_on_the_right(monkeypatch, sweep_ids):
         "phi": "<a;b> p -> <b> p",
         "state": 1,
     }
+
+
+def test_a_test_step_tests_each_distinct_predicate_once(monkeypatch):
+    # the test's table fills key by key, so over a whole exhaustive sweep
+    # each predicate of each carrier size reaches apply_test once
+    calls, test = Counter(), semantics.apply_test
+
+    def counted(spec, pred, fops, truth):
+        calls[fops.n, tuple(pred)] += 1
+        return test(spec, pred, fops, truth)
+
+    monkeypatch.setattr(semantics, "apply_test", counted)
+    config = make_preset("pdl-labelled", algebra_by_name("L2"))
+    phi = parse("<b;?t(<b>p)>p -> <b>p", config.signature)
+    assert bounded_entailment([], phi, config, max_n=2).status == "holds-up-to-bound"
+    assert {n for n, _ in calls} == {1, 2} and max(calls.values()) == 1
+    # a fill that raises stores nothing, and the next lookup fills again
+    fills = []
+
+    def fill(key):
+        fills.append(key)
+        if len(fills) == 1:
+            raise ValueError(key)
+        return 2 * key
+
+    table = semantics._Table(fill)
+    with pytest.raises(ValueError):
+        table[3]
+    assert 3 not in table
+    assert table[3] == 6 and fills == [3, 3]
 
 
 # Proposition-free formulas: one valuation, so each block of a block list
