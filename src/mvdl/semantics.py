@@ -329,7 +329,6 @@ class _Table(dict):
     __slots__ = ("fill",)
 
     def __init__(self, fill):
-        super().__init__()
         self.fill = fill
 
     def __missing__(self, key):
@@ -1014,8 +1013,8 @@ class Plan:
 
         rows = self._table(row)
 
-        def binary(A, B):
-            return list(map(getitem, map(rows.__getitem__, A), B))
+        def binary(A, B):  # dict.__getitem__: operator.getitem is slower on a dict subclass
+            return list(map(dict.__getitem__, map(rows.__getitem__, A), B))
 
         return self._step(args, binary)
 
