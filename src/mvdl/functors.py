@@ -19,16 +19,17 @@ import random
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import Algebra
 from .errors import BudgetExceeded, InvalidParameter
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
-# a drawer keeps at most this many values (and trie nodes) in its table:
-# like a sampled sweep's interned coalgebras, sampled values of a large
-# space seldom recur, so keeping them all would only grow memory
+# a drawer's table, and a sampled sweep's interned coalgebras, predicates
+# and operand tuples with their table entries, hold at most this many
+# entries, then start afresh: sampled things seldom recur, so keeping them
+# all would only grow memory
 DRAW_TABLE_ENTRIES = 1 << 14
 
 
@@ -106,12 +107,6 @@ class FunctorOps:
             return a | b
         jt = self.alg.join_table
         return tuple(jt[u][v] for u, v in zip(a, b))
-
-    def join(self, values: Iterable):
-        out = self.bottom()
-        for v in values:
-            out = self.join2(out, v)
-        return out
 
     # -- functor action on maps --------------------------------------
     def map(self, f: tuple[int, ...], n_target: int, value):
@@ -243,18 +238,15 @@ class FunctorOps:
         size), so they make the same ``getrandbits`` calls and give the
         same values.
 
-        Every drawer but the powerset's returns *shared* values from a
-        decision table of its own, filled as it draws, so a value
-        drawn twice is the same object and later dict lookups on it hit on
-        identity.  A row, predicate or double-powerset family is looked up
-        by the integer its draws spell, where its whole space fits in
-        ``DRAW_TABLE_ENTRIES`` entries, and is built afresh where it does
-        not.  A monotone table follows a decision trie over the linear
-        extension (``_monotone_drawer``), one indexed hop per predicate,
-        whose misses cost an untabled draw's joins and one list copy; the
-        trie starts afresh before it would hold more than
-        ``DRAW_TABLE_ENTRIES`` nodes and tables.  The closure's ``held()``
-        counts its table's entries.
+        Every drawer but the powerset's keeps one table of its own, filled
+        as it draws, and returns *shared* values from it: a value drawn
+        twice while it is in the table is the same object, so later dict
+        lookups on it hit on identity.  A row, predicate or double-powerset
+        family is looked up by the integer its draws spell; a monotone
+        table follows a decision trie over the linear extension
+        (``_monotone_drawer``), one indexed hop per predicate.  Every table
+        starts afresh before it would hold more than ``DRAW_TABLE_ENTRIES``
+        entries; the closure's ``held()`` counts them.
         """
         kind, n, alg = self.kind, self.n, self.alg
         if kind is Kind.POWERSET:
@@ -270,24 +262,9 @@ class FunctorOps:
 
 def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[int, ...]]:
     """A closure drawing ``tuple(rng.randrange(m) for _ in range(n))`` per
-    call, with the same ``getrandbits`` calls; where the m**n predicates fit
-    in a table, as a shared value keyed by the draws' base-m number (see
-    ``FunctorOps.drawer``)."""
-    bits, k, places = rng.getrandbits, m.bit_length(), range(n)
-    if m**n > DRAW_TABLE_ENTRIES:
-
-        def fresh() -> tuple[int, ...]:
-            out = []
-            for _ in places:
-                r = bits(k)
-                while r >= m:
-                    r = bits(k)
-                out.append(r)
-            return tuple(out)
-
-        fresh.held = lambda: 0
-        return fresh
-    memo = {}
+    call, with the same ``getrandbits`` calls, as a shared value keyed by
+    the draws' base-m number (see ``FunctorOps.drawer``)."""
+    bits, k, places, memo = rng.getrandbits, m.bit_length(), range(n), {}
 
     def draw() -> tuple[int, ...]:
         code = 0
@@ -298,6 +275,8 @@ def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[i
             code = code * m + r
         got = memo.get(code)
         if got is None:
+            if len(memo) >= DRAW_TABLE_ENTRIES:
+                memo.clear()
             digits, rest = [0] * n, code
             for i in reversed(places):
                 rest, digits[i] = divmod(rest, m)
@@ -325,17 +304,10 @@ def int_drawer(rng: random.Random, lo: int, hi: int) -> Callable[[], int]:
 
 def _family_drawer(rng: random.Random, n: int) -> Callable[[], frozenset]:
     """A closure drawing ``frozenset(mask for mask in range(2**n) if
-    rng.random() < 0.5)`` per call; where the 2**2**n families fit in a
-    table, as a shared value keyed by the bitmask of the drawn masks."""
-    unit, masks = rng.random, range(1 << n)
-    if 1 << len(masks) > DRAW_TABLE_ENTRIES:
-
-        def fresh() -> frozenset:
-            return frozenset(mask for mask in masks if unit() < 0.5)
-
-        fresh.held = lambda: 0
-        return fresh
-    bits, memo = [1 << mask for mask in masks], {}
+    rng.random() < 0.5)`` per call, as a shared value keyed by the bitmask
+    of the drawn masks (see ``FunctorOps.drawer``)."""
+    unit, masks, memo = rng.random, range(1 << n), {}
+    bits = [1 << mask for mask in masks]
 
     def draw() -> frozenset:
         code = 0
@@ -344,6 +316,8 @@ def _family_drawer(rng: random.Random, n: int) -> Callable[[], frozenset]:
                 code |= bit
         got = memo.get(code)
         if got is None:
+            if len(memo) >= DRAW_TABLE_ENTRIES:
+                memo.clear()
             got = memo[code] = frozenset(mask for mask in masks if code >> mask & 1)
         return got
 
@@ -358,36 +332,36 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
     A node at depth d stands for the draws at steps 0..d-1 and is a tuple
     ``(size, k, kids)``: the table's entry at step d is ``up[r]`` for the r
     drawn below ``size`` with k bits.  ``kids`` lists ``size`` children
-    (nodes at depth d + 1, or tables at the last step), then ``size``
-    *tails* (the one table stored so far below a child that has no node
-    yet), then ``up`` and a *witness*: a table agreeing with every table
-    below the node at steps 0..d-1.  A draw hops from the root while it
-    finds nodes.  A tail is pushed down one node per step while the draw
-    agrees with it; where they part, or where nothing is stored, the draw
-    copies the witness, completes the table by joining covers as an
-    untabled draw would, and stores it as a tail.  So a miss costs one
-    list copy more than an untabled draw."""
+    (nodes at depth d + 1, or tables at the last step), then ``up`` and a
+    *witness*: a table agreeing with every table below the node at steps
+    0..d-1.  A draw hops from the root while it finds a child.  Where it
+    finds none, it copies the witness of the node where it stopped and
+    completes the table by joining covers, as an untabled draw does,
+    making one node per step on the way down, each witnessed by the table
+    just drawn.  So a miss costs an untabled draw's joins, one list copy
+    and a node per step below the miss.  ``held`` counts nodes and
+    tables."""
     steps, ups = _monotone_steps(alg, n)
     jt, bits = alg.join_table, rng.getrandbits
     widths = [(len(up), len(up).bit_length()) for up in ups]
     last = len(steps) - 1
     inner = range(last)
+    size, k = widths[0]
+    root = size, k, [None] * size + [ups[0], (0,) * len(steps)]
     held = 0
 
-    def fork(up: tuple, witness: tuple) -> tuple:
-        size = len(up)
-        return size, size.bit_length(), [None] * (2 * size) + [up, witness]
-
-    root = fork(ups[0], (0,) * len(steps))
-
-    def reset() -> None:  # drop every child and tail of the root
+    def grow(d: int, kids: list, r: int) -> tuple[int, ...]:
+        # the draw has drawn r at the node of kids, depth d, and found no child
         nonlocal held
-        root[2][: 2 * root[0]], held = [None] * (2 * root[0]), 0
-
-    def complete(d: int, kids: list, r: int) -> tuple[int, ...]:
-        # the table of a draw that has drawn r at the node of kids, depth d
         table = list(kids[-1])
         table[steps[d][0]] = kids[-2][r]
+        if held > DRAW_TABLE_ENTRIES - (last - d + 1):
+            # no room for a node per step below d and a table: start afresh,
+            # and hang this draw's nodes on a list the trie does not hold
+            root[2][: root[0]] = [None] * root[0]
+            held, kids = 0, [None] * (r + 1)
+        else:
+            held += last - d + 1
         for i, covers in steps[d + 1 :]:
             # the table is monotone on the predicates drawn so far, so the
             # covers of i join to what everything below i joins to
@@ -395,41 +369,13 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
             for j in covers:
                 lower = jt[lower][table[j]]
             size, k = widths[lower]
+            node = kids[r] = size, k, [None] * size + [ups[lower], table]
+            kids = node[2]
             r = bits(k)
             while r >= size:
                 r = bits(k)
             table[i] = ups[lower][r]
-        return tuple(table)
-
-    def grow(d: int, size: int, kids: list, r: int) -> tuple[int, ...]:
-        # the draw has drawn r at a node of depth d, and found no child
-        nonlocal held
-        if held > DRAW_TABLE_ENTRIES - (last - d + 1):
-            # no room for a node per step below d and a table
-            reset()
-            return complete(d, kids, r)
-        tail = kids[size + r] if d < last else None
-        while tail is not None:
-            # the draw agrees with the tail up to step d: push it down
-            kids[size + r] = None
-            i, covers = steps[d + 1]
-            lower = 0
-            for j in covers:
-                lower = jt[lower][tail[j]]
-            child = kids[r] = fork(ups[lower], tail)
-            size, k, kids = child
-            d, held = d + 1, held + 1
-            kids[ups[lower].index(tail[i]) + (size if d < last else 0)] = tail
-            r = bits(k)
-            while r >= size:
-                r = bits(k)
-            if d == last:
-                if kids[r] is not None:
-                    return kids[r]
-                break
-            tail = kids[size + r]
-        got = kids[r + (size if d < last else 0)] = complete(d, kids, r)
-        held += 1
+        got = kids[r] = tuple(table)
         return got
 
     def draw() -> tuple[int, ...]:
@@ -441,13 +387,13 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
                 r = bits(k)
             node = kids[r]
             if node is None:
-                return grow(d, size, kids, r)
+                return grow(d, kids, r)
         size, k, kids = node
         r = bits(k)
         while r >= size:
             r = bits(k)
         got = kids[r]
-        return grow(last, size, kids, r) if got is None else got
+        return grow(last, kids, r) if got is None else got
 
     draw.held = lambda: held
     return draw

@@ -61,6 +61,7 @@ from .errors import (
     TagMismatch,
     UnsupportedKind,
 )
+from . import functors
 from .functors import Kind, FunctorOps, functor_ops, int_drawer, predicate_drawer, predicate_space
 from .jsonio import fvalue_to_json, model_to_json
 from .semantics import (
@@ -88,10 +89,6 @@ from .syntax import (
 
 DEFAULT_SEED = 0xC0A1
 DEFAULT_SWEEP_BUDGET = 1_000_000
-# a sampled sweep keeps at most this many interned coalgebras, predicates
-# or operand tuples, with their table entries, then starts afresh: sampled
-# ones seldom recur, so keeping them all would only grow memory
-SAMPLED_COALGEBRAS = 1 << 14
 # a sampled rule or entailment sweep runs its trials in batches of at most
 # this many, each plan step once per batch
 SAMPLED_BATCH = 128
@@ -366,9 +363,9 @@ def _safety_squares(
 
         tables, operands = [_Table(partial(fill, None)), _Table(partial(fill, 1))], []
         for i in range(op.arity):
-            cands = tables[i in lazy]
+            cands = tables[i in lazy].__getitem__
             forced = ((g, _forced(f, ff, g)) for g in (constants if i in local else coalgs))
-            operands.append([(g, cands[tuple(map(d.get, image))]) for g, d in forced if d])
+            operands.append([(g, cands(tuple(map(d.get, image)))) for g, d in forced if d])
         premises = (tuple(zip(*p)) for p in product(*operands))
         yield f, ff, (consistent * free) ** op.arity, free**op.arity, premises
 
@@ -380,14 +377,14 @@ def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials
     one target state is no premise and draws no target state.  Yields each
     premise as ``_safety_squares`` yields a map, ``(f, ff, 1, 1, [(gammas,
     cands)])`` with each ``cands[i]`` the one drawn target coalgebra, and
-    clears ``ids`` once a table holds more than ``SAMPLED_COALGEBRAS``
-    entries."""
+    clears ``ids`` once a table holds more than
+    ``functors.DRAW_TABLE_ENTRIES`` entries."""
     fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
     draw_map = predicate_drawer(rng, n_tgt, n_src)
     draw_src, draw_tgt = fops_src.drawer(rng), fops_tgt.drawer(rng)
     for _ in range(trials):
-        if ids.size() > SAMPLED_COALGEBRAS:
+        if ids.size() > functors.DRAW_TABLE_ENTRIES:
             ids.clear()
         f = draw_map()
         gammas = tuple(
@@ -694,7 +691,7 @@ def _batches(mode: str, trials: int, draw, sweeps, budget: int, models: bool):
             count = min(size, trials - done)
             parts = []
             for plan, at, index, gammas, sigmas in draw(count):
-                plan.forget(SAMPLED_COALGEBRAS)
+                plan.forget(functors.DRAW_TABLE_ENTRIES)
                 plan.run_cases(len(index), gammas, sigmas)
                 parts.append((plan, at, list(map(plan.vals.__getitem__, at)), index))
             yield count, parts
@@ -1154,13 +1151,15 @@ def bounded_entailment(
         return plan, at, plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
     plans = _Table(drawn)
+    plan_of = plans.__getitem__
 
     def draw(count: int):  # per trial, the size, the gammas in atom-name order, then the sigmas
         parts = _Table(lambda n: ([], [[] for _ in atom_names], [[] for _ in prop_names]))
+        part_of = parts.__getitem__
         for t in range(count):
             n = carrier()
-            _, _, value, sigma = plans[n]
-            index, gammas, sigmas = parts[n]  # size n's trial indices, gamma and sigma columns
+            _, _, value, sigma = plan_of(n)
+            index, gammas, sigmas = part_of(n)  # size n's trial indices, gamma and sigma columns
             index.append(t)
             states = range(n)
             for column in gammas:

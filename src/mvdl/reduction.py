@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import count, product
 
 from .algebra import Algebra, Term, chi_term
 from .errors import (
@@ -355,14 +355,13 @@ def reduce_full(
     if contains_star(formula):
         raise IterationPresent("iteration is not reducible; formula contains *")
     current = formula
-    for _ in range(budget):
+    for done in count():
         nxt = _step_formula(current, registry)
         if nxt is None:
             return current
+        if done == budget:  # a rewrite more than the budget allows
+            raise RewriteBudgetExceeded(f"rewriting did not terminate within {budget} steps")
         current = nxt
-    raise RewriteBudgetExceeded(
-        f"rewriting did not terminate within {budget} steps"
-    )
 
 
 def is_normal_form(formula: Formula) -> bool:

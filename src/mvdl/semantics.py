@@ -812,9 +812,10 @@ class Plan:
 
         if not listed:
             table = self._table(lambda ids: compute(ids, ((),))[0])
+            get = table.__getitem__
 
             def step(vals):
-                return table[tuple(map(vals.__getitem__, positions))]
+                return get(tuple(map(vals.__getitem__, positions)))
 
             return step, table
         table = self._table()

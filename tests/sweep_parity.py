@@ -72,9 +72,10 @@ The calls are, in order:
 * ``check_separation`` of each preset's lifting family at n=1 and n=2,
   exhaustive and sampled (300 trials) at seeds SEED and SEED+1;
 * the sampled ``verify_reduction_rule`` and ``bounded_entailment`` rows
-  above again, labelled ``forget ...``, with ``harness.SAMPLED_COALGEBRAS``
-  at 4, so each plan forgets its ids between batches and refills its
-  tables.
+  above again, labelled ``forget ...``, with ``functors.DRAW_TABLE_ENTRIES``
+  (and ``harness.SAMPLED_COALGEBRAS``, in a tree that has it) at 4, so
+  each plan forgets its ids between batches and refills its tables, and
+  each drawer starts its table afresh every few draws.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -196,24 +197,29 @@ def _sampled_entail_rows(m, configs, entail, seed):
 
 
 def _forget_rows(m, configs, entail, seed):
-    """The sampled rule and entailment rows again with
-    ``harness.SAMPLED_COALGEBRAS`` at 4, so a plan forgets its ids before
-    almost every batch and its tables fill afresh."""
+    """The sampled rule and entailment rows again with every sampled bound
+    at 4, so a plan forgets its ids before almost every batch and its
+    tables, like the drawers', fill afresh."""
     rows = chain(
         _rule_rows(m, configs, ("random",)), _sampled_entail_rows(m, configs, entail, seed)
     )
     for label, call in rows:
-        yield f"forget {label}", partial(_forgetting, m["harness"], call)
+        yield f"forget {label}", partial(_forgetting, m, call)
 
 
-def _forgetting(h, call):
-    """``call()`` with ``h.SAMPLED_COALGEBRAS`` at 4, restored after."""
-    bound = h.SAMPLED_COALGEBRAS
-    h.SAMPLED_COALGEBRAS = 4
+def _forgetting(m, call):
+    """``call()`` with ``functors.DRAW_TABLE_ENTRIES`` and, where the tree
+    has it, ``harness.SAMPLED_COALGEBRAS`` at 4, restored after."""
+    bounds = [(m["functors"], "DRAW_TABLE_ENTRIES"), (m["harness"], "SAMPLED_COALGEBRAS")]
+    bounds = [(module, name, getattr(module, name)) for module, name in bounds
+              if hasattr(module, name)]
+    for module, name, _ in bounds:
+        setattr(module, name, 4)
     try:
         return call()
     finally:
-        h.SAMPLED_COALGEBRAS = bound
+        for module, name, bound in bounds:
+            setattr(module, name, bound)
 
 
 def _sampled_safety_rows(m, configs, seed):

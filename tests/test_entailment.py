@@ -112,8 +112,9 @@ def test_tests_on_props_star_and_constants_match_reference(name):
 
 
 def test_sampled_sweep_starting_afresh_keeps_verdicts(monkeypatch):
-    # drop every interned id every trial or two; constants must stay valid
-    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 4)
+    # drop every interned id and drawn value every trial or two; constants
+    # must stay valid
+    monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", 4)
     p, a = sx.Prop("p"), sx.Atomic("a")
     for name, config in sorted(CONFIGS.items()):
         truth = config.truth

@@ -31,7 +31,7 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
-from mvdl import actions, harness, semantics
+from mvdl import actions, functors, harness, semantics
 from mvdl.jsonio import config_from_json, fvalue_from_json, fvalue_to_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, RuleRegistry, builtin_rules
@@ -352,12 +352,12 @@ def test_sampled_safety_matches_reference(config, op, unsafe):
 
 @pytest.mark.parametrize("preset, alg_name, op_id", [("game", "L2", ";"), ("instantial", "B2", "*")])
 def test_sampled_safety_starts_afresh(monkeypatch, preset, alg_name, op_id):
-    # a long sampled sweep drops its ids and tables every few draws; the
-    # verdict does not depend on when
+    # a long sampled sweep drops its ids, tables and drawn values every few
+    # draws; the verdict does not depend on when
     config = make_preset(preset, algebra_by_name(alg_name))
     op = config.ops[op_id]
     want = reference_safety_sampled(op, config, 3, 600, 4)
-    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 5)
+    monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", 5)
     verdict = check_safety(op, config, max_n=3, mode="random", trials=600, seed=4)
     assert (verdict.status, verdict.cases, verdict.counterexample) == want
 

@@ -164,6 +164,16 @@ class TestRewriting:
         with pytest.raises(RewriteBudgetExceeded):
             reduce_full(phi, reg, budget=2)
 
+    def test_rewrite_budget_allows_that_many_rewrites(self, crisp_b2):
+        # two rewrites reach the normal form: a budget of 2 is enough, 1 is not
+        reg = builtin_rules(crisp_b2)
+        phi = parse("<(a;b);c> p", crisp_b2.signature)
+        normal = parse("<a><b><c> p", crisp_b2.signature)
+        assert reduce_full(phi, reg, budget=2) == normal
+        assert reduce_full(normal, reg, budget=0) == normal
+        with pytest.raises(RewriteBudgetExceeded, match="within 1 steps"):
+            reduce_full(phi, reg, budget=1)
+
     def test_innermost_handles_nested_tests(self, labelled_l2):
         reg = builtin_rules(labelled_l2)
         phi = parse("<?t(<a;b> q)> p", labelled_l2.signature)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvdl import syntax as sx
-from mvdl import harness, semantics
+from mvdl import functors, harness, semantics
 from mvdl.algebra import algebra_by_name, build_builtin
 from mvdl.errors import ArityMismatch, InvalidParameter, UnknownIdentifier
 from mvdl.harness import verify_reduction_rule
@@ -193,8 +193,8 @@ def test_sweep_matches_reference(case):
 
 
 def test_sampled_sweep_starting_afresh_keeps_verdicts(monkeypatch):
-    # start the tables afresh every couple of trials
-    monkeypatch.setattr(harness, "SAMPLED_COALGEBRAS", 4)
+    # start the tables and drawers afresh every couple of trials
+    monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", 4)
     for name in ("pdl-labelled", "game", "instantial"):
         config = CONFIGS[name]
         for rule in builtin_rules(config).rules.values():
