@@ -7,8 +7,12 @@ variable overrides the default sweep budget.
 A process that calls ``main`` many times (tests, notebooks, a benchmark
 loop) pays its set-up once: the argument parser is built on the first call
 and reused, and the builtin algebras (B2, L<n>, G<n>) are built, validated
-and given their unary term clones once per process.  Each call then pays
-only for its subcommand; its reply does not depend on earlier calls.
+and given their unary term clones once per process.  A preset over a
+builtin algebra is built once per process too, with its builtin rule
+registry, which keeps the plans that ``verify-rules`` compiles for each
+carrier size and mode, reset after every sweep.  An algebra given by a
+JSON path is read and built afresh on every call.  Each call then pays
+only for its subcommand; its reply is the one a fresh process would give.
 """
 
 from __future__ import annotations
@@ -54,11 +58,15 @@ def _budget(args) -> int:
     return budget
 
 
-def _load_algebra(ref: str):
+def _is_file(ref: str) -> bool:
     # a builtin name wins over a file of that name, which is passed as ./L2
-    if not is_builtin_name(ref) and (
+    return not is_builtin_name(ref) and (
         ref.endswith(".json") or os.path.sep in ref or os.path.exists(ref)
-    ):
+    )
+
+
+def _load_algebra(ref: str):
+    if _is_file(ref):
         return jsonio.algebra_from_json(jsonio.load_json(ref))
     return algebra_by_name(ref)
 
@@ -260,14 +268,34 @@ def _cmd_eval(args, fmt: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _builtin_config(preset: str, name: str):
+    """A preset over a builtin algebra, built on first use and shared."""
+    return make_preset(preset, algebra_by_name(name))
+
+
+@functools.cache
+def _builtin_registry(preset: str, name: str):
+    """The builtin rules of ``_builtin_config(preset, name)``, built on
+    first use and shared, with the plans their sweeps keep."""
+    return reduction.builtin_rules(_builtin_config(preset, name))
+
+
 def _make_config(args):
-    alg = _load_algebra(args.algebra)
-    return make_preset(args.preset, alg)
+    if _is_file(args.algebra):
+        return make_preset(args.preset, _load_algebra(args.algebra))
+    return _builtin_config(args.preset, algebra_by_name(args.algebra).name)
+
+
+def _make_registry(args):
+    if _is_file(args.algebra):
+        return reduction.builtin_rules(_make_config(args))
+    return _builtin_registry(args.preset, algebra_by_name(args.algebra).name)
 
 
 def _cmd_reduce(args, fmt: str) -> int:
-    config = _make_config(args)
-    registry = reduction.builtin_rules(config)
+    registry = _make_registry(args)
+    config = registry.config
     phi = parse(args.phi, config.signature, "formula")
     normal = reduction.reduce_full(phi, registry)
     text = render(normal, config.signature)
@@ -276,8 +304,7 @@ def _cmd_reduce(args, fmt: str) -> int:
 
 
 def _cmd_verify_rules(args, fmt: str) -> int:
-    config = _make_config(args)
-    registry = reduction.builtin_rules(config)
+    registry = _make_registry(args)
     budget = _budget(args)
     results = harness.verify_registry(
         registry, n=args.n, mode=args.mode, budget=budget, trials=args.trials,

@@ -24,8 +24,9 @@ cases when sampled) and yields the compared ids, one per block, each
 block decoded by ``Plan.block`` and each case by ``Plan.case``.  Each
 checker is one loop, one comparison per block and one counterexample
 builder over those batches.  Rules of one shape (slots and variables)
-share one plan and one sweep, so a registry sweeps each shape once;
-``verify_reduction_rule`` is a group of one.
+share one plan and one sweep, so a registry sweeps each shape once, and
+the registry keeps that plan, reset, for its next sweep at the same size
+and mode; ``verify_reduction_rule`` is a group of one, compiled afresh.
 
 A safety sweep runs one loop per carrier pair on ids of its own, one vid
 layer per side (``_SafetyIds``); Ff is one vid list per map f.  Its
@@ -736,7 +737,9 @@ def verify_reduction_rule(
     ``detail["vectors"]`` are this rule's own.
     """
     _check_sweep(mode, trials)
-    return _verify_rules([rule], config, n, mode, budget, trials, seed)[0]
+    t0 = time.perf_counter()
+    plan, at = _rule_plan([rule], config, n, mode)
+    return _verify_rules([rule], plan, at, mode, budget, trials, seed, t0)[0]
 
 
 def _shape(rule, config: LogicConfig) -> tuple[int, int]:
@@ -749,19 +752,13 @@ def _shape(rule, config: LogicConfig) -> tuple[int, int]:
     return config.op(rule.target).arity, k
 
 
-def _verify_rules(
-    rules: Sequence, config: LogicConfig, n: int, mode: str, budget: int, trials: int, seed: int
-) -> list[Verdict]:
-    """The verdicts of rules of one ``_shape``: their sides compile into one
-    plan, and one ``_batches`` sweep (in random mode, from one RNG) compares
-    each rule's sides batch by batch until the rule fails, after which the
-    plan runs only the steps the other rules read (``Plan.narrow``); it
-    stops once every rule has failed.  BudgetExceeded is raised before any
-    case."""
-    t0 = time.perf_counter()
+def _rule_plan(rules: Sequence, config: LogicConfig, n: int, mode: str) -> tuple[Plan, list]:
+    """One plan over the sides of rules of one ``_shape`` at carrier size
+    ``n``, canonical when ``mode`` is exhaustive, and the positions of each
+    rule's left-hand side, then its right-hand side."""
     arity, n_vars = _shape(rules[0], config)
     plan = Plan(config, n, arity, n_vars, canonical=mode == "exhaustive")
-    at = []  # each rule's left-hand side, then its right-hand side
+    at = []
     for rule in rules:
         is_test = rule.target_kind == "test"
         if is_test:
@@ -770,6 +767,21 @@ def _verify_rules(
             action = Op(rule.target, tuple(range(1, arity + 1)))
         args = tuple(map(Var, range(1 + is_test, n_vars + 1)))
         at += [plan.compile(Modal(rule.lifting, action, args)), plan.compile(rule.template.body)]
+    return plan, at
+
+
+def _verify_rules(
+    rules: Sequence, plan: Plan, at: list, mode: str, budget: int, trials: int, seed: int,
+    t0: float,
+) -> list[Verdict]:
+    """The verdicts of rules of one ``_shape``, compiled into ``plan`` at
+    ``at`` by ``_rule_plan``: one ``_batches`` sweep (in random mode, from
+    one RNG) compares each rule's sides batch by batch until the rule
+    fails, after which the plan runs only the steps the other rules read
+    (``Plan.narrow``); it stops once every rule has failed.  BudgetExceeded
+    is raised before any case.  Seconds run from ``t0``."""
+    config, n = plan.config, plan.n
+    arity, n_vars = _shape(rules[0], config)
     if mode == "random":  # an exhaustive sweep draws nothing
         rng = random.Random(seed)
         value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
@@ -869,17 +881,29 @@ def verify_registry(
     plan.  A group whose sweep exceeds the budget gives each of its rules
     an OVER_BUDGET verdict of no cases, with the refused count and the
     reason in its detail, and the other groups are still checked.
+
+    The registry keeps each group's compiled plan in ``registry.plans``,
+    keyed on n, mode and the group's rules, so a later call at the same n
+    and mode compiles nothing.  After every sweep, one that raises
+    included, the plan is reset (``Plan.reset``): it keeps its compiled
+    steps but no id or table entry, so each call's verdicts are those of a
+    fresh plan.  A plan leaves the store while it sweeps, so a call made
+    meanwhile, from another thread, compiles its own.
     """
     _check_sweep(mode, trials)
-    config = registry.config
+    config, plans = registry.config, registry.plans
     groups: dict[tuple[int, int], dict] = {}
     for key, rule in registry.rules.items():
         groups.setdefault(_shape(rule, config), {})[key] = rule
     verdicts = {}
     for group in groups.values():
         t0 = time.perf_counter()
+        rules = tuple(group.values())
+        key = n, mode, rules
+        # out of the store while it sweeps, so no two sweeps share a plan
+        plan, at = plans.pop(key, None) or _rule_plan(rules, config, n, mode)
         try:
-            found = _verify_rules(list(group.values()), config, n, mode, budget, trials, seed)
+            found = _verify_rules(rules, plan, at, mode, budget, trials, seed, t0)
         except BudgetExceeded as exc:
             found = [
                 Verdict(
@@ -888,6 +912,9 @@ def verify_registry(
                 )
                 for _ in group
             ]
+        finally:
+            plan.reset()
+            plans[key] = plan, at
         verdicts.update(zip(group, found))
     return {key: verdicts[key] for key in registry.rules}
 

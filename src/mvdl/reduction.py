@@ -63,6 +63,9 @@ class RuleRegistry:
     config: LogicConfig
     rules: dict[RuleKey, ReductionRule] = field(default_factory=dict)
     gaps: list[tuple[RuleKey, str]] = field(default_factory=list)
+    # (n, mode, a shape group's rules) -> its compiled plan and positions,
+    # kept by ``harness.verify_registry``
+    plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, rule: ReductionRule) -> None:
         if rule.key in self.rules:

@@ -528,7 +528,8 @@ class Plan:
     column of the fixed cid's x-th digit, read once per right cid and
     operation; it reads these sums off one table per fixed cid.  ``forget``
     drops every id, vid, vector and table, so a long sampled sweep can bound
-    its memory.
+    its memory; ``reset`` also undoes ``narrow``, so a compiled plan can be
+    kept and swept again as if new.
     ``sweep`` runs group 1 once per assignment of the outer slots and group 2
     once per block list, ``run_cases`` every step once per batch; ``block``
     decodes a step's ids at a block and ``case`` the case at a position,
@@ -565,6 +566,7 @@ class Plan:
         self.cids: list = [0] * len(self._slots)
         self.vals: list = []  # step position -> its id, or its ids
         self.groups: list[list] = [[], [], []]  # (position, step), run order
+        self._full: list | None = None  # the groups before ``narrow`` first trimmed them
         self._deps: list = []  # position -> the positions its step reads
         self._ran = [0, 0, 0]  # steps of each group that run_new has run
         # the variables' sigma-lists, their length, and what each
@@ -593,10 +595,26 @@ class Plan:
         """Drop every interned value, coalgebra, predicate and vector of a
         plan that is not canonical, with every table entry keyed on them,
         once more than ``bound`` coalgebras or predicates are interned.  The
-        caller then runs its cases afresh."""
+        caller then runs its cases afresh.  ``reset`` drops them whatever
+        their number."""
         if len(self.coalgs) > bound or len(self.preds) > bound:
             for table in (self.values, self.coalgs, self.preds, self.vecs, *self._tables):
                 table.clear()
+
+    def reset(self) -> None:
+        """Put the plan back in the state its compilation left: no id,
+        table entry, loaded case or step output, and every step running
+        again (undoing ``narrow``).  A sweep of the reset plan then interns,
+        draws and reports as one of a freshly compiled plan would, and a
+        stored plan holds only its compiled steps."""
+        self.forget(-1)
+        if self._full is not None:
+            for group, full in zip(self.groups, self._full):
+                group[:] = full
+            self._full = None
+        self.vals[:] = [None] * len(self.vals)
+        self.cids[:] = [0] * len(self.cids)
+        self._inputs[:] = [], 1, []
 
     def compile(self, body: Formula) -> int:
         """The position of ``body``'s step, compiling its new subterms."""
@@ -681,7 +699,10 @@ class Plan:
         """From now on run only the steps that the steps at ``positions``
         read, directly or not, and those steps; the others keep the ids of
         their last run.  A sweep calls it between block lists, once the
-        steps it compares are fewer."""
+        steps it compares are fewer.  The first call keeps the full step
+        lists, which ``reset`` puts back."""
+        if self._full is None:
+            self._full = [list(group) for group in self.groups]
         need, todo = set(), list(positions)
         while todo:
             pos = todo.pop()

@@ -69,6 +69,8 @@ The calls are, in order:
   read as ``/\\``, and slots 1 and 2 swapped where it has two), exhaustive
   and sampled (300 trials) at seeds SEED and SEED+1: one line per
   registry, each rule with its status, cases, counterexample and blocks;
+  then the same calls again on the same registry objects, in another mode
+  order, labelled ``registry again``: each must equal its first-pass row;
 * ``check_separation`` of each preset's lifting family at n=1 and n=2,
   exhaustive and sampled (300 trials) at seeds SEED and SEED+1;
 * the sampled ``verify_reduction_rule`` and ``bounded_entailment`` rows
@@ -428,24 +430,40 @@ def _unary_rows(m, configs, seed):
                         )
 
 
+def mutant_registry(m, config):
+    """The builtin registry of ``config`` with every other rule ``_mutate``d,
+    slots swapped where it has two, so its groups mix rules that hold with
+    rules that fail."""
+    sx, reduction = m["syntax"], m["reduction"]
+    mutant = reduction.RuleRegistry(config)
+    for i, rule in enumerate(reduction.builtin_rules(config).rules.values()):
+        if i % 2 == 0:
+            t = rule.template
+            body = _mutate(sx, t.body, swap=t.n == 2)
+            rule = reduction.ReductionRule(*rule.key, sx.Template(t.n, t.k, body))
+        mutant.add(rule)
+    return mutant
+
+
 def _registry_rows(m, configs, seed):
     """``verify_registry`` at n=1 on each preset's builtin registry and on
-    its mutant, whose groups mix rules that hold with rules that fail,
-    exhaustive and sampled at seeds SEED and SEED+1."""
-    h, sx, reduction = m["harness"], m["syntax"], m["reduction"]
+    its mutant, exhaustive and sampled at seeds SEED and SEED+1; then the
+    same calls on the same registry objects again, labelled ``again``, in
+    the order SEED+1, exhaustive, SEED, so each runs on plans another mode
+    swept last."""
+    h, reduction = m["harness"], m["reduction"]
+    registries = []
     for config in configs:
         tag = f"{config.name}/{config.truth.name}"
-        builtin = reduction.builtin_rules(config)
-        mutant = reduction.RuleRegistry(config)
-        for i, rule in enumerate(builtin.rules.values()):
-            if i % 2 == 0:
-                t = rule.template
-                body = _mutate(sx, t.body, swap=t.n == 2)
-                rule = reduction.ReductionRule(*rule.key, sx.Template(t.n, t.k, body))
-            mutant.add(rule)
-        for label, registry in (("builtin", builtin), ("mutant", mutant)):
-            for mode, s in (("exhaustive", seed), ("random", seed), ("random", seed + 1)):
-                row = f"registry {label} {tag} n=1 {mode}"
+        registries += [
+            (f"builtin {tag}", reduction.builtin_rules(config)),
+            (f"mutant {tag}", mutant_registry(m, config)),
+        ]
+    sweeps = [("exhaustive", seed), ("random", seed), ("random", seed + 1)]
+    for again, order in (("", sweeps), ("again ", [sweeps[2], sweeps[0], sweeps[1]])):
+        for label, registry in registries:
+            for mode, s in order:
+                row = f"registry {again}{label} n=1 {mode}"
                 if mode == "random":
                     row += f" seed={s}"
                 yield row, lambda r=registry, mode=mode, s=s: {

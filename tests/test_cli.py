@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mvdl import algebra, cli, harness
+from mvdl import algebra, cli, harness, reduction
 from mvdl.cli import main
 from mvdl.jsonio import algebra_to_json, dumps, model_to_json
 from mvdl.algebra import build_builtin
@@ -435,6 +435,8 @@ class TestSetupIsPaidOnce:
 
     def test_term_clone_is_computed_once(self, capsys, monkeypatch):
         algebra._shared_builtin.cache_clear()
+        cli._builtin_config.cache_clear()
+        cli._builtin_registry.cache_clear()
         calls = []
         closure = algebra.unary_term_closure
 
@@ -447,6 +449,55 @@ class TestSetupIsPaidOnce:
         for _ in range(2):
             assert run(capsys, *argv, "--phi", "[?t(p)] q") == (0, "p -> q\n", "")
         assert calls == ["L2"]
+
+    def test_preset_and_registry_are_built_once(self, capsys, monkeypatch):
+        cli._builtin_config.cache_clear()
+        cli._builtin_registry.cache_clear()
+        made, built = [], []
+        make, rules = cli.make_preset, reduction.builtin_rules
+
+        def making(name, alg):
+            made.append((name, alg.name))
+            return make(name, alg)
+
+        def building(config):
+            built.append((config.name, config.truth.name))
+            return rules(config)
+
+        monkeypatch.setattr(cli, "make_preset", making)
+        monkeypatch.setattr(reduction, "builtin_rules", building)
+        pairs = [("pdl-crisp", "B2"), ("instantial", "B2"), ("pdl-labelled", "L2")]
+        replies = []
+        for _ in range(3):
+            for preset, name in pairs:
+                logic = ["--preset", preset, "--algebra", name]
+                code, out, _ = run(capsys, "entail", *logic, "--phi", "p -> p", "--max-n", "1")
+                replies.append([
+                    run(capsys, "reduce", *logic, "--phi", "p /\\ q"),
+                    run(capsys, "verify-rules", *logic, "--n", "1"),
+                    (code, out.split(" cases")[0]),  # the text reply ends in seconds
+                ])
+        assert made == built == pairs
+        assert replies[:3] == replies[3:6] == replies[6:]
+        # a builtin spelt with leading zeros is the same builtin
+        assert run(capsys, "verify-rules", "--preset", "pdl-labelled", "--algebra", "L02",
+                   "--n", "1") == replies[2][1]
+        assert made == built == pairs
+
+    def test_a_json_algebra_is_read_on_every_call(self, capsys, tmp_path):
+        path = tmp_path / "truth.json"
+
+        def replies(ref):
+            logic = ["--preset", "pdl-crisp", "--algebra", ref]
+            code, out, _ = run(capsys, "entail", *logic, "--phi", "p -> p", "--max-n", "1")
+            return run(capsys, "verify-rules", *logic, "--n", "1"), (code, out.split(" cases")[0])
+
+        got = {}
+        for name in ("B2", "L2", "B2"):
+            path.write_text(dumps(algebra_to_json(algebra.algebra_by_name(name))))
+            got.setdefault(name, []).append(replies(str(path)))
+            assert got[name][-1] == replies(name)
+        assert got["B2"][0] == got["B2"][1] != got["L2"][0]
 
     @pytest.mark.parametrize("family", ["L", "G"])
     def test_chain_size_is_bounded(self, capsys, family):

@@ -1,7 +1,10 @@
 """Morphism, safety, separation, soundness, one-step and entailment checks."""
 
 import random
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from math import prod
 
@@ -31,7 +34,7 @@ from mvdl.harness import (
     verify_reduction_rule,
     verify_registry,
 )
-from mvdl import actions, functors, harness, semantics
+from mvdl import actions, functors, harness, reduction, semantics
 from mvdl.jsonio import config_from_json, fvalue_from_json, fvalue_to_json, model_from_json
 from mvdl.presets import PRESET_NAMES, make_preset
 from mvdl.reduction import ReductionRule, RuleRegistry, builtin_rules
@@ -39,6 +42,7 @@ from mvdl.semantics import Model, eval_formula
 from mvdl import syntax as sx
 from mvdl.syntax import Atomic, Conn, Modal, Op, Prop, Template, Var, instantiate, parse
 
+import sweep_parity
 from conftest import random_formula, random_model
 from reference_eval import (
     reference_entailment,
@@ -1004,12 +1008,16 @@ class TestGroupedRegistry:
                 super().__init__(*args, **kwargs)
                 plans.append(self)
 
+            def reset(self):  # the registry resets its plans after each sweep
+                self.swept = self.entries()
+                super().reset()
+
         monkeypatch.setattr(harness, "Plan", Recorded)
         # the mutant `+` rules fail at block 7 of 6561, the `;` rules beside
         # them hold; a `+` left-hand side meets 81 union cids when it runs on
         got = verify_registry(_mutant_registry(labelled_l2), n=2)
         plan = next(plan for plan in plans if len(plan.cids) == 2)
-        entries = plan.entries()
+        entries = plan.swept
         for lid in ("box", "dia"):
             assert got["op", ";", lid].status == "holds"
             verdict = got["op", "+", lid]
@@ -1058,6 +1066,188 @@ class TestGroupedRegistry:
                 assert _facts(got[key]) == _facts(solo), key
         assert {key[1] for key in refused} == {"+", ";"}
         assert all(got[key].status == "holds" for key in registry.rules.keys() - refused)
+
+
+def _parity_mutant(config) -> RuleRegistry:
+    """The mutant registry of ``sweep_parity.py``: every other rule with
+    /\\ and \\/ swapped, * read as /\\ and its slots swapped."""
+    return sweep_parity.mutant_registry({"syntax": sx, "reduction": reduction}, config)
+
+
+REGISTRIES = {"builtin": builtin_rules, "mutant": _mutant_registry, "parity": _parity_mutant}
+
+
+def _whole(verdicts: dict) -> dict:
+    """Each rule's verdict but its seconds."""
+    return {key: (v.status, v.cases, v.counterexample, v.detail) for key, v in verdicts.items()}
+
+
+def _assert_reset(registry) -> None:
+    """Every plan the registry keeps holds no id, table entry or step
+    output, and runs the steps a fresh compilation runs."""
+    for (n, mode, rules), (plan, at) in registry.plans.items():
+        fresh, fresh_at = harness._rule_plan(rules, registry.config, n, mode)
+        assert at == fresh_at
+        assert (plan.values, plan.coalgs, plan.preds, plan.vecs) == ([], [], [], [])
+        assert not any(plan._tables)
+        assert plan.vals == [None] * len(fresh.vals)
+        steps = [[pos for pos, _ in group] for group in plan.groups]
+        assert steps == [[pos for pos, _ in group] for group in fresh.groups]
+
+
+def _counted(monkeypatch) -> list:
+    """The plans ``harness`` constructs from now on, in order."""
+    made = []
+
+    class Counted(semantics.Plan):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "Plan", Counted)
+    return made
+
+
+class TestStoredPlans:
+    """``verify_registry`` keeps each group's plan in the registry, reset
+    after every sweep: a later call at the same n and mode compiles nothing
+    and gives a fresh registry's verdicts."""
+
+    SWEEPS = [("exhaustive", DEFAULT_SEED), ("random", 3), ("random", 11)]
+
+    @pytest.mark.parametrize("kind", REGISTRIES)
+    @pytest.mark.parametrize(
+        "preset_name, n",
+        [(name, 1) for name in REGISTRY_ALGEBRAS]
+        + [("pdl-crisp", 2), ("pdl-labelled", 2), ("pdl-threshold", 2)],
+    )
+    def test_a_later_call_compiles_nothing_and_agrees(self, preset_name, n, kind, monkeypatch):
+        config = make_preset(preset_name, algebra_by_name(REGISTRY_ALGEBRAS[preset_name]))
+        make = REGISTRIES[kind]
+        sweeps = [dict(n=n, mode=mode, trials=40, seed=seed) for mode, seed in self.SWEEPS]
+        fresh = [_whole(verify_registry(make(config), **sweep)) for sweep in sweeps]
+        made = _counted(monkeypatch)
+        registry, swept = make(config), set()
+        for i in (0, 1, 2, 0, 2, 1):  # the mode changes between calls
+            before, mode = len(made), sweeps[i]["mode"]
+            got = verify_registry(registry, **sweeps[i])
+            assert (len(made) == before) == (mode in swept), i
+            assert _whole(got) == fresh[i], i
+            _assert_reset(registry)
+            swept.add(mode)
+        assert {mode for n, mode, _ in registry.plans} == swept
+
+    @pytest.mark.parametrize("preset_name", REGISTRY_ALGEBRAS)
+    def test_a_refused_group_is_kept_and_swept_later(self, preset_name, monkeypatch):
+        config = make_preset(preset_name, algebra_by_name(REGISTRY_ALGEBRAS[preset_name]))
+        registry = builtin_rules(config)
+        refused = verify_registry(registry, n=1, budget=1)
+        assert harness.OVER_BUDGET in {v.status for v in refused.values()}
+        _assert_reset(registry)
+        made = _counted(monkeypatch)
+        got = verify_registry(registry, n=1)
+        assert made == []
+        assert _whole(got) == _whole(verify_registry(builtin_rules(config), n=1))
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("kind", ["builtin", "parity"])
+    def test_a_sweep_that_raises_leaves_its_plan_reset(self, labelled_l2, monkeypatch, mode, kind):
+        class Interrupted(Exception):
+            pass
+
+        fuse = [0]  # kernel calls left before one raises; 0: none does
+        kernel_of = semantics.lifting_kernel
+
+        def fused(spec, config):
+            kernel = kernel_of(spec, config)
+
+            def lifted(preds, values, n):
+                if fuse[0]:
+                    fuse[0] -= 1
+                    if not fuse[0]:
+                        raise Interrupted
+                return kernel(preds, values, n)
+
+            return lifted
+
+        monkeypatch.setattr(semantics, "lifting_kernel", fused)
+        make, sweep = REGISTRIES[kind], dict(n=1, mode=mode, trials=40)
+        fresh = _whole(verify_registry(make(labelled_l2), **sweep))
+        registry = make(labelled_l2)
+        assert _whole(verify_registry(registry, **sweep)) == fresh
+        stored = len(registry.plans)
+        fuse[0] = 2
+        with pytest.raises(Interrupted):
+            verify_registry(registry, **sweep)
+        assert fuse[0] == 0 and len(registry.plans) == stored
+        _assert_reset(registry)
+        made = _counted(monkeypatch)
+        assert _whole(verify_registry(registry, **sweep)) == fresh
+        assert made == []
+
+    def test_two_threads_sweep_one_registry(self, labelled_l2, monkeypatch):
+        sweep = dict(n=2, mode="exhaustive")
+        fresh = _whole(verify_registry(_mutant_registry(labelled_l2), **sweep))
+        registry = _mutant_registry(labelled_l2)
+        verify_registry(registry, **sweep)  # the store holds every group's plan
+        # both threads wait inside their first group's sweep for the other
+        barrier, met = threading.Barrier(2, timeout=60), {}
+        sweep_rules = harness._verify_rules
+
+        def meeting(rules, plan, *args):
+            if threading.get_ident() not in met:
+                met[threading.get_ident()] = plan
+                barrier.wait()
+            return sweep_rules(rules, plan, *args)
+
+        monkeypatch.setattr(harness, "_verify_rules", meeting)
+        with ThreadPoolExecutor(2) as pool:
+            calls = [pool.submit(verify_registry, registry, **sweep) for _ in range(2)]
+            got = [call.result() for call in calls]
+        assert [_whole(g) for g in got] == [fresh, fresh]
+        first, second = met.values()
+        assert first is not second  # one took the stored plan, one compiled its own
+        _assert_reset(registry)
+
+    def test_many_threads_sweep_one_registry(self, threshold_l2):
+        # more threads than cores, switching often: a plan two sweeps shared
+        # would mix their ids and tables and change a verdict
+        sweeps = [dict(n=1, mode=mode, trials=40, seed=seed) for mode, seed in self.SWEEPS]
+        fresh = [_whole(verify_registry(_parity_mutant(threshold_l2), **s)) for s in sweeps]
+        registry = _parity_mutant(threshold_l2)
+
+        def calls(first: int) -> list:
+            return [_whole(verify_registry(registry, **sweeps[(first + i) % 3])) for i in range(6)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                got = [pool.submit(calls, first) for first in range(6)]
+                got = [call.result(timeout=120) for call in got]
+        finally:
+            sys.setswitchinterval(interval)
+        for first, verdicts in enumerate(got):
+            assert verdicts == [fresh[(first + i) % 3] for i in range(6)]
+        _assert_reset(registry)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "random"])
+    @pytest.mark.parametrize("preset_name", REGISTRY_ALGEBRAS)
+    def test_stored_plans_hold_no_ids_or_entries(self, preset_name, mode, monkeypatch):
+        held = []  # the table entries each plan held when it was reset
+        reset = semantics.Plan.reset
+
+        def counting(plan):
+            held.append(sum(map(len, plan._tables)) + len(plan.preds))
+            reset(plan)
+
+        monkeypatch.setattr(semantics.Plan, "reset", counting)
+        config = make_preset(preset_name, algebra_by_name(REGISTRY_ALGEBRAS[preset_name]))
+        registry = _parity_mutant(config)
+        for _ in range(2):
+            verify_registry(registry, n=1, mode=mode, trials=40)
+            _assert_reset(registry)
+        assert len(held) == 2 * len(registry.plans) and all(held)
 
 
 @pytest.mark.parametrize("preset_name", ["pdl-crisp", "pdl-labelled"])
