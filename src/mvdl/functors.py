@@ -33,6 +33,19 @@ DEFAULT_ENUM_BUDGET = 1_000_000
 DRAW_TABLE_ENTRIES = 1 << 14
 
 
+class _Table(dict):
+    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 class Kind(Enum):
     POWERSET = "powerset"
     APOWERSET = "apowerset"
@@ -247,6 +260,11 @@ class FunctorOps:
         (``_monotone_drawer``), one indexed hop per predicate.  Every table
         starts afresh before it would hold more than ``DRAW_TABLE_ENTRIES``
         entries; the closure's ``held()`` counts them.
+
+        Sampled sweeps draw whole coalgebras through ``coalgebra_drawer``,
+        which makes the calls of n calls of this closure in one; they draw
+        single values (a safety sweep's unforced target states, a sampled
+        separation's pairs) here.
         """
         kind, n, alg = self.kind, self.n, self.alg
         if kind is Kind.POWERSET:
@@ -259,12 +277,115 @@ class FunctorOps:
             return _family_drawer(rng, n)
         return _monotone_drawer(rng, alg, n)
 
+    def coalgebra_drawer(self, rng: random.Random) -> Callable[[], int]:
+        """A closure drawing one coalgebra of n states per call, as n calls
+        of ``drawer(rng)`` draw its states in order: it makes the same
+        ``getrandbits`` and ``random`` calls and returns the integer they
+        spell, state 0's digit first.  ``draw.coalgebra(code)`` gives the
+        coalgebra of a code as a shared tuple of shared FValues, equal to
+        the n values those calls return.
+
+        Each state is one digit in base B.  A powerset value is its bitmask
+        (B = 2**n); a coalgebra's n bitmasks are drawn as n base-2**n
+        digits, which makes the calls of n draws below 2**n.  A row or a
+        neighbourhood table is its w entries in predicate order as base-m
+        digits (B = m**w), so an A-powerset or A-neighbourhood coalgebra is
+        n·w digits of one loop; a monotone table is drawn on
+        ``_monotone_drawer``'s trie, whose leaves keep that number, and its
+        coalgebra keeps the trie's tables.  A double-powerset family is the
+        bitmask of its masks (B = 2**2**n), drawn as n·2**n ``random()``
+        bits.  The coalgebras and the states decoded from their digits are
+        kept in a table each, which starts afresh before it would hold
+        more than ``DRAW_TABLE_ENTRIES`` entries; ``held()`` gives the
+        larger count.
+        """
+        kind, n, m = self.kind, self.n, self.alg.m
+        states, tables, drawn = range(n), [None] * n, [None]  # a monotone draw's tables and code
+        if kind is Kind.DOUBLE_POWERSET:
+            width = 1 << n
+            base, unit, masks = 1 << width, rng.random, range(width)
+            flat = [1 << (n - 1 - x) * width + mask for x in states for mask in masks]
+
+            def draw() -> int:
+                code = 0
+                for bit in flat:
+                    if unit() < 0.5:
+                        code |= bit
+                return code
+
+            def value(digit: int) -> frozenset:
+                return frozenset(mask for mask in masks if digit >> mask & 1)
+
+        elif kind is Kind.MONOTONE_NEIGHBOURHOOD:
+            width = m**n
+            base, leaf, value = m**width, _monotone_drawer(rng, self.alg, n).leaf, _digits(m, width)
+
+            def draw() -> int:
+                code = 0
+                for x in states:
+                    tables[x], digit = leaf()
+                    code = code * base + digit
+                drawn[0] = code
+                return code
+
+        else:
+            if kind is Kind.POWERSET:
+                m, width, value = 1 << n, 1, int
+            else:
+                width = n if kind is Kind.APOWERSET else m**n
+                value = _digits(m, width)
+            base, bits, k, places = m**width, rng.getrandbits, m.bit_length(), range(n * width)
+
+            def draw() -> int:
+                code = 0
+                for _ in places:
+                    r = bits(k)
+                    while r >= m:
+                        r = bits(k)
+                    code = code * m + r
+                return code
+
+        coalgs, values = {}, _Table(value)
+        state, powers = values.__getitem__, [base**x for x in reversed(states)]
+
+        def coalgebra(code: int) -> tuple:
+            got = coalgs.get(code)
+            if got is None:
+                if len(coalgs) >= DRAW_TABLE_ENTRIES:
+                    coalgs.clear()
+                if code == drawn[0]:  # a monotone draw's tables: no digit to decode
+                    got = tuple(tables)
+                else:
+                    if len(values) > DRAW_TABLE_ENTRIES - n:
+                        values.clear()
+                    got = tuple([state(code // p % base) for p in powers])
+                coalgs[code] = got
+            return got
+
+        draw.coalgebra = coalgebra
+        draw.held = lambda: max(len(coalgs), len(values))
+        return draw
+
+
+def _digits(m: int, width: int) -> Callable[[int], tuple[int, ...]]:
+    """The tuple of ``width`` base-m digits of a number, most significant
+    first."""
+    places = range(width - 1, -1, -1)
+
+    def digits(code: int) -> tuple[int, ...]:
+        out = [0] * width
+        for i in places:
+            code, out[i] = divmod(code, m)
+        return tuple(out)
+
+    return digits
+
 
 def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[int, ...]]:
     """A closure drawing ``tuple(rng.randrange(m) for _ in range(n))`` per
     call, with the same ``getrandbits`` calls, as a shared value keyed by
     the draws' base-m number (see ``FunctorOps.drawer``)."""
-    bits, k, places, memo = rng.getrandbits, m.bit_length(), range(n), {}
+    bits, k, places, memo, digits = rng.getrandbits, m.bit_length(), range(n), {}, _digits(m, n)
 
     def draw() -> tuple[int, ...]:
         code = 0
@@ -277,10 +398,7 @@ def predicate_drawer(rng: random.Random, m: int, n: int) -> Callable[[], tuple[i
         if got is None:
             if len(memo) >= DRAW_TABLE_ENTRIES:
                 memo.clear()
-            digits, rest = [0] * n, code
-            for i in reversed(places):
-                rest, digits[i] = divmod(rest, m)
-            memo[code] = got = tuple(digits)
+            memo[code] = got = digits(code)
         return got
 
     draw.held = memo.__len__
@@ -339,10 +457,12 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
     completes the table by joining covers, as an untabled draw does,
     making one node per step on the way down, each witnessed by the table
     just drawn.  So a miss costs an untabled draw's joins, one list copy
-    and a node per step below the miss.  ``held`` counts nodes and
-    tables."""
+    and a node per step below the miss.  A leaf is the table with its
+    entries' base-m number in predicate order, which ``draw.leaf()`` returns
+    for ``FunctorOps.coalgebra_drawer``.  ``held`` counts nodes and
+    leaves."""
     steps, ups = _monotone_steps(alg, n)
-    jt, bits = alg.join_table, rng.getrandbits
+    jt, bits, m = alg.join_table, rng.getrandbits, alg.m
     widths = [(len(up), len(up).bit_length()) for up in ups]
     last = len(steps) - 1
     inner = range(last)
@@ -350,7 +470,7 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
     root = size, k, [None] * size + [ups[0], (0,) * len(steps)]
     held = 0
 
-    def grow(d: int, kids: list, r: int) -> tuple[int, ...]:
+    def grow(d: int, kids: list, r: int) -> tuple[tuple[int, ...], int]:
         # the draw has drawn r at the node of kids, depth d, and found no child
         nonlocal held
         table = list(kids[-1])
@@ -375,10 +495,13 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
             while r >= size:
                 r = bits(k)
             table[i] = ups[lower][r]
-        got = kids[r] = tuple(table)
+        code = 0
+        for v in table:
+            code = code * m + v
+        got = kids[r] = tuple(table), code
         return got
 
-    def draw() -> tuple[int, ...]:
+    def leaf() -> tuple[tuple[int, ...], int]:
         node = root
         for d in inner:
             size, k, kids = node
@@ -395,7 +518,10 @@ def _monotone_drawer(rng: random.Random, alg: Algebra, n: int) -> Callable[[], t
         got = kids[r]
         return grow(last, kids, r) if got is None else got
 
-    draw.held = lambda: held
+    def draw() -> tuple[int, ...]:
+        return leaf()[0]
+
+    draw.leaf, draw.held = leaf, lambda: held
     return draw
 
 

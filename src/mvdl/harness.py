@@ -31,7 +31,8 @@ and mode; ``verify_reduction_rule`` is a group of one, compiled afresh.
 A safety sweep runs one loop per carrier pair on ids of its own, one vid
 layer per side (``_SafetyIds``); Ff is one vid list per map f.  Its
 premises are every joint morphism square in canonical order (exhaustive
-mode, which interns the enumerations of FX and FY first) or drawn ones.
+mode, which interns the enumerations of FX and FY first) or drawn ones
+(random mode, each source operand keyed by the integer its draws spell).
 An operand that the operation reads only at the evaluated state
 (``actions.LOCAL_OPERANDS``) is a constant coalgebra on the source side of
 an exhaustive sweep, and is computed at its first candidate only on the
@@ -167,8 +168,11 @@ def check_safety(
     Carrier pairs range over n, n' <= max_n.  When f is surjective the target
     coalgebras are forced; otherwise the unconstrained states are enumerated
     (exhaustive mode, ``_safety_squares``) or sampled (random mode,
-    ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair).  Both
-    modes check their premises in one loop on ids, ``_safety_pair``.
+    ``_safety_draws``, ``trials // max_n**2 + 1`` draws per pair, each
+    source operand drawn whole as one integer; ``detail["drawn"]`` counts
+    the draws, of which those whose sources force two values on one target
+    state are no case).  Both modes check their premises in one loop on
+    ids, ``_safety_pair``.
 
     Exhaustive mode sweeps the local form: an operand in
     ``actions.LOCAL_OPERANDS`` ranges over the V constant source coalgebras
@@ -193,49 +197,56 @@ def check_safety(
         return _check_test_safety(target, config, max_n, budget, t0)
     target.check_kind(config.kind)
     pairs = [_SafetyIds(*map(config.fops, n)) for n in product(range(1, max_n + 1), repeat=2)]
-    sampled, local = {}, LOCAL_OPERANDS[target.variant]
-    if mode == "exhaustive":
-        spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
-        work = partial(_safety_work, target.arity, spaces, lazy=local)
-        # sum over carrier pairs of n'**n * V**arity: every map's work with
-        # c_f >= V and free_f >= 1, exact when every operand is local, and
-        # known before any Ff is computed
-        sizes = range(1, max_n + 1)
-        total = sum(b**a * len(spaces[a]) ** target.arity for a in sizes for b in sizes)
-        least = "" if len(local) == target.arity else "at least "
-        if total <= budget and least:
-            total, least = sum(work(ids, local) for ids in pairs), ""
-        if total > budget:
-            msg = f"{least}{total} target operand tuples up to n={max_n} exceed budget {budget}"
-            raise BudgetExceeded(f"{msg}; random mode is available", count=total)
-        premises = partial(_safety_squares, target, spaces=spaces, local=local)
-    else:
-        rng, sampled = random.Random(seed), {"trials": trials, "seed": seed}
-        premises = partial(_safety_draws, target, rng=rng, trials=trials // (max_n * max_n) + 1)
-    cases = evaluated = 0
-    for ids in pairs:
-        checked, computed, counter = _safety_pair(target, ids, premises(ids))
-        form = {}
-        if counter is not None and not sampled and local:
-            if sum(work(other, ()) for other in pairs) <= budget:
-                squares = _safety_squares(target, ids, spaces)
-                checked, more, counter = _safety_pair(target, ids, squares)
-                computed += more
-            else:
-                form = {"form": "local"}
-        cases += checked
-        evaluated += computed
-        if counter is not None:
-            n = (ids.fops_src.n, ids.fops_tgt.n)
-            return _verdict(
-                "fails", cases, t0, counter, target=target.id, n=n,
-                **(sampled or {"evaluated": evaluated}), **form,
-            )
-        ids.clear()
-    return _verdict(
-        "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode,
-        **(sampled or {"evaluated": evaluated}),
-    )
+    try:
+        sampled, local = {}, LOCAL_OPERANDS[target.variant]
+        if mode == "exhaustive":
+            spaces = {n: list(config.fops(n).enumerate(budget)) for n in range(max_n, 0, -1)}
+            work = partial(_safety_work, target.arity, spaces, lazy=local)
+            # sum over carrier pairs of n'**n * V**arity: every map's work with
+            # c_f >= V and free_f >= 1, exact when every operand is local, and
+            # known before any Ff is computed
+            sizes = range(1, max_n + 1)
+            total = sum(b**a * len(spaces[a]) ** target.arity for a in sizes for b in sizes)
+            least = "" if len(local) == target.arity else "at least "
+            if total <= budget and least:
+                total, least = sum(work(ids, local) for ids in pairs), ""
+            if total > budget:
+                msg = f"{least}{total} target operand tuples up to n={max_n} exceed budget {budget}"
+                raise BudgetExceeded(f"{msg}; random mode is available", count=total)
+            premises = partial(_safety_squares, target, spaces=spaces, local=local)
+        else:
+            rng, sampled, missed = random.Random(seed), {"trials": trials, "seed": seed}, [0]
+            per_pair = trials // (max_n * max_n) + 1
+            premises = partial(_safety_draws, target, rng=rng, trials=per_pair, missed=missed)
+        cases = evaluated = 0
+        for ids in pairs:
+            checked, computed, counter = _safety_pair(target, ids, premises(ids))
+            form = {}
+            if counter is not None and not sampled and local:
+                if sum(work(other, ()) for other in pairs) <= budget:
+                    squares = _safety_squares(target, ids, spaces)
+                    checked, more, counter = _safety_pair(target, ids, squares)
+                    computed += more
+                else:
+                    form = {"form": "local"}
+            cases += checked
+            evaluated += computed
+            counts = {"evaluated": evaluated}
+            if sampled:
+                counts = {**sampled, "drawn": cases + missed[0]}
+            if counter is not None:
+                n = (ids.fops_src.n, ids.fops_tgt.n)
+                return _verdict(
+                    "fails", cases, t0, counter, target=target.id, n=n, **counts, **form
+                )
+            ids.clear()
+        return _verdict(
+            "holds-up-to-bound", cases, t0, None, target=target.id, max_n=max_n, mode=mode,
+            **counts,
+        )
+    finally:  # a verdict or an error keeps none of the sweep's tables
+        for ids in pairs:
+            ids.clear()
 
 
 def _safety_counter(ids: _SafetyIds, f, gammas, targets, x: int) -> dict:
@@ -254,8 +265,9 @@ class _SafetyIds:
     """The ids of one carrier pair's safety sweep, given on first sight: a
     value's vid is its index in ``vals_src`` or ``vals_tgt``, and a
     coalgebra on either side is the tuple of its states' vids.  ``table``
-    makes the one-step tables that operation outputs are read from;
-    ``clear`` drops them with the ids."""
+    makes the one-step tables that operation outputs are read from, and a
+    sampled sweep's tables keyed by the integers its draws spell; ``clear``
+    drops them with the ids."""
 
     def __init__(self, fops_src: FunctorOps, fops_tgt: FunctorOps):
         self.fops_src, self.fops_tgt = fops_src, fops_tgt
@@ -371,35 +383,67 @@ def _safety_squares(
         yield f, ff, (consistent * free) ** op.arity, free**op.arity, premises
 
 
-def _safety_draws(op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int):
+def _safety_draws(
+    op: OperationSpec, ids: _SafetyIds, rng: random.Random, trials: int, missed: list[int]
+):
     """The premises of ``trials`` draws, in the RNG order f, the source
     operands (operand-major, state by state), then each target operand's
     states outside the image of f; a draw whose sources force two values on
-    one target state is no premise and draws no target state.  Yields each
-    premise as ``_safety_squares`` yields a map, ``(f, ff, 1, 1, [(gammas,
-    cands)])`` with each ``cands[i]`` the one drawn target coalgebra, and
-    clears ``ids`` once a table holds more than
-    ``functors.DRAW_TABLE_ENTRIES`` entries."""
+    one target state is no premise, draws no target state and is counted in
+    ``missed[0]``.  Yields each premise as ``_safety_squares`` yields a
+    map, ``(f, ff, 1, 1, [(gammas, cands)])`` with each ``cands[i]`` the
+    one drawn target coalgebra.
+
+    A source operand is drawn whole, as the integer its draws spell
+    (``FunctorOps.coalgebra_drawer``), and read through two tables of
+    ``ids``: code -> source vid tuple, and (f, code) -> that tuple with the
+    target vids it forces by target state (None off the image), or None
+    where it forces two.  ``ids`` is cleared at the start of the first
+    trial at which a table holds more than ``functors.DRAW_TABLE_ENTRIES``
+    entries: every table but the two interners gains at most one entry per
+    operand and state of either side in a trial, so only the interners are
+    measured at every trial, and the other tables once their bound could
+    have been passed."""
     fops_src, fops_tgt = ids.fops_src, ids.fops_tgt
     n_src, n_tgt = fops_src.n, fops_tgt.n
     draw_map = predicate_drawer(rng, n_tgt, n_src)
-    draw_src, draw_tgt = fops_src.drawer(rng), fops_tgt.drawer(rng)
+    draw_src, draw_tgt = fops_src.coalgebra_drawer(rng), fops_tgt.drawer(rng)
+    coalgebra, vals_src, vals_tgt, ffs, tgt = (
+        draw_src.coalgebra, ids.vals_src, ids.vals_tgt, ids._ff, ids.tgt
+    )
+    source = ids.table(lambda code: tuple(map(ids.src, coalgebra(code)))).__getitem__
+    states_tgt = range(n_tgt)
+
+    def forcing(key):
+        f, code = key
+        g, ff = source(code), ffs.get(f)
+        if ff is None or len(ff) < len(vals_src):
+            ff = ids.ff(f)
+        forced = _forced(f, ff, g)
+        return g, forced and tuple(map(forced.get, states_tgt))
+
+    premise = ids.table(forcing).__getitem__
+    operands, cap = range(op.arity), functors.DRAW_TABLE_ENTRIES
+    grow, room = op.arity * (n_src + n_tgt), 0
     for _ in range(trials):
-        if ids.size() > functors.DRAW_TABLE_ENTRIES:
-            ids.clear()
+        if room and len(vals_src) <= cap and len(vals_tgt) <= cap:
+            room -= 1
+        else:
+            size = ids.size()
+            if size > cap:
+                ids.clear()
+                size = 0
+            room = (cap - size) // grow
         f = draw_map()
-        gammas = tuple(
-            tuple(ids.src(draw_src()) for _ in range(n_src)) for _ in range(op.arity)
-        )
-        ff = ids.ff(f)
-        forced = [_forced(f, ff, g) for g in gammas]
+        gammas, forced = zip(*[premise((f, draw_src())) for _ in operands])
         if None in forced:
+            missed[0] += 1
             continue
-        cands = tuple(
-            [tuple(d[y] if y in d else ids.tgt(draw_tgt()) for y in range(n_tgt))]
-            for d in forced
-        )
-        yield f, ff, 1, 1, [(gammas, cands)]
+        cands = tuple([
+            [on if None not in on else tuple([tgt(draw_tgt()) if w is None else w for w in on])]
+            for on in forced
+        ])
+        yield f, ffs[f], 1, 1, [(gammas, cands)]
 
 
 def _safety_pair(op: OperationSpec, ids: _SafetyIds, premises) -> tuple[int, int, dict | None]:
@@ -784,14 +828,14 @@ def _verify_rules(
     arity, n_vars = _shape(rules[0], config)
     if mode == "random":  # an exhaustive sweep draws nothing
         rng = random.Random(seed)
-        value, sigma = plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
-    states = range(n)
+        gamma, sigma = plan.fops.coalgebra_drawer(rng), predicate_drawer(rng, config.truth.m, n)
+        coalgebra = gamma.coalgebra
 
     def draw(count: int):  # per trial, the gammas in slot order, then the sigmas
         gammas, sigmas = [[] for _ in range(arity)], [[] for _ in range(n_vars)]
         for _ in range(count):
             for column in gammas:
-                column.append(tuple([value() for _ in states]))
+                column.append(coalgebra(gamma()))
             for column in sigmas:
                 column.append(sigma())
         return [(plan, at, range(count), gammas, sigmas)]
@@ -1173,9 +1217,9 @@ def bounded_entailment(
         rng = random.Random(seed)
         carrier = int_drawer(rng, 1, max_n)
 
-    def drawn(n: int):  # a plan of n states with its value and predicate drawers
+    def drawn(n: int):  # a plan of n states with its coalgebra and predicate drawers
         plan, at = compiled(n)
-        return plan, at, plan.fops.drawer(rng), predicate_drawer(rng, config.truth.m, n)
+        return plan, at, plan.fops.coalgebra_drawer(rng), predicate_drawer(rng, config.truth.m, n)
 
     plans = _Table(drawn)
     plan_of = plans.__getitem__
@@ -1185,12 +1229,11 @@ def bounded_entailment(
         part_of = parts.__getitem__
         for t in range(count):
             n = carrier()
-            _, _, value, sigma = plan_of(n)
+            _, _, gamma, sigma = plan_of(n)
             index, gammas, sigmas = part_of(n)  # size n's trial indices, gamma and sigma columns
             index.append(t)
-            states = range(n)
             for column in gammas:
-                column.append(tuple([value() for _ in states]))
+                column.append(gamma.coalgebra(gamma()))
             for column in sigmas:
                 column.append(sigma())
         return (

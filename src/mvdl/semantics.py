@@ -58,6 +58,7 @@ from .functors import (
     Kind,
     NEIGHBOURHOOD_KINDS,
     FunctorOps,
+    _Table,
     functor_ops,
     predicate_index,
     predicate_space,
@@ -321,19 +322,6 @@ def connective(truth: Algebra, sym: str, nargs: int) -> tuple[int, object]:
             f"connective {sym!r} expects {arity} argument(s), got {nargs}"
         )
     return arity, table
-
-
-class _Table(dict):
-    """A dict that fills a missing key with ``fill(key)`` on first lookup."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 class _Interner(dict):

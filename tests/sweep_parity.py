@@ -73,11 +73,13 @@ The calls are, in order:
   order, labelled ``registry again``: each must equal its first-pass row;
 * ``check_separation`` of each preset's lifting family at n=1 and n=2,
   exhaustive and sampled (300 trials) at seeds SEED and SEED+1;
-* the sampled ``verify_reduction_rule`` and ``bounded_entailment`` rows
-  above again, labelled ``forget ...``, with ``functors.DRAW_TABLE_ENTRIES``
-  (and ``harness.SAMPLED_COALGEBRAS``, in a tree that has it) at 4, so
-  each plan forgets its ids between batches and refills its tables, and
-  each drawer starts its table afresh every few draws.
+* the sampled ``verify_reduction_rule``, ``bounded_entailment`` and
+  ``check_safety`` rows above again, labelled ``forget ...``, with
+  ``functors.DRAW_TABLE_ENTRIES`` (and ``harness.SAMPLED_COALGEBRAS``, in a
+  tree that has it) at 4, so each plan forgets its ids between batches and
+  refills its tables, a safety sweep drops its ids every few draws, and
+  each drawer starts its tables afresh every few draws.  Each ``forget``
+  row equals the row of its label without ``forget``.
 
 A call that raises prints its error in place of a verdict.  mvdl is
 imported from ``src`` under the root (by default the checkout holding this
@@ -199,11 +201,13 @@ def _sampled_entail_rows(m, configs, entail, seed):
 
 
 def _forget_rows(m, configs, entail, seed):
-    """The sampled rule and entailment rows again with every sampled bound
-    at 4, so a plan forgets its ids before almost every batch and its
-    tables, like the drawers', fill afresh."""
+    """The sampled rule, entailment and safety rows again with every
+    sampled bound at 4, so a plan forgets its ids before almost every
+    batch, a safety sweep clears its ids every few draws, and their tables,
+    like the drawers', fill afresh."""
     rows = chain(
-        _rule_rows(m, configs, ("random",)), _sampled_entail_rows(m, configs, entail, seed)
+        _rule_rows(m, configs, ("random",)), _sampled_entail_rows(m, configs, entail, seed),
+        _sampled_safety_rows(m, configs, seed),
     )
     for label, call in rows:
         yield f"forget {label}", partial(_forgetting, m, call)

@@ -477,6 +477,21 @@ DRAWN = [
 ]
 
 
+# every kind a coalgebra drawer draws, at the carrier sizes whose values it
+# draws in well under a millisecond
+WHOLE = [
+    (Kind.POWERSET, "B2", (1, 2, 3)),
+    (Kind.APOWERSET, "L2", (1, 2, 3)),
+    (Kind.APOWERSET, "L3", (1, 2, 3)),
+    (Kind.A_NEIGHBOURHOOD, "B2", (1, 2, 3)),
+    (Kind.A_NEIGHBOURHOOD, "L2", (1, 2)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "B2", (1, 2, 3)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "L2", (1, 2, 3)),
+    (Kind.MONOTONE_NEIGHBOURHOOD, "L3", (1, 2)),
+    (Kind.DOUBLE_POWERSET, "B2", (1, 2, 3)),
+]
+
+
 class TestDrawTables:
     @pytest.mark.parametrize("cap", [None, 64, 7])
     @pytest.mark.parametrize("kind, alg_fixture, sizes", DRAWN)
@@ -537,6 +552,44 @@ class TestDrawTables:
         sigma = predicate_drawer(random.Random(5), 3, 2)
         values = [sigma() for _ in range(100)]
         assert len({id(v) for v in values}) == len(set(values)) == 9
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    @pytest.mark.parametrize("kind, alg_fixture, sizes", WHOLE)
+    def test_coalgebra_drawer_draws_what_the_value_drawer_draws(
+        self, kind, alg_fixture, sizes, cap, request, monkeypatch
+    ):
+        # one call draws the n states that n value draws give, from the same
+        # RNG calls, spelled as one integer that decodes to them
+        if cap is None:
+            cap = functors.DRAW_TABLE_ENTRIES
+        else:
+            monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", cap)
+        alg = request.getfixturevalue(alg_fixture)
+        for n in sizes:
+            fops = functor_ops(kind, n, alg)
+            for seed in range(2):
+                whole, twin = random.Random(seed), random.Random(seed)
+                draw, value = fops.coalgebra_drawer(whole), fops.drawer(twin)
+                drawn, resets, before = {}, 0, 0
+                for _ in range(400):
+                    code = draw()
+                    got = draw.coalgebra(code)
+                    assert got == tuple(value() for _ in range(n))
+                    assert draw.coalgebra(code) is got
+                    if cap > 400:  # no table starts afresh: a repeat is the same object
+                        assert drawn.setdefault(code, got) is got
+                    drawn[code] = got
+                    held = draw.held()
+                    assert held <= cap
+                    resets, before = resets + (held < before), held
+                assert whole.getstate() == twin.getstate()
+                # the code is a function of the coalgebra and decodes to it on
+                # a drawer that never drew it
+                assert len(set(drawn.values())) == len(drawn)
+                fresh = fops.coalgebra_drawer(random.Random(seed)).coalgebra
+                assert all(fresh(code) == got for code, got in drawn.items())
+                if cap < len(drawn):
+                    assert resets > 0
 
     def test_tables_hold_at_most_the_cap(self):
         # predicates of 3 values at 9 points (aneighbourhood/L2 at n = 2),

@@ -354,16 +354,114 @@ def test_sampled_safety_matches_reference(config, op, unsafe):
             assert verdict.status == ("fails" if unsafe and max_n > 1 else "holds-up-to-bound")
 
 
-@pytest.mark.parametrize("preset, alg_name, op_id", [("game", "L2", ";"), ("instantial", "B2", "*")])
+def _sampled_target(preset: str, alg_name: str, op_id: str):
+    if preset == "aneighbourhood":
+        return (
+            config_from_json({"kind": preset}, algebra_by_name(alg_name)),
+            OperationSpec(op_id, 1, "counter-domain"),
+        )
+    config = make_preset(preset, algebra_by_name(alg_name))
+    return config, config.ops[op_id]
+
+
+class _KeptIds(harness._SafetyIds):
+    """``_SafetyIds`` that lists every instance, to look at their tables
+    after the sweep."""
+
+    made: list = []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.made.append(self)
+
+
+@pytest.mark.parametrize(
+    "preset, alg_name, op_id",
+    [
+        ("game", "L2", ";"),
+        ("instantial", "B2", "*"),
+        ("pdl-labelled", "L2", ";"),  # the safety benchmark's sampled item
+        ("pdl-crisp", "B2", ";"),  # a powerset coalgebra is one code of n digits
+        ("aneighbourhood", "B2", "~"),  # counter-domain, which fails
+    ],
+)
 def test_sampled_safety_starts_afresh(monkeypatch, preset, alg_name, op_id):
     # a long sampled sweep drops its ids, tables and drawn values every few
-    # draws; the verdict does not depend on when
-    config = make_preset(preset, algebra_by_name(alg_name))
-    op = config.ops[op_id]
+    # draws; the verdict does not depend on when, and keeps none of them
+    config, op = _sampled_target(preset, alg_name, op_id)
     want = reference_safety_sampled(op, config, 3, 600, 4)
     monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", 5)
+    monkeypatch.setattr(harness, "_SafetyIds", _KeptIds)
+    monkeypatch.setattr(_KeptIds, "made", [])
     verdict = check_safety(op, config, max_n=3, mode="random", trials=600, seed=4)
     assert (verdict.status, verdict.cases, verdict.counterexample) == want
+    assert verdict.cases <= verdict.detail["drawn"] <= 9 * (600 // 9 + 1)
+    assert len(_KeptIds.made) == 9
+    assert all(len(table) == 0 for ids in _KeptIds.made for table in ids._tables)
+
+
+@pytest.mark.parametrize(
+    "preset, alg_name, op_id, max_n",
+    [
+        ("pdl-labelled", "L2", ";", 3),
+        ("aneighbourhood", "L2", "~", 2),  # 19,683 values: the interners outgrow the others
+    ],
+)
+def test_sampled_safety_clears_its_ids_at_the_bound(monkeypatch, preset, alg_name, op_id, max_n):
+    # the sweep measures its tables only where they could have passed the
+    # bound, yet at every draw of f no table holds more than the bound, and
+    # a clear before a pair's last draw finds a table above it
+    config, op = _sampled_target(preset, alg_name, op_id)
+    cap, events = 60, []
+    monkeypatch.setattr(functors, "DRAW_TABLE_ENTRIES", cap)
+
+    class Watched(_KeptIds):
+        def clear(self):
+            events.append(("clear", self, self.size()))
+            super().clear()
+
+    monkeypatch.setattr(harness, "_SafetyIds", Watched)
+    monkeypatch.setattr(Watched, "made", [])
+    drawer = harness.predicate_drawer
+
+    def watched(rng, m, n):
+        draw, ids = drawer(rng, m, n), Watched.made[len({e[1] for e in events if e[0] == "f"})]
+
+        def f():
+            assert ids.size() <= cap
+            events.append(("f", ids, None))
+            return draw()
+
+        return f
+
+    monkeypatch.setattr(harness, "predicate_drawer", watched)
+    check_safety(op, config, max_n=max_n, mode="random", trials=900)
+    last = {ids: i for i, (kind, ids, _) in enumerate(events) if kind == "f"}
+    early = [size for i, (kind, ids, size) in enumerate(events) if kind == "clear" and i < last[ids]]
+    assert early and all(size > cap for size in early)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_safety_keeps_no_table_after_an_error(monkeypatch, mode, labelled_l2):
+    # a sweep that raises part-way leaves every carrier pair's tables empty,
+    # the tables keyed by drawn codes included
+    calls = 0
+
+    def failing(f, ff, g):
+        nonlocal calls
+        calls += 1
+        if calls > 50:
+            raise RuntimeError("stop")
+        return forced(f, ff, g)
+
+    forced = harness._forced
+    monkeypatch.setattr(harness, "_forced", failing)
+    monkeypatch.setattr(harness, "_SafetyIds", _KeptIds)
+    monkeypatch.setattr(_KeptIds, "made", [])
+    with pytest.raises(RuntimeError, match="stop"):
+        check_safety(labelled_l2.ops[";"], labelled_l2, max_n=2, mode=mode, trials=400)
+    assert calls > 50 and len(_KeptIds.made) == 4
+    assert all(len(table) == 0 for ids in _KeptIds.made for table in ids._tables)
 
 
 class TestFunctorLaws:
@@ -639,13 +737,16 @@ class TestSafetyBudget:
 def test_sampled_verdicts_name_their_seed(labelled_l2, threshold_l2):
     op = labelled_l2.ops[";"]
     held = check_safety(op, labelled_l2, max_n=2, mode="random", trials=40, seed=5)
+    # four carrier pairs of 40 // 4 + 1 draws each, of which ``cases`` were premises
     assert held.detail == {
-        "target": ";", "max_n": 2, "mode": "random", "trials": 40, "seed": 5,
+        "target": ";", "max_n": 2, "mode": "random", "trials": 40, "seed": 5, "drawn": 44,
     }
+    assert held.cases < 44
     meet = OperationSpec("meet", 2, "meet-pw")
     failed = check_safety(meet, labelled_l2, max_n=2, mode="random", trials=400, seed=5)
     assert failed.status == "fails"
     assert (failed.detail["trials"], failed.detail["seed"]) == (400, 5)
+    assert failed.cases <= failed.detail["drawn"] <= 4 * 101
     assert "seed" not in check_safety(op, labelled_l2, max_n=1).detail
     lifting = [threshold_l2.liftings["dia_1"]]
     separated = check_separation(lifting, threshold_l2, n=2, mode="random", trials=30, seed=6)
